@@ -11,8 +11,13 @@ Commands: ``single``, ``repeat``, ``continuous``, ``fig2a``, ``fig2b``,
 a flat ``key = value`` config file, overridden by ``--param`` flags. Grid
 parameters use ``start:stop:points``; complex scalars use ``re,im``.
 
+Each command evaluates its whole grid in one call, validating the inputs
+shared by all points once and each stack of per-point matrices once.
+``--jobs`` is accepted for compatibility and has no effect.
+
 Exit codes: 0 success, 2 configuration error, 3 invariant violation while
-computing or emitting rows.
+computing or emitting rows; a check that fails at a grid point names the
+point's index and parameter values.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ import cmath
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .errors import ConfigError, SoftMeasError
 from .information import (
     CompetitionParams,
     StateEnsemble,
+    bloch_y_rotation,
     coherent_info_soft,
     coherent_info_two_level,
     compete_two_level,
@@ -39,11 +43,12 @@ from .information import (
     meter_ensemble,
     semiclassical_info_continuous,
 )
-from .matcore import partial_trace, von_neumann_entropy
+from .matcore import partial_trace, validate_density_matrix, von_neumann_entropy
 from .measurement import SoftMeasurement, TwoLevelMeterParams, apply_soft, two_level_gram
 from .repeated import (
     ContinuousLimitParams,
     RepeatedMeasurement,
+    collective_representation,
     gram_power,
     joint_dm_continuous,
     joint_dm_repeated,
@@ -166,7 +171,10 @@ def _parse_grid(raw: str, name: str) -> np.ndarray:
         raise ConfigError(f"parameter {name}: start {start} exceeds stop {stop}")
     if points == 1:
         return np.array([start])
-    return np.linspace(start, stop, points)
+    # An infinite end point makes NaN entries, which the command's own
+    # domain checks then reject; numpy need not warn about them first.
+    with np.errstate(invalid="ignore"):
+        return np.linspace(start, stop, points)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -230,143 +238,180 @@ def _entanglement_from_r12(r12: complex) -> np.ndarray:
     return np.array([[1.0, r12], [np.conj(r12), 1.0]])
 
 
-def _grid_points(command: str, config: dict[str, str]) -> list[tuple[float, ...]]:
+def _grid_axes(command: str, config: dict[str, str]) -> list[np.ndarray]:
     axes = []
     for name in _GRIDS[command]:
         grid = _parse_grid(config[name], name)
         if command == "repeat" and name == "n":
+            if not np.all(np.isfinite(grid)):
+                raise ConfigError("parameter n: repetition counts must be finite")
             grid = np.unique(np.rint(grid).astype(int))
             if grid.size and grid[0] < 1:
                 raise ConfigError("parameter n: repetition counts must be >= 1")
         axes.append(grid)
-    if not axes:
-        return [()]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return list(zip(*(m.ravel() for m in mesh)))
+    return axes
 
 
-def _compute_row(command: str, config: dict[str, str], point: tuple[float, ...]) -> list[float]:
-    if command == "fig2a":
-        q, mu = point
-        p = _unit_interval(_parse_float(config["p"], "p"), "p")
-        return [q, mu, coherent_info_two_level(q, p, mu)]
+# Each command evaluates its whole grid in one call. A sweep function takes
+# the resolved config and one open-mesh array per grid axis (broadcastable
+# to the grid shape) and returns its output columns, also broadcastable to
+# the grid shape. Inputs shared by the whole grid are built and validated
+# once; the matrix checks run once over each stack.
 
-    if command == "fig2b":
-        q_eve, q_bob = point
-        mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
-        info_eve, info_bob = compete_two_level(
-            CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu)
-        )
-        return [q_eve, q_bob, info_eve, info_bob]
 
-    if command == "fig3":
-        q, theta = point
-        ensemble = StateEnsemble(
-            probs=np.array([0.5, 0.5]),
-            states=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-        )
-        rigid_bob = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
-        dephase = np.array([[1.0, q], [q, 1.0]])
-        return [q, theta, eve_bob_semiclassical(ensemble, theta, dephase, rigid_bob)]
+def _pointwise(fn, *mesh: np.ndarray) -> list[np.ndarray]:
+    """Evaluate a scalar closed form at every grid point, in grid order.
 
-    if command == "continuous":
-        (t,) = point
-        params = ContinuousLimitParams(
-            kappa=_parse_float(config["kappa"], "kappa"),
-            t=float(t),
-            chi_dot=_parse_float(config["chi_dot"], "chi_dot"),
-            r_dot=_parse_complex(config["r_dot"], "r_dot"),
-        )
-        rho = _rho_from_config(config)
-        meter = meter_dm_continuous(rho, params)
-        joint = joint_dm_continuous(rho, params)
-        info = semiclassical_info_continuous(
-            params.kappa, params.t, convention=config["kappa_convention"]
-        )
-        return [
-            t,
-            meter[0, 0].real,
-            meter[0, 1].real,
-            meter[0, 1].imag,
-            meter[1, 1].real,
-            von_neumann_entropy(joint),
-            von_neumann_entropy(meter),
-            info,
-        ]
+    ``fn`` returns a tuple per point; the result has one array per tuple
+    entry, of the grid shape plus the entry's own shape. A failure is
+    reported at its grid point.
+    """
+    mesh = np.broadcast_arrays(*mesh)
+    values = []
+    for flat, point in enumerate(zip(*(m.ravel() for m in mesh))):
+        try:
+            values.append(fn(*point))
+        except SoftMeasError as exc:
+            exc.index = tuple(int(i) for i in np.unravel_index(flat, mesh[0].shape))
+            raise
+    shape = mesh[0].shape
+    return [np.array(column).reshape(shape + np.shape(column[0])) for column in zip(*values)]
 
-    if command == "repeat":
-        (n,) = point
-        n = int(n)
-        params = TwoLevelMeterParams(
-            theta=_parse_float(config["theta"], "theta"),
-            chi=_parse_float(config["chi"], "chi"),
-        )
-        measurement = SoftMeasurement(
-            entanglement=_entanglement_from_r12(_parse_complex(config["r12"], "r12")),
-            gram=two_level_gram(params),
-        )
-        rho = _rho_from_config(config)
-        vectors = two_level_gram_sqrt(params, n)
-        joint = joint_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
-        meter = meter_dm_repeated(rho, measurement.gram, n)
-        info = coherent_info_soft(
-            rho, measurement.entanglement**n, gram_power(measurement.gram, n)
-        )
-        return [
-            float(n),
-            vectors[0, 0].real,
-            vectors[0, 1].real,
-            vectors[0, 1].imag,
-            vectors[1, 1].real,
-            von_neumann_entropy(meter),
-            von_neumann_entropy(joint),
-            info,
-        ]
 
-    if command == "single":
-        params = TwoLevelMeterParams(
-            theta=_parse_float(config["theta"], "theta"),
-            chi=_parse_float(config["chi"], "chi"),
-        )
-        measurement = SoftMeasurement(
-            entanglement=_entanglement_from_r12(_parse_complex(config["r12"], "r12")),
-            gram=two_level_gram(params),
-        )
-        rho = _rho_from_config(config)
-        q = abs(measurement.entanglement[0, 1] * measurement.gram[0, 1])
-        joint = apply_soft(measurement, rho)
-        meter = partial_trace(joint, [2, 2], keep=1)
-        obj = partial_trace(joint, [2, 2], keep=0)
-        populations = np.diag(rho).real
-        basis_ensemble = StateEnsemble(
-            probs=populations,
-            states=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-        )
-        info_s = holevo_info(meter_ensemble(basis_ensemble, measurement.gram))
-        info_c = coherent_info_soft(rho, measurement.entanglement, measurement.gram)
-        return [
-            q,
-            von_neumann_entropy(rho),
-            von_neumann_entropy(obj),
-            von_neumann_entropy(meter),
-            von_neumann_entropy(joint),
-            info_c,
-            info_s,
-        ]
+def _basis_ensemble(probs) -> StateEnsemble:
+    return StateEnsemble(
+        probs=np.asarray(probs, dtype=float),
+        states=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+    )
 
-    if command == "isweep":
-        (q,) = point
-        p = _unit_interval(_parse_float(config["p"], "p"), "p")
-        mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
-        basis_ensemble = StateEnsemble(
-            probs=np.array([p, 1.0 - p]),
-            states=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-        )
-        gram = np.array([[1.0, q], [q, 1.0]])
-        info_s = holevo_info(meter_ensemble(basis_ensemble, gram))
-        return [q, coherent_info_two_level(q, p, mu), info_s]
 
-    raise ConfigError(f"unknown command {command!r}")
+def _two_level_inputs(
+    config: dict[str, str],
+) -> tuple[TwoLevelMeterParams, SoftMeasurement, np.ndarray]:
+    params = TwoLevelMeterParams(
+        theta=_parse_float(config["theta"], "theta"),
+        chi=_parse_float(config["chi"], "chi"),
+    )
+    measurement = SoftMeasurement(
+        entanglement=_entanglement_from_r12(_parse_complex(config["r12"], "r12")),
+        gram=two_level_gram(params),
+    )
+    return params, measurement, _rho_from_config(config)
+
+
+def _symmetric_off_diagonal(x: np.ndarray) -> np.ndarray:
+    """The stack of ``[[1, x], [x, 1]]`` over the entries of ``x``."""
+    out = np.ones(np.shape(x) + (2, 2))
+    out[..., 0, 1] = out[..., 1, 0] = x
+    return out
+
+
+def _sweep_fig2a(config, q, mu):
+    p = _unit_interval(_parse_float(config["p"], "p"), "p")
+    return _pointwise(lambda q, mu: (coherent_info_two_level(q, p, mu),), q, mu)
+
+
+def _sweep_fig2b(config, q_eve, q_bob):
+    mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
+
+    def point(q_eve, q_bob):
+        return compete_two_level(CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu))
+
+    return _pointwise(point, q_eve, q_bob)
+
+
+def _sweep_fig3(config, q, theta):
+    rigid_bob = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
+    dephase = _symmetric_off_diagonal(q)
+    info = eve_bob_semiclassical(
+        _basis_ensemble([0.5, 0.5]), bloch_y_rotation(theta), dephase, rigid_bob
+    )
+    return [info]
+
+
+def _sweep_continuous(config, t):
+    kappa = _parse_float(config["kappa"], "kappa")
+    chi_dot = _parse_float(config["chi_dot"], "chi_dot")
+    r_dot = _parse_complex(config["r_dot"], "r_dot")
+    rho = _rho_from_config(config)
+    validate_density_matrix(rho)
+
+    def point(t):
+        params = ContinuousLimitParams(kappa=kappa, t=float(t), chi_dot=chi_dot, r_dot=r_dot)
+        return (
+            meter_dm_continuous(rho, params, validate=False),
+            joint_dm_continuous(rho, params, validate=False),
+            semiclassical_info_continuous(kappa, params.t, convention=config["kappa_convention"]),
+        )
+
+    meter, joint, info = _pointwise(point, t)
+    return [
+        meter[..., 0, 0].real,
+        meter[..., 0, 1].real,
+        meter[..., 0, 1].imag,
+        meter[..., 1, 1].real,
+        von_neumann_entropy(joint),
+        von_neumann_entropy(meter),
+        info,
+    ]
+
+
+def _sweep_repeat(config, n):
+    params, measurement, rho = _two_level_inputs(config)
+    vectors = np.array([two_level_gram_sqrt(params, k) for k in n.tolist()])
+    shared = collective_representation(measurement.gram, n)
+    repeated = RepeatedMeasurement(base=measurement, n=n)
+    joint = joint_dm_repeated(rho, repeated, representation=shared)
+    meter = meter_dm_repeated(rho, measurement.gram, n, representation=shared)
+    info = coherent_info_soft(rho, gram_power(measurement.entanglement, n), shared.gram_n)
+    return [
+        vectors[..., 0, 0].real,
+        vectors[..., 0, 1].real,
+        vectors[..., 0, 1].imag,
+        vectors[..., 1, 1].real,
+        von_neumann_entropy(meter),
+        von_neumann_entropy(joint),
+        info,
+    ]
+
+
+def _sweep_single(config):
+    _, measurement, rho = _two_level_inputs(config)
+    q = abs(measurement.entanglement[0, 1] * measurement.gram[0, 1])
+    joint = apply_soft(measurement, rho)
+    meter = partial_trace(joint, [2, 2], keep=1)
+    obj = partial_trace(joint, [2, 2], keep=0)
+    info_s = holevo_info(meter_ensemble(_basis_ensemble(np.diag(rho).real), measurement.gram))
+    info_c = coherent_info_soft(rho, measurement.entanglement, measurement.gram)
+    return [
+        q,
+        von_neumann_entropy(rho),
+        von_neumann_entropy(obj),
+        von_neumann_entropy(meter),
+        von_neumann_entropy(joint),
+        info_c,
+        info_s,
+    ]
+
+
+def _sweep_isweep(config, q):
+    p = _unit_interval(_parse_float(config["p"], "p"), "p")
+    mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
+    meters = meter_ensemble(_basis_ensemble([p, 1.0 - p]), _symmetric_off_diagonal(q))
+    info_s = holevo_info(meters)
+    (info_c,) = _pointwise(lambda q: (coherent_info_two_level(q, p, mu),), q)
+    return [info_c, info_s]
+
+
+_SWEEPS = {
+    "fig2a": _sweep_fig2a,
+    "fig2b": _sweep_fig2b,
+    "fig3": _sweep_fig3,
+    "continuous": _sweep_continuous,
+    "repeat": _sweep_repeat,
+    "single": _sweep_single,
+    "isweep": _sweep_isweep,
+}
 
 
 def _format_value(value: float) -> str:
@@ -392,30 +437,45 @@ def _emit_json(
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _check_finite(columns: tuple[str, ...], rows: list[list[float]]) -> None:
-    for i, row in enumerate(rows):
-        for name, value in zip(columns, row):
-            if not math.isfinite(value):
-                raise SoftMeasError(
-                    f"invariant violation: non-finite value in column {name!r}, row {i}"
-                )
+def _check_finite(columns: tuple[str, ...], table: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        raise SoftMeasError(
+            f"invariant violation: non-finite value in column {columns[j]!r}, row {i}"
+        )
 
 
 def run_sweep(
     command: str, config: dict[str, str], jobs: int = 1
 ) -> tuple[tuple[str, ...], list[list[float]]]:
-    """Compute all rows of a sweep, ordered by grid index."""
-    points = _grid_points(command, config)
-    worker = partial(_compute_row, command, config)
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(points) // (jobs * 4))
-            rows = list(pool.map(worker, points, chunksize=chunk))
-    else:
-        rows = [worker(point) for point in points]
+    """Compute all rows of a sweep, ordered by grid index.
+
+    The command's sweep function evaluates the whole grid in one call.
+    ``jobs`` is accepted for compatibility and has no effect. When a check
+    fails at a grid point, the error message names the command, the
+    point's grid index and its parameter values.
+    """
+    if command not in _SWEEPS:
+        raise ConfigError(f"unknown command {command!r}")
+    axes = _grid_axes(command, config)
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    shape = tuple(len(axis) for axis in axes)
+    try:
+        outputs = _SWEEPS[command](config, *mesh)
+    except SoftMeasError as exc:
+        if exc.index is not None and len(exc.index) == len(shape):
+            point = ", ".join(
+                f"{name}={_format_value(np.broadcast_to(m, shape)[exc.index])}"
+                for name, m in zip(_GRIDS[command], mesh)
+            )
+            flat = int(np.ravel_multi_index(exc.index, shape))
+            exc.args = (f"{command} grid point {flat} ({point}): {exc}",)
+        raise
     columns = _COLUMNS[command]
-    _check_finite(columns, rows)
-    return columns, rows
+    table = np.column_stack([np.broadcast_to(c, shape).ravel() for c in (*mesh, *outputs)])
+    _check_finite(columns, table)
+    return columns, table.tolist()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -434,7 +494,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--kappa-convention", choices=("gram", "paper"))
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility, has no effect (must be >= 1)",
+    )
     return parser
 
 
@@ -454,6 +519,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SoftMeasError as exc:
         print(f"softmeas: {exc}", file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as exc:
+        print(f"softmeas: invariant violation: eigensolver failed: {exc}", file=sys.stderr)
         return 3
     if args.format == "csv":
         text = _emit_csv(columns, rows)

@@ -4,9 +4,20 @@ Everything derives from :class:`SoftMeasError` (a ``ValueError``), so callers
 can catch either the specific condition or the whole family.
 """
 
+from __future__ import annotations
+
 
 class SoftMeasError(ValueError):
-    """Base class for all validation and domain errors raised here."""
+    """Base class for all validation and domain errors raised here.
+
+    ``index`` locates the failure in the leading (stack) axes of a checked
+    ``(..., D, D)`` array: the index of the first member, in C order, that
+    failed. It is None when the input was a single matrix.
+    """
+
+    def __init__(self, *args: object, index: tuple[int, ...] | None = None) -> None:
+        super().__init__(*args)
+        self.index = index
 
 
 class NotHermitian(SoftMeasError):

@@ -30,12 +30,16 @@ from .errors import (
 )
 from .matcore import (
     TAU_RECON,
+    _dagger,
+    _first,
+    _label,
     herm_eig,
     validate_density_matrix,
     von_neumann_entropy,
 )
 from .measurement import (
     SoftMeasurement,
+    ValidationReport,
     _check_correlation_matrix,
     meter_states_from_gram,
     validate_soft,
@@ -135,10 +139,9 @@ def soft_object_channel(
     ``m = entanglement * gram``. Its Kraus operators are obtained by
     eigendecomposing the corresponding Choi matrix (they come out diagonal).
     """
-    failures = _check_correlation_matrix(np.asarray(entanglement, complex), "entanglement")
-    failures += _check_correlation_matrix(np.asarray(gram, complex), "gram")
-    if failures:
-        raise InvalidMeasurement("; ".join(failures))
+    report = _check_correlation_matrix(np.asarray(entanglement, complex), "entanglement")
+    report += _check_correlation_matrix(np.asarray(gram, complex), "gram")
+    report.require()
     m = np.asarray(entanglement, dtype=complex) * np.asarray(gram, dtype=complex)
     d = m.shape[0]
     choi = np.zeros((d, d, d, d), dtype=complex)
@@ -190,22 +193,22 @@ def coherent_info_soft(
     Closed form: with multiplier ``m = entanglement * gram`` the value is
     ``S[m * rho] - S[sqrt(rho_kk) m_kl sqrt(rho_ll)]`` (entrywise products).
     Both arguments are themselves valid density matrices and are checked.
+
+    Any of the three inputs may be a ``(..., D, D)`` stack; the stacks
+    broadcast against each other and the result is one value per member.
     """
     rho = np.asarray(rho, dtype=complex)
     if validate:
-        failures = _check_correlation_matrix(
-            np.asarray(entanglement, complex), "entanglement"
-        )
-        failures += _check_correlation_matrix(np.asarray(gram, complex), "gram")
-        if failures:
-            raise InvalidMeasurement("; ".join(failures))
+        report = _check_correlation_matrix(np.asarray(entanglement, complex), "entanglement")
+        report += _check_correlation_matrix(np.asarray(gram, complex), "gram")
+        report.require()
         validate_density_matrix(rho)
     m = np.asarray(entanglement, dtype=complex) * np.asarray(gram, dtype=complex)
-    if m.shape != rho.shape:
+    if m.shape[-2:] != rho.shape[-2:]:
         raise DimensionMismatch(f"rho shape {rho.shape} != measurement shape {m.shape}")
     first = m * rho
-    roots = np.sqrt(np.clip(np.diag(rho).real, 0.0, None))
-    second = np.outer(roots, roots) * m
+    roots = np.sqrt(np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None))
+    second = roots[..., :, None] * roots[..., None, :] * m
     validate_density_matrix(first, name="dephased object state")
     validate_density_matrix(second, name="exchange-entropy argument")
     return von_neumann_entropy(first, validate=False) - von_neumann_entropy(
@@ -238,7 +241,11 @@ def coherent_info_two_level(q: float, p: float, mu: float) -> float:
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """Labeled ensemble of density matrices with prior probabilities."""
+    """Labeled ensemble of density matrices with prior probabilities.
+
+    Each state may also be a ``(..., D, D)`` stack, all of one shape: the
+    object then holds one ensemble per stack member, sharing ``probs``.
+    """
 
     probs: np.ndarray
     states: tuple[np.ndarray, ...]
@@ -265,31 +272,33 @@ class StateEnsemble:
 
     @property
     def dim(self) -> int:
-        return int(self.states[0].shape[0])
+        return int(self.states[0].shape[-1])
 
 
 def meter_ensemble(ensemble: StateEnsemble, gram: np.ndarray) -> StateEnsemble:
     """Meter-side ensemble induced by measuring each ensemble member.
 
     Each output state mixes the synthesized meter states with the input's
-    populations: ``V @ diag(rho_kk) @ V^dagger``.
+    populations: ``V @ diag(rho_kk) @ V^dagger``. A stack of Gram matrices
+    gives one meter ensemble per member.
     """
     vectors = meter_states_from_gram(gram)
-    if vectors.shape[0] != ensemble.dim:
+    if vectors.shape[-1] != ensemble.dim:
         raise DimensionMismatch(
-            f"gram dim {vectors.shape[0]} != ensemble dim {ensemble.dim}"
+            f"gram dim {vectors.shape[-1]} != ensemble dim {ensemble.dim}"
         )
     states = tuple(
-        (vectors * np.diag(s).real) @ vectors.conj().T for s in ensemble.states
+        (vectors * np.diagonal(s, axis1=-2, axis2=-1).real[..., None, :]) @ _dagger(vectors)
+        for s in ensemble.states
     )
     return StateEnsemble(probs=ensemble.probs, states=states, labels=ensemble.labels)
 
 
-def holevo_info(ensemble: StateEnsemble) -> float:
+def holevo_info(ensemble: StateEnsemble) -> float | np.ndarray:
     """Holevo (semiclassical) information of an ensemble, bits.
 
     ``S[sum_k p_k rho_k] - sum_k p_k S[rho_k]``; nonnegative and at most
-    ``log2(dim)``.
+    ``log2(dim)``. An ensemble of stacked states gives one value per member.
     """
     average = sum(p * s for p, s in zip(ensemble.probs, ensemble.states))
     mixing = von_neumann_entropy(average, validate=False)
@@ -298,7 +307,8 @@ def holevo_info(ensemble: StateEnsemble) -> float:
         for p, s in zip(ensemble.probs, ensemble.states)
         if p > 0.0
     )
-    return float(mixing - conditional) + 0.0
+    info = np.asarray(mixing - conditional) + 0.0
+    return float(info) if info.ndim == 0 else info
 
 
 def _binary_entropy(p: float) -> float:
@@ -375,11 +385,10 @@ def compete_coherent(
         "bob gram": np.asarray(gram_bob, complex),
     }
     if validate:
-        failures: list[str] = []
+        report = ValidationReport()
         for name, mat in mats.items():
-            failures += _check_correlation_matrix(mat, name)
-        if failures:
-            raise InvalidMeasurement("; ".join(failures))
+            report += _check_correlation_matrix(mat, name)
+        report.require()
         validate_density_matrix(rho)
     shared = rho * mats["eve entanglement"] * mats["bob entanglement"]
     common = shared * mats["eve gram"] * mats["bob gram"]
@@ -403,12 +412,25 @@ def compete_two_level(params: CompetitionParams) -> tuple[float, float]:
     return info_eve, info_bob
 
 
-def _bloch_y_rotation(theta: float) -> np.ndarray:
-    half = theta / 2.0
-    return np.array(
-        [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]],
-        dtype=complex,
-    )
+def bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
+    """Two-level basis change rotating the Bloch sphere by ``theta`` about y.
+
+    ``[[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]]``; an
+    array of angles gives the ``(..., 2, 2)`` stack of rotations. The sines
+    and cosines come from :mod:`math`, one angle at a time, so a stack holds
+    exactly the matrices the single-angle calls give. Raises
+    :class:`OutOfRange` for an angle that is not finite.
+    """
+    angles = np.asarray(theta, dtype=float)
+    i = _first(~np.isfinite(angles))
+    if i is not None:
+        raise OutOfRange(
+            f"rotation angle{_label(i)} must be finite, got {angles[i]}", index=i or None
+        )
+    half = (angles / 2.0).ravel().tolist()
+    cos = np.array([math.cos(h) for h in half]).reshape(angles.shape)
+    sin = np.array([math.sin(h) for h in half]).reshape(angles.shape)
+    return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2).astype(complex)
 
 
 def eve_bob_semiclassical(
@@ -417,7 +439,7 @@ def eve_bob_semiclassical(
     dephase: np.ndarray,
     bob: SoftMeasurement,
     validate: bool = True,
-) -> float:
+) -> float | np.ndarray:
     """Holevo information left for the receiver after an intercepting
     measurement in a rotated basis.
 
@@ -429,37 +451,40 @@ def eve_bob_semiclassical(
     ensemble.
 
     ``eve_basis`` is either a rotation angle on the Bloch sphere's y-axis
-    (two-level only) or an explicit unitary basis change.
+    (two-level only) or an explicit unitary basis change. A ``(..., D, D)``
+    stack of unitaries (for instance :func:`bloch_y_rotation` of an array
+    of angles) and a stack of dephasing matrices broadcast against each
+    other, giving one value per member; the ensemble and the receiver are
+    shared by all members and checked once.
     """
     dim = ensemble.dim
     if isinstance(eve_basis, (int, float)):
         if dim != 2:
             raise DimensionMismatch("angle parameterization is two-level only")
-        unitary = _bloch_y_rotation(float(eve_basis))
+        unitary = bloch_y_rotation(float(eve_basis))
     else:
         unitary = np.asarray(eve_basis, dtype=complex)
-        if unitary.shape != (dim, dim):
+        if unitary.shape[-2:] != (dim, dim):
             raise DimensionMismatch(
                 f"basis unitary shape {unitary.shape} does not match dim {dim}"
             )
-        if np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))) > TAU_RECON:
-            raise InvalidMeasurement("eve_basis is not unitary")
+        deviation = np.max(np.abs(_dagger(unitary) @ unitary - np.eye(dim)), axis=(-2, -1))
+        i = _first(~(deviation <= TAU_RECON))
+        if i is not None:
+            raise InvalidMeasurement(f"eve_basis{_label(i)} is not unitary", index=i or None)
     dephase = np.asarray(dephase, dtype=complex)
     if validate:
-        failures = _check_correlation_matrix(dephase, "dephase")
-        report = validate_soft(bob)
-        failures += list(report.failures)
-        if failures:
-            raise InvalidMeasurement("; ".join(failures))
+        report = _check_correlation_matrix(dephase, "dephase") + validate_soft(bob)
+        report.require()
     if bob.dim != dim:
         raise DimensionMismatch(f"bob dim {bob.dim} != ensemble dim {dim}")
     meter_vecs = meter_states_from_gram(bob.gram)
     out_states = []
     for state in ensemble.states:
-        in_eve = unitary.conj().T @ state @ unitary
-        back = unitary @ (dephase * in_eve) @ unitary.conj().T
-        weights = np.clip(np.diag(back).real, 0.0, None)
-        out_states.append((meter_vecs * weights) @ meter_vecs.conj().T)
+        in_eve = _dagger(unitary) @ state @ unitary
+        back = unitary @ (dephase * in_eve) @ _dagger(unitary)
+        weights = np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None)
+        out_states.append((meter_vecs * weights[..., None, :]) @ _dagger(meter_vecs))
     return holevo_info(
         StateEnsemble(probs=ensemble.probs, states=tuple(out_states), labels=ensemble.labels)
     )

@@ -4,8 +4,19 @@ Provides Hermitian eigendecomposition, principal and pseudo-inverse square
 roots of PSD matrices, partial traces over tensor factors, and von Neumann
 entropy in bits. All functions are pure; inputs are never mutated.
 
+Shape contract: :func:`herm_eig`, :func:`matrix_sqrt_psd`,
+:func:`inv_sqrt_psd`, :func:`validate_density_matrix` and
+:func:`von_neumann_entropy` take either one ``(D, D)`` matrix or a stack of
+shape ``(..., D, D)``, and a stack gives, member by member, the same floats
+as the calls on its members one at a time (a single matrix runs the same
+code as a stack of one). Results keep the stack axes in front; a scalar
+result such as an entropy is a ``float`` for one matrix and an array of the
+stack shape otherwise. A check that fails on a stack names the index of the
+first failing member (C order) in its message and in the exception's
+``index``. :func:`partial_trace` takes one matrix.
+
 Working dimensions are small (<= 64), so everything is backed by dense
-LAPACK routines through ``numpy.linalg``.
+LAPACK routines through ``numpy.linalg``, which loops over a stack in C.
 """
 
 from __future__ import annotations
@@ -30,10 +41,11 @@ ENTROPY_CLAMP = 1e-10
 
 
 class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
-    ``eigenvalues`` are real and ascending; column ``i`` of ``eigenvectors``
-    is the unit eigenvector for ``eigenvalues[i]``.
+    ``eigenvalues`` are real and ascending along the last axis; column ``i``
+    of ``eigenvectors`` (``eigenvectors[..., :, i]``) is the unit
+    eigenvector for ``eigenvalues[..., i]``.
     """
 
     eigenvalues: np.ndarray
@@ -42,9 +54,44 @@ class Spectrum(NamedTuple):
 
 def _as_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + _dagger(m)) / 2.0
+
+
+def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
+    """Largest ``|M - M^dagger|`` entry of each matrix; NaN if an entry is not finite."""
+    with np.errstate(invalid="ignore"):
+        return np.max(np.abs(m - _dagger(m)), axis=(-2, -1), initial=0.0)
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True member of ``bad`` in C order; None if there is none.
+
+    A 0-d ``bad`` (one matrix) yields the empty index ``()``.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def _label(index: tuple[int, ...]) -> str:
+    """``[i, j]`` for a stack member, empty for a single matrix."""
+    return f"[{', '.join(map(str, index))}]" if index else ""
+
+
+def _member(index: tuple[int, ...]) -> str:
+    return f" (stack member {_label(index)})" if index else ""
 
 
 def is_hermitian(matrix: np.ndarray, atol: float = TAU_HERM) -> bool:
@@ -54,54 +101,65 @@ def is_hermitian(matrix: np.ndarray, atol: float = TAU_HERM) -> bool:
 
 
 def herm_eig(matrix: np.ndarray, atol: float = TAU_HERM) -> Spectrum:
-    """Eigendecompose a Hermitian matrix.
+    """Eigendecompose a Hermitian matrix or a stack of them.
 
     Raises :class:`NotHermitian` if any entry of ``matrix - matrix^dagger``
-    exceeds ``atol`` in modulus. The decomposition itself runs on the
-    Hermitian part, which makes results deterministic for inputs that are
-    Hermitian only up to rounding.
+    exceeds ``atol`` in modulus, or is not finite. The decomposition itself
+    runs on the Hermitian part, which makes results deterministic for inputs
+    that are Hermitian only up to rounding.
     """
     m = _as_square(matrix)
-    dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-    if dev > atol:
-        raise NotHermitian(f"max |M - M^dagger| entry {dev:.3e} exceeds {atol:.1e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    dev = _hermitian_deviation(m)
+    i = _first(~(dev <= atol))
+    if i is not None:
+        raise NotHermitian(
+            f"max |M - M^dagger| entry {dev[i]:.3e} exceeds {atol:.1e}{_member(i)}",
+            index=i or None,
+        )
+    w, v = np.linalg.eigh(_hermitian_part(m))
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
+def _require_psd(w: np.ndarray, atol: float) -> None:
+    i = _first(w[..., 0] < -atol)
+    if i is not None:
+        raise NotPSD(
+            f"smallest eigenvalue {w[i][0]:.3e} below -{atol:.1e}{_member(i)}", index=i or None
+        )
+
+
 def matrix_sqrt_psd(matrix: np.ndarray, atol: float = TAU_PSD) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
+    """Principal square root of a Hermitian PSD matrix or of each in a stack.
 
     Eigenvalues in ``[-atol, 0)`` are clamped to zero; anything more negative
     raises :class:`NotPSD`. The result is Hermitian PSD and squares back to
     the input within reconstruction tolerance.
     """
     w, v = herm_eig(matrix)
-    if w[0] < -atol:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below -{atol:.1e}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+    _require_psd(w, atol)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+    return _hermitian_part(root)
 
 
 def inv_sqrt_psd(
     matrix: np.ndarray, rank_tol: float = RANK_TOL, atol: float = TAU_PSD
 ) -> np.ndarray:
-    """Pseudo-inverse square root of a Hermitian PSD matrix.
+    """Pseudo-inverse square root of a Hermitian PSD matrix or of each in a stack.
 
     Eigenvalues above ``rank_tol * max(eigenvalues)`` map to ``lambda**-0.5``;
     the rest map to zero, so the kernel of the input stays the kernel of the
     result. Raises :class:`ZeroMatrix` when no positive eigenvalue exists.
     """
     w, v = herm_eig(matrix)
-    if w[0] < -atol:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below -{atol:.1e}")
+    _require_psd(w, atol)
     w = np.clip(w, 0.0, None)
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        raise ZeroMatrix("matrix has no positive eigenvalue")
+    wmax = w[..., -1:]
+    i = _first(wmax[..., 0] <= 0.0)
+    if i is not None:
+        raise ZeroMatrix(f"matrix has no positive eigenvalue{_member(i)}", index=i or None)
     inv = np.where(w > rank_tol * wmax, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    out = (v * inv) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    out = (v * inv[..., None, :]) @ _dagger(v)
+    return _hermitian_part(out)
 
 
 def partial_trace(
@@ -114,6 +172,8 @@ def partial_trace(
     them. Kept factors retain their original relative order.
     """
     rho = _as_square(rho, "rho")
+    if rho.ndim != 2:
+        raise DimensionMismatch(f"rho must be one matrix, got shape {rho.shape}")
     dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"factor dimensions must be positive, got {dims}")
@@ -146,25 +206,42 @@ def validate_density_matrix(
     atol_psd: float = TAU_PSD,
     atol_trace: float = TAU_TRACE,
 ) -> None:
-    """Raise :class:`InvalidState` unless ``rho`` is a valid density matrix.
+    """Raise :class:`InvalidState` unless ``rho`` is a valid density matrix,
+    or, for a stack, unless every member is.
 
-    Checks Hermiticity, positive semidefiniteness (up to ``atol_psd``) and
-    unit trace, naming the violated invariant in the message.
+    Checks Hermiticity (a non-finite entry fails it), positive
+    semidefiniteness (up to ``atol_psd``) and unit trace, naming the violated
+    invariant, and for a stack the first member that violates it, in the
+    message.
     """
     m = _as_square(rho, name)
-    dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-    if dev > atol_herm:
-        raise InvalidState(f"{name} not Hermitian: deviation {dev:.3e} > {atol_herm:.1e}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > atol_trace:
-        raise InvalidState(f"{name} trace {tr:.12g} differs from 1 by more than {atol_trace:.1e}")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    if w[0] < -atol_psd:
-        raise InvalidState(f"{name} not PSD: smallest eigenvalue {w[0]:.3e} < -{atol_psd:.1e}")
+    dev = _hermitian_deviation(m)
+    i = _first(~(dev <= atol_herm))
+    if i is not None:
+        raise InvalidState(
+            f"{name}{_label(i)} not Hermitian: deviation {dev[i]:.3e} > {atol_herm:.1e}",
+            index=i or None,
+        )
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    i = _first(np.abs(tr - 1.0) > atol_trace)
+    if i is not None:
+        raise InvalidState(
+            f"{name}{_label(i)} trace {complex(tr[i]):.12g} differs from 1 "
+            f"by more than {atol_trace:.1e}",
+            index=i or None,
+        )
+    w = np.linalg.eigvalsh(_hermitian_part(m))
+    i = _first(w[..., 0] < -atol_psd)
+    if i is not None:
+        raise InvalidState(
+            f"{name}{_label(i)} not PSD: smallest eigenvalue {w[i][0]:.3e} < -{atol_psd:.1e}",
+            index=i or None,
+        )
 
 
-def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float:
-    """Von Neumann entropy of a density matrix, in bits.
+def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
+    """Von Neumann entropy of a density matrix, in bits; for a stack, one
+    entropy per member.
 
     Eigenvalues are clamped to ``[0, 1]`` with the convention
     ``0 * log2(0) = 0``. Negative eigenvalues within ``ENTROPY_CLAMP`` are
@@ -173,9 +250,13 @@ def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float:
     if validate:
         validate_density_matrix(rho)
     m = _as_square(rho, "rho")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    if w[0] < -ENTROPY_CLAMP:
-        raise InvalidState(f"eigenvalue {w[0]:.3e} below -{ENTROPY_CLAMP:.1e}")
+    w = np.linalg.eigvalsh(_hermitian_part(m))
+    i = _first(w[..., 0] < -ENTROPY_CLAMP)
+    if i is not None:
+        raise InvalidState(
+            f"eigenvalue {w[i][0]:.3e} below -{ENTROPY_CLAMP:.1e}{_member(i)}", index=i or None
+        )
     w = np.clip(w, 0.0, 1.0)
-    positive = w[w > 0.0]
-    return float(-(positive * np.log2(positive)).sum()) + 0.0
+    terms = w * np.log2(np.where(w > 0.0, w, 1.0))
+    entropy = -terms.sum(axis=-1) + 0.0
+    return float(entropy) if entropy.ndim == 0 else entropy

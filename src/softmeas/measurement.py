@@ -35,6 +35,10 @@ from .matcore import (
     TAU_HERM,
     TAU_PSD,
     TAU_TRACE,
+    _first,
+    _hermitian_deviation,
+    _hermitian_part,
+    _label,
     is_hermitian,
     matrix_sqrt_psd,
     validate_density_matrix,
@@ -43,38 +47,71 @@ from .matcore import (
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a structural validation; ``failures`` lists each failed check."""
+    """Outcome of a structural validation; ``failures`` lists each failed check.
+
+    When stacks of matrices were checked, ``index`` is the first failing
+    stack member over all checks (C order), else None.
+    """
 
     failures: tuple[str, ...] = ()
+    index: tuple[int, ...] | None = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    def __add__(self, other: ValidationReport) -> ValidationReport:
+        indices = [i for i in (self.index, other.index) if i is not None]
+        return ValidationReport(self.failures + other.failures, min(indices, default=None))
 
-def _check_correlation_matrix(mat: np.ndarray, name: str) -> list[str]:
-    """Checks shared by entanglement and Gram matrices.
+    def require(self) -> None:
+        """Raise :class:`InvalidMeasurement` naming every failed check."""
+        if self.failures:
+            raise InvalidMeasurement("; ".join(self.failures), index=self.index)
+
+
+def _check_correlation_matrix(mat: np.ndarray, name: str) -> ValidationReport:
+    """Checks shared by entanglement and Gram matrices, or stacks of them.
 
     Both must be Hermitian, PSD and unit-diagonal; unit diagonal plus PSD
     already bounds every off-diagonal modulus by one, but the bound is
     reported separately because it is the first thing that breaks when a
-    matrix is edited by hand.
+    matrix is edited by hand. A matrix with a non-finite entry is not
+    Hermitian. PSD is checked only on the members that are Hermitian. Each
+    failure names the first stack member that fails it.
     """
-    failures = []
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return [f"{name} must be square, got shape {m.shape}"]
-    if not is_hermitian(m, TAU_HERM):
-        failures.append(f"{name} is not Hermitian within {TAU_HERM:.1e}")
-    else:
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w[0] < -TAU_PSD:
-            failures.append(f"{name} is not PSD: eigenvalue {w[0]:.3e}")
-    if np.max(np.abs(np.diag(m) - 1.0)) > TAU_TRACE:
-        failures.append(f"{name} diagonal is not identically 1")
-    if np.max(np.abs(m)) > 1.0 + TAU_TRACE:
-        failures.append(f"{name} has an entry with modulus > 1")
-    return failures
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        return ValidationReport((f"{name} must be square, got shape {m.shape}",))
+    failures: list[str] = []
+    first: list[tuple[int, ...]] = []
+
+    def check(bad: np.ndarray, message) -> None:
+        i = _first(bad)
+        if i is not None:
+            failures.append(message(i))
+            first.append(i)
+
+    not_herm = ~(_hermitian_deviation(m) <= TAU_HERM)
+    check(not_herm, lambda i: f"{name}{_label(i)} is not Hermitian within {TAU_HERM:.1e}")
+    if not not_herm.all():
+        checked = np.where(not_herm[..., None, None], np.eye(m.shape[-1]), m)
+        w = np.linalg.eigvalsh(_hermitian_part(checked))
+        check(
+            (w[..., 0] < -TAU_PSD) & ~not_herm,
+            lambda i: f"{name}{_label(i)} is not PSD: eigenvalue {w[i][0]:.3e}",
+        )
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    check(
+        np.max(np.abs(diag - 1.0), axis=-1) > TAU_TRACE,
+        lambda i: f"{name}{_label(i)} diagonal is not identically 1",
+    )
+    check(
+        np.max(np.abs(m), axis=(-2, -1)) > 1.0 + TAU_TRACE,
+        lambda i: f"{name}{_label(i)} has an entry with modulus > 1",
+    )
+    index = min(first, default=()) or None
+    return ValidationReport(tuple(failures), index)
 
 
 @dataclass(frozen=True)
@@ -95,12 +132,12 @@ class SoftMeasurement:
 
 def validate_soft(measurement: SoftMeasurement) -> ValidationReport:
     """Validate a soft measurement, returning a report of failed checks."""
-    failures = _check_correlation_matrix(measurement.entanglement, "entanglement")
-    failures += _check_correlation_matrix(measurement.gram, "gram")
+    report = _check_correlation_matrix(measurement.entanglement, "entanglement")
+    report += _check_correlation_matrix(measurement.gram, "gram")
     r, q = np.asarray(measurement.entanglement), np.asarray(measurement.gram)
     if r.shape != q.shape:
-        failures.append(f"entanglement shape {r.shape} != gram shape {q.shape}")
-    return ValidationReport(tuple(failures))
+        report += ValidationReport((f"entanglement shape {r.shape} != gram shape {q.shape}",))
+    return report
 
 
 def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
@@ -108,19 +145,12 @@ def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
 
     Returns a ``D x D`` matrix whose column ``i`` is the i-th meter state;
     the columns satisfy ``<v_k|v_l> = gram[k, l]``. The principal square
-    root fixes the otherwise free global phases.
+    root fixes the otherwise free global phases. A ``(..., D, D)`` stack of
+    Gram matrices gives the stack of their meter-state matrices.
     """
     q = np.asarray(gram, dtype=complex)
-    failures = _check_correlation_matrix(q, "gram")
-    if failures:
-        raise InvalidMeasurement("; ".join(failures))
+    _check_correlation_matrix(q, "gram").require()
     return matrix_sqrt_psd(q)
-
-
-def _require_valid(measurement: SoftMeasurement) -> None:
-    report = validate_soft(measurement)
-    if not report.ok:
-        raise InvalidMeasurement("; ".join(report.failures))
 
 
 def apply_soft(
@@ -136,7 +166,7 @@ def apply_soft(
     """
     rho = np.asarray(rho, dtype=complex)
     if validate:
-        _require_valid(measurement)
+        validate_soft(measurement).require()
         validate_density_matrix(rho)
     d = measurement.dim
     if rho.shape != (d, d):
@@ -215,9 +245,7 @@ def apply_general(
     """
     rho = np.asarray(rho, dtype=complex)
     if validate:
-        report = validate_general(measurement)
-        if not report.ok:
-            raise InvalidMeasurement("; ".join(report.failures))
+        validate_general(measurement).require()
         validate_density_matrix(rho)
     d, m = measurement.dim, measurement.meter_dim
     if rho.shape != (d, d):

@@ -24,12 +24,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidMeasurement, InvalidParams
 from .matcore import (
     RANK_TOL,
+    _dagger,
+    _first,
+    _label,
     inv_sqrt_psd,
     matrix_sqrt_psd,
     validate_density_matrix,
@@ -42,17 +46,38 @@ from .measurement import (
 )
 
 
+def _counts(n: int | np.ndarray, what: str = "repetition count") -> int | np.ndarray:
+    """``n`` as an ``int``, or an integer array for a stack of counts.
+
+    Raises :class:`InvalidParams` unless every count is at least 1, naming
+    the first failing member of an array.
+    """
+    if np.ndim(n) == 0:
+        if int(n) < 1:
+            raise InvalidParams(f"{what} must be >= 1, got {n}")
+        return int(n)
+    counts = np.asarray(n)
+    if counts.dtype.kind not in "iu":
+        raise InvalidParams(f"{what}s must be integers, got dtype {counts.dtype}")
+    i = _first(counts < 1)
+    if i is not None:
+        raise InvalidParams(f"{what}{_label(i)} must be >= 1, got {counts[i]}", index=i)
+    return counts.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class RepeatedMeasurement:
-    """A base soft measurement applied ``n`` times with result accumulation."""
+    """A base soft measurement applied ``n`` times with result accumulation.
+
+    ``n`` may be an integer array: the object then stands for one repeated
+    measurement per count, and the functions below return stacks.
+    """
 
     base: SoftMeasurement
-    n: int = 1
+    n: int | np.ndarray = 1
 
     def __post_init__(self) -> None:
-        if int(self.n) < 1:
-            raise InvalidParams(f"repetition count must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _counts(self.n))
 
 
 @dataclass(frozen=True)
@@ -65,79 +90,108 @@ class CollectiveRepresentation:
     gram_n``); row ``k`` of ``basis_coeffs`` expands the k-th orthonormal
     collective basis vector over the accumulated meter states. For
     linearly dependent meter sets the expansion is restricted to the range
-    of ``gram_n`` and ``active_dim`` may be smaller than the meter count.
+    of ``gram_n`` (eigenvalues above ``rank_tol`` times the largest) and
+    ``active_dim`` may be smaller than the meter count.
+
+    ``basis_coeffs`` and ``active_dim`` are computed when first read. For
+    an array of counts every field is stacked, one member per count.
     """
 
     gram_n: np.ndarray
     meter_vectors: np.ndarray
-    basis_coeffs: np.ndarray
-    active_dim: int
+    rank_tol: float = RANK_TOL
+
+    @cached_property
+    def basis_coeffs(self) -> np.ndarray:
+        return inv_sqrt_psd(self.gram_n, rank_tol=self.rank_tol).conj()
+
+    @cached_property
+    def active_dim(self) -> int | np.ndarray:
+        eigs = np.linalg.eigvalsh(self.gram_n)
+        active = np.sum(eigs > self.rank_tol * np.maximum(eigs[..., -1:], 0.0), axis=-1)
+        return int(active) if active.ndim == 0 else active
 
 
-def gram_power(gram: np.ndarray, n: int) -> np.ndarray:
-    """Elementwise n-th power of a Gram matrix.
+def gram_power(gram: np.ndarray, n: int | np.ndarray) -> np.ndarray:
+    """Elementwise n-th power of a Gram matrix; an array of counts gives the
+    stack of powers, one member per count.
 
     The Schur product of PSD matrices is PSD and the diagonal stays 1, so
     the result is again a valid Gram matrix.
     """
-    if int(n) < 1:
-        raise InvalidParams(f"power must be >= 1, got {n}")
-    return np.asarray(gram, dtype=complex) ** int(n)
+    n = _counts(n, "power")
+    return np.asarray(gram, dtype=complex) ** np.asarray(n)[..., None, None]
 
 
 def collective_representation(
-    gram: np.ndarray, n: int, rank_tol: float = RANK_TOL
+    gram: np.ndarray, n: int | np.ndarray, rank_tol: float = RANK_TOL
 ) -> CollectiveRepresentation:
-    """Collective-basis data for ``n`` repeated measurements."""
-    failures = _check_correlation_matrix(np.asarray(gram, dtype=complex), "gram")
-    if failures:
-        raise InvalidMeasurement("; ".join(failures))
+    """Collective-basis data for ``n`` repeated measurements; an array of
+    counts gives stacked data from one stacked square root."""
+    _check_correlation_matrix(np.asarray(gram, dtype=complex), "gram").require()
     gram_n = gram_power(gram, n)
-    vectors = matrix_sqrt_psd(gram_n)
-    coeffs = inv_sqrt_psd(gram_n, rank_tol=rank_tol).conj()
-    eigs = np.linalg.eigvalsh(gram_n)
-    active = int(np.sum(eigs > rank_tol * max(float(eigs[-1]), 0.0)))
-    return CollectiveRepresentation(
-        gram_n=gram_n, meter_vectors=vectors, basis_coeffs=coeffs, active_dim=active
-    )
+    return CollectiveRepresentation(gram_n, matrix_sqrt_psd(gram_n), rank_tol)
+
+
+def _meter_vectors(
+    representation: CollectiveRepresentation | None, gram: np.ndarray, n: int | np.ndarray
+) -> np.ndarray:
+    """Collective meter vectors for ``n`` steps of ``gram``, taken from the
+    caller's representation when one is given and matches."""
+    if representation is None:
+        return collective_representation(gram, n).meter_vectors
+    if not np.array_equal(representation.gram_n, gram_power(gram, n)):
+        raise InvalidMeasurement("representation is not that of this Gram matrix and count")
+    return representation.meter_vectors
 
 
 def joint_dm_repeated(
-    rho: np.ndarray, repeated: RepeatedMeasurement, validate: bool = True
+    rho: np.ndarray,
+    repeated: RepeatedMeasurement,
+    validate: bool = True,
+    representation: CollectiveRepresentation | None = None,
 ) -> np.ndarray:
     """Joint meter-object state after ``n`` accumulated measurements.
 
     Factor order is meter (x) object (row index ``k * D + i`` with ``k``
     collective-meter, ``i`` object). Entry ``((k,i),(l,j))`` is
     ``R[i,j]**n * rho[i,j] * V[k,i] * conj(V[l,j])`` with ``V`` the
-    collective meter vectors.
+    collective meter vectors. An array of counts gives one joint state per
+    count. ``representation`` lets a caller pass the
+    :func:`collective_representation` of the base Gram matrix for the same
+    counts, for instance to share one with :func:`meter_dm_repeated`.
     """
     rho = np.asarray(rho, dtype=complex)
     base = repeated.base
     if validate:
-        report = validate_soft(base)
-        if not report.ok:
-            raise InvalidMeasurement("; ".join(report.failures))
+        validate_soft(base).require()
         validate_density_matrix(rho)
     d = base.dim
     if rho.shape != (d, d):
         raise InvalidMeasurement(f"rho has shape {rho.shape}, measurement dim is {d}")
-    weights = (base.entanglement ** repeated.n) * rho
-    vectors = collective_representation(base.gram, repeated.n).meter_vectors
-    joint = np.einsum("ij,ki,lj->kilj", weights, vectors, vectors.conj())
-    return joint.reshape(d * d, d * d)
+    weights = gram_power(base.entanglement, repeated.n) * rho
+    vectors = _meter_vectors(representation, base.gram, repeated.n)
+    joint = np.einsum("...ij,...ki,...lj->...kilj", weights, vectors, vectors.conj())
+    return joint.reshape(joint.shape[:-4] + (d * d, d * d))
 
 
-def meter_dm_repeated(rho: np.ndarray, gram: np.ndarray, n: int) -> np.ndarray:
+def meter_dm_repeated(
+    rho: np.ndarray,
+    gram: np.ndarray,
+    n: int | np.ndarray,
+    representation: CollectiveRepresentation | None = None,
+) -> np.ndarray:
     """Reduced meter state after ``n`` measurements, in the collective basis.
 
     Depends only on the object populations (the entanglement matrix drops
-    out entirely): ``V @ diag(rho_kk) @ V^dagger``.
+    out entirely): ``V @ diag(rho_kk) @ V^dagger``. An array of counts gives
+    one state per count; ``representation`` is as in
+    :func:`joint_dm_repeated`.
     """
     rho = np.asarray(rho, dtype=complex)
-    vectors = collective_representation(gram, n).meter_vectors
-    populations = np.diag(rho).real
-    return (vectors * populations) @ vectors.conj().T
+    vectors = _meter_vectors(representation, gram, n)
+    populations = np.diagonal(rho, axis1=-2, axis2=-1).real
+    return (vectors * populations[..., None, :]) @ _dagger(vectors)
 
 
 def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int) -> np.ndarray:
@@ -171,6 +225,11 @@ class ContinuousLimitParams:
     r_dot: complex = 0j
 
     def __post_init__(self) -> None:
+        for name in ("kappa", "t", "chi_dot"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
+        if not cmath.isfinite(complex(self.r_dot)):
+            raise InvalidParams(f"r_dot must be finite, got {self.r_dot}")
         if self.kappa < 0.0:
             raise InvalidParams(f"kappa must be >= 0, got {self.kappa}")
         if self.t < 0.0:

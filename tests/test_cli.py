@@ -1,7 +1,9 @@
 """CLI sweep-runner tests."""
 
+import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -239,3 +241,76 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+    def test_jobs_must_be_positive(self, capsys):
+        assert main(["fig2a", "--jobs", "0"]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+def run_failing(argv, capsys):
+    """Exit code and stderr of a run that must not warn or raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    """Non-finite parameters are invariant violations: exit 3, one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["continuous", "--param", "kappa=nan"], "kappa must be finite"),
+            (["continuous", "--param", "t=0:inf:3"], "t must be finite"),
+            (["continuous", "--param", "r_dot=nan,0"], "r_dot must be finite"),
+            (["continuous", "--param", "chi_dot=inf"], "chi_dot must be finite"),
+            (["fig3", "--param", "theta=0:inf:3"], "rotation angle[0, 0] must be finite"),
+            (["fig3", "--param", "q=0:inf:3"], "dephase[0, 0] is not Hermitian"),
+        ],
+    )
+    def test_exits_three_with_one_line(self, argv, expected, capsys):
+        code, err = run_failing(argv, capsys)
+        assert code == 3
+        assert err.startswith("softmeas: ") and err.count("\n") == 1
+        assert expected in err
+
+
+class TestFailingGridPoint:
+    def test_names_command_index_and_values(self, capsys):
+        code, err = run_failing(["fig3", "--param", "q=0:2:3"], capsys)
+        assert code == 3
+        # q = 2 first fails at theta = 0: row 2 of 3, column 0 of 51.
+        assert err.startswith("softmeas: fig3 grid point 102 (q=2, theta=0): ")
+        assert "dephase[2, 0] is not PSD" in err
+
+    def test_scalar_closed_form_names_its_point(self, capsys):
+        code, err = run_failing(["fig2b", "--param", "q_B=0:3:4"], capsys)
+        assert code == 3
+        assert err.startswith("softmeas: fig2b grid point 2 (q_E=0, q_B=2): q_bob must lie")
+
+    def test_stacked_repeat_names_its_point(self, capsys):
+        code, err = run_failing(["isweep", "--param", "q=0:2:5"], capsys)
+        assert code == 3
+        assert err.startswith("softmeas: isweep grid point 3 (q=1.5): gram[3] is not PSD")
+
+
+# sha256 of each command's default CSV as the per-point implementation wrote
+# it, before grids were evaluated whole; the whole-grid path must reproduce
+# every byte.
+DEFAULT_CSV_SHA256 = {
+    "single": "9766aeee9fb73abaa8944474c8e4a40fac30eafa87540dada85194b58b42b733",
+    "repeat": "8044d2fc7558692a261d6fee65115142f2f059f34eee0311d9e718a2710aaa0f",
+    "continuous": "e7759e1b71192441277a4c19f2184b108aadce9c617cc6608e08c41e085712e3",
+    "fig2a": "5364c60321c4823f0ab386d49395dd273d51d1f7929d24f39c4ccf14b6511568",
+    "fig2b": "1831bef7bc8a580732524dcce4a3f23617c98879f62b54839234f93eca074eda",
+    "fig3": "cef30c0993c238792cd09230ed5cd4fa4cb01532846733648284a484c088edcb",
+    "isweep": "d0c996a4d9539818b818738e5cbfdb2fc4bb0317208d6c425ec7e6066f39ad88",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
+def test_default_csv_digest_is_pinned(command, tmp_path):
+    code, out = run_cli([command], tmp_path)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256[command]

@@ -18,6 +18,7 @@ from softmeas.information import (
     CompetitionParams,
     KrausChannel,
     StateEnsemble,
+    bloch_y_rotation,
     choi_matrix,
     coherent_info_channel,
     coherent_info_soft,
@@ -489,3 +490,52 @@ class TestEveBobSemiclassical:
         )
         with pytest.raises(DimensionMismatch):
             eve_bob_semiclassical(ens3, 0.5, np.eye(3), rigid_bob())
+
+
+class TestStackedInformation:
+    def test_bloch_rotation_stack_matches_single_angles(self):
+        thetas = np.array([[0.0, 1e-7, 0.4], [1.5, math.pi, 7.0]])
+        stack = bloch_y_rotation(thetas)
+        assert stack.shape == (2, 3, 2, 2)
+        for index in np.ndindex(thetas.shape):
+            assert np.array_equal(stack[index], bloch_y_rotation(float(thetas[index])))
+
+    def test_non_finite_angle_rejected(self):
+        ensemble = StateEnsemble(np.array([0.5, 0.5]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        bob = SoftMeasurement(np.eye(2), np.eye(2))
+        with pytest.raises(OutOfRange):
+            eve_bob_semiclassical(ensemble, math.inf, np.eye(2), bob)
+        with pytest.raises(OutOfRange) as excinfo:
+            bloch_y_rotation(np.array([0.1, 0.2, math.nan]))
+        assert excinfo.value.index == (2,)
+
+    def test_eve_bob_stack_matches_explicit_unitaries(self):
+        rng = np.random.default_rng(70)
+        states = (rand_density(rng, 3), rand_density(rng, 3))
+        ensemble = StateEnsemble(np.array([0.3, 0.7]), states)
+        bob = SoftMeasurement(rand_correlation(rng, 3), rand_correlation(rng, 3))
+        unitaries = np.array([rand_unitary(rng, 3) for _ in range(4)])
+        dephase = np.array([rand_correlation(rng, 3) for _ in range(4)])
+        infos = eve_bob_semiclassical(ensemble, unitaries, dephase, bob)
+        for k in range(4):
+            assert infos[k] == eve_bob_semiclassical(ensemble, unitaries[k], dephase[k], bob)
+        unitaries[2] *= 2.0
+        with pytest.raises(InvalidMeasurement, match=r"eve_basis\[2\] is not unitary"):
+            eve_bob_semiclassical(ensemble, unitaries, dephase, bob)
+
+    def test_coherent_info_soft_broadcasts(self):
+        rng = np.random.default_rng(71)
+        rho = rand_density(rng, 3)
+        ents = np.array([rand_correlation(rng, 3) for _ in range(5)])
+        gram = rand_correlation(rng, 3)
+        infos = coherent_info_soft(rho, ents, gram)
+        for k in range(5):
+            assert infos[k] == coherent_info_soft(rho, ents[k], gram)
+
+    def test_holevo_of_stacked_ensemble(self):
+        rng = np.random.default_rng(72)
+        grams = np.array([rand_correlation(rng, 2) for _ in range(6)])
+        basis = StateEnsemble(np.array([0.4, 0.6]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        infos = holevo_info(meter_ensemble(basis, grams))
+        for k in range(6):
+            assert infos[k] == holevo_info(meter_ensemble(basis, grams[k]))

@@ -242,3 +242,108 @@ class TestValidateDensityMatrix:
             validate_density_matrix(np.eye(2))
         with pytest.raises(InvalidState, match="PSD"):
             validate_density_matrix(np.diag([1.5, -0.5]))
+
+
+def rand_density_stack(rng, shape, dim):
+    return np.array([rand_density(rng, dim) for _ in range(math.prod(shape))]).reshape(
+        shape + (dim, dim)
+    )
+
+
+STACK = (3, 4)
+BAD = (2, 1)
+
+
+def assert_names_member(excinfo, index):
+    assert excinfo.value.index == index
+    assert f"[{', '.join(map(str, index))}]" in str(excinfo.value)
+
+
+class TestStackedKernels:
+    """A stack gives, member by member, the floats of the per-matrix calls,
+    and a check that fails names the first failing member."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_herm_eig(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        stack = np.array([rand_hermitian(rng, dim) for _ in range(12)]).reshape(STACK + (dim, dim))
+        w, v = herm_eig(stack)
+        for index in np.ndindex(STACK):
+            single = herm_eig(stack[index])
+            assert np.array_equal(w[index], single.eigenvalues)
+            assert np.array_equal(v[index], single.eigenvectors)
+        stack[BAD + (0, 1)] += 1.0
+        with pytest.raises(NotHermitian) as excinfo:
+            herm_eig(stack)
+        assert_names_member(excinfo, BAD)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matrix_sqrt_psd(self, dim):
+        rng = np.random.default_rng(110 + dim)
+        stack = np.array([rand_psd(rng, dim) for _ in range(12)]).reshape(STACK + (dim, dim))
+        roots = matrix_sqrt_psd(stack)
+        for index in np.ndindex(STACK):
+            assert np.array_equal(roots[index], matrix_sqrt_psd(stack[index]))
+        stack[BAD] = -np.eye(dim)
+        with pytest.raises(NotPSD) as excinfo:
+            matrix_sqrt_psd(stack)
+        assert_names_member(excinfo, BAD)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_inv_sqrt_psd(self, dim):
+        rng = np.random.default_rng(120 + dim)
+        stack = np.array([rand_psd(rng, dim) for _ in range(12)]).reshape(STACK + (dim, dim))
+        roots = inv_sqrt_psd(stack)
+        for index in np.ndindex(STACK):
+            assert np.array_equal(roots[index], inv_sqrt_psd(stack[index]))
+        stack[BAD] = 0.0
+        with pytest.raises(ZeroMatrix) as excinfo:
+            inv_sqrt_psd(stack)
+        assert_names_member(excinfo, BAD)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_von_neumann_entropy(self, dim):
+        rng = np.random.default_rng(130 + dim)
+        stack = rand_density_stack(rng, STACK, dim)
+        stack[0, 0] = np.eye(dim) / dim
+        stack[0, 1] = np.diag([1.0] + [0.0] * (dim - 1))
+        entropies = von_neumann_entropy(stack)
+        assert entropies.shape == STACK
+        for index in np.ndindex(STACK):
+            single = von_neumann_entropy(stack[index])
+            assert isinstance(single, float)
+            assert entropies[index] == single
+        assert entropies[0, 1] == 0.0 and math.copysign(1.0, entropies[0, 1]) > 0
+        stack[BAD] = np.diag([1.2] + [-0.2] + [0.0] * (dim - 2))
+        with pytest.raises(InvalidState) as excinfo:
+            von_neumann_entropy(stack, validate=False)
+        assert_names_member(excinfo, BAD)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "invariant, corrupt",
+        [
+            ("Hermitian", lambda m: m + np.triu(np.ones_like(m), 1)),
+            ("trace", lambda m: 2.0 * m),
+            ("PSD", lambda m: np.diag([1.5, -0.5] + [0.0] * (m.shape[0] - 2))),
+            ("Hermitian", lambda m: np.full_like(m, np.nan)),
+        ],
+    )
+    def test_validate_density_matrix(self, dim, invariant, corrupt):
+        rng = np.random.default_rng(140 + dim)
+        stack = rand_density_stack(rng, STACK, dim)
+        validate_density_matrix(stack)
+        for index in np.ndindex(STACK):
+            validate_density_matrix(stack[index])
+        stack[BAD] = corrupt(stack[BAD])
+        stack[BAD[0], BAD[1] + 1] = corrupt(stack[BAD[0], BAD[1] + 1])
+        with pytest.raises(InvalidState, match=invariant) as excinfo:
+            validate_density_matrix(stack, name="state")
+        assert_names_member(excinfo, BAD)
+        assert str(excinfo.value).startswith(f"state[{BAD[0]}, {BAD[1]}] ")
+
+    def test_single_matrix_errors_carry_no_index(self):
+        with pytest.raises(InvalidState) as excinfo:
+            validate_density_matrix(np.diag([1.5, -0.5]))
+        assert excinfo.value.index is None
+        assert str(excinfo.value).startswith("rho not PSD")

@@ -359,3 +359,29 @@ class TestGenerators:
     def test_zero_dt_rejected(self):
         with pytest.raises(ZeroDt):
             generator_general([np.zeros(2)], dt=0.0)
+
+
+class TestStackedCorrelationCheck:
+    """The correlation-matrix check runs once over a stack of Gram matrices."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stack_matches_members_and_names_first_failure(self, dim):
+        rng = np.random.default_rng(150 + dim)
+        stack = np.array([rand_correlation(rng, dim) for _ in range(10)]).reshape(2, 5, dim, dim)
+        vectors = meter_states_from_gram(stack)
+        for index in np.ndindex(2, 5):
+            assert np.array_equal(vectors[index], meter_states_from_gram(stack[index]))
+        stack[1, 3] = np.full((dim, dim), 1.5) - 0.5 * np.eye(dim)  # unit diagonal, not PSD
+        stack[1, 4, 0, 1] = 2.0  # later member: not Hermitian
+        with pytest.raises(InvalidMeasurement) as excinfo:
+            meter_states_from_gram(stack)
+        message = str(excinfo.value)
+        assert excinfo.value.index == (1, 3)
+        assert "gram[1, 3] is not PSD" in message
+        assert "gram[1, 4] is not Hermitian" in message
+
+    def test_non_finite_entry_is_not_hermitian(self):
+        gram = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        report = validate_soft(SoftMeasurement(np.eye(2), gram))
+        assert report.failures == ("gram is not Hermitian within 1.0e-10",)
+        assert report.index is None

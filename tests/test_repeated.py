@@ -451,3 +451,65 @@ class TestDiscreteToContinuous:
     def test_unknown_convention_rejected(self):
         with pytest.raises(InvalidParams):
             discrete_step_params(1.0, 0.0, 0.0, 0.01, convention="bogus")
+
+
+class TestStackedCounts:
+    def test_fields_are_computed_when_read(self):
+        rep = collective_representation(np.array([[1.0, 0.6], [0.6, 1.0]]), 3)
+        assert "basis_coeffs" not in vars(rep) and "active_dim" not in vars(rep)
+        assert rep.active_dim == 2
+        assert "active_dim" in vars(rep) and "basis_coeffs" not in vars(rep)
+
+    def test_array_of_counts_stacks_every_field(self):
+        rng = np.random.default_rng(44)
+        q = rand_correlation(rng, 3)
+        counts = np.array([1, 2, 7, 40])
+        rep = collective_representation(q, counts)
+        for k, n in enumerate(counts.tolist()):
+            single = collective_representation(q, n)
+            assert np.array_equal(rep.gram_n[k], single.gram_n)
+            assert np.array_equal(rep.meter_vectors[k], single.meter_vectors)
+            assert np.array_equal(rep.basis_coeffs[k], single.basis_coeffs)
+            assert rep.active_dim[k] == single.active_dim
+
+    def test_shared_representation_gives_the_same_states(self):
+        rng = np.random.default_rng(45)
+        rho = rand_density(rng, 2)
+        base = SoftMeasurement(rand_correlation(rng, 2), rand_correlation(rng, 2))
+        counts = np.array([1, 3, 9])
+        shared = collective_representation(base.gram, counts)
+        joint = joint_dm_repeated(rho, RepeatedMeasurement(base, counts), representation=shared)
+        meter = meter_dm_repeated(rho, base.gram, counts, representation=shared)
+        for k, n in enumerate(counts.tolist()):
+            assert np.array_equal(joint[k], joint_dm_repeated(rho, RepeatedMeasurement(base, n)))
+            assert np.array_equal(meter[k], meter_dm_repeated(rho, base.gram, n))
+
+    def test_mismatched_representation_rejected(self):
+        gram = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(InvalidMeasurement):
+            meter_dm_repeated(
+                np.eye(2) / 2.0, gram, 4, representation=collective_representation(gram, 5)
+            )
+
+    def test_invalid_count_named(self):
+        with pytest.raises(InvalidParams, match=r"repetition count\[2\] must be >= 1") as excinfo:
+            RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), np.array([3, 1, 0, -1]))
+        assert excinfo.value.index == (2,)
+        with pytest.raises(InvalidParams, match="integers"):
+            gram_power(np.eye(2), np.array([1.0, 2.0]))
+
+
+class TestContinuousParamsFinite:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kappa": math.nan, "t": 1.0},
+            {"kappa": math.inf, "t": 1.0},
+            {"kappa": 1.0, "t": math.inf},
+            {"kappa": 1.0, "t": 1.0, "chi_dot": -math.inf},
+            {"kappa": 1.0, "t": 1.0, "r_dot": complex(0.0, math.nan)},
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(InvalidParams, match="must be finite"):
+            ContinuousLimitParams(**kwargs)
