@@ -11,8 +11,9 @@ Commands: ``single``, ``repeat``, ``continuous``, ``fig2a``, ``fig2b``,
 a flat ``key = value`` config file, overridden by ``--param`` flags. Grid
 parameters use ``start:stop:points``; complex scalars use ``re,im``.
 
-Each command evaluates its whole grid in one call, validating the inputs
-shared by all points once and each stack of per-point matrices once.
+Each command evaluates its grid in one call, validating the inputs shared
+by all points once and each stack of per-point matrices once; grids of
+more than ``_BLOCK_POINTS`` points are evaluated in blocks.
 ``--jobs`` is accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation while
@@ -34,7 +35,7 @@ from .errors import ConfigError, SoftMeasError
 from .information import (
     CompetitionParams,
     StateEnsemble,
-    bloch_y_rotation,
+    _bloch_y_rotation,
     coherent_info_soft,
     coherent_info_two_level,
     compete_two_level,
@@ -43,7 +44,7 @@ from .information import (
     meter_ensemble,
     semiclassical_info_continuous,
 )
-from .matcore import partial_trace, validate_density_matrix, von_neumann_entropy
+from .matcore import _label, partial_trace, validate_density_matrix, von_neumann_entropy
 from .measurement import SoftMeasurement, TwoLevelMeterParams, apply_soft, two_level_gram
 from .repeated import (
     ContinuousLimitParams,
@@ -324,7 +325,7 @@ def _sweep_fig3(config, q, theta):
     rigid_bob = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
     dephase = _symmetric_off_diagonal(q)
     info = eve_bob_semiclassical(
-        _basis_ensemble([0.5, 0.5]), bloch_y_rotation(theta), dephase, rigid_bob
+        _basis_ensemble([0.5, 0.5]), _bloch_y_rotation(theta), dephase, rigid_bob
     )
     return [info]
 
@@ -437,22 +438,29 @@ def _emit_json(
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _check_finite(columns: tuple[str, ...], table: np.ndarray) -> None:
+def _check_finite(columns: tuple[str, ...], table: np.ndarray, first_row: int) -> None:
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         i, j = bad[0]
         raise SoftMeasError(
-            f"invariant violation: non-finite value in column {columns[j]!r}, row {i}"
+            f"invariant violation: non-finite value in column {columns[j]!r}, "
+            f"row {first_row + i}"
         )
 
 
+# Grid points per sweep call. Bounds the memory held by the stacked
+# intermediates of a large grid; blocks split the first grid axis.
+_BLOCK_POINTS = 8192
+
+
 def run_sweep(
-    command: str, config: dict[str, str], jobs: int = 1
+    command: str, config: dict[str, str]
 ) -> tuple[tuple[str, ...], list[list[float]]]:
     """Compute all rows of a sweep, ordered by grid index.
 
-    The command's sweep function evaluates the whole grid in one call.
-    ``jobs`` is accepted for compatibility and has no effect. When a check
+    The command's sweep function evaluates a block of up to
+    ``_BLOCK_POINTS`` grid points (whole rows of the first grid axis) in
+    one call; a grid of that size or smaller is one block. When a check
     fails at a grid point, the error message names the command, the
     point's grid index and its parameter values.
     """
@@ -461,21 +469,33 @@ def run_sweep(
     axes = _grid_axes(command, config)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     shape = tuple(len(axis) for axis in axes)
-    try:
-        outputs = _SWEEPS[command](config, *mesh)
-    except SoftMeasError as exc:
-        if exc.index is not None and len(exc.index) == len(shape):
-            point = ", ".join(
-                f"{name}={_format_value(np.broadcast_to(m, shape)[exc.index])}"
-                for name, m in zip(_GRIDS[command], mesh)
-            )
-            flat = int(np.ravel_multi_index(exc.index, shape))
-            exc.args = (f"{command} grid point {flat} ({point}): {exc}",)
-        raise
     columns = _COLUMNS[command]
-    table = np.column_stack([np.broadcast_to(c, shape).ravel() for c in (*mesh, *outputs)])
-    _check_finite(columns, table)
-    return columns, table.tolist()
+    rows: list[list[float]] = []
+    step = max(1, _BLOCK_POINTS // math.prod(shape[1:]))
+    for start in range(0, shape[0], step) if shape else [0]:
+        block = [m[start : start + step] for m in mesh[:1]] + list(mesh[1:])
+        try:
+            outputs = _SWEEPS[command](config, *block)
+        except SoftMeasError as exc:
+            if exc.index is not None and len(exc.index) == len(shape):
+                index = (exc.index[0] + start, *exc.index[1:])
+                point = ", ".join(
+                    f"{name}={_format_value(np.broadcast_to(m, shape)[index])}"
+                    for name, m in zip(_GRIDS[command], mesh)
+                )
+                flat = int(np.ravel_multi_index(index, shape))
+                # The check labels the member by its index within the block.
+                message = str(exc).replace(_label(exc.index), _label(index), 1)
+                exc.args = (f"{command} grid point {flat} ({point}): {message}",)
+                exc.index = index
+            raise
+        block_shape = np.broadcast_shapes(*(m.shape for m in block))
+        table = np.column_stack(
+            [np.broadcast_to(c, block_shape).ravel() for c in (*block, *outputs)]
+        )
+        _check_finite(columns, table, len(rows))
+        rows.extend(table.tolist())
+    return columns, rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -513,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        columns, rows = run_sweep(args.command, config, jobs=args.jobs)
+        columns, rows = run_sweep(args.command, config)
     except ConfigError as exc:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2

@@ -412,7 +412,7 @@ def compete_two_level(params: CompetitionParams) -> tuple[float, float]:
     return info_eve, info_bob
 
 
-def bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
+def _bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
     """Two-level basis change rotating the Bloch sphere by ``theta`` about y.
 
     ``[[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]]``; an
@@ -452,8 +452,8 @@ def eve_bob_semiclassical(
 
     ``eve_basis`` is either a rotation angle on the Bloch sphere's y-axis
     (two-level only) or an explicit unitary basis change. A ``(..., D, D)``
-    stack of unitaries (for instance :func:`bloch_y_rotation` of an array
-    of angles) and a stack of dephasing matrices broadcast against each
+    stack of unitaries (for instance the y-rotations of an array of
+    angles) and a stack of dephasing matrices broadcast against each
     other, giving one value per member; the ensemble and the receiver are
     shared by all members and checked once.
     """
@@ -461,7 +461,7 @@ def eve_bob_semiclassical(
     if isinstance(eve_basis, (int, float)):
         if dim != 2:
             raise DimensionMismatch("angle parameterization is two-level only")
-        unitary = bloch_y_rotation(float(eve_basis))
+        unitary = _bloch_y_rotation(float(eve_basis))
     else:
         unitary = np.asarray(eve_basis, dtype=complex)
         if unitary.shape[-2:] != (dim, dim):

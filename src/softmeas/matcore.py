@@ -258,5 +258,11 @@ def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.nd
         )
     w = np.clip(w, 0.0, 1.0)
     terms = w * np.log2(np.where(w > 0.0, w, 1.0))
-    entropy = -terms.sum(axis=-1) + 0.0
+    entropy = np.asarray(-terms.sum(axis=-1) + 0.0)
+    if w.shape[-1] >= 8:
+        # numpy sums eight or more terms pairwise, so the zero terms of
+        # clamped eigenvalues regroup the sum; sum the positive terms only.
+        for i in map(tuple, np.argwhere(np.any(w == 0.0, axis=-1))):
+            positive = w[i][w[i] > 0.0]
+            entropy[i] = -(positive * np.log2(positive)).sum() + 0.0
     return float(entropy) if entropy.ndim == 0 else entropy

@@ -120,7 +120,14 @@ def gram_power(gram: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     the result is again a valid Gram matrix.
     """
     n = _counts(n, "power")
-    return np.asarray(gram, dtype=complex) ** np.asarray(n)[..., None, None]
+    gram = np.asarray(gram, dtype=complex)
+    if np.ndim(n) == 0:
+        return gram**n
+    powers = gram ** n[..., None, None]
+    # ``gram**2`` takes numpy's square loop, which can differ from the power
+    # loop in the last ulp for complex entries; match the single-count call.
+    powers[n == 2] = np.square(gram)
+    return powers
 
 
 def collective_representation(
@@ -140,6 +147,7 @@ def _meter_vectors(
     caller's representation when one is given and matches."""
     if representation is None:
         return collective_representation(gram, n).meter_vectors
+    _check_correlation_matrix(np.asarray(gram, dtype=complex), "gram").require()
     if not np.array_equal(representation.gram_n, gram_power(gram, n)):
         raise InvalidMeasurement("representation is not that of this Gram matrix and count")
     return representation.meter_vectors

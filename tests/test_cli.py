@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from softmeas import cli
 from softmeas.cli import main
 
 
@@ -292,6 +293,16 @@ class TestFailingGridPoint:
     def test_stacked_repeat_names_its_point(self, capsys):
         code, err = run_failing(["isweep", "--param", "q=0:2:5"], capsys)
         assert code == 3
+        assert err.startswith("softmeas: isweep grid point 3 (q=1.5): gram[3] is not PSD")
+
+    def test_later_block_names_its_grid_point(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 51)  # one q row per block
+        code, err = run_failing(["fig3", "--param", "q=0:2:3"], capsys)
+        assert code == 3
+        assert err.startswith("softmeas: fig3 grid point 102 (q=2, theta=0): ")
+        assert "dephase[2, 0] is not PSD" in err
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 2)
+        code, err = run_failing(["isweep", "--param", "q=0:2:5"], capsys)
         assert err.startswith("softmeas: isweep grid point 3 (q=1.5): gram[3] is not PSD")
 
 

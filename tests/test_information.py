@@ -18,7 +18,7 @@ from softmeas.information import (
     CompetitionParams,
     KrausChannel,
     StateEnsemble,
-    bloch_y_rotation,
+    _bloch_y_rotation,
     choi_matrix,
     coherent_info_channel,
     coherent_info_soft,
@@ -495,10 +495,10 @@ class TestEveBobSemiclassical:
 class TestStackedInformation:
     def test_bloch_rotation_stack_matches_single_angles(self):
         thetas = np.array([[0.0, 1e-7, 0.4], [1.5, math.pi, 7.0]])
-        stack = bloch_y_rotation(thetas)
+        stack = _bloch_y_rotation(thetas)
         assert stack.shape == (2, 3, 2, 2)
         for index in np.ndindex(thetas.shape):
-            assert np.array_equal(stack[index], bloch_y_rotation(float(thetas[index])))
+            assert np.array_equal(stack[index], _bloch_y_rotation(float(thetas[index])))
 
     def test_non_finite_angle_rejected(self):
         ensemble = StateEnsemble(np.array([0.5, 0.5]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
@@ -506,7 +506,7 @@ class TestStackedInformation:
         with pytest.raises(OutOfRange):
             eve_bob_semiclassical(ensemble, math.inf, np.eye(2), bob)
         with pytest.raises(OutOfRange) as excinfo:
-            bloch_y_rotation(np.array([0.1, 0.2, math.nan]))
+            _bloch_y_rotation(np.array([0.1, 0.2, math.nan]))
         assert excinfo.value.index == (2,)
 
     def test_eve_bob_stack_matches_explicit_unitaries(self):

@@ -225,6 +225,25 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(rho), abs=1e-12
         )
 
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_sums_positive_terms_only(self, dim):
+        # Zero terms would regroup numpy's pairwise sum from eight terms on.
+        rng = np.random.default_rng(21 + dim)
+        stack = []
+        for _ in range(40):
+            weights = rng.random(dim) * (rng.random(dim) < 0.6)
+            weights[0] += 0.1
+            u = rand_unitary(rng, dim)
+            stack.append((u * (weights / weights.sum())) @ u.conj().T)
+        stack = np.array(stack)
+        entropies = von_neumann_entropy(stack, validate=False)
+        for k, rho in enumerate(stack):
+            w = np.clip(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), 0.0, 1.0)
+            positive = w[w > 0.0]
+            expected = float(-(positive * np.log2(positive)).sum()) + 0.0
+            assert von_neumann_entropy(rho, validate=False) == expected
+            assert entropies[k] == expected
+
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidState):
             von_neumann_entropy(np.eye(2))  # trace 2

@@ -64,6 +64,15 @@ class TestGramPower:
         with pytest.raises(InvalidParams):
             gram_power(np.eye(2), 0)
 
+    def test_count_stack_matches_scalar_powers(self):
+        rng = np.random.default_rng(41)
+        for dim in (2, 3, 4):
+            q = rand_correlation(rng, dim)
+            counts = np.array([1, 2, 3, 2, 17, 1024])
+            stack = gram_power(q, counts)
+            for k, n in enumerate(counts.tolist()):
+                assert np.array_equal(stack[k], q.astype(complex) ** n)
+
 
 class TestCollectiveRepresentation:
     def test_orthogonal_meter_is_trivial(self):
@@ -490,6 +499,19 @@ class TestStackedCounts:
             meter_dm_repeated(
                 np.eye(2) / 2.0, gram, 4, representation=collective_representation(gram, 5)
             )
+
+    def test_given_representation_still_checks_gram(self):
+        # Not Hermitian, but its elementwise square is that of a valid Gram matrix.
+        bad = np.array([[1.0, 0.5], [-0.5, 1.0]])
+        good = np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert np.array_equal(gram_power(bad, 2), gram_power(good, 2))
+        rep = collective_representation(good, 2)
+        rho = np.eye(2) / 2.0
+        with pytest.raises(InvalidMeasurement, match="Hermitian"):
+            meter_dm_repeated(rho, bad, 2, representation=rep)
+        repeated = RepeatedMeasurement(SoftMeasurement(np.eye(2), bad), 2)
+        with pytest.raises(InvalidMeasurement, match="Hermitian"):
+            joint_dm_repeated(rho, repeated, validate=False, representation=rep)
 
     def test_invalid_count_named(self):
         with pytest.raises(InvalidParams, match=r"repetition count\[2\] must be >= 1") as excinfo:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from softmeas import cli
 from softmeas.cli import run_sweep
 from softmeas.information import StateEnsemble, coherent_info_soft, eve_bob_semiclassical
 from softmeas.matcore import von_neumann_entropy
@@ -59,7 +60,7 @@ def repeat_reference(counts, theta, chi, r12, p, mu, phase):
         joint = joint_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
         meter = meter_dm_repeated(rho, measurement.gram, n)
         info = coherent_info_soft(
-            rho, gram_power(measurement.entanglement, n), gram_power(measurement.gram, n)
+            rho, measurement.entanglement**n, gram_power(measurement.gram, n)
         )
         rows.append(
             [
@@ -99,6 +100,33 @@ class TestFig3WholeGrid:
         assert np.array_equal(table("fig3", config)[:, 2], fig3_reference(qs, thetas))
 
 
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("fig3", {"q": "0:0.9:9", "theta": "1e-07:3.1:5", "kappa_convention": "gram"}),
+            ("isweep", {"q": "0:1:20", "p": "0.3", "mu": "0.8", "kappa_convention": "gram"}),
+            (
+                "repeat",
+                {
+                    "n": "1:900:20",
+                    "theta": "0.4",
+                    "chi": "-1.2",
+                    "r12": "0.5,0.6",
+                    "rho_p": "0.7",
+                    "rho_mu": "0.6",
+                    "rho_phase": "1.0",
+                    "kappa_convention": "gram",
+                },
+            ),
+        ],
+    )
+    def test_blocks_give_the_whole_grid(self, monkeypatch, command, config):
+        whole = table(command, config)
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 7)
+        assert np.array_equal(table(command, config), whole)
+
+
 class TestRepeatWholeGrid:
     def test_default_sweep(self):
         config = {
@@ -112,6 +140,20 @@ class TestRepeatWholeGrid:
             "kappa_convention": "gram",
         }
         expected = repeat_reference(range(1, 11), math.pi / 3.0, 0.0, 1.0, 0.5, 1.0, 0.0)
+        assert np.array_equal(table("repeat", config), expected)
+
+    def test_small_counts_complex_r12(self):
+        config = {
+            "n": "1:4:4",
+            "theta": "1.1",
+            "chi": "0.7",
+            "r12": "0.3,-0.8",
+            "rho_p": "0.35",
+            "rho_mu": "0.9",
+            "rho_phase": "2.2",
+            "kappa_convention": "gram",
+        }
+        expected = repeat_reference(range(1, 5), 1.1, 0.7, complex(0.3, -0.8), 0.35, 0.9, 2.2)
         assert np.array_equal(table("repeat", config), expected)
 
     @pytest.mark.parametrize("seed", range(6))
