@@ -12,9 +12,11 @@ a flat ``key = value`` config file, overridden by ``--param`` flags. Grid
 parameters use ``start:stop:points``; complex scalars use ``re,im``.
 
 Each command evaluates its grid in one call, validating the inputs shared
-by all points once and each stack of per-point matrices once; grids of
-more than ``_BLOCK_POINTS`` points are evaluated in blocks.
-``--jobs`` is accepted for compatibility and has no effect.
+by all points once and each stack of per-point matrices once; the
+two-level closed forms of ``fig2a``, ``fig2b``, ``isweep`` and ``repeat``
+take whole arrays. Grids of more than ``_BLOCK_POINTS`` points are
+evaluated in blocks. The output is written from the float table with one
+row template. ``--jobs`` is accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation while
 computing or emitting rows; a check that fails at a grid point names the
@@ -234,6 +236,8 @@ def _rho_from_config(config: dict[str, str]) -> np.ndarray:
 
 
 def _entanglement_from_r12(r12: complex) -> np.ndarray:
+    if not cmath.isfinite(r12):
+        raise ConfigError(f"parameter r12 must be finite, got {r12}")
     if abs(r12) > 1.0 + 1e-12:
         raise ConfigError(f"parameter r12 must have modulus <= 1, got {r12}")
     return np.array([[1.0, r12], [np.conj(r12), 1.0]])
@@ -309,16 +313,12 @@ def _symmetric_off_diagonal(x: np.ndarray) -> np.ndarray:
 
 def _sweep_fig2a(config, q, mu):
     p = _unit_interval(_parse_float(config["p"], "p"), "p")
-    return _pointwise(lambda q, mu: (coherent_info_two_level(q, p, mu),), q, mu)
+    return [coherent_info_two_level(q, p, mu)]
 
 
 def _sweep_fig2b(config, q_eve, q_bob):
     mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
-
-    def point(q_eve, q_bob):
-        return compete_two_level(CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu))
-
-    return _pointwise(point, q_eve, q_bob)
+    return compete_two_level(CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu))
 
 
 def _sweep_fig3(config, q, theta):
@@ -359,7 +359,7 @@ def _sweep_continuous(config, t):
 
 def _sweep_repeat(config, n):
     params, measurement, rho = _two_level_inputs(config)
-    vectors = np.array([two_level_gram_sqrt(params, k) for k in n.tolist()])
+    vectors = two_level_gram_sqrt(params, n)
     shared = collective_representation(measurement.gram, n)
     repeated = RepeatedMeasurement(base=measurement, n=n)
     joint = joint_dm_repeated(rho, repeated, representation=shared)
@@ -400,8 +400,7 @@ def _sweep_isweep(config, q):
     mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
     meters = meter_ensemble(_basis_ensemble([p, 1.0 - p]), _symmetric_off_diagonal(q))
     info_s = holevo_info(meters)
-    (info_c,) = _pointwise(lambda q: (coherent_info_two_level(q, p, mu),), q)
-    return [info_c, info_s]
+    return [coherent_info_two_level(q, p, mu), info_s]
 
 
 _SWEEPS = {
@@ -420,31 +419,42 @@ def _format_value(value: float) -> str:
     return "0" if text == "-0" else text
 
 
-def _emit_csv(columns: tuple[str, ...], rows: list[list[float]]) -> str:
+def _emit_csv(columns: tuple[str, ...], table: np.ndarray) -> str:
+    """CSV text of a float table, each value as ``_format_value`` writes it.
+
+    ``%.12g`` formats a float as ``format(v, ".12g")`` does, and adding 0.0
+    first turns -0.0 into 0.
+    """
+    row = ",".join(["%.12g"] * len(columns))
     lines = [",".join(columns)]
-    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+    lines.extend(row % values for values in map(tuple, (table + 0.0).tolist()))
     return "\n".join(lines) + "\n"
 
 
 def _emit_json(
-    command: str, config: dict[str, str], columns: tuple[str, ...], rows: list[list[float]]
+    command: str, config: dict[str, str], columns: tuple[str, ...], table: np.ndarray
 ) -> str:
-    payload = {
-        "command": command,
-        "config": config,
-        "columns": list(columns),
-        "rows": [[float(v) for v in row] for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` text of the header and the float table.
+
+    The rows are written by a template in the same layout; ``%r`` writes a
+    finite float as :mod:`json` does.
+    """
+    head = json.dumps({"command": command, "config": config, "columns": list(columns)}, indent=2)
+    row = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
+    rows = ",\n".join(row % values for values in map(tuple, table.tolist()))
+    body = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{head[:-2]},\n  "rows": {body}\n}}\n'
 
 
-def _check_finite(columns: tuple[str, ...], table: np.ndarray, first_row: int) -> None:
+def _check_finite(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Raise at the first point of a block of ``shape`` whose row of
+    ``table`` holds a non-finite value."""
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
-        i, j = bad[0]
+        row, j = bad[0]
+        index = tuple(int(i) for i in np.unravel_index(row, shape))
         raise SoftMeasError(
-            f"invariant violation: non-finite value in column {columns[j]!r}, "
-            f"row {first_row + i}"
+            f"invariant violation: non-finite value in column {columns[j]!r}", index=index or None
         )
 
 
@@ -453,16 +463,16 @@ def _check_finite(columns: tuple[str, ...], table: np.ndarray, first_row: int) -
 _BLOCK_POINTS = 8192
 
 
-def run_sweep(
-    command: str, config: dict[str, str]
-) -> tuple[tuple[str, ...], list[list[float]]]:
-    """Compute all rows of a sweep, ordered by grid index.
+def run_sweep(command: str, config: dict[str, str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Compute the float table of a sweep, one row per grid point in grid
+    order and one column per name in the returned columns.
 
     The command's sweep function evaluates a block of up to
     ``_BLOCK_POINTS`` grid points (whole rows of the first grid axis) in
-    one call; a grid of that size or smaller is one block. When a check
-    fails at a grid point, the error message names the command, the
-    point's grid index and its parameter values.
+    one call; a grid of that size or smaller is one block. When a check,
+    including the check that every output is finite, fails at a grid
+    point, the error message names the command, the point's grid index and
+    its parameter values.
     """
     if command not in _SWEEPS:
         raise ConfigError(f"unknown command {command!r}")
@@ -470,12 +480,17 @@ def run_sweep(
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     shape = tuple(len(axis) for axis in axes)
     columns = _COLUMNS[command]
-    rows: list[list[float]] = []
+    tables = []
     step = max(1, _BLOCK_POINTS // math.prod(shape[1:]))
     for start in range(0, shape[0], step) if shape else [0]:
         block = [m[start : start + step] for m in mesh[:1]] + list(mesh[1:])
         try:
             outputs = _SWEEPS[command](config, *block)
+            block_shape = np.broadcast_shapes(*(m.shape for m in block))
+            table = np.column_stack(
+                [np.broadcast_to(c, block_shape).ravel() for c in (*block, *outputs)]
+            )
+            _check_finite(columns, table, block_shape)
         except SoftMeasError as exc:
             if exc.index is not None and len(exc.index) == len(shape):
                 index = (exc.index[0] + start, *exc.index[1:])
@@ -489,13 +504,8 @@ def run_sweep(
                 exc.args = (f"{command} grid point {flat} ({point}): {message}",)
                 exc.index = index
             raise
-        block_shape = np.broadcast_shapes(*(m.shape for m in block))
-        table = np.column_stack(
-            [np.broadcast_to(c, block_shape).ravel() for c in (*block, *outputs)]
-        )
-        _check_finite(columns, table, len(rows))
-        rows.extend(table.tolist())
-    return columns, rows
+        tables.append(table)
+    return columns, np.concatenate(tables)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -533,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        columns, rows = run_sweep(args.command, config)
+        columns, table = run_sweep(args.command, config)
     except ConfigError as exc:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2
@@ -544,9 +554,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"softmeas: invariant violation: eigensolver failed: {exc}", file=sys.stderr)
         return 3
     if args.format == "csv":
-        text = _emit_csv(columns, rows)
+        text = _emit_csv(columns, table)
     else:
-        text = _emit_json(args.command, config, columns, rows)
+        text = _emit_json(args.command, config, columns, table)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

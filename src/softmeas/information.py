@@ -31,8 +31,10 @@ from .errors import (
 from .matcore import (
     TAU_RECON,
     _dagger,
+    _entrywise,
     _first,
     _label,
+    _member,
     herm_eig,
     validate_density_matrix,
     von_neumann_entropy,
@@ -216,27 +218,54 @@ def coherent_info_soft(
     )
 
 
-def _g(x: float) -> float:
-    """``(1-x)log2(1-x) + (1+x)log2(1+x)`` with the 0*log(0) = 0 convention."""
-    x = min(max(x, 0.0), 1.0)
-    lo = 0.0 if x >= 1.0 else (1.0 - x) * math.log2(1.0 - x)
-    return lo + (1.0 + x) * math.log2(1.0 + x)
+def _check_unit_interval(**values: np.ndarray) -> None:
+    """Raise :class:`OutOfRange` unless every entry of the broadcast arrays
+    lies in ``[0, 1]``.
+
+    Names the first failing broadcast member in C order and, at that
+    member, the first failing argument, as a loop over the members would.
+    """
+    arrays = np.broadcast_arrays(*values.values())
+    bad = [~((0.0 <= a) & (a <= 1.0)) for a in arrays]
+    i = _first(np.logical_or.reduce(bad))
+    if i is not None:
+        name, value = next((n, a[i]) for n, a, b in zip(values, arrays, bad) if b[i])
+        raise OutOfRange(f"{name} must lie in [0, 1], got {value}{_member(i)}", index=i or None)
 
 
-def coherent_info_two_level(q: float, p: float, mu: float) -> float:
+def _g(x: float | np.ndarray) -> np.ndarray:
+    """``(1-x)log2(1-x) + (1+x)log2(1+x)`` with the 0*log(0) = 0 convention,
+    entrywise; ``x`` is clamped to ``[0, 1]``.
+
+    The logarithms come from :func:`math.log2`, which numpy's ``log2`` does
+    not match in every last ulp.
+    """
+    x = np.clip(x, 0.0, 1.0)
+    lo = (1.0 - x) * _entrywise(math.log2, np.where(x < 1.0, 1.0 - x, 1.0))
+    return lo + (1.0 + x) * _entrywise(math.log2, 1.0 + x)
+
+
+def coherent_info_two_level(
+    q: float | np.ndarray, p: float | np.ndarray, mu: float | np.ndarray
+) -> float | np.ndarray:
     """Two-level closed form of :func:`coherent_info_soft`, bits.
 
     ``q`` is the softness parameter (modulus of the combined off-diagonal
     multiplier), ``p`` the first population, ``mu`` the coherence modulus of
     the input. All three must lie in ``[0, 1]``.
+
+    Arrays broadcast against each other and give one value per member;
+    scalars give a ``float``. A member's value is the float the scalar call
+    gives.
     """
-    for name, value in (("q", q), ("p", p), ("mu", mu)):
-        if not 0.0 <= value <= 1.0:
-            raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
+    q, p, mu = (np.asarray(v, dtype=float) for v in (q, p, mu))
+    _check_unit_interval(q=q, p=p, mu=mu)
     spread = 4.0 * p * (1.0 - p)
-    x1 = math.sqrt(max(1.0 - spread * (1.0 - q * q), 0.0))
-    x2 = math.sqrt(max(1.0 - spread * (1.0 - (q * mu) ** 2), 0.0))
-    return 0.5 * (_g(x1) - _g(x2)) + 0.0
+    x1 = np.sqrt(np.maximum(1.0 - spread * (1.0 - q * q), 0.0))
+    # ``v ** 2`` is libm's ``pow``, which ``v * v`` does not match in every last ulp.
+    x2 = np.sqrt(np.maximum(1.0 - spread * (1.0 - _entrywise(pow, q * mu, 2)), 0.0))
+    info = 0.5 * (_g(x1) - _g(x2)) + 0.0
+    return float(info) if info.ndim == 0 else info
 
 
 @dataclass(frozen=True)
@@ -345,18 +374,20 @@ def semiclassical_info_continuous(
 @dataclass(frozen=True)
 class CompetitionParams:
     """Two receivers measuring one object: softness parameters ``q_eve``
-    and ``q_bob``, input coherence modulus ``mu``, first population ``p``."""
+    and ``q_bob``, input coherence modulus ``mu``, first population ``p``.
 
-    q_eve: float
-    q_bob: float
-    mu: float
-    p: float = 0.5
+    Each field is a float or an array; arrays broadcast against each other
+    and describe one arrangement per member.
+    """
+
+    q_eve: float | np.ndarray
+    q_bob: float | np.ndarray
+    mu: float | np.ndarray
+    p: float | np.ndarray = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("q_eve", "q_bob", "mu", "p"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
+        names = ("q_eve", "q_bob", "mu", "p")
+        _check_unit_interval(**{n: np.asarray(getattr(self, n), dtype=float) for n in names})
 
 
 def compete_coherent(
@@ -398,17 +429,23 @@ def compete_coherent(
     return info_eve, info_bob
 
 
-def compete_two_level(params: CompetitionParams) -> tuple[float, float]:
+def compete_two_level(
+    params: CompetitionParams,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Closed two-level form of :func:`compete_coherent` for balanced
     populations and unit entanglement matrices.
 
     Substitutes ``(q_bob*mu, q_eve)`` respectively ``(q_eve*mu, q_bob)``
-    into the single-measurement closed form at ``p = 1/2``.
+    into the single-measurement closed form at ``p = 1/2``. Array fields
+    give arrays of their broadcast shape.
     """
-    if params.p != 0.5:
+    if np.any(np.asarray(params.p) != 0.5):
         raise OutOfRange("closed competition form is defined at p = 1/2")
-    info_eve = coherent_info_two_level(params.q_bob * params.mu, 0.5, params.q_eve)
-    info_bob = coherent_info_two_level(params.q_eve * params.mu, 0.5, params.q_bob)
+    q_eve, q_bob, mu = (
+        np.asarray(v, dtype=float) for v in (params.q_eve, params.q_bob, params.mu)
+    )
+    info_eve = coherent_info_two_level(q_bob * mu, 0.5, q_eve)
+    info_bob = coherent_info_two_level(q_eve * mu, 0.5, q_bob)
     return info_eve, info_bob
 
 
@@ -427,9 +464,8 @@ def _bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
         raise OutOfRange(
             f"rotation angle{_label(i)} must be finite, got {angles[i]}", index=i or None
         )
-    half = (angles / 2.0).ravel().tolist()
-    cos = np.array([math.cos(h) for h in half]).reshape(angles.shape)
-    sin = np.array([math.sin(h) for h in half]).reshape(angles.shape)
+    cos = _entrywise(math.cos, angles / 2.0)
+    sin = _entrywise(math.sin, angles / 2.0)
     return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2).astype(complex)
 
 

@@ -266,6 +266,9 @@ class TwoLevelMeterParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= math.pi:
             raise OutOfRange(f"theta must lie in [0, pi], got {self.theta}")
+        for name in ("phi", "chi"):
+            if not math.isfinite(getattr(self, name)):
+                raise OutOfRange(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def two_level_meter_states(params: TwoLevelMeterParams) -> np.ndarray:

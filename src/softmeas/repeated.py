@@ -32,6 +32,7 @@ from .errors import InvalidMeasurement, InvalidParams
 from .matcore import (
     RANK_TOL,
     _dagger,
+    _entrywise,
     _first,
     _label,
     inv_sqrt_psd,
@@ -202,20 +203,30 @@ def meter_dm_repeated(
     return (vectors * populations[..., None, :]) @ _dagger(vectors)
 
 
-def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int) -> np.ndarray:
+def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.ndarray:
     """Closed form of the principal square root of the two-level Gram power.
 
     With ``c = cos(theta/2)**n`` the diagonal is
     ``(sqrt(1+c) + sqrt(1-c)) / 2`` and the off-diagonal carries the
     accumulated phase ``exp(i*n*chi)`` times ``(sqrt(1+c) - sqrt(1-c)) / 2``.
+    An integer array of counts gives the ``(..., 2, 2)`` stack, one member
+    per count. The power, cosine and sine come from libm, one count at a
+    time, so each member holds the floats of the scalar ``math``/``cmath``
+    formula.
     """
-    if int(n) < 1:
-        raise InvalidParams(f"repetition count must be >= 1, got {n}")
-    c = math.cos(params.theta / 2.0) ** int(n)
-    plus = 0.5 * (math.sqrt(1.0 + c) + math.sqrt(1.0 - c))
-    minus = 0.5 * (math.sqrt(1.0 + c) - math.sqrt(1.0 - c))
-    phase = cmath.exp(1j * int(n) * params.chi)
-    return np.array([[plus, phase * minus], [np.conj(phase) * minus, plus]])
+    n = np.asarray(_counts(n))
+    c = _entrywise(pow, math.cos(params.theta / 2.0), n)
+    plus = 0.5 * (np.sqrt(1.0 + c) + np.sqrt(1.0 - c))
+    minus = 0.5 * (np.sqrt(1.0 + c) - np.sqrt(1.0 - c))
+    # ``cmath.exp(1j*n*chi)`` is libm's cosine and sine of ``n*chi``.
+    angle = n * params.chi
+    phase = np.empty(n.shape, dtype=complex)
+    phase.real, phase.imag = _entrywise(math.cos, angle), _entrywise(math.sin, angle)
+    out = np.empty(n.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = plus
+    out[..., 0, 1] = phase * minus
+    out[..., 1, 0] = np.conj(phase) * minus
+    return out
 
 
 @dataclass(frozen=True)

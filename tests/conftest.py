@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -51,3 +52,36 @@ def binary_entropy(p: float) -> float:
         if value > 0.0:
             total -= value * math.log2(value)
     return total
+
+
+# Scalar references: the per-point ``math`` code that the whole-array closed
+# forms replaced, kept as it was, so that the array forms are compared with
+# an independent implementation rather than with themselves.
+
+
+def scalar_g(x: float) -> float:
+    x = min(max(x, 0.0), 1.0)
+    lo = 0.0 if x >= 1.0 else (1.0 - x) * math.log2(1.0 - x)
+    return lo + (1.0 + x) * math.log2(1.0 + x)
+
+
+def scalar_coherent_info_two_level(q: float, p: float, mu: float) -> float:
+    spread = 4.0 * p * (1.0 - p)
+    x1 = math.sqrt(max(1.0 - spread * (1.0 - q * q), 0.0))
+    x2 = math.sqrt(max(1.0 - spread * (1.0 - (q * mu) ** 2), 0.0))
+    return 0.5 * (scalar_g(x1) - scalar_g(x2)) + 0.0
+
+
+def scalar_compete_two_level(q_eve: float, q_bob: float, mu: float) -> tuple[float, float]:
+    return (
+        scalar_coherent_info_two_level(q_bob * mu, 0.5, q_eve),
+        scalar_coherent_info_two_level(q_eve * mu, 0.5, q_bob),
+    )
+
+
+def scalar_two_level_gram_sqrt(theta: float, chi: float, n: int) -> np.ndarray:
+    c = math.cos(theta / 2.0) ** int(n)
+    plus = 0.5 * (math.sqrt(1.0 + c) + math.sqrt(1.0 - c))
+    minus = 0.5 * (math.sqrt(1.0 + c) - math.sqrt(1.0 - c))
+    phase = cmath.exp(1j * int(n) * chi)
+    return np.array([[plus, phase * minus], [np.conj(phase) * minus, plus]])

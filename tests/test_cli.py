@@ -5,7 +5,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softmeas import cli
 from softmeas.cli import main
@@ -223,6 +226,13 @@ class TestErrorHandling:
     def test_malformed_complex_is_config_error(self, capsys):
         assert main(["repeat", "--param", "r12=1"]) == 2
 
+    @pytest.mark.parametrize("command", ["repeat", "single"])
+    @pytest.mark.parametrize("r12", ["nan,0", "0,inf", "-inf,nan"])
+    def test_non_finite_r12_is_config_error(self, command, r12, capsys):
+        code, err = run_failing([command, "--param", f"r12={r12}"], capsys)
+        assert code == 2
+        assert err.startswith("softmeas: config error: parameter r12 must be finite, got ")
+
     def test_out_of_range_measurement_is_invariant_violation(self, capsys):
         assert main(["repeat", "--param", "theta=nan"]) == 3
 
@@ -268,6 +278,7 @@ class TestNonFiniteInput:
             (["continuous", "--param", "chi_dot=inf"], "chi_dot must be finite"),
             (["fig3", "--param", "theta=0:inf:3"], "rotation angle[0, 0] must be finite"),
             (["fig3", "--param", "q=0:inf:3"], "dephase[0, 0] is not Hermitian"),
+            (["repeat", "--param", "chi=inf"], "chi must be finite, got inf"),
         ],
     )
     def test_exits_three_with_one_line(self, argv, expected, capsys):
@@ -305,6 +316,23 @@ class TestFailingGridPoint:
         code, err = run_failing(["isweep", "--param", "q=0:2:5"], capsys)
         assert err.startswith("softmeas: isweep grid point 3 (q=1.5): gram[3] is not PSD")
 
+    def test_non_finite_output_names_its_grid_point(self, monkeypatch, capsys):
+        sweep = cli._SWEEPS["fig2a"]
+
+        def poisoned(config, q, mu):
+            (info,) = sweep(config, q, mu)
+            return [np.where((q == 0.5) & (mu == 0.25), np.nan, info)]
+
+        monkeypatch.setitem(cli._SWEEPS, "fig2a", poisoned)
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 5)  # one q row per block
+        code, err = run_failing(["fig2a", "--param", "q=0:1:5", "--param", "mu=0:1:5"], capsys)
+        assert code == 3
+        # q = 0.5 is row 2 (the third block) and mu = 0.25 column 1: flat index 11.
+        assert err == (
+            "softmeas: fig2a grid point 11 (q=0.5, mu=0.25): "
+            "invariant violation: non-finite value in column 'I_c'\n"
+        )
+
 
 # sha256 of each command's default CSV as the per-point implementation wrote
 # it, before grids were evaluated whole; the whole-grid path must reproduce
@@ -320,8 +348,95 @@ DEFAULT_CSV_SHA256 = {
 }
 
 
+# sha256 of each command's default JSON as the per-value ``json.dumps``
+# emitter wrote it, before the rows were written by a template.
+DEFAULT_JSON_SHA256 = {
+    "single": "176c1c3e9ae77cc656cb304ada3ac414f3d540601b6d8764b8368dba574cdbc4",
+    "repeat": "524fd1bb5c095edb509216a5f5876b6ae77a4884ac9fdb935d0d4bf58f07daa2",
+    "continuous": "cbc44c4bca10295eae0b38a21edf4cc835cc821450b0a59e8a539a54a39b91b4",
+    "fig2a": "2841f2dd070bbbee7731a81e0dca5bd386c8a6f133e28bf8a895668b4fb49bd8",
+    "fig2b": "6a327a302a53cb3447dbecb1505de119a82992e885825ca001bd18bd1b220114",
+    "fig3": "6e61210b0728fb94901820bfa5d1a40c225e317883ac14b8bde8d4d5d933f277",
+    "isweep": "996d85eadf8a6397245a22cd7e9b0ccc4b54ea881dfcfa8177c6cb7289245426",
+}
+
+
 @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
 def test_default_csv_digest_is_pinned(command, tmp_path):
     code, out = run_cli([command], tmp_path)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_JSON_SHA256))
+def test_default_json_digest_is_pinned(command, tmp_path):
+    code, out = run_cli([command, "--format", "json"], tmp_path, "out.json")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_JSON_SHA256[command]
+
+
+# The per-value emitters that the row templates replaced, kept as references.
+
+
+def per_value_csv(columns, rows):
+    def text(value):
+        out = format(float(value), ".12g")
+        return "0" if out == "-0" else out
+
+    lines = [",".join(columns)]
+    lines.extend(",".join(text(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def per_value_json(command, config, columns, rows):
+    payload = {
+        "command": command,
+        "config": config,
+        "columns": list(columns),
+        "rows": [[float(v) for v in row] for row in rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Finite doubles, with signed zeros, the smallest subnormal, values near the
+# largest double and values whose 12-digit form changes notation drawn often.
+VALUES = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1e-5, 1e16]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(VALUES, min_size=width, max_size=width), max_size=12))
+    columns = tuple(f"c{j}" for j in range(width))
+    return columns, rows, np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+class TestTemplateEmit:
+    """The row-template emitters write the bytes of the per-value ones."""
+
+    @settings(deadline=None)
+    @given(tables())
+    def test_csv_matches_per_value_format(self, table):
+        columns, rows, array = table
+        assert cli._emit_csv(columns, array) == per_value_csv(columns, rows)
+
+    @settings(deadline=None)
+    @given(tables(), st.text(max_size=6), st.dictionaries(st.text(max_size=6), st.text()))
+    def test_json_matches_json_dumps(self, table, command, config):
+        columns, rows, array = table
+        expected = per_value_json(command, config, columns, rows)
+        assert cli._emit_json(command, config, columns, array) == expected
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_empty_tables(self, width):
+        columns = tuple(f"c{j}" for j in range(width))
+        empty = np.empty((0, width))
+        assert cli._emit_csv(columns, empty) == per_value_csv(columns, [])
+        assert cli._emit_json("x", {"q": "0:1:3"}, columns, empty) == per_value_json(
+            "x", {"q": "0:1:3"}, columns, []
+        )

@@ -4,8 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import binary_entropy, rand_correlation, rand_density, rand_unitary
+from conftest import (
+    binary_entropy,
+    rand_correlation,
+    rand_density,
+    rand_unitary,
+    scalar_coherent_info_two_level,
+    scalar_compete_two_level,
+    scalar_g,
+)
 
 from softmeas.errors import (
     DimensionMismatch,
@@ -19,6 +29,7 @@ from softmeas.information import (
     KrausChannel,
     StateEnsemble,
     _bloch_y_rotation,
+    _g,
     choi_matrix,
     coherent_info_channel,
     coherent_info_soft,
@@ -198,6 +209,100 @@ class TestCoherentInfoTwoLevel:
             coherent_info_two_level(1.2, 0.5, 0.5)
         with pytest.raises(OutOfRange):
             coherent_info_two_level(0.5, -0.1, 0.5)
+
+
+# Unit-interval floats; the endpoints, the smallest subnormal and the float
+# just below 1 are drawn often, since 0 and 1 take the clamp of ``_g`` and
+# its ``x >= 1`` branch.
+UNIT = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 5e-324, 1e-300, math.nextafter(1.0, 0.0)]),
+    st.floats(0.0, 1.0),
+)
+TRIPLES = st.lists(st.tuples(UNIT, UNIT, UNIT), min_size=1, max_size=40)
+
+
+class TestTwoLevelArrays:
+    """Array calls of the two-level closed forms against the scalar ``math``
+    code they replaced (kept in ``conftest``), with equal floats."""
+
+    @settings(deadline=None)
+    @given(TRIPLES)
+    def test_coherent_info_matches_scalar_reference(self, triples):
+        q, p, mu = (np.array(column) for column in zip(*triples))
+        expected = [scalar_coherent_info_two_level(*t) for t in triples]
+        assert np.array_equal(coherent_info_two_level(q, p, mu), expected)
+
+    @settings(deadline=None)
+    @given(UNIT, UNIT, UNIT)
+    def test_scalar_call_returns_the_reference_float(self, q, p, mu):
+        value = coherent_info_two_level(q, p, mu)
+        assert type(value) is float
+        assert value == scalar_coherent_info_two_level(q, p, mu)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.one_of(UNIT, st.floats(-2.0, 3.0), st.sampled_from([-0.0, 1.0 + 2.0**-52, 2.0])),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_g_matches_scalar_reference_with_clamp(self, xs):
+        assert np.array_equal(_g(np.array(xs)), [scalar_g(x) for x in xs])
+
+    def test_broadcast_grid(self):
+        qs, mus = np.linspace(0.0, 1.0, 31), np.linspace(0.0, 1.0, 17)
+        for p in (0.0, 0.2, 0.5, 1.0):
+            expected = [[scalar_coherent_info_two_level(q, p, mu) for mu in mus] for q in qs]
+            assert np.array_equal(coherent_info_two_level(qs[:, None], p, mus[None, :]), expected)
+
+    @settings(deadline=None)
+    @given(TRIPLES)
+    def test_compete_matches_scalar_reference(self, triples):
+        q_eve, q_bob, mu = (np.array(column) for column in zip(*triples))
+        info = compete_two_level(CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu))
+        expected = [scalar_compete_two_level(*t) for t in triples]
+        assert np.array_equal(np.stack(info, axis=-1), expected)
+
+    def test_scalar_competition_returns_floats(self):
+        info = compete_two_level(CompetitionParams(q_eve=0.3, q_bob=0.6, mu=0.9))
+        assert all(type(v) is float for v in info)
+        assert info == scalar_compete_two_level(0.3, 0.6, 0.9)
+
+    def test_out_of_range_names_first_failing_member(self):
+        q = np.array([[0.5, 0.2], [1.5, 0.3]])
+        mu = np.array([[0.5, 0.2], [0.5, -1.0]])
+        with pytest.raises(OutOfRange) as exc:
+            coherent_info_two_level(q, 0.5, mu)
+        assert str(exc.value) == "q must lie in [0, 1], got 1.5 (stack member [1, 0])"
+        assert exc.value.index == (1, 0)
+
+    def test_first_failing_member_comes_before_argument_order(self):
+        # mu fails at [0, 0] and q only at [0, 1]: a loop over the members meets mu first.
+        with pytest.raises(OutOfRange) as exc:
+            coherent_info_two_level(np.array([[0.5, 2.0]]), 0.5, np.array([[-1.0, 0.5]]))
+        assert str(exc.value) == "mu must lie in [0, 1], got -1.0 (stack member [0, 0])"
+        assert exc.value.index == (0, 0)
+
+    @pytest.mark.parametrize("q", [1.2, math.nan])
+    def test_scalar_out_of_range_has_no_index(self, q):
+        with pytest.raises(OutOfRange) as exc:
+            coherent_info_two_level(q, 0.5, 0.5)
+        assert str(exc.value) == f"q must lie in [0, 1], got {q}"
+        assert exc.value.index is None
+
+    def test_competition_params_check_array_fields(self):
+        with pytest.raises(OutOfRange) as exc:
+            CompetitionParams(
+                q_eve=np.array([0.1, 0.2, 0.3]), q_bob=np.array([0.0, 1.0, 2.0]), mu=1.0
+            )
+        assert str(exc.value) == "q_bob must lie in [0, 1], got 2.0 (stack member [2])"
+        assert exc.value.index == (2,)
+
+    def test_array_of_unbalanced_populations_rejected(self):
+        params = CompetitionParams(q_eve=0.5, q_bob=0.5, mu=0.5, p=np.array([0.5, 0.3]))
+        with pytest.raises(OutOfRange):
+            compete_two_level(params)
 
 
 class TestMeterEnsemble:

@@ -308,6 +308,11 @@ class TestTwoLevelMeter:
         with pytest.raises(OutOfRange):
             TwoLevelMeterParams(theta=math.pi + 0.1)
 
+    @pytest.mark.parametrize("kwargs", [{"chi": math.inf}, {"chi": math.nan}, {"phi": -math.inf}])
+    def test_non_finite_phase_rejected(self, kwargs):
+        with pytest.raises(OutOfRange, match="must be finite"):
+            TwoLevelMeterParams(theta=1.0, **kwargs)
+
 
 class TestGenerators:
     def test_zero_rates(self):

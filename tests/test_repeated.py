@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_correlation, rand_density, swap_factors
+from conftest import rand_correlation, rand_density, scalar_two_level_gram_sqrt, swap_factors
 
 from softmeas.errors import InvalidMeasurement, InvalidParams
 from softmeas.matcore import (
@@ -305,6 +307,27 @@ class TestTwoLevelGramSqrt:
         params = TwoLevelMeterParams(theta=math.pi / 3.0, chi=0.2)
         oracle = matrix_sqrt_psd(gram_power(two_level_gram(params), 5))
         np.testing.assert_allclose(two_level_gram_sqrt(params, 5), oracle, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        theta=st.one_of(st.sampled_from([0.0, 1e-7, math.pi]), st.floats(0.0, math.pi)),
+        chi=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)),
+        counts=st.lists(st.integers(1, 5000), min_size=1, max_size=30),
+    )
+    def test_count_array_has_the_bits_of_the_scalar_reference(self, theta, chi, counts):
+        stack = two_level_gram_sqrt(TwoLevelMeterParams(theta=theta, chi=chi), np.array(counts))
+        expected = np.array([scalar_two_level_gram_sqrt(theta, chi, n) for n in counts])
+        # Bytes, not values: signed zeros in the imaginary parts must match too.
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_single_count_is_one_matrix(self):
+        out = two_level_gram_sqrt(TwoLevelMeterParams(theta=1.1, chi=-0.4), 7)
+        assert out.tobytes() == scalar_two_level_gram_sqrt(1.1, -0.4, 7).tobytes()
+
+    def test_invalid_count_named(self):
+        with pytest.raises(InvalidParams, match=r"repetition count\[1\] must be >= 1") as exc:
+            two_level_gram_sqrt(TwoLevelMeterParams(theta=1.0), np.array([2, 0, 3]))
+        assert exc.value.index == (1,)
 
 
 class TestContinuousGramSqrt:

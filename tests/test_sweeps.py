@@ -1,15 +1,23 @@
 """Whole-grid sweeps against per-point references.
 
 ``softmeas.cli.run_sweep`` evaluates each grid in one call over stacks of
-matrices. The references below loop over the grid and call the public
-per-point functions one point at a time; the two must give the same floats
-(``np.array_equal``), not merely close ones.
+matrices and whole arrays. The references below loop over the grid and call
+per-point functions one point at a time: the public ones for the
+eigensolver quantities and, for the two-level closed forms (which now run
+the whole-array code for a single point too), the scalar copies in
+``conftest``. The two must give the same floats (``np.array_equal``), not
+merely close ones.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import (
+    scalar_coherent_info_two_level,
+    scalar_compete_two_level,
+    scalar_two_level_gram_sqrt,
+)
 
 from softmeas import cli
 from softmeas.cli import run_sweep
@@ -21,7 +29,6 @@ from softmeas.repeated import (
     gram_power,
     joint_dm_repeated,
     meter_dm_repeated,
-    two_level_gram_sqrt,
 )
 
 
@@ -56,7 +63,7 @@ def repeat_reference(counts, theta, chi, r12, p, mu, phase):
     rho = qubit_state(p, mu, phase)
     rows = []
     for n in counts:
-        vectors = two_level_gram_sqrt(params, n)
+        vectors = scalar_two_level_gram_sqrt(theta, chi, n)
         joint = joint_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
         meter = meter_dm_repeated(rho, measurement.gram, n)
         info = coherent_info_soft(
@@ -179,3 +186,37 @@ class TestRepeatWholeGrid:
         counts = np.unique(np.rint(np.linspace(1, top, points)).astype(int))
         expected = repeat_reference(counts.tolist(), theta, chi, r12, p, mu, phase)
         assert np.array_equal(table("repeat", config), expected)
+
+
+class TestClosedFormsWholeGrid:
+    """fig2a, fig2b and isweep's ``I_c`` against the scalar closed forms."""
+
+    @pytest.mark.parametrize("p", ["0.5", "0", "1", "0.3", "1e-300"])
+    def test_fig2a(self, p):
+        config = {"q": "0:1:51", "mu": "0:1:37", "p": p, "kappa_convention": "gram"}
+        expected = [
+            scalar_coherent_info_two_level(q, float(p), mu)
+            for q in np.linspace(0.0, 1.0, 51).tolist()
+            for mu in np.linspace(0.0, 1.0, 37).tolist()
+        ]
+        assert np.array_equal(table("fig2a", config)[:, 2], expected)
+
+    @pytest.mark.parametrize("mu", ["1.0", "0", "0.8", "0.123456789"])
+    def test_fig2b(self, mu):
+        config = {"q_E": "0:1:41", "q_B": "0.05:1:29", "mu": mu, "kappa_convention": "gram"}
+        expected = [
+            scalar_compete_two_level(q_eve, q_bob, float(mu))
+            for q_eve in np.linspace(0.0, 1.0, 41).tolist()
+            for q_bob in np.linspace(0.05, 1.0, 29).tolist()
+        ]
+        assert np.array_equal(table("fig2b", config)[:, 2:], expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_isweep(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        p, mu = (float(x) for x in rng.uniform(0.0, 1.0, 2))
+        config = {"q": "0:1:101", "p": repr(p), "mu": repr(mu), "kappa_convention": "gram"}
+        expected = [
+            scalar_coherent_info_two_level(q, p, mu) for q in np.linspace(0.0, 1.0, 101).tolist()
+        ]
+        assert np.array_equal(table("isweep", config)[:, 1], expected)
