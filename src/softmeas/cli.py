@@ -11,12 +11,14 @@ Commands: ``single``, ``repeat``, ``continuous``, ``fig2a``, ``fig2b``,
 a flat ``key = value`` config file, overridden by ``--param`` flags. Grid
 parameters use ``start:stop:points``; complex scalars use ``re,im``.
 
-Each command evaluates its grid in one call, validating the inputs shared
-by all points once and each stack of per-point matrices once; the
-two-level closed forms of ``fig2a``, ``fig2b``, ``isweep`` and ``repeat``
-take whole arrays. Grids of more than ``_BLOCK_POINTS`` points are
-evaluated in blocks. The output is written from the float table with one
-row template. ``--jobs`` is accepted for compatibility and has no effect.
+Each command is one entry of the ``_COMMANDS`` table: its defaults, grid
+names, output names and sweep function. The sweep function evaluates the
+grid in one call, validating the inputs shared by all points once and each
+stack of per-point matrices once; the two-level closed forms of ``fig2a``,
+``fig2b``, ``isweep``, ``repeat`` and ``continuous`` take whole arrays.
+Grids of more than ``_BLOCK_POINTS`` points are evaluated in blocks. The
+output is written from the float table with one row template. ``--jobs``
+is accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation while
 computing or emitting rows; a check that fails at a grid point names the
@@ -30,10 +32,11 @@ import cmath
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SoftMeasError
+from .errors import ConfigError, InvalidParams, SoftMeasError
 from .information import (
     CompetitionParams,
     StateEnsemble,
@@ -49,8 +52,10 @@ from .information import (
 from .matcore import _label, partial_trace, validate_density_matrix, von_neumann_entropy
 from .measurement import SoftMeasurement, TwoLevelMeterParams, apply_soft, two_level_gram
 from .repeated import (
+    _CONVENTIONS,
     ContinuousLimitParams,
     RepeatedMeasurement,
+    _two_level_matrix,
     collective_representation,
     gram_power,
     joint_dm_continuous,
@@ -61,87 +66,6 @@ from .repeated import (
 )
 
 HALF_PI = math.pi / 2.0
-
-# Built-in parameter defaults per command, as config-file strings.
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "fig2a": {"q": "0:1:51", "mu": "0:1:51", "p": "0.5"},
-    "fig2b": {"q_E": "0:1:51", "q_B": "0:1:51", "mu": "1.0"},
-    "fig3": {"q": "0:1:51", "theta": f"0:{HALF_PI!r}:51"},
-    "continuous": {
-        "t": "0:5:51",
-        "kappa": "1.0",
-        "chi_dot": "0.0",
-        "r_dot": "0,0",
-        "rho_p": "0.5",
-        "rho_mu": "1.0",
-        "rho_phase": "0.0",
-    },
-    "repeat": {
-        "n": "1:10:10",
-        "theta": repr(math.pi / 3.0),
-        "chi": "0.0",
-        "r12": "1,0",
-        "rho_p": "0.5",
-        "rho_mu": "1.0",
-        "rho_phase": "0.0",
-    },
-    "single": {
-        "theta": repr(math.pi / 3.0),
-        "chi": "0.0",
-        "r12": "1,0",
-        "rho_p": "0.5",
-        "rho_mu": "1.0",
-        "rho_phase": "0.0",
-    },
-    "isweep": {"q": "0:1:51", "p": "0.5", "mu": "1.0"},
-}
-
-# Which of the parameters above are sweep grids, in emission order.
-_GRIDS: dict[str, tuple[str, ...]] = {
-    "fig2a": ("q", "mu"),
-    "fig2b": ("q_E", "q_B"),
-    "fig3": ("q", "theta"),
-    "continuous": ("t",),
-    "repeat": ("n",),
-    "single": (),
-    "isweep": ("q",),
-}
-
-_COLUMNS: dict[str, tuple[str, ...]] = {
-    "fig2a": ("q", "mu", "I_c"),
-    "fig2b": ("q_E", "q_B", "I_c_E", "I_c_B"),
-    "fig3": ("q", "theta", "I_s"),
-    "continuous": (
-        "t",
-        "meter_00",
-        "meter_01_re",
-        "meter_01_im",
-        "meter_11",
-        "joint_entropy",
-        "meter_entropy",
-        "I_s",
-    ),
-    "repeat": (
-        "n",
-        "psi_00",
-        "psi_01_re",
-        "psi_01_im",
-        "psi_11",
-        "meter_entropy",
-        "joint_entropy",
-        "I_c",
-    ),
-    "single": (
-        "q",
-        "input_entropy",
-        "object_entropy",
-        "meter_entropy",
-        "joint_entropy",
-        "I_c",
-        "I_s",
-    ),
-    "isweep": ("q", "I_c", "I_s"),
-}
 
 
 def _parse_float(raw: str, name: str) -> float:
@@ -198,7 +122,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, str]:
-    config = dict(_DEFAULTS[command])
+    config = dict(_COMMANDS[command].defaults)
     config["kappa_convention"] = "gram"
     overrides: dict[str, str] = {}
     if args.config:
@@ -214,9 +138,10 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, str]:
         config[key] = value
     if args.kappa_convention:
         config["kappa_convention"] = args.kappa_convention
-    if config["kappa_convention"] not in ("gram", "paper"):
+    if config["kappa_convention"] not in _CONVENTIONS:
+        expected = " or ".join(map(repr, _CONVENTIONS))
         raise ConfigError(
-            f"kappa_convention must be 'gram' or 'paper', got {config['kappa_convention']!r}"
+            f"kappa_convention must be {expected}, got {config['kappa_convention']!r}"
         )
     return config
 
@@ -231,6 +156,8 @@ def _rho_from_config(config: dict[str, str]) -> np.ndarray:
     p = _unit_interval(_parse_float(config["rho_p"], "rho_p"), "rho_p")
     mu = _unit_interval(_parse_float(config["rho_mu"], "rho_mu"), "rho_mu")
     phase = _parse_float(config["rho_phase"], "rho_phase")
+    if not math.isfinite(phase):
+        raise InvalidParams(f"rho_phase must be finite, got {phase}")
     off = mu * math.sqrt(p * (1.0 - p)) * cmath.exp(1j * phase)
     return np.array([[p, off], [np.conj(off), 1.0 - p]])
 
@@ -245,7 +172,7 @@ def _entanglement_from_r12(r12: complex) -> np.ndarray:
 
 def _grid_axes(command: str, config: dict[str, str]) -> list[np.ndarray]:
     axes = []
-    for name in _GRIDS[command]:
+    for name in _COMMANDS[command].grids:
         grid = _parse_grid(config[name], name)
         if command == "repeat" and name == "n":
             if not np.all(np.isfinite(grid)):
@@ -262,25 +189,6 @@ def _grid_axes(command: str, config: dict[str, str]) -> list[np.ndarray]:
 # to the grid shape) and returns its output columns, also broadcastable to
 # the grid shape. Inputs shared by the whole grid are built and validated
 # once; the matrix checks run once over each stack.
-
-
-def _pointwise(fn, *mesh: np.ndarray) -> list[np.ndarray]:
-    """Evaluate a scalar closed form at every grid point, in grid order.
-
-    ``fn`` returns a tuple per point; the result has one array per tuple
-    entry, of the grid shape plus the entry's own shape. A failure is
-    reported at its grid point.
-    """
-    mesh = np.broadcast_arrays(*mesh)
-    values = []
-    for flat, point in enumerate(zip(*(m.ravel() for m in mesh))):
-        try:
-            values.append(fn(*point))
-        except SoftMeasError as exc:
-            exc.index = tuple(int(i) for i in np.unravel_index(flat, mesh[0].shape))
-            raise
-    shape = mesh[0].shape
-    return [np.array(column).reshape(shape + np.shape(column[0])) for column in zip(*values)]
 
 
 def _basis_ensemble(probs) -> StateEnsemble:
@@ -304,13 +212,6 @@ def _two_level_inputs(
     return params, measurement, _rho_from_config(config)
 
 
-def _symmetric_off_diagonal(x: np.ndarray) -> np.ndarray:
-    """The stack of ``[[1, x], [x, 1]]`` over the entries of ``x``."""
-    out = np.ones(np.shape(x) + (2, 2))
-    out[..., 0, 1] = out[..., 1, 0] = x
-    return out
-
-
 def _sweep_fig2a(config, q, mu):
     p = _unit_interval(_parse_float(config["p"], "p"), "p")
     return [coherent_info_two_level(q, p, mu)]
@@ -323,7 +224,7 @@ def _sweep_fig2b(config, q_eve, q_bob):
 
 def _sweep_fig3(config, q, theta):
     rigid_bob = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
-    dephase = _symmetric_off_diagonal(q)
+    dephase = _two_level_matrix(1.0, q, q)
     info = eve_bob_semiclassical(
         _basis_ensemble([0.5, 0.5]), _bloch_y_rotation(theta), dephase, rigid_bob
     )
@@ -336,16 +237,10 @@ def _sweep_continuous(config, t):
     r_dot = _parse_complex(config["r_dot"], "r_dot")
     rho = _rho_from_config(config)
     validate_density_matrix(rho)
-
-    def point(t):
-        params = ContinuousLimitParams(kappa=kappa, t=float(t), chi_dot=chi_dot, r_dot=r_dot)
-        return (
-            meter_dm_continuous(rho, params, validate=False),
-            joint_dm_continuous(rho, params, validate=False),
-            semiclassical_info_continuous(kappa, params.t, convention=config["kappa_convention"]),
-        )
-
-    meter, joint, info = _pointwise(point, t)
+    params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
+    meter = meter_dm_continuous(rho, params, validate=False)
+    joint = joint_dm_continuous(rho, params, validate=False)
+    info = semiclassical_info_continuous(kappa, t, convention=config["kappa_convention"])
     return [
         meter[..., 0, 0].real,
         meter[..., 0, 1].real,
@@ -398,19 +293,87 @@ def _sweep_single(config):
 def _sweep_isweep(config, q):
     p = _unit_interval(_parse_float(config["p"], "p"), "p")
     mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
-    meters = meter_ensemble(_basis_ensemble([p, 1.0 - p]), _symmetric_off_diagonal(q))
+    meters = meter_ensemble(_basis_ensemble([p, 1.0 - p]), _two_level_matrix(1.0, q, q))
     info_s = holevo_info(meters)
     return [coherent_info_two_level(q, p, mu), info_s]
 
 
-_SWEEPS = {
-    "fig2a": _sweep_fig2a,
-    "fig2b": _sweep_fig2b,
-    "fig3": _sweep_fig3,
-    "continuous": _sweep_continuous,
-    "repeat": _sweep_repeat,
-    "single": _sweep_single,
-    "isweep": _sweep_isweep,
+class _Command(NamedTuple):
+    """One command: its parameter defaults (as config-file strings), the
+    names of its sweep grids among them in emission order, the names of its
+    outputs and its sweep function."""
+
+    defaults: dict[str, str]
+    grids: tuple[str, ...]
+    outputs: tuple[str, ...]
+    sweep: Callable
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return self.grids + self.outputs
+
+
+_RHO_DEFAULTS = {"rho_p": "0.5", "rho_mu": "1.0", "rho_phase": "0.0"}
+_METER_DEFAULTS = {"theta": repr(math.pi / 3.0), "chi": "0.0", "r12": "1,0"}
+
+_COMMANDS: dict[str, _Command] = {
+    "fig2a": _Command(
+        {"q": "0:1:51", "mu": "0:1:51", "p": "0.5"}, ("q", "mu"), ("I_c",), _sweep_fig2a
+    ),
+    "fig2b": _Command(
+        {"q_E": "0:1:51", "q_B": "0:1:51", "mu": "1.0"},
+        ("q_E", "q_B"),
+        ("I_c_E", "I_c_B"),
+        _sweep_fig2b,
+    ),
+    "fig3": _Command(
+        {"q": "0:1:51", "theta": f"0:{HALF_PI!r}:51"}, ("q", "theta"), ("I_s",), _sweep_fig3
+    ),
+    "continuous": _Command(
+        {"t": "0:5:51", "kappa": "1.0", "chi_dot": "0.0", "r_dot": "0,0", **_RHO_DEFAULTS},
+        ("t",),
+        (
+            "meter_00",
+            "meter_01_re",
+            "meter_01_im",
+            "meter_11",
+            "joint_entropy",
+            "meter_entropy",
+            "I_s",
+        ),
+        _sweep_continuous,
+    ),
+    "repeat": _Command(
+        {"n": "1:10:10", **_METER_DEFAULTS, **_RHO_DEFAULTS},
+        ("n",),
+        (
+            "psi_00",
+            "psi_01_re",
+            "psi_01_im",
+            "psi_11",
+            "meter_entropy",
+            "joint_entropy",
+            "I_c",
+        ),
+        _sweep_repeat,
+    ),
+    "single": _Command(
+        {**_METER_DEFAULTS, **_RHO_DEFAULTS},
+        (),
+        (
+            "q",
+            "input_entropy",
+            "object_entropy",
+            "meter_entropy",
+            "joint_entropy",
+            "I_c",
+            "I_s",
+        ),
+        _sweep_single,
+    ),
+    "isweep": _Command(
+        {"q": "0:1:51", "p": "0.5", "mu": "1.0"}, ("q",), ("I_c", "I_s"), _sweep_isweep
+    ),
 }
 
 
@@ -474,18 +437,19 @@ def run_sweep(command: str, config: dict[str, str]) -> tuple[tuple[str, ...], np
     point, the error message names the command, the point's grid index and
     its parameter values.
     """
-    if command not in _SWEEPS:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    spec = _COMMANDS[command]
     axes = _grid_axes(command, config)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     shape = tuple(len(axis) for axis in axes)
-    columns = _COLUMNS[command]
+    columns = spec.columns
     tables = []
     step = max(1, _BLOCK_POINTS // math.prod(shape[1:]))
     for start in range(0, shape[0], step) if shape else [0]:
         block = [m[start : start + step] for m in mesh[:1]] + list(mesh[1:])
         try:
-            outputs = _SWEEPS[command](config, *block)
+            outputs = spec.sweep(config, *block)
             block_shape = np.broadcast_shapes(*(m.shape for m in block))
             table = np.column_stack(
                 [np.broadcast_to(c, block_shape).ravel() for c in (*block, *outputs)]
@@ -496,7 +460,7 @@ def run_sweep(command: str, config: dict[str, str]) -> tuple[tuple[str, ...], np
                 index = (exc.index[0] + start, *exc.index[1:])
                 point = ", ".join(
                     f"{name}={_format_value(np.broadcast_to(m, shape)[index])}"
-                    for name, m in zip(_GRIDS[command], mesh)
+                    for name, m in zip(spec.grids, mesh)
                 )
                 flat = int(np.ravel_multi_index(index, shape))
                 # The check labels the member by its index within the block.
@@ -513,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="softmeas",
         description="Soft-measurement channel sweeps: information quantities to CSV/JSON.",
     )
-    parser.add_argument("command", choices=sorted(_DEFAULTS))
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument(
         "--param",
@@ -523,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--kappa-convention", choices=("gram", "paper"))
+    parser.add_argument("--kappa-convention", choices=tuple(_CONVENTIONS))
     parser.add_argument(
         "--jobs",
         type=int,

@@ -46,6 +46,7 @@ from .measurement import (
     meter_states_from_gram,
     validate_soft,
 )
+from .repeated import ContinuousLimitParams, _convention
 
 # Eigenvalues of a Choi matrix below this (relative) threshold are treated
 # as numerically zero when extracting Kraus operators.
@@ -270,7 +271,7 @@ def coherent_info_two_level(
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """Labeled ensemble of density matrices with prior probabilities.
+    """Ensemble of density matrices with prior probabilities.
 
     Each state may also be a ``(..., D, D)`` stack, all of one shape: the
     object then holds one ensemble per stack member, sharing ``probs``.
@@ -278,7 +279,6 @@ class StateEnsemble:
 
     probs: np.ndarray
     states: tuple[np.ndarray, ...]
-    labels: tuple | None = None
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -287,6 +287,8 @@ class StateEnsemble:
         object.__setattr__(self, "states", states)
         if probs.ndim != 1 or len(states) != probs.size:
             raise InvalidParams("need exactly one probability per state")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidParams(f"probabilities must be finite, got {probs}")
         if np.any(probs < 0.0):
             raise InvalidParams("probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
@@ -296,8 +298,6 @@ class StateEnsemble:
             raise DimensionMismatch(f"ensemble states have mixed shapes {dims}")
         for i, s in enumerate(states):
             validate_density_matrix(s, name=f"ensemble state {i}")
-        if self.labels is not None and len(self.labels) != len(states):
-            raise InvalidParams("need exactly one label per state")
 
     @property
     def dim(self) -> int:
@@ -320,7 +320,7 @@ def meter_ensemble(ensemble: StateEnsemble, gram: np.ndarray) -> StateEnsemble:
         (vectors * np.diagonal(s, axis1=-2, axis2=-1).real[..., None, :]) @ _dagger(vectors)
         for s in ensemble.states
     )
-    return StateEnsemble(probs=ensemble.probs, states=states, labels=ensemble.labels)
+    return StateEnsemble(probs=ensemble.probs, states=states)
 
 
 def holevo_info(ensemble: StateEnsemble) -> float | np.ndarray:
@@ -350,8 +350,8 @@ def _binary_entropy(p: float) -> float:
 
 
 def semiclassical_info_continuous(
-    kappa: float, t: float, convention: str = "gram"
-) -> float:
+    kappa: float, t: float | np.ndarray, convention: str = "gram"
+) -> float | np.ndarray:
     """Holevo information accumulated by the continuous measurement, bits.
 
     For two equiprobable measured states the value is the binary entropy
@@ -359,16 +359,14 @@ def semiclassical_info_continuous(
     default ``gram`` convention ``c = exp(-kappa*t)``, consistent with the
     continuous meter state; the ``paper`` convention uses
     ``c = exp(-2*kappa*t)``. Monotone from 0 at ``t = 0`` toward 1.
+    ``kappa`` and ``t`` are checked as in :class:`ContinuousLimitParams`;
+    an array of times gives one value per time.
     """
-    if kappa < 0.0 or t < 0.0:
-        raise InvalidParams("kappa and t must be nonnegative")
-    if convention == "gram":
-        overlap = math.exp(-kappa * t)
-    elif convention == "paper":
-        overlap = math.exp(-2.0 * kappa * t)
-    else:
-        raise InvalidParams(f"unknown convention {convention!r}, expected 'gram' or 'paper'")
-    return _binary_entropy((1.0 + overlap) / 2.0)
+    t = ContinuousLimitParams(kappa=kappa, t=t).t
+    _, rate = _convention(convention)
+    overlap = _entrywise(math.exp, -rate * kappa * t)
+    info = _entrywise(_binary_entropy, (1.0 + overlap) / 2.0)
+    return float(info) if info.ndim == 0 else info
 
 
 @dataclass(frozen=True)
@@ -521,6 +519,4 @@ def eve_bob_semiclassical(
         back = unitary @ (dephase * in_eve) @ _dagger(unitary)
         weights = np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None)
         out_states.append((meter_vecs * weights[..., None, :]) @ _dagger(meter_vecs))
-    return holevo_info(
-        StateEnsemble(probs=ensemble.probs, states=tuple(out_states), labels=ensemble.labels)
-    )
+    return holevo_info(StateEnsemble(probs=ensemble.probs, states=tuple(out_states)))

@@ -94,16 +94,17 @@ def _member(index: tuple[int, ...]) -> str:
     return f" (stack member {_label(index)})" if index else ""
 
 
-def _entrywise(fn, *arrays) -> np.ndarray:
+def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
     """``fn`` applied to each entry of the broadcast ``arrays``, as Python numbers.
 
-    For libm functions (``math.log2``, ``math.cos``, ``pow``...) whose numpy
-    loops may round differently in the last ulp: the result holds exactly the
-    floats of the scalar calls, without a Python-level loop per entry.
+    For libm functions (``math.log2``, ``math.cos``, ``pow``, ``cmath.exp``...)
+    whose numpy loops may round differently in the last ulp: the result holds
+    exactly the values of the scalar calls, without a Python-level loop per
+    entry. ``dtype`` is ``complex`` for a function with complex results.
     """
     arrays = np.broadcast_arrays(*arrays)
     values = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+    return np.fromiter(values, dtype, arrays[0].size).reshape(arrays[0].shape)
 
 
 def is_hermitian(matrix: np.ndarray, atol: float = TAU_HERM) -> bool:

@@ -35,6 +35,7 @@ from .matcore import (
     _entrywise,
     _first,
     _label,
+    _member,
     inv_sqrt_psd,
     matrix_sqrt_psd,
     validate_density_matrix,
@@ -203,6 +204,24 @@ def meter_dm_repeated(
     return (vectors * populations[..., None, :]) @ _dagger(vectors)
 
 
+def _two_level_matrix(diag, upper, lower) -> np.ndarray:
+    """The stack of ``[[diag, upper], [lower, diag]]`` over the broadcast entries."""
+    shape = np.broadcast_shapes(np.shape(diag), np.shape(upper), np.shape(lower))
+    out = np.empty(shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = diag
+    out[..., 0, 1], out[..., 1, 0] = upper, lower
+    return out
+
+
+def _two_level_root(c: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """``[[s_plus, phase*s_minus], [conj(phase)*s_minus, s_plus]]`` with
+    ``s_pm = (sqrt(1 + c) +- sqrt(1 - c)) / 2``, per entry: the principal
+    square root of the two-level Gram matrix with off-diagonal ``phase*c``."""
+    plus = 0.5 * (np.sqrt(1.0 + c) + np.sqrt(1.0 - c))
+    minus = 0.5 * (np.sqrt(1.0 + c) - np.sqrt(1.0 - c))
+    return _two_level_matrix(plus, phase * minus, np.conj(phase) * minus)
+
+
 def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.ndarray:
     """Closed form of the principal square root of the two-level Gram power.
 
@@ -216,17 +235,11 @@ def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.
     """
     n = np.asarray(_counts(n))
     c = _entrywise(pow, math.cos(params.theta / 2.0), n)
-    plus = 0.5 * (np.sqrt(1.0 + c) + np.sqrt(1.0 - c))
-    minus = 0.5 * (np.sqrt(1.0 + c) - np.sqrt(1.0 - c))
     # ``cmath.exp(1j*n*chi)`` is libm's cosine and sine of ``n*chi``.
     angle = n * params.chi
     phase = np.empty(n.shape, dtype=complex)
     phase.real, phase.imag = _entrywise(math.cos, angle), _entrywise(math.sin, angle)
-    out = np.empty(n.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = plus
-    out[..., 0, 1] = phase * minus
-    out[..., 1, 0] = np.conj(phase) * minus
-    return out
+    return _two_level_root(c, phase)
 
 
 @dataclass(frozen=True)
@@ -235,26 +248,31 @@ class ContinuousLimitParams:
 
     ``kappa`` is the Gram decay rate (off-diagonal modulus ``exp(-kappa*t)``),
     ``chi_dot`` the phase drift, ``r_dot`` the complex external dephasing
-    rate and ``t`` the elapsed time.
+    rate and ``t`` the elapsed time. ``t`` may be an array: the functions
+    below then return stacks, one member per time, and a failing check on
+    ``t`` names its first failing member.
     """
 
     kappa: float
-    t: float
+    t: float | np.ndarray
     chi_dot: float = 0.0
     r_dot: complex = 0j
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "t", "chi_dot"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("kappa", "chi_dot", "r_dot"):
+            if not cmath.isfinite(complex(getattr(self, name))):
                 raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
-        if not cmath.isfinite(complex(self.r_dot)):
-            raise InvalidParams(f"r_dot must be finite, got {self.r_dot}")
         if self.kappa < 0.0:
             raise InvalidParams(f"kappa must be >= 0, got {self.kappa}")
-        if self.t < 0.0:
-            raise InvalidParams(f"t must be >= 0, got {self.t}")
         if complex(self.r_dot).real < 0.0:
             raise InvalidParams(f"Re(r_dot) must be >= 0, got {self.r_dot}")
+        t = np.asarray(self.t, dtype=float)
+        for bad, rule in ((~np.isfinite(t), "finite"), (t < 0.0, ">= 0")):
+            i = _first(bad)
+            if i is not None:
+                raise InvalidParams(f"t must be {rule}, got {t[i]}{_member(i)}", index=i or None)
+        if t.ndim:
+            object.__setattr__(self, "t", t)
 
 
 def continuous_gram_sqrt(params: ContinuousLimitParams) -> np.ndarray:
@@ -263,25 +281,27 @@ def continuous_gram_sqrt(params: ContinuousLimitParams) -> np.ndarray:
     ``[[s_plus, e^{i chi_dot t} s_minus], [e^{-i chi_dot t} s_minus, s_plus]]``
     with ``s_pm = (sqrt(1 + e^{-kappa t}) +- sqrt(1 - e^{-kappa t})) / 2``;
     ``s_plus**2 + s_minus**2 == 1`` and the square of the matrix has
-    off-diagonal ``exp(-kappa*t + i*chi_dot*t)``.
+    off-diagonal ``exp(-kappa*t + i*chi_dot*t)``. An array of times gives
+    the stack; the exponentials come from :mod:`math` and :mod:`cmath`.
     """
-    decay = math.exp(-params.kappa * params.t)
-    s_plus = 0.5 * (math.sqrt(1.0 + decay) + math.sqrt(1.0 - decay))
-    s_minus = 0.5 * (math.sqrt(1.0 + decay) - math.sqrt(1.0 - decay))
-    phase = cmath.exp(1j * params.chi_dot * params.t)
-    return np.array([[s_plus, phase * s_minus], [np.conj(phase) * s_minus, s_plus]])
+    c = _entrywise(math.exp, -params.kappa * params.t)
+    phase = _entrywise(lambda t: cmath.exp(1j * params.chi_dot * t), params.t, dtype=complex)
+    return _two_level_root(c, phase)
 
 
 def asymptotic_gram_sqrt(params: ContinuousLimitParams) -> np.ndarray:
     """Long-time expansion of :func:`continuous_gram_sqrt`.
 
     Valid for large ``kappa*t`` only: diagonal ``1 - exp(-2*kappa*t)/8``,
-    off-diagonal ``exp(-kappa*t +- i*chi_dot*t)/2``.
+    off-diagonal ``exp(-kappa*t +- i*chi_dot*t)/2``. An array of times
+    gives the stack.
     """
-    kt = params.kappa * params.t
-    diag = 1.0 - math.exp(-2.0 * kt) / 8.0
-    off = 0.5 * cmath.exp(-kt + 1j * params.chi_dot * params.t)
-    return np.array([[diag, off], [np.conj(off), diag]])
+    kappa, chi_dot = params.kappa, params.chi_dot
+    diag = 1.0 - _entrywise(math.exp, -2.0 * (kappa * params.t)) / 8.0
+    off = 0.5 * _entrywise(
+        lambda t: cmath.exp(-(kappa * t) + 1j * chi_dot * t), params.t, dtype=complex
+    )
+    return _two_level_matrix(diag, off, np.conj(off))
 
 
 def meter_dm_continuous(
@@ -292,7 +312,8 @@ def meter_dm_continuous(
     Starts at the pure state with coordinates ``(1/sqrt2, 1/sqrt2)`` at
     ``t = 0`` and diagonalizes onto the object populations as
     ``kappa * t -> inf``. Off-diagonal is
-    ``exp(-kappa*t + i*chi_dot*t) / 2``.
+    ``exp(-kappa*t + i*chi_dot*t) / 2``. An array of times gives one state
+    per time.
     """
     rho = np.asarray(rho, dtype=complex)
     if validate:
@@ -300,12 +321,14 @@ def meter_dm_continuous(
     if rho.shape != (2, 2):
         raise InvalidParams(f"continuous limit is two-level, rho has shape {rho.shape}")
     vectors = continuous_gram_sqrt(params)
-    return (vectors * np.diag(rho).real) @ vectors.conj().T
+    return (vectors * np.diag(rho).real) @ _dagger(vectors)
 
 
 def _dephasing_matrix(params: ContinuousLimitParams) -> np.ndarray:
-    off = cmath.exp(-complex(params.r_dot) * params.t)
-    return np.array([[1.0, off], [np.conj(off), 1.0]])
+    """``[[1, off], [conj(off), 1]]`` with ``off = exp(-r_dot*t)``, per time."""
+    r_dot = complex(params.r_dot)
+    off = _entrywise(lambda t: cmath.exp(-r_dot * t), params.t, dtype=complex)
+    return _two_level_matrix(1.0, off, np.conj(off))
 
 
 def joint_dm_continuous(
@@ -317,7 +340,8 @@ def joint_dm_continuous(
     ``rho[i,j]`` times the external dephasing factor ``exp(-r_dot*t)`` (on
     off-diagonal blocks) times the meter component ``V[:,i] V[:,j]^dagger``
     built from :func:`continuous_gram_sqrt`. At ``t = 0`` this is
-    ``rho (x) |u><u|`` with ``u = (1/sqrt2, 1/sqrt2)``.
+    ``rho (x) |u><u|`` with ``u = (1/sqrt2, 1/sqrt2)``. An array of times
+    gives the stack.
     """
     rho = np.asarray(rho, dtype=complex)
     if validate:
@@ -326,8 +350,21 @@ def joint_dm_continuous(
         raise InvalidParams(f"continuous limit is two-level, rho has shape {rho.shape}")
     vectors = continuous_gram_sqrt(params)
     weights = _dephasing_matrix(params) * rho
-    joint = np.einsum("ij,ki,lj->ikjl", weights, vectors, vectors.conj())
-    return joint.reshape(4, 4)
+    joint = np.einsum("...ij,...ki,...lj->...ikjl", weights, vectors, vectors.conj())
+    return joint.reshape(joint.shape[:-4] + (4, 4))
+
+
+# The kappa conventions: step-angle factor f (theta**2 = f*kappa*dt) and
+# overlap-rate factor g (meter overlap exp(-g*kappa*t)).
+_CONVENTIONS = {"gram": (8.0, 1.0), "paper": (4.0, 2.0)}
+
+
+def _convention(name: str) -> tuple[float, float]:
+    """The factors of the named convention; :class:`InvalidParams` for another name."""
+    if name not in _CONVENTIONS:
+        expected = " or ".join(map(repr, _CONVENTIONS))
+        raise InvalidParams(f"unknown convention {name!r}, expected {expected}")
+    return _CONVENTIONS[name]
 
 
 def discrete_step_params(
@@ -346,13 +383,10 @@ def discrete_step_params(
     alternative ``paper`` convention uses ``theta**2 = 4*kappa*dt`` (decay
     ``exp(-kappa*t/2)``).
     """
-    if dt <= 0.0:
-        raise InvalidParams(f"dt must be positive, got {dt}")
-    if convention == "gram":
-        theta = math.sqrt(8.0 * kappa * dt)
-    elif convention == "paper":
-        theta = math.sqrt(4.0 * kappa * dt)
-    else:
-        raise InvalidParams(f"unknown convention {convention!r}, expected 'gram' or 'paper'")
-    params = TwoLevelMeterParams(theta=theta, chi=chi_dot * dt)
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise InvalidParams(f"kappa must be finite and >= 0, got {kappa}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParams(f"dt must be finite and positive, got {dt}")
+    angle_factor, _ = _convention(convention)
+    params = TwoLevelMeterParams(theta=math.sqrt(angle_factor * kappa * dt), chi=chi_dot * dt)
     return params, 1.0 - complex(r_dot) * dt

@@ -85,3 +85,26 @@ def scalar_two_level_gram_sqrt(theta: float, chi: float, n: int) -> np.ndarray:
     minus = 0.5 * (math.sqrt(1.0 + c) - math.sqrt(1.0 - c))
     phase = cmath.exp(1j * int(n) * chi)
     return np.array([[plus, phase * minus], [np.conj(phase) * minus, plus]])
+
+
+def scalar_continuous_gram_sqrt(kappa: float, t: float, chi_dot: float) -> np.ndarray:
+    decay = math.exp(-kappa * t)
+    s_plus = 0.5 * (math.sqrt(1.0 + decay) + math.sqrt(1.0 - decay))
+    s_minus = 0.5 * (math.sqrt(1.0 + decay) - math.sqrt(1.0 - decay))
+    phase = cmath.exp(1j * chi_dot * t)
+    return np.array([[s_plus, phase * s_minus], [np.conj(phase) * s_minus, s_plus]])
+
+
+def scalar_dephasing_matrix(r_dot: complex, t: float) -> np.ndarray:
+    off = cmath.exp(-complex(r_dot) * t)
+    return np.array([[1.0, off], [np.conj(off), 1.0]])
+
+
+def scalar_semiclassical_info_continuous(kappa: float, t: float, convention: str) -> float:
+    if convention == "gram":
+        overlap = math.exp(-kappa * t)
+    elif convention == "paper":
+        overlap = math.exp(-2.0 * kappa * t)
+    else:
+        raise ValueError(convention)
+    return binary_entropy((1.0 + overlap) / 2.0)

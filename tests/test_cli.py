@@ -279,6 +279,9 @@ class TestNonFiniteInput:
             (["fig3", "--param", "theta=0:inf:3"], "rotation angle[0, 0] must be finite"),
             (["fig3", "--param", "q=0:inf:3"], "dephase[0, 0] is not Hermitian"),
             (["repeat", "--param", "chi=inf"], "chi must be finite, got inf"),
+            (["single", "--param", "rho_phase=inf"], "rho_phase must be finite, got inf"),
+            (["repeat", "--param", "rho_phase=nan"], "rho_phase must be finite, got nan"),
+            (["continuous", "--param", "rho_phase=-inf"], "rho_phase must be finite, got -inf"),
         ],
     )
     def test_exits_three_with_one_line(self, argv, expected, capsys):
@@ -286,6 +289,14 @@ class TestNonFiniteInput:
         assert code == 3
         assert err.startswith("softmeas: ") and err.count("\n") == 1
         assert expected in err
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_grids_are_defaults_and_columns_unique(self, name):
+        command = cli._COMMANDS[name]
+        assert set(command.grids) <= set(command.defaults)
+        assert len(set(command.columns)) == len(command.columns)
 
 
 class TestFailingGridPoint:
@@ -317,13 +328,13 @@ class TestFailingGridPoint:
         assert err.startswith("softmeas: isweep grid point 3 (q=1.5): gram[3] is not PSD")
 
     def test_non_finite_output_names_its_grid_point(self, monkeypatch, capsys):
-        sweep = cli._SWEEPS["fig2a"]
+        fig2a = cli._COMMANDS["fig2a"]
 
         def poisoned(config, q, mu):
-            (info,) = sweep(config, q, mu)
+            (info,) = fig2a.sweep(config, q, mu)
             return [np.where((q == 0.5) & (mu == 0.25), np.nan, info)]
 
-        monkeypatch.setitem(cli._SWEEPS, "fig2a", poisoned)
+        monkeypatch.setitem(cli._COMMANDS, "fig2a", fig2a._replace(sweep=poisoned))
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 5)  # one q row per block
         code, err = run_failing(["fig2a", "--param", "q=0:1:5", "--param", "mu=0:1:5"], capsys)
         assert code == 3

@@ -15,6 +15,7 @@ from conftest import (
     scalar_coherent_info_two_level,
     scalar_compete_two_level,
     scalar_g,
+    scalar_semiclassical_info_continuous,
 )
 
 from softmeas.errors import (
@@ -387,6 +388,8 @@ class TestHolevoInfo:
             StateEnsemble(probs=np.array([0.5, 0.6]), states=(np.eye(2) / 2.0,) * 2)
         with pytest.raises(InvalidParams):
             StateEnsemble(probs=np.array([-0.1, 1.1]), states=(np.eye(2) / 2.0,) * 2)
+        with pytest.raises(InvalidParams, match="finite"):
+            StateEnsemble(probs=np.array([math.nan, 1.0]), states=(np.eye(2) / 2.0,) * 2)
 
 
 class TestSemiclassicalContinuous:
@@ -430,6 +433,20 @@ class TestSemiclassicalContinuous:
     def test_unknown_convention_rejected(self):
         with pytest.raises(InvalidParams):
             semiclassical_info_continuous(1.0, 1.0, convention="bogus")
+
+    @pytest.mark.parametrize(
+        "kappa, t", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_non_finite_rejected(self, kappa, t):
+        with pytest.raises(InvalidParams, match="must be finite"):
+            semiclassical_info_continuous(kappa, t)
+
+    @pytest.mark.parametrize("convention", ["gram", "paper"])
+    def test_array_of_times(self, convention):
+        times = [0.0, 1e-9, 0.3, 2.0, 60.0]
+        values = semiclassical_info_continuous(0.7, np.array(times), convention)
+        expected = [scalar_semiclassical_info_continuous(0.7, t, convention) for t in times]
+        assert np.array_equal(values, expected)
 
 
 class TestCompeteCoherent:

@@ -1,6 +1,7 @@
 """Repeated-measurement and continuous-limit tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_correlation, rand_density, scalar_two_level_gram_sqrt, swap_factors
 
+from softmeas import repeated
 from softmeas.errors import InvalidMeasurement, InvalidParams
 from softmeas.matcore import (
     matrix_sqrt_psd,
@@ -484,6 +486,20 @@ class TestDiscreteToContinuous:
         with pytest.raises(InvalidParams):
             discrete_step_params(1.0, 0.0, 0.0, 0.01, convention="bogus")
 
+    @pytest.mark.parametrize(
+        "kappa, dt, expected",
+        [
+            (-1.0, 0.1, "kappa must be finite and >= 0, got -1.0"),
+            (math.nan, 0.1, "kappa must be finite and >= 0, got nan"),
+            (math.inf, 0.1, "kappa must be finite and >= 0, got inf"),
+            (1.0, math.nan, "dt must be finite and positive, got nan"),
+            (1.0, math.inf, "dt must be finite and positive, got inf"),
+        ],
+    )
+    def test_bad_rate_or_step_named(self, kappa, dt, expected):
+        with pytest.raises(InvalidParams, match=re.escape(expected)):
+            discrete_step_params(kappa, 0.0, 0.0, dt)
+
 
 class TestStackedCounts:
     def test_fields_are_computed_when_read(self):
@@ -558,3 +574,40 @@ class TestContinuousParamsFinite:
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(InvalidParams, match="must be finite"):
             ContinuousLimitParams(**kwargs)
+
+
+class TestContinuousTimeArrays:
+    """An array of times gives, member by member, the floats of the calls
+    at each time."""
+
+    params = {"kappa": 0.9, "chi_dot": -0.0, "r_dot": 0.3 - 0.4j}
+    times = [0.0, 1e-9, 0.4, 2.5, 40.0]
+
+    @pytest.mark.parametrize(
+        "fn",
+        [continuous_gram_sqrt, asymptotic_gram_sqrt, repeated._dephasing_matrix],
+    )
+    def test_matrices_stack(self, fn):
+        stack = fn(ContinuousLimitParams(t=np.array(self.times), **self.params))
+        singles = [fn(ContinuousLimitParams(t=t, **self.params)) for t in self.times]
+        assert stack.shape == (5, 2, 2)
+        assert stack.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("fn", [meter_dm_continuous, joint_dm_continuous])
+    def test_states_stack(self, fn):
+        rho = rand_density(np.random.default_rng(58), 2)
+        stack = fn(rho, ContinuousLimitParams(t=np.array(self.times), **self.params))
+        singles = [fn(rho, ContinuousLimitParams(t=t, **self.params)) for t in self.times]
+        assert stack.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize(
+        "times, expected, index",
+        [
+            ([0.0, 1.0, -1.0, -2.0], "t must be >= 0, got -1.0 (stack member [2])", (2,)),
+            ([[0.0, math.nan]], "t must be finite, got nan (stack member [0, 1])", (0, 1)),
+        ],
+    )
+    def test_first_failing_time_named(self, times, expected, index):
+        with pytest.raises(InvalidParams, match=re.escape(expected)) as excinfo:
+            ContinuousLimitParams(kappa=1.0, t=np.array(times))
+        assert excinfo.value.index == index

@@ -6,7 +6,8 @@ per-point functions one point at a time: the public ones for the
 eigensolver quantities and, for the two-level closed forms (which now run
 the whole-array code for a single point too), the scalar copies in
 ``conftest``. The two must give the same floats (``np.array_equal``), not
-merely close ones.
+merely close ones; for ``continuous``, whose exponentials can give either
+sign of zero, the signs of zeros must agree too.
 """
 
 import math
@@ -16,6 +17,9 @@ import pytest
 from conftest import (
     scalar_coherent_info_two_level,
     scalar_compete_two_level,
+    scalar_continuous_gram_sqrt,
+    scalar_dephasing_matrix,
+    scalar_semiclassical_info_continuous,
     scalar_two_level_gram_sqrt,
 )
 
@@ -126,6 +130,19 @@ class TestBlocks:
                     "kappa_convention": "gram",
                 },
             ),
+            (
+                "continuous",
+                {
+                    "t": "0:7:23",
+                    "kappa": "0.8",
+                    "chi_dot": "-1.3",
+                    "r_dot": "0.2,-0.5",
+                    "rho_p": "0.3",
+                    "rho_mu": "0.9",
+                    "rho_phase": "-2.0",
+                    "kappa_convention": "paper",
+                },
+            ),
         ],
     )
     def test_blocks_give_the_whole_grid(self, monkeypatch, command, config):
@@ -220,3 +237,64 @@ class TestClosedFormsWholeGrid:
             scalar_coherent_info_two_level(q, p, mu) for q in np.linspace(0.0, 1.0, 101).tolist()
         ]
         assert np.array_equal(table("isweep", config)[:, 1], expected)
+
+
+def continuous_reference(times, kappa, chi_dot, r_dot, p, mu, phase, convention):
+    rho = qubit_state(p, mu, phase)
+    rows = []
+    for t in times:
+        vectors = scalar_continuous_gram_sqrt(kappa, t, chi_dot)
+        meter = (vectors * np.diag(rho).real) @ vectors.conj().T
+        weights = scalar_dephasing_matrix(r_dot, t) * rho
+        joint = np.einsum("ij,ki,lj->ikjl", weights, vectors, vectors.conj()).reshape(4, 4)
+        rows.append(
+            [
+                t,
+                meter[0, 0].real,
+                meter[0, 1].real,
+                meter[0, 1].imag,
+                meter[1, 1].real,
+                von_neumann_entropy(joint),
+                von_neumann_entropy(meter),
+                scalar_semiclassical_info_continuous(kappa, t, convention),
+            ]
+        )
+    return np.array(rows)
+
+
+def assert_same_floats(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestContinuousWholeGrid:
+    def test_default_sweep(self):
+        config = dict(cli._COMMANDS["continuous"].defaults, kappa_convention="gram")
+        expected = continuous_reference(
+            np.linspace(0.0, 5.0, 51).tolist(), 1.0, 0.0, 0j, 0.5, 1.0, 0.0, "gram"
+        )
+        assert_same_floats(table("continuous", config), expected)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_complex_inputs(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        stop = float(rng.choice([0.5, 5.0, 40.0]))
+        points = int(rng.integers(2, 60))
+        kappa = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 5.0)]))
+        chi_dot = float(rng.choice([-0.0, -1.3, 12.0]))
+        r_dot = [0j, complex(0.0, -0.0), complex(rng.uniform(0, 2), rng.uniform(-2, 2))][seed % 3]
+        p, mu, phase = (float(x) for x in rng.uniform([0.0, 0.0, -4.0], [1.0, 1.0, 4.0]))
+        convention = ("gram", "paper")[seed % 2]
+        config = {
+            "t": f"0:{stop!r}:{points}",
+            "kappa": repr(kappa),
+            "chi_dot": repr(chi_dot),
+            "r_dot": f"{r_dot.real!r},{r_dot.imag!r}",
+            "rho_p": repr(p),
+            "rho_mu": repr(mu),
+            "rho_phase": repr(phase),
+            "kappa_convention": convention,
+        }
+        times = np.linspace(0.0, stop, points).tolist()
+        expected = continuous_reference(times, kappa, chi_dot, r_dot, p, mu, phase, convention)
+        assert_same_floats(table("continuous", config), expected)
