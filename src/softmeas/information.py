@@ -31,11 +31,13 @@ from .errors import (
 from .matcore import (
     TAU_RECON,
     _dagger,
+    _entropy,
     _entrywise,
     _first,
     _label,
     _member,
     herm_eig,
+    matrix_sqrt_psd,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -83,9 +85,10 @@ class KrausChannel:
         return int(self.kraus_ops[0].shape[0])
 
     def validate(self, atol: float = TAU_RECON) -> None:
-        total = sum(k.conj().T @ k for k in self.kraus_ops)
-        dev = float(np.max(np.abs(total - np.eye(self.in_dim))))
-        if dev > atol:
+        with np.errstate(invalid="ignore"):
+            total = sum(k.conj().T @ k for k in self.kraus_ops)
+            dev = float(np.max(np.abs(total - np.eye(self.in_dim))))
+        if not dev <= atol:
             raise InvalidChannel(
                 f"sum K^dagger K deviates from identity by {dev:.3e} > {atol:.1e}"
             )
@@ -142,10 +145,9 @@ def soft_object_channel(
     ``m = entanglement * gram``. Its Kraus operators are obtained by
     eigendecomposing the corresponding Choi matrix (they come out diagonal).
     """
-    report = _check_correlation_matrix(np.asarray(entanglement, complex), "entanglement")
-    report += _check_correlation_matrix(np.asarray(gram, complex), "gram")
-    report.require()
-    m = np.asarray(entanglement, dtype=complex) * np.asarray(gram, dtype=complex)
+    measurement = SoftMeasurement(entanglement, gram)
+    validate_soft(measurement).require()
+    m = measurement.entanglement * measurement.gram
     d = m.shape[0]
     choi = np.zeros((d, d, d, d), dtype=complex)
     rows, cols = np.indices((d, d))
@@ -212,11 +214,9 @@ def coherent_info_soft(
     first = m * rho
     roots = np.sqrt(np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None))
     second = roots[..., :, None] * roots[..., None, :] * m
-    validate_density_matrix(first, name="dephased object state")
-    validate_density_matrix(second, name="exchange-entropy argument")
-    return von_neumann_entropy(first, validate=False) - von_neumann_entropy(
-        second, validate=False
-    )
+    spectrum_first = validate_density_matrix(first, name="dephased object state")
+    spectrum_second = validate_density_matrix(second, name="exchange-entropy argument")
+    return _entropy(spectrum_first) - _entropy(spectrum_second)
 
 
 def _check_unit_interval(**values: np.ndarray) -> None:
@@ -490,6 +490,11 @@ def eve_bob_semiclassical(
     angles) and a stack of dephasing matrices broadcast against each
     other, giving one value per member; the ensemble and the receiver are
     shared by all members and checked once.
+
+    ``validate=False`` skips the structural checks of ``dephase`` and of
+    both of the receiver's matrices alike; the square root that synthesizes
+    the receiver's meter states still refuses a Gram matrix that is not
+    Hermitian or not PSD.
     """
     dim = ensemble.dim
     if isinstance(eve_basis, (int, float)):
@@ -512,7 +517,7 @@ def eve_bob_semiclassical(
         report.require()
     if bob.dim != dim:
         raise DimensionMismatch(f"bob dim {bob.dim} != ensemble dim {dim}")
-    meter_vecs = meter_states_from_gram(bob.gram)
+    meter_vecs = matrix_sqrt_psd(bob.gram)
     out_states = []
     for state in ensemble.states:
         in_eve = _dagger(unitary) @ state @ unitary

@@ -15,6 +15,10 @@ stack shape otherwise. A check that fails on a stack names the index of the
 first failing member (C order) in its message and in the exception's
 ``index``. :func:`partial_trace` takes one matrix.
 
+Each check decomposes a matrix once: :func:`validate_density_matrix`
+returns the ascending eigenvalues it checked (shape ``(..., D)``), and
+:func:`von_neumann_entropy` with ``validate`` takes its entropy from them.
+
 Working dimensions are small (<= 64), so everything is backed by dense
 LAPACK routines through ``numpy.linalg``, which loops over a stack in C.
 """
@@ -105,12 +109,6 @@ def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
     arrays = np.broadcast_arrays(*arrays)
     values = map(fn, *(a.ravel().tolist() for a in arrays))
     return np.fromiter(values, dtype, arrays[0].size).reshape(arrays[0].shape)
-
-
-def is_hermitian(matrix: np.ndarray, atol: float = TAU_HERM) -> bool:
-    """True if ``matrix`` equals its conjugate transpose entrywise within ``atol``."""
-    m = np.asarray(matrix)
-    return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= atol)
 
 
 def herm_eig(matrix: np.ndarray, atol: float = TAU_HERM) -> Spectrum:
@@ -218,14 +216,16 @@ def validate_density_matrix(
     atol_herm: float = TAU_HERM,
     atol_psd: float = TAU_PSD,
     atol_trace: float = TAU_TRACE,
-) -> None:
+) -> np.ndarray:
     """Raise :class:`InvalidState` unless ``rho`` is a valid density matrix,
     or, for a stack, unless every member is.
 
     Checks Hermiticity (a non-finite entry fails it), positive
     semidefiniteness (up to ``atol_psd``) and unit trace, naming the violated
     invariant, and for a stack the first member that violates it, in the
-    message.
+    message. Returns the ascending eigenvalues of the Hermitian part that the
+    PSD check computed, shape ``(..., D)``, so that a caller needing the
+    spectrum (an entropy, say) does not decompose the matrix again.
     """
     m = _as_square(rho, name)
     dev = _hermitian_deviation(m)
@@ -250,6 +250,7 @@ def validate_density_matrix(
             f"{name}{_label(i)} not PSD: smallest eigenvalue {w[i][0]:.3e} < -{atol_psd:.1e}",
             index=i or None,
         )
+    return w
 
 
 def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
@@ -258,12 +259,18 @@ def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.nd
 
     Eigenvalues are clamped to ``[0, 1]`` with the convention
     ``0 * log2(0) = 0``. Negative eigenvalues within ``ENTROPY_CLAMP`` are
-    treated as zero; larger violations raise :class:`InvalidState`.
+    treated as zero; larger violations raise :class:`InvalidState`. With
+    ``validate`` the entropy is taken from the spectrum that
+    :func:`validate_density_matrix` computed, so one eigensolve serves both.
     """
     if validate:
-        validate_density_matrix(rho)
-    m = _as_square(rho, "rho")
-    w = np.linalg.eigvalsh(_hermitian_part(m))
+        return _entropy(validate_density_matrix(rho))
+    return _entropy(np.linalg.eigvalsh(_hermitian_part(_as_square(rho, "rho"))))
+
+
+def _entropy(w: np.ndarray) -> float | np.ndarray:
+    """Von Neumann entropy in bits from ascending eigenvalues ``w`` of shape
+    ``(..., D)``, as :func:`von_neumann_entropy` defines it."""
     i = _first(w[..., 0] < -ENTROPY_CLAMP)
     if i is not None:
         raise InvalidState(

@@ -39,7 +39,6 @@ from .matcore import (
     _hermitian_deviation,
     _hermitian_part,
     _label,
-    is_hermitian,
     matrix_sqrt_psd,
     validate_density_matrix,
 )
@@ -163,6 +162,12 @@ def apply_soft(
     components, where ``v_k`` are the synthesized meter states. Tracing out
     the meter leaves ``entanglement[k,l] * conj(gram[k,l]) * rho[k,l]``; for
     real Gram matrices that conjugate is invisible.
+
+    The measurement and ``rho`` are checked once, by :func:`validate_soft`
+    and :func:`validate_density_matrix`. ``validate=False`` skips both
+    structural checks of the entanglement and Gram matrices alike; the
+    square root that synthesizes the meter states still refuses a Gram
+    matrix that is not Hermitian or not PSD.
     """
     rho = np.asarray(rho, dtype=complex)
     if validate:
@@ -171,7 +176,7 @@ def apply_soft(
     d = measurement.dim
     if rho.shape != (d, d):
         raise DimensionMismatch(f"rho has shape {rho.shape}, measurement dim is {d}")
-    vecs = meter_states_from_gram(measurement.gram)
+    vecs = matrix_sqrt_psd(measurement.gram)
     weights = measurement.entanglement * rho
     joint = np.einsum("kl,ak,bl->kalb", weights, vecs, vecs.conj())
     return joint.reshape(d * d, d * d)
@@ -221,10 +226,10 @@ def validate_general(measurement: GeneralMeasurement) -> ValidationReport:
     if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
         return ValidationReport((f"blocks must have shape (D, D, m, m), got {b.shape}",))
     big = measurement.assembled()
-    if not is_hermitian(big, TAU_HERM):
+    if not _hermitian_deviation(big) <= TAU_HERM:
         failures.append("assembled block operator is not Hermitian")
     else:
-        w = np.linalg.eigvalsh((big + big.conj().T) / 2.0)
+        w = np.linalg.eigvalsh(_hermitian_part(big))
         if w[0] < -TAU_PSD:
             failures.append(f"assembled block operator is not PSD: eigenvalue {w[0]:.3e}")
     for k in range(measurement.dim):
@@ -323,8 +328,9 @@ def generator_general(
     Each generator is ``i * (hbar/dt) * (|delta_k><0| - |0><delta_k|)``,
     i.e. the ``i * (a - a^dagger)`` form, Hermitian by construction.
     """
-    if dt <= 0.0:
-        raise ZeroDt(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        rule = "positive" if math.isfinite(dt) else "finite and positive"
+        raise ZeroDt(f"dt must be {rule}, got {dt}")
     generators = []
     for delta in delta_states:
         d = np.asarray(delta, dtype=complex)

@@ -381,10 +381,16 @@ def discrete_step_params(
     convention the step angle satisfies ``theta**2 = 8*kappa*dt`` so that
     the accumulated Gram off-diagonal decays as ``exp(-kappa*t)``; the
     alternative ``paper`` convention uses ``theta**2 = 4*kappa*dt`` (decay
-    ``exp(-kappa*t/2)``).
+    ``exp(-kappa*t/2)``). ``chi_dot`` and ``r_dot`` are checked as in
+    :class:`ContinuousLimitParams`.
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise InvalidParams(f"kappa must be finite and >= 0, got {kappa}")
+    for name, rate in (("chi_dot", chi_dot), ("r_dot", r_dot)):
+        if not cmath.isfinite(complex(rate)):
+            raise InvalidParams(f"{name} must be finite, got {rate}")
+    if complex(r_dot).real < 0.0:
+        raise InvalidParams(f"Re(r_dot) must be >= 0, got {r_dot}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
     angle_factor, _ = _convention(convention)

@@ -32,6 +32,37 @@ def rand_correlation(
     return m
 
 
+def count_eigvalsh(monkeypatch) -> list:
+    """Wrap ``numpy.linalg.eigvalsh`` for the rest of the test; the returned
+    list gains the input shape of every call."""
+    original = np.linalg.eigvalsh
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def spy_correlation_checks(monkeypatch) -> list:
+    """Record, for the rest of the test, the name passed to every
+    correlation-matrix check the library makes."""
+    from softmeas import information, measurement, repeated
+
+    original = measurement._check_correlation_matrix
+    names = []
+
+    def spied(mat, name):
+        names.append(name)
+        return original(mat, name)
+
+    for module in (information, measurement, repeated):
+        monkeypatch.setattr(module, "_check_correlation_matrix", spied)
+    return names
+
+
 def rand_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)

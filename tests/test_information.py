@@ -1,6 +1,7 @@
 """Coherent- and semiclassical-information tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     binary_entropy,
+    count_eigvalsh,
     rand_correlation,
     rand_density,
     rand_unitary,
@@ -16,6 +18,7 @@ from conftest import (
     scalar_compete_two_level,
     scalar_g,
     scalar_semiclassical_info_continuous,
+    spy_correlation_checks,
 )
 
 from softmeas.errors import (
@@ -23,6 +26,7 @@ from softmeas.errors import (
     InvalidChannel,
     InvalidMeasurement,
     InvalidParams,
+    NotPSD,
     OutOfRange,
 )
 from softmeas.information import (
@@ -73,6 +77,14 @@ class TestKrausChannel:
     def test_non_trace_preserving_rejected(self):
         with pytest.raises(InvalidChannel):
             KrausChannel((0.5 * np.eye(2),)).validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        channel = KrausChannel((np.diag([1.0, bad]),))
+        with pytest.raises(InvalidChannel, match="deviates from identity by nan"):
+            channel.validate()
+        with pytest.raises(InvalidChannel):
+            coherent_info_channel(channel, np.eye(2) / 2.0)
 
     def test_random_channels_are_trace_preserving(self):
         rng = np.random.default_rng(61)
@@ -128,6 +140,10 @@ class TestSoftObjectChannel:
         with pytest.raises(InvalidMeasurement):
             soft_object_channel(np.array([[1.0, 1.2], [1.2, 1.0]]), np.eye(2))
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(InvalidMeasurement, match=r"entanglement shape \(2, 2\) != gram"):
+            soft_object_channel(np.eye(2), np.eye(3))
+
 
 class TestCoherentInfoChannel:
     def test_identity_channel_returns_input_entropy(self):
@@ -179,6 +195,18 @@ class TestCoherentInfoSoft:
     def test_invalid_measurement_rejected(self):
         with pytest.raises(InvalidMeasurement):
             coherent_info_soft(np.eye(2) / 2.0, np.array([[1.0, 1.5], [1.5, 1.0]]), np.eye(2))
+
+    def test_one_eigensolve_per_derived_state(self, monkeypatch):
+        rng = np.random.default_rng(69)
+        rho = np.array([rand_density(rng, 3) for _ in range(4)])
+        ent, gram = rand_correlation(rng, 3), rand_correlation(rng, 3)
+        calls = count_eigvalsh(monkeypatch)
+        unchecked = coherent_info_soft(rho, ent, gram, validate=False)
+        assert calls == [(4, 3, 3)] * 2
+        calls.clear()
+        # The three inputs take one check each, then one per derived state.
+        assert np.array_equal(coherent_info_soft(rho, ent, gram), unchecked)
+        assert calls == [(3, 3), (3, 3), (4, 3, 3), (4, 3, 3), (4, 3, 3)]
 
 
 class TestCoherentInfoTwoLevel:
@@ -601,6 +629,19 @@ class TestEveBobSemiclassical:
         # identity basis change with any dephasing leaves orthogonal outputs
         same_basis = eve_bob_semiclassical(ens, np.eye(dim), dephase, SoftMeasurement(np.eye(dim), np.eye(dim)))
         assert same_basis == pytest.approx(math.log2(dim), abs=1e-12)
+
+    def test_bad_gram_checked_once(self, monkeypatch):
+        bob = SoftMeasurement(np.eye(2), np.array([[1.0, 1.5], [1.5, 1.0]]))
+        message = "gram is not PSD: eigenvalue -5.000e-01; gram has an entry with modulus > 1"
+        with pytest.raises(InvalidMeasurement, match=f"^{re.escape(message)}$"):
+            eve_bob_semiclassical(basis_ensemble(), 0.3, np.ones((2, 2)), bob)
+        # Unchecked, the square root that builds the meter states still refuses it.
+        with pytest.raises(NotPSD):
+            eve_bob_semiclassical(basis_ensemble(), 0.3, np.ones((2, 2)), bob, validate=False)
+        good = SoftMeasurement(np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]))
+        checked = spy_correlation_checks(monkeypatch)
+        eve_bob_semiclassical(basis_ensemble(), 0.3, np.ones((2, 2)), good)
+        assert checked == ["dephase", "entanglement", "gram"]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidMeasurement):

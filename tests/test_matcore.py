@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_density, rand_unitary
+from conftest import count_eigvalsh, rand_density, rand_unitary
 
 from softmeas.errors import (
     DimensionMismatch,
@@ -366,3 +366,46 @@ class TestStackedKernels:
             validate_density_matrix(np.diag([1.5, -0.5]))
         assert excinfo.value.index is None
         assert str(excinfo.value).startswith("rho not PSD")
+
+
+def rank_deficient_stack(rng, count, dim):
+    """Random density matrices of dimension ``dim``, about 40 % of their
+    eigenvalues exactly zero."""
+    stack = []
+    for _ in range(count):
+        weights = rng.random(dim) * (rng.random(dim) < 0.6)
+        weights[0] += 0.1
+        u = rand_unitary(rng, dim)
+        stack.append((u * (weights / weights.sum())) @ u.conj().T)
+    return np.array(stack)
+
+
+class TestOneSpectrumPerCheck:
+    """A validated entropy decomposes its matrix once, and the density
+    check hands out the spectrum it computed."""
+
+    def test_validated_entropy_makes_one_eigensolve(self, monkeypatch):
+        stack = rand_density_stack(np.random.default_rng(170), STACK, 3)
+        calls = count_eigvalsh(monkeypatch)
+        von_neumann_entropy(stack)
+        assert calls == [STACK + (3, 3)]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_check_returns_the_spectrum(self, dim):
+        stack = rand_density_stack(np.random.default_rng(171 + dim), STACK, dim)
+        stack = stack + 1e-13j * np.triu(np.ones((dim, dim)), 1)  # Hermitian within tolerance
+        expected = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)
+        assert np.array_equal(validate_density_matrix(stack), expected)
+        assert np.array_equal(validate_density_matrix(stack[1, 2]), expected[1, 2])
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_validated_and_unvalidated_entropies_are_equal(self, dim):
+        rng = np.random.default_rng(180 + dim)
+        stack = np.concatenate(
+            [rank_deficient_stack(rng, 20, dim), rand_density_stack(rng, (20,), dim)]
+        )
+        checked = von_neumann_entropy(stack)
+        assert np.array_equal(checked, von_neumann_entropy(stack, validate=False))
+        for k, rho in enumerate(stack):
+            assert von_neumann_entropy(rho) == von_neumann_entropy(rho, validate=False)
+            assert von_neumann_entropy(rho) == checked[k]

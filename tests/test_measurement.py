@@ -1,15 +1,18 @@
 """Soft / entangling / general measurement channel tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import binary_entropy, rand_correlation, rand_density
+from conftest import binary_entropy, rand_correlation, rand_density, spy_correlation_checks
 
 from softmeas.errors import (
     DimensionMismatch,
     InvalidMeasurement,
+    NotHermitian,
+    NotPSD,
     OutOfRange,
     ZeroDt,
 )
@@ -199,6 +202,21 @@ class TestApplySoft:
         with pytest.raises(InvalidMeasurement):
             apply_soft(bad, np.eye(2) / 2.0)
 
+    def test_bad_gram_checked_once(self, monkeypatch):
+        rho = np.eye(2) / 2.0
+        not_psd = SoftMeasurement(np.eye(2), np.array([[1.0, 1.5], [1.5, 1.0]]))
+        message = "gram is not PSD: eigenvalue -5.000e-01; gram has an entry with modulus > 1"
+        with pytest.raises(InvalidMeasurement, match=f"^{re.escape(message)}$"):
+            apply_soft(not_psd, rho)
+        # Unchecked, the square root that builds the meter states still refuses it.
+        with pytest.raises(NotPSD):
+            apply_soft(not_psd, rho, validate=False)
+        with pytest.raises(NotHermitian):
+            apply_soft(SoftMeasurement(np.eye(2), [[1.0, 0.5], [-0.5, 1.0]]), rho, validate=False)
+        checked = spy_correlation_checks(monkeypatch)
+        apply_soft(SoftMeasurement(np.eye(2), [[1.0, 0.5], [0.5, 1.0]]), rho)
+        assert checked == ["entanglement", "gram"]
+
 
 class TestApplyEntangling:
     def test_premeasurement_clones_basis(self):
@@ -289,6 +307,14 @@ class TestApplyGeneral:
         with pytest.raises(InvalidMeasurement):
             apply_general(GeneralMeasurement(blocks), np.eye(2) / 2.0)
 
+    @pytest.mark.parametrize("upper, lower", [(np.nan, np.nan), (np.inf, np.inf), (1.0, 0.0)])
+    def test_non_hermitian_blocks_rejected(self, upper, lower):
+        blocks = np.zeros((2, 2, 2, 2), dtype=complex)
+        blocks[0, 0] = blocks[1, 1] = np.eye(2) / 2.0
+        blocks[0, 1, 0, 0], blocks[1, 0, 0, 0] = upper, lower
+        report = validate_general(GeneralMeasurement(blocks))
+        assert report.failures == ("assembled block operator is not Hermitian",)
+
 
 class TestTwoLevelMeter:
     def test_gram_matches_state_overlap(self):
@@ -361,9 +387,10 @@ class TestGenerators:
         for g in generator_general(deltas, dt=0.05):
             np.testing.assert_allclose(g, g.conj().T, atol=1e-13)
 
-    def test_zero_dt_rejected(self):
-        with pytest.raises(ZeroDt):
-            generator_general([np.zeros(2)], dt=0.0)
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf, -0.1])
+    def test_zero_dt_rejected(self, dt):
+        with pytest.raises(ZeroDt, match="positive"):
+            generator_general([np.zeros(2)], dt=dt)
 
 
 class TestStackedCorrelationCheck:

@@ -500,6 +500,21 @@ class TestDiscreteToContinuous:
         with pytest.raises(InvalidParams, match=re.escape(expected)):
             discrete_step_params(kappa, 0.0, 0.0, dt)
 
+    @pytest.mark.parametrize(
+        "chi_dot, r_dot, expected",
+        [
+            (math.nan, 0.0, "chi_dot must be finite, got nan"),
+            (-math.inf, 0.0, "chi_dot must be finite, got -inf"),
+            (0.0, complex(math.nan, 0.0), "r_dot must be finite, got (nan+0j)"),
+            (0.0, complex(0.0, math.inf), "r_dot must be finite, got infj"),
+            (0.0, -1.0, "Re(r_dot) must be >= 0, got -1.0"),
+            (0.0, complex(-0.5, 2.0), "Re(r_dot) must be >= 0, got (-0.5+2j)"),
+        ],
+    )
+    def test_bad_rate_named(self, chi_dot, r_dot, expected):
+        with pytest.raises(InvalidParams, match=f"^{re.escape(expected)}$"):
+            discrete_step_params(1.0, chi_dot, r_dot, 0.1)
+
 
 class TestStackedCounts:
     def test_fields_are_computed_when_read(self):
