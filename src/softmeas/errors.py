@@ -28,10 +28,6 @@ class NotPSD(SoftMeasError):
     """Hermitian matrix has an eigenvalue below the negativity tolerance."""
 
 
-class ZeroMatrix(SoftMeasError):
-    """Operation requires a nonzero matrix (e.g. pseudo inverse square root)."""
-
-
 class DimensionMismatch(SoftMeasError):
     """Operand dimensions are incompatible."""
 
@@ -54,10 +50,6 @@ class InvalidParams(SoftMeasError):
 
 class OutOfRange(SoftMeasError):
     """Scalar argument outside its documented range."""
-
-
-class ZeroDt(SoftMeasError):
-    """Time step must be positive."""
 
 
 class ConfigError(SoftMeasError):

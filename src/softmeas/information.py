@@ -17,7 +17,7 @@ dephasing in one basis competes with a soft projection in another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,13 +84,15 @@ class KrausChannel:
     def out_dim(self) -> int:
         return int(self.kraus_ops[0].shape[0])
 
-    def validate(self, atol: float = TAU_RECON) -> None:
+    def validate(self) -> None:
+        """Raise :class:`InvalidChannel` unless ``sum K^dagger K`` is the
+        identity within ``TAU_RECON`` (a non-finite operator fails)."""
         with np.errstate(invalid="ignore"):
             total = sum(k.conj().T @ k for k in self.kraus_ops)
             dev = float(np.max(np.abs(total - np.eye(self.in_dim))))
-        if not dev <= atol:
+        if not dev <= TAU_RECON:
             raise InvalidChannel(
-                f"sum K^dagger K deviates from identity by {dev:.3e} > {atol:.1e}"
+                f"sum K^dagger K deviates from identity by {dev:.3e} > {TAU_RECON:.1e}"
             )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -102,43 +104,27 @@ class KrausChannel:
         return sum(k @ rho @ k.conj().T for k in self.kraus_ops)
 
 
-def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """Choi matrix of a channel, ordered output (x) input.
-
-    ``J[(o,i),(p,j)] = sum_a K_a[o,i] * conj(K_a[p,j])``; Hermitian PSD with
-    partial trace over the output equal to the identity.
-    """
-    d_in, d_out = channel.in_dim, channel.out_dim
-    j = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    for k in channel.kraus_ops:
-        v = k.reshape(-1)
-        j += np.outer(v, v.conj())
-    return j
-
-
-def kraus_from_choi(
-    choi: np.ndarray, in_dim: int, out_dim: int, rank_tol: float = CHOI_RANK_TOL
-) -> KrausChannel:
+def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int) -> KrausChannel:
     """Extract Kraus operators from a Choi matrix (output (x) input order).
 
-    Eigenvectors with eigenvalue above ``rank_tol`` times the largest one
-    become operators ``sqrt(eig) * vec`` reshaped to ``out_dim x in_dim``,
-    ordered by descending eigenvalue for determinism.
+    The Choi matrix is ``sum_a vec(K_a) vec(K_a)^dagger`` with ``vec(K)``
+    the row-major flattening of ``K``. Eigenvectors with eigenvalue above
+    ``CHOI_RANK_TOL`` times the largest one become operators
+    ``sqrt(eig) * vec`` reshaped to ``out_dim x in_dim``, ordered by
+    descending eigenvalue for determinism.
     """
     w, v = herm_eig(np.asarray(choi, dtype=complex))
     wmax = max(float(w[-1]), 0.0)
     ops = []
     for idx in range(len(w) - 1, -1, -1):
-        if w[idx] > rank_tol * wmax and w[idx] > 0.0:
+        if w[idx] > CHOI_RANK_TOL * wmax and w[idx] > 0.0:
             ops.append(math.sqrt(float(w[idx])) * v[:, idx].reshape(out_dim, in_dim))
     if not ops:
         raise InvalidChannel("Choi matrix has no eigenvalue above the rank tolerance")
     return KrausChannel(tuple(ops))
 
 
-def soft_object_channel(
-    entanglement: np.ndarray, gram: np.ndarray, rank_tol: float = CHOI_RANK_TOL
-) -> KrausChannel:
+def soft_object_channel(entanglement: np.ndarray, gram: np.ndarray) -> KrausChannel:
     """Object-output channel of a soft measurement, as Kraus operators.
 
     The channel multiplies the input entrywise by
@@ -152,7 +138,7 @@ def soft_object_channel(
     choi = np.zeros((d, d, d, d), dtype=complex)
     rows, cols = np.indices((d, d))
     choi[rows, rows, cols, cols] = m
-    return kraus_from_choi(choi.reshape(d * d, d * d), d, d, rank_tol=rank_tol)
+    return kraus_from_choi(choi.reshape(d * d, d * d), d, d)
 
 
 def coherent_info_channel(
@@ -275,10 +261,14 @@ class StateEnsemble:
 
     Each state may also be a ``(..., D, D)`` stack, all of one shape: the
     object then holds one ensemble per stack member, sharing ``probs``.
+    ``spectra`` holds the ascending eigenvalues of each state that the
+    density check computed, so that :func:`holevo_info` does not decompose
+    the states again.
     """
 
     probs: np.ndarray
     states: tuple[np.ndarray, ...]
+    spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -296,8 +286,10 @@ class StateEnsemble:
         dims = {s.shape for s in states}
         if len(dims) != 1:
             raise DimensionMismatch(f"ensemble states have mixed shapes {dims}")
-        for i, s in enumerate(states):
-            validate_density_matrix(s, name=f"ensemble state {i}")
+        spectra = tuple(
+            validate_density_matrix(s, name=f"ensemble state {i}") for i, s in enumerate(states)
+        )
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def dim(self) -> int:
@@ -332,9 +324,7 @@ def holevo_info(ensemble: StateEnsemble) -> float | np.ndarray:
     average = sum(p * s for p, s in zip(ensemble.probs, ensemble.states))
     mixing = von_neumann_entropy(average, validate=False)
     conditional = sum(
-        p * von_neumann_entropy(s, validate=False)
-        for p, s in zip(ensemble.probs, ensemble.states)
-        if p > 0.0
+        p * _entropy(w) for p, w in zip(ensemble.probs, ensemble.spectra) if p > 0.0
     )
     info = np.asarray(mixing - conditional) + 0.0
     return float(info) if info.ndim == 0 else info
@@ -485,7 +475,8 @@ def eve_bob_semiclassical(
     ensemble.
 
     ``eve_basis`` is either a rotation angle on the Bloch sphere's y-axis
-    (two-level only) or an explicit unitary basis change. A ``(..., D, D)``
+    (two-level only; any real 0-d value, numpy scalars and 0-d arrays
+    included) or an explicit unitary basis change. A ``(..., D, D)``
     stack of unitaries (for instance the y-rotations of an array of
     angles) and a stack of dephasing matrices broadcast against each
     other, giving one value per member; the ensemble and the receiver are
@@ -497,7 +488,7 @@ def eve_bob_semiclassical(
     Hermitian or not PSD.
     """
     dim = ensemble.dim
-    if isinstance(eve_basis, (int, float)):
+    if np.ndim(eve_basis) == 0 and np.isrealobj(eve_basis):
         if dim != 2:
             raise DimensionMismatch("angle parameterization is two-level only")
         unitary = _bloch_y_rotation(float(eve_basis))

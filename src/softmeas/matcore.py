@@ -1,19 +1,20 @@
 """Dense complex linear-algebra kernel shared by the measurement modules.
 
-Provides Hermitian eigendecomposition, principal and pseudo-inverse square
-roots of PSD matrices, partial traces over tensor factors, and von Neumann
-entropy in bits. All functions are pure; inputs are never mutated.
+Provides Hermitian eigendecomposition, principal square roots of PSD
+matrices, partial traces over tensor factors, and von Neumann entropy in
+bits. All functions are pure; inputs are never mutated. Every check uses the
+tolerances below; no function takes a tolerance argument.
 
 Shape contract: :func:`herm_eig`, :func:`matrix_sqrt_psd`,
-:func:`inv_sqrt_psd`, :func:`validate_density_matrix` and
-:func:`von_neumann_entropy` take either one ``(D, D)`` matrix or a stack of
-shape ``(..., D, D)``, and a stack gives, member by member, the same floats
-as the calls on its members one at a time (a single matrix runs the same
-code as a stack of one). Results keep the stack axes in front; a scalar
-result such as an entropy is a ``float`` for one matrix and an array of the
-stack shape otherwise. A check that fails on a stack names the index of the
-first failing member (C order) in its message and in the exception's
-``index``. :func:`partial_trace` takes one matrix.
+:func:`validate_density_matrix` and :func:`von_neumann_entropy` take either
+one ``(D, D)`` matrix or a stack of shape ``(..., D, D)``, and a stack
+gives, member by member, the same floats as the calls on its members one at
+a time (a single matrix runs the same code as a stack of one). Results keep
+the stack axes in front; a scalar result such as an entropy is a ``float``
+for one matrix and an array of the stack shape otherwise. A check that
+fails on a stack names the index of the first failing member (C order) in
+its message and in the exception's ``index``. :func:`partial_trace` takes
+one matrix.
 
 Each check decomposes a matrix once: :func:`validate_density_matrix`
 returns the ascending eigenvalues it checked (shape ``(..., D)``), and
@@ -29,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState, NotHermitian, NotPSD, ZeroMatrix
+from .errors import DimensionMismatch, InvalidState, NotHermitian, NotPSD
 
 # Tolerances, fixed once for the whole package. Double precision leaves a
 # wide margin at these dimensions.
@@ -37,7 +38,6 @@ TAU_HERM = 1e-10
 TAU_PSD = 1e-10
 TAU_TRACE = 1e-9
 TAU_RECON = 1e-9
-RANK_TOL = 1e-10
 
 # Entropy treats eigenvalues in [-ENTROPY_CLAMP, 0) as exact zeros; anything
 # more negative is a genuine invariant violation.
@@ -111,66 +111,42 @@ def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
     return np.fromiter(values, dtype, arrays[0].size).reshape(arrays[0].shape)
 
 
-def herm_eig(matrix: np.ndarray, atol: float = TAU_HERM) -> Spectrum:
+def herm_eig(matrix: np.ndarray) -> Spectrum:
     """Eigendecompose a Hermitian matrix or a stack of them.
 
     Raises :class:`NotHermitian` if any entry of ``matrix - matrix^dagger``
-    exceeds ``atol`` in modulus, or is not finite. The decomposition itself
-    runs on the Hermitian part, which makes results deterministic for inputs
-    that are Hermitian only up to rounding.
+    exceeds ``TAU_HERM`` in modulus, or is not finite. The decomposition
+    itself runs on the Hermitian part, which makes results deterministic for
+    inputs that are Hermitian only up to rounding.
     """
     m = _as_square(matrix)
     dev = _hermitian_deviation(m)
-    i = _first(~(dev <= atol))
+    i = _first(~(dev <= TAU_HERM))
     if i is not None:
         raise NotHermitian(
-            f"max |M - M^dagger| entry {dev[i]:.3e} exceeds {atol:.1e}{_member(i)}",
+            f"max |M - M^dagger| entry {dev[i]:.3e} exceeds {TAU_HERM:.1e}{_member(i)}",
             index=i or None,
         )
     w, v = np.linalg.eigh(_hermitian_part(m))
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def _require_psd(w: np.ndarray, atol: float) -> None:
-    i = _first(w[..., 0] < -atol)
-    if i is not None:
-        raise NotPSD(
-            f"smallest eigenvalue {w[i][0]:.3e} below -{atol:.1e}{_member(i)}", index=i or None
-        )
-
-
-def matrix_sqrt_psd(matrix: np.ndarray, atol: float = TAU_PSD) -> np.ndarray:
+def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix or of each in a stack.
 
-    Eigenvalues in ``[-atol, 0)`` are clamped to zero; anything more negative
-    raises :class:`NotPSD`. The result is Hermitian PSD and squares back to
-    the input within reconstruction tolerance.
+    Eigenvalues in ``[-TAU_PSD, 0)`` are clamped to zero; anything more
+    negative raises :class:`NotPSD`. The result is Hermitian PSD and squares
+    back to the input within reconstruction tolerance.
     """
     w, v = herm_eig(matrix)
-    _require_psd(w, atol)
+    i = _first(w[..., 0] < -TAU_PSD)
+    if i is not None:
+        raise NotPSD(
+            f"smallest eigenvalue {w[i][0]:.3e} below -{TAU_PSD:.1e}{_member(i)}",
+            index=i or None,
+        )
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
     return _hermitian_part(root)
-
-
-def inv_sqrt_psd(
-    matrix: np.ndarray, rank_tol: float = RANK_TOL, atol: float = TAU_PSD
-) -> np.ndarray:
-    """Pseudo-inverse square root of a Hermitian PSD matrix or of each in a stack.
-
-    Eigenvalues above ``rank_tol * max(eigenvalues)`` map to ``lambda**-0.5``;
-    the rest map to zero, so the kernel of the input stays the kernel of the
-    result. Raises :class:`ZeroMatrix` when no positive eigenvalue exists.
-    """
-    w, v = herm_eig(matrix)
-    _require_psd(w, atol)
-    w = np.clip(w, 0.0, None)
-    wmax = w[..., -1:]
-    i = _first(wmax[..., 0] <= 0.0)
-    if i is not None:
-        raise ZeroMatrix(f"matrix has no positive eigenvalue{_member(i)}", index=i or None)
-    inv = np.where(w > rank_tol * wmax, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    out = (v * inv[..., None, :]) @ _dagger(v)
-    return _hermitian_part(out)
 
 
 def partial_trace(
@@ -210,44 +186,39 @@ def partial_trace(
     return reshaped.reshape(side, side)
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    name: str = "rho",
-    atol_herm: float = TAU_HERM,
-    atol_psd: float = TAU_PSD,
-    atol_trace: float = TAU_TRACE,
-) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Raise :class:`InvalidState` unless ``rho`` is a valid density matrix,
     or, for a stack, unless every member is.
 
-    Checks Hermiticity (a non-finite entry fails it), positive
-    semidefiniteness (up to ``atol_psd``) and unit trace, naming the violated
-    invariant, and for a stack the first member that violates it, in the
-    message. Returns the ascending eigenvalues of the Hermitian part that the
-    PSD check computed, shape ``(..., D)``, so that a caller needing the
-    spectrum (an entropy, say) does not decompose the matrix again.
+    Checks Hermiticity (within ``TAU_HERM``; a non-finite entry fails it),
+    unit trace (within ``TAU_TRACE``) and positive semidefiniteness (within
+    ``TAU_PSD``), naming the violated invariant, and for a stack the first
+    member that violates it, in the message. Returns the ascending
+    eigenvalues of the Hermitian part that the PSD check computed, shape
+    ``(..., D)``, so that a caller needing the spectrum (an entropy, say)
+    does not decompose the matrix again.
     """
     m = _as_square(rho, name)
     dev = _hermitian_deviation(m)
-    i = _first(~(dev <= atol_herm))
+    i = _first(~(dev <= TAU_HERM))
     if i is not None:
         raise InvalidState(
-            f"{name}{_label(i)} not Hermitian: deviation {dev[i]:.3e} > {atol_herm:.1e}",
+            f"{name}{_label(i)} not Hermitian: deviation {dev[i]:.3e} > {TAU_HERM:.1e}",
             index=i or None,
         )
     tr = np.trace(m, axis1=-2, axis2=-1)
-    i = _first(np.abs(tr - 1.0) > atol_trace)
+    i = _first(np.abs(tr - 1.0) > TAU_TRACE)
     if i is not None:
         raise InvalidState(
             f"{name}{_label(i)} trace {complex(tr[i]):.12g} differs from 1 "
-            f"by more than {atol_trace:.1e}",
+            f"by more than {TAU_TRACE:.1e}",
             index=i or None,
         )
     w = np.linalg.eigvalsh(_hermitian_part(m))
-    i = _first(w[..., 0] < -atol_psd)
+    i = _first(w[..., 0] < -TAU_PSD)
     if i is not None:
         raise InvalidState(
-            f"{name}{_label(i)} not PSD: smallest eigenvalue {w[i][0]:.3e} < -{atol_psd:.1e}",
+            f"{name}{_label(i)} not PSD: smallest eigenvalue {w[i][0]:.3e} < -{TAU_PSD:.1e}",
             index=i or None,
         )
     return w

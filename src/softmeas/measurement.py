@@ -21,16 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidMeasurement,
-    OutOfRange,
-    ZeroDt,
-)
+from .errors import DimensionMismatch, InvalidMeasurement, OutOfRange
 from .matcore import (
     TAU_HERM,
     TAU_PSD,
@@ -182,16 +176,6 @@ def apply_soft(
     return joint.reshape(d * d, d * d)
 
 
-def apply_entangling(
-    entanglement: np.ndarray, rho: np.ndarray, validate: bool = True
-) -> np.ndarray:
-    """Entangling measurement: soft measurement with orthogonal meter states."""
-    d = np.asarray(entanglement).shape[0]
-    return apply_soft(
-        SoftMeasurement(entanglement, np.eye(d)), rho, validate=validate
-    )
-
-
 @dataclass(frozen=True)
 class GeneralMeasurement:
     """Nondemolition measurement with arbitrary meter blocks.
@@ -294,48 +278,3 @@ def two_level_gram(params: TwoLevelMeterParams) -> np.ndarray:
     ``exp(i*chi) * cos(theta/2)`` regardless of ``phi``."""
     off = np.exp(1j * params.chi) * math.cos(params.theta / 2.0)
     return np.array([[1.0, off], [np.conj(off), 1.0]])
-
-
-@dataclass(frozen=True)
-class GeneratorRates:
-    """Angular rates driving an infinitesimal two-level measurement step."""
-
-    theta_dot: float
-    chi_dot: float
-    hbar: float = 1.0
-
-
-def generator_two_level(rates: GeneratorRates) -> tuple[np.ndarray, np.ndarray]:
-    """Meter Hamiltonians generating the infinitesimal two-level measurement.
-
-    The generator attached to object state 0 vanishes; the one attached to
-    state 1 is ``hbar * [[-2*chi_dot, i*theta_dot], [-i*theta_dot, 0]]``.
-    """
-    eps0 = np.zeros((2, 2), dtype=complex)
-    eps1 = rates.hbar * np.array(
-        [[-2.0 * rates.chi_dot, 1j * rates.theta_dot], [-1j * rates.theta_dot, 0.0]]
-    )
-    return eps0, eps1
-
-
-def generator_general(
-    delta_states: Sequence[np.ndarray], dt: float, hbar: float = 1.0
-) -> list[np.ndarray]:
-    """Meter Hamiltonians from first-order meter-state displacements.
-
-    ``delta_states[k]`` is the displacement of meter state ``k`` away from
-    the reference state (the first basis vector) accumulated over ``dt``.
-    Each generator is ``i * (hbar/dt) * (|delta_k><0| - |0><delta_k|)``,
-    i.e. the ``i * (a - a^dagger)`` form, Hermitian by construction.
-    """
-    if not (math.isfinite(dt) and dt > 0.0):
-        rule = "positive" if math.isfinite(dt) else "finite and positive"
-        raise ZeroDt(f"dt must be {rule}, got {dt}")
-    generators = []
-    for delta in delta_states:
-        d = np.asarray(delta, dtype=complex)
-        e0 = np.zeros_like(d)
-        e0[0] = 1.0
-        ladder = np.outer(d, e0)
-        generators.append(1j * (hbar / dt) * (ladder - ladder.conj().T))
-    return generators

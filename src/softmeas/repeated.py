@@ -24,19 +24,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidMeasurement, InvalidParams
 from .matcore import (
-    RANK_TOL,
     _dagger,
     _entrywise,
     _first,
     _label,
     _member,
-    inv_sqrt_psd,
     matrix_sqrt_psd,
     validate_density_matrix,
 )
@@ -89,29 +86,12 @@ class CollectiveRepresentation:
     ``gram_n`` is the elementwise n-th Gram power; column ``i`` of
     ``meter_vectors`` holds the collective-basis coordinates of the i-th
     accumulated meter state (``meter_vectors^dagger @ meter_vectors ==
-    gram_n``); row ``k`` of ``basis_coeffs`` expands the k-th orthonormal
-    collective basis vector over the accumulated meter states. For
-    linearly dependent meter sets the expansion is restricted to the range
-    of ``gram_n`` (eigenvalues above ``rank_tol`` times the largest) and
-    ``active_dim`` may be smaller than the meter count.
-
-    ``basis_coeffs`` and ``active_dim`` are computed when first read. For
-    an array of counts every field is stacked, one member per count.
+    gram_n``). For an array of counts both fields are stacked, one member
+    per count.
     """
 
     gram_n: np.ndarray
     meter_vectors: np.ndarray
-    rank_tol: float = RANK_TOL
-
-    @cached_property
-    def basis_coeffs(self) -> np.ndarray:
-        return inv_sqrt_psd(self.gram_n, rank_tol=self.rank_tol).conj()
-
-    @cached_property
-    def active_dim(self) -> int | np.ndarray:
-        eigs = np.linalg.eigvalsh(self.gram_n)
-        active = np.sum(eigs > self.rank_tol * np.maximum(eigs[..., -1:], 0.0), axis=-1)
-        return int(active) if active.ndim == 0 else active
 
 
 def gram_power(gram: np.ndarray, n: int | np.ndarray) -> np.ndarray:
@@ -133,13 +113,13 @@ def gram_power(gram: np.ndarray, n: int | np.ndarray) -> np.ndarray:
 
 
 def collective_representation(
-    gram: np.ndarray, n: int | np.ndarray, rank_tol: float = RANK_TOL
+    gram: np.ndarray, n: int | np.ndarray
 ) -> CollectiveRepresentation:
     """Collective-basis data for ``n`` repeated measurements; an array of
     counts gives stacked data from one stacked square root."""
     _check_correlation_matrix(np.asarray(gram, dtype=complex), "gram").require()
     gram_n = gram_power(gram, n)
-    return CollectiveRepresentation(gram_n, matrix_sqrt_psd(gram_n), rank_tol)
+    return CollectiveRepresentation(gram_n, matrix_sqrt_psd(gram_n))
 
 
 def _meter_vectors(
@@ -287,21 +267,6 @@ def continuous_gram_sqrt(params: ContinuousLimitParams) -> np.ndarray:
     c = _entrywise(math.exp, -params.kappa * params.t)
     phase = _entrywise(lambda t: cmath.exp(1j * params.chi_dot * t), params.t, dtype=complex)
     return _two_level_root(c, phase)
-
-
-def asymptotic_gram_sqrt(params: ContinuousLimitParams) -> np.ndarray:
-    """Long-time expansion of :func:`continuous_gram_sqrt`.
-
-    Valid for large ``kappa*t`` only: diagonal ``1 - exp(-2*kappa*t)/8``,
-    off-diagonal ``exp(-kappa*t +- i*chi_dot*t)/2``. An array of times
-    gives the stack.
-    """
-    kappa, chi_dot = params.kappa, params.chi_dot
-    diag = 1.0 - _entrywise(math.exp, -2.0 * (kappa * params.t)) / 8.0
-    off = 0.5 * _entrywise(
-        lambda t: cmath.exp(-(kappa * t) + 1j * chi_dot * t), params.t, dtype=complex
-    )
-    return _two_level_matrix(diag, off, np.conj(off))
 
 
 def meter_dm_continuous(

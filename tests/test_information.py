@@ -35,7 +35,6 @@ from softmeas.information import (
     StateEnsemble,
     _bloch_y_rotation,
     _g,
-    choi_matrix,
     coherent_info_channel,
     coherent_info_soft,
     coherent_info_two_level,
@@ -96,16 +95,13 @@ class TestKrausChannel:
 
 
 class TestChoiRoundTrip:
-    def test_identity_choi_is_maximally_entangled(self):
-        j = choi_matrix(KrausChannel((np.eye(2),)))
-        omega = np.eye(2).reshape(-1)
-        np.testing.assert_allclose(j, np.outer(omega, omega), atol=1e-14)
-
     def test_choi_to_kraus_keeps_channel_action(self):
         rng = np.random.default_rng(62)
         for in_dim, out_dim, n_kraus in ((2, 2, 3), (3, 3, 2), (2, 3, 2)):
             ch = rand_channel(rng, in_dim, out_dim, n_kraus)
-            rebuilt = kraus_from_choi(choi_matrix(ch), in_dim, out_dim)
+            # Choi matrix, output (x) input: sum_a vec(K_a) vec(K_a)^dagger.
+            choi = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ch.kraus_ops)
+            rebuilt = kraus_from_choi(choi, in_dim, out_dim)
             rebuilt.validate()
             for _ in range(3):
                 rho = rand_density(rng, in_dim)
@@ -411,6 +407,19 @@ class TestHolevoInfo:
             assert -1e-12 <= value <= von_neumann_entropy(average) + 1e-12
             assert value <= math.log2(dim) + 1e-12
 
+    def test_conditional_entropies_reuse_the_ensemble_check(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        probs, states = np.array([0.35, 0.65]), (rand_density(rng, 3), rand_density(rng, 3))
+        average = sum(p * s for p, s in zip(probs, states))
+        expected = von_neumann_entropy(average, validate=False) - sum(
+            p * von_neumann_entropy(s, validate=False) for p, s in zip(probs, states)
+        )
+        calls = count_eigvalsh(monkeypatch)
+        value = holevo_info(StateEnsemble(probs=probs, states=states))
+        # One decomposition per state for the ensemble check, one for the mixture.
+        assert calls == [(3, 3)] * 3
+        assert value == expected
+
     def test_probability_validation(self):
         with pytest.raises(InvalidParams):
             StateEnsemble(probs=np.array([0.5, 0.6]), states=(np.eye(2) / 2.0,) * 2)
@@ -642,6 +651,14 @@ class TestEveBobSemiclassical:
         checked = spy_correlation_checks(monkeypatch)
         eve_bob_semiclassical(basis_ensemble(), 0.3, np.ones((2, 2)), good)
         assert checked == ["dephase", "entanglement", "gram"]
+
+    @pytest.mark.parametrize("angle", [np.float32(0.3), np.int64(0), np.array(0.3)])
+    def test_numpy_scalar_angle_is_an_angle(self, angle):
+        rng = np.random.default_rng(78)
+        dephase = rand_correlation(rng, 2)
+        bob = SoftMeasurement(rand_correlation(rng, 2), rand_correlation(rng, 2))
+        value = eve_bob_semiclassical(basis_ensemble(), angle, dephase, bob)
+        assert value == eve_bob_semiclassical(basis_ensemble(), float(angle), dephase, bob)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidMeasurement):

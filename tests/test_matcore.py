@@ -12,12 +12,10 @@ from softmeas.errors import (
     InvalidState,
     NotHermitian,
     NotPSD,
-    ZeroMatrix,
 )
 from softmeas.matcore import (
     TAU_RECON,
     herm_eig,
-    inv_sqrt_psd,
     matrix_sqrt_psd,
     partial_trace,
     validate_density_matrix,
@@ -102,47 +100,6 @@ class TestMatrixSqrtPsd:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPSD):
             matrix_sqrt_psd(np.diag([1.0, -1.0]))
-
-
-class TestInvSqrtPsd:
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            inv_sqrt_psd(np.diag([4.0, 1.0])), np.diag([0.5, 1.0]), atol=1e-13
-        )
-
-    def test_pseudo_inverse_leaves_kernel(self):
-        np.testing.assert_allclose(
-            inv_sqrt_psd(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]), atol=1e-13
-        )
-
-    def test_eigen_branches(self):
-        # eigenvectors (1, 1)/sqrt2 and (1, -1)/sqrt2 with eigenvalues 1 +- c
-        c = 0.5
-        m = np.array([[1.0, c], [c, 1.0]])
-        plus = np.full((2, 2), 0.5)
-        minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        expected = plus / math.sqrt(1.0 + c) + minus / math.sqrt(1.0 - c)
-        np.testing.assert_allclose(inv_sqrt_psd(m), expected, atol=1e-13)
-
-    def test_projects_onto_range(self):
-        rng = np.random.default_rng(14)
-        for dim, rank in ((3, 2), (4, 2), (5, 4)):
-            a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-            m = a @ a.conj().T
-            inv = inv_sqrt_psd(m)
-            projector = inv @ m @ inv
-            np.testing.assert_allclose(
-                projector @ projector, projector, atol=1e-9
-            )
-            np.testing.assert_allclose(projector @ m, m, atol=1e-9 * np.abs(m).max())
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ZeroMatrix):
-            inv_sqrt_psd(np.zeros((2, 2)))
-
-    def test_not_psd_rejected(self):
-        with pytest.raises(NotPSD):
-            inv_sqrt_psd(np.diag([1.0, -2.0]))
 
 
 class TestPartialTrace:
@@ -306,18 +263,6 @@ class TestStackedKernels:
         stack[BAD] = -np.eye(dim)
         with pytest.raises(NotPSD) as excinfo:
             matrix_sqrt_psd(stack)
-        assert_names_member(excinfo, BAD)
-
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_inv_sqrt_psd(self, dim):
-        rng = np.random.default_rng(120 + dim)
-        stack = np.array([rand_psd(rng, dim) for _ in range(12)]).reshape(STACK + (dim, dim))
-        roots = inv_sqrt_psd(stack)
-        for index in np.ndindex(STACK):
-            assert np.array_equal(roots[index], inv_sqrt_psd(stack[index]))
-        stack[BAD] = 0.0
-        with pytest.raises(ZeroMatrix) as excinfo:
-            inv_sqrt_psd(stack)
         assert_names_member(excinfo, BAD)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])

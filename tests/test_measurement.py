@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import binary_entropy, rand_correlation, rand_density, spy_correlation_checks
 
@@ -14,19 +16,14 @@ from softmeas.errors import (
     NotHermitian,
     NotPSD,
     OutOfRange,
-    ZeroDt,
 )
 from softmeas.matcore import partial_trace, validate_density_matrix, von_neumann_entropy
 from softmeas.measurement import (
     GeneralMeasurement,
-    GeneratorRates,
     SoftMeasurement,
     TwoLevelMeterParams,
-    apply_entangling,
     apply_general,
     apply_soft,
-    generator_general,
-    generator_two_level,
     meter_states_from_gram,
     two_level_gram,
     two_level_meter_states,
@@ -169,10 +166,11 @@ class TestApplySoft:
         rng = np.random.default_rng(29)
         rho = rand_density(rng, 3)
         ent = rand_correlation(rng, 3)
+        # Orthogonal meter states: ent[k,l] * rho[k,l] on |k k><l l|.
+        expected = np.zeros((9, 9), dtype=complex)
+        expected[::4, ::4] = ent * rho
         np.testing.assert_allclose(
-            apply_soft(SoftMeasurement(ent, np.eye(3)), rho),
-            apply_entangling(ent, rho),
-            atol=1e-14,
+            apply_soft(SoftMeasurement(ent, np.eye(3)), rho), expected, atol=1e-14
         )
 
     def test_basis_outcomes_are_orthogonal_projectors(self):
@@ -224,7 +222,7 @@ class TestApplyEntangling:
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
         c /= np.linalg.norm(c)
         rho = np.outer(c, c.conj())
-        joint = apply_entangling(np.ones((3, 3)), rho)
+        joint = apply_soft(SoftMeasurement(np.ones((3, 3)), np.eye(3)), rho)
         cloned = np.zeros(9, dtype=complex)
         for k in range(3):
             cloned[k * 3 + k] = c[k]
@@ -234,7 +232,9 @@ class TestApplyEntangling:
         rng = np.random.default_rng(32)
         rho = rand_density(rng, 2)
         np.testing.assert_allclose(
-            apply_entangling(np.eye(2), rho), projective_expected(rho), atol=1e-13
+            apply_soft(SoftMeasurement(np.eye(2), np.eye(2)), rho),
+            projective_expected(rho),
+            atol=1e-13,
         )
 
     def test_offdiagonal_placement(self):
@@ -242,7 +242,7 @@ class TestApplyEntangling:
         c = 0.11 - 0.07j
         rho = np.array([[0.5, c], [np.conj(c), 0.5]])
         ent = np.array([[1.0, r], [np.conj(r), 1.0]])
-        joint = apply_entangling(ent, rho)
+        joint = apply_soft(SoftMeasurement(ent, np.eye(2)), rho)
         assert joint[0, 3] == pytest.approx(r * c, abs=1e-14)
 
 
@@ -267,21 +267,22 @@ class TestApplyGeneral:
                 blocks[k, l, k, l] = ent[k, l]
         np.testing.assert_allclose(
             apply_general(GeneralMeasurement(blocks), rho),
-            apply_entangling(ent, rho),
+            apply_soft(SoftMeasurement(ent, np.eye(dim)), rho),
             atol=1e-13,
         )
 
-    def test_soft_blocks_reproduce_apply_soft(self):
-        rng = np.random.default_rng(35)
-        dim = 3
+    @settings(deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    @example(dim=3, seed=35)
+    def test_soft_blocks_reproduce_apply_soft(self, dim, seed):
+        """The block route with ``R_kl v_k v_l^dagger`` is an independent
+        reference for ``apply_soft``, for complex R, Q and rho."""
+        rng = np.random.default_rng(seed)
         rho = rand_density(rng, dim)
         ent = rand_correlation(rng, dim)
         gram = rand_correlation(rng, dim)
         vecs = meter_states_from_gram(gram)
-        blocks = np.zeros((dim, dim, dim, dim), dtype=complex)
-        for k in range(dim):
-            for l in range(dim):
-                blocks[k, l] = ent[k, l] * np.outer(vecs[:, k], vecs[:, l].conj())
+        blocks = ent[:, :, None, None] * np.einsum("ak,bl->klab", vecs, vecs.conj())
         np.testing.assert_allclose(
             apply_general(GeneralMeasurement(blocks), rho),
             apply_soft(SoftMeasurement(ent, gram), rho),
@@ -338,59 +339,6 @@ class TestTwoLevelMeter:
     def test_non_finite_phase_rejected(self, kwargs):
         with pytest.raises(OutOfRange, match="must be finite"):
             TwoLevelMeterParams(theta=1.0, **kwargs)
-
-
-class TestGenerators:
-    def test_zero_rates(self):
-        eps0, eps1 = generator_two_level(GeneratorRates(theta_dot=0.0, chi_dot=0.0))
-        np.testing.assert_array_equal(eps0, np.zeros((2, 2)))
-        np.testing.assert_array_equal(eps1, np.zeros((2, 2)))
-
-    def test_pure_angle_rate(self):
-        _, eps1 = generator_two_level(GeneratorRates(theta_dot=1.0, chi_dot=0.0))
-        np.testing.assert_allclose(eps1, np.array([[0.0, 1j], [-1j, 0.0]]), atol=1e-15)
-
-    def test_pure_phase_rate(self):
-        _, eps1 = generator_two_level(GeneratorRates(theta_dot=0.0, chi_dot=1.0))
-        np.testing.assert_allclose(eps1, np.diag([-2.0, 0.0]), atol=1e-15)
-
-    def test_zero_displacements(self):
-        gens = generator_general([np.zeros(2), np.zeros(2)], dt=0.1)
-        for g in gens:
-            np.testing.assert_array_equal(g, np.zeros((2, 2)))
-
-    def test_two_level_correspondence_to_first_order(self):
-        # displacement of the tilted meter state for small angle eps and
-        # phase chi; the i(a - a+) assembly reproduces the closed two-level
-        # generator at rates theta_dot = -eps/(2 dt), chi_dot = chi/dt
-        eps, chi, dt = 1e-4, 3e-5, 0.5
-        states = two_level_meter_states(TwoLevelMeterParams(theta=eps, chi=chi))
-        delta = states[:, 1] - states[:, 0]
-        (gen,) = generator_general([delta], dt=dt)
-        _, expected = generator_two_level(
-            GeneratorRates(theta_dot=-eps / (2.0 * dt), chi_dot=chi / dt)
-        )
-        np.testing.assert_allclose(gen, expected, atol=1e-7 / dt)
-
-    def test_orthogonal_displacement(self):
-        u, dt = 0.37, 0.2
-        delta = np.array([0.0, 1j * u * dt])
-        (gen,) = generator_general([delta], dt=dt)
-        np.testing.assert_allclose(
-            gen, -u * np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-14
-        )
-        np.testing.assert_allclose(gen, gen.conj().T, atol=1e-15)
-
-    def test_hermitian_for_random_displacements(self):
-        rng = np.random.default_rng(37)
-        deltas = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)]
-        for g in generator_general(deltas, dt=0.05):
-            np.testing.assert_allclose(g, g.conj().T, atol=1e-13)
-
-    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf, -0.1])
-    def test_zero_dt_rejected(self, dt):
-        with pytest.raises(ZeroDt, match="positive"):
-            generator_general([np.zeros(2)], dt=dt)
 
 
 class TestStackedCorrelationCheck:

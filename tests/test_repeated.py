@@ -1,5 +1,6 @@
 """Repeated-measurement and continuous-limit tests."""
 
+import cmath
 import math
 import re
 
@@ -28,7 +29,6 @@ from softmeas.measurement import (
 from softmeas.repeated import (
     ContinuousLimitParams,
     RepeatedMeasurement,
-    asymptotic_gram_sqrt,
     collective_representation,
     continuous_gram_sqrt,
     discrete_step_params,
@@ -82,7 +82,6 @@ class TestCollectiveRepresentation:
     def test_orthogonal_meter_is_trivial(self):
         rep = collective_representation(np.eye(3), 1)
         np.testing.assert_allclose(rep.meter_vectors, np.eye(3), atol=1e-13)
-        assert rep.active_dim == 3
 
     def test_matches_two_level_closed_form(self):
         for theta in (0.3, 1.2, 2.8):
@@ -112,20 +111,12 @@ class TestCollectiveRepresentation:
                     rep.meter_vectors.conj().T @ rep.meter_vectors, rep.gram_n, atol=1e-10
                 )
 
-    def test_basis_coefficients_are_orthonormal(self):
-        # Gram form: conj(coeffs)[k,:] Qn conj(coeffs)[m,:]^T
-        rng = np.random.default_rng(42)
-        q = rand_correlation(rng, 3)
-        rep = collective_representation(q, 2)
-        c = rep.basis_coeffs
-        overlap = c.conj() @ rep.gram_n @ c.T
-        np.testing.assert_allclose(overlap, np.eye(3), atol=1e-10)
-
     def test_degenerate_gram_reports_reduced_rank(self):
         rep = collective_representation(np.ones((3, 3)), 5)
-        assert rep.active_dim == 1
-        overlap = rep.basis_coeffs.conj() @ rep.gram_n @ rep.basis_coeffs.T
-        np.testing.assert_allclose(overlap @ overlap, overlap, atol=1e-10)
+        np.testing.assert_array_equal(rep.gram_n, np.ones((3, 3)))
+        # All three meter states coincide: one collective direction is populated.
+        expected = np.full((3, 3), 1.0 / math.sqrt(3.0))
+        np.testing.assert_allclose(rep.meter_vectors, expected, atol=1e-13)
 
     def test_invalid_gram_rejected(self):
         with pytest.raises(InvalidMeasurement):
@@ -363,23 +354,16 @@ class TestContinuousGramSqrt:
 
 
 class TestAsymptoticGramSqrt:
+    """Long-time expansion of :func:`continuous_gram_sqrt`: diagonal
+    ``1 - exp(-2*kappa*t)/8``, off-diagonal ``exp(-kappa*t +- i*chi_dot*t)/2``."""
+
     def test_matches_exact_form_at_long_times(self):
-        params = ContinuousLimitParams(kappa=1.0, t=10.0, chi_dot=0.3)
-        np.testing.assert_allclose(
-            asymptotic_gram_sqrt(params), continuous_gram_sqrt(params), atol=1e-8
-        )
-
-    def test_limit_is_identity(self):
-        params = ContinuousLimitParams(kappa=1.0, t=200.0)
-        np.testing.assert_allclose(asymptotic_gram_sqrt(params), np.eye(2), atol=1e-12)
-
-    def test_expansion_invalid_at_zero(self):
-        params = ContinuousLimitParams(kappa=1.0, t=0.0)
-        approx = asymptotic_gram_sqrt(params)
-        np.testing.assert_allclose(
-            approx, np.array([[0.875, 0.5], [0.5, 0.875]]), atol=1e-14
-        )
-        assert np.abs(approx - continuous_gram_sqrt(params)).max() > 0.1
+        kappa, t, chi_dot = 1.0, 10.0, 0.3
+        params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot)
+        off = cmath.exp(-kappa * t + 1j * chi_dot * t) / 2.0
+        diag = 1.0 - math.exp(-2.0 * kappa * t) / 8.0
+        expansion = np.array([[diag, off], [off.conjugate(), diag]])
+        np.testing.assert_allclose(continuous_gram_sqrt(params), expansion, atol=1e-8)
 
 
 class TestMeterContinuous:
@@ -517,12 +501,6 @@ class TestDiscreteToContinuous:
 
 
 class TestStackedCounts:
-    def test_fields_are_computed_when_read(self):
-        rep = collective_representation(np.array([[1.0, 0.6], [0.6, 1.0]]), 3)
-        assert "basis_coeffs" not in vars(rep) and "active_dim" not in vars(rep)
-        assert rep.active_dim == 2
-        assert "active_dim" in vars(rep) and "basis_coeffs" not in vars(rep)
-
     def test_array_of_counts_stacks_every_field(self):
         rng = np.random.default_rng(44)
         q = rand_correlation(rng, 3)
@@ -532,8 +510,6 @@ class TestStackedCounts:
             single = collective_representation(q, n)
             assert np.array_equal(rep.gram_n[k], single.gram_n)
             assert np.array_equal(rep.meter_vectors[k], single.meter_vectors)
-            assert np.array_equal(rep.basis_coeffs[k], single.basis_coeffs)
-            assert rep.active_dim[k] == single.active_dim
 
     def test_shared_representation_gives_the_same_states(self):
         rng = np.random.default_rng(45)
@@ -600,7 +576,7 @@ class TestContinuousTimeArrays:
 
     @pytest.mark.parametrize(
         "fn",
-        [continuous_gram_sqrt, asymptotic_gram_sqrt, repeated._dephasing_matrix],
+        [continuous_gram_sqrt, repeated._dephasing_matrix],
     )
     def test_matrices_stack(self, fn):
         stack = fn(ContinuousLimitParams(t=np.array(self.times), **self.params))
