@@ -17,8 +17,10 @@ grid in one call, validating the inputs shared by all points once and each
 stack of per-point matrices once; the two-level closed forms of ``fig2a``,
 ``fig2b``, ``isweep``, ``repeat`` and ``continuous`` take whole arrays.
 Grids of more than ``_BLOCK_POINTS`` points are evaluated in blocks. The
-output is written from the float table with one row template. ``--jobs``
-is accepted for compatibility and has no effect.
+output is written from the float table column by column: each grid-axis
+value is formatted once per axis and its string repeated down its column,
+each output value once, and one row template joins them. ``--jobs`` is
+accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation while
 computing or emitting rows; a check that fails at a grid point names the
@@ -32,7 +34,8 @@ import cmath
 import json
 import math
 import sys
-from typing import Callable, NamedTuple
+from itertools import chain, repeat
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -382,29 +385,60 @@ def _format_value(value: float) -> str:
     return "0" if text == "-0" else text
 
 
-def _emit_csv(columns: tuple[str, ...], table: np.ndarray) -> str:
-    """CSV text of a float table, each value as ``_format_value`` writes it.
+def _row_values(table: np.ndarray, shape: tuple[int, ...], fmt: str) -> Iterator[tuple]:
+    """The rows of a float table over a grid of ``shape``, as tuples for a
+    row template: the grid columns (the first ``len(shape)``) as strings,
+    each axis value formatted once by ``fmt`` and repeated as C order
+    repeats it, then the output values as floats.
+
+    Axis ``k`` is read from its own column at the stride of the axes after
+    it, so the strings carry the table's bits, signed zeros included.
+    """
+    grids = []
+    for k, n in enumerate(shape):
+        inner = math.prod(shape[k + 1 :])
+        # A later axis of length 0 leaves no rows, so no axis value to read.
+        strings = [fmt % value for value in table[: n * inner : inner or 1, k].tolist()]
+        if inner > 1:
+            strings = list(chain.from_iterable(map(repeat, strings, repeat(inner))))
+        grids.append(strings * math.prod(shape[:k]))
+    return zip(*grids, *table[:, len(shape) :].T.tolist())
+
+
+def _emit_csv(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...]) -> str:
+    """CSV text of a float table over a grid of ``shape``, each value as
+    ``_format_value`` writes it.
 
     ``%.12g`` formats a float as ``format(v, ".12g")`` does, and adding 0.0
-    first turns -0.0 into 0.
+    first turns -0.0 into 0. Each grid-axis value is formatted once (see
+    ``_row_values``), each output value once per row.
     """
-    row = ",".join(["%.12g"] * len(columns))
+    grids = len(shape)
+    row = ",".join(["%s"] * grids + ["%.12g"] * (len(columns) - grids))
     lines = [",".join(columns)]
-    lines.extend(row % values for values in map(tuple, (table + 0.0).tolist()))
+    lines.extend(map(row.__mod__, _row_values(table + 0.0, shape, "%.12g")))
     return "\n".join(lines) + "\n"
 
 
 def _emit_json(
-    command: str, config: dict[str, str], columns: tuple[str, ...], table: np.ndarray
+    command: str,
+    config: dict[str, str],
+    columns: tuple[str, ...],
+    table: np.ndarray,
+    shape: tuple[int, ...],
 ) -> str:
-    """``json.dumps(payload, indent=2)`` text of the header and the float table.
+    """``json.dumps(payload, indent=2)`` text of the header and the float
+    table over a grid of ``shape``.
 
     The rows are written by a template in the same layout; ``%r`` writes a
-    finite float as :mod:`json` does.
+    finite float as :mod:`json` does. Each grid-axis value is formatted once
+    (see ``_row_values``), each output value once per row.
     """
     head = json.dumps({"command": command, "config": config, "columns": list(columns)}, indent=2)
-    row = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
-    rows = ",\n".join(row % values for values in map(tuple, table.tolist()))
+    grids = len(shape)
+    cells = ["      %s"] * grids + ["      %r"] * (len(columns) - grids)
+    row = "    [\n" + ",\n".join(cells) + "\n    ]"
+    rows = ",\n".join(map(row.__mod__, _row_values(table, shape, "%r")))
     body = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{head[:-2]},\n  "rows": {body}\n}}\n'
 
@@ -426,9 +460,12 @@ def _check_finite(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int,
 _BLOCK_POINTS = 8192
 
 
-def run_sweep(command: str, config: dict[str, str]) -> tuple[tuple[str, ...], np.ndarray]:
+def run_sweep(
+    command: str, config: dict[str, str]
+) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
     """Compute the float table of a sweep, one row per grid point in grid
-    order and one column per name in the returned columns.
+    order and one column per name in the returned columns, and the grid's
+    shape (``()`` for a command without grids).
 
     The command's sweep function evaluates a block of up to
     ``_BLOCK_POINTS`` grid points (whole rows of the first grid axis) in
@@ -469,7 +506,7 @@ def run_sweep(command: str, config: dict[str, str]) -> tuple[tuple[str, ...], np
                 exc.index = index
             raise
         tables.append(table)
-    return columns, np.concatenate(tables)
+    return columns, np.concatenate(tables), shape
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -507,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        columns, table = run_sweep(args.command, config)
+        columns, table, shape = run_sweep(args.command, config)
     except ConfigError as exc:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2
@@ -518,12 +555,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"softmeas: invariant violation: eigensolver failed: {exc}", file=sys.stderr)
         return 3
     if args.format == "csv":
-        text = _emit_csv(columns, table)
+        text = _emit_csv(columns, table, shape)
     else:
-        text = _emit_json(args.command, config, columns, table)
+        text = _emit_json(args.command, config, columns, table, shape)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            message = f"cannot write output file {args.out}: {exc}"
+            print(f"softmeas: config error: {message}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

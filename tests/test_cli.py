@@ -1,6 +1,7 @@
 """CLI sweep-runner tests."""
 
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -248,6 +249,13 @@ class TestErrorHandling:
     def test_missing_config_file(self, capsys):
         assert main(["fig2a", "--config", "/nonexistent/file.cfg"]) == 2
 
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            code, err = run_failing(["fig2a", "--param", "q=0:1:3", "--out", str(out)], capsys)
+            assert code == 2
+            assert err.startswith(f"softmeas: config error: cannot write output file {out}: ")
+            assert err.count("\n") == 1
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
@@ -419,35 +427,66 @@ VALUES = st.one_of(
 )
 
 
+# Grid axes draw repeated values, signed zeros and integer-valued floats
+# (which JSON writes as ``3.0``) often, and the extremes of the doubles.
+AXIS_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 3.0, -2.0, 0.5, 5e-324, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 @st.composite
-def tables(draw):
-    width = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(VALUES, min_size=width, max_size=width), max_size=12))
+def grid_tables(draw):
+    """A float table over a grid of 0 to 3 axes (each of 0 to 4 values) in C
+    order, its grid columns first, then 0 to 3 output columns of any value."""
+    axes = draw(st.lists(st.lists(AXIS_VALUES, max_size=4), max_size=3))
+    outputs = draw(st.integers(0 if axes else 1, 3))
+    points = list(itertools.product(*axes))
+    values = draw(
+        st.lists(
+            st.lists(VALUES, min_size=outputs, max_size=outputs),
+            min_size=len(points),
+            max_size=len(points),
+        )
+    )
+    rows = [list(point) + row for point, row in zip(points, values)]
+    width = len(axes) + outputs
     columns = tuple(f"c{j}" for j in range(width))
-    return columns, rows, np.array(rows, dtype=float).reshape(len(rows), width)
+    shape = tuple(map(len, axes))
+    return columns, rows, np.array(rows, dtype=float).reshape(len(rows), width), shape
 
 
 class TestTemplateEmit:
-    """The row-template emitters write the bytes of the per-value ones."""
+    """The column-wise emitters write the bytes of the per-value ones."""
 
     @settings(deadline=None)
-    @given(tables())
+    @given(grid_tables())
     def test_csv_matches_per_value_format(self, table):
-        columns, rows, array = table
-        assert cli._emit_csv(columns, array) == per_value_csv(columns, rows)
+        columns, rows, array, shape = table
+        assert cli._emit_csv(columns, array, shape) == per_value_csv(columns, rows)
 
     @settings(deadline=None)
-    @given(tables(), st.text(max_size=6), st.dictionaries(st.text(max_size=6), st.text()))
+    @given(grid_tables(), st.text(max_size=6), st.dictionaries(st.text(max_size=6), st.text()))
     def test_json_matches_json_dumps(self, table, command, config):
-        columns, rows, array = table
+        columns, rows, array, shape = table
         expected = per_value_json(command, config, columns, rows)
-        assert cli._emit_json(command, config, columns, array) == expected
+        assert cli._emit_json(command, config, columns, array, shape) == expected
+
+    def test_single_point_without_grid(self):
+        columns = ("q", "input_entropy", "I_c")
+        rows = [[-0.0, 1.0, 5e-324]]
+        array = np.array(rows)
+        assert cli._emit_csv(columns, array, ()) == per_value_csv(columns, rows)
+        assert cli._emit_json("single", {}, columns, array, ()) == per_value_json(
+            "single", {}, columns, rows
+        )
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_empty_tables(self, width):
         columns = tuple(f"c{j}" for j in range(width))
         empty = np.empty((0, width))
-        assert cli._emit_csv(columns, empty) == per_value_csv(columns, [])
-        assert cli._emit_json("x", {"q": "0:1:3"}, columns, empty) == per_value_json(
-            "x", {"q": "0:1:3"}, columns, []
-        )
+        for shape in [(0,), (3, 0), (0, 2, 0)][:width]:
+            assert cli._emit_csv(columns, empty, shape) == per_value_csv(columns, [])
+            assert cli._emit_json("x", {"q": "0:1:3"}, columns, empty, shape) == per_value_json(
+                "x", {"q": "0:1:3"}, columns, []
+            )

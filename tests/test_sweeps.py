@@ -37,7 +37,7 @@ from softmeas.repeated import (
 
 
 def table(command, config):
-    _, rows = run_sweep(command, config)
+    _, rows, _ = run_sweep(command, config)
     return np.array(rows)
 
 
