@@ -24,7 +24,9 @@ accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation while
 computing or emitting rows; a check that fails at a grid point names the
-point's index and parameter values.
+point's index and parameter values. The ``--out`` file is opened before the
+sweep runs, as shell redirection opens it: an unwritable path exits 2 before
+any work, and a sweep that fails leaves the file empty.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ import cmath
 import json
 import math
 import sys
+from contextlib import contextmanager
 from itertools import chain, repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -52,7 +55,7 @@ from .information import (
     meter_ensemble,
     semiclassical_info_continuous,
 )
-from .matcore import _label, partial_trace, validate_density_matrix, von_neumann_entropy
+from .matcore import _label, partial_trace, von_neumann_entropy
 from .measurement import SoftMeasurement, TwoLevelMeterParams, apply_soft, two_level_gram
 from .repeated import (
     _CONVENTIONS,
@@ -239,10 +242,9 @@ def _sweep_continuous(config, t):
     chi_dot = _parse_float(config["chi_dot"], "chi_dot")
     r_dot = _parse_complex(config["r_dot"], "r_dot")
     rho = _rho_from_config(config)
-    validate_density_matrix(rho)
     params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
-    meter = meter_dm_continuous(rho, params, validate=False)
-    joint = joint_dm_continuous(rho, params, validate=False)
+    meter = meter_dm_continuous(rho, params)
+    joint = joint_dm_continuous(rho, params)
     info = semiclassical_info_continuous(kappa, t, convention=config["kappa_convention"])
     return [
         meter[..., 0, 0].real,
@@ -534,17 +536,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The stream a sweep is written to: stdout, or the file at ``path``.
+
+    The file is opened, and truncated, before the sweep runs, as shell
+    redirection opens it, so that an unwritable path fails before any work
+    is done. An error opening or writing it is a :class:`ConfigError`.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _resolve_config(args.command, args)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    except ConfigError as exc:
-        print(f"softmeas: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        columns, table, shape = run_sweep(args.command, config)
+        with _output(args.out) as out:
+            columns, table, shape = run_sweep(args.command, config)
+            if args.format == "csv":
+                out.write(_emit_csv(columns, table, shape))
+            else:
+                out.write(_emit_json(args.command, config, columns, table, shape))
     except ConfigError as exc:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2
@@ -554,20 +575,6 @@ def main(argv: list[str] | None = None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"softmeas: invariant violation: eigensolver failed: {exc}", file=sys.stderr)
         return 3
-    if args.format == "csv":
-        text = _emit_csv(columns, table, shape)
-    else:
-        text = _emit_json(args.command, config, columns, table, shape)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            message = f"cannot write output file {args.out}: {exc}"
-            print(f"softmeas: config error: {message}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -41,13 +41,7 @@ from .matcore import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from .measurement import (
-    SoftMeasurement,
-    ValidationReport,
-    _check_correlation_matrix,
-    meter_states_from_gram,
-    validate_soft,
-)
+from .measurement import SoftMeasurement, _check_correlation_matrix, meter_states_from_gram
 from .repeated import ContinuousLimitParams, _convention
 
 # Eigenvalues of a Choi matrix below this (relative) threshold are treated
@@ -132,7 +126,6 @@ def soft_object_channel(entanglement: np.ndarray, gram: np.ndarray) -> KrausChan
     eigendecomposing the corresponding Choi matrix (they come out diagonal).
     """
     measurement = SoftMeasurement(entanglement, gram)
-    validate_soft(measurement).require()
     m = measurement.entanglement * measurement.gram
     d = m.shape[0]
     choi = np.zeros((d, d, d, d), dtype=complex)
@@ -141,9 +134,7 @@ def soft_object_channel(entanglement: np.ndarray, gram: np.ndarray) -> KrausChan
     return kraus_from_choi(choi.reshape(d * d, d * d), d, d)
 
 
-def coherent_info_channel(
-    channel: KrausChannel, rho: np.ndarray, validate: bool = True
-) -> float:
+def coherent_info_channel(channel: KrausChannel, rho: np.ndarray) -> float:
     """Coherent information preserved by ``channel`` on input ``rho``, bits.
 
     The input is purified in its eigenbasis (descending eigenvalues, zero
@@ -152,9 +143,8 @@ def coherent_info_channel(
     value may be negative.
     """
     rho = np.asarray(rho, dtype=complex)
-    if validate:
-        channel.validate()
-        validate_density_matrix(rho)
+    channel.validate()
+    validate_density_matrix(rho)
     if rho.shape != (channel.in_dim, channel.in_dim):
         raise DimensionMismatch(
             f"rho has shape {rho.shape}, channel input dim is {channel.in_dim}"
@@ -173,12 +163,7 @@ def coherent_info_channel(
     )
 
 
-def coherent_info_soft(
-    rho: np.ndarray,
-    entanglement: np.ndarray,
-    gram: np.ndarray,
-    validate: bool = True,
-) -> float:
+def coherent_info_soft(rho: np.ndarray, entanglement: np.ndarray, gram: np.ndarray) -> float:
     """Coherent information kept in the object by a soft measurement, bits.
 
     Closed form: with multiplier ``m = entanglement * gram`` the value is
@@ -189,12 +174,11 @@ def coherent_info_soft(
     broadcast against each other and the result is one value per member.
     """
     rho = np.asarray(rho, dtype=complex)
-    if validate:
-        report = _check_correlation_matrix(np.asarray(entanglement, complex), "entanglement")
-        report += _check_correlation_matrix(np.asarray(gram, complex), "gram")
-        report.require()
-        validate_density_matrix(rho)
-    m = np.asarray(entanglement, dtype=complex) * np.asarray(gram, dtype=complex)
+    entanglement = np.asarray(entanglement, dtype=complex)
+    gram = np.asarray(gram, dtype=complex)
+    _check_correlation_matrix({"entanglement": entanglement, "gram": gram})
+    validate_density_matrix(rho)
+    m = entanglement * gram
     if m.shape[-2:] != rho.shape[-2:]:
         raise DimensionMismatch(f"rho shape {rho.shape} != measurement shape {m.shape}")
     first = m * rho
@@ -384,7 +368,6 @@ def compete_coherent(
     gram_eve: np.ndarray,
     ent_bob: np.ndarray,
     gram_bob: np.ndarray,
-    validate: bool = True,
 ) -> tuple[float, float]:
     """Coherent information retrieved by each of two sequential receivers.
 
@@ -403,12 +386,8 @@ def compete_coherent(
         "bob entanglement": np.asarray(ent_bob, complex),
         "bob gram": np.asarray(gram_bob, complex),
     }
-    if validate:
-        report = ValidationReport()
-        for name, mat in mats.items():
-            report += _check_correlation_matrix(mat, name)
-        report.require()
-        validate_density_matrix(rho)
+    _check_correlation_matrix(mats)
+    validate_density_matrix(rho)
     shared = rho * mats["eve entanglement"] * mats["bob entanglement"]
     common = shared * mats["eve gram"] * mats["bob gram"]
     s_common = von_neumann_entropy(common, validate=False)
@@ -462,7 +441,6 @@ def eve_bob_semiclassical(
     eve_basis: float | np.ndarray,
     dephase: np.ndarray,
     bob: SoftMeasurement,
-    validate: bool = True,
 ) -> float | np.ndarray:
     """Holevo information left for the receiver after an intercepting
     measurement in a rotated basis.
@@ -480,12 +458,7 @@ def eve_bob_semiclassical(
     stack of unitaries (for instance the y-rotations of an array of
     angles) and a stack of dephasing matrices broadcast against each
     other, giving one value per member; the ensemble and the receiver are
-    shared by all members and checked once.
-
-    ``validate=False`` skips the structural checks of ``dephase`` and of
-    both of the receiver's matrices alike; the square root that synthesizes
-    the receiver's meter states still refuses a Gram matrix that is not
-    Hermitian or not PSD.
+    shared by all members and were checked when they were built.
     """
     dim = ensemble.dim
     if np.ndim(eve_basis) == 0 and np.isrealobj(eve_basis):
@@ -503,9 +476,7 @@ def eve_bob_semiclassical(
         if i is not None:
             raise InvalidMeasurement(f"eve_basis{_label(i)} is not unitary", index=i or None)
     dephase = np.asarray(dephase, dtype=complex)
-    if validate:
-        report = _check_correlation_matrix(dephase, "dephase") + validate_soft(bob)
-        report.require()
+    _check_correlation_matrix({"dephase": dephase})
     if bob.dim != dim:
         raise DimensionMismatch(f"bob dim {bob.dim} != ensemble dim {dim}")
     meter_vecs = matrix_sqrt_psd(bob.gram)

@@ -9,6 +9,11 @@ two Hermitian PSD unit-diagonal matrices:
 * ``gram`` -- scalar products of the meter states (identity = perfectly
   distinguishable outcomes, all-ones = a single meter state, no measurement).
 
+A :class:`SoftMeasurement` or :class:`GeneralMeasurement` is checked once,
+when it is built, and raises :class:`InvalidMeasurement` naming every failed
+check; the functions that take one never check its matrices again. Raw
+arrays (a density matrix, a bare Gram matrix) are checked where they enter.
+
 Meter states are synthesized minimally in a space of the object's dimension
 as the columns of the principal square root of the Gram matrix, which fixes
 all global phases and makes outputs reproducible.
@@ -38,44 +43,20 @@ from .matcore import (
 )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a structural validation; ``failures`` lists each failed check.
+def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
+    """Raise :class:`InvalidMeasurement` unless every named matrix, or stack
+    of matrices, is a correlation matrix and ``more`` lists no failure.
 
-    When stacks of matrices were checked, ``index`` is the first failing
-    stack member over all checks (C order), else None.
+    Entanglement and Gram matrices must be Hermitian, PSD and unit-diagonal;
+    unit diagonal plus PSD already bounds every off-diagonal modulus by one,
+    but the bound is reported separately because it is the first thing that
+    breaks when a matrix is edited by hand. A matrix with a non-finite entry
+    is not Hermitian. PSD is checked only on the members that are Hermitian.
+    Each failure names the first stack member that fails it. The message
+    joins every failure with ``"; "``, the matrices' in the order given and
+    then ``more``; ``index`` is the first failing stack member over all of
+    them (C order), or None when no stack failed.
     """
-
-    failures: tuple[str, ...] = ()
-    index: tuple[int, ...] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __add__(self, other: ValidationReport) -> ValidationReport:
-        indices = [i for i in (self.index, other.index) if i is not None]
-        return ValidationReport(self.failures + other.failures, min(indices, default=None))
-
-    def require(self) -> None:
-        """Raise :class:`InvalidMeasurement` naming every failed check."""
-        if self.failures:
-            raise InvalidMeasurement("; ".join(self.failures), index=self.index)
-
-
-def _check_correlation_matrix(mat: np.ndarray, name: str) -> ValidationReport:
-    """Checks shared by entanglement and Gram matrices, or stacks of them.
-
-    Both must be Hermitian, PSD and unit-diagonal; unit diagonal plus PSD
-    already bounds every off-diagonal modulus by one, but the bound is
-    reported separately because it is the first thing that breaks when a
-    matrix is edited by hand. A matrix with a non-finite entry is not
-    Hermitian. PSD is checked only on the members that are Hermitian. Each
-    failure names the first stack member that fails it.
-    """
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        return ValidationReport((f"{name} must be square, got shape {m.shape}",))
     failures: list[str] = []
     first: list[tuple[int, ...]] = []
 
@@ -83,54 +64,62 @@ def _check_correlation_matrix(mat: np.ndarray, name: str) -> ValidationReport:
         i = _first(bad)
         if i is not None:
             failures.append(message(i))
-            first.append(i)
+            if i:
+                first.append(i)
 
-    not_herm = ~(_hermitian_deviation(m) <= TAU_HERM)
-    check(not_herm, lambda i: f"{name}{_label(i)} is not Hermitian within {TAU_HERM:.1e}")
-    if not not_herm.all():
-        checked = np.where(not_herm[..., None, None], np.eye(m.shape[-1]), m)
-        w = np.linalg.eigvalsh(_hermitian_part(checked))
+    for name, mat in mats.items():
+        m = np.asarray(mat, dtype=complex)
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+            failures.append(f"{name} must be square, got shape {m.shape}")
+            continue
+        not_herm = ~(_hermitian_deviation(m) <= TAU_HERM)
+        check(not_herm, lambda i: f"{name}{_label(i)} is not Hermitian within {TAU_HERM:.1e}")
+        if not not_herm.all():
+            checked = np.where(not_herm[..., None, None], np.eye(m.shape[-1]), m)
+            w = np.linalg.eigvalsh(_hermitian_part(checked))
+            check(
+                (w[..., 0] < -TAU_PSD) & ~not_herm,
+                lambda i: f"{name}{_label(i)} is not PSD: eigenvalue {w[i][0]:.3e}",
+            )
+        diag = np.diagonal(m, axis1=-2, axis2=-1)
         check(
-            (w[..., 0] < -TAU_PSD) & ~not_herm,
-            lambda i: f"{name}{_label(i)} is not PSD: eigenvalue {w[i][0]:.3e}",
+            np.max(np.abs(diag - 1.0), axis=-1) > TAU_TRACE,
+            lambda i: f"{name}{_label(i)} diagonal is not identically 1",
         )
-    diag = np.diagonal(m, axis1=-2, axis2=-1)
-    check(
-        np.max(np.abs(diag - 1.0), axis=-1) > TAU_TRACE,
-        lambda i: f"{name}{_label(i)} diagonal is not identically 1",
-    )
-    check(
-        np.max(np.abs(m), axis=(-2, -1)) > 1.0 + TAU_TRACE,
-        lambda i: f"{name}{_label(i)} has an entry with modulus > 1",
-    )
-    index = min(first, default=()) or None
-    return ValidationReport(tuple(failures), index)
+        check(
+            np.max(np.abs(m), axis=(-2, -1)) > 1.0 + TAU_TRACE,
+            lambda i: f"{name}{_label(i)} has an entry with modulus > 1",
+        )
+    failures += more
+    if failures:
+        raise InvalidMeasurement("; ".join(failures), index=min(first, default=None))
 
 
 @dataclass(frozen=True)
 class SoftMeasurement:
-    """Soft measurement with entanglement matrix and meter Gram matrix."""
+    """Soft measurement with entanglement matrix and meter Gram matrix.
+
+    Both matrices are checked when the measurement is built: each must be
+    Hermitian, PSD and unit-diagonal, and their shapes must match;
+    otherwise :class:`InvalidMeasurement` names every failed check.
+    """
 
     entanglement: np.ndarray
     gram: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entanglement", np.asarray(self.entanglement, dtype=complex))
-        object.__setattr__(self, "gram", np.asarray(self.gram, dtype=complex))
+        r = np.asarray(self.entanglement, dtype=complex)
+        q = np.asarray(self.gram, dtype=complex)
+        object.__setattr__(self, "entanglement", r)
+        object.__setattr__(self, "gram", q)
+        mismatch = (
+            [f"entanglement shape {r.shape} != gram shape {q.shape}"] if r.shape != q.shape else []
+        )
+        _check_correlation_matrix({"entanglement": r, "gram": q}, *mismatch)
 
     @property
     def dim(self) -> int:
-        return int(np.asarray(self.entanglement).shape[0])
-
-
-def validate_soft(measurement: SoftMeasurement) -> ValidationReport:
-    """Validate a soft measurement, returning a report of failed checks."""
-    report = _check_correlation_matrix(measurement.entanglement, "entanglement")
-    report += _check_correlation_matrix(measurement.gram, "gram")
-    r, q = np.asarray(measurement.entanglement), np.asarray(measurement.gram)
-    if r.shape != q.shape:
-        report += ValidationReport((f"entanglement shape {r.shape} != gram shape {q.shape}",))
-    return report
+        return int(self.entanglement.shape[0])
 
 
 def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
@@ -142,13 +131,11 @@ def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
     Gram matrices gives the stack of their meter-state matrices.
     """
     q = np.asarray(gram, dtype=complex)
-    _check_correlation_matrix(q, "gram").require()
+    _check_correlation_matrix({"gram": q})
     return matrix_sqrt_psd(q)
 
 
-def apply_soft(
-    measurement: SoftMeasurement, rho: np.ndarray, validate: bool = True
-) -> np.ndarray:
+def apply_soft(measurement: SoftMeasurement, rho: np.ndarray) -> np.ndarray:
     """Apply a soft measurement to an object state.
 
     Returns the joint object-meter density matrix on ``H_A (x) H_B`` with
@@ -156,17 +143,9 @@ def apply_soft(
     components, where ``v_k`` are the synthesized meter states. Tracing out
     the meter leaves ``entanglement[k,l] * conj(gram[k,l]) * rho[k,l]``; for
     real Gram matrices that conjugate is invisible.
-
-    The measurement and ``rho`` are checked once, by :func:`validate_soft`
-    and :func:`validate_density_matrix`. ``validate=False`` skips both
-    structural checks of the entanglement and Gram matrices alike; the
-    square root that synthesizes the meter states still refuses a Gram
-    matrix that is not Hermitian or not PSD.
     """
     rho = np.asarray(rho, dtype=complex)
-    if validate:
-        validate_soft(measurement).require()
-        validate_density_matrix(rho)
+    validate_density_matrix(rho)
     d = measurement.dim
     if rho.shape != (d, d):
         raise DimensionMismatch(f"rho has shape {rho.shape}, measurement dim is {d}")
@@ -182,13 +161,32 @@ class GeneralMeasurement:
 
     ``blocks[k, l]`` is the ``meter_dim x meter_dim`` operator attached to
     the object component ``|k><l|``. The assembled block operator must be
-    Hermitian PSD with unit-trace diagonal blocks.
+    Hermitian PSD with unit-trace diagonal blocks; it is checked when the
+    measurement is built, and :class:`InvalidMeasurement` names every
+    failed check.
     """
 
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", np.asarray(self.blocks, dtype=complex))
+        b = np.asarray(self.blocks, dtype=complex)
+        object.__setattr__(self, "blocks", b)
+        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
+            raise InvalidMeasurement(f"blocks must have shape (D, D, m, m), got {b.shape}")
+        failures = []
+        big = self.assembled()
+        if not _hermitian_deviation(big) <= TAU_HERM:
+            failures.append("assembled block operator is not Hermitian")
+        else:
+            w = np.linalg.eigvalsh(_hermitian_part(big))
+            if w[0] < -TAU_PSD:
+                failures.append(f"assembled block operator is not PSD: eigenvalue {w[0]:.3e}")
+        for k in range(self.dim):
+            tr = complex(np.trace(b[k, k]))
+            if abs(tr - 1.0) > TAU_TRACE:
+                failures.append(f"diagonal block {k} has trace {tr:.12g}, expected 1")
+        if failures:
+            raise InvalidMeasurement("; ".join(failures))
 
     @property
     def dim(self) -> int:
@@ -204,28 +202,7 @@ class GeneralMeasurement:
         return self.blocks.transpose(0, 2, 1, 3).reshape(d * m, d * m)
 
 
-def validate_general(measurement: GeneralMeasurement) -> ValidationReport:
-    failures = []
-    b = measurement.blocks
-    if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
-        return ValidationReport((f"blocks must have shape (D, D, m, m), got {b.shape}",))
-    big = measurement.assembled()
-    if not _hermitian_deviation(big) <= TAU_HERM:
-        failures.append("assembled block operator is not Hermitian")
-    else:
-        w = np.linalg.eigvalsh(_hermitian_part(big))
-        if w[0] < -TAU_PSD:
-            failures.append(f"assembled block operator is not PSD: eigenvalue {w[0]:.3e}")
-    for k in range(measurement.dim):
-        tr = complex(np.trace(b[k, k]))
-        if abs(tr - 1.0) > TAU_TRACE:
-            failures.append(f"diagonal block {k} has trace {tr:.12g}, expected 1")
-    return ValidationReport(tuple(failures))
-
-
-def apply_general(
-    measurement: GeneralMeasurement, rho: np.ndarray, validate: bool = True
-) -> np.ndarray:
+def apply_general(measurement: GeneralMeasurement, rho: np.ndarray) -> np.ndarray:
     """Apply a general nondemolition measurement.
 
     Output on ``H_A (x) H_B`` is ``sum_kl rho[k,l] |k><l| (x) blocks[k,l]``;
@@ -233,9 +210,7 @@ def apply_general(
     object state.
     """
     rho = np.asarray(rho, dtype=complex)
-    if validate:
-        validate_general(measurement).require()
-        validate_density_matrix(rho)
+    validate_density_matrix(rho)
     d, m = measurement.dim, measurement.meter_dim
     if rho.shape != (d, d):
         raise DimensionMismatch(f"rho has shape {rho.shape}, measurement dim is {d}")

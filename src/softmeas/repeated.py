@@ -37,12 +37,7 @@ from .matcore import (
     matrix_sqrt_psd,
     validate_density_matrix,
 )
-from .measurement import (
-    SoftMeasurement,
-    TwoLevelMeterParams,
-    _check_correlation_matrix,
-    validate_soft,
-)
+from .measurement import SoftMeasurement, TwoLevelMeterParams, _check_correlation_matrix
 
 
 def _counts(n: int | np.ndarray, what: str = "repetition count") -> int | np.ndarray:
@@ -117,7 +112,7 @@ def collective_representation(
 ) -> CollectiveRepresentation:
     """Collective-basis data for ``n`` repeated measurements; an array of
     counts gives stacked data from one stacked square root."""
-    _check_correlation_matrix(np.asarray(gram, dtype=complex), "gram").require()
+    _check_correlation_matrix({"gram": gram})
     gram_n = gram_power(gram, n)
     return CollectiveRepresentation(gram_n, matrix_sqrt_psd(gram_n))
 
@@ -125,12 +120,12 @@ def collective_representation(
 def _meter_vectors(
     representation: CollectiveRepresentation | None, gram: np.ndarray, n: int | np.ndarray
 ) -> np.ndarray:
-    """Collective meter vectors for ``n`` steps of ``gram``, taken from the
-    caller's representation when one is given and matches."""
+    """Collective meter vectors for ``n`` steps of a checked ``gram``, taken
+    from the caller's representation when one is given and matches."""
+    gram_n = gram_power(gram, n)
     if representation is None:
-        return collective_representation(gram, n).meter_vectors
-    _check_correlation_matrix(np.asarray(gram, dtype=complex), "gram").require()
-    if not np.array_equal(representation.gram_n, gram_power(gram, n)):
+        return matrix_sqrt_psd(gram_n)
+    if not np.array_equal(representation.gram_n, gram_n):
         raise InvalidMeasurement("representation is not that of this Gram matrix and count")
     return representation.meter_vectors
 
@@ -138,7 +133,6 @@ def _meter_vectors(
 def joint_dm_repeated(
     rho: np.ndarray,
     repeated: RepeatedMeasurement,
-    validate: bool = True,
     representation: CollectiveRepresentation | None = None,
 ) -> np.ndarray:
     """Joint meter-object state after ``n`` accumulated measurements.
@@ -153,9 +147,7 @@ def joint_dm_repeated(
     """
     rho = np.asarray(rho, dtype=complex)
     base = repeated.base
-    if validate:
-        validate_soft(base).require()
-        validate_density_matrix(rho)
+    validate_density_matrix(rho)
     d = base.dim
     if rho.shape != (d, d):
         raise InvalidMeasurement(f"rho has shape {rho.shape}, measurement dim is {d}")
@@ -179,6 +171,7 @@ def meter_dm_repeated(
     :func:`joint_dm_repeated`.
     """
     rho = np.asarray(rho, dtype=complex)
+    _check_correlation_matrix({"gram": gram})
     vectors = _meter_vectors(representation, gram, n)
     populations = np.diagonal(rho, axis1=-2, axis2=-1).real
     return (vectors * populations[..., None, :]) @ _dagger(vectors)
@@ -269,9 +262,7 @@ def continuous_gram_sqrt(params: ContinuousLimitParams) -> np.ndarray:
     return _two_level_root(c, phase)
 
 
-def meter_dm_continuous(
-    rho: np.ndarray, params: ContinuousLimitParams, validate: bool = True
-) -> np.ndarray:
+def meter_dm_continuous(rho: np.ndarray, params: ContinuousLimitParams) -> np.ndarray:
     """Reduced meter state of the continuous measurement, collective basis.
 
     Starts at the pure state with coordinates ``(1/sqrt2, 1/sqrt2)`` at
@@ -281,8 +272,7 @@ def meter_dm_continuous(
     per time.
     """
     rho = np.asarray(rho, dtype=complex)
-    if validate:
-        validate_density_matrix(rho)
+    validate_density_matrix(rho)
     if rho.shape != (2, 2):
         raise InvalidParams(f"continuous limit is two-level, rho has shape {rho.shape}")
     vectors = continuous_gram_sqrt(params)
@@ -296,9 +286,7 @@ def _dephasing_matrix(params: ContinuousLimitParams) -> np.ndarray:
     return _two_level_matrix(1.0, off, np.conj(off))
 
 
-def joint_dm_continuous(
-    rho: np.ndarray, params: ContinuousLimitParams, validate: bool = True
-) -> np.ndarray:
+def joint_dm_continuous(rho: np.ndarray, params: ContinuousLimitParams) -> np.ndarray:
     """Joint object-meter state of the continuous measurement, as a 4x4.
 
     Factor order is object (x) meter: the ``(i, j)`` object block equals
@@ -309,8 +297,7 @@ def joint_dm_continuous(
     gives the stack.
     """
     rho = np.asarray(rho, dtype=complex)
-    if validate:
-        validate_density_matrix(rho)
+    validate_density_matrix(rho)
     if rho.shape != (2, 2):
         raise InvalidParams(f"continuous limit is two-level, rho has shape {rho.shape}")
     vectors = continuous_gram_sqrt(params)

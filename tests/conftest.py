@@ -47,16 +47,16 @@ def count_eigvalsh(monkeypatch) -> list:
 
 
 def spy_correlation_checks(monkeypatch) -> list:
-    """Record, for the rest of the test, the name passed to every
-    correlation-matrix check the library makes."""
+    """Record, for the rest of the test, the name of every matrix that a
+    correlation-matrix check of the library is given."""
     from softmeas import information, measurement, repeated
 
     original = measurement._check_correlation_matrix
     names = []
 
-    def spied(mat, name):
-        names.append(name)
-        return original(mat, name)
+    def spied(mats, *more):
+        names.extend(mats)
+        return original(mats, *more)
 
     for module in (information, measurement, repeated):
         monkeypatch.setattr(module, "_check_correlation_matrix", spied)

@@ -233,14 +233,14 @@ def test_criterion_9_superoperator_fuzz():
         rho = rand_density(rng, dim)
         ent = rand_correlation(rng, dim)
         gram = rand_correlation(rng, dim)
-        joint = apply_soft(SoftMeasurement(ent, gram), rho, validate=False)
+        joint = apply_soft(SoftMeasurement(ent, gram), rho)
         worst_trace = max(worst_trace, abs(float(np.trace(joint).real) - 1.0))
         worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(joint).min()))
         reduced = partial_trace(joint, [dim, dim], keep=0)
         worst_diag = max(
             worst_diag, float(np.abs(np.diag(reduced) - np.diag(rho)).max())
         )
-        coherent = apply_soft(SoftMeasurement(np.ones((dim, dim)), gram), rho, validate=False)
+        coherent = apply_soft(SoftMeasurement(np.ones((dim, dim)), gram), rho)
         worst_transfer = max(
             worst_transfer,
             abs(von_neumann_entropy(coherent, validate=False) - von_neumann_entropy(rho, validate=False)),
@@ -248,12 +248,12 @@ def test_criterion_9_superoperator_fuzz():
         n = 1 + case % 3
         ent_b = rand_correlation(rng, dim)
         meter_a = partial_trace(
-            joint_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent, gram), n=n), validate=False),
+            joint_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent, gram), n=n)),
             [dim, dim],
             keep=0,
         )
         meter_b = partial_trace(
-            joint_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent_b, gram), n=n), validate=False),
+            joint_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent_b, gram), n=n)),
             [dim, dim],
             keep=0,
         )

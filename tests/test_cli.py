@@ -256,6 +256,24 @@ class TestErrorHandling:
             assert err.startswith(f"softmeas: config error: cannot write output file {out}: ")
             assert err.count("\n") == 1
 
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args):
+            raise AssertionError("run_sweep called for an unwritable --out")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["fig3", "--param", "q=0:1:201", "--param", "theta=0:1.5:201", "--out", str(out)]
+        code, err = run_failing(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"softmeas: config error: cannot write output file {out}: ")
+
+    def test_failed_sweep_leaves_out_empty(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        code, err = run_failing(["fig2a", "--param", "q=0:2:3", "--out", str(out)], capsys)
+        assert code == 3 and err.startswith("softmeas: fig2a grid point")
+        assert out.read_text() == ""
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

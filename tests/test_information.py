@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -26,7 +26,6 @@ from softmeas.errors import (
     InvalidChannel,
     InvalidMeasurement,
     InvalidParams,
-    NotPSD,
     OutOfRange,
 )
 from softmeas.information import (
@@ -177,16 +176,23 @@ class TestCoherentInfoSoft:
             0.0, abs=1e-12
         )
 
-    def test_matches_channel_oracle(self):
-        rng = np.random.default_rng(68)
-        for _ in range(20):
-            for dim in (2, 3):
-                rho = rand_density(rng, dim)
-                ent = rand_correlation(rng, dim)
-                gram = rand_correlation(rng, dim)
-                closed = coherent_info_soft(rho, ent, gram)
-                oracle = coherent_info_channel(soft_object_channel(ent, gram), rho)
-                assert closed == pytest.approx(oracle, abs=1e-8)
+    @settings(deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    @example(dim=2, seed=68)
+    @example(dim=3, seed=68)
+    def test_matches_channel_oracle(self, dim, seed):
+        """The closed form equals the Kraus route through ``R * Q`` for
+        complex R, Q and rho; every drawn pair is a valid measurement and
+        its object channel is trace preserving."""
+        rng = np.random.default_rng(seed)
+        rho = rand_density(rng, dim)
+        ent = rand_correlation(rng, dim)
+        gram = rand_correlation(rng, dim)
+        SoftMeasurement(ent, gram)
+        channel = soft_object_channel(ent, gram)
+        channel.validate()
+        closed = coherent_info_soft(rho, ent, gram)
+        assert closed == pytest.approx(coherent_info_channel(channel, rho), abs=1e-8)
 
     def test_invalid_measurement_rejected(self):
         with pytest.raises(InvalidMeasurement):
@@ -196,12 +202,14 @@ class TestCoherentInfoSoft:
         rng = np.random.default_rng(69)
         rho = np.array([rand_density(rng, 3) for _ in range(4)])
         ent, gram = rand_correlation(rng, 3), rand_correlation(rng, 3)
+        m = ent * gram
+        roots = np.sqrt(np.diagonal(rho, axis1=-2, axis2=-1).real)
+        expected = von_neumann_entropy(m * rho, validate=False) - von_neumann_entropy(
+            roots[..., :, None] * roots[..., None, :] * m, validate=False
+        )
         calls = count_eigvalsh(monkeypatch)
-        unchecked = coherent_info_soft(rho, ent, gram, validate=False)
-        assert calls == [(4, 3, 3)] * 2
-        calls.clear()
         # The three inputs take one check each, then one per derived state.
-        assert np.array_equal(coherent_info_soft(rho, ent, gram), unchecked)
+        assert np.array_equal(coherent_info_soft(rho, ent, gram), expected)
         assert calls == [(3, 3), (3, 3), (4, 3, 3), (4, 3, 3), (4, 3, 3)]
 
 
@@ -640,17 +648,16 @@ class TestEveBobSemiclassical:
         assert same_basis == pytest.approx(math.log2(dim), abs=1e-12)
 
     def test_bad_gram_checked_once(self, monkeypatch):
-        bob = SoftMeasurement(np.eye(2), np.array([[1.0, 1.5], [1.5, 1.0]]))
         message = "gram is not PSD: eigenvalue -5.000e-01; gram has an entry with modulus > 1"
         with pytest.raises(InvalidMeasurement, match=f"^{re.escape(message)}$"):
-            eve_bob_semiclassical(basis_ensemble(), 0.3, np.ones((2, 2)), bob)
-        # Unchecked, the square root that builds the meter states still refuses it.
-        with pytest.raises(NotPSD):
-            eve_bob_semiclassical(basis_ensemble(), 0.3, np.ones((2, 2)), bob, validate=False)
+            SoftMeasurement(np.eye(2), np.array([[1.0, 1.5], [1.5, 1.0]]))
         good = SoftMeasurement(np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]))
         checked = spy_correlation_checks(monkeypatch)
         eve_bob_semiclassical(basis_ensemble(), 0.3, np.ones((2, 2)), good)
-        assert checked == ["dephase", "entanglement", "gram"]
+        # The receiver was checked when built; only the raw dephasing matrix is.
+        assert checked == ["dephase"]
+        with pytest.raises(InvalidMeasurement, match=r"^dephase is not PSD"):
+            eve_bob_semiclassical(basis_ensemble(), 0.3, np.array([[1.0, 1.5], [1.5, 1.0]]), good)
 
     @pytest.mark.parametrize("angle", [np.float32(0.3), np.int64(0), np.array(0.3)])
     def test_numpy_scalar_angle_is_an_angle(self, angle):

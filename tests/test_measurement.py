@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import binary_entropy, rand_correlation, rand_density, spy_correlation_checks
 
-from softmeas.errors import (
-    DimensionMismatch,
-    InvalidMeasurement,
-    NotHermitian,
-    NotPSD,
-    OutOfRange,
-)
+from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidState, OutOfRange
 from softmeas.matcore import partial_trace, validate_density_matrix, von_neumann_entropy
 from softmeas.measurement import (
     GeneralMeasurement,
@@ -27,22 +21,21 @@ from softmeas.measurement import (
     meter_states_from_gram,
     two_level_gram,
     two_level_meter_states,
-    validate_general,
-    validate_soft,
 )
 
 
 class TestValidateSoft:
+    """The checks a soft measurement runs when it is built."""
+
     def test_projective_is_valid(self):
-        report = validate_soft(SoftMeasurement(np.eye(2), np.eye(2)))
-        assert report.ok and report.failures == ()
+        m = SoftMeasurement(np.eye(2), np.eye(2))
+        assert m.entanglement.dtype == m.gram.dtype == complex and m.dim == 2
 
     def test_overlarge_offdiagonal_fails_psd(self):
         # 2x2 determinant 1 - |r|^2 < 0 for |r| > 1
         bad = np.array([[1.0, 1.5], [1.5, 1.0]])
-        report = validate_soft(SoftMeasurement(bad, np.eye(2)))
-        assert not report.ok
-        assert any("PSD" in f or "modulus" in f for f in report.failures)
+        with pytest.raises(InvalidMeasurement, match="entanglement is not PSD"):
+            SoftMeasurement(bad, np.eye(2))
 
     def test_pure_phase_entanglement_is_valid(self):
         rng = np.random.default_rng(21)
@@ -50,15 +43,164 @@ class TestValidateSoft:
         z = np.exp(1j * phases)
         r = np.outer(z, z.conj())
         np.fill_diagonal(r, 1.0)
-        report = validate_soft(SoftMeasurement(r, np.eye(4)))
-        assert report.ok
+        assert SoftMeasurement(r, np.eye(4)).dim == 4
 
     def test_every_failure_is_listed(self):
         non_herm = np.array([[1.0, 0.5], [0.2, 1.0]])
         bad_diag = np.array([[0.5, 0.0], [0.0, 1.0]])
-        report = validate_soft(SoftMeasurement(non_herm, bad_diag))
-        assert sum("entanglement" in f for f in report.failures) >= 1
-        assert sum("gram" in f for f in report.failures) >= 1
+        with pytest.raises(InvalidMeasurement) as excinfo:
+            SoftMeasurement(non_herm, bad_diag)
+        assert str(excinfo.value) == (
+            "entanglement is not Hermitian within 1.0e-10; gram diagonal is not identically 1"
+        )
+
+
+# Invalid (entanglement, gram) pairs with the exact message and ``index``
+# each must raise. The texts are pinned literally, so a change to the wording
+# or order of any check shows here.
+NOT_PSD = [[1.0, 1.5], [1.5, 1.0]]
+NON_HERM = [[1.0, 0.5], [0.2, 1.0]]
+BAD_DIAG = np.diag([0.5, 1.0])
+
+
+def _stack(shape, bad):
+    """A stack of valid 2x2 correlation matrices with the members ``bad`` replaced."""
+    out = np.broadcast_to(np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex), shape + (2, 2)).copy()
+    for index, mat in bad.items():
+        out[index] = mat
+    return out
+
+
+INVALID_SOFT = {
+    "non-hermitian": (
+        NON_HERM, np.eye(2), "entanglement is not Hermitian within 1.0e-10", None
+    ),
+    "non-hermitian-complex": (
+        np.eye(2), [[1.0, 0.5j], [0.5j, 1.0]], "gram is not Hermitian within 1.0e-10", None
+    ),
+    "non-psd": (
+        np.eye(2),
+        NOT_PSD,
+        "gram is not PSD: eigenvalue -5.000e-01; gram has an entry with modulus > 1",
+        None,
+    ),
+    "non-psd-only": (
+        np.eye(3),
+        np.full((3, 3), -0.6) + 1.6 * np.eye(3),
+        "gram is not PSD: eigenvalue -2.000e-01",
+        None,
+    ),
+    "bad-diagonal": (np.eye(2), BAD_DIAG, "gram diagonal is not identically 1", None),
+    "modulus": (
+        [[2.0, 1.5], [1.5, 2.0]],
+        np.eye(2),
+        "entanglement diagonal is not identically 1; entanglement has an entry with modulus > 1",
+        None,
+    ),
+    "nan": (
+        np.eye(2), [[1.0, np.nan], [np.nan, 1.0]], "gram is not Hermitian within 1.0e-10", None
+    ),
+    "inf": (
+        [[1.0, np.inf], [np.inf, 1.0]],
+        np.eye(2),
+        "entanglement is not Hermitian within 1.0e-10; "
+        "entanglement has an entry with modulus > 1",
+        None,
+    ),
+    "nan-diagonal": (
+        [[np.nan, 0.0], [0.0, 1.0]],
+        np.eye(2),
+        "entanglement is not Hermitian within 1.0e-10",
+        None,
+    ),
+    "shapes": (np.eye(2), np.eye(3), "entanglement shape (2, 2) != gram shape (3, 3)", None),
+    "not-square": (
+        np.ones((2, 3)),
+        np.eye(2),
+        "entanglement must be square, got shape (2, 3); "
+        "entanglement shape (2, 3) != gram shape (2, 2)",
+        None,
+    ),
+    "several": (
+        NON_HERM,
+        np.diag([0.5, 1.0, 1.0]),
+        "entanglement is not Hermitian within 1.0e-10; gram diagonal is not identically 1; "
+        "entanglement shape (2, 2) != gram shape (3, 3)",
+        None,
+    ),
+    "stacked": (
+        _stack((2, 3), {(1, 2): NOT_PSD}),
+        _stack((2, 3), {(0, 1): NON_HERM, (1, 0): BAD_DIAG}),
+        "entanglement[1, 2] is not PSD: eigenvalue -5.000e-01; "
+        "entanglement[1, 2] has an entry with modulus > 1; "
+        "gram[0, 1] is not Hermitian within 1.0e-10; gram[1, 0] diagonal is not identically 1",
+        (0, 1),
+    ),
+    "stack-and-single": (
+        NOT_PSD,
+        _stack((3,), {2: BAD_DIAG}),
+        "entanglement is not PSD: eigenvalue -5.000e-01; "
+        "entanglement has an entry with modulus > 1; gram[2] diagonal is not identically 1; "
+        "entanglement shape (2, 2) != gram shape (3, 2, 2)",
+        (2,),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_SOFT)
+def test_soft_measurement_raises_each_failure_when_built(case):
+    entanglement, gram, message, index = INVALID_SOFT[case]
+    with pytest.raises(InvalidMeasurement) as excinfo:
+        SoftMeasurement(entanglement, gram)
+    assert str(excinfo.value) == message
+    assert excinfo.value.index == index
+
+
+def _blocks(b00=None, b11=None, b01=None):
+    """2x2 blocks of 2x2 meter operators: maximally mixed diagonal blocks
+    unless given, and ``b01`` in the (0, 0) entries of the two off-diagonal
+    blocks."""
+    out = np.zeros((2, 2, 2, 2), dtype=complex)
+    out[0, 0] = np.eye(2) / 2.0 if b00 is None else b00
+    out[1, 1] = np.eye(2) / 2.0 if b11 is None else b11
+    if b01 is not None:
+        out[0, 1, 0, 0], out[1, 0, 0, 0] = b01
+    return out
+
+
+INVALID_GENERAL = {
+    "ndim": (np.zeros((2, 2, 2)), "blocks must have shape (D, D, m, m), got (2, 2, 2)"),
+    "not-square": (
+        np.zeros((2, 3, 2, 2)), "blocks must have shape (D, D, m, m), got (2, 3, 2, 2)"
+    ),
+    "non-hermitian": (_blocks(b01=(1.0, 0.0)), "assembled block operator is not Hermitian"),
+    "nan": (_blocks(b01=(np.nan, np.nan)), "assembled block operator is not Hermitian"),
+    "inf": (_blocks(b01=(np.inf, np.inf)), "assembled block operator is not Hermitian"),
+    "non-psd": (
+        _blocks(b00=np.diag([2.0, -1.0])),
+        "assembled block operator is not PSD: eigenvalue -1.000e+00",
+    ),
+    "bad-trace": (_blocks(b00=np.eye(2)), "diagonal block 0 has trace 2+0j, expected 1"),
+    "non-psd-and-trace": (
+        _blocks(b00=np.diag([3.0, -1.0]), b11=np.diag([0.25, 0.25])),
+        "assembled block operator is not PSD: eigenvalue -1.000e+00; "
+        "diagonal block 0 has trace 2+0j, expected 1; "
+        "diagonal block 1 has trace 0.5+0j, expected 1",
+    ),
+    "non-hermitian-and-trace": (
+        _blocks(b11=np.eye(2), b01=(1.0, 0.0)),
+        "assembled block operator is not Hermitian; diagonal block 1 has trace 2+0j, expected 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_GENERAL)
+def test_general_measurement_raises_each_failure_when_built(case):
+    blocks, message = INVALID_GENERAL[case]
+    with pytest.raises(InvalidMeasurement) as excinfo:
+        GeneralMeasurement(blocks)
+    assert str(excinfo.value) == message
+    assert excinfo.value.index is None
 
 
 class TestMeterStatesFromGram:
@@ -196,23 +338,17 @@ class TestApplySoft:
         m = SoftMeasurement(np.eye(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
             apply_soft(m, np.eye(3) / 3.0)
-        bad = SoftMeasurement(np.array([[1.0, 1.5], [1.5, 1.0]]), np.eye(2))
-        with pytest.raises(InvalidMeasurement):
-            apply_soft(bad, np.eye(2) / 2.0)
+        with pytest.raises(InvalidState):
+            apply_soft(m, np.eye(2))
 
     def test_bad_gram_checked_once(self, monkeypatch):
-        rho = np.eye(2) / 2.0
-        not_psd = SoftMeasurement(np.eye(2), np.array([[1.0, 1.5], [1.5, 1.0]]))
         message = "gram is not PSD: eigenvalue -5.000e-01; gram has an entry with modulus > 1"
         with pytest.raises(InvalidMeasurement, match=f"^{re.escape(message)}$"):
-            apply_soft(not_psd, rho)
-        # Unchecked, the square root that builds the meter states still refuses it.
-        with pytest.raises(NotPSD):
-            apply_soft(not_psd, rho, validate=False)
-        with pytest.raises(NotHermitian):
-            apply_soft(SoftMeasurement(np.eye(2), [[1.0, 0.5], [-0.5, 1.0]]), rho, validate=False)
+            SoftMeasurement(np.eye(2), np.array([[1.0, 1.5], [1.5, 1.0]]))
         checked = spy_correlation_checks(monkeypatch)
-        apply_soft(SoftMeasurement(np.eye(2), [[1.0, 0.5], [0.5, 1.0]]), rho)
+        m = SoftMeasurement(np.eye(2), [[1.0, 0.5], [0.5, 1.0]])
+        assert checked == ["entanglement", "gram"]
+        apply_soft(m, np.eye(2) / 2.0)
         assert checked == ["entanglement", "gram"]
 
 
@@ -303,18 +439,17 @@ class TestApplyGeneral:
         blocks = np.zeros((2, 2, 2, 2), dtype=complex)
         blocks[0, 0] = np.diag([2.0, -1.0])  # trace 1 but not PSD
         blocks[1, 1] = np.eye(2) / 2.0
-        report = validate_general(GeneralMeasurement(blocks))
-        assert not report.ok
-        with pytest.raises(InvalidMeasurement):
-            apply_general(GeneralMeasurement(blocks), np.eye(2) / 2.0)
+        with pytest.raises(InvalidMeasurement, match="not PSD"):
+            GeneralMeasurement(blocks)
 
     @pytest.mark.parametrize("upper, lower", [(np.nan, np.nan), (np.inf, np.inf), (1.0, 0.0)])
     def test_non_hermitian_blocks_rejected(self, upper, lower):
         blocks = np.zeros((2, 2, 2, 2), dtype=complex)
         blocks[0, 0] = blocks[1, 1] = np.eye(2) / 2.0
         blocks[0, 1, 0, 0], blocks[1, 0, 0, 0] = upper, lower
-        report = validate_general(GeneralMeasurement(blocks))
-        assert report.failures == ("assembled block operator is not Hermitian",)
+        with pytest.raises(InvalidMeasurement) as excinfo:
+            GeneralMeasurement(blocks)
+        assert str(excinfo.value) == "assembled block operator is not Hermitian"
 
 
 class TestTwoLevelMeter:
@@ -362,6 +497,7 @@ class TestStackedCorrelationCheck:
 
     def test_non_finite_entry_is_not_hermitian(self):
         gram = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        report = validate_soft(SoftMeasurement(np.eye(2), gram))
-        assert report.failures == ("gram is not Hermitian within 1.0e-10",)
-        assert report.index is None
+        with pytest.raises(InvalidMeasurement) as excinfo:
+            SoftMeasurement(np.eye(2), gram)
+        assert str(excinfo.value) == "gram is not Hermitian within 1.0e-10"
+        assert excinfo.value.index is None

@@ -539,9 +539,9 @@ class TestStackedCounts:
         rho = np.eye(2) / 2.0
         with pytest.raises(InvalidMeasurement, match="Hermitian"):
             meter_dm_repeated(rho, bad, 2, representation=rep)
-        repeated = RepeatedMeasurement(SoftMeasurement(np.eye(2), bad), 2)
+        # A measurement holding it cannot be built, so never reaches joint_dm_repeated.
         with pytest.raises(InvalidMeasurement, match="Hermitian"):
-            joint_dm_repeated(rho, repeated, validate=False, representation=rep)
+            SoftMeasurement(np.eye(2), bad)
 
     def test_invalid_count_named(self):
         with pytest.raises(InvalidParams, match=r"repetition count\[2\] must be >= 1") as excinfo:
