@@ -16,11 +16,14 @@ names, output names and sweep function. The sweep function evaluates the
 grid in one call, validating the inputs shared by all points once and each
 stack of per-point matrices once; the two-level closed forms of ``fig2a``,
 ``fig2b``, ``isweep``, ``repeat`` and ``continuous`` take whole arrays.
-Grids of more than ``_BLOCK_POINTS`` points are evaluated in blocks. The
-output is written from the float table column by column: each grid-axis
-value is formatted once per axis and its string repeated down its column,
-each output value once, and one row template joins them. ``--jobs`` is
-accepted for compatibility and has no effect.
+Grids of more than ``_BLOCK_POINTS`` points are evaluated in blocks, each
+written in place into one float table. The output is written only after the
+whole sweep has been computed and checked, and then ``_BLOCK_POINTS`` rows
+at a time, so the text held at once does not grow with the grid. It is
+formatted from the float table column by column: each
+grid-axis value is formatted once per axis and its string repeated down its
+column, each output value once, and one row template joins them. ``--jobs``
+is accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation while
 computing or emitting rows; a check that fails at a grid point names the
@@ -37,7 +40,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain, cycle, islice, repeat
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -387,39 +390,64 @@ def _format_value(value: float) -> str:
     return "0" if text == "-0" else text
 
 
-def _row_values(table: np.ndarray, shape: tuple[int, ...], fmt: str) -> Iterator[tuple]:
+# Grid points per sweep call, and rows per chunk of output text. Bounds the
+# memory held by the stacked intermediates of a large grid (blocks split the
+# first grid axis) and by its text (the emitters yield this many rows at a
+# time).
+_BLOCK_POINTS = 8192
+
+
+def _row_chunks(
+    table: np.ndarray, shape: tuple[int, ...], fmt: str, plus_zero: bool = False
+) -> Iterator[Iterator[tuple]]:
     """The rows of a float table over a grid of ``shape``, as tuples for a
-    row template: the grid columns (the first ``len(shape)``) as strings,
-    each axis value formatted once by ``fmt`` and repeated as C order
-    repeats it, then the output values as floats.
+    row template, in chunks of up to ``_BLOCK_POINTS`` rows: the grid columns
+    (the first ``len(shape)``) as strings, each axis value formatted once by
+    ``fmt`` and repeated as C order repeats it, then the output values as
+    floats. With ``plus_zero`` each value has 0.0 added first, which turns
+    -0.0 into 0.0.
 
     Axis ``k`` is read from its own column at the stride of the axes after
-    it, so the strings carry the table's bits, signed zeros included.
+    it, so the strings carry the table's bits, signed zeros included. The
+    grid columns are drawn lazily from the axis strings, and each chunk's
+    output floats are converted when it is reached, so no object per row
+    outlives its chunk. The grid columns are shared between chunks: a chunk
+    must be consumed before the next one is drawn.
     """
     grids = []
     for k, n in enumerate(shape):
         inner = math.prod(shape[k + 1 :])
         # A later axis of length 0 leaves no rows, so no axis value to read.
-        strings = [fmt % value for value in table[: n * inner : inner or 1, k].tolist()]
-        if inner > 1:
-            strings = list(chain.from_iterable(map(repeat, strings, repeat(inner))))
-        grids.append(strings * math.prod(shape[:k]))
-    return zip(*grids, *table[:, len(shape) :].T.tolist())
+        values = table[: n * inner : inner or 1, k]
+        strings = [fmt % value for value in (values + 0.0 if plus_zero else values).tolist()]
+        column = chain.from_iterable(map(repeat, strings, repeat(inner))) if inner > 1 else strings
+        # A later axis runs through its values once per value of the axes
+        # before it; ``cycle`` keeps one run, at most rows / shape[0] references.
+        grids.append(cycle(column) if k else iter(column))
+    for start in range(0, len(table), _BLOCK_POINTS):
+        outputs = table[start : start + _BLOCK_POINTS, len(shape) :]
+        if plus_zero:
+            outputs = outputs + 0.0
+        size = len(outputs)
+        yield zip(*(islice(column, size) for column in grids), *outputs.T.tolist())
 
 
-def _emit_csv(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...]) -> str:
+def _emit_csv(
+    columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...]
+) -> Iterator[str]:
     """CSV text of a float table over a grid of ``shape``, each value as
-    ``_format_value`` writes it.
+    ``_format_value`` writes it, in pieces: the header line, then one piece
+    per chunk of rows.
 
     ``%.12g`` formats a float as ``format(v, ".12g")`` does, and adding 0.0
     first turns -0.0 into 0. Each grid-axis value is formatted once (see
-    ``_row_values``), each output value once per row.
+    ``_row_chunks``), each output value once per row.
     """
     grids = len(shape)
-    row = ",".join(["%s"] * grids + ["%.12g"] * (len(columns) - grids))
-    lines = [",".join(columns)]
-    lines.extend(map(row.__mod__, _row_values(table + 0.0, shape, "%.12g")))
-    return "\n".join(lines) + "\n"
+    line = ",".join(["%s"] * grids + ["%.12g"] * (len(columns) - grids)) + "\n"
+    yield ",".join(columns) + "\n"
+    for chunk in _row_chunks(table, shape, "%.12g", plus_zero=True):
+        yield "".join(map(line.__mod__, chunk))
 
 
 def _emit_json(
@@ -428,21 +456,28 @@ def _emit_json(
     columns: tuple[str, ...],
     table: np.ndarray,
     shape: tuple[int, ...],
-) -> str:
+) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` text of the header and the float
-    table over a grid of ``shape``.
+    table over a grid of ``shape``, in pieces: the header, one piece per
+    chunk of rows, and the closing brackets.
 
     The rows are written by a template in the same layout; ``%r`` writes a
     finite float as :mod:`json` does. Each grid-axis value is formatted once
-    (see ``_row_values``), each output value once per row.
+    (see ``_row_chunks``), each output value once per row.
     """
     head = json.dumps({"command": command, "config": config, "columns": list(columns)}, indent=2)
+    yield f'{head[:-2]},\n  "rows": '
+    if not len(table):
+        yield "[]\n}\n"
+        return
     grids = len(shape)
     cells = ["      %s"] * grids + ["      %r"] * (len(columns) - grids)
     row = "    [\n" + ",\n".join(cells) + "\n    ]"
-    rows = ",\n".join(map(row.__mod__, _row_values(table, shape, "%r")))
-    body = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{head[:-2]},\n  "rows": {body}\n}}\n'
+    separator = "[\n"
+    for chunk in _row_chunks(table, shape, "%r"):
+        yield separator + ",\n".join(map(row.__mod__, chunk))
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _check_finite(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...]) -> None:
@@ -457,11 +492,6 @@ def _check_finite(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int,
         )
 
 
-# Grid points per sweep call. Bounds the memory held by the stacked
-# intermediates of a large grid; blocks split the first grid axis.
-_BLOCK_POINTS = 8192
-
-
 def run_sweep(
     command: str, config: dict[str, str]
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
@@ -471,7 +501,8 @@ def run_sweep(
 
     The command's sweep function evaluates a block of up to
     ``_BLOCK_POINTS`` grid points (whole rows of the first grid axis) in
-    one call; a grid of that size or smaller is one block. When a check,
+    one call, and the block's columns are written into the table in place;
+    a grid of that size or smaller is one block. When a check,
     including the check that every output is finite, fails at a grid
     point, the error message names the command, the point's grid index and
     its parameter values.
@@ -483,17 +514,19 @@ def run_sweep(
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     shape = tuple(len(axis) for axis in axes)
     columns = spec.columns
-    tables = []
-    step = max(1, _BLOCK_POINTS // math.prod(shape[1:]))
+    table = np.empty((math.prod(shape), len(columns)))
+    inner = math.prod(shape[1:])
+    step = max(1, _BLOCK_POINTS // inner)
     for start in range(0, shape[0], step) if shape else [0]:
         block = [m[start : start + step] for m in mesh[:1]] + list(mesh[1:])
         try:
             outputs = spec.sweep(config, *block)
             block_shape = np.broadcast_shapes(*(m.shape for m in block))
-            table = np.column_stack(
-                [np.broadcast_to(c, block_shape).ravel() for c in (*block, *outputs)]
-            )
-            _check_finite(columns, table, block_shape)
+            rows = table[start * inner : start * inner + math.prod(block_shape)]
+            cells = rows.reshape(*block_shape, len(columns))
+            for j, column in enumerate((*block, *outputs)):
+                cells[..., j] = column
+            _check_finite(columns, rows, block_shape)
         except SoftMeasError as exc:
             if exc.index is not None and len(exc.index) == len(shape):
                 index = (exc.index[0] + start, *exc.index[1:])
@@ -507,8 +540,7 @@ def run_sweep(
                 exc.args = (f"{command} grid point {flat} ({point}): {message}",)
                 exc.index = index
             raise
-        tables.append(table)
-    return columns, np.concatenate(tables), shape
+    return columns, table, shape
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -563,9 +595,9 @@ def main(argv: list[str] | None = None) -> int:
         with _output(args.out) as out:
             columns, table, shape = run_sweep(args.command, config)
             if args.format == "csv":
-                out.write(_emit_csv(columns, table, shape))
+                out.writelines(_emit_csv(columns, table, shape))
             else:
-                out.write(_emit_json(args.command, config, columns, table, shape))
+                out.writelines(_emit_json(args.command, config, columns, table, shape))
     except ConfigError as exc:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .matcore import (
     TAU_RECON,
+    _checked_density,
     _dagger,
     _entropy,
     _entrywise,
@@ -41,7 +42,12 @@ from .matcore import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from .measurement import SoftMeasurement, _check_correlation_matrix, meter_states_from_gram
+from .measurement import (
+    SoftMeasurement,
+    _check_correlation_matrix,
+    _single_dim,
+    meter_states_from_gram,
+)
 from .repeated import ContinuousLimitParams, _convention
 
 # Eigenvalues of a Choi matrix below this (relative) threshold are treated
@@ -144,12 +150,11 @@ def coherent_info_channel(channel: KrausChannel, rho: np.ndarray) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     channel.validate()
-    validate_density_matrix(rho)
+    w, v = _checked_density(rho, "rho", vectors=True)
     if rho.shape != (channel.in_dim, channel.in_dim):
         raise DimensionMismatch(
             f"rho has shape {rho.shape}, channel input dim is {channel.in_dim}"
         )
-    w, v = herm_eig(rho)
     order = [i for i in range(len(w) - 1, -1, -1) if w[i] > _PURIFY_TOL]
     amps = v[:, order] * np.sqrt(w[order])  # in_dim x rank, column i = sqrt(l_i) v_i
     rank = amps.shape[1]
@@ -477,7 +482,7 @@ def eve_bob_semiclassical(
             raise InvalidMeasurement(f"eve_basis{_label(i)} is not unitary", index=i or None)
     dephase = np.asarray(dephase, dtype=complex)
     _check_correlation_matrix({"dephase": dephase})
-    if bob.dim != dim:
+    if _single_dim(bob, "bob") != dim:
         raise DimensionMismatch(f"bob dim {bob.dim} != ensemble dim {dim}")
     meter_vecs = matrix_sqrt_psd(bob.gram)
     out_states = []

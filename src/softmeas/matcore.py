@@ -18,7 +18,8 @@ one matrix.
 
 Each check decomposes a matrix once: :func:`validate_density_matrix`
 returns the ascending eigenvalues it checked (shape ``(..., D)``), and
-:func:`von_neumann_entropy` with ``validate`` takes its entropy from them.
+:func:`von_neumann_entropy` with ``validate`` takes its entropy from them;
+``_checked_density`` can return the eigenvectors of the same decomposition.
 
 Working dimensions are small (<= 64), so everything is backed by dense
 LAPACK routines through ``numpy.linalg``, which loops over a stack in C.
@@ -198,6 +199,16 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     ``(..., D)``, so that a caller needing the spectrum (an entropy, say)
     does not decompose the matrix again.
     """
+    return _checked_density(rho, name, vectors=False)[0]
+
+
+def _checked_density(
+    rho: np.ndarray, name: str, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The checks of :func:`validate_density_matrix`. Returns the ascending
+    eigenvalues of the Hermitian part that the PSD check computed and, with
+    ``vectors``, their eigenvectors from the same ``eigh`` call (else None),
+    for a caller that needs the eigenvectors too."""
     m = _as_square(rho, name)
     dev = _hermitian_deviation(m)
     i = _first(~(dev <= TAU_HERM))
@@ -214,14 +225,15 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
             f"by more than {TAU_TRACE:.1e}",
             index=i or None,
         )
-    w = np.linalg.eigvalsh(_hermitian_part(m))
+    h = _hermitian_part(m)
+    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     i = _first(w[..., 0] < -TAU_PSD)
     if i is not None:
         raise InvalidState(
             f"{name}{_label(i)} not PSD: smallest eigenvalue {w[i][0]:.3e} < -{TAU_PSD:.1e}",
             index=i or None,
         )
-    return w
+    return w, v
 
 
 def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:

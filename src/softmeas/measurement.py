@@ -119,7 +119,18 @@ class SoftMeasurement:
 
     @property
     def dim(self) -> int:
-        return int(self.entanglement.shape[0])
+        return int(self.entanglement.shape[-1])
+
+
+def _single_dim(measurement: SoftMeasurement, name: str = "measurement") -> int:
+    """The dimension of a measurement that must be one ``D x D`` pair;
+    raise :class:`DimensionMismatch` naming the shape of a stacked one."""
+    shape = measurement.entanglement.shape
+    if len(shape) != 2:
+        raise DimensionMismatch(
+            f"{name} must be a single D x D measurement, got a stack of shape {shape}"
+        )
+    return measurement.dim
 
 
 def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
@@ -146,7 +157,7 @@ def apply_soft(measurement: SoftMeasurement, rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     validate_density_matrix(rho)
-    d = measurement.dim
+    d = _single_dim(measurement)
     if rho.shape != (d, d):
         raise DimensionMismatch(f"rho has shape {rho.shape}, measurement dim is {d}")
     vecs = matrix_sqrt_psd(measurement.gram)

@@ -37,7 +37,12 @@ from .matcore import (
     matrix_sqrt_psd,
     validate_density_matrix,
 )
-from .measurement import SoftMeasurement, TwoLevelMeterParams, _check_correlation_matrix
+from .measurement import (
+    SoftMeasurement,
+    TwoLevelMeterParams,
+    _check_correlation_matrix,
+    _single_dim,
+)
 
 
 def _counts(n: int | np.ndarray, what: str = "repetition count") -> int | np.ndarray:
@@ -148,7 +153,7 @@ def joint_dm_repeated(
     rho = np.asarray(rho, dtype=complex)
     base = repeated.base
     validate_density_matrix(rho)
-    d = base.dim
+    d = _single_dim(base, "base measurement")
     if rho.shape != (d, d):
         raise InvalidMeasurement(f"rho has shape {rho.shape}, measurement dim is {d}")
     weights = gram_power(base.entanglement, repeated.n) * rho

@@ -46,6 +46,22 @@ def count_eigvalsh(monkeypatch) -> list:
     return calls
 
 
+def count_eigensolves(monkeypatch) -> list:
+    """Wrap ``numpy.linalg.eigvalsh`` and ``numpy.linalg.eigh`` for the rest
+    of the test; the returned list gains ``(name, input shape)`` for every
+    call of either."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def spy_correlation_checks(monkeypatch) -> list:
     """Record, for the rest of the test, the name of every matrix that a
     correlation-matrix check of the library is given."""

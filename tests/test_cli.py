@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -412,6 +413,27 @@ def test_default_json_digest_is_pinned(command, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_JSON_SHA256[command]
 
 
+# sha256 of the 301x301 fig2b JSON as the one-string emitter wrote it,
+# before the output was written a chunk of rows at a time.
+LARGE_FIG2B_JSON_SHA256 = "e8fc128e793033bc5d817a600d4fe262f6b69be897f150cc78fb3ffbb1eef391"
+
+
+def test_large_grid_text_is_not_held_whole(tmp_path):
+    """A 301x301 JSON sweep (10 MB of text) is written a chunk of rows at a
+    time: the traced peak stays near the float table (2.9 MB), where
+    holding the whole text at once peaks above 30 MiB."""
+    argv = ["fig2b", "--format", "json", "--param", "q_E=0:1:301", "--param", "q_B=0:1:301"]
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv, tmp_path, "big.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2**20
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_FIG2B_JSON_SHA256
+
+
 # The per-value emitters that the row templates replaced, kept as references.
 
 
@@ -474,37 +496,63 @@ def grid_tables(draw):
     return columns, rows, np.array(rows, dtype=float).reshape(len(rows), width), shape
 
 
+def emitted(emit, *args):
+    """The text that ``emit(*args)`` writes with chunks of 1, 2, 3 and the
+    default number of rows, one string per chunk size."""
+    texts = []
+    for rows in (1, 2, 3, cli._BLOCK_POINTS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_POINTS", rows)
+            texts.append("".join(emit(*args)))
+    return texts
+
+
 class TestTemplateEmit:
-    """The column-wise emitters write the bytes of the per-value ones."""
+    """The column-wise emitters write the bytes of the per-value ones, with
+    any number of rows per chunk (1, 2 and 3 put chunk boundaries inside,
+    at and after every small grid)."""
 
     @settings(deadline=None)
     @given(grid_tables())
     def test_csv_matches_per_value_format(self, table):
         columns, rows, array, shape = table
-        assert cli._emit_csv(columns, array, shape) == per_value_csv(columns, rows)
+        expected = per_value_csv(columns, rows)
+        assert emitted(cli._emit_csv, columns, array, shape) == [expected] * 4
 
     @settings(deadline=None)
     @given(grid_tables(), st.text(max_size=6), st.dictionaries(st.text(max_size=6), st.text()))
     def test_json_matches_json_dumps(self, table, command, config):
         columns, rows, array, shape = table
         expected = per_value_json(command, config, columns, rows)
-        assert cli._emit_json(command, config, columns, array, shape) == expected
+        assert emitted(cli._emit_json, command, config, columns, array, shape) == [expected] * 4
 
     def test_single_point_without_grid(self):
         columns = ("q", "input_entropy", "I_c")
         rows = [[-0.0, 1.0, 5e-324]]
         array = np.array(rows)
-        assert cli._emit_csv(columns, array, ()) == per_value_csv(columns, rows)
-        assert cli._emit_json("single", {}, columns, array, ()) == per_value_json(
-            "single", {}, columns, rows
-        )
+        assert emitted(cli._emit_csv, columns, array, ()) == [per_value_csv(columns, rows)] * 4
+        assert emitted(cli._emit_json, "single", {}, columns, array, ()) == [
+            per_value_json("single", {}, columns, rows)
+        ] * 4
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_empty_tables(self, width):
         columns = tuple(f"c{j}" for j in range(width))
         empty = np.empty((0, width))
         for shape in [(0,), (3, 0), (0, 2, 0)][:width]:
-            assert cli._emit_csv(columns, empty, shape) == per_value_csv(columns, [])
-            assert cli._emit_json("x", {"q": "0:1:3"}, columns, empty, shape) == per_value_json(
-                "x", {"q": "0:1:3"}, columns, []
-            )
+            assert emitted(cli._emit_csv, columns, empty, shape) == [per_value_csv(columns, [])] * 4
+            assert emitted(cli._emit_json, "x", {"q": "0:1:3"}, columns, empty, shape) == [
+                per_value_json("x", {"q": "0:1:3"}, columns, [])
+            ] * 4
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_grid_sweeps_across_chunk_boundaries(self, rows, tmp_path, monkeypatch):
+        """Whole sweeps evaluated in blocks and written in chunks of ``rows``
+        rows (51 and 2601 rows are multiples of 3) keep the pinned default
+        bytes."""
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", rows)
+        for fmt, pinned in (("csv", DEFAULT_CSV_SHA256), ("json", DEFAULT_JSON_SHA256)):
+            for command in ("single", "isweep", "fig2b"):
+                code, out = run_cli([command, "--format", fmt], tmp_path, f"{command}.{fmt}")
+                assert code == 0
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned[command]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     binary_entropy,
+    count_eigensolves,
     count_eigvalsh,
     rand_correlation,
     rand_density,
@@ -26,6 +27,7 @@ from softmeas.errors import (
     InvalidChannel,
     InvalidMeasurement,
     InvalidParams,
+    InvalidState,
     OutOfRange,
 )
 from softmeas.information import (
@@ -158,6 +160,31 @@ class TestCoherentInfoChannel:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             coherent_info_channel(KrausChannel((np.eye(2),)), np.eye(3) / 3.0)
+
+    def test_input_decomposed_once(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        rho = rand_density(rng, 2)
+        channel = soft_object_channel(rand_correlation(rng, 2), rand_correlation(rng, 2))
+        calls = count_eigensolves(monkeypatch)
+        coherent_info_channel(channel, rho)
+        # One check-and-purify decomposition of rho, then the output and joint entropies.
+        assert calls == [("eigh", (2, 2)), ("eigvalsh", (2, 2)), ("eigvalsh", (4, 4))]
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ([[0.5, 0.1], [0.2, 0.5]], "rho not Hermitian: deviation 1.000e-01 > 1.0e-10"),
+            ([[0.5, 0.5j], [0.5j, 0.5]], "rho not Hermitian: deviation 1.000e+00 > 1.0e-10"),
+            ([[1.0, 0.0], [0.0, 1.0]], "rho trace 2+0j differs from 1 by more than 1.0e-09"),
+            ([[1.2, 0.0], [0.0, -0.2]], "rho not PSD: smallest eigenvalue -2.000e-01 < -1.0e-10"),
+        ],
+    )
+    def test_invalid_input_message(self, rho, message):
+        """The messages ``validate_density_matrix`` gives for the same input."""
+        channel = soft_object_channel(np.eye(2), np.eye(2))
+        with pytest.raises(InvalidState, match=f"^{re.escape(message)}$") as info:
+            coherent_info_channel(channel, np.array(rho))
+        assert info.value.index is None
 
 
 class TestCoherentInfoSoft:
@@ -646,6 +673,16 @@ class TestEveBobSemiclassical:
         # identity basis change with any dephasing leaves orthogonal outputs
         same_basis = eve_bob_semiclassical(ens, np.eye(dim), dephase, SoftMeasurement(np.eye(dim), np.eye(dim)))
         assert same_basis == pytest.approx(math.log2(dim), abs=1e-12)
+
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_stacked_receiver_rejected(self, members):
+        bob = SoftMeasurement(np.stack([np.eye(2)] * members), np.stack([np.eye(2)] * members))
+        message = (
+            "bob must be a single D x D measurement, "
+            f"got a stack of shape ({members}, 2, 2)"
+        )
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            eve_bob_semiclassical(basis_ensemble(), 0.3, np.ones((2, 2)), bob)
 
     def test_bad_gram_checked_once(self, monkeypatch):
         message = "gram is not PSD: eigenvalue -5.000e-01; gram has an entry with modulus > 1"

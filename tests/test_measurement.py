@@ -341,6 +341,17 @@ class TestApplySoft:
         with pytest.raises(InvalidState):
             apply_soft(m, np.eye(2))
 
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_stacked_measurement_has_matrix_dim_and_is_rejected(self, members):
+        m = SoftMeasurement(np.stack([np.eye(2)] * members), np.stack([np.eye(2)] * members))
+        assert m.dim == 2
+        message = (
+            "measurement must be a single D x D measurement, "
+            f"got a stack of shape ({members}, 2, 2)"
+        )
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            apply_soft(m, np.eye(2) / 2.0)
+
     def test_bad_gram_checked_once(self, monkeypatch):
         message = "gram is not PSD: eigenvalue -5.000e-01; gram has an entry with modulus > 1"
         with pytest.raises(InvalidMeasurement, match=f"^{re.escape(message)}$"):

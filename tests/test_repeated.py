@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import rand_correlation, rand_density, scalar_two_level_gram_sqrt, swap_factors
 
 from softmeas import repeated
-from softmeas.errors import InvalidMeasurement, InvalidParams
+from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidParams
 from softmeas.matcore import (
     matrix_sqrt_psd,
     partial_trace,
@@ -170,6 +170,16 @@ class TestJointRepeated:
     def test_rejects_invalid_repetition_count(self):
         with pytest.raises(InvalidParams):
             RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), n=0)
+
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_rejects_stacked_base(self, members):
+        base = SoftMeasurement(np.stack([np.eye(2)] * members), np.stack([np.eye(2)] * members))
+        message = (
+            "base measurement must be a single D x D measurement, "
+            f"got a stack of shape ({members}, 2, 2)"
+        )
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            joint_dm_repeated(np.eye(2) / 2.0, RepeatedMeasurement(base, n=2))
 
 
 class TestMeterRepeated:
