@@ -65,8 +65,6 @@ from .repeated import (
     ContinuousLimitParams,
     RepeatedMeasurement,
     _two_level_matrix,
-    collective_representation,
-    gram_power,
     joint_dm_continuous,
     joint_dm_repeated,
     meter_dm_continuous,
@@ -263,11 +261,10 @@ def _sweep_continuous(config, t):
 def _sweep_repeat(config, n):
     params, measurement, rho = _two_level_inputs(config)
     vectors = two_level_gram_sqrt(params, n)
-    shared = collective_representation(measurement.gram, n)
     repeated = RepeatedMeasurement(base=measurement, n=n)
-    joint = joint_dm_repeated(rho, repeated, representation=shared)
-    meter = meter_dm_repeated(rho, measurement.gram, n, representation=shared)
-    info = coherent_info_soft(rho, gram_power(measurement.entanglement, n), shared.gram_n)
+    joint = joint_dm_repeated(rho, repeated)
+    meter = meter_dm_repeated(rho, repeated)
+    info = coherent_info_soft(rho, repeated.entanglement_n, repeated.gram_n)
     return [
         vectors[..., 0, 0].real,
         vectors[..., 0, 1].real,

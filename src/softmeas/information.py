@@ -37,14 +37,15 @@ from .matcore import (
     _first,
     _label,
     _member,
+    _unchecked_entropy,
     herm_eig,
     matrix_sqrt_psd,
     validate_density_matrix,
-    von_neumann_entropy,
 )
 from .measurement import (
     SoftMeasurement,
     _check_correlation_matrix,
+    _meter_mix,
     _single_dim,
     meter_states_from_gram,
 )
@@ -163,9 +164,7 @@ def coherent_info_channel(channel: KrausChannel, rho: np.ndarray) -> float:
         vec = (k @ amps).reshape(-1)
         joint += np.outer(vec, vec.conj())
     output = channel.apply(rho)
-    return von_neumann_entropy(output, validate=False) - von_neumann_entropy(
-        joint, validate=False
-    )
+    return _unchecked_entropy(output) - _unchecked_entropy(joint)
 
 
 def coherent_info_soft(rho: np.ndarray, entanglement: np.ndarray, gram: np.ndarray) -> float:
@@ -298,8 +297,7 @@ def meter_ensemble(ensemble: StateEnsemble, gram: np.ndarray) -> StateEnsemble:
             f"gram dim {vectors.shape[-1]} != ensemble dim {ensemble.dim}"
         )
     states = tuple(
-        (vectors * np.diagonal(s, axis1=-2, axis2=-1).real[..., None, :]) @ _dagger(vectors)
-        for s in ensemble.states
+        _meter_mix(vectors, np.diagonal(s, axis1=-2, axis2=-1).real) for s in ensemble.states
     )
     return StateEnsemble(probs=ensemble.probs, states=states)
 
@@ -311,7 +309,7 @@ def holevo_info(ensemble: StateEnsemble) -> float | np.ndarray:
     ``log2(dim)``. An ensemble of stacked states gives one value per member.
     """
     average = sum(p * s for p, s in zip(ensemble.probs, ensemble.states))
-    mixing = von_neumann_entropy(average, validate=False)
+    mixing = _unchecked_entropy(average)
     conditional = sum(
         p * _entropy(w) for p, w in zip(ensemble.probs, ensemble.spectra) if p > 0.0
     )
@@ -395,9 +393,9 @@ def compete_coherent(
     validate_density_matrix(rho)
     shared = rho * mats["eve entanglement"] * mats["bob entanglement"]
     common = shared * mats["eve gram"] * mats["bob gram"]
-    s_common = von_neumann_entropy(common, validate=False)
-    info_eve = s_common - von_neumann_entropy(shared * mats["bob gram"], validate=False)
-    info_bob = s_common - von_neumann_entropy(shared * mats["eve gram"], validate=False)
+    s_common = _unchecked_entropy(common)
+    info_eve = s_common - _unchecked_entropy(shared * mats["bob gram"])
+    info_bob = s_common - _unchecked_entropy(shared * mats["eve gram"])
     return info_eve, info_bob
 
 
@@ -490,5 +488,5 @@ def eve_bob_semiclassical(
         in_eve = _dagger(unitary) @ state @ unitary
         back = unitary @ (dephase * in_eve) @ _dagger(unitary)
         weights = np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None)
-        out_states.append((meter_vecs * weights[..., None, :]) @ _dagger(meter_vecs))
+        out_states.append(_meter_mix(meter_vecs, weights))
     return holevo_info(StateEnsemble(probs=ensemble.probs, states=tuple(out_states)))

@@ -18,7 +18,7 @@ one matrix.
 
 Each check decomposes a matrix once: :func:`validate_density_matrix`
 returns the ascending eigenvalues it checked (shape ``(..., D)``), and
-:func:`von_neumann_entropy` with ``validate`` takes its entropy from them;
+:func:`von_neumann_entropy` takes its entropy from them;
 ``_checked_density`` can return the eigenvectors of the same decomposition.
 
 Working dimensions are small (<= 64), so everything is backed by dense
@@ -236,18 +236,23 @@ def _checked_density(
     return w, v
 
 
-def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy of a density matrix, in bits; for a stack, one
     entropy per member.
 
-    Eigenvalues are clamped to ``[0, 1]`` with the convention
+    ``rho`` is checked by :func:`validate_density_matrix`, and the entropy
+    is taken from the spectrum that check computed, so one eigensolve serves
+    both. Eigenvalues are clamped to ``[0, 1]`` with the convention
     ``0 * log2(0) = 0``. Negative eigenvalues within ``ENTROPY_CLAMP`` are
-    treated as zero; larger violations raise :class:`InvalidState`. With
-    ``validate`` the entropy is taken from the spectrum that
-    :func:`validate_density_matrix` computed, so one eigensolve serves both.
+    treated as zero; larger violations raise :class:`InvalidState`.
     """
-    if validate:
-        return _entropy(validate_density_matrix(rho))
+    return _entropy(validate_density_matrix(rho))
+
+
+def _unchecked_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """:func:`von_neumann_entropy` without the density checks, for library
+    code whose argument is a density matrix by construction; only the
+    eigenvalue clamp of :func:`_entropy` still applies."""
     return _entropy(np.linalg.eigvalsh(_hermitian_part(_as_square(rho, "rho"))))
 
 

@@ -34,6 +34,7 @@ from .matcore import (
     TAU_HERM,
     TAU_PSD,
     TAU_TRACE,
+    _dagger,
     _first,
     _hermitian_deviation,
     _hermitian_part,
@@ -144,6 +145,13 @@ def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
     q = np.asarray(gram, dtype=complex)
     _check_correlation_matrix({"gram": q})
     return matrix_sqrt_psd(q)
+
+
+def _meter_mix(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``V @ diag(weights) @ V^dagger``: the meter states ``V`` (one per
+    column) mixed with the object populations ``weights``. Both may carry
+    stack axes in front, which broadcast against each other."""
+    return (vectors * weights[..., None, :]) @ _dagger(vectors)
 
 
 def apply_soft(measurement: SoftMeasurement, rho: np.ndarray) -> np.ndarray:

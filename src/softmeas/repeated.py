@@ -5,7 +5,9 @@ multiplies the entanglement matrix entrywise (``R -> R**n``) and raises the
 meter Gram matrix to the elementwise n-th power. Although the accumulated
 meter lives in an n-fold tensor space, only a ``D``-dimensional collective
 subspace is ever populated, so all joint states here are expressed in that
-fixed basis.
+fixed basis. A :class:`RepeatedMeasurement` is fixed by its base
+measurement and ``n``: it derives both powers and the collective meter
+vectors once, when it is built, and the functions that take one read them.
 
 For a two-level meter the elementwise Gram powers admit closed forms, and
 letting the per-step angle shrink as the step count grows produces a
@@ -23,13 +25,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidMeasurement, InvalidParams
+from .errors import DimensionMismatch, InvalidParams
 from .matcore import (
-    _dagger,
     _entrywise,
     _first,
     _label,
@@ -41,6 +42,7 @@ from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
     _check_correlation_matrix,
+    _meter_mix,
     _single_dim,
 )
 
@@ -65,21 +67,6 @@ def _counts(n: int | np.ndarray, what: str = "repetition count") -> int | np.nda
 
 
 @dataclass(frozen=True)
-class RepeatedMeasurement:
-    """A base soft measurement applied ``n`` times with result accumulation.
-
-    ``n`` may be an integer array: the object then stands for one repeated
-    measurement per count, and the functions below return stacks.
-    """
-
-    base: SoftMeasurement
-    n: int | np.ndarray = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _counts(self.n))
-
-
-@dataclass(frozen=True)
 class CollectiveRepresentation:
     """Collective-basis description of ``n`` accumulated meter copies.
 
@@ -94,6 +81,18 @@ class CollectiveRepresentation:
     meter_vectors: np.ndarray
 
 
+def _schur_power(matrix: np.ndarray, n: int | np.ndarray) -> np.ndarray:
+    """Elementwise n-th power of ``matrix`` for counts already checked by
+    :func:`_counts`; an array of counts gives the stack of powers."""
+    if np.ndim(n) == 0:
+        return matrix**n
+    powers = matrix ** n[..., None, None]
+    # ``matrix**2`` takes numpy's square loop, which can differ from the power
+    # loop in the last ulp for complex entries; match the single-count call.
+    powers[n == 2] = np.square(matrix)
+    return powers
+
+
 def gram_power(gram: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     """Elementwise n-th power of a Gram matrix; an array of counts gives the
     stack of powers, one member per count.
@@ -102,84 +101,97 @@ def gram_power(gram: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     the result is again a valid Gram matrix.
     """
     n = _counts(n, "power")
-    gram = np.asarray(gram, dtype=complex)
-    if np.ndim(n) == 0:
-        return gram**n
-    powers = gram ** n[..., None, None]
-    # ``gram**2`` takes numpy's square loop, which can differ from the power
-    # loop in the last ulp for complex entries; match the single-count call.
-    powers[n == 2] = np.square(gram)
-    return powers
+    return _schur_power(np.asarray(gram, dtype=complex), n)
+
+
+def _collective(gram: np.ndarray, n: int | np.ndarray) -> CollectiveRepresentation:
+    """Collective-basis data of a checked ``gram`` for checked counts ``n``."""
+    gram_n = _schur_power(gram, n)
+    return CollectiveRepresentation(gram_n, matrix_sqrt_psd(gram_n))
 
 
 def collective_representation(
     gram: np.ndarray, n: int | np.ndarray
 ) -> CollectiveRepresentation:
-    """Collective-basis data for ``n`` repeated measurements; an array of
-    counts gives stacked data from one stacked square root."""
+    """Collective-basis data for ``n`` repeated measurements of a bare Gram
+    matrix, which is checked here; an array of counts gives stacked data
+    from one stacked square root."""
+    gram = np.asarray(gram, dtype=complex)
     _check_correlation_matrix({"gram": gram})
-    gram_n = gram_power(gram, n)
-    return CollectiveRepresentation(gram_n, matrix_sqrt_psd(gram_n))
+    return _collective(gram, _counts(n, "power"))
 
 
-def _meter_vectors(
-    representation: CollectiveRepresentation | None, gram: np.ndarray, n: int | np.ndarray
-) -> np.ndarray:
-    """Collective meter vectors for ``n`` steps of a checked ``gram``, taken
-    from the caller's representation when one is given and matches."""
-    gram_n = gram_power(gram, n)
-    if representation is None:
-        return matrix_sqrt_psd(gram_n)
-    if not np.array_equal(representation.gram_n, gram_n):
-        raise InvalidMeasurement("representation is not that of this Gram matrix and count")
-    return representation.meter_vectors
+@dataclass(frozen=True)
+class RepeatedMeasurement:
+    """A base soft measurement applied ``n`` times with result accumulation.
+
+    Everything the repetition derives from ``(base, n)`` is computed once,
+    when it is built: ``entanglement_n`` (``R**n`` entrywise), ``gram_n``
+    (``Q**n`` entrywise) and the collective meter vectors
+    ``meter_vectors``, the principal square root of ``gram_n``. The base
+    was checked when it was built and must be one ``D x D`` pair;
+    :class:`DimensionMismatch` names the shape of a stacked one.
+
+    ``n`` may be an integer array: the object then stands for one repeated
+    measurement per count, and every derived field and the functions below
+    give stacks, one member per count.
+    """
+
+    base: SoftMeasurement
+    n: int | np.ndarray = 1
+    entanglement_n: np.ndarray = field(init=False, repr=False, compare=False)
+    gram_n: np.ndarray = field(init=False, repr=False, compare=False)
+    meter_vectors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = _counts(self.n)
+        _single_dim(self.base, "base measurement")
+        collective = _collective(self.base.gram, n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entanglement_n", _schur_power(self.base.entanglement, n))
+        object.__setattr__(self, "gram_n", collective.gram_n)
+        object.__setattr__(self, "meter_vectors", collective.meter_vectors)
 
 
-def joint_dm_repeated(
-    rho: np.ndarray,
-    repeated: RepeatedMeasurement,
-    representation: CollectiveRepresentation | None = None,
-) -> np.ndarray:
+def _object_state(rho: np.ndarray, repeated: RepeatedMeasurement) -> np.ndarray:
+    """``rho`` as a checked ``D x D`` density matrix of the measured object:
+    :class:`InvalidState` for a bad state, :class:`DimensionMismatch` for a
+    shape other than the measurement's."""
+    rho = np.asarray(rho, dtype=complex)
+    validate_density_matrix(rho)
+    d = repeated.base.dim
+    if rho.shape != (d, d):
+        raise DimensionMismatch(f"rho has shape {rho.shape}, measurement dim is {d}")
+    return rho
+
+
+def joint_dm_repeated(rho: np.ndarray, repeated: RepeatedMeasurement) -> np.ndarray:
     """Joint meter-object state after ``n`` accumulated measurements.
 
     Factor order is meter (x) object (row index ``k * D + i`` with ``k``
     collective-meter, ``i`` object). Entry ``((k,i),(l,j))`` is
     ``R[i,j]**n * rho[i,j] * V[k,i] * conj(V[l,j])`` with ``V`` the
-    collective meter vectors. An array of counts gives one joint state per
-    count. ``representation`` lets a caller pass the
-    :func:`collective_representation` of the base Gram matrix for the same
-    counts, for instance to share one with :func:`meter_dm_repeated`.
+    collective meter vectors that ``repeated`` holds. An array of counts
+    gives one joint state per count.
     """
-    rho = np.asarray(rho, dtype=complex)
-    base = repeated.base
-    validate_density_matrix(rho)
-    d = _single_dim(base, "base measurement")
-    if rho.shape != (d, d):
-        raise InvalidMeasurement(f"rho has shape {rho.shape}, measurement dim is {d}")
-    weights = gram_power(base.entanglement, repeated.n) * rho
-    vectors = _meter_vectors(representation, base.gram, repeated.n)
+    rho = _object_state(rho, repeated)
+    d = repeated.base.dim
+    weights = repeated.entanglement_n * rho
+    vectors = repeated.meter_vectors
     joint = np.einsum("...ij,...ki,...lj->...kilj", weights, vectors, vectors.conj())
     return joint.reshape(joint.shape[:-4] + (d * d, d * d))
 
 
-def meter_dm_repeated(
-    rho: np.ndarray,
-    gram: np.ndarray,
-    n: int | np.ndarray,
-    representation: CollectiveRepresentation | None = None,
-) -> np.ndarray:
+def meter_dm_repeated(rho: np.ndarray, repeated: RepeatedMeasurement) -> np.ndarray:
     """Reduced meter state after ``n`` measurements, in the collective basis.
 
     Depends only on the object populations (the entanglement matrix drops
-    out entirely): ``V @ diag(rho_kk) @ V^dagger``. An array of counts gives
-    one state per count; ``representation`` is as in
-    :func:`joint_dm_repeated`.
+    out entirely): ``V @ diag(rho_kk) @ V^dagger`` with ``V`` the collective
+    meter vectors that ``repeated`` holds. ``rho`` is checked as in
+    :func:`joint_dm_repeated`. An array of counts gives one state per count.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _check_correlation_matrix({"gram": gram})
-    vectors = _meter_vectors(representation, gram, n)
-    populations = np.diagonal(rho, axis1=-2, axis2=-1).real
-    return (vectors * populations[..., None, :]) @ _dagger(vectors)
+    rho = _object_state(rho, repeated)
+    return _meter_mix(repeated.meter_vectors, np.diagonal(rho).real)
 
 
 def _two_level_matrix(diag, upper, lower) -> np.ndarray:
@@ -280,8 +292,7 @@ def meter_dm_continuous(rho: np.ndarray, params: ContinuousLimitParams) -> np.nd
     validate_density_matrix(rho)
     if rho.shape != (2, 2):
         raise InvalidParams(f"continuous limit is two-level, rho has shape {rho.shape}")
-    vectors = continuous_gram_sqrt(params)
-    return (vectors * np.diag(rho).real) @ _dagger(vectors)
+    return _meter_mix(continuous_gram_sqrt(params), np.diag(rho).real)
 
 
 def _dephasing_matrix(params: ContinuousLimitParams) -> np.ndarray:

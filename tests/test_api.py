@@ -72,6 +72,7 @@ REMOVED = [
     "ZeroDt",
     "ValidationReport",
     "ZeroMatrix",
+    "_meter_vectors",
     "apply_entangling",
     "asymptotic_gram_sqrt",
     "choi_matrix",
@@ -118,12 +119,10 @@ def test_no_public_signature_takes_a_tolerance():
         assert not [p for p in params if "tol" in p], fn.__qualname__
 
 
-def test_only_the_entropy_takes_a_validate_switch():
-    # Measurements are checked when built and raw arrays where they enter;
-    # the entropy is the one function library code calls both ways.
-    takes = [
-        fn.__qualname__
-        for fn in public_callables()
-        if "validate" in inspect.signature(fn).parameters
-    ]
-    assert takes == ["von_neumann_entropy"]
+def test_no_public_signature_takes_a_validate_switch():
+    # Measurements are checked when built and raw arrays where they enter,
+    # and a repeated measurement derives its powers itself: no caller can
+    # switch a check off or hand in derived data to be trusted.
+    for fn in public_callables():
+        params = inspect.signature(fn).parameters
+        assert not {"validate", "representation"} & set(params), fn.__qualname__

@@ -48,7 +48,7 @@ from softmeas.information import (
     semiclassical_info_continuous,
     soft_object_channel,
 )
-from softmeas.matcore import partial_trace, von_neumann_entropy
+from softmeas.matcore import _unchecked_entropy, partial_trace, von_neumann_entropy
 from softmeas.measurement import SoftMeasurement, apply_soft, meter_states_from_gram
 from softmeas.repeated import ContinuousLimitParams, continuous_gram_sqrt
 
@@ -231,8 +231,8 @@ class TestCoherentInfoSoft:
         ent, gram = rand_correlation(rng, 3), rand_correlation(rng, 3)
         m = ent * gram
         roots = np.sqrt(np.diagonal(rho, axis1=-2, axis2=-1).real)
-        expected = von_neumann_entropy(m * rho, validate=False) - von_neumann_entropy(
-            roots[..., :, None] * roots[..., None, :] * m, validate=False
+        expected = _unchecked_entropy(m * rho) - _unchecked_entropy(
+            roots[..., :, None] * roots[..., None, :] * m
         )
         calls = count_eigvalsh(monkeypatch)
         # The three inputs take one check each, then one per derived state.
@@ -446,8 +446,8 @@ class TestHolevoInfo:
         rng = np.random.default_rng(74)
         probs, states = np.array([0.35, 0.65]), (rand_density(rng, 3), rand_density(rng, 3))
         average = sum(p * s for p, s in zip(probs, states))
-        expected = von_neumann_entropy(average, validate=False) - sum(
-            p * von_neumann_entropy(s, validate=False) for p, s in zip(probs, states)
+        expected = _unchecked_entropy(average) - sum(
+            p * _unchecked_entropy(s) for p, s in zip(probs, states)
         )
         calls = count_eigvalsh(monkeypatch)
         value = holevo_info(StateEnsemble(probs=probs, states=states))
@@ -529,9 +529,9 @@ class TestCompeteCoherent:
         gram_eve = rand_correlation(rng, 2)
         ones = np.ones((2, 2))
         info_eve, _ = compete_coherent(rho, ent_eve, gram_eve, ones, ones)
-        expected = von_neumann_entropy(
-            rho * ent_eve * gram_eve, validate=False
-        ) - von_neumann_entropy(rho * ent_eve, validate=False)
+        expected = _unchecked_entropy(rho * ent_eve * gram_eve) - _unchecked_entropy(
+            rho * ent_eve
+        )
         assert info_eve == pytest.approx(expected, abs=1e-12)
 
     def test_fully_dephased_interceptor_gets_nothing(self):

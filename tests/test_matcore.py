@@ -15,6 +15,7 @@ from softmeas.errors import (
 )
 from softmeas.matcore import (
     TAU_RECON,
+    _unchecked_entropy,
     herm_eig,
     matrix_sqrt_psd,
     partial_trace,
@@ -193,12 +194,12 @@ class TestVonNeumannEntropy:
             u = rand_unitary(rng, dim)
             stack.append((u * (weights / weights.sum())) @ u.conj().T)
         stack = np.array(stack)
-        entropies = von_neumann_entropy(stack, validate=False)
+        entropies = _unchecked_entropy(stack)
         for k, rho in enumerate(stack):
             w = np.clip(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), 0.0, 1.0)
             positive = w[w > 0.0]
             expected = float(-(positive * np.log2(positive)).sum()) + 0.0
-            assert von_neumann_entropy(rho, validate=False) == expected
+            assert _unchecked_entropy(rho) == expected
             assert entropies[k] == expected
 
     def test_invalid_state_rejected(self):
@@ -207,7 +208,7 @@ class TestVonNeumannEntropy:
         with pytest.raises(InvalidState):
             von_neumann_entropy(np.diag([1.2, -0.2]))
         with pytest.raises(InvalidState):
-            von_neumann_entropy(np.diag([1.2, -0.2]), validate=False)
+            _unchecked_entropy(np.diag([1.2, -0.2]))
 
 
 class TestValidateDensityMatrix:
@@ -280,7 +281,7 @@ class TestStackedKernels:
         assert entropies[0, 1] == 0.0 and math.copysign(1.0, entropies[0, 1]) > 0
         stack[BAD] = np.diag([1.2] + [-0.2] + [0.0] * (dim - 2))
         with pytest.raises(InvalidState) as excinfo:
-            von_neumann_entropy(stack, validate=False)
+            _unchecked_entropy(stack)
         assert_names_member(excinfo, BAD)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -350,7 +351,7 @@ class TestOneSpectrumPerCheck:
             [rank_deficient_stack(rng, 20, dim), rand_density_stack(rng, (20,), dim)]
         )
         checked = von_neumann_entropy(stack)
-        assert np.array_equal(checked, von_neumann_entropy(stack, validate=False))
+        assert np.array_equal(checked, _unchecked_entropy(stack))
         for k, rho in enumerate(stack):
-            assert von_neumann_entropy(rho) == von_neumann_entropy(rho, validate=False)
+            assert von_neumann_entropy(rho) == _unchecked_entropy(rho)
             assert von_neumann_entropy(rho) == checked[k]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import rand_correlation, rand_density, scalar_two_level_gram_sqrt, swap_factors
 
 from softmeas import repeated
-from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidParams
+from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidParams, SoftMeasError
 from softmeas.matcore import (
     matrix_sqrt_psd,
     partial_trace,
@@ -157,7 +157,8 @@ class TestJointRepeated:
             joint = joint_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent, q), n=n))
             traces.append(partial_trace(joint, [dim, dim], keep=0))
         assert np.array_equal(traces[0], traces[1])
-        np.testing.assert_allclose(traces[0], meter_dm_repeated(rho, q, n), atol=1e-13)
+        meter = meter_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent_a, q), n=n))
+        np.testing.assert_allclose(traces[0], meter, atol=1e-13)
 
     def test_outputs_are_valid_states(self):
         rng = np.random.default_rng(46)
@@ -179,7 +180,44 @@ class TestJointRepeated:
             f"got a stack of shape ({members}, 2, 2)"
         )
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
-            joint_dm_repeated(np.eye(2) / 2.0, RepeatedMeasurement(base, n=2))
+            RepeatedMeasurement(base, n=2)
+
+
+class TestRepeatedMeasurement:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, np.array([1, 2, 7, 40])])
+    def test_holds_the_powers_and_their_root(self, dim, n):
+        rng = np.random.default_rng(49 + dim)
+        base = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
+        repeated = RepeatedMeasurement(base, n)
+        collective = collective_representation(base.gram, n)
+        assert np.array_equal(repeated.entanglement_n, gram_power(base.entanglement, n))
+        assert np.array_equal(repeated.gram_n, collective.gram_n)
+        assert np.array_equal(repeated.meter_vectors, collective.meter_vectors)
+
+    @pytest.mark.parametrize("fn", [joint_dm_repeated, meter_dm_repeated])
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.eye(3) / 3.0,
+            np.diag([2.0, -1.0]),
+            np.eye(2),
+            np.array([[0.5, 0.3], [0.0, 0.5]]),
+            np.full((2, 2), np.nan),
+        ],
+        ids=["3x3", "not-PSD", "trace-2", "not-Hermitian", "nan"],
+    )
+    def test_rho_checked_as_apply_soft_checks_it(self, fn, rho):
+        base = SoftMeasurement(np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(SoftMeasError) as expected:
+            apply_soft(base, rho)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            fn(rho, RepeatedMeasurement(base, n=3))
+
+
+def meter_after(rho, gram, n):
+    """The repeated meter state of ``gram``; the entanglement matrix drops out."""
+    return meter_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(np.eye(2), gram), n))
 
 
 class TestMeterRepeated:
@@ -187,13 +225,13 @@ class TestMeterRepeated:
         rng = np.random.default_rng(47)
         rho = rand_density(rng, 2)
         q = np.array([[1.0, 0.3], [0.3, 1.0]])
-        meter = meter_dm_repeated(rho, q, 60)  # 0.3**60 ~ 4e-32
+        meter = meter_after(rho, q, 60)  # 0.3**60 ~ 4e-32
         np.testing.assert_allclose(meter, np.diag(np.diag(rho).real), atol=1e-12)
 
     def test_trivial_meter_is_pure(self):
         rng = np.random.default_rng(48)
         rho = rand_density(rng, 2)
-        meter = meter_dm_repeated(rho, np.ones((2, 2)), 5)
+        meter = meter_after(rho, np.ones((2, 2)), 5)
         u = np.full(2, 1.0 / math.sqrt(2.0))
         np.testing.assert_allclose(meter, np.outer(u, u), atol=1e-12)
         assert von_neumann_entropy(meter) == pytest.approx(0.0, abs=1e-10)
@@ -203,7 +241,7 @@ class TestMeterRepeated:
         q = two_level_gram(params)
         rho = np.diag([1.0, 0.0]).astype(complex)
         for n in (1, 3, 8):
-            meter = meter_dm_repeated(rho, q, n)
+            meter = meter_after(rho, q, n)
             vec = two_level_gram_sqrt(params, n)[:, 0]
             np.testing.assert_allclose(meter, np.outer(vec, vec.conj()), atol=1e-12)
             assert von_neumann_entropy(meter) == pytest.approx(0.0, abs=1e-10)
@@ -521,37 +559,18 @@ class TestStackedCounts:
             assert np.array_equal(rep.gram_n[k], single.gram_n)
             assert np.array_equal(rep.meter_vectors[k], single.meter_vectors)
 
-    def test_shared_representation_gives_the_same_states(self):
+    def test_count_stack_gives_the_same_states(self):
         rng = np.random.default_rng(45)
         rho = rand_density(rng, 2)
         base = SoftMeasurement(rand_correlation(rng, 2), rand_correlation(rng, 2))
         counts = np.array([1, 3, 9])
-        shared = collective_representation(base.gram, counts)
-        joint = joint_dm_repeated(rho, RepeatedMeasurement(base, counts), representation=shared)
-        meter = meter_dm_repeated(rho, base.gram, counts, representation=shared)
+        stacked = RepeatedMeasurement(base, counts)
+        joint = joint_dm_repeated(rho, stacked)
+        meter = meter_dm_repeated(rho, stacked)
         for k, n in enumerate(counts.tolist()):
-            assert np.array_equal(joint[k], joint_dm_repeated(rho, RepeatedMeasurement(base, n)))
-            assert np.array_equal(meter[k], meter_dm_repeated(rho, base.gram, n))
-
-    def test_mismatched_representation_rejected(self):
-        gram = np.array([[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(InvalidMeasurement):
-            meter_dm_repeated(
-                np.eye(2) / 2.0, gram, 4, representation=collective_representation(gram, 5)
-            )
-
-    def test_given_representation_still_checks_gram(self):
-        # Not Hermitian, but its elementwise square is that of a valid Gram matrix.
-        bad = np.array([[1.0, 0.5], [-0.5, 1.0]])
-        good = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert np.array_equal(gram_power(bad, 2), gram_power(good, 2))
-        rep = collective_representation(good, 2)
-        rho = np.eye(2) / 2.0
-        with pytest.raises(InvalidMeasurement, match="Hermitian"):
-            meter_dm_repeated(rho, bad, 2, representation=rep)
-        # A measurement holding it cannot be built, so never reaches joint_dm_repeated.
-        with pytest.raises(InvalidMeasurement, match="Hermitian"):
-            SoftMeasurement(np.eye(2), bad)
+            single = RepeatedMeasurement(base, n)
+            assert np.array_equal(joint[k], joint_dm_repeated(rho, single))
+            assert np.array_equal(meter[k], meter_dm_repeated(rho, single))
 
     def test_invalid_count_named(self):
         with pytest.raises(InvalidParams, match=r"repetition count\[2\] must be >= 1") as excinfo:

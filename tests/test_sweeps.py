@@ -15,12 +15,14 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    count_eigensolves,
     scalar_coherent_info_two_level,
     scalar_compete_two_level,
     scalar_continuous_gram_sqrt,
     scalar_dephasing_matrix,
     scalar_semiclassical_info_continuous,
     scalar_two_level_gram_sqrt,
+    spy_correlation_checks,
 )
 
 from softmeas import cli
@@ -69,7 +71,7 @@ def repeat_reference(counts, theta, chi, r12, p, mu, phase):
     for n in counts:
         vectors = scalar_two_level_gram_sqrt(theta, chi, n)
         joint = joint_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
-        meter = meter_dm_repeated(rho, measurement.gram, n)
+        meter = meter_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
         info = coherent_info_soft(
             rho, measurement.entanglement**n, gram_power(measurement.gram, n)
         )
@@ -203,6 +205,24 @@ class TestRepeatWholeGrid:
         counts = np.unique(np.rint(np.linspace(1, top, points)).astype(int))
         expected = repeat_reference(counts.tolist(), theta, chi, r12, p, mu, phase)
         assert np.array_equal(table("repeat", config), expected)
+
+    # One default sweep of ten counts in one block. The measurement is
+    # checked when built and the coherent information checks its bare
+    # matrices; the repeated measurement derives its powers and root once.
+    DEFAULTS = {**cli._COMMANDS["repeat"].defaults, "kappa_convention": "gram"}
+
+    def test_default_sweep_checks_each_correlation_matrix_once_per_entry(self, monkeypatch):
+        checked = spy_correlation_checks(monkeypatch)
+        run_sweep("repeat", self.DEFAULTS)
+        assert checked == ["entanglement", "gram", "entanglement", "gram"]
+
+    def test_default_sweep_eigensolves(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        run_sweep("repeat", self.DEFAULTS)
+        # Two for the measurement, one root of the Gram powers, one check of
+        # rho each in the joint and meter states, five in the coherent
+        # information and one per entropy of the meter and joint states.
+        assert len(calls) == 12
 
 
 class TestClosedFormsWholeGrid:
