@@ -58,7 +58,7 @@ from .information import (
     meter_ensemble,
     semiclassical_info_continuous,
 )
-from .matcore import _label, partial_trace, von_neumann_entropy
+from .matcore import DensityMatrix, _label, partial_trace, von_neumann_entropy
 from .measurement import SoftMeasurement, TwoLevelMeterParams, apply_soft, two_level_gram
 from .repeated import (
     _CONVENTIONS,
@@ -159,14 +159,14 @@ def _unit_interval(value: float, name: str) -> float:
     return value
 
 
-def _rho_from_config(config: dict[str, str]) -> np.ndarray:
+def _rho_from_config(config: dict[str, str]) -> DensityMatrix:
     p = _unit_interval(_parse_float(config["rho_p"], "rho_p"), "rho_p")
     mu = _unit_interval(_parse_float(config["rho_mu"], "rho_mu"), "rho_mu")
     phase = _parse_float(config["rho_phase"], "rho_phase")
     if not math.isfinite(phase):
         raise InvalidParams(f"rho_phase must be finite, got {phase}")
     off = mu * math.sqrt(p * (1.0 - p)) * cmath.exp(1j * phase)
-    return np.array([[p, off], [np.conj(off), 1.0 - p]])
+    return DensityMatrix(np.array([[p, off], [np.conj(off), 1.0 - p]]))
 
 
 def _entanglement_from_r12(r12: complex) -> np.ndarray:
@@ -182,11 +182,12 @@ def _grid_axes(command: str, config: dict[str, str]) -> list[np.ndarray]:
     for name in _COMMANDS[command].grids:
         grid = _parse_grid(config[name], name)
         if command == "repeat" and name == "n":
-            if not np.all(np.isfinite(grid)):
-                raise ConfigError("parameter n: repetition counts must be finite")
-            grid = np.unique(np.rint(grid).astype(int))
-            if grid.size and grid[0] < 1:
-                raise ConfigError("parameter n: repetition counts must be >= 1")
+            # Checked before the cast to int64, which cannot hold the others.
+            grid = np.rint(grid)
+            bad = grid[~((grid >= 1) & (grid < 2.0**63))]
+            if bad.size:
+                raise ConfigError(f"parameter n: repetition count {bad[0]:g} is outside [1, 2**63)")
+            grid = np.unique(grid.astype(np.int64))
         axes.append(grid)
     return axes
 
@@ -207,7 +208,7 @@ def _basis_ensemble(probs) -> StateEnsemble:
 
 def _two_level_inputs(
     config: dict[str, str],
-) -> tuple[TwoLevelMeterParams, SoftMeasurement, np.ndarray]:
+) -> tuple[TwoLevelMeterParams, SoftMeasurement, DensityMatrix]:
     params = TwoLevelMeterParams(
         theta=_parse_float(config["theta"], "theta"),
         chi=_parse_float(config["chi"], "chi"),
@@ -264,7 +265,6 @@ def _sweep_repeat(config, n):
     repeated = RepeatedMeasurement(base=measurement, n=n)
     joint = joint_dm_repeated(rho, repeated)
     meter = meter_dm_repeated(rho, repeated)
-    info = coherent_info_soft(rho, repeated.entanglement_n, repeated.gram_n)
     return [
         vectors[..., 0, 0].real,
         vectors[..., 0, 1].real,
@@ -272,7 +272,7 @@ def _sweep_repeat(config, n):
         vectors[..., 1, 1].real,
         von_neumann_entropy(meter),
         von_neumann_entropy(joint),
-        info,
+        coherent_info_soft(rho, repeated),
     ]
 
 
@@ -282,8 +282,9 @@ def _sweep_single(config):
     joint = apply_soft(measurement, rho)
     meter = partial_trace(joint, [2, 2], keep=1)
     obj = partial_trace(joint, [2, 2], keep=0)
-    info_s = holevo_info(meter_ensemble(_basis_ensemble(np.diag(rho).real), measurement.gram))
-    info_c = coherent_info_soft(rho, measurement.entanglement, measurement.gram)
+    populations = np.diag(rho.matrix).real
+    info_s = holevo_info(meter_ensemble(_basis_ensemble(populations), measurement.gram))
+    info_c = coherent_info_soft(rho, measurement)
     return [
         q,
         von_neumann_entropy(rho),

@@ -30,6 +30,8 @@ from .errors import (
 )
 from .matcore import (
     TAU_RECON,
+    DensityMatrix,
+    StateLike,
     _checked_density,
     _dagger,
     _entropy,
@@ -37,10 +39,10 @@ from .matcore import (
     _first,
     _label,
     _member,
+    _state,
     _unchecked_entropy,
     herm_eig,
     matrix_sqrt_psd,
-    validate_density_matrix,
 )
 from .measurement import (
     SoftMeasurement,
@@ -49,7 +51,7 @@ from .measurement import (
     _single_dim,
     meter_states_from_gram,
 )
-from .repeated import ContinuousLimitParams, _convention
+from .repeated import ContinuousLimitParams, RepeatedMeasurement, _convention
 
 # Eigenvalues of a Choi matrix below this (relative) threshold are treated
 # as numerically zero when extracting Kraus operators.
@@ -132,8 +134,7 @@ def soft_object_channel(entanglement: np.ndarray, gram: np.ndarray) -> KrausChan
     ``m = entanglement * gram``. Its Kraus operators are obtained by
     eigendecomposing the corresponding Choi matrix (they come out diagonal).
     """
-    measurement = SoftMeasurement(entanglement, gram)
-    m = measurement.entanglement * measurement.gram
+    m = SoftMeasurement(entanglement, gram).multiplier
     d = m.shape[0]
     choi = np.zeros((d, d, d, d), dtype=complex)
     rows, cols = np.indices((d, d))
@@ -141,21 +142,19 @@ def soft_object_channel(entanglement: np.ndarray, gram: np.ndarray) -> KrausChan
     return kraus_from_choi(choi.reshape(d * d, d * d), d, d)
 
 
-def coherent_info_channel(channel: KrausChannel, rho: np.ndarray) -> float:
+def coherent_info_channel(channel: KrausChannel, rho: StateLike) -> float:
     """Coherent information preserved by ``channel`` on input ``rho``, bits.
 
     The input is purified in its eigenbasis (descending eigenvalues, zero
     eigenvalues omitted from the reference system), the channel acts on the
     input half, and the result is output entropy minus joint entropy. The
-    value may be negative.
+    value may be negative. A :class:`DensityMatrix` input is decomposed once
+    more, since the purification needs its eigenvectors.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     channel.validate()
     w, v = _checked_density(rho, "rho", vectors=True)
-    if rho.shape != (channel.in_dim, channel.in_dim):
-        raise DimensionMismatch(
-            f"rho has shape {rho.shape}, channel input dim is {channel.in_dim}"
-        )
+    output = channel.apply(rho)  # raises DimensionMismatch for a rho of the wrong shape
     order = [i for i in range(len(w) - 1, -1, -1) if w[i] > _PURIFY_TOL]
     amps = v[:, order] * np.sqrt(w[order])  # in_dim x rank, column i = sqrt(l_i) v_i
     rank = amps.shape[1]
@@ -163,34 +162,31 @@ def coherent_info_channel(channel: KrausChannel, rho: np.ndarray) -> float:
     for k in channel.kraus_ops:
         vec = (k @ amps).reshape(-1)
         joint += np.outer(vec, vec.conj())
-    output = channel.apply(rho)
     return _unchecked_entropy(output) - _unchecked_entropy(joint)
 
 
-def coherent_info_soft(rho: np.ndarray, entanglement: np.ndarray, gram: np.ndarray) -> float:
+def coherent_info_soft(rho: StateLike, measurement: SoftMeasurement | RepeatedMeasurement) -> float:
     """Coherent information kept in the object by a soft measurement, bits.
 
-    Closed form: with multiplier ``m = entanglement * gram`` the value is
+    Closed form: with the measurement's multiplier ``m`` (``R * Q``
+    entrywise, or ``R**n * Q**n`` for a repeated measurement) the value is
     ``S[m * rho] - S[sqrt(rho_kk) m_kl sqrt(rho_ll)]`` (entrywise products).
-    Both arguments are themselves valid density matrices and are checked.
+    Both entropy arguments are themselves valid density matrices and are
+    checked; the measurement was checked when it was built, and a
+    :class:`DensityMatrix` ``rho`` is not checked again.
 
-    Any of the three inputs may be a ``(..., D, D)`` stack; the stacks
-    broadcast against each other and the result is one value per member.
+    ``rho`` and the measurement may be ``(..., D, D)`` stacks (a repeated
+    measurement with an array of counts is one); the stacks broadcast
+    against each other and the result is one value per member.
     """
-    rho = np.asarray(rho, dtype=complex)
-    entanglement = np.asarray(entanglement, dtype=complex)
-    gram = np.asarray(gram, dtype=complex)
-    _check_correlation_matrix({"entanglement": entanglement, "gram": gram})
-    validate_density_matrix(rho)
-    m = entanglement * gram
+    rho = _state(rho).matrix
+    m = measurement.multiplier
     if m.shape[-2:] != rho.shape[-2:]:
         raise DimensionMismatch(f"rho shape {rho.shape} != measurement shape {m.shape}")
-    first = m * rho
-    roots = np.sqrt(np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None))
-    second = roots[..., :, None] * roots[..., None, :] * m
-    spectrum_first = validate_density_matrix(first, name="dephased object state")
-    spectrum_second = validate_density_matrix(second, name="exchange-entropy argument")
-    return _entropy(spectrum_first) - _entropy(spectrum_second)
+    root = np.sqrt(np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None))
+    first = DensityMatrix(m * rho, "dephased object state")
+    second = DensityMatrix(root[..., :, None] * root[..., None, :] * m, "exchange-entropy argument")
+    return _entropy(first.eigenvalues) - _entropy(second.eigenvalues)
 
 
 def _check_unit_interval(**values: np.ndarray) -> None:
@@ -274,10 +270,8 @@ class StateEnsemble:
         dims = {s.shape for s in states}
         if len(dims) != 1:
             raise DimensionMismatch(f"ensemble states have mixed shapes {dims}")
-        spectra = tuple(
-            validate_density_matrix(s, name=f"ensemble state {i}") for i, s in enumerate(states)
-        )
-        object.__setattr__(self, "spectra", spectra)
+        checked = (DensityMatrix(s, f"ensemble state {i}") for i, s in enumerate(states))
+        object.__setattr__(self, "spectra", tuple(state.eigenvalues for state in checked))
 
     @property
     def dim(self) -> int:
@@ -341,7 +335,7 @@ def semiclassical_info_continuous(
     """
     t = ContinuousLimitParams(kappa=kappa, t=t).t
     _, rate = _convention(convention)
-    overlap = _entrywise(math.exp, -rate * kappa * t)
+    overlap = _entrywise(lambda time: math.exp(-rate * kappa * time), t)
     info = _entrywise(_binary_entropy, (1.0 + overlap) / 2.0)
     return float(info) if info.ndim == 0 else info
 
@@ -366,7 +360,7 @@ class CompetitionParams:
 
 
 def compete_coherent(
-    rho: np.ndarray,
+    rho: StateLike,
     ent_eve: np.ndarray,
     gram_eve: np.ndarray,
     ent_bob: np.ndarray,
@@ -382,7 +376,6 @@ def compete_coherent(
     the other receiver (all products entrywise). Equal when both receivers
     use the same parameters.
     """
-    rho = np.asarray(rho, dtype=complex)
     mats = {
         "eve entanglement": np.asarray(ent_eve, complex),
         "eve gram": np.asarray(gram_eve, complex),
@@ -390,7 +383,7 @@ def compete_coherent(
         "bob gram": np.asarray(gram_bob, complex),
     }
     _check_correlation_matrix(mats)
-    validate_density_matrix(rho)
+    rho = _state(rho, mats["eve entanglement"].shape[-1]).matrix
     shared = rho * mats["eve entanglement"] * mats["bob entanglement"]
     common = shared * mats["eve gram"] * mats["bob gram"]
     s_common = _unchecked_entropy(common)

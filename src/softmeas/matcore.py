@@ -6,20 +6,26 @@ bits. All functions are pure; inputs are never mutated. Every check uses the
 tolerances below; no function takes a tolerance argument.
 
 Shape contract: :func:`herm_eig`, :func:`matrix_sqrt_psd`,
-:func:`validate_density_matrix` and :func:`von_neumann_entropy` take either
-one ``(D, D)`` matrix or a stack of shape ``(..., D, D)``, and a stack
-gives, member by member, the same floats as the calls on its members one at
-a time (a single matrix runs the same code as a stack of one). Results keep
-the stack axes in front; a scalar result such as an entropy is a ``float``
-for one matrix and an array of the stack shape otherwise. A check that
-fails on a stack names the index of the first failing member (C order) in
-its message and in the exception's ``index``. :func:`partial_trace` takes
-one matrix.
+:func:`validate_density_matrix`, :class:`DensityMatrix` and
+:func:`von_neumann_entropy` take either one ``(D, D)`` matrix or a stack of
+shape ``(..., D, D)``, and a stack gives, member by member, the same floats
+as the calls on its members one at a time (a single matrix runs the same
+code as a stack of one). Results keep the stack axes in front; a scalar
+result such as an entropy is a ``float`` for one matrix and an array of the
+stack shape otherwise. A check that fails on a stack names the index of the
+first failing member (C order) in its message and in the exception's
+``index``. :func:`partial_trace` takes one matrix.
 
 Each check decomposes a matrix once: :func:`validate_density_matrix`
-returns the ascending eigenvalues it checked (shape ``(..., D)``), and
-:func:`von_neumann_entropy` takes its entropy from them;
+returns the ascending eigenvalues it checked (shape ``(..., D)``);
 ``_checked_density`` can return the eigenvectors of the same decomposition.
+A state is checked once: a :class:`DensityMatrix` runs the check when it is
+built and keeps those eigenvalues. The functions that take a state accept a
+raw array, which they check by building a :class:`DensityMatrix`, or a
+:class:`DensityMatrix`, which they do not check again (only
+``coherent_info_channel`` decomposes it once more, for the eigenvectors of
+its purification); so :func:`von_neumann_entropy` of a
+:class:`DensityMatrix` makes no eigensolve.
 
 Working dimensions are small (<= 64), so everything is backed by dense
 LAPACK routines through ``numpy.linalg``, which loops over a stack in C.
@@ -27,6 +33,7 @@ LAPACK routines through ``numpy.linalg``, which loops over a stack in C.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -236,17 +243,53 @@ def _checked_density(
     return w, v
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A checked density matrix, or a checked ``(..., D, D)`` stack of them.
+
+    ``matrix`` is checked once, when the value is built, by
+    :func:`validate_density_matrix` (which raises :class:`InvalidState`,
+    its messages naming the state ``name``), and ``eigenvalues`` keeps the
+    ascending eigenvalues that check computed, shape ``(..., D)``. The
+    functions that take a state never check a :class:`DensityMatrix` again.
+    """
+
+    matrix: np.ndarray
+    name: str = field(default="rho", repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        object.__setattr__(self, "eigenvalues", validate_density_matrix(self.matrix, self.name))
+
+
+# What the functions that take a state accept: a raw array, which they
+# check, or a DensityMatrix, which they do not check again.
+StateLike = np.ndarray | DensityMatrix
+
+
+def _state(rho: StateLike, dim: int | None = None) -> DensityMatrix:
+    """``rho`` as a :class:`DensityMatrix`: unchanged if it is one, else
+    built, and so checked, from the raw array. With ``dim``,
+    :class:`DimensionMismatch` unless the state is one ``dim x dim`` matrix."""
+    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    if dim is not None and state.matrix.shape != (dim, dim):
+        raise DimensionMismatch(f"rho has shape {state.matrix.shape}, measurement dim is {dim}")
+    return state
+
+
+def von_neumann_entropy(rho: StateLike) -> float | np.ndarray:
     """Von Neumann entropy of a density matrix, in bits; for a stack, one
     entropy per member.
 
-    ``rho`` is checked by :func:`validate_density_matrix`, and the entropy
-    is taken from the spectrum that check computed, so one eigensolve serves
-    both. Eigenvalues are clamped to ``[0, 1]`` with the convention
-    ``0 * log2(0) = 0``. Negative eigenvalues within ``ENTROPY_CLAMP`` are
-    treated as zero; larger violations raise :class:`InvalidState`.
+    The entropy is taken from the spectrum of the state's check, so a raw
+    ``rho`` costs one eigensolve, which also checks it, and a
+    :class:`DensityMatrix` none. Eigenvalues are clamped to ``[0, 1]`` with
+    the convention ``0 * log2(0) = 0``. Negative eigenvalues within
+    ``ENTROPY_CLAMP`` are treated as zero; larger violations raise
+    :class:`InvalidState`.
     """
-    return _entropy(validate_density_matrix(rho))
+    return _entropy(_state(rho).eigenvalues)
 
 
 def _unchecked_entropy(rho: np.ndarray) -> float | np.ndarray:

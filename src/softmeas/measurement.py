@@ -11,8 +11,11 @@ two Hermitian PSD unit-diagonal matrices:
 
 A :class:`SoftMeasurement` or :class:`GeneralMeasurement` is checked once,
 when it is built, and raises :class:`InvalidMeasurement` naming every failed
-check; the functions that take one never check its matrices again. Raw
-arrays (a density matrix, a bare Gram matrix) are checked where they enter.
+check; the functions that take one never check its matrices again. A
+state is checked the same way: the functions here take a raw density
+matrix, which they check, or a :class:`~softmeas.matcore.DensityMatrix`,
+checked when it was built. Other raw arrays (a bare Gram matrix) are
+checked where they enter.
 
 Meter states are synthesized minimally in a space of the object's dimension
 as the columns of the principal square root of the Gram matrix, which fixes
@@ -34,13 +37,14 @@ from .matcore import (
     TAU_HERM,
     TAU_PSD,
     TAU_TRACE,
+    StateLike,
     _dagger,
     _first,
     _hermitian_deviation,
     _hermitian_part,
     _label,
+    _state,
     matrix_sqrt_psd,
-    validate_density_matrix,
 )
 
 
@@ -122,6 +126,12 @@ class SoftMeasurement:
     def dim(self) -> int:
         return int(self.entanglement.shape[-1])
 
+    @property
+    def multiplier(self) -> np.ndarray:
+        """``entanglement * gram`` entrywise: the Hadamard multiplier that
+        the object-output channel applies to the input state."""
+        return self.entanglement * self.gram
+
 
 def _single_dim(measurement: SoftMeasurement, name: str = "measurement") -> int:
     """The dimension of a measurement that must be one ``D x D`` pair;
@@ -154,7 +164,7 @@ def _meter_mix(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (vectors * weights[..., None, :]) @ _dagger(vectors)
 
 
-def apply_soft(measurement: SoftMeasurement, rho: np.ndarray) -> np.ndarray:
+def apply_soft(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
     """Apply a soft measurement to an object state.
 
     Returns the joint object-meter density matrix on ``H_A (x) H_B`` with
@@ -163,13 +173,9 @@ def apply_soft(measurement: SoftMeasurement, rho: np.ndarray) -> np.ndarray:
     the meter leaves ``entanglement[k,l] * conj(gram[k,l]) * rho[k,l]``; for
     real Gram matrices that conjugate is invisible.
     """
-    rho = np.asarray(rho, dtype=complex)
-    validate_density_matrix(rho)
     d = _single_dim(measurement)
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"rho has shape {rho.shape}, measurement dim is {d}")
+    weights = measurement.entanglement * _state(rho, d).matrix
     vecs = matrix_sqrt_psd(measurement.gram)
-    weights = measurement.entanglement * rho
     joint = np.einsum("kl,ak,bl->kalb", weights, vecs, vecs.conj())
     return joint.reshape(d * d, d * d)
 
@@ -221,19 +227,15 @@ class GeneralMeasurement:
         return self.blocks.transpose(0, 2, 1, 3).reshape(d * m, d * m)
 
 
-def apply_general(measurement: GeneralMeasurement, rho: np.ndarray) -> np.ndarray:
+def apply_general(measurement: GeneralMeasurement, rho: StateLike) -> np.ndarray:
     """Apply a general nondemolition measurement.
 
     Output on ``H_A (x) H_B`` is ``sum_kl rho[k,l] |k><l| (x) blocks[k,l]``;
     the object populations ``rho[k,k]`` survive unchanged in the reduced
     object state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    validate_density_matrix(rho)
     d, m = measurement.dim, measurement.meter_dim
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"rho has shape {rho.shape}, measurement dim is {d}")
-    joint = np.einsum("kl,klab->kalb", rho, measurement.blocks)
+    joint = np.einsum("kl,klab->kalb", _state(rho, d).matrix, measurement.blocks)
     return joint.reshape(d * m, d * m)
 
 

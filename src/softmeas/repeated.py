@@ -29,14 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams
+from .errors import InvalidParams
 from .matcore import (
+    StateLike,
     _entrywise,
     _first,
     _label,
     _member,
+    _state,
     matrix_sqrt_psd,
-    validate_density_matrix,
 )
 from .measurement import (
     SoftMeasurement,
@@ -152,37 +153,31 @@ class RepeatedMeasurement:
         object.__setattr__(self, "gram_n", collective.gram_n)
         object.__setattr__(self, "meter_vectors", collective.meter_vectors)
 
-
-def _object_state(rho: np.ndarray, repeated: RepeatedMeasurement) -> np.ndarray:
-    """``rho`` as a checked ``D x D`` density matrix of the measured object:
-    :class:`InvalidState` for a bad state, :class:`DimensionMismatch` for a
-    shape other than the measurement's."""
-    rho = np.asarray(rho, dtype=complex)
-    validate_density_matrix(rho)
-    d = repeated.base.dim
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"rho has shape {rho.shape}, measurement dim is {d}")
-    return rho
+    @property
+    def multiplier(self) -> np.ndarray:
+        """``entanglement_n * gram_n`` entrywise (``R**n * Q**n``): the
+        Hadamard multiplier of the object-output channel of ``n`` steps."""
+        return self.entanglement_n * self.gram_n
 
 
-def joint_dm_repeated(rho: np.ndarray, repeated: RepeatedMeasurement) -> np.ndarray:
+def joint_dm_repeated(rho: StateLike, repeated: RepeatedMeasurement) -> np.ndarray:
     """Joint meter-object state after ``n`` accumulated measurements.
 
     Factor order is meter (x) object (row index ``k * D + i`` with ``k``
     collective-meter, ``i`` object). Entry ``((k,i),(l,j))`` is
     ``R[i,j]**n * rho[i,j] * V[k,i] * conj(V[l,j])`` with ``V`` the
     collective meter vectors that ``repeated`` holds. An array of counts
-    gives one joint state per count.
+    gives one joint state per count. ``rho`` must be one ``D x D`` state of
+    the measured object.
     """
-    rho = _object_state(rho, repeated)
     d = repeated.base.dim
-    weights = repeated.entanglement_n * rho
+    weights = repeated.entanglement_n * _state(rho, d).matrix
     vectors = repeated.meter_vectors
     joint = np.einsum("...ij,...ki,...lj->...kilj", weights, vectors, vectors.conj())
     return joint.reshape(joint.shape[:-4] + (d * d, d * d))
 
 
-def meter_dm_repeated(rho: np.ndarray, repeated: RepeatedMeasurement) -> np.ndarray:
+def meter_dm_repeated(rho: StateLike, repeated: RepeatedMeasurement) -> np.ndarray:
     """Reduced meter state after ``n`` measurements, in the collective basis.
 
     Depends only on the object populations (the entanglement matrix drops
@@ -190,7 +185,7 @@ def meter_dm_repeated(rho: np.ndarray, repeated: RepeatedMeasurement) -> np.ndar
     meter vectors that ``repeated`` holds. ``rho`` is checked as in
     :func:`joint_dm_repeated`. An array of counts gives one state per count.
     """
-    rho = _object_state(rho, repeated)
+    rho = _state(rho, repeated.base.dim).matrix
     return _meter_mix(repeated.meter_vectors, np.diagonal(rho).real)
 
 
@@ -212,6 +207,19 @@ def _two_level_root(c: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return _two_level_matrix(plus, phase * minus, np.conj(phase) * minus)
 
 
+def _check_phase(name: str, rate: float, times: float | np.ndarray, decay: float = 0.0) -> None:
+    """Raise :class:`InvalidParams` naming the phase ``name`` and the first
+    member of ``times`` (counts or times) at which the accumulated phase
+    ``rate * time`` overflows, which ``math.cos``, ``math.sin`` and
+    ``cmath.exp`` reject. A member at which the decay exponent
+    ``decay * time`` overflows too is exactly 0 whatever its phase, and
+    passes."""
+    with np.errstate(over="ignore"):
+        i = _first(np.isinf(np.multiply(rate, times)) & ~np.isinf(np.multiply(decay, times)))
+    if i is not None:
+        raise InvalidParams(f"accumulated phase {name} is not finite{_member(i)}", index=i or None)
+
+
 def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.ndarray:
     """Closed form of the principal square root of the two-level Gram power.
 
@@ -221,10 +229,12 @@ def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.
     An integer array of counts gives the ``(..., 2, 2)`` stack, one member
     per count. The power, cosine and sine come from libm, one count at a
     time, so each member holds the floats of the scalar ``math``/``cmath``
-    formula.
+    formula. :class:`InvalidParams` names the first count whose phase
+    ``n*chi`` overflows.
     """
     n = np.asarray(_counts(n))
     c = _entrywise(pow, math.cos(params.theta / 2.0), n)
+    _check_phase("n*chi", params.chi, n)
     # ``cmath.exp(1j*n*chi)`` is libm's cosine and sine of ``n*chi``.
     angle = n * params.chi
     phase = np.empty(n.shape, dtype=complex)
@@ -273,36 +283,39 @@ def continuous_gram_sqrt(params: ContinuousLimitParams) -> np.ndarray:
     ``s_plus**2 + s_minus**2 == 1`` and the square of the matrix has
     off-diagonal ``exp(-kappa*t + i*chi_dot*t)``. An array of times gives
     the stack; the exponentials come from :mod:`math` and :mod:`cmath`.
+    :class:`InvalidParams` names the first time whose phase ``chi_dot*t``
+    overflows.
     """
-    c = _entrywise(math.exp, -params.kappa * params.t)
+    _check_phase("chi_dot*t", params.chi_dot, params.t)
+    c = _entrywise(lambda t: math.exp(-params.kappa * t), params.t)
     phase = _entrywise(lambda t: cmath.exp(1j * params.chi_dot * t), params.t, dtype=complex)
     return _two_level_root(c, phase)
 
 
-def meter_dm_continuous(rho: np.ndarray, params: ContinuousLimitParams) -> np.ndarray:
+def meter_dm_continuous(rho: StateLike, params: ContinuousLimitParams) -> np.ndarray:
     """Reduced meter state of the continuous measurement, collective basis.
 
     Starts at the pure state with coordinates ``(1/sqrt2, 1/sqrt2)`` at
     ``t = 0`` and diagonalizes onto the object populations as
     ``kappa * t -> inf``. Off-diagonal is
     ``exp(-kappa*t + i*chi_dot*t) / 2``. An array of times gives one state
-    per time.
+    per time. ``rho`` must be one two-level state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    validate_density_matrix(rho)
-    if rho.shape != (2, 2):
-        raise InvalidParams(f"continuous limit is two-level, rho has shape {rho.shape}")
+    rho = _state(rho, 2).matrix
     return _meter_mix(continuous_gram_sqrt(params), np.diag(rho).real)
 
 
 def _dephasing_matrix(params: ContinuousLimitParams) -> np.ndarray:
-    """``[[1, off], [conj(off), 1]]`` with ``off = exp(-r_dot*t)``, per time."""
+    """``[[1, off], [conj(off), 1]]`` with ``off = exp(-r_dot*t)``, per time;
+    :class:`InvalidParams` names the first time whose phase ``Im(r_dot)*t``
+    overflows while its decay ``Re(r_dot)*t`` does not."""
     r_dot = complex(params.r_dot)
+    _check_phase("Im(r_dot)*t", r_dot.imag, params.t, r_dot.real)
     off = _entrywise(lambda t: cmath.exp(-r_dot * t), params.t, dtype=complex)
     return _two_level_matrix(1.0, off, np.conj(off))
 
 
-def joint_dm_continuous(rho: np.ndarray, params: ContinuousLimitParams) -> np.ndarray:
+def joint_dm_continuous(rho: StateLike, params: ContinuousLimitParams) -> np.ndarray:
     """Joint object-meter state of the continuous measurement, as a 4x4.
 
     Factor order is object (x) meter: the ``(i, j)`` object block equals
@@ -310,12 +323,9 @@ def joint_dm_continuous(rho: np.ndarray, params: ContinuousLimitParams) -> np.nd
     off-diagonal blocks) times the meter component ``V[:,i] V[:,j]^dagger``
     built from :func:`continuous_gram_sqrt`. At ``t = 0`` this is
     ``rho (x) |u><u|`` with ``u = (1/sqrt2, 1/sqrt2)``. An array of times
-    gives the stack.
+    gives the stack. ``rho`` must be one two-level state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    validate_density_matrix(rho)
-    if rho.shape != (2, 2):
-        raise InvalidParams(f"continuous limit is two-level, rho has shape {rho.shape}")
+    rho = _state(rho, 2).matrix
     vectors = continuous_gram_sqrt(params)
     weights = _dephasing_matrix(params) * rho
     joint = np.einsum("...ij,...ki,...lj->...ikjl", weights, vectors, vectors.conj())

@@ -68,7 +68,7 @@ def test_criterion_1_closed_form_vs_matrix_oracle():
         for p in grid:
             for mu in grid:
                 closed = coherent_info_two_level(float(q), float(p), float(mu))
-                matrix = coherent_info_soft(qubit_state(p, mu), ones, gram)
+                matrix = coherent_info_soft(qubit_state(p, mu), SoftMeasurement(ones, gram))
                 worst = max(worst, abs(closed - matrix))
     elapsed = time.perf_counter() - start
     report(1, f"closed form vs matrix oracle (max |d|={worst:.2e}, {elapsed:.2f}s)",
@@ -84,7 +84,7 @@ def test_criterion_2_channel_oracle():
         rho = rand_density(rng, dim)
         ent = rand_correlation(rng, dim)
         gram = rand_correlation(rng, dim)
-        closed = coherent_info_soft(rho, ent, gram)
+        closed = coherent_info_soft(rho, SoftMeasurement(ent, gram))
         channel = coherent_info_channel(soft_object_channel(ent, gram), rho)
         worst = max(worst, abs(closed - channel))
     elapsed = time.perf_counter() - start

@@ -12,6 +12,7 @@ PUBLIC = [
     "CompetitionParams",
     "ConfigError",
     "ContinuousLimitParams",
+    "DensityMatrix",
     "DimensionMismatch",
     "GeneralMeasurement",
     "InvalidChannel",

@@ -318,6 +318,44 @@ class TestNonFiniteInput:
         assert expected in err
 
 
+class TestOverflow:
+    """Finite parameters whose accumulated phase, or whose repetition count,
+    does not fit a float or an int64 fail with one line, no traceback and no
+    warning."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["repeat", "--param", "chi=1e308", "--param", "n=1:3:3"],
+                "repeat grid point 1 (n=2): accumulated phase n*chi is not finite",
+            ),
+            (
+                ["continuous", "--param", "chi_dot=1e308"],
+                "continuous grid point 18 (t=1.8): accumulated phase chi_dot*t is not finite",
+            ),
+            (
+                ["continuous", "--param", "r_dot=0,1e308"],
+                "continuous grid point 18 (t=1.8): accumulated phase Im(r_dot)*t is not finite",
+            ),
+        ],
+    )
+    def test_phase_overflow_exits_three(self, argv, expected, capsys):
+        code, err = run_failing(argv, capsys)
+        assert code == 3
+        assert err.startswith(f"softmeas: {expected}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "grid, value",
+        [("1:1e30:3", "5e+29"), ("1:9.3e18:2", "9.3e+18"), ("-1e30:1:3", "-1e+30"), ("0:2:3", "0")],
+    )
+    def test_count_outside_int64_is_config_error(self, grid, value, capsys):
+        code, err = run_failing(["repeat", "--param", f"n={grid}"], capsys)
+        assert code == 2
+        message = f"parameter n: repetition count {value} is outside [1, 2**63)"
+        assert err == f"softmeas: config error: {message}\n"
+
+
 class TestCommandTable:
     @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
     def test_grids_are_defaults_and_columns_unique(self, name):

@@ -48,7 +48,7 @@ from softmeas.information import (
     semiclassical_info_continuous,
     soft_object_channel,
 )
-from softmeas.matcore import _unchecked_entropy, partial_trace, von_neumann_entropy
+from softmeas.matcore import DensityMatrix, _unchecked_entropy, partial_trace, von_neumann_entropy
 from softmeas.measurement import SoftMeasurement, apply_soft, meter_states_from_gram
 from softmeas.repeated import ContinuousLimitParams, continuous_gram_sqrt
 
@@ -192,14 +192,14 @@ class TestCoherentInfoSoft:
         rng = np.random.default_rng(66)
         rho = rand_density(rng, 3)
         ones = np.ones((3, 3))
-        assert coherent_info_soft(rho, ones, ones) == pytest.approx(
+        assert coherent_info_soft(rho, SoftMeasurement(ones, ones)) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-10
         )
 
     def test_sharp_measurement_destroys_coherent_info(self):
         rng = np.random.default_rng(67)
         rho = rand_density(rng, 3)
-        assert coherent_info_soft(rho, np.eye(3), np.eye(3)) == pytest.approx(
+        assert coherent_info_soft(rho, SoftMeasurement(np.eye(3), np.eye(3))) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -215,15 +215,18 @@ class TestCoherentInfoSoft:
         rho = rand_density(rng, dim)
         ent = rand_correlation(rng, dim)
         gram = rand_correlation(rng, dim)
-        SoftMeasurement(ent, gram)
+        measurement = SoftMeasurement(ent, gram)
         channel = soft_object_channel(ent, gram)
         channel.validate()
-        closed = coherent_info_soft(rho, ent, gram)
+        closed = coherent_info_soft(rho, measurement)
         assert closed == pytest.approx(coherent_info_channel(channel, rho), abs=1e-8)
 
     def test_invalid_measurement_rejected(self):
+        # A bad measurement cannot be built, so it never reaches the closed form.
         with pytest.raises(InvalidMeasurement):
-            coherent_info_soft(np.eye(2) / 2.0, np.array([[1.0, 1.5], [1.5, 1.0]]), np.eye(2))
+            coherent_info_soft(
+                np.eye(2) / 2.0, SoftMeasurement(np.array([[1.0, 1.5], [1.5, 1.0]]), np.eye(2))
+            )
 
     def test_one_eigensolve_per_derived_state(self, monkeypatch):
         rng = np.random.default_rng(69)
@@ -234,10 +237,16 @@ class TestCoherentInfoSoft:
         expected = _unchecked_entropy(m * rho) - _unchecked_entropy(
             roots[..., :, None] * roots[..., None, :] * m
         )
+        measurement = SoftMeasurement(ent, gram)
         calls = count_eigvalsh(monkeypatch)
-        # The three inputs take one check each, then one per derived state.
-        assert np.array_equal(coherent_info_soft(rho, ent, gram), expected)
-        assert calls == [(3, 3), (3, 3), (4, 3, 3), (4, 3, 3), (4, 3, 3)]
+        # The measurement was checked when built; a raw rho takes one check,
+        # a checked one none, then one per derived state.
+        assert np.array_equal(coherent_info_soft(rho, measurement), expected)
+        assert calls == [(4, 3, 3), (4, 3, 3), (4, 3, 3)]
+        state = DensityMatrix(rho)
+        calls.clear()
+        assert np.array_equal(coherent_info_soft(state, measurement), expected)
+        assert calls == [(4, 3, 3), (4, 3, 3)]
 
 
 class TestCoherentInfoTwoLevel:
@@ -261,7 +270,7 @@ class TestCoherentInfoTwoLevel:
                     ent = np.ones((2, 2))
                     gram = np.array([[1.0, q], [q, 1.0]])
                     assert coherent_info_two_level(q, p, mu) == pytest.approx(
-                        coherent_info_soft(rho, ent, gram), abs=1e-10
+                        coherent_info_soft(rho, SoftMeasurement(ent, gram)), abs=1e-10
                     )
 
     def test_out_of_range_rejected(self):
@@ -752,9 +761,9 @@ class TestStackedInformation:
         rho = rand_density(rng, 3)
         ents = np.array([rand_correlation(rng, 3) for _ in range(5)])
         gram = rand_correlation(rng, 3)
-        infos = coherent_info_soft(rho, ents, gram)
+        infos = coherent_info_soft(rho, SoftMeasurement(ents, np.broadcast_to(gram, ents.shape)))
         for k in range(5):
-            assert infos[k] == coherent_info_soft(rho, ents[k], gram)
+            assert infos[k] == coherent_info_soft(rho, SoftMeasurement(ents[k], gram))
 
     def test_holevo_of_stacked_ensemble(self):
         rng = np.random.default_rng(72)

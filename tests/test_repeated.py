@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_correlation, rand_density, scalar_two_level_gram_sqrt, swap_factors
+from conftest import (
+    rand_correlation,
+    rand_density,
+    scalar_continuous_gram_sqrt,
+    scalar_dephasing_matrix,
+    scalar_two_level_gram_sqrt,
+    swap_factors,
+)
 
 from softmeas import repeated
 from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidParams, SoftMeasError
@@ -631,3 +638,45 @@ class TestContinuousTimeArrays:
         with pytest.raises(InvalidParams, match=re.escape(expected)) as excinfo:
             ContinuousLimitParams(kappa=1.0, t=np.array(times))
         assert excinfo.value.index == index
+
+
+class TestPhaseOverflow:
+    """A finite rate whose accumulated phase overflows is an
+    :class:`InvalidParams` naming the phase and its first failing member; a
+    member whose decay overflows too is exactly 0 and keeps its floats."""
+
+    TIMES = np.array([0.0, 1.0, 2.0, 3.0])
+
+    def test_repeated_phase(self):
+        params = TwoLevelMeterParams(theta=1.0, chi=1e308)
+        message = "accumulated phase n*chi is not finite"
+        with pytest.raises(InvalidParams, match=re.escape(f"{message} (stack member [1])")) as exc:
+            two_level_gram_sqrt(params, np.array([1, 2, 3]))
+        assert exc.value.index == (1,)
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$") as exc:
+            two_level_gram_sqrt(params, 2)
+        assert exc.value.index is None
+
+    @pytest.mark.parametrize(
+        "fn, rates, phase",
+        [
+            (meter_dm_continuous, {"chi_dot": -1e308}, "chi_dot*t"),
+            (joint_dm_continuous, {"chi_dot": 1e308}, "chi_dot*t"),
+            (joint_dm_continuous, {"r_dot": 1e308j}, "Im(r_dot)*t"),
+            (joint_dm_continuous, {"r_dot": 1.0 - 1e308j}, "Im(r_dot)*t"),
+        ],
+    )
+    def test_continuous_phase(self, fn, rates, phase):
+        rho = np.eye(2) / 2.0
+        message = f"accumulated phase {phase} is not finite (stack member [2])"
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$") as excinfo:
+            fn(rho, ContinuousLimitParams(kappa=1.0, t=self.TIMES, **rates))
+        assert excinfo.value.index == (2,)
+
+    def test_overflowing_decay_keeps_its_floats(self):
+        r_dot = complex(1e308, 1e308)
+        params = ContinuousLimitParams(kappa=1e308, t=self.TIMES, r_dot=r_dot)
+        dephasing = [scalar_dephasing_matrix(r_dot, t) for t in self.TIMES.tolist()]
+        vectors = [scalar_continuous_gram_sqrt(1e308, t, 0.0) for t in self.TIMES.tolist()]
+        assert repeated._dephasing_matrix(params).tobytes() == np.array(dephasing).tobytes()
+        assert continuous_gram_sqrt(params).tobytes() == np.array(vectors).tobytes()

@@ -73,7 +73,7 @@ def repeat_reference(counts, theta, chi, r12, p, mu, phase):
         joint = joint_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
         meter = meter_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
         info = coherent_info_soft(
-            rho, measurement.entanglement**n, gram_power(measurement.gram, n)
+            rho, SoftMeasurement(measurement.entanglement**n, gram_power(measurement.gram, n))
         )
         rows.append(
             [
@@ -206,23 +206,35 @@ class TestRepeatWholeGrid:
         expected = repeat_reference(counts.tolist(), theta, chi, r12, p, mu, phase)
         assert np.array_equal(table("repeat", config), expected)
 
-    # One default sweep of ten counts in one block. The measurement is
-    # checked when built and the coherent information checks its bare
-    # matrices; the repeated measurement derives its powers and root once.
+    # One default sweep of ten counts in one block. The measurement and the
+    # input state are checked when built, and nothing checks them again; the
+    # repeated measurement derives its powers and root once.
     DEFAULTS = {**cli._COMMANDS["repeat"].defaults, "kappa_convention": "gram"}
 
     def test_default_sweep_checks_each_correlation_matrix_once_per_entry(self, monkeypatch):
         checked = spy_correlation_checks(monkeypatch)
         run_sweep("repeat", self.DEFAULTS)
-        assert checked == ["entanglement", "gram", "entanglement", "gram"]
+        assert checked == ["entanglement", "gram"]
 
     def test_default_sweep_eigensolves(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)
         run_sweep("repeat", self.DEFAULTS)
-        # Two for the measurement, one root of the Gram powers, one check of
-        # rho each in the joint and meter states, five in the coherent
-        # information and one per entropy of the meter and joint states.
-        assert len(calls) == 12
+        # Two for the measurement, one check of rho, one root of the Gram
+        # powers, two derived states in the coherent information and one per
+        # entropy of the meter and joint states.
+        assert len(calls) == 8
+
+
+# Eigensolves of one default sweep of the other commands. ``single`` and
+# ``continuous`` check their input state once, when it is built.
+@pytest.mark.parametrize(
+    "command, solves",
+    [("single", 16), ("continuous", 3), ("fig3", 9), ("isweep", 7), ("fig2a", 0), ("fig2b", 0)],
+)
+def test_default_sweep_eigensolves(monkeypatch, command, solves):
+    calls = count_eigensolves(monkeypatch)
+    run_sweep(command, {**cli._COMMANDS[command].defaults, "kappa_convention": "gram"})
+    assert len(calls) == solves
 
 
 class TestClosedFormsWholeGrid:
@@ -317,4 +329,19 @@ class TestContinuousWholeGrid:
         }
         times = np.linspace(0.0, stop, points).tolist()
         expected = continuous_reference(times, kappa, chi_dot, r_dot, p, mu, phase, convention)
+        assert_same_floats(table("continuous", config), expected)
+
+    @pytest.mark.parametrize("kappa, r_dot", [(1.0, complex(1e308, 1e308)), (1e308, 0j)])
+    def test_overflowing_decay_keeps_its_floats(self, kappa, r_dot):
+        """A decay exponent that overflows gives exactly 0, as the scalar
+        ``math``/``cmath`` calls do, with no error and no warning."""
+        config = {
+            **cli._COMMANDS["continuous"].defaults,
+            "kappa": repr(kappa),
+            "r_dot": f"{r_dot.real!r},{r_dot.imag!r}",
+            "kappa_convention": "gram",
+        }
+        expected = continuous_reference(
+            np.linspace(0.0, 5.0, 51).tolist(), kappa, 0.0, r_dot, 0.5, 1.0, 0.0, "gram"
+        )
         assert_same_floats(table("continuous", config), expected)
