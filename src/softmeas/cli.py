@@ -59,15 +59,21 @@ from .information import (
     semiclassical_info_continuous,
 )
 from .matcore import DensityMatrix, _label, partial_trace, von_neumann_entropy
-from .measurement import SoftMeasurement, TwoLevelMeterParams, apply_soft, two_level_gram
+from .measurement import (
+    SoftMeasurement,
+    TwoLevelMeterParams,
+    _meter_mix,
+    apply_soft,
+    two_level_gram,
+)
 from .repeated import (
     _CONVENTIONS,
     ContinuousLimitParams,
     RepeatedMeasurement,
+    _continuous_joint,
     _two_level_matrix,
-    joint_dm_continuous,
+    continuous_gram_sqrt,
     joint_dm_repeated,
-    meter_dm_continuous,
     meter_dm_repeated,
     two_level_gram_sqrt,
 )
@@ -245,8 +251,10 @@ def _sweep_continuous(config, t):
     r_dot = _parse_complex(config["r_dot"], "r_dot")
     rho = _rho_from_config(config)
     params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
-    meter = meter_dm_continuous(rho, params)
-    joint = joint_dm_continuous(rho, params)
+    # The meter and joint states share one build of the meter vectors.
+    vectors = continuous_gram_sqrt(params)
+    meter = _meter_mix(vectors, np.diag(rho.matrix).real)
+    joint = _continuous_joint(rho.matrix, params, vectors)
     info = semiclassical_info_continuous(kappa, t, convention=config["kappa_convention"])
     return [
         meter[..., 0, 0].real,
@@ -283,7 +291,7 @@ def _sweep_single(config):
     meter = partial_trace(joint, [2, 2], keep=1)
     obj = partial_trace(joint, [2, 2], keep=0)
     populations = np.diag(rho.matrix).real
-    info_s = holevo_info(meter_ensemble(_basis_ensemble(populations), measurement.gram))
+    info_s = holevo_info(meter_ensemble(_basis_ensemble(populations), measurement))
     info_c = coherent_info_soft(rho, measurement)
     return [
         q,

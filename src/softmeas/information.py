@@ -38,11 +38,11 @@ from .matcore import (
     _entrywise,
     _first,
     _label,
+    _matmul,
     _member,
     _state,
     _unchecked_entropy,
     herm_eig,
-    matrix_sqrt_psd,
 )
 from .measurement import (
     SoftMeasurement,
@@ -278,14 +278,21 @@ class StateEnsemble:
         return int(self.states[0].shape[-1])
 
 
-def meter_ensemble(ensemble: StateEnsemble, gram: np.ndarray) -> StateEnsemble:
+def meter_ensemble(
+    ensemble: StateEnsemble, gram: np.ndarray | SoftMeasurement
+) -> StateEnsemble:
     """Meter-side ensemble induced by measuring each ensemble member.
 
     Each output state mixes the synthesized meter states with the input's
-    populations: ``V @ diag(rho_kk) @ V^dagger``. A stack of Gram matrices
+    populations: ``V @ diag(rho_kk) @ V^dagger``. ``gram`` is a Gram matrix,
+    which is checked and rooted here, or a :class:`SoftMeasurement`, whose
+    kept ``meter_vectors`` are used as they are. A stack of Gram matrices
     gives one meter ensemble per member.
     """
-    vectors = meter_states_from_gram(gram)
+    if isinstance(gram, SoftMeasurement):
+        vectors = gram.meter_vectors
+    else:
+        vectors = meter_states_from_gram(gram)
     if vectors.shape[-1] != ensemble.dim:
         raise DimensionMismatch(
             f"gram dim {vectors.shape[-1]} != ensemble dim {ensemble.dim}"
@@ -374,7 +381,8 @@ def compete_coherent(
 
     ``I_eve = S[rho*RE*RB*QE*QB] - S[rho*RE*RB*QB]`` and symmetrically for
     the other receiver (all products entrywise). Equal when both receivers
-    use the same parameters.
+    use the same parameters. The four matrices must share one shape;
+    :class:`DimensionMismatch` lists their shapes otherwise.
     """
     mats = {
         "eve entanglement": np.asarray(ent_eve, complex),
@@ -383,6 +391,10 @@ def compete_coherent(
         "bob gram": np.asarray(gram_bob, complex),
     }
     _check_correlation_matrix(mats)
+    shapes = {name: m.shape for name, m in mats.items()}
+    if len(set(shapes.values())) > 1:
+        listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        raise DimensionMismatch(f"receiver matrices differ in shape: {listed}")
     rho = _state(rho, mats["eve entanglement"].shape[-1]).matrix
     shared = rho * mats["eve entanglement"] * mats["bob entanglement"]
     common = shared * mats["eve gram"] * mats["bob gram"]
@@ -475,11 +487,11 @@ def eve_bob_semiclassical(
     _check_correlation_matrix({"dephase": dephase})
     if _single_dim(bob, "bob") != dim:
         raise DimensionMismatch(f"bob dim {bob.dim} != ensemble dim {dim}")
-    meter_vecs = matrix_sqrt_psd(bob.gram)
     out_states = []
     for state in ensemble.states:
         in_eve = _dagger(unitary) @ state @ unitary
-        back = unitary @ (dephase * in_eve) @ _dagger(unitary)
+        # The rotation back is shared by every dephasing matrix it meets.
+        back = _matmul(unitary @ (dephase * in_eve), _dagger(unitary))
         weights = np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None)
-        out_states.append(_meter_mix(meter_vecs, weights))
+        out_states.append(_meter_mix(bob.meter_vectors, weights))
     return holevo_info(StateEnsemble(probs=ensemble.probs, states=tuple(out_states)))

@@ -29,10 +29,19 @@ its purification); so :func:`von_neumann_entropy` of a
 
 Working dimensions are small (<= 64), so everything is backed by dense
 LAPACK routines through ``numpy.linalg``, which loops over a stack in C.
+A stacked matrix product still makes one BLAS call per member, so where the
+right factor is shared by many members (a receiver's meter states by every
+grid point, a basis rotation by a column of the grid) the library multiplies
+through ``_matmul``: one product per shared factor, the members along the
+shared axes joined into one tall left factor. Each entry is the same
+length-``D`` dot product either way, and the result equals the stacked
+``a @ b`` bit for bit; a test pins that equality, so a BLAS that rounds a
+tall product differently fails it rather than moving the outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -74,6 +83,33 @@ def _as_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of matrices, with one product per distinct ``b``.
+
+    A stack axis that ``b`` lacks, or has of size 1 where ``a``'s is longer,
+    shares ``b`` between the members of ``a`` along it. Those axes of ``a``
+    are moved next to its row axis and joined with it, so that each ``b``
+    meets one tall matrix (for a 2-D ``b``, ``a.reshape(-1, k) @ b``); the
+    layout is then restored. With no shared axis this is plain ``a @ b``.
+    Each entry is the same length-``k`` dot product either way, so the
+    result equals ``a @ b`` bit for bit on the BLAS this is tested with.
+    """
+    nd = max(a.ndim, b.ndim) - 2
+    a_stack = (1,) * (nd + 2 - a.ndim) + a.shape[:-2]
+    b_stack = (1,) * (nd + 2 - b.ndim) + b.shape[:-2]
+    shared = [i for i in range(nd) if b_stack[i] == 1 and a_stack[i] > 1]
+    if not shared:
+        return a @ b
+    kept = [i for i in range(nd) if i not in shared]
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    a = a.reshape(a_stack + (m, k)).transpose(*kept, *shared, nd, nd + 1)
+    rows = a.shape[len(kept) : -1]  # the shared axes, then the row axis
+    tall = a.reshape(a.shape[: len(kept)] + (math.prod(rows), k))
+    out = tall @ b.reshape(tuple(b_stack[i] for i in kept) + (k, n))
+    out = out.reshape(out.shape[: len(kept)] + rows + (n,))
+    return out.transpose(*np.argsort(kept + shared), nd, nd + 1)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

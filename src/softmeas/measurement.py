@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .matcore import (
     _hermitian_deviation,
     _hermitian_part,
     _label,
+    _matmul,
     _state,
     matrix_sqrt_psd,
 )
@@ -106,7 +108,8 @@ class SoftMeasurement:
 
     Both matrices are checked when the measurement is built: each must be
     Hermitian, PSD and unit-diagonal, and their shapes must match;
-    otherwise :class:`InvalidMeasurement` names every failed check.
+    otherwise :class:`InvalidMeasurement` names every failed check. The
+    meter states (``meter_vectors``) are synthesized on first use and kept.
     """
 
     entanglement: np.ndarray
@@ -131,6 +134,13 @@ class SoftMeasurement:
         """``entanglement * gram`` entrywise: the Hadamard multiplier that
         the object-output channel applies to the input state."""
         return self.entanglement * self.gram
+
+    @cached_property
+    def meter_vectors(self) -> np.ndarray:
+        """The meter states, one per column: the principal square root of
+        ``gram`` (see :func:`meter_states_from_gram`), taken on first use
+        and kept. A stacked measurement gives the stack of roots."""
+        return matrix_sqrt_psd(self.gram)
 
 
 def _single_dim(measurement: SoftMeasurement, name: str = "measurement") -> int:
@@ -160,8 +170,9 @@ def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
 def _meter_mix(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``V @ diag(weights) @ V^dagger``: the meter states ``V`` (one per
     column) mixed with the object populations ``weights``. Both may carry
-    stack axes in front, which broadcast against each other."""
-    return (vectors * weights[..., None, :]) @ _dagger(vectors)
+    stack axes in front, which broadcast against each other; meter states
+    shared by many weights meet them in one product."""
+    return _matmul(vectors * weights[..., None, :], _dagger(vectors))
 
 
 def apply_soft(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
@@ -175,7 +186,7 @@ def apply_soft(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
     """
     d = _single_dim(measurement)
     weights = measurement.entanglement * _state(rho, d).matrix
-    vecs = matrix_sqrt_psd(measurement.gram)
+    vecs = measurement.meter_vectors
     joint = np.einsum("kl,ak,bl->kalb", weights, vecs, vecs.conj())
     return joint.reshape(d * d, d * d)
 

@@ -325,8 +325,14 @@ def joint_dm_continuous(rho: StateLike, params: ContinuousLimitParams) -> np.nda
     ``rho (x) |u><u|`` with ``u = (1/sqrt2, 1/sqrt2)``. An array of times
     gives the stack. ``rho`` must be one two-level state.
     """
-    rho = _state(rho, 2).matrix
-    vectors = continuous_gram_sqrt(params)
+    return _continuous_joint(_state(rho, 2).matrix, params, continuous_gram_sqrt(params))
+
+
+def _continuous_joint(
+    rho: np.ndarray, params: ContinuousLimitParams, vectors: np.ndarray
+) -> np.ndarray:
+    """:func:`joint_dm_continuous` of a checked two-level ``rho`` from the
+    meter vectors of :func:`continuous_gram_sqrt`."""
     weights = _dephasing_matrix(params) * rho
     joint = np.einsum("...ij,...ki,...lj->...ikjl", weights, vectors, vectors.conj())
     return joint.reshape(joint.shape[:-4] + (4, 4))

@@ -472,6 +472,22 @@ def test_large_grid_text_is_not_held_whole(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_FIG2B_JSON_SHA256
 
 
+# sha256 of the 201x201 fig3 JSON as one matrix product per grid point gave
+# it, before the points sharing a right factor were joined into one product.
+# Its 40,401 points span five blocks, so block edges cross those products;
+# on a BLAS that rounds them differently this fails instead of the digest
+# moving silently.
+LARGE_FIG3_JSON_SHA256 = "1e573fdf809f1a06d396bc90a3ff1bd4f0c6fe1649e4d2e7ab449189c237ba17"
+
+
+def test_large_fig3_surface_digest_is_pinned(tmp_path):
+    argv = ["fig3", "--format", "json", "--param", "q=0:1:201"]
+    argv += ["--param", f"theta=0:{math.pi / 2.0!r}:201"]
+    code, out = run_cli(argv, tmp_path, "fig3.json")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_FIG3_JSON_SHA256
+
+
 # The per-value emitters that the row templates replaced, kept as references.
 
 

@@ -48,7 +48,13 @@ from softmeas.information import (
     semiclassical_info_continuous,
     soft_object_channel,
 )
-from softmeas.matcore import DensityMatrix, _unchecked_entropy, partial_trace, von_neumann_entropy
+from softmeas.matcore import (
+    DensityMatrix,
+    _unchecked_entropy,
+    matrix_sqrt_psd,
+    partial_trace,
+    von_neumann_entropy,
+)
 from softmeas.measurement import SoftMeasurement, apply_soft, meter_states_from_gram
 from softmeas.repeated import ContinuousLimitParams, continuous_gram_sqrt
 
@@ -411,6 +417,28 @@ class TestMeterEnsemble:
         ens = StateEnsemble(probs=np.array([1.0]), states=(np.eye(2) / 2.0,))
         with pytest.raises(DimensionMismatch):
             meter_ensemble(ens, np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            meter_ensemble(ens, SoftMeasurement(np.eye(3), np.eye(3)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_measurement_gives_the_floats_of_its_gram_matrix(self, dim, monkeypatch):
+        """A measurement hands over the meter states it keeps: the same
+        ensemble as from its bare Gram matrix, without checking or rooting
+        the Gram matrix again."""
+        rng = np.random.default_rng(72 + dim)
+        ens = StateEnsemble(
+            probs=np.full(dim, 1.0 / dim), states=tuple(rand_density(rng, dim) for _ in range(dim))
+        )
+        measurement = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
+        expected = meter_ensemble(ens, measurement.gram)
+        measurement.meter_vectors
+        checked = spy_correlation_checks(monkeypatch)
+        calls = count_eigensolves(monkeypatch)
+        got = meter_ensemble(ens, measurement)
+        assert checked == []
+        assert calls == [("eigvalsh", (dim, dim))] * dim  # the output states' checks
+        for mine, theirs in zip(got.states, expected.states):
+            assert np.array_equal(mine, theirs)
 
 
 class TestHolevoInfo:
@@ -576,6 +604,24 @@ class TestCompeteCoherent:
         gram = rand_correlation(rng, 3)
         info_eve, info_bob = compete_coherent(rho, ent, gram, ent, gram)
         assert info_eve == info_bob
+
+    RECEIVER_MATRICES = ("eve entanglement", "eve gram", "bob entanglement", "bob gram")
+
+    @pytest.mark.parametrize("wrong", RECEIVER_MATRICES)
+    def test_receiver_shapes_must_match(self, wrong):
+        mats = {name: np.eye(3 if name == wrong else 2) for name in self.RECEIVER_MATRICES}
+        listed = ", ".join(
+            f"{name} {(3, 3) if name == wrong else (2, 2)}" for name in self.RECEIVER_MATRICES
+        )
+        message = f"receiver matrices differ in shape: {listed}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            compete_coherent(np.eye(2) / 2.0, *mats.values())
+
+    def test_receivers_of_another_dimension_than_the_state(self):
+        with pytest.raises(DimensionMismatch, match=r"^receiver matrices differ in shape"):
+            compete_coherent(np.eye(2) / 2.0, np.eye(2), np.eye(2), np.eye(3), np.eye(3))
+        with pytest.raises(DimensionMismatch, match=r"^rho has shape \(2, 2\)"):
+            compete_coherent(np.eye(2) / 2.0, np.eye(3), np.eye(3), np.eye(3), np.eye(3))
 
 
 class TestCompeteTwoLevel:
@@ -755,6 +801,31 @@ class TestStackedInformation:
         unitaries[2] *= 2.0
         with pytest.raises(InvalidMeasurement, match=r"eve_basis\[2\] is not unitary"):
             eve_bob_semiclassical(ensemble, unitaries, dephase, bob)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_eve_bob_stack_is_the_per_member_formula(self, dim):
+        """A grid of rotations (one per column) and dephasings (one per row)
+        with a random complex receiver gives, member by member, the floats
+        of the formula evaluated on that member alone with plain products,
+        although the stacked call makes the rotation back one product per
+        column and the receiver's meter mixing one product in all."""
+        rng = np.random.default_rng(80 + dim)
+        states = tuple(rand_density(rng, dim) for _ in range(3))
+        ensemble = StateEnsemble(np.array([0.2, 0.3, 0.5]), states)
+        bob = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
+        unitaries = np.array([rand_unitary(rng, dim) for _ in range(5)])
+        dephase = np.array([rand_correlation(rng, dim) for _ in range(4)])
+        infos = eve_bob_semiclassical(ensemble, unitaries[None], dephase[:, None], bob)
+        assert infos.shape == (4, 5)
+        vectors = matrix_sqrt_psd(bob.gram)
+        for i, j in np.ndindex(4, 5):
+            u, u_dagger = unitaries[j], unitaries[j].conj().T
+            outputs = []
+            for state in states:
+                back = u @ (dephase[i] * (u_dagger @ state @ u)) @ u_dagger
+                weights = np.clip(np.diag(back).real, 0.0, None)
+                outputs.append((vectors * weights) @ vectors.conj().T)
+            assert infos[i, j] == holevo_info(StateEnsemble(ensemble.probs, tuple(outputs)))
 
     def test_coherent_info_soft_broadcasts(self):
         rng = np.random.default_rng(71)

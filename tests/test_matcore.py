@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import count_eigvalsh, rand_density, rand_unitary
 
@@ -15,6 +17,7 @@ from softmeas.errors import (
 )
 from softmeas.matcore import (
     TAU_RECON,
+    _matmul,
     _unchecked_entropy,
     herm_eig,
     matrix_sqrt_psd,
@@ -355,3 +358,53 @@ class TestOneSpectrumPerCheck:
         for k, rho in enumerate(stack):
             assert von_neumann_entropy(rho) == _unchecked_entropy(rho)
             assert von_neumann_entropy(rho) == checked[k]
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def matrix_stack(rng, stack, dim, layout):
+    """A complex ``stack + (dim, dim)`` array laid out in memory as named:
+    C order, each matrix transposed, every other row and column of a larger
+    array, or the matrix axes first with the stack axes moved behind them."""
+    if layout == "transposed":
+        return complex_normal(rng, stack + (dim, dim)).swapaxes(-1, -2)
+    if layout == "strided":
+        return complex_normal(rng, stack + (2 * dim, 2 * dim))[..., ::2, ::2]
+    if layout == "matrix-first":
+        return np.moveaxis(complex_normal(rng, (dim, dim) + stack), (0, 1), (-2, -1))
+    return complex_normal(rng, stack + (dim, dim))
+
+
+# How ``b`` meets one stack axis of ``a``: with the same length, with length
+# 1 (``b`` is shared along it), or with ``a``'s length 1 (``a`` is shared).
+AXIS_PATTERNS = ("same", "b-one", "a-one")
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    dim=st.integers(2, 6),
+    axes=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(AXIS_PATTERNS)), max_size=3),
+    dropped=st.integers(0, 3),
+    layout=st.sampled_from(["contiguous", "transposed", "strided", "matrix-first"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=2, axes=[(3, "b-one"), (0, "same")], dropped=0, layout="contiguous", seed=1)
+@example(dim=3, axes=[(0, "b-one"), (4, "b-one")], dropped=1, layout="strided", seed=2)
+@example(dim=2, axes=[(5, "b-one"), (4, "same")], dropped=0, layout="transposed", seed=3)
+@example(dim=4, axes=[(3, "a-one"), (4, "b-one")], dropped=0, layout="matrix-first", seed=4)
+@example(dim=2, axes=[(3, "b-one"), (4, "b-one")], dropped=2, layout="strided", seed=5)
+def test_matmul_is_matmul_bit_for_bit(dim, axes, dropped, layout, seed):
+    """``_matmul`` joins the stack axes along which ``b`` is shared into
+    one tall product; each entry is still the same dot product, so the
+    result is ``a @ b`` to the last bit, for complex entries, any broadcast
+    pattern (a 2-D ``b`` included), zero-length axes and any layout of
+    ``a``. On a BLAS that rounds a tall product differently this fails
+    rather than letting the sweep outputs move."""
+    rng = np.random.default_rng(seed)
+    a_stack = tuple(1 if kind == "a-one" else n for n, kind in axes)
+    b_stack = tuple(1 if kind == "b-one" else n for n, kind in axes)[dropped:]
+    a = matrix_stack(rng, a_stack, dim, layout)
+    b = complex_normal(rng, b_stack + (dim, dim))
+    assert np.array_equal(_matmul(a, b), a @ b)

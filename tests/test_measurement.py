@@ -1,5 +1,6 @@
 """Soft / entangling / general measurement channel tests."""
 
+import dataclasses
 import math
 import re
 
@@ -8,10 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_entropy, rand_correlation, rand_density, spy_correlation_checks
+from conftest import (
+    binary_entropy,
+    count_eigensolves,
+    rand_correlation,
+    rand_density,
+    spy_correlation_checks,
+)
 
 from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidState, OutOfRange
-from softmeas.matcore import partial_trace, validate_density_matrix, von_neumann_entropy
+from softmeas.matcore import (
+    matrix_sqrt_psd,
+    partial_trace,
+    validate_density_matrix,
+    von_neumann_entropy,
+)
 from softmeas.measurement import (
     GeneralMeasurement,
     SoftMeasurement,
@@ -232,6 +244,41 @@ class TestMeterStatesFromGram:
     def test_invalid_gram_rejected(self):
         with pytest.raises(InvalidMeasurement):
             meter_states_from_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestMeterVectors:
+    """``SoftMeasurement.meter_vectors``: the root of the Gram matrix, taken
+    on first use and kept."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_is_the_root_of_the_gram_matrix(self, dim):
+        rng = np.random.default_rng(230 + dim)
+        gram = rand_correlation(rng, dim)
+        measurement = SoftMeasurement(rand_correlation(rng, dim), gram)
+        assert np.array_equal(measurement.meter_vectors, meter_states_from_gram(gram))
+
+    def test_stacked_measurement_gives_the_stack_of_roots(self):
+        rng = np.random.default_rng(235)
+        grams = np.array([rand_correlation(rng, 3) for _ in range(4)])
+        measurement = SoftMeasurement(np.broadcast_to(np.eye(3), grams.shape), grams)
+        assert np.array_equal(measurement.meter_vectors, matrix_sqrt_psd(grams))
+
+    def test_taken_on_first_use_and_kept(self, monkeypatch):
+        rng = np.random.default_rng(236)
+        calls = count_eigensolves(monkeypatch)
+        measurement = SoftMeasurement(rand_correlation(rng, 3), rand_correlation(rng, 3))
+        built = len(calls)
+        vectors = measurement.meter_vectors
+        assert calls[built:] == [("eigh", (3, 3))]
+        assert measurement.meter_vectors is vectors
+        apply_soft(measurement, rand_density(rng, 3))
+        # The second read and apply_soft reuse the root; only rho is checked.
+        assert calls[built + 1 :] == [("eigvalsh", (3, 3))]
+
+    def test_is_read_only(self):
+        measurement = SoftMeasurement(np.eye(2), np.eye(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            measurement.meter_vectors = np.zeros((2, 2))
 
 
 def projective_expected(rho):

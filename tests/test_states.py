@@ -25,7 +25,6 @@ from softmeas.measurement import (
     SoftMeasurement,
     apply_general,
     apply_soft,
-    meter_states_from_gram,
 )
 from softmeas.repeated import (
     ContinuousLimitParams,
@@ -44,7 +43,9 @@ def state_functions(rng, dim):
     ent, gram = rand_correlation(rng, dim), rand_correlation(rng, dim)
     other = rand_correlation(rng, dim)
     soft = SoftMeasurement(ent, gram)
-    vecs = meter_states_from_gram(gram)
+    # Reading the meter states here takes their root, which the measurement
+    # keeps, so no call below pays for it.
+    vecs = soft.meter_vectors
     blocks = ent[:, :, None, None] * np.einsum("ak,bl->klab", vecs, vecs.conj())
     general = GeneralMeasurement(blocks)
     repeated = RepeatedMeasurement(soft, np.array([1, 3, 40]))

@@ -25,7 +25,7 @@ from conftest import (
     spy_correlation_checks,
 )
 
-from softmeas import cli
+from softmeas import cli, repeated
 from softmeas.cli import run_sweep
 from softmeas.information import StateEnsemble, coherent_info_soft, eve_bob_semiclassical
 from softmeas.matcore import von_neumann_entropy
@@ -226,10 +226,12 @@ class TestRepeatWholeGrid:
 
 
 # Eigensolves of one default sweep of the other commands. ``single`` and
-# ``continuous`` check their input state once, when it is built.
+# ``continuous`` check their input state once, when it is built, and
+# ``single`` roots its Gram matrix once, for the joint state and the meter
+# ensemble both.
 @pytest.mark.parametrize(
     "command, solves",
-    [("single", 16), ("continuous", 3), ("fig3", 9), ("isweep", 7), ("fig2a", 0), ("fig2b", 0)],
+    [("single", 14), ("continuous", 3), ("fig3", 9), ("isweep", 7), ("fig2a", 0), ("fig2b", 0)],
 )
 def test_default_sweep_eigensolves(monkeypatch, command, solves):
     calls = count_eigensolves(monkeypatch)
@@ -306,6 +308,20 @@ class TestContinuousWholeGrid:
             np.linspace(0.0, 5.0, 51).tolist(), 1.0, 0.0, 0j, 0.5, 1.0, 0.0, "gram"
         )
         assert_same_floats(table("continuous", config), expected)
+
+    def test_default_sweep_builds_the_meter_vectors_once(self, monkeypatch):
+        """The meter and joint states of a block share one set of meter vectors."""
+        built = []
+        original = repeated.continuous_gram_sqrt
+
+        def counted(params):
+            built.append(params)
+            return original(params)
+
+        for module in (cli, repeated):
+            monkeypatch.setattr(module, "continuous_gram_sqrt", counted)
+        run_sweep("continuous", dict(cli._COMMANDS["continuous"].defaults, kappa_convention="gram"))
+        assert len(built) == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_complex_inputs(self, seed):
