@@ -236,12 +236,17 @@ def _sweep_fig2b(config, q_eve, q_bob):
     return compete_two_level(CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu))
 
 
+# fig3's inputs shared by every grid point of every sweep: the balanced
+# basis ensemble and the rigid receiver, built and checked once, at import,
+# with the receiver's meter states taken then too.
+_FIG3_ENSEMBLE = _basis_ensemble([0.5, 0.5])
+_RIGID_BOB = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
+_RIGID_BOB.meter_vectors
+
+
 def _sweep_fig3(config, q, theta):
-    rigid_bob = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
     dephase = _two_level_matrix(1.0, q, q)
-    info = eve_bob_semiclassical(
-        _basis_ensemble([0.5, 0.5]), _bloch_y_rotation(theta), dephase, rigid_bob
-    )
+    info = eve_bob_semiclassical(_FIG3_ENSEMBLE, _bloch_y_rotation(theta), dephase, _RIGID_BOB)
     return [info]
 
 
@@ -592,8 +597,11 @@ def _output(path: str | None) -> Iterator[TextIO]:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _resolve_config(args.command, args)
         if args.jobs < 1:

@@ -61,7 +61,7 @@ CHOI_RANK_TOL = 1e-12
 _PURIFY_TOL = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators.
 
@@ -239,7 +239,7 @@ def coherent_info_two_level(
     return float(info) if info.ndim == 0 else info
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateEnsemble:
     """Ensemble of density matrices with prior probabilities.
 
@@ -252,7 +252,7 @@ class StateEnsemble:
 
     probs: np.ndarray
     states: tuple[np.ndarray, ...]
-    spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    spectra: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)

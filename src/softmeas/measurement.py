@@ -40,6 +40,7 @@ from .matcore import (
     TAU_TRACE,
     StateLike,
     _dagger,
+    _eigvalsh,
     _first,
     _hermitian_deviation,
     _hermitian_part,
@@ -83,7 +84,7 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
         check(not_herm, lambda i: f"{name}{_label(i)} is not Hermitian within {TAU_HERM:.1e}")
         if not not_herm.all():
             checked = np.where(not_herm[..., None, None], np.eye(m.shape[-1]), m)
-            w = np.linalg.eigvalsh(_hermitian_part(checked))
+            w = _eigvalsh(_hermitian_part(checked))
             check(
                 (w[..., 0] < -TAU_PSD) & ~not_herm,
                 lambda i: f"{name}{_label(i)} is not PSD: eigenvalue {w[i][0]:.3e}",
@@ -102,7 +103,7 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
         raise InvalidMeasurement("; ".join(failures), index=min(first, default=None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftMeasurement:
     """Soft measurement with entanglement matrix and meter Gram matrix.
 
@@ -191,7 +192,7 @@ def apply_soft(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
     return joint.reshape(d * d, d * d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralMeasurement:
     """Nondemolition measurement with arbitrary meter blocks.
 
@@ -214,7 +215,7 @@ class GeneralMeasurement:
         if not _hermitian_deviation(big) <= TAU_HERM:
             failures.append("assembled block operator is not Hermitian")
         else:
-            w = np.linalg.eigvalsh(_hermitian_part(big))
+            w = _eigvalsh(_hermitian_part(big))
             if w[0] < -TAU_PSD:
                 failures.append(f"assembled block operator is not PSD: eigenvalue {w[0]:.3e}")
         for k in range(self.dim):

@@ -67,7 +67,7 @@ def _counts(n: int | np.ndarray, what: str = "repetition count") -> int | np.nda
     return counts.astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollectiveRepresentation:
     """Collective-basis description of ``n`` accumulated meter copies.
 
@@ -122,7 +122,7 @@ def collective_representation(
     return _collective(gram, _counts(n, "power"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepeatedMeasurement:
     """A base soft measurement applied ``n`` times with result accumulation.
 
@@ -140,9 +140,9 @@ class RepeatedMeasurement:
 
     base: SoftMeasurement
     n: int | np.ndarray = 1
-    entanglement_n: np.ndarray = field(init=False, repr=False, compare=False)
-    gram_n: np.ndarray = field(init=False, repr=False, compare=False)
-    meter_vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    entanglement_n: np.ndarray = field(init=False, repr=False)
+    gram_n: np.ndarray = field(init=False, repr=False)
+    meter_vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = _counts(self.n)

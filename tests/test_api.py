@@ -3,6 +3,7 @@
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import softmeas
@@ -127,3 +128,32 @@ def test_no_public_signature_takes_a_validate_switch():
     for fn in public_callables():
         params = inspect.signature(fn).parameters
         assert not {"validate", "representation"} & set(params), fn.__qualname__
+
+
+# One way to build each checked value whose fields are arrays; each call
+# builds a new value equal to the last.
+ARRAY_VALUES = {
+    "SoftMeasurement": lambda: softmeas.SoftMeasurement(np.eye(2), np.eye(2)),
+    "GeneralMeasurement": lambda: softmeas.GeneralMeasurement(
+        np.einsum("kl,ab->klab", np.eye(2), np.eye(2) / 2.0)
+    ),
+    "DensityMatrix": lambda: softmeas.DensityMatrix(np.eye(2) / 2.0),
+    "StateEnsemble": lambda: softmeas.StateEnsemble(np.array([1.0]), (np.eye(2) / 2.0,)),
+    "KrausChannel": lambda: softmeas.KrausChannel((np.eye(2),)),
+    "RepeatedMeasurement": lambda: softmeas.RepeatedMeasurement(
+        softmeas.SoftMeasurement(np.eye(2), np.eye(2)), np.array([1, 2])
+    ),
+    "CollectiveRepresentation": lambda: softmeas.collective_representation(np.eye(2), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_VALUES))
+def test_array_values_compare_by_identity(name):
+    """Values whose fields are arrays are equal only to themselves, and
+    hash; comparing two of them never asks an array for its truth value."""
+    a, b = ARRAY_VALUES[name](), ARRAY_VALUES[name]()
+    assert type(a).__name__ == name
+    assert a == a
+    assert a != b
+    assert a in {a}
+    assert b not in {a}
