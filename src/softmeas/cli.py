@@ -312,7 +312,9 @@ def _sweep_single(config):
 def _sweep_isweep(config, q):
     p = _unit_interval(_parse_float(config["p"], "p"), "p")
     mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
-    meters = meter_ensemble(_basis_ensemble([p, 1.0 - p]), _two_level_matrix(1.0, q, q))
+    grams = _two_level_matrix(1.0, q, q)
+    receiver = SoftMeasurement(np.broadcast_to(np.eye(2), grams.shape), grams)
+    meters = meter_ensemble(_basis_ensemble([p, 1.0 - p]), receiver)
     info_s = holevo_info(meters)
     return [coherent_info_two_level(q, p, mu), info_s]
 

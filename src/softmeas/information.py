@@ -49,7 +49,6 @@ from .measurement import (
     _check_correlation_matrix,
     _meter_mix,
     _single_dim,
-    meter_states_from_gram,
 )
 from .repeated import ContinuousLimitParams, RepeatedMeasurement, _convention
 
@@ -127,15 +126,16 @@ def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int) -> KrausChannel
     return KrausChannel(tuple(ops))
 
 
-def soft_object_channel(entanglement: np.ndarray, gram: np.ndarray) -> KrausChannel:
+def soft_object_channel(measurement: SoftMeasurement) -> KrausChannel:
     """Object-output channel of a soft measurement, as Kraus operators.
 
-    The channel multiplies the input entrywise by
-    ``m = entanglement * gram``. Its Kraus operators are obtained by
-    eigendecomposing the corresponding Choi matrix (they come out diagonal).
+    The channel multiplies the input entrywise by the measurement's
+    ``multiplier`` (``entanglement * gram``). Its Kraus operators are
+    obtained by eigendecomposing the corresponding Choi matrix (they come
+    out diagonal). The measurement must be one ``D x D`` pair.
     """
-    m = SoftMeasurement(entanglement, gram).multiplier
-    d = m.shape[0]
+    d = _single_dim(measurement)
+    m = measurement.multiplier
     choi = np.zeros((d, d, d, d), dtype=complex)
     rows, cols = np.indices((d, d))
     choi[rows, rows, cols, cols] = m
@@ -278,25 +278,19 @@ class StateEnsemble:
         return int(self.states[0].shape[-1])
 
 
-def meter_ensemble(
-    ensemble: StateEnsemble, gram: np.ndarray | SoftMeasurement
-) -> StateEnsemble:
+def meter_ensemble(ensemble: StateEnsemble, measurement: SoftMeasurement) -> StateEnsemble:
     """Meter-side ensemble induced by measuring each ensemble member.
 
-    Each output state mixes the synthesized meter states with the input's
-    populations: ``V @ diag(rho_kk) @ V^dagger``. ``gram`` is a Gram matrix,
-    which is checked and rooted here, or a :class:`SoftMeasurement`, whose
-    kept ``meter_vectors`` are used as they are. A stack of Gram matrices
-    gives one meter ensemble per member.
+    Each output state mixes the measurement's meter states ``V`` (its kept
+    ``meter_vectors``) with the input's populations:
+    ``V @ diag(rho_kk) @ V^dagger``. Only the Gram matrix enters; a stacked
+    measurement gives one meter ensemble per member.
     """
-    if isinstance(gram, SoftMeasurement):
-        vectors = gram.meter_vectors
-    else:
-        vectors = meter_states_from_gram(gram)
-    if vectors.shape[-1] != ensemble.dim:
+    if measurement.dim != ensemble.dim:
         raise DimensionMismatch(
-            f"gram dim {vectors.shape[-1]} != ensemble dim {ensemble.dim}"
+            f"measurement dim {measurement.dim} != ensemble dim {ensemble.dim}"
         )
+    vectors = measurement.meter_vectors
     states = tuple(
         _meter_mix(vectors, np.diagonal(s, axis1=-2, axis2=-1).real) for s in ensemble.states
     )
@@ -367,40 +361,28 @@ class CompetitionParams:
 
 
 def compete_coherent(
-    rho: StateLike,
-    ent_eve: np.ndarray,
-    gram_eve: np.ndarray,
-    ent_bob: np.ndarray,
-    gram_bob: np.ndarray,
+    rho: StateLike, eve: SoftMeasurement, bob: SoftMeasurement
 ) -> tuple[float, float]:
     """Coherent information retrieved by each of two sequential receivers.
 
-    Both values share the first term (entropy of the object dephased by all
-    four matrices); the second term omits the respective receiver's own
-    Gram matrix:
+    Both values share the first term (entropy of the object dephased by
+    both receivers' entanglement and Gram matrices); the second term omits
+    the respective receiver's own Gram matrix:
 
     ``I_eve = S[rho*RE*RB*QE*QB] - S[rho*RE*RB*QB]`` and symmetrically for
     the other receiver (all products entrywise). Equal when both receivers
-    use the same parameters. The four matrices must share one shape;
-    :class:`DimensionMismatch` lists their shapes otherwise.
+    use the same parameters. The receivers were checked when they were
+    built; :class:`DimensionMismatch` names their dimensions when they
+    differ.
     """
-    mats = {
-        "eve entanglement": np.asarray(ent_eve, complex),
-        "eve gram": np.asarray(gram_eve, complex),
-        "bob entanglement": np.asarray(ent_bob, complex),
-        "bob gram": np.asarray(gram_bob, complex),
-    }
-    _check_correlation_matrix(mats)
-    shapes = {name: m.shape for name, m in mats.items()}
-    if len(set(shapes.values())) > 1:
-        listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
-        raise DimensionMismatch(f"receiver matrices differ in shape: {listed}")
-    rho = _state(rho, mats["eve entanglement"].shape[-1]).matrix
-    shared = rho * mats["eve entanglement"] * mats["bob entanglement"]
-    common = shared * mats["eve gram"] * mats["bob gram"]
+    if eve.dim != bob.dim:
+        raise DimensionMismatch(f"eve dim {eve.dim} != bob dim {bob.dim}")
+    rho = _state(rho, eve.dim).matrix
+    shared = rho * eve.entanglement * bob.entanglement
+    common = shared * eve.gram * bob.gram
     s_common = _unchecked_entropy(common)
-    info_eve = s_common - _unchecked_entropy(shared * mats["bob gram"])
-    info_bob = s_common - _unchecked_entropy(shared * mats["eve gram"])
+    info_eve = s_common - _unchecked_entropy(shared * bob.gram)
+    info_bob = s_common - _unchecked_entropy(shared * eve.gram)
     return info_eve, info_bob
 
 

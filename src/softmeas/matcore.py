@@ -76,6 +76,11 @@ TAU_RECON = 1e-9
 # more negative is a genuine invariant violation.
 ENTROPY_CLAMP = 1e-10
 
+# The square root treats a member's eigenvalues at most
+# ``D * SQRT_RANK_EPS * max(lambda_max, 0)`` as exact zeros: below that they
+# are rounding noise of the decomposition, whose root would be ~sqrt(eps).
+SQRT_RANK_EPS = float(np.finfo(float).eps)
+
 
 class Spectrum(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, or of a stack of them.
@@ -232,8 +237,11 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix or of each in a stack.
 
     Eigenvalues in ``[-TAU_PSD, 0)`` are clamped to zero; anything more
-    negative raises :class:`NotPSD`. The result is Hermitian PSD and squares
-    back to the input within reconstruction tolerance.
+    negative raises :class:`NotPSD`. Eigenvalues at most
+    ``D * SQRT_RANK_EPS`` times the member's largest one are zeros too, so a
+    rank-deficient matrix has a root of the same rank. The result is
+    Hermitian PSD and squares back to the input within reconstruction
+    tolerance.
     """
     w, v = herm_eig(matrix)
     i = _first(w[..., 0] < -TAU_PSD)
@@ -242,7 +250,8 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
             f"smallest eigenvalue {w[i][0]:.3e} below -{TAU_PSD:.1e}{_member(i)}",
             index=i or None,
         )
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+    floor = w.shape[-1] * SQRT_RANK_EPS * np.maximum(w[..., -1:], 0.0)
+    root = (v * np.sqrt(np.where(w > floor, w, 0.0))[..., None, :]) @ _dagger(v)
     return _hermitian_part(root)
 
 

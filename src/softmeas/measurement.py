@@ -14,8 +14,9 @@ when it is built, and raises :class:`InvalidMeasurement` naming every failed
 check; the functions that take one never check its matrices again. A
 state is checked the same way: the functions here take a raw density
 matrix, which they check, or a :class:`~softmeas.matcore.DensityMatrix`,
-checked when it was built. Other raw arrays (a bare Gram matrix) are
-checked where they enter.
+checked when it was built. An entanglement or Gram matrix enters the
+library only through a :class:`SoftMeasurement`; no function here takes a
+bare one.
 
 Meter states are synthesized minimally in a space of the object's dimension
 as the columns of the principal square root of the Gram matrix, which fixes
@@ -139,8 +140,10 @@ class SoftMeasurement:
     @cached_property
     def meter_vectors(self) -> np.ndarray:
         """The meter states, one per column: the principal square root of
-        ``gram`` (see :func:`meter_states_from_gram`), taken on first use
-        and kept. A stacked measurement gives the stack of roots."""
+        ``gram``, taken on first use and kept: column ``i`` is the i-th
+        meter state, ``<v_k|v_l> == gram[k, l]``, and the principal root
+        fixes the otherwise free global phases. A stacked measurement gives
+        the stack of roots."""
         return matrix_sqrt_psd(self.gram)
 
 
@@ -153,19 +156,6 @@ def _single_dim(measurement: SoftMeasurement, name: str = "measurement") -> int:
             f"{name} must be a single D x D measurement, got a stack of shape {shape}"
         )
     return measurement.dim
-
-
-def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
-    """Synthesize unit vectors realizing a given Gram matrix.
-
-    Returns a ``D x D`` matrix whose column ``i`` is the i-th meter state;
-    the columns satisfy ``<v_k|v_l> = gram[k, l]``. The principal square
-    root fixes the otherwise free global phases. A ``(..., D, D)`` stack of
-    Gram matrices gives the stack of their meter-state matrices.
-    """
-    q = np.asarray(gram, dtype=complex)
-    _check_correlation_matrix({"gram": q})
-    return matrix_sqrt_psd(q)
 
 
 def _meter_mix(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:

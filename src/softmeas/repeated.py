@@ -42,44 +42,27 @@ from .matcore import (
 from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
-    _check_correlation_matrix,
     _meter_mix,
     _single_dim,
 )
 
 
-def _counts(n: int | np.ndarray, what: str = "repetition count") -> int | np.ndarray:
-    """``n`` as an ``int``, or an integer array for a stack of counts.
+def _counts(n: int | np.ndarray) -> int | np.ndarray:
+    """``n`` as an ``int``, or an ``int64`` array for a stack of counts.
 
-    Raises :class:`InvalidParams` unless every count is at least 1, naming
-    the first failing member of an array.
+    Raises :class:`InvalidParams` unless every count is an integer of at
+    least 1, naming the first failing member of an array. A scalar is
+    checked as a 0-d array, so ``2.5`` is rejected as ``[2.5]`` is.
     """
-    if np.ndim(n) == 0:
-        if int(n) < 1:
-            raise InvalidParams(f"{what} must be >= 1, got {n}")
-        return int(n)
     counts = np.asarray(n)
     if counts.dtype.kind not in "iu":
-        raise InvalidParams(f"{what}s must be integers, got dtype {counts.dtype}")
+        raise InvalidParams(f"repetition counts must be integers, got dtype {counts.dtype}")
     i = _first(counts < 1)
     if i is not None:
-        raise InvalidParams(f"{what}{_label(i)} must be >= 1, got {counts[i]}", index=i)
-    return counts.astype(np.int64)
-
-
-@dataclass(frozen=True, eq=False)
-class CollectiveRepresentation:
-    """Collective-basis description of ``n`` accumulated meter copies.
-
-    ``gram_n`` is the elementwise n-th Gram power; column ``i`` of
-    ``meter_vectors`` holds the collective-basis coordinates of the i-th
-    accumulated meter state (``meter_vectors^dagger @ meter_vectors ==
-    gram_n``). For an array of counts both fields are stacked, one member
-    per count.
-    """
-
-    gram_n: np.ndarray
-    meter_vectors: np.ndarray
+        raise InvalidParams(
+            f"repetition count{_label(i)} must be >= 1, got {counts[i]}", index=i or None
+        )
+    return int(counts) if counts.ndim == 0 else counts.astype(np.int64)
 
 
 def _schur_power(matrix: np.ndarray, n: int | np.ndarray) -> np.ndarray:
@@ -92,34 +75,6 @@ def _schur_power(matrix: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     # loop in the last ulp for complex entries; match the single-count call.
     powers[n == 2] = np.square(matrix)
     return powers
-
-
-def gram_power(gram: np.ndarray, n: int | np.ndarray) -> np.ndarray:
-    """Elementwise n-th power of a Gram matrix; an array of counts gives the
-    stack of powers, one member per count.
-
-    The Schur product of PSD matrices is PSD and the diagonal stays 1, so
-    the result is again a valid Gram matrix.
-    """
-    n = _counts(n, "power")
-    return _schur_power(np.asarray(gram, dtype=complex), n)
-
-
-def _collective(gram: np.ndarray, n: int | np.ndarray) -> CollectiveRepresentation:
-    """Collective-basis data of a checked ``gram`` for checked counts ``n``."""
-    gram_n = _schur_power(gram, n)
-    return CollectiveRepresentation(gram_n, matrix_sqrt_psd(gram_n))
-
-
-def collective_representation(
-    gram: np.ndarray, n: int | np.ndarray
-) -> CollectiveRepresentation:
-    """Collective-basis data for ``n`` repeated measurements of a bare Gram
-    matrix, which is checked here; an array of counts gives stacked data
-    from one stacked square root."""
-    gram = np.asarray(gram, dtype=complex)
-    _check_correlation_matrix({"gram": gram})
-    return _collective(gram, _counts(n, "power"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,17 +102,25 @@ class RepeatedMeasurement:
     def __post_init__(self) -> None:
         n = _counts(self.n)
         _single_dim(self.base, "base measurement")
-        collective = _collective(self.base.gram, n)
+        gram_n = _schur_power(self.base.gram, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entanglement_n", _schur_power(self.base.entanglement, n))
-        object.__setattr__(self, "gram_n", collective.gram_n)
-        object.__setattr__(self, "meter_vectors", collective.meter_vectors)
+        object.__setattr__(self, "gram_n", gram_n)
+        object.__setattr__(self, "meter_vectors", matrix_sqrt_psd(gram_n))
 
     @property
     def multiplier(self) -> np.ndarray:
         """``entanglement_n * gram_n`` entrywise (``R**n * Q**n``): the
         Hadamard multiplier of the object-output channel of ``n`` steps."""
         return self.entanglement_n * self.gram_n
+
+
+def collective_representation(gram: np.ndarray, n: int | np.ndarray) -> RepeatedMeasurement:
+    """``n`` repetitions of the Gram matrix ``gram`` with identity
+    entanglement: its ``gram_n`` and collective ``meter_vectors`` are those
+    of every measurement with this Gram matrix. Kept for the benchmark's
+    layer trace, which counts its calls by name."""
+    return RepeatedMeasurement(SoftMeasurement(np.eye(np.atleast_1d(gram).shape[-1]), gram), n)
 
 
 def joint_dm_repeated(rho: StateLike, repeated: RepeatedMeasurement) -> np.ndarray:

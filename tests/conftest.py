@@ -32,6 +32,16 @@ def rand_correlation(
     return m
 
 
+def meter_states(gram: np.ndarray) -> np.ndarray:
+    """The meter states of the Gram matrix, or stack, ``gram``, one per
+    column: the ``meter_vectors`` of the measurement with that Gram matrix
+    and identity entanglement (which does not enter them)."""
+    from softmeas.measurement import SoftMeasurement
+
+    eye = np.broadcast_to(np.eye(np.shape(gram)[-1]), np.shape(gram))
+    return SoftMeasurement(eye, gram).meter_vectors
+
+
 def count_eigvalsh(monkeypatch) -> list:
     """Wrap ``numpy.linalg.eigvalsh`` for the rest of the test; the returned
     list gains the input shape of every call."""
@@ -65,7 +75,7 @@ def count_eigensolves(monkeypatch) -> list:
 def spy_correlation_checks(monkeypatch) -> list:
     """Record, for the rest of the test, the name of every matrix that a
     correlation-matrix check of the library is given."""
-    from softmeas import information, measurement, repeated
+    from softmeas import information, measurement
 
     original = measurement._check_correlation_matrix
     names = []
@@ -74,7 +84,7 @@ def spy_correlation_checks(monkeypatch) -> list:
         names.extend(mats)
         return original(mats, *more)
 
-    for module in (information, measurement, repeated):
+    for module in (information, measurement):
         monkeypatch.setattr(module, "_check_correlation_matrix", spied)
     return names
 

@@ -39,7 +39,6 @@ from softmeas.repeated import (
     ContinuousLimitParams,
     RepeatedMeasurement,
     discrete_step_params,
-    gram_power,
     joint_dm_continuous,
     joint_dm_repeated,
     meter_dm_continuous,
@@ -84,8 +83,9 @@ def test_criterion_2_channel_oracle():
         rho = rand_density(rng, dim)
         ent = rand_correlation(rng, dim)
         gram = rand_correlation(rng, dim)
-        closed = coherent_info_soft(rho, SoftMeasurement(ent, gram))
-        channel = coherent_info_channel(soft_object_channel(ent, gram), rho)
+        measurement = SoftMeasurement(ent, gram)
+        closed = coherent_info_soft(rho, measurement)
+        channel = coherent_info_channel(soft_object_channel(measurement), rho)
         worst = max(worst, abs(closed - channel))
     elapsed = time.perf_counter() - start
     report(2, f"purification channel oracle (max |d|={worst:.2e}, {elapsed:.2f}s)",
@@ -95,17 +95,16 @@ def test_criterion_2_channel_oracle():
 def test_criterion_3_two_level_square_root_closed_form():
     # At theta = 0 with chi != 0 the Gram matrix is exactly singular and the
     # floating-point rounding of exp(i*chi) perturbs its zero eigenvalue by
-    # ~1e-16, which the square root amplifies to ~1e-8 regardless of
-    # implementation. The entrywise comparison therefore runs on the
-    # nondegenerate angles (0, pi]; the degenerate edge is pinned by its
-    # exact closed value below.
+    # ~1e-16. The generic square root treats such an eigenvalue as zero, so
+    # the comparison covers the degenerate edge too; that edge is also
+    # pinned by its exact closed value below.
     worst = 0.0
-    for theta in np.linspace(0.0, math.pi, 21)[1:]:
+    for theta in np.linspace(0.0, math.pi, 21):
         for chi in np.linspace(-math.pi, math.pi, 20):
             params = TwoLevelMeterParams(theta=float(theta), chi=float(chi))
             for n in (1, 2, 5, 17):
                 closed = two_level_gram_sqrt(params, n)
-                generic = matrix_sqrt_psd(gram_power(two_level_gram(params), n))
+                generic = matrix_sqrt_psd(two_level_gram(params) ** n)
                 worst = max(worst, float(np.abs(closed - generic).max()))
     degenerate_ok = True
     for chi in np.linspace(-math.pi, math.pi, 20):

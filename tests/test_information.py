@@ -12,6 +12,7 @@ from conftest import (
     binary_entropy,
     count_eigensolves,
     count_eigvalsh,
+    meter_states,
     rand_correlation,
     rand_density,
     rand_unitary,
@@ -55,7 +56,7 @@ from softmeas.matcore import (
     partial_trace,
     von_neumann_entropy,
 )
-from softmeas.measurement import SoftMeasurement, apply_soft, meter_states_from_gram
+from softmeas.measurement import SoftMeasurement, apply_soft
 from softmeas.repeated import ContinuousLimitParams, continuous_gram_sqrt
 
 
@@ -123,7 +124,7 @@ class TestSoftObjectChannel:
         for dim in (2, 3):
             ent = rand_correlation(rng, dim)
             gram = rand_correlation(rng, dim)
-            ch = soft_object_channel(ent, gram)
+            ch = soft_object_channel(SoftMeasurement(ent, gram))
             ch.validate()
             rho = rand_density(rng, dim)
             np.testing.assert_allclose(ch.apply(rho), ent * gram * rho, atol=1e-11)
@@ -136,16 +137,22 @@ class TestSoftObjectChannel:
             rho = rand_density(rng, dim)
             joint = apply_soft(SoftMeasurement(ent, gram), rho)
             reduced = partial_trace(joint, [dim, dim], keep=0)
-            ch = soft_object_channel(ent, gram)
+            ch = soft_object_channel(SoftMeasurement(ent, gram))
             np.testing.assert_allclose(ch.apply(rho), reduced, atol=1e-11)
 
     def test_invalid_matrices_rejected(self):
+        # The channel is built only from a checked measurement.
         with pytest.raises(InvalidMeasurement):
-            soft_object_channel(np.array([[1.0, 1.2], [1.2, 1.0]]), np.eye(2))
+            soft_object_channel(SoftMeasurement(np.array([[1.0, 1.2], [1.2, 1.0]]), np.eye(2)))
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(InvalidMeasurement, match=r"entanglement shape \(2, 2\) != gram"):
-            soft_object_channel(np.eye(2), np.eye(3))
+            soft_object_channel(SoftMeasurement(np.eye(2), np.eye(3)))
+
+    def test_stacked_measurement_rejected(self):
+        stacked = SoftMeasurement(np.broadcast_to(np.eye(2), (3, 2, 2)), np.ones((3, 2, 2)))
+        with pytest.raises(DimensionMismatch, match="single D x D measurement"):
+            soft_object_channel(stacked)
 
 
 class TestCoherentInfoChannel:
@@ -170,7 +177,9 @@ class TestCoherentInfoChannel:
     def test_input_decomposed_once(self, monkeypatch):
         rng = np.random.default_rng(70)
         rho = rand_density(rng, 2)
-        channel = soft_object_channel(rand_correlation(rng, 2), rand_correlation(rng, 2))
+        channel = soft_object_channel(
+            SoftMeasurement(rand_correlation(rng, 2), rand_correlation(rng, 2))
+        )
         calls = count_eigensolves(monkeypatch)
         coherent_info_channel(channel, rho)
         # One check-and-purify decomposition of rho, then the output and joint entropies.
@@ -187,7 +196,7 @@ class TestCoherentInfoChannel:
     )
     def test_invalid_input_message(self, rho, message):
         """The messages ``validate_density_matrix`` gives for the same input."""
-        channel = soft_object_channel(np.eye(2), np.eye(2))
+        channel = soft_object_channel(SoftMeasurement(np.eye(2), np.eye(2)))
         with pytest.raises(InvalidState, match=f"^{re.escape(message)}$") as info:
             coherent_info_channel(channel, np.array(rho))
         assert info.value.index is None
@@ -222,7 +231,7 @@ class TestCoherentInfoSoft:
         ent = rand_correlation(rng, dim)
         gram = rand_correlation(rng, dim)
         measurement = SoftMeasurement(ent, gram)
-        channel = soft_object_channel(ent, gram)
+        channel = soft_object_channel(measurement)
         channel.validate()
         closed = coherent_info_soft(rho, measurement)
         assert closed == pytest.approx(coherent_info_channel(channel, rho), abs=1e-8)
@@ -385,7 +394,7 @@ class TestMeterEnsemble:
         rng = np.random.default_rng(69)
         states = (rand_density(rng, 2), rand_density(rng, 2))
         ens = StateEnsemble(probs=np.array([0.4, 0.6]), states=states)
-        out = meter_ensemble(ens, np.eye(2))
+        out = meter_ensemble(ens, SoftMeasurement(np.eye(2), np.eye(2)))
         for src, dst in zip(states, out.states):
             np.testing.assert_allclose(dst, np.diag(np.diag(src).real), atol=1e-13)
 
@@ -395,19 +404,19 @@ class TestMeterEnsemble:
             probs=np.array([0.5, 0.5]),
             states=(rand_density(rng, 2), rand_density(rng, 2)),
         )
-        out = meter_ensemble(ens, np.ones((2, 2)))
+        out = meter_ensemble(ens, SoftMeasurement(np.eye(2), np.ones((2, 2))))
         np.testing.assert_allclose(out.states[0], out.states[1], atol=1e-13)
         assert holevo_info(out) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_basis_inputs_select_meter_states(self):
         rng = np.random.default_rng(71)
         gram = rand_correlation(rng, 2)
-        vecs = meter_states_from_gram(gram)
+        vecs = meter_states(gram)
         ens = StateEnsemble(
             probs=np.array([0.5, 0.5]),
             states=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
         )
-        out = meter_ensemble(ens, gram)
+        out = meter_ensemble(ens, SoftMeasurement(np.eye(2), gram))
         for k in range(2):
             np.testing.assert_allclose(
                 out.states[k], np.outer(vecs[:, k], vecs[:, k].conj()), atol=1e-13
@@ -415,22 +424,21 @@ class TestMeterEnsemble:
 
     def test_dimension_mismatch(self):
         ens = StateEnsemble(probs=np.array([1.0]), states=(np.eye(2) / 2.0,))
-        with pytest.raises(DimensionMismatch):
-            meter_ensemble(ens, np.eye(3))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^measurement dim 3 != ensemble dim 2$"):
             meter_ensemble(ens, SoftMeasurement(np.eye(3), np.eye(3)))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_measurement_gives_the_floats_of_its_gram_matrix(self, dim, monkeypatch):
         """A measurement hands over the meter states it keeps: the same
-        ensemble as from its bare Gram matrix, without checking or rooting
-        the Gram matrix again."""
+        ensemble as from any measurement with its Gram matrix (the
+        entanglement does not enter), without checking or rooting the Gram
+        matrix again."""
         rng = np.random.default_rng(72 + dim)
         ens = StateEnsemble(
             probs=np.full(dim, 1.0 / dim), states=tuple(rand_density(rng, dim) for _ in range(dim))
         )
         measurement = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
-        expected = meter_ensemble(ens, measurement.gram)
+        expected = meter_ensemble(ens, SoftMeasurement(np.eye(dim), measurement.gram))
         measurement.meter_vectors
         checked = spy_correlation_checks(monkeypatch)
         calls = count_eigensolves(monkeypatch)
@@ -565,7 +573,8 @@ class TestCompeteCoherent:
         ent_eve = rand_correlation(rng, 2)
         gram_eve = rand_correlation(rng, 2)
         ones = np.ones((2, 2))
-        info_eve, _ = compete_coherent(rho, ent_eve, gram_eve, ones, ones)
+        eve, bob = SoftMeasurement(ent_eve, gram_eve), SoftMeasurement(ones, ones)
+        info_eve, _ = compete_coherent(rho, eve, bob)
         expected = _unchecked_entropy(rho * ent_eve * gram_eve) - _unchecked_entropy(
             rho * ent_eve
         )
@@ -576,9 +585,9 @@ class TestCompeteCoherent:
         rng = np.random.default_rng(75)
         rho = rand_density(rng, 2)
         gram_eve = rand_correlation(rng, 2)
-        info_eve, _ = compete_coherent(
-            rho, np.eye(2), gram_eve, rand_correlation(rng, 2), rand_correlation(rng, 2)
-        )
+        eve = SoftMeasurement(np.eye(2), gram_eve)
+        bob = SoftMeasurement(rand_correlation(rng, 2), rand_correlation(rng, 2))
+        info_eve, _ = compete_coherent(rho, eve, bob)
         assert info_eve == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_two_level_substitution_rule(self):
@@ -588,9 +597,9 @@ class TestCompeteCoherent:
             rho = qubit_state(0.5, mu)
             for q_eve in grid:
                 for q_bob in grid:
-                    gram_e = np.array([[1.0, q_eve], [q_eve, 1.0]])
-                    gram_b = np.array([[1.0, q_bob], [q_bob, 1.0]])
-                    matrix_vals = compete_coherent(rho, ones, gram_e, ones, gram_b)
+                    eve = SoftMeasurement(ones, np.array([[1.0, q_eve], [q_eve, 1.0]]))
+                    bob = SoftMeasurement(ones, np.array([[1.0, q_bob], [q_bob, 1.0]]))
+                    matrix_vals = compete_coherent(rho, eve, bob)
                     closed_vals = compete_two_level(
                         CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu)
                     )
@@ -602,26 +611,40 @@ class TestCompeteCoherent:
         rho = rand_density(rng, 3)
         ent = rand_correlation(rng, 3)
         gram = rand_correlation(rng, 3)
-        info_eve, info_bob = compete_coherent(rho, ent, gram, ent, gram)
+        receiver = SoftMeasurement(ent, gram)
+        info_eve, info_bob = compete_coherent(rho, receiver, receiver)
         assert info_eve == info_bob
 
     RECEIVER_MATRICES = ("eve entanglement", "eve gram", "bob entanglement", "bob gram")
 
     @pytest.mark.parametrize("wrong", RECEIVER_MATRICES)
     def test_receiver_shapes_must_match(self, wrong):
-        mats = {name: np.eye(3 if name == wrong else 2) for name in self.RECEIVER_MATRICES}
-        listed = ", ".join(
-            f"{name} {(3, 3) if name == wrong else (2, 2)}" for name in self.RECEIVER_MATRICES
+        """One matrix of another shape than the other three is rejected
+        when its receiver is built, naming both of that receiver's shapes,
+        so it never reaches ``compete_coherent``."""
+        shapes = {name: (3, 3) if name == wrong else (2, 2) for name in self.RECEIVER_MATRICES}
+        receiver = wrong.split()[0]
+        message = (
+            f"entanglement shape {shapes[receiver + ' entanglement']} "
+            f"!= gram shape {shapes[receiver + ' gram']}"
         )
-        message = f"receiver matrices differ in shape: {listed}"
-        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
-            compete_coherent(np.eye(2) / 2.0, *mats.values())
+        with pytest.raises(InvalidMeasurement, match=f"^{re.escape(message)}$"):
+            eve = SoftMeasurement(np.eye(*shapes["eve entanglement"]), np.eye(*shapes["eve gram"]))
+            bob = SoftMeasurement(np.eye(*shapes["bob entanglement"]), np.eye(*shapes["bob gram"]))
+            compete_coherent(np.eye(2) / 2.0, eve, bob)
+
+    @pytest.mark.parametrize("eve_dim, bob_dim", [(2, 3), (3, 2)])
+    def test_receivers_of_different_dimensions(self, eve_dim, bob_dim):
+        eve = SoftMeasurement(np.eye(eve_dim), np.eye(eve_dim))
+        bob = SoftMeasurement(np.eye(bob_dim), np.eye(bob_dim))
+        message = f"eve dim {eve_dim} != bob dim {bob_dim}"
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            compete_coherent(np.eye(2) / 2.0, eve, bob)
 
     def test_receivers_of_another_dimension_than_the_state(self):
-        with pytest.raises(DimensionMismatch, match=r"^receiver matrices differ in shape"):
-            compete_coherent(np.eye(2) / 2.0, np.eye(2), np.eye(2), np.eye(3), np.eye(3))
+        receiver = SoftMeasurement(np.eye(3), np.eye(3))
         with pytest.raises(DimensionMismatch, match=r"^rho has shape \(2, 2\)"):
-            compete_coherent(np.eye(2) / 2.0, np.eye(3), np.eye(3), np.eye(3), np.eye(3))
+            compete_coherent(np.eye(2) / 2.0, receiver, receiver)
 
 
 class TestCompeteTwoLevel:
@@ -840,6 +863,8 @@ class TestStackedInformation:
         rng = np.random.default_rng(72)
         grams = np.array([rand_correlation(rng, 2) for _ in range(6)])
         basis = StateEnsemble(np.array([0.4, 0.6]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        infos = holevo_info(meter_ensemble(basis, grams))
+        stacked = SoftMeasurement(np.broadcast_to(np.eye(2), grams.shape), grams)
+        infos = holevo_info(meter_ensemble(basis, stacked))
         for k in range(6):
-            assert infos[k] == holevo_info(meter_ensemble(basis, grams[k]))
+            single = SoftMeasurement(np.eye(2), grams[k])
+            assert infos[k] == holevo_info(meter_ensemble(basis, single))

@@ -86,6 +86,20 @@ class TestMatrixSqrtPsd:
             matrix_sqrt_psd(ones), ones / math.sqrt(2.0), atol=1e-13
         )
 
+    def test_rank_deficient_root_keeps_the_rank(self):
+        # The zero eigenvalues come out of the decomposition as rounding
+        # noise of order eps; their roots, of order sqrt(eps), must not
+        # count as directions.
+        rng = np.random.default_rng(14)
+        for dim in range(2, 7):
+            for rank in range(1, dim):
+                a = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+                a /= np.linalg.norm(a, axis=0)
+                for m, expected in ((a.conj().T @ a, rank), (np.ones((dim, dim)), 1)):
+                    root = matrix_sqrt_psd(m)
+                    assert np.linalg.matrix_rank(root, tol=1e-10) == expected, (dim, rank)
+                    np.testing.assert_allclose(root @ root, m, atol=1e-12)
+
     def test_squares_back(self):
         rng = np.random.default_rng(12)
         for dim in (2, 3, 5):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     binary_entropy,
     count_eigensolves,
+    meter_states,
     rand_correlation,
     rand_density,
     spy_correlation_checks,
@@ -30,7 +31,6 @@ from softmeas.measurement import (
     TwoLevelMeterParams,
     apply_general,
     apply_soft,
-    meter_states_from_gram,
     two_level_gram,
     two_level_meter_states,
 )
@@ -216,18 +216,20 @@ def test_general_measurement_raises_each_failure_when_built(case):
 
 
 class TestMeterStatesFromGram:
+    """The meter states a Gram matrix gives a measurement."""
+
     def test_identity_gives_standard_basis(self):
-        np.testing.assert_allclose(meter_states_from_gram(np.eye(3)), np.eye(3), atol=1e-13)
+        np.testing.assert_allclose(meter_states(np.eye(3)), np.eye(3), atol=1e-13)
 
     def test_all_ones_gives_equal_vectors(self):
-        vecs = meter_states_from_gram(np.ones((2, 2)))
+        vecs = meter_states(np.ones((2, 2)))
         expected = np.full(2, 1.0 / math.sqrt(2.0))
         np.testing.assert_allclose(vecs[:, 0], expected, atol=1e-13)
         np.testing.assert_allclose(vecs[:, 1], expected, atol=1e-13)
 
     def test_two_level_overlap(self):
         q = two_level_gram(TwoLevelMeterParams(theta=math.pi / 2.0))
-        vecs = meter_states_from_gram(q)
+        vecs = meter_states(q)
         overlap = vecs[:, 0].conj() @ vecs[:, 1]
         assert overlap == pytest.approx(math.cos(math.pi / 4.0), abs=1e-12)
 
@@ -235,7 +237,7 @@ class TestMeterStatesFromGram:
         rng = np.random.default_rng(22)
         for dim in (2, 3, 4):
             gram = rand_correlation(rng, dim)
-            vecs = meter_states_from_gram(gram)
+            vecs = meter_states(gram)
             np.testing.assert_allclose(vecs.conj().T @ vecs, gram, atol=1e-10)
             np.testing.assert_allclose(
                 np.linalg.norm(vecs, axis=0), np.ones(dim), atol=1e-10
@@ -243,7 +245,7 @@ class TestMeterStatesFromGram:
 
     def test_invalid_gram_rejected(self):
         with pytest.raises(InvalidMeasurement):
-            meter_states_from_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            meter_states(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestMeterVectors:
@@ -255,7 +257,7 @@ class TestMeterVectors:
         rng = np.random.default_rng(230 + dim)
         gram = rand_correlation(rng, dim)
         measurement = SoftMeasurement(rand_correlation(rng, dim), gram)
-        assert np.array_equal(measurement.meter_vectors, meter_states_from_gram(gram))
+        assert np.array_equal(measurement.meter_vectors, matrix_sqrt_psd(gram))
 
     def test_stacked_measurement_gives_the_stack_of_roots(self):
         rng = np.random.default_rng(235)
@@ -475,7 +477,7 @@ class TestApplyGeneral:
         rho = rand_density(rng, dim)
         ent = rand_correlation(rng, dim)
         gram = rand_correlation(rng, dim)
-        vecs = meter_states_from_gram(gram)
+        vecs = meter_states(gram)
         blocks = ent[:, :, None, None] * np.einsum("ak,bl->klab", vecs, vecs.conj())
         np.testing.assert_allclose(
             apply_general(GeneralMeasurement(blocks), rho),
@@ -541,13 +543,13 @@ class TestStackedCorrelationCheck:
     def test_stack_matches_members_and_names_first_failure(self, dim):
         rng = np.random.default_rng(150 + dim)
         stack = np.array([rand_correlation(rng, dim) for _ in range(10)]).reshape(2, 5, dim, dim)
-        vectors = meter_states_from_gram(stack)
+        vectors = meter_states(stack)
         for index in np.ndindex(2, 5):
-            assert np.array_equal(vectors[index], meter_states_from_gram(stack[index]))
+            assert np.array_equal(vectors[index], meter_states(stack[index]))
         stack[1, 3] = np.full((dim, dim), 1.5) - 0.5 * np.eye(dim)  # unit diagonal, not PSD
         stack[1, 4, 0, 1] = 2.0  # later member: not Hermitian
         with pytest.raises(InvalidMeasurement) as excinfo:
-            meter_states_from_gram(stack)
+            meter_states(stack)
         message = str(excinfo.value)
         assert excinfo.value.index == (1, 3)
         assert "gram[1, 3] is not PSD" in message

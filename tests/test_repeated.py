@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    meter_states,
     rand_correlation,
     rand_density,
     scalar_continuous_gram_sqrt,
@@ -30,7 +31,6 @@ from softmeas.measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
     apply_soft,
-    meter_states_from_gram,
     two_level_gram,
 )
 from softmeas.repeated import (
@@ -39,13 +39,25 @@ from softmeas.repeated import (
     collective_representation,
     continuous_gram_sqrt,
     discrete_step_params,
-    gram_power,
     joint_dm_continuous,
     joint_dm_repeated,
     meter_dm_continuous,
     meter_dm_repeated,
     two_level_gram_sqrt,
 )
+
+
+def gram_power(gram, n):
+    """The elementwise power ``gram**n`` that a repeated measurement of
+    ``gram`` derives; an array of counts gives the stack of powers."""
+    return RepeatedMeasurement(SoftMeasurement(np.eye(np.shape(gram)[-1]), gram), n).gram_n
+
+
+def scalar_powers(matrix, n):
+    """``matrix**n`` for one count, or the stack of the single-count powers."""
+    if np.ndim(n) == 0:
+        return matrix**n
+    return np.array([matrix**k for k in n.tolist()])
 
 
 class TestGramPower:
@@ -123,7 +135,10 @@ class TestCollectiveRepresentation:
         np.testing.assert_array_equal(rep.gram_n, np.ones((3, 3)))
         # All three meter states coincide: one collective direction is populated.
         expected = np.full((3, 3), 1.0 / math.sqrt(3.0))
-        np.testing.assert_allclose(rep.meter_vectors, expected, atol=1e-13)
+        np.testing.assert_allclose(rep.meter_vectors, expected, rtol=0.0, atol=1e-13)
+        # Rounding leaves the zero eigenvalues of ones((3, 3)) at ~1e-17;
+        # rooted as they are, they would add a collective direction ~3e-9.
+        assert np.linalg.matrix_rank(rep.meter_vectors, tol=1e-10) == 1
 
     def test_invalid_gram_rejected(self):
         with pytest.raises(InvalidMeasurement):
@@ -197,10 +212,10 @@ class TestRepeatedMeasurement:
         rng = np.random.default_rng(49 + dim)
         base = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
         repeated = RepeatedMeasurement(base, n)
-        collective = collective_representation(base.gram, n)
-        assert np.array_equal(repeated.entanglement_n, gram_power(base.entanglement, n))
-        assert np.array_equal(repeated.gram_n, collective.gram_n)
-        assert np.array_equal(repeated.meter_vectors, collective.meter_vectors)
+        gram_n = scalar_powers(base.gram, n)
+        assert np.array_equal(repeated.entanglement_n, scalar_powers(base.entanglement, n))
+        assert np.array_equal(repeated.gram_n, gram_n)
+        assert np.array_equal(repeated.meter_vectors, matrix_sqrt_psd(gram_n))
 
     @pytest.mark.parametrize("fn", [joint_dm_repeated, meter_dm_repeated])
     @pytest.mark.parametrize(
@@ -257,7 +272,7 @@ class TestMeterRepeated:
 def product_space_joint(rho, ent, gram, n):
     """Joint state with all n meter copies kept explicitly (object last)."""
     dim = rho.shape[0]
-    vecs = meter_states_from_gram(gram)
+    vecs = meter_states(gram)
     side = dim**n * dim
     out = np.zeros((side, side), dtype=complex)
     basis = np.eye(dim)
@@ -294,7 +309,7 @@ class TestDephasingComposition:
             # overwrite the pairwise weights with the composed matrix
             expected = np.zeros_like(direct)
             basis = np.eye(2)
-            vecs = meter_states_from_gram(gram)
+            vecs = meter_states(gram)
             for k in range(2):
                 ket_k = np.array([1.0])
                 for _ in range(n - m):
@@ -322,7 +337,7 @@ class TestDephasingComposition:
         full = product_space_joint(rho, ent, gram, n)
         traced = partial_trace(full, [2] * n + [2], keep=[m, n])
         composed = (ent**n) * (gram.conj() ** m)
-        vecs = meter_states_from_gram(gram)
+        vecs = meter_states(gram)
         basis = np.eye(2)
         expected = np.zeros_like(traced)
         for k in range(2):
@@ -353,7 +368,7 @@ class TestTwoLevelGramSqrt:
 
     def test_against_generic_square_root(self):
         params = TwoLevelMeterParams(theta=math.pi / 3.0, chi=0.2)
-        oracle = matrix_sqrt_psd(gram_power(two_level_gram(params), 5))
+        oracle = matrix_sqrt_psd(two_level_gram(params) ** 5)
         np.testing.assert_allclose(two_level_gram_sqrt(params, 5), oracle, atol=1e-12)
 
     @settings(deadline=None)
@@ -515,10 +530,10 @@ class TestDiscreteToContinuous:
     def test_paper_convention_halves_decay_rate(self):
         kappa, t, n = 1.0, 1.0, 400
         step, _ = discrete_step_params(kappa, 0.0, 0.0, t / n, convention="paper")
-        qn = gram_power(two_level_gram(step), n)
+        qn = two_level_gram(step) ** n
         assert abs(qn[0, 1]) == pytest.approx(math.exp(-kappa * t / 2.0), abs=1e-3)
         step, _ = discrete_step_params(kappa, 0.0, 0.0, t / n, convention="gram")
-        qn = gram_power(two_level_gram(step), n)
+        qn = two_level_gram(step) ** n
         assert abs(qn[0, 1]) == pytest.approx(math.exp(-kappa * t), abs=1e-3)
 
     def test_unknown_convention_rejected(self):
@@ -584,7 +599,40 @@ class TestStackedCounts:
             RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), np.array([3, 1, 0, -1]))
         assert excinfo.value.index == (2,)
         with pytest.raises(InvalidParams, match="integers"):
-            gram_power(np.eye(2), np.array([1.0, 2.0]))
+            RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), np.array([1.0, 2.0]))
+
+
+class TestCountsAreIntegers:
+    """A count is checked the same way whether it comes alone or in an array."""
+
+    ROUTES = {
+        "RepeatedMeasurement": lambda n: RepeatedMeasurement(
+            SoftMeasurement(np.eye(2), np.eye(2)), n
+        ).n,
+        "two_level_gram_sqrt": lambda n: two_level_gram_sqrt(TwoLevelMeterParams(theta=1.0), n),
+        "collective_representation": lambda n: collective_representation(np.eye(2), n).n,
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize(
+        "n",
+        [2.5, 2.9, np.float64(3.0), np.array(2.0), np.array([1.0, 2.5])],
+        ids=["2.5", "2.9", "float64", "0-d array", "array"],
+    )
+    def test_float_count_rejected(self, route, n):
+        with pytest.raises(InvalidParams, match="^repetition counts must be integers"):
+            self.ROUTES[route](n)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize(
+        "n", [3, np.int64(3), np.uint8(3), np.array(3)], ids=["int", "int64", "uint8", "0-d array"]
+    )
+    def test_integer_count_accepted(self, route, n):
+        assert np.array_equal(self.ROUTES[route](n), self.ROUTES[route](np.array([3]))[0])
+
+    def test_scalar_count_is_an_int(self):
+        base = SoftMeasurement(np.eye(2), np.eye(2))
+        assert type(RepeatedMeasurement(base, np.int64(3)).n) is int
 
 
 class TestContinuousParamsFinite:

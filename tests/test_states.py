@@ -42,14 +42,14 @@ def state_functions(rng, dim):
     states are two-level, so they join only at ``dim == 2``."""
     ent, gram = rand_correlation(rng, dim), rand_correlation(rng, dim)
     other = rand_correlation(rng, dim)
-    soft = SoftMeasurement(ent, gram)
+    soft, bob = SoftMeasurement(ent, gram), SoftMeasurement(other, other)
     # Reading the meter states here takes their root, which the measurement
     # keeps, so no call below pays for it.
     vecs = soft.meter_vectors
     blocks = ent[:, :, None, None] * np.einsum("ak,bl->klab", vecs, vecs.conj())
     general = GeneralMeasurement(blocks)
     repeated = RepeatedMeasurement(soft, np.array([1, 3, 40]))
-    channel = soft_object_channel(ent, gram)
+    channel = soft_object_channel(soft)
     fns = {
         "apply_soft": lambda rho: apply_soft(soft, rho),
         "apply_general": lambda rho: apply_general(general, rho),
@@ -57,7 +57,7 @@ def state_functions(rng, dim):
         "meter_dm_repeated": lambda rho: meter_dm_repeated(rho, repeated),
         "coherent_info_soft": lambda rho: coherent_info_soft(rho, soft),
         "coherent_info_soft repeated": lambda rho: coherent_info_soft(rho, repeated),
-        "compete_coherent": lambda rho: compete_coherent(rho, ent, gram, other, other),
+        "compete_coherent": lambda rho: compete_coherent(rho, soft, bob),
         "coherent_info_channel": lambda rho: coherent_info_channel(channel, rho),
         "von_neumann_entropy": von_neumann_entropy,
     }

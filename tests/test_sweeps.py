@@ -32,7 +32,6 @@ from softmeas.matcore import von_neumann_entropy
 from softmeas.measurement import SoftMeasurement, TwoLevelMeterParams, two_level_gram
 from softmeas.repeated import (
     RepeatedMeasurement,
-    gram_power,
     joint_dm_repeated,
     meter_dm_repeated,
 )
@@ -73,7 +72,7 @@ def repeat_reference(counts, theta, chi, r12, p, mu, phase):
         joint = joint_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
         meter = meter_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
         info = coherent_info_soft(
-            rho, SoftMeasurement(measurement.entanglement**n, gram_power(measurement.gram, n))
+            rho, SoftMeasurement(measurement.entanglement**n, measurement.gram**n)
         )
         rows.append(
             [
