@@ -505,6 +505,18 @@ def _check_finite(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int,
         )
 
 
+def _relabeled(
+    message: str, old: tuple[tuple[int, ...], ...], new: tuple[tuple[int, ...], ...]
+) -> str:
+    """``message`` with the label of each member in ``old`` (in the order
+    the message names them) replaced by the label of its match in ``new``."""
+    parts, rest = [], message
+    for i, j in zip(old, new):
+        head, label, rest = rest.partition(_label(i))
+        parts += [head, _label(j) if label else ""]
+    return "".join(parts) + rest
+
+
 def run_sweep(
     command: str, config: dict[str, str]
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
@@ -548,10 +560,11 @@ def run_sweep(
                     for name, m in zip(spec.grids, mesh)
                 )
                 flat = int(np.ravel_multi_index(index, shape))
-                # The check labels the member by its index within the block.
-                message = str(exc).replace(_label(exc.index), _label(index), 1)
+                # The check named each member by its index within the block.
+                named = tuple((i[0] + start, *i[1:]) for i in exc.indices)
+                message = _relabeled(str(exc), exc.indices, named)
                 exc.args = (f"{command} grid point {flat} ({point}): {message}",)
-                exc.index = index
+                exc.index, exc.indices = index, named
             raise
     return columns, table, shape
 

@@ -12,12 +12,20 @@ class SoftMeasError(ValueError):
 
     ``index`` locates the failure in the leading (stack) axes of a checked
     ``(..., D, D)`` array: the index of the first member, in C order, that
-    failed. It is None when the input was a single matrix.
+    failed. It is None when the input was a single matrix. ``indices``
+    lists every stack index that the message names, in the order it names
+    them; by default just ``index``.
     """
 
-    def __init__(self, *args: object, index: tuple[int, ...] | None = None) -> None:
+    def __init__(
+        self,
+        *args: object,
+        index: tuple[int, ...] | None = None,
+        indices: tuple[tuple[int, ...], ...] | None = None,
+    ) -> None:
         super().__init__(*args)
         self.index = index
+        self.indices = indices if indices is not None else (index,) if index else ()
 
 
 class NotHermitian(SoftMeasError):

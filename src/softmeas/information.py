@@ -473,7 +473,7 @@ def eve_bob_semiclassical(
     for state in ensemble.states:
         in_eve = _dagger(unitary) @ state @ unitary
         # The rotation back is shared by every dephasing matrix it meets.
-        back = _matmul(unitary @ (dephase * in_eve), _dagger(unitary))
+        back = _matmul(_matmul(unitary, dephase * in_eve), _dagger(unitary))
         weights = np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None)
         out_states.append(_meter_mix(bob.meter_vectors, weights))
     return holevo_info(StateEnsemble(probs=ensemble.probs, states=tuple(out_states)))

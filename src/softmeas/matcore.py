@@ -36,7 +36,13 @@ through ``_matmul``: one product per shared factor, the members along the
 shared axes joined into one tall left factor. Each entry is the same
 length-``D`` dot product either way, and the result equals the stacked
 ``a @ b`` bit for bit; a test pins that equality, so a BLAS that rounds a
-tall product differently fails it rather than moving the outputs.
+tall product differently fails it rather than moving the outputs. A shared
+left factor (the rotation of a column of the ``fig3`` grid, met by every
+dephased state in it) takes the same route through ``(b^T @ a^T)^T`` when
+it has no imaginary part: each complex product then splits into real
+products that commute exactly, so the result equals ``a @ b`` under ``==``,
+though an exact zero may change sign. A complex left factor keeps the plain
+product, because transposing complex factors moves bits.
 
 A classical state, diagonal in the computational basis, has its populations
 for a spectrum. The eigenvalue-only solves (the density and
@@ -107,7 +113,7 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for stacks of matrices, with one product per distinct ``b``.
+    """``a @ b`` for stacks of matrices, with one product per shared factor.
 
     A stack axis that ``b`` lacks, or has of size 1 where ``a``'s is longer,
     shares ``b`` between the members of ``a`` along it. Those axes of ``a``
@@ -116,12 +122,23 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     layout is then restored. With no shared axis this is plain ``a @ b``.
     Each entry is the same length-``k`` dot product either way, so the
     result equals ``a @ b`` bit for bit on the BLAS this is tested with.
+
+    The mirror case, an ``a`` shared along axes where ``b`` varies and a
+    ``b`` shared along none, becomes ``(b^T @ a^T)^T``, whose right factor
+    ``a^T`` is shared, when ``a`` has no imaginary part. Then each complex
+    product ``a_kj * b_jl`` is the pair of real products ``a_r * b_r`` and
+    ``a_r * b_i``, which commute exactly, so every entry equals ``a @ b``
+    under ``==``; only the sign of an exact zero may differ. A complex
+    ``a`` keeps plain ``a @ b``, because transposing complex factors moves
+    bits.
     """
     nd = max(a.ndim, b.ndim) - 2
     a_stack = (1,) * (nd + 2 - a.ndim) + a.shape[:-2]
     b_stack = (1,) * (nd + 2 - b.ndim) + b.shape[:-2]
     shared = [i for i in range(nd) if b_stack[i] == 1 and a_stack[i] > 1]
     if not shared:
+        if any(i == 1 < j for i, j in zip(a_stack, b_stack)) and not np.imag(a).any():
+            return _matmul(b.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
         return a @ b
     kept = [i for i in range(nd) if i not in shared]
     (m, k), n = a.shape[-2:], b.shape[-1]

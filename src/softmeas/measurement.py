@@ -64,17 +64,18 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
     Each failure names the first stack member that fails it. The message
     joins every failure with ``"; "``, the matrices' in the order given and
     then ``more``; ``index`` is the first failing stack member over all of
-    them (C order), or None when no stack failed.
+    them (C order), or None when no stack failed, and ``indices`` every
+    stack member the message names, in order.
     """
     failures: list[str] = []
-    first: list[tuple[int, ...]] = []
+    named: list[tuple[int, ...]] = []
 
     def check(bad: np.ndarray, message) -> None:
         i = _first(bad)
         if i is not None:
             failures.append(message(i))
             if i:
-                first.append(i)
+                named.append(i)
 
     for name, mat in mats.items():
         m = np.asarray(mat, dtype=complex)
@@ -101,7 +102,9 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
         )
     failures += more
     if failures:
-        raise InvalidMeasurement("; ".join(failures), index=min(first, default=None))
+        raise InvalidMeasurement(
+            "; ".join(failures), index=min(named, default=None), indices=tuple(named)
+        )
 
 
 @dataclass(frozen=True, eq=False)

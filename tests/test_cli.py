@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from softmeas import cli
 from softmeas.cli import main
+from softmeas.errors import InvalidMeasurement
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -391,6 +392,25 @@ class TestFailingGridPoint:
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 2)
         code, err = run_failing(["isweep", "--param", "q=0:2:5"], capsys)
         assert err.startswith("softmeas: isweep grid point 3 (q=1.5): gram[3] is not PSD")
+
+    def test_later_block_rebases_every_label(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 3)  # one q row per block
+        code, err = run_failing(["fig3", "--param", "q=0:2:5", "--param", "theta=0:1:3"], capsys)
+        assert code == 3
+        # Both failures are at q = 1.5, grid row 3, which is row 0 of its block.
+        assert err == (
+            "softmeas: fig3 grid point 9 (q=1.5, theta=0): dephase[3, 0] is not PSD: "
+            "eigenvalue -5.000e-01; dephase[3, 0] has an entry with modulus > 1\n"
+        )
+        config = {**cli._COMMANDS["fig3"].defaults, "q": "0:2:5", "theta": "0:1:3"}
+        with pytest.raises(InvalidMeasurement) as excinfo:
+            cli.run_sweep("fig3", config)
+        assert excinfo.value.index == (3, 0)
+        assert excinfo.value.indices == ((3, 0), (3, 0))
+        message = "gram[1, 0] is not PSD; entanglement[0, 2] has an entry with modulus > 1"
+        assert cli._relabeled(message, ((1, 0), (0, 2)), ((41, 0), (40, 2))) == (
+            "gram[41, 0] is not PSD; entanglement[40, 2] has an entry with modulus > 1"
+        )
 
     def test_non_finite_output_names_its_grid_point(self, monkeypatch, capsys):
         fig2a = cli._COMMANDS["fig2a"]

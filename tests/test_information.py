@@ -79,7 +79,7 @@ class TestKrausChannel:
         ch.validate()
         rng = np.random.default_rng(60)
         rho = rand_density(rng, 2)
-        np.testing.assert_allclose(ch.apply(rho), rho, atol=1e-14)
+        np.testing.assert_allclose(ch.apply(rho), rho, atol=1e-14, rtol=0.0)
 
     def test_non_trace_preserving_rejected(self):
         with pytest.raises(InvalidChannel):
@@ -114,7 +114,7 @@ class TestChoiRoundTrip:
             for _ in range(3):
                 rho = rand_density(rng, in_dim)
                 np.testing.assert_allclose(
-                    rebuilt.apply(rho), ch.apply(rho), atol=1e-10
+                    rebuilt.apply(rho), ch.apply(rho), atol=1e-10, rtol=0.0
                 )
 
 
@@ -127,7 +127,7 @@ class TestSoftObjectChannel:
             ch = soft_object_channel(SoftMeasurement(ent, gram))
             ch.validate()
             rho = rand_density(rng, dim)
-            np.testing.assert_allclose(ch.apply(rho), ent * gram * rho, atol=1e-11)
+            np.testing.assert_allclose(ch.apply(rho), ent * gram * rho, atol=1e-11, rtol=0.0)
 
     def test_real_instances_match_joint_state_reduction(self):
         rng = np.random.default_rng(64)
@@ -138,7 +138,7 @@ class TestSoftObjectChannel:
             joint = apply_soft(SoftMeasurement(ent, gram), rho)
             reduced = partial_trace(joint, [dim, dim], keep=0)
             ch = soft_object_channel(SoftMeasurement(ent, gram))
-            np.testing.assert_allclose(ch.apply(rho), reduced, atol=1e-11)
+            np.testing.assert_allclose(ch.apply(rho), reduced, atol=1e-11, rtol=0.0)
 
     def test_invalid_matrices_rejected(self):
         # The channel is built only from a checked measurement.
@@ -396,7 +396,7 @@ class TestMeterEnsemble:
         ens = StateEnsemble(probs=np.array([0.4, 0.6]), states=states)
         out = meter_ensemble(ens, SoftMeasurement(np.eye(2), np.eye(2)))
         for src, dst in zip(states, out.states):
-            np.testing.assert_allclose(dst, np.diag(np.diag(src).real), atol=1e-13)
+            np.testing.assert_allclose(dst, np.diag(np.diag(src).real), atol=1e-13, rtol=0.0)
 
     def test_trivial_meter_destroys_distinguishability(self):
         rng = np.random.default_rng(70)
@@ -405,7 +405,7 @@ class TestMeterEnsemble:
             states=(rand_density(rng, 2), rand_density(rng, 2)),
         )
         out = meter_ensemble(ens, SoftMeasurement(np.eye(2), np.ones((2, 2))))
-        np.testing.assert_allclose(out.states[0], out.states[1], atol=1e-13)
+        np.testing.assert_allclose(out.states[0], out.states[1], atol=1e-13, rtol=0.0)
         assert holevo_info(out) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_basis_inputs_select_meter_states(self):
@@ -419,7 +419,7 @@ class TestMeterEnsemble:
         out = meter_ensemble(ens, SoftMeasurement(np.eye(2), gram))
         for k in range(2):
             np.testing.assert_allclose(
-                out.states[k], np.outer(vecs[:, k], vecs[:, k].conj()), atol=1e-13
+                out.states[k], np.outer(vecs[:, k], vecs[:, k].conj()), atol=1e-13, rtol=0.0
             )
 
     def test_dimension_mismatch(self):
@@ -825,30 +825,46 @@ class TestStackedInformation:
         with pytest.raises(InvalidMeasurement, match=r"eve_basis\[2\] is not unitary"):
             eve_bob_semiclassical(ensemble, unitaries, dephase, bob)
 
+    @staticmethod
+    def assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase):
+        """A grid of rotations (one per column) and dephasings (one per row)
+        gives, member by member, the floats of the formula evaluated on that
+        member alone with plain products, although the stacked call makes
+        the product with the rotation back on the right one product per
+        column and the receiver's meter mixing one product in all."""
+        infos = eve_bob_semiclassical(ensemble, unitaries[None], dephase[:, None], bob)
+        assert infos.shape == (len(dephase), len(unitaries))
+        vectors = matrix_sqrt_psd(bob.gram)
+        for i, j in np.ndindex(infos.shape):
+            u, u_dagger = unitaries[j], unitaries[j].conj().T
+            outputs = []
+            for state in ensemble.states:
+                back = u @ (dephase[i] * (u_dagger @ state @ u)) @ u_dagger
+                weights = np.clip(np.diag(back).real, 0.0, None)
+                outputs.append((vectors * weights) @ vectors.conj().T)
+            assert infos[i, j] == holevo_info(StateEnsemble(ensemble.probs, tuple(outputs)))
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_eve_bob_stack_is_the_per_member_formula(self, dim):
-        """A grid of rotations (one per column) and dephasings (one per row)
-        with a random complex receiver gives, member by member, the floats
-        of the formula evaluated on that member alone with plain products,
-        although the stacked call makes the rotation back one product per
-        column and the receiver's meter mixing one product in all."""
+        """Random complex rotations and a random complex receiver."""
         rng = np.random.default_rng(80 + dim)
         states = tuple(rand_density(rng, dim) for _ in range(3))
         ensemble = StateEnsemble(np.array([0.2, 0.3, 0.5]), states)
         bob = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
         unitaries = np.array([rand_unitary(rng, dim) for _ in range(5)])
         dephase = np.array([rand_correlation(rng, dim) for _ in range(4)])
-        infos = eve_bob_semiclassical(ensemble, unitaries[None], dephase[:, None], bob)
-        assert infos.shape == (4, 5)
-        vectors = matrix_sqrt_psd(bob.gram)
-        for i, j in np.ndindex(4, 5):
-            u, u_dagger = unitaries[j], unitaries[j].conj().T
-            outputs = []
-            for state in states:
-                back = u @ (dephase[i] * (u_dagger @ state @ u)) @ u_dagger
-                weights = np.clip(np.diag(back).real, 0.0, None)
-                outputs.append((vectors * weights) @ vectors.conj().T)
-            assert infos[i, j] == holevo_info(StateEnsemble(ensemble.probs, tuple(outputs)))
+        self.assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase)
+
+    def test_eve_bob_rotation_stack_is_the_per_member_formula(self):
+        """Real rotations, as on the fig3 surface, are shared left factors
+        too: the rotation back is one product per column on either side."""
+        rng = np.random.default_rng(85)
+        states = tuple(rand_density(rng, 2) for _ in range(3))
+        ensemble = StateEnsemble(np.array([0.2, 0.3, 0.5]), states)
+        bob = SoftMeasurement(rand_correlation(rng, 2), rand_correlation(rng, 2))
+        rotations = _bloch_y_rotation(np.array([0.0, 0.3, 1.1, math.pi / 2.0, 2.9]))
+        dephase = np.array([rand_correlation(rng, 2) for _ in range(4)])
+        self.assert_grid_is_the_per_member_formula(ensemble, bob, rotations, dephase)
 
     def test_coherent_info_soft_broadcasts(self):
         rng = np.random.default_rng(71)

@@ -41,16 +41,16 @@ def rand_psd(rng, dim):
 class TestHermEig:
     def test_diagonal(self):
         spec = herm_eig(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(spec.eigenvalues, [1.0, 3.0], atol=1e-14, rtol=0.0)
 
     def test_pauli_x(self):
         spec = herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14, rtol=0.0)
 
     def test_complex_offdiagonal(self):
         # characteristic polynomial (1 - x)^2 = 1/4 has roots 1/2 and 3/2
         spec = herm_eig(np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
-        np.testing.assert_allclose(spec.eigenvalues, [0.5, 1.5], atol=1e-14)
+        np.testing.assert_allclose(spec.eigenvalues, [0.5, 1.5], atol=1e-14, rtol=0.0)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -64,26 +64,26 @@ class TestHermEig:
                 w, v = herm_eig(h)
                 assert np.all(np.diff(w) >= 0.0)
                 np.testing.assert_allclose(
-                    (v * w) @ v.conj().T, h, atol=TAU_RECON * max(1.0, np.abs(h).max())
+                    (v * w) @ v.conj().T, h, atol=TAU_RECON * max(1.0, np.abs(h).max()), rtol=0.0
                 )
                 np.testing.assert_allclose(
-                    v.conj().T @ v, np.eye(dim), atol=1e-12
+                    v.conj().T @ v, np.eye(dim), atol=1e-12, rtol=0.0
                 )
 
 
 class TestMatrixSqrtPsd:
     def test_diagonal(self):
         np.testing.assert_allclose(
-            matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-13
+            matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-13, rtol=0.0
         )
 
     def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.eye(3)), np.eye(3), atol=1e-13)
+        np.testing.assert_allclose(matrix_sqrt_psd(np.eye(3)), np.eye(3), atol=1e-13, rtol=0.0)
 
     def test_rank_one_all_ones(self):
         ones = np.ones((2, 2))
         np.testing.assert_allclose(
-            matrix_sqrt_psd(ones), ones / math.sqrt(2.0), atol=1e-13
+            matrix_sqrt_psd(ones), ones / math.sqrt(2.0), atol=1e-13, rtol=0.0
         )
 
     def test_rank_deficient_root_keeps_the_rank(self):
@@ -98,14 +98,14 @@ class TestMatrixSqrtPsd:
                 for m, expected in ((a.conj().T @ a, rank), (np.ones((dim, dim)), 1)):
                     root = matrix_sqrt_psd(m)
                     assert np.linalg.matrix_rank(root, tol=1e-10) == expected, (dim, rank)
-                    np.testing.assert_allclose(root @ root, m, atol=1e-12)
+                    np.testing.assert_allclose(root @ root, m, atol=1e-12, rtol=0.0)
 
     def test_squares_back(self):
         rng = np.random.default_rng(12)
         for dim in (2, 3, 5):
             m = rand_psd(rng, dim)
             s = matrix_sqrt_psd(m)
-            np.testing.assert_allclose(s @ s, m, atol=TAU_RECON * np.abs(m).max())
+            np.testing.assert_allclose(s @ s, m, atol=TAU_RECON * np.abs(m).max(), rtol=0.0)
 
     def test_commutes_with_unitary_conjugation(self):
         rng = np.random.default_rng(13)
@@ -114,7 +114,7 @@ class TestMatrixSqrtPsd:
             u = rand_unitary(rng, dim)
             lhs = matrix_sqrt_psd(u @ m @ u.conj().T)
             rhs = u @ matrix_sqrt_psd(m) @ u.conj().T
-            np.testing.assert_allclose(lhs, rhs, atol=TAU_RECON * np.abs(m).max())
+            np.testing.assert_allclose(lhs, rhs, atol=TAU_RECON * np.abs(m).max(), rtol=0.0)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPSD):
@@ -127,15 +127,19 @@ class TestPartialTrace:
         rho_a = rand_density(rng, 2)
         rho_b = rand_density(rng, 3)
         joint = np.kron(rho_a, rho_b)
-        np.testing.assert_allclose(partial_trace(joint, [2, 3], keep=0), rho_a, atol=1e-13)
-        np.testing.assert_allclose(partial_trace(joint, [2, 3], keep=1), rho_b, atol=1e-13)
+        np.testing.assert_allclose(
+            partial_trace(joint, [2, 3], keep=0), rho_a, atol=1e-13, rtol=0.0
+        )
+        np.testing.assert_allclose(
+            partial_trace(joint, [2, 3], keep=1), rho_b, atol=1e-13, rtol=0.0
+        )
 
     def test_bell_state(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
         joint = np.outer(bell, bell.conj())
         np.testing.assert_allclose(
-            partial_trace(joint, [2, 2], keep=0), np.eye(2) / 2.0, atol=1e-14
+            partial_trace(joint, [2, 2], keep=0), np.eye(2) / 2.0, atol=1e-14, rtol=0.0
         )
 
     def test_trace_and_positivity_preserved(self):
@@ -154,7 +158,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(
             partial_trace(joint, [2, 2, 2], keep=[0, 2]),
             np.kron(rho_a, rho_c),
-            atol=1e-13,
+            atol=1e-13, rtol=0.0,
         )
 
     def test_dimension_mismatch(self):
@@ -403,26 +407,52 @@ AXIS_PATTERNS = ("same", "b-one", "a-one")
     axes=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(AXIS_PATTERNS)), max_size=3),
     dropped=st.integers(0, 3),
     layout=st.sampled_from(["contiguous", "transposed", "strided", "matrix-first"]),
+    real=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(dim=2, axes=[(3, "b-one"), (0, "same")], dropped=0, layout="contiguous", seed=1)
-@example(dim=3, axes=[(0, "b-one"), (4, "b-one")], dropped=1, layout="strided", seed=2)
-@example(dim=2, axes=[(5, "b-one"), (4, "same")], dropped=0, layout="transposed", seed=3)
-@example(dim=4, axes=[(3, "a-one"), (4, "b-one")], dropped=0, layout="matrix-first", seed=4)
-@example(dim=2, axes=[(3, "b-one"), (4, "b-one")], dropped=2, layout="strided", seed=5)
-def test_matmul_is_matmul_bit_for_bit(dim, axes, dropped, layout, seed):
+@example(
+    dim=2, axes=[(3, "b-one"), (0, "same")], dropped=0, layout="contiguous", real=False, seed=1
+)
+@example(dim=3, axes=[(0, "b-one"), (4, "b-one")], dropped=1, layout="strided", real=False, seed=2)
+@example(
+    dim=2, axes=[(5, "b-one"), (4, "same")], dropped=0, layout="transposed", real=False, seed=3
+)
+@example(
+    dim=4, axes=[(3, "a-one"), (4, "b-one")], dropped=0, layout="matrix-first", real=False, seed=4
+)
+@example(dim=2, axes=[(3, "b-one"), (4, "b-one")], dropped=2, layout="strided", real=False, seed=5)
+@example(dim=2, axes=[(5, "a-one"), (4, "same")], dropped=0, layout="contiguous", real=True, seed=6)
+@example(
+    dim=2, axes=[(5, "a-one"), (4, "same")], dropped=0, layout="contiguous", real=False, seed=6
+)
+@example(dim=3, axes=[(4, "a-one"), (3, "a-one")], dropped=1, layout="strided", real=True, seed=7)
+@example(dim=3, axes=[(4, "a-one"), (3, "a-one")], dropped=1, layout="strided", real=False, seed=7)
+def test_matmul_is_matmul_bit_for_bit(dim, axes, dropped, layout, real, seed):
     """``_matmul`` joins the stack axes along which ``b`` is shared into
     one tall product; each entry is still the same dot product, so the
     result is ``a @ b`` to the last bit, for complex entries, any broadcast
     pattern (a 2-D ``b`` included), zero-length axes and any layout of
     ``a``. On a BLAS that rounds a tall product differently this fails
-    rather than letting the sweep outputs move."""
+    rather than letting the sweep outputs move.
+
+    Where ``a`` is shared instead, a real-valued ``a`` (complex dtype, zero
+    imaginary parts) is made the shared right factor of the transposed
+    product, which equals ``a @ b`` under ``==`` (only the sign of an exact
+    zero may differ); a complex ``a`` keeps the plain product, bit for bit,
+    signs of zeros included."""
     rng = np.random.default_rng(seed)
     a_stack = tuple(1 if kind == "a-one" else n for n, kind in axes)
     b_stack = tuple(1 if kind == "b-one" else n for n, kind in axes)[dropped:]
     a = matrix_stack(rng, a_stack, dim, layout)
+    if real:
+        a.imag[...] = 0.0
     b = complex_normal(rng, b_stack + (dim, dim))
-    assert np.array_equal(_matmul(a, b), a @ b)
+    out, expected = _matmul(a, b), a @ b
+    if real:
+        assert np.array_equal(out, expected)
+    else:
+        bits = [np.ascontiguousarray(x).view(np.int64) for x in (out, expected)]
+        assert np.array_equal(*bits)
 
 
 # zheevd's no-scaling window for the largest entry of a matrix.

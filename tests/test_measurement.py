@@ -219,13 +219,13 @@ class TestMeterStatesFromGram:
     """The meter states a Gram matrix gives a measurement."""
 
     def test_identity_gives_standard_basis(self):
-        np.testing.assert_allclose(meter_states(np.eye(3)), np.eye(3), atol=1e-13)
+        np.testing.assert_allclose(meter_states(np.eye(3)), np.eye(3), atol=1e-13, rtol=0.0)
 
     def test_all_ones_gives_equal_vectors(self):
         vecs = meter_states(np.ones((2, 2)))
         expected = np.full(2, 1.0 / math.sqrt(2.0))
-        np.testing.assert_allclose(vecs[:, 0], expected, atol=1e-13)
-        np.testing.assert_allclose(vecs[:, 1], expected, atol=1e-13)
+        np.testing.assert_allclose(vecs[:, 0], expected, atol=1e-13, rtol=0.0)
+        np.testing.assert_allclose(vecs[:, 1], expected, atol=1e-13, rtol=0.0)
 
     def test_two_level_overlap(self):
         q = two_level_gram(TwoLevelMeterParams(theta=math.pi / 2.0))
@@ -238,9 +238,9 @@ class TestMeterStatesFromGram:
         for dim in (2, 3, 4):
             gram = rand_correlation(rng, dim)
             vecs = meter_states(gram)
-            np.testing.assert_allclose(vecs.conj().T @ vecs, gram, atol=1e-10)
+            np.testing.assert_allclose(vecs.conj().T @ vecs, gram, atol=1e-10, rtol=0.0)
             np.testing.assert_allclose(
-                np.linalg.norm(vecs, axis=0), np.ones(dim), atol=1e-10
+                np.linalg.norm(vecs, axis=0), np.ones(dim), atol=1e-10, rtol=0.0
             )
 
     def test_invalid_gram_rejected(self):
@@ -296,7 +296,9 @@ class TestApplySoft:
         rng = np.random.default_rng(23)
         rho = rand_density(rng, 3)
         m = SoftMeasurement(np.eye(3), np.eye(3))
-        np.testing.assert_allclose(apply_soft(m, rho), projective_expected(rho), atol=1e-13)
+        np.testing.assert_allclose(
+            apply_soft(m, rho), projective_expected(rho), atol=1e-13, rtol=0.0
+        )
 
     def test_trivial_meter_leaves_object_untouched(self):
         rng = np.random.default_rng(24)
@@ -304,8 +306,8 @@ class TestApplySoft:
         m = SoftMeasurement(np.ones((2, 2)), np.ones((2, 2)))
         joint = apply_soft(m, rho)
         u = np.full(2, 1.0 / math.sqrt(2.0))
-        np.testing.assert_allclose(joint, np.kron(rho, np.outer(u, u)), atol=1e-13)
-        np.testing.assert_allclose(partial_trace(joint, [2, 2], keep=0), rho, atol=1e-13)
+        np.testing.assert_allclose(joint, np.kron(rho, np.outer(u, u)), atol=1e-13, rtol=0.0)
+        np.testing.assert_allclose(partial_trace(joint, [2, 2], keep=0), rho, atol=1e-13, rtol=0.0)
 
     def test_diagonal_input_yields_population_entropy(self):
         rng = np.random.default_rng(25)
@@ -326,7 +328,7 @@ class TestApplySoft:
                 assert abs(np.trace(joint) - 1.0) < 1e-9
                 reduced = partial_trace(joint, [dim, dim], keep=0)
                 np.testing.assert_allclose(
-                    np.diag(reduced), np.diag(rho), atol=1e-10
+                    np.diag(reduced), np.diag(rho), atol=1e-10, rtol=0.0
                 )
 
     def test_entropy_transfer_at_full_coherence(self):
@@ -346,12 +348,12 @@ class TestApplySoft:
             gram = rand_correlation(rng, dim)
             joint = apply_soft(SoftMeasurement(ent, gram), rho)
             reduced = partial_trace(joint, [dim, dim], keep=0)
-            np.testing.assert_allclose(reduced, ent * gram.conj() * rho, atol=1e-12)
+            np.testing.assert_allclose(reduced, ent * gram.conj() * rho, atol=1e-12, rtol=0.0)
             # with a real Gram matrix this is the plain entrywise product
             real_gram = rand_correlation(rng, dim, real=True)
             joint = apply_soft(SoftMeasurement(ent, real_gram), rho)
             reduced = partial_trace(joint, [dim, dim], keep=0)
-            np.testing.assert_allclose(reduced, ent * real_gram * rho, atol=1e-12)
+            np.testing.assert_allclose(reduced, ent * real_gram * rho, atol=1e-12, rtol=0.0)
 
     def test_matches_entangling_for_orthogonal_meter(self):
         rng = np.random.default_rng(29)
@@ -361,7 +363,7 @@ class TestApplySoft:
         expected = np.zeros((9, 9), dtype=complex)
         expected[::4, ::4] = ent * rho
         np.testing.assert_allclose(
-            apply_soft(SoftMeasurement(ent, np.eye(3)), rho), expected, atol=1e-14
+            apply_soft(SoftMeasurement(ent, np.eye(3)), rho), expected, atol=1e-14, rtol=0.0
         )
 
     def test_basis_outcomes_are_orthogonal_projectors(self):
@@ -422,7 +424,7 @@ class TestApplyEntangling:
         cloned = np.zeros(9, dtype=complex)
         for k in range(3):
             cloned[k * 3 + k] = c[k]
-        np.testing.assert_allclose(joint, np.outer(cloned, cloned.conj()), atol=1e-13)
+        np.testing.assert_allclose(joint, np.outer(cloned, cloned.conj()), atol=1e-13, rtol=0.0)
 
     def test_projective_at_identity(self):
         rng = np.random.default_rng(32)
@@ -430,7 +432,7 @@ class TestApplyEntangling:
         np.testing.assert_allclose(
             apply_soft(SoftMeasurement(np.eye(2), np.eye(2)), rho),
             projective_expected(rho),
-            atol=1e-13,
+            atol=1e-13, rtol=0.0,
         )
 
     def test_offdiagonal_placement(self):
@@ -450,7 +452,7 @@ class TestApplyGeneral:
         blocks = np.empty((2, 2, 3, 3), dtype=complex)
         blocks[:, :] = rho_meter
         joint = apply_general(GeneralMeasurement(blocks), rho)
-        np.testing.assert_allclose(joint, np.kron(rho, rho_meter), atol=1e-13)
+        np.testing.assert_allclose(joint, np.kron(rho, rho_meter), atol=1e-13, rtol=0.0)
 
     def test_projector_blocks_reproduce_entangling(self):
         rng = np.random.default_rng(34)
@@ -464,7 +466,7 @@ class TestApplyGeneral:
         np.testing.assert_allclose(
             apply_general(GeneralMeasurement(blocks), rho),
             apply_soft(SoftMeasurement(ent, np.eye(dim)), rho),
-            atol=1e-13,
+            atol=1e-13, rtol=0.0,
         )
 
     @settings(deadline=None)
@@ -482,7 +484,7 @@ class TestApplyGeneral:
         np.testing.assert_allclose(
             apply_general(GeneralMeasurement(blocks), rho),
             apply_soft(SoftMeasurement(ent, gram), rho),
-            atol=1e-13,
+            atol=1e-13, rtol=0.0,
         )
 
     def test_object_populations_preserved(self):
@@ -493,7 +495,7 @@ class TestApplyGeneral:
         blocks[:, :] = rho_meter
         joint = apply_general(GeneralMeasurement(blocks), rho)
         reduced = partial_trace(joint, [2, 2], keep=0)
-        np.testing.assert_allclose(np.diag(reduced), np.diag(rho), atol=1e-12)
+        np.testing.assert_allclose(np.diag(reduced), np.diag(rho), atol=1e-12, rtol=0.0)
 
     def test_invalid_blocks_rejected(self):
         blocks = np.zeros((2, 2, 2, 2), dtype=complex)

@@ -66,7 +66,7 @@ class TestGramPower:
 
     def test_real_offdiagonal_cubes(self):
         q = np.array([[1.0, 0.4], [0.4, 1.0]])
-        np.testing.assert_allclose(gram_power(q, 3)[0, 1], 0.4**3, atol=1e-15)
+        np.testing.assert_allclose(gram_power(q, 3)[0, 1], 0.4**3, atol=1e-15, rtol=0.0)
 
     def test_phase_accumulates(self):
         theta, chi, n = 0.9, 0.35, 6
@@ -80,7 +80,7 @@ class TestGramPower:
             q = rand_correlation(rng, dim)
             for n in (1, 2, 7, 100, 10**6):
                 qn = gram_power(q, n)
-                np.testing.assert_allclose(np.diag(qn).real, np.ones(dim), atol=1e-12)
+                np.testing.assert_allclose(np.diag(qn).real, np.ones(dim), atol=1e-12, rtol=0.0)
                 assert np.linalg.eigvalsh(qn).min() > -1e-10
 
     def test_rejects_zero_power(self):
@@ -100,7 +100,7 @@ class TestGramPower:
 class TestCollectiveRepresentation:
     def test_orthogonal_meter_is_trivial(self):
         rep = collective_representation(np.eye(3), 1)
-        np.testing.assert_allclose(rep.meter_vectors, np.eye(3), atol=1e-13)
+        np.testing.assert_allclose(rep.meter_vectors, np.eye(3), atol=1e-13, rtol=0.0)
 
     def test_matches_two_level_closed_form(self):
         for theta in (0.3, 1.2, 2.8):
@@ -109,7 +109,7 @@ class TestCollectiveRepresentation:
                     params = TwoLevelMeterParams(theta=theta, chi=chi)
                     rep = collective_representation(two_level_gram(params), n)
                     np.testing.assert_allclose(
-                        rep.meter_vectors, two_level_gram_sqrt(params, n), atol=1e-12
+                        rep.meter_vectors, two_level_gram_sqrt(params, n), atol=1e-12, rtol=0.0
                     )
 
     def test_large_n_approaches_identity(self):
@@ -124,10 +124,10 @@ class TestCollectiveRepresentation:
             for n in (1, 3):
                 rep = collective_representation(q, n)
                 np.testing.assert_allclose(
-                    np.linalg.norm(rep.meter_vectors, axis=0), np.ones(dim), atol=1e-12
+                    np.linalg.norm(rep.meter_vectors, axis=0), np.ones(dim), atol=1e-12, rtol=0.0
                 )
                 np.testing.assert_allclose(
-                    rep.meter_vectors.conj().T @ rep.meter_vectors, rep.gram_n, atol=1e-10
+                    rep.meter_vectors.conj().T @ rep.meter_vectors, rep.gram_n, atol=1e-10, rtol=0.0
                 )
 
     def test_degenerate_gram_reports_reduced_rank(self):
@@ -154,7 +154,7 @@ class TestJointRepeated:
         expected = np.zeros((4, 4), dtype=complex)
         for k in range(2):
             expected[k * 2 + k, k * 2 + k] = rho[k, k]
-        np.testing.assert_allclose(joint, expected, atol=1e-13)
+        np.testing.assert_allclose(joint, expected, atol=1e-13, rtol=0.0)
 
     def test_single_shot_matches_apply_soft_after_factor_swap(self):
         rng = np.random.default_rng(44)
@@ -164,7 +164,7 @@ class TestJointRepeated:
             meter_major = joint_dm_repeated(rho, RepeatedMeasurement(base, n=1))
             object_major = apply_soft(base, rho)
             np.testing.assert_allclose(
-                swap_factors(meter_major, dim, dim), object_major, atol=1e-13
+                swap_factors(meter_major, dim, dim), object_major, atol=1e-13, rtol=0.0
             )
 
     def test_object_trace_matches_meter_dm_bit_identically(self):
@@ -180,7 +180,7 @@ class TestJointRepeated:
             traces.append(partial_trace(joint, [dim, dim], keep=0))
         assert np.array_equal(traces[0], traces[1])
         meter = meter_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent_a, q), n=n))
-        np.testing.assert_allclose(traces[0], meter, atol=1e-13)
+        np.testing.assert_allclose(traces[0], meter, atol=1e-13, rtol=0.0)
 
     def test_outputs_are_valid_states(self):
         rng = np.random.default_rng(46)
@@ -248,14 +248,14 @@ class TestMeterRepeated:
         rho = rand_density(rng, 2)
         q = np.array([[1.0, 0.3], [0.3, 1.0]])
         meter = meter_after(rho, q, 60)  # 0.3**60 ~ 4e-32
-        np.testing.assert_allclose(meter, np.diag(np.diag(rho).real), atol=1e-12)
+        np.testing.assert_allclose(meter, np.diag(np.diag(rho).real), atol=1e-12, rtol=0.0)
 
     def test_trivial_meter_is_pure(self):
         rng = np.random.default_rng(48)
         rho = rand_density(rng, 2)
         meter = meter_after(rho, np.ones((2, 2)), 5)
         u = np.full(2, 1.0 / math.sqrt(2.0))
-        np.testing.assert_allclose(meter, np.outer(u, u), atol=1e-12)
+        np.testing.assert_allclose(meter, np.outer(u, u), atol=1e-12, rtol=0.0)
         assert von_neumann_entropy(meter) == pytest.approx(0.0, abs=1e-10)
 
     def test_pure_basis_input_gives_pure_meter(self):
@@ -265,7 +265,7 @@ class TestMeterRepeated:
         for n in (1, 3, 8):
             meter = meter_after(rho, q, n)
             vec = two_level_gram_sqrt(params, n)[:, 0]
-            np.testing.assert_allclose(meter, np.outer(vec, vec.conj()), atol=1e-12)
+            np.testing.assert_allclose(meter, np.outer(vec, vec.conj()), atol=1e-12, rtol=0.0)
             assert von_neumann_entropy(meter) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -325,7 +325,7 @@ class TestDephasingComposition:
                             np.kron(ket_k, basis[:, k]), np.kron(ket_l, basis[:, l]).conj()
                         )
                     )
-            np.testing.assert_allclose(traced, expected, atol=1e-12)
+            np.testing.assert_allclose(traced, expected, atol=1e-12, rtol=0.0)
 
     def test_complex_gram_composes_with_transposed_power(self):
         # each traced copy contributes <l|k> = conj(gram[k, l])
@@ -350,7 +350,7 @@ class TestDephasingComposition:
                         np.kron(vecs[:, l], basis[:, l]).conj(),
                     )
                 )
-        np.testing.assert_allclose(traced, expected, atol=1e-12)
+        np.testing.assert_allclose(traced, expected, atol=1e-12, rtol=0.0)
 
 
 class TestTwoLevelGramSqrt:
@@ -359,17 +359,17 @@ class TestTwoLevelGramSqrt:
             np.testing.assert_allclose(
                 two_level_gram_sqrt(TwoLevelMeterParams(theta=math.pi), n),
                 np.eye(2),
-                atol=1e-12,
+                atol=1e-12, rtol=0.0,
             )
 
     def test_identical_meter_states(self):
         out = two_level_gram_sqrt(TwoLevelMeterParams(theta=0.0), 4)
-        np.testing.assert_allclose(out, np.ones((2, 2)) / math.sqrt(2.0), atol=1e-13)
+        np.testing.assert_allclose(out, np.ones((2, 2)) / math.sqrt(2.0), atol=1e-13, rtol=0.0)
 
     def test_against_generic_square_root(self):
         params = TwoLevelMeterParams(theta=math.pi / 3.0, chi=0.2)
         oracle = matrix_sqrt_psd(two_level_gram(params) ** 5)
-        np.testing.assert_allclose(two_level_gram_sqrt(params, 5), oracle, atol=1e-12)
+        np.testing.assert_allclose(two_level_gram_sqrt(params, 5), oracle, atol=1e-12, rtol=0.0)
 
     @settings(deadline=None)
     @given(
@@ -396,18 +396,18 @@ class TestTwoLevelGramSqrt:
 class TestContinuousGramSqrt:
     def test_start_is_balanced(self):
         out = continuous_gram_sqrt(ContinuousLimitParams(kappa=1.0, t=0.0))
-        np.testing.assert_allclose(out, np.full((2, 2), 1.0 / math.sqrt(2.0)), atol=1e-13)
+        np.testing.assert_allclose(out, np.full((2, 2), 1.0 / math.sqrt(2.0)), atol=1e-13, rtol=0.0)
 
     def test_long_time_is_sharp(self):
         out = continuous_gram_sqrt(ContinuousLimitParams(kappa=1.0, t=60.0))
-        np.testing.assert_allclose(out, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(out, np.eye(2), atol=1e-12, rtol=0.0)
 
     def test_half_decay_values(self):
         out = continuous_gram_sqrt(ContinuousLimitParams(kappa=1.0, t=math.log(2.0)))
         s_plus = (math.sqrt(1.5) + math.sqrt(0.5)) / 2.0
         s_minus = (math.sqrt(1.5) - math.sqrt(0.5)) / 2.0
         np.testing.assert_allclose(
-            out, np.array([[s_plus, s_minus], [s_minus, s_plus]]), atol=1e-14
+            out, np.array([[s_plus, s_minus], [s_minus, s_plus]]), atol=1e-14, rtol=0.0
         )
 
     def test_square_has_exponential_offdiagonal(self):
@@ -433,7 +433,7 @@ class TestAsymptoticGramSqrt:
         off = cmath.exp(-kappa * t + 1j * chi_dot * t) / 2.0
         diag = 1.0 - math.exp(-2.0 * kappa * t) / 8.0
         expansion = np.array([[diag, off], [off.conjugate(), diag]])
-        np.testing.assert_allclose(continuous_gram_sqrt(params), expansion, atol=1e-8)
+        np.testing.assert_allclose(continuous_gram_sqrt(params), expansion, atol=1e-8, rtol=0.0)
 
 
 class TestMeterContinuous:
@@ -441,12 +441,12 @@ class TestMeterContinuous:
         rng = np.random.default_rng(51)
         rho = rand_density(rng, 2)
         meter = meter_dm_continuous(rho, ContinuousLimitParams(kappa=2.0, t=0.0))
-        np.testing.assert_allclose(meter, np.full((2, 2), 0.5), atol=1e-13)
+        np.testing.assert_allclose(meter, np.full((2, 2), 0.5), atol=1e-13, rtol=0.0)
 
     def test_long_time_reproduces_populations(self):
         rho = np.diag([0.7, 0.3]).astype(complex)
         meter = meter_dm_continuous(rho, ContinuousLimitParams(kappa=1.0, t=30.0))
-        np.testing.assert_allclose(meter, np.diag([0.7, 0.3]), atol=1e-6)
+        np.testing.assert_allclose(meter, np.diag([0.7, 0.3]), atol=1e-6, rtol=0.0)
 
     def test_offdiagonal_decay(self):
         rng = np.random.default_rng(52)
@@ -464,7 +464,7 @@ class TestMeterContinuous:
         np.testing.assert_allclose(
             partial_trace(joint, [2, 2], keep=1),
             meter_dm_continuous(rho, params),
-            atol=1e-13,
+            atol=1e-13, rtol=0.0,
         )
 
 
@@ -474,7 +474,7 @@ class TestJointContinuous:
         rho = rand_density(rng, 2)
         joint = joint_dm_continuous(rho, ContinuousLimitParams(kappa=1.0, t=0.0))
         u = np.full(2, 1.0 / math.sqrt(2.0))
-        np.testing.assert_allclose(joint, np.kron(rho, np.outer(u, u)), atol=1e-13)
+        np.testing.assert_allclose(joint, np.kron(rho, np.outer(u, u)), atol=1e-13, rtol=0.0)
 
     def test_entries_match_block_construction(self):
         rng = np.random.default_rng(55)
@@ -492,7 +492,7 @@ class TestJointContinuous:
                 expected[i * 2 : i * 2 + 2, j * 2 : j * 2 + 2] = (
                     rho[i, j] * dephase[i, j] * block
                 )
-        np.testing.assert_allclose(joint_dm_continuous(rho, params), expected, atol=1e-14)
+        np.testing.assert_allclose(joint_dm_continuous(rho, params), expected, atol=1e-14, rtol=0.0)
 
     def test_valid_state_for_nonnegative_dephasing(self):
         rng = np.random.default_rng(56)
