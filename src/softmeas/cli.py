@@ -40,6 +40,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import chain, cycle, islice, repeat
 from typing import Callable, Iterator, NamedTuple, TextIO
 
@@ -58,7 +59,7 @@ from .information import (
     meter_ensemble,
     semiclassical_info_continuous,
 )
-from .matcore import DensityMatrix, _label, partial_trace, von_neumann_entropy
+from .matcore import DensityMatrix, _label, _unchecked_entropy, partial_trace, von_neumann_entropy
 from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
@@ -71,6 +72,7 @@ from .repeated import (
     ContinuousLimitParams,
     RepeatedMeasurement,
     _continuous_joint,
+    _convention,
     _two_level_matrix,
     continuous_gram_sqrt,
     joint_dm_repeated,
@@ -202,7 +204,8 @@ def _grid_axes(command: str, config: dict[str, str]) -> list[np.ndarray]:
 # the resolved config and one open-mesh array per grid axis (broadcastable
 # to the grid shape) and returns its output columns, also broadcastable to
 # the grid shape. Inputs shared by the whole grid are built and validated
-# once; the matrix checks run once over each stack.
+# once; the matrix checks run once over each stack. A state derived from
+# checked inputs (a meter, joint or object state) is not checked again.
 
 
 def _basis_ensemble(probs) -> StateEnsemble:
@@ -256,8 +259,10 @@ def _sweep_continuous(config, t):
     r_dot = _parse_complex(config["r_dot"], "r_dot")
     rho = _rho_from_config(config)
     params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
-    # The meter and joint states share one build of the meter vectors.
-    vectors = continuous_gram_sqrt(params)
+    # The meter and joint states share one build of the meter vectors. Their
+    # overlap decays at the convention's rate, as the overlap of I_s does.
+    rate = _convention(config["kappa_convention"])
+    vectors = continuous_gram_sqrt(replace(params, kappa=rate * kappa))
     meter = _meter_mix(vectors, np.diag(rho.matrix).real)
     joint = _continuous_joint(rho.matrix, params, vectors)
     info = semiclassical_info_continuous(kappa, t, convention=config["kappa_convention"])
@@ -266,8 +271,8 @@ def _sweep_continuous(config, t):
         meter[..., 0, 1].real,
         meter[..., 0, 1].imag,
         meter[..., 1, 1].real,
-        von_neumann_entropy(joint),
-        von_neumann_entropy(meter),
+        _unchecked_entropy(joint),
+        _unchecked_entropy(meter),
         info,
     ]
 
@@ -283,8 +288,8 @@ def _sweep_repeat(config, n):
         vectors[..., 0, 1].real,
         vectors[..., 0, 1].imag,
         vectors[..., 1, 1].real,
-        von_neumann_entropy(meter),
-        von_neumann_entropy(joint),
+        _unchecked_entropy(meter),
+        _unchecked_entropy(joint),
         coherent_info_soft(rho, repeated),
     ]
 
@@ -301,9 +306,9 @@ def _sweep_single(config):
     return [
         q,
         von_neumann_entropy(rho),
-        von_neumann_entropy(obj),
-        von_neumann_entropy(meter),
-        von_neumann_entropy(joint),
+        _unchecked_entropy(obj),
+        _unchecked_entropy(meter),
+        _unchecked_entropy(joint),
         info_c,
         info_s,
     ]

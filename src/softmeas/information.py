@@ -34,9 +34,11 @@ from .matcore import (
     StateLike,
     _checked_density,
     _dagger,
+    _eigvalsh,
     _entropy,
     _entrywise,
     _first,
+    _hermitian_part,
     _label,
     _matmul,
     _member,
@@ -171,9 +173,11 @@ def coherent_info_soft(rho: StateLike, measurement: SoftMeasurement | RepeatedMe
     Closed form: with the measurement's multiplier ``m`` (``R * Q``
     entrywise, or ``R**n * Q**n`` for a repeated measurement) the value is
     ``S[m * rho] - S[sqrt(rho_kk) m_kl sqrt(rho_ll)]`` (entrywise products).
-    Both entropy arguments are themselves valid density matrices and are
-    checked; the measurement was checked when it was built, and a
-    :class:`DensityMatrix` ``rho`` is not checked again.
+    A raw ``rho`` is checked where it enters, a :class:`DensityMatrix` was
+    checked when it was built, and so was the measurement. Both entropy
+    arguments are then density matrices by construction (Schur products of
+    PSD matrices), so they are not checked again: each entropy takes one
+    eigensolve of its argument's Hermitian part.
 
     ``rho`` and the measurement may be ``(..., D, D)`` stacks (a repeated
     measurement with an array of counts is one); the stacks broadcast
@@ -184,9 +188,8 @@ def coherent_info_soft(rho: StateLike, measurement: SoftMeasurement | RepeatedMe
     if m.shape[-2:] != rho.shape[-2:]:
         raise DimensionMismatch(f"rho shape {rho.shape} != measurement shape {m.shape}")
     root = np.sqrt(np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None))
-    first = DensityMatrix(m * rho, "dephased object state")
-    second = DensityMatrix(root[..., :, None] * root[..., None, :] * m, "exchange-entropy argument")
-    return _entropy(first.eigenvalues) - _entropy(second.eigenvalues)
+    exchange = root[..., :, None] * root[..., None, :] * m
+    return _unchecked_entropy(m * rho) - _unchecked_entropy(exchange)
 
 
 def _check_unit_interval(**values: np.ndarray) -> None:
@@ -248,6 +251,12 @@ class StateEnsemble:
     ``spectra`` holds the ascending eigenvalues of each state that the
     density check computed, so that :func:`holevo_info` does not decompose
     the states again.
+
+    An ensemble is checked when it is built from its fields. The
+    ensembles that :func:`meter_ensemble` and :func:`eve_bob_semiclassical`
+    derive from checked parts hold states by construction and are not
+    checked again; their spectra come from the same eigensolve of the
+    Hermitian part that the check makes, so they hold the same floats.
     """
 
     probs: np.ndarray
@@ -278,6 +287,17 @@ class StateEnsemble:
         return int(self.states[0].shape[-1])
 
 
+def _derived_ensemble(probs: np.ndarray, states: tuple[np.ndarray, ...]) -> StateEnsemble:
+    """The :class:`StateEnsemble` of checked ``probs`` and of complex
+    ``states`` that library code derived from checked parts, built without
+    its checks; the spectra take the eigensolve of the Hermitian part that
+    the density check takes, so they hold the same floats."""
+    ensemble = object.__new__(StateEnsemble)
+    spectra = tuple(_eigvalsh(_hermitian_part(s)) for s in states)
+    ensemble.__dict__.update(probs=probs, states=states, spectra=spectra)
+    return ensemble
+
+
 def meter_ensemble(ensemble: StateEnsemble, measurement: SoftMeasurement) -> StateEnsemble:
     """Meter-side ensemble induced by measuring each ensemble member.
 
@@ -294,7 +314,7 @@ def meter_ensemble(ensemble: StateEnsemble, measurement: SoftMeasurement) -> Sta
     states = tuple(
         _meter_mix(vectors, np.diagonal(s, axis1=-2, axis2=-1).real) for s in ensemble.states
     )
-    return StateEnsemble(probs=ensemble.probs, states=states)
+    return _derived_ensemble(ensemble.probs, states)
 
 
 def holevo_info(ensemble: StateEnsemble) -> float | np.ndarray:
@@ -328,14 +348,16 @@ def semiclassical_info_continuous(
 
     For two equiprobable measured states the value is the binary entropy
     ``H((1 + c) / 2)`` of the residual meter overlap ``c``. Under the
-    default ``gram`` convention ``c = exp(-kappa*t)``, consistent with the
-    continuous meter state; the ``paper`` convention uses
-    ``c = exp(-2*kappa*t)``. Monotone from 0 at ``t = 0`` toward 1.
+    default ``gram`` convention ``c = exp(-kappa*t)``, the overlap of the
+    continuous meter state at rate ``kappa``; the ``paper`` convention
+    uses ``c = exp(-kappa*t/2)``, the overlap its steps reach in
+    :func:`~softmeas.repeated.discrete_step_params`. Monotone from 0 at
+    ``t = 0`` toward 1.
     ``kappa`` and ``t`` are checked as in :class:`ContinuousLimitParams`;
     an array of times gives one value per time.
     """
     t = ContinuousLimitParams(kappa=kappa, t=t).t
-    _, rate = _convention(convention)
+    rate = _convention(convention)
     overlap = _entrywise(lambda time: math.exp(-rate * kappa * time), t)
     info = _entrywise(_binary_entropy, (1.0 + overlap) / 2.0)
     return float(info) if info.ndim == 0 else info
@@ -476,4 +498,4 @@ def eve_bob_semiclassical(
         back = _matmul(_matmul(unitary, dephase * in_eve), _dagger(unitary))
         weights = np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None)
         out_states.append(_meter_mix(bob.meter_vectors, weights))
-    return holevo_info(StateEnsemble(probs=ensemble.probs, states=tuple(out_states)))
+    return holevo_info(_derived_ensemble(ensemble.probs, tuple(out_states)))

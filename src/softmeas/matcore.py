@@ -19,13 +19,19 @@ first failing member (C order) in its message and in the exception's
 Each check decomposes a matrix once: :func:`validate_density_matrix`
 returns the ascending eigenvalues it checked (shape ``(..., D)``);
 ``_checked_density`` can return the eigenvectors of the same decomposition.
-A state is checked once: a :class:`DensityMatrix` runs the check when it is
-built and keeps those eigenvalues. The functions that take a state accept a
-raw array, which they check by building a :class:`DensityMatrix`, or a
-:class:`DensityMatrix`, which they do not check again (only
-``coherent_info_channel`` decomposes it once more, for the eigenvectors of
-its purification); so :func:`von_neumann_entropy` of a
-:class:`DensityMatrix` makes no eigensolve.
+A state is checked once, where it enters: a :class:`DensityMatrix` runs the
+check when it is built and keeps those eigenvalues. The functions that take
+a state accept a raw array, which they check by building a
+:class:`DensityMatrix`, or a :class:`DensityMatrix`, which they do not check
+again (only ``coherent_info_channel`` decomposes it once more, for the
+eigenvectors of its purification); so :func:`von_neumann_entropy` of a
+:class:`DensityMatrix` makes no eigensolve. A state the library derives from
+checked parts (a Schur product of states and correlation matrices, a meter
+state) is valid by construction and is not checked at all: its entropy is
+``_unchecked_entropy``, whose spectrum is the ``_eigvalsh`` of the Hermitian
+part that the check takes, so it has the same floats, and whose clamp still
+raises on an eigenvalue below ``-ENTROPY_CLAMP``. Checking it again would
+only add up the tolerances of its factors.
 
 Working dimensions are small (<= 64), so everything is backed by dense
 LAPACK routines through ``numpy.linalg``, which loops over a stack in C.

@@ -301,13 +301,13 @@ def _continuous_joint(
     return joint.reshape(joint.shape[:-4] + (4, 4))
 
 
-# The kappa conventions: step-angle factor f (theta**2 = f*kappa*dt) and
-# overlap-rate factor g (meter overlap exp(-g*kappa*t)).
-_CONVENTIONS = {"gram": (8.0, 1.0), "paper": (4.0, 2.0)}
+# The kappa conventions, each one overlap rate: the meter overlap decays as
+# exp(-rate*kappa*t), reached by steps of angle theta**2 = 8*rate*kappa*dt.
+_CONVENTIONS = {"gram": 1.0, "paper": 0.5}
 
 
-def _convention(name: str) -> tuple[float, float]:
-    """The factors of the named convention; :class:`InvalidParams` for another name."""
+def _convention(name: str) -> float:
+    """The overlap rate of the named convention; :class:`InvalidParams` for another name."""
     if name not in _CONVENTIONS:
         expected = " or ".join(map(repr, _CONVENTIONS))
         raise InvalidParams(f"unknown convention {name!r}, expected {expected}")
@@ -340,6 +340,6 @@ def discrete_step_params(
         raise InvalidParams(f"Re(r_dot) must be >= 0, got {r_dot}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
-    angle_factor, _ = _convention(convention)
-    params = TwoLevelMeterParams(theta=math.sqrt(angle_factor * kappa * dt), chi=chi_dot * dt)
+    rate = _convention(convention)
+    params = TwoLevelMeterParams(theta=math.sqrt(8.0 * rate * kappa * dt), chi=chi_dot * dt)
     return params, 1.0 - complex(r_dot) * dt

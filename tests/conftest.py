@@ -15,17 +15,26 @@ def rand_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m / np.trace(m).real
 
 
+def rand_density_of_rank(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """Random density matrix of rank ``rank`` with complex coherences."""
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
+
+
 def rand_correlation(
-    rng: np.random.Generator, dim: int, real: bool = False
+    rng: np.random.Generator, dim: int, real: bool = False, rank: int | None = None
 ) -> np.ndarray:
     """Random Hermitian PSD matrix with exactly unit diagonal.
 
     Built as the Gram matrix of random unit vectors, which also bounds
-    every off-diagonal modulus by one.
+    every off-diagonal modulus by one; with ``rank``, of ``dim`` vectors in
+    a space of that dimension, so the rank is at most ``rank``.
     """
-    a = rng.normal(size=(dim, dim))
+    rows = dim if rank is None else rank
+    a = rng.normal(size=(rows, dim))
     if not real:
-        a = a + 1j * rng.normal(size=(dim, dim))
+        a = a + 1j * rng.normal(size=(rows, dim))
     a = a / np.linalg.norm(a, axis=0, keepdims=True)
     m = a.conj().T @ a
     np.fill_diagonal(m, 1.0)
@@ -161,7 +170,7 @@ def scalar_semiclassical_info_continuous(kappa: float, t: float, convention: str
     if convention == "gram":
         overlap = math.exp(-kappa * t)
     elif convention == "paper":
-        overlap = math.exp(-2.0 * kappa * t)
+        overlap = math.exp(-kappa * t / 2.0)
     else:
         raise ValueError(convention)
     return binary_entropy((1.0 + overlap) / 2.0)

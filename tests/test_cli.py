@@ -122,17 +122,32 @@ class TestContinuous:
         assert infos[-1] >= 1.0 - 1e-6
 
     def test_kappa_convention_changes_info_column(self, tmp_path):
-        rows = {}
-        for convention in ("gram", "paper"):
-            code, out = run_cli(
-                ["continuous", "--param", "t=1:1:1", "--kappa-convention", convention],
-                tmp_path,
-                name=f"{convention}.csv",
+        """A convention is one overlap rate, which every column reads: the
+        ``paper`` rows at ``kappa`` are the ``gram`` rows at ``kappa / 2``,
+        meter states included, byte for byte."""
+        outs = {}
+        for convention, kappa in (("gram", "1.0"), ("paper", "1.0"), ("gram", "0.5")):
+            argv = ["continuous", "--param", "t=0:5:11", "--param", f"kappa={kappa}"]
+            code, outs[convention, kappa] = run_cli(
+                argv + ["--kappa-convention", convention], tmp_path, f"{convention}{kappa}.csv"
             )
             assert code == 0
-            rows[convention] = read_csv(out)[1][0]
-        assert rows["gram"][7] != rows["paper"][7]
-        assert rows["gram"][1:5] == rows["paper"][1:5]  # states unaffected
+        gram, paper = (read_csv(outs[c, "1.0"])[1][1] for c in ("gram", "paper"))
+        assert gram[7] != paper[7] and gram[1:5] != paper[1:5]
+        assert outs["paper", "1.0"].read_bytes() == outs["gram", "0.5"].read_bytes()
+
+    @pytest.mark.parametrize("convention", ["gram", "paper"])
+    def test_meter_entropy_is_the_holevo_information(self, convention):
+        """Two equiprobable pure meter states: the meter entropy is the
+        Holevo information ``I_s`` of the row, under either convention."""
+        config = dict(
+            cli._COMMANDS["continuous"].defaults,
+            t="0:20:101",
+            kappa="0.37",
+            kappa_convention=convention,
+        )
+        _, table, _ = cli.run_sweep("continuous", config)
+        np.testing.assert_allclose(table[:, 6], table[:, 7], atol=1e-14, rtol=0.0)
 
 
 class TestRepeat:

@@ -57,7 +57,7 @@ from softmeas.matcore import (
     von_neumann_entropy,
 )
 from softmeas.measurement import SoftMeasurement, apply_soft
-from softmeas.repeated import ContinuousLimitParams, continuous_gram_sqrt
+from softmeas.repeated import ContinuousLimitParams, RepeatedMeasurement, continuous_gram_sqrt
 
 
 def qubit_state(p, mu, phase=0.0):
@@ -444,7 +444,7 @@ class TestMeterEnsemble:
         calls = count_eigensolves(monkeypatch)
         got = meter_ensemble(ens, measurement)
         assert checked == []
-        assert calls == [("eigvalsh", (dim, dim))] * dim  # the output states' checks
+        assert calls == [("eigvalsh", (dim, dim))] * dim  # the output states' spectra
         for mine, theirs in zip(got.states, expected.states):
             assert np.array_equal(mine, theirs)
 
@@ -534,7 +534,7 @@ class TestSemiclassicalContinuous:
         # -(1/2) [log2((1-c^2)/4) + c log2((1+c)/(1-c))] with the convention
         # fixing c
         for kt in (0.7, 1.3):
-            for convention, c in (("gram", math.exp(-kt)), ("paper", math.exp(-2 * kt))):
+            for convention, c in (("gram", math.exp(-kt)), ("paper", math.exp(-kt / 2))):
                 display = -0.5 * (
                     math.log2((1.0 - c * c) / 4.0)
                     + c * math.log2((1.0 + c) / (1.0 - c))
@@ -792,6 +792,41 @@ class TestEveBobSemiclassical:
         )
         with pytest.raises(DimensionMismatch):
             eve_bob_semiclassical(ens3, 0.5, np.eye(3), rigid_bob())
+
+
+def edge_inputs(offset):
+    """A state and a measurement whose diagonals exceed 1 (the state's, 1/2)
+    by ``offset``: at 9e-10 each passes its own check, but the traces of
+    states derived from them miss 1 by more than ``TAU_TRACE``."""
+    ent = np.array([[1.0 + offset, 0.3], [0.3, 1.0 + offset]])
+    gram = np.array([[1.0 + offset, 0.4], [0.4, 1.0 + offset]])
+    rho = np.array([[0.5 + offset / 2.0, 0.2], [0.2, 0.5 + offset / 2.0]])
+    return rho, SoftMeasurement(ent, gram)
+
+
+def edge_ensemble(rho):
+    return StateEnsemble(probs=np.array([0.5, 0.5]), states=(rho, np.diag([1.0, 0.0])))
+
+
+class TestToleranceEdgeInputs:
+    """A state derived from checked inputs is not checked again, so inputs
+    at the edge of their tolerances compute; the values are those of the
+    exact inputs, up to the offsets."""
+
+    @pytest.mark.parametrize(
+        "quantity",
+        [
+            lambda rho, m: coherent_info_soft(rho, m),
+            lambda rho, m: coherent_info_soft(rho, RepeatedMeasurement(m, 3)),
+            lambda rho, m: holevo_info(meter_ensemble(edge_ensemble(rho), m)),
+            lambda rho, m: eve_bob_semiclassical(edge_ensemble(rho), 0.3, m.gram, m),
+        ],
+        ids=["coherent_info_soft", "repeated", "meter_ensemble", "eve_bob_semiclassical"],
+    )
+    def test_derived_states_are_not_checked(self, quantity):
+        assert quantity(*edge_inputs(9e-10)) == pytest.approx(
+            quantity(*edge_inputs(0.0)), abs=1e-8
+        )
 
 
 class TestStackedInformation:

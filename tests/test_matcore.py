@@ -435,6 +435,13 @@ def test_matmul_is_matmul_bit_for_bit(dim, axes, dropped, layout, real, seed):
     ``a``. On a BLAS that rounds a tall product differently this fails
     rather than letting the sweep outputs move.
 
+    The ``==`` equality is verified per BLAS kernel set, not in general: it
+    holds on the SkylakeX (AVX-512) kernels that OpenBLAS selects on the
+    development machine. Under ``OPENBLAS_CORETYPE=Haswell`` a complex tall
+    product differs in bits from the per-member products for D = 4, 5, 7
+    and 8 (the ``dim=4`` example below fails), while D <= 3 and D = 6
+    agree, the sweeps' D = 2 among them.
+
     Where ``a`` is shared instead, a real-valued ``a`` (complex dtype, zero
     imaginary parts) is made the shared right factor of the transposed
     product, which equals ``a @ b`` under ``==`` (only the sign of an exact

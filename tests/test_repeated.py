@@ -13,6 +13,7 @@ from conftest import (
     meter_states,
     rand_correlation,
     rand_density,
+    rand_density_of_rank,
     scalar_continuous_gram_sqrt,
     scalar_dephasing_matrix,
     scalar_two_level_gram_sqrt,
@@ -507,6 +508,47 @@ class TestJointContinuous:
             ContinuousLimitParams(kappa=-1.0, t=1.0)
         with pytest.raises(InvalidParams):
             ContinuousLimitParams(kappa=1.0, t=-1.0)
+
+
+class TestJointEntropyFromObjectSpace:
+    """Every joint state is ``W (R * rho) W^dagger`` with the isometry
+    ``W|k> = |k>|v_k>`` onto the meter states ``v_k`` (unit vectors), so its
+    entropy is that of the D x D state ``R * rho`` (entrywise), whatever
+    the Gram matrix."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_discrete_routes(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        ranks = rng.integers(1, dim + 1, size=3)
+        rho = rand_density_of_rank(rng, dim, ranks[0])
+        measurement = SoftMeasurement(
+            rand_correlation(rng, dim, rank=ranks[1]), rand_correlation(rng, dim, rank=ranks[2])
+        )
+        expected = von_neumann_entropy(measurement.entanglement * rho)
+        assert von_neumann_entropy(apply_soft(measurement, rho)) == pytest.approx(
+            expected, abs=1e-12
+        )
+        repeated = RepeatedMeasurement(measurement, n)
+        assert von_neumann_entropy(joint_dm_repeated(rho, repeated)) == pytest.approx(
+            von_neumann_entropy(repeated.entanglement_n * rho), abs=1e-12
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 2),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 5.0),
+        st.floats(-5.0, 5.0),
+        st.complex_numbers(max_magnitude=5.0).filter(lambda r: r.real >= 0.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_continuous_route(self, rank, kappa, t, chi_dot, r_dot, seed):
+        rho = rand_density_of_rank(np.random.default_rng(seed), 2, rank)
+        params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
+        assert von_neumann_entropy(joint_dm_continuous(rho, params)) == pytest.approx(
+            von_neumann_entropy(scalar_dephasing_matrix(r_dot, t) * rho), abs=1e-12
+        )
 
 
 class TestDiscreteToContinuous:

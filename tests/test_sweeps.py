@@ -278,8 +278,10 @@ class TestClosedFormsWholeGrid:
 def continuous_reference(times, kappa, chi_dot, r_dot, p, mu, phase, convention):
     rho = qubit_state(p, mu, phase)
     rows = []
+    # The meter overlap decays at the convention's rate, as the overlap of I_s does.
+    decay = {"gram": kappa, "paper": kappa / 2.0}[convention]
     for t in times:
-        vectors = scalar_continuous_gram_sqrt(kappa, t, chi_dot)
+        vectors = scalar_continuous_gram_sqrt(decay, t, chi_dot)
         meter = (vectors * np.diag(rho).real) @ vectors.conj().T
         weights = scalar_dephasing_matrix(r_dot, t) * rho
         joint = np.einsum("ij,ki,lj->ikjl", weights, vectors, vectors.conj()).reshape(4, 4)
