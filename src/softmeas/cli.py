@@ -19,11 +19,11 @@ stack of per-point matrices once; the two-level closed forms of ``fig2a``,
 Grids of more than ``_BLOCK_POINTS`` points are evaluated in blocks, each
 written in place into one float table. The output is written only after the
 whole sweep has been computed and checked, and then ``_BLOCK_POINTS`` rows
-at a time, so the text held at once does not grow with the grid. It is
-formatted from the float table column by column: each
-grid-axis value is formatted once per axis and its string repeated down its
-column, each output value once, and one row template joins them. ``--jobs``
-is accepted for compatibility and has no effect.
+at a time, so the text held at once does not grow with the grid. Each
+grid-axis value is formatted once per axis, and its string is repeated down
+its column into one template per chunk of rows; one ``%`` of that template
+with the tuple of the chunk's output values formats each of them once.
+``--jobs`` is accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation while
 computing or emitting rows; a check that fails at a grid point names the
@@ -416,38 +416,45 @@ _BLOCK_POINTS = 8192
 
 
 def _row_chunks(
-    table: np.ndarray, shape: tuple[int, ...], fmt: str, plus_zero: bool = False
-) -> Iterator[Iterator[tuple]]:
-    """The rows of a float table over a grid of ``shape``, as tuples for a
-    row template, in chunks of up to ``_BLOCK_POINTS`` rows: the grid columns
-    (the first ``len(shape)``) as strings, each axis value formatted once by
-    ``fmt`` and repeated as C order repeats it, then the output values as
-    floats. With ``plus_zero`` each value has 0.0 added first, which turns
+    table: np.ndarray, shape: tuple[int, ...], row: str, fmt: str, plus_zero: bool = False
+) -> Iterator[str]:
+    """The rows of a float table over a grid of ``shape``, written by the
+    row template ``row``, in chunks of up to ``_BLOCK_POINTS`` rows, one
+    string per chunk. ``row`` holds one ``%s`` per grid column (the first
+    ``len(shape)``), in order, and one placeholder per output column after
+    them. With ``plus_zero`` each value has 0.0 added first, which turns
     -0.0 into 0.0.
 
+    Each grid-axis value is formatted once by ``fmt``, and its string,
+    with the template text that follows its ``%s``, is repeated as C order
+    repeats it; the text before the first ``%s`` goes with the first axis.
     Axis ``k`` is read from its own column at the stride of the axes after
-    it, so the strings carry the table's bits, signed zeros included. The
-    grid columns are drawn lazily from the axis strings, and each chunk's
-    output floats are converted when it is reached, so no object per row
-    outlives its chunk. The grid columns are shared between chunks: a chunk
-    must be consumed before the next one is drawn.
+    it, so the strings carry the table's bits, signed zeros included. A
+    chunk's template is the join of its rows' grid strings, which never
+    hold a ``%``, and its text is that template ``%`` the tuple of the
+    chunk's output values in row order: one format operation per chunk.
     """
-    grids = []
+    texts = row.split("%s", len(shape))
+    columns = [] if shape else [repeat(row)]
     for k, n in enumerate(shape):
         inner = math.prod(shape[k + 1 :])
         # A later axis of length 0 leaves no rows, so no axis value to read.
         values = table[: n * inner : inner or 1, k]
-        strings = [fmt % value for value in (values + 0.0 if plus_zero else values).tolist()]
+        head = "" if k else texts[0]
+        strings = [
+            head + fmt % value + texts[k + 1]
+            for value in (values + 0.0 if plus_zero else values).tolist()
+        ]
         column = chain.from_iterable(map(repeat, strings, repeat(inner))) if inner > 1 else strings
         # A later axis runs through its values once per value of the axes
         # before it; ``cycle`` keeps one run, at most rows / shape[0] references.
-        grids.append(cycle(column) if k else iter(column))
+        columns.append(cycle(column) if k else iter(column))
     for start in range(0, len(table), _BLOCK_POINTS):
         outputs = table[start : start + _BLOCK_POINTS, len(shape) :]
         if plus_zero:
             outputs = outputs + 0.0
-        size = len(outputs)
-        yield zip(*(islice(column, size) for column in grids), *outputs.T.tolist())
+        cells = zip(*(islice(column, len(outputs)) for column in columns))
+        yield "".join(chain.from_iterable(cells)) % tuple(outputs.ravel().tolist())
 
 
 def _emit_csv(
@@ -458,14 +465,13 @@ def _emit_csv(
     per chunk of rows.
 
     ``%.12g`` formats a float as ``format(v, ".12g")`` does, and adding 0.0
-    first turns -0.0 into 0. Each grid-axis value is formatted once (see
-    ``_row_chunks``), each output value once per row.
+    first turns -0.0 into 0. Each grid-axis value is formatted once, and
+    each chunk of rows takes one ``%`` of its template (see ``_row_chunks``).
     """
     grids = len(shape)
     line = ",".join(["%s"] * grids + ["%.12g"] * (len(columns) - grids)) + "\n"
     yield ",".join(columns) + "\n"
-    for chunk in _row_chunks(table, shape, "%.12g", plus_zero=True):
-        yield "".join(map(line.__mod__, chunk))
+    yield from _row_chunks(table, shape, line, "%.12g", plus_zero=True)
 
 
 def _emit_json(
@@ -480,8 +486,10 @@ def _emit_json(
     chunk of rows, and the closing brackets.
 
     The rows are written by a template in the same layout; ``%r`` writes a
-    finite float as :mod:`json` does. Each grid-axis value is formatted once
-    (see ``_row_chunks``), each output value once per row.
+    finite float as :mod:`json` does. Each grid-axis value is formatted
+    once, and each chunk of rows takes one ``%`` of its template (see
+    ``_row_chunks``). Every row starts with the separator ``,``, which the
+    first row trades for the list's opening ``[``.
     """
     head = json.dumps({"command": command, "config": config, "columns": list(columns)}, indent=2)
     yield f'{head[:-2]},\n  "rows": '
@@ -490,11 +498,9 @@ def _emit_json(
         return
     grids = len(shape)
     cells = ["      %s"] * grids + ["      %r"] * (len(columns) - grids)
-    row = "    [\n" + ",\n".join(cells) + "\n    ]"
-    separator = "[\n"
-    for chunk in _row_chunks(table, shape, "%r"):
-        yield separator + ",\n".join(map(row.__mod__, chunk))
-        separator = ",\n"
+    chunks = _row_chunks(table, shape, ",\n    [\n" + ",\n".join(cells) + "\n    ]", "%r")
+    yield "[" + next(chunks)[1:]
+    yield from chunks
     yield "\n  ]\n}\n"
 
 

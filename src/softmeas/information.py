@@ -198,7 +198,13 @@ def _check_unit_interval(**values: np.ndarray) -> None:
 
     Names the first failing broadcast member in C order and, at that
     member, the first failing argument, as a loop over the members would.
+    Each array is compared in its own shape; only when one fails are they
+    broadcast, to find that member. Shapes that do not broadcast raise
+    numpy's ``ValueError`` either way.
     """
+    np.broadcast_shapes(*(a.shape for a in values.values()))
+    if all(((0.0 <= a) & (a <= 1.0)).all() for a in values.values()):
+        return
     arrays = np.broadcast_arrays(*values.values())
     bad = [~((0.0 <= a) & (a <= 1.0)) for a in arrays]
     i = _first(np.logical_or.reduce(bad))

@@ -30,8 +30,11 @@ checked parts (a Schur product of states and correlation matrices, a meter
 state) is valid by construction and is not checked at all: its entropy is
 ``_unchecked_entropy``, whose spectrum is the ``_eigvalsh`` of the Hermitian
 part that the check takes, so it has the same floats, and whose clamp still
-raises on an eigenvalue below ``-ENTROPY_CLAMP``. Checking it again would
-only add up the tolerances of its factors.
+raises on an eigenvalue below ``-ENTROPY_CLAMP``. A Gram matrix derived so
+(the Schur power ``Q**n`` of a checked ``Q``) likewise takes its root through
+``_unchecked_sqrt``, the decomposition and root of :func:`matrix_sqrt_psd`
+without its checks. Checking them again would only add up the tolerances of
+their factors.
 
 Working dimensions are small (<= 64), so everything is backed by dense
 LAPACK routines through ``numpy.linalg``, which loops over a stack in C.
@@ -273,6 +276,20 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
             f"smallest eigenvalue {w[i][0]:.3e} below -{TAU_PSD:.1e}{_member(i)}",
             index=i or None,
         )
+    return _root_of_spectrum(w, v)
+
+
+def _unchecked_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """:func:`matrix_sqrt_psd` of a matrix (or stack) that is PSD by
+    construction, without its checks: the same decomposition of the
+    Hermitian part and the same root, so the same floats."""
+    return _root_of_spectrum(*np.linalg.eigh(_hermitian_part(matrix)))
+
+
+def _root_of_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The principal root of ``v diag(w) v^dagger``, eigenvalues at most
+    ``D * SQRT_RANK_EPS`` times the member's largest one (and the negative
+    ones) taken as zeros."""
     floor = w.shape[-1] * SQRT_RANK_EPS * np.maximum(w[..., -1:], 0.0)
     root = (v * np.sqrt(np.where(w > floor, w, 0.0))[..., None, :]) @ _dagger(v)
     return _hermitian_part(root)

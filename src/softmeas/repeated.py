@@ -37,7 +37,7 @@ from .matcore import (
     _label,
     _member,
     _state,
-    matrix_sqrt_psd,
+    _unchecked_sqrt,
 )
 from .measurement import (
     SoftMeasurement,
@@ -86,7 +86,9 @@ class RepeatedMeasurement:
     (``Q**n`` entrywise) and the collective meter vectors
     ``meter_vectors``, the principal square root of ``gram_n``. The base
     was checked when it was built and must be one ``D x D`` pair;
-    :class:`DimensionMismatch` names the shape of a stacked one.
+    :class:`DimensionMismatch` names the shape of a stacked one. ``gram_n``
+    is PSD by construction and is not checked again: its rounding grows
+    with ``n``, so a base that passed its own check could fail one here.
 
     ``n`` may be an integer array: the object then stands for one repeated
     measurement per count, and every derived field and the functions below
@@ -106,7 +108,7 @@ class RepeatedMeasurement:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entanglement_n", _schur_power(self.base.entanglement, n))
         object.__setattr__(self, "gram_n", gram_n)
-        object.__setattr__(self, "meter_vectors", matrix_sqrt_psd(gram_n))
+        object.__setattr__(self, "meter_vectors", _unchecked_sqrt(gram_n))
 
     @property
     def multiplier(self) -> np.ndarray:

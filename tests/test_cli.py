@@ -596,6 +596,38 @@ def emitted(emit, *args):
     return texts
 
 
+def grid_table(shape, outputs):
+    """A float table over a grid of ``shape`` in C order: its grid columns,
+    then ``outputs`` columns of random values."""
+    axes = [np.linspace(0.0, 1.0, n) for n in shape]
+    grid = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    values = np.random.default_rng(len(shape)).random((outputs, math.prod(shape)))
+    return np.column_stack([*grid, *values]) if grid else values.T
+
+
+class TestChunkedEmit:
+    """The emitters write a header, then one piece per chunk of at most
+    ``_BLOCK_POINTS`` rows, so that the text held at once does not grow
+    with the table."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+    @pytest.mark.parametrize("shape", [(), (10,), (4, 5), (2, 3, 2), (3, 0), (3, 3000)])
+    def test_one_piece_per_chunk(self, shape, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK_POINTS", block)
+        block = cli._BLOCK_POINTS
+        table = grid_table(shape, 2)
+        columns = tuple(f"c{j}" for j in range(table.shape[1]))
+        rows = len(table)
+        sizes = [min(block, rows - start) for start in range(0, rows, block)]
+        csv = list(cli._emit_csv(columns, table, shape))
+        assert csv[0] == ",".join(columns) + "\n"
+        assert [piece.count("\n") for piece in csv[1:]] == sizes
+        pieces = list(cli._emit_json("x", {}, columns, table, shape))
+        assert [piece.count("\n    ]") for piece in pieces[1:-1]] == sizes
+        assert "".join(pieces) == per_value_json("x", {}, columns, table.tolist())
+
+
 class TestTemplateEmit:
     """The column-wise emitters write the bytes of the per-value ones, with
     any number of rows per chunk (1, 2 and 3 put chunk boundaries inside,

@@ -828,6 +828,21 @@ class TestToleranceEdgeInputs:
             quantity(*edge_inputs(0.0)), abs=1e-8
         )
 
+    @pytest.mark.parametrize("n", [10, 50, np.array([1, 10, 50])], ids=["10", "50", "stack"])
+    def test_repeated_gram_power_is_not_checked(self, n):
+        """``Q**n`` of a Gram matrix that passed its own Hermiticity check is
+        PSD by construction, but its rounding grows with ``n``: here
+        8.9e-10 at ``n = 10`` and 4.3e-9 at 50, past ``TAU_HERM``."""
+        gram = np.array([[1.0, 0.999], [0.999, 1.0]])
+        skewed = SoftMeasurement(np.eye(2), gram + [[0.0, 0.0], [9e-11, 0.0]])
+        exact = SoftMeasurement(np.eye(2), gram)
+        np.testing.assert_allclose(
+            RepeatedMeasurement(skewed, n).meter_vectors,
+            RepeatedMeasurement(exact, n).meter_vectors,
+            rtol=0.0,
+            atol=1e-8,
+        )
+
 
 class TestStackedInformation:
     def test_bloch_rotation_stack_matches_single_angles(self):
