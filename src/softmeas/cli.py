@@ -241,7 +241,9 @@ def _sweep_fig2b(config, q_eve, q_bob):
 
 # fig3's inputs shared by every grid point of every sweep: the balanced
 # basis ensemble and the rigid receiver, built and checked once, at import,
-# with the receiver's meter states taken then too.
+# with the receiver's meter states taken then too. Those meter states are
+# exactly the identity, so eve_bob_semiclassical takes the Holevo information
+# from the output populations and builds no meter matrix.
 _FIG3_ENSEMBLE = _basis_ensemble([0.5, 0.5])
 _RIGID_BOB = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
 _RIGID_BOB.meter_vectors

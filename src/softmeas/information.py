@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -330,11 +331,17 @@ def holevo_info(ensemble: StateEnsemble) -> float | np.ndarray:
     ``log2(dim)``. An ensemble of stacked states gives one value per member.
     """
     average = sum(p * s for p, s in zip(ensemble.probs, ensemble.states))
-    mixing = _unchecked_entropy(average)
-    conditional = sum(
-        p * _entropy(w) for p, w in zip(ensemble.probs, ensemble.spectra) if p > 0.0
-    )
-    info = np.asarray(mixing - conditional) + 0.0
+    return _holevo(ensemble.probs, _eigvalsh(_hermitian_part(average)), ensemble.spectra)
+
+
+def _holevo(
+    probs: np.ndarray, average: np.ndarray, spectra: Iterable[np.ndarray]
+) -> float | np.ndarray:
+    """``H(average) - sum_k p_k H(spectra[k])`` in bits, from the ascending
+    spectrum of the ensemble's average state and those of its members; the
+    members of zero prior are left out."""
+    conditional = sum(p * _entropy(w) for p, w in zip(probs, spectra) if p > 0.0)
+    info = np.asarray(_entropy(average) - conditional) + 0.0
     return float(info) if info.ndim == 0 else info
 
 
@@ -466,9 +473,18 @@ def eve_bob_semiclassical(
     Each ensemble state (given in the receiver's basis) is transformed to
     the interceptor's basis, multiplied entrywise by the combined dephasing
     matrix ``dephase``, transformed back, and fed through the receiver's
-    soft projection (populations in the receiver's basis spread over his
+    soft projection (populations in the receiver's basis spread over its
     meter states). Returns the Holevo information of the resulting
     ensemble.
+
+    A rigid receiver, whose meter states are exactly the basis vectors,
+    reads the populations ``w_k`` themselves: each output state is
+    ``diag(w_k)``, so the value is ``H(sum_k p_k w_k) - sum_k p_k H(w_k)``
+    (Shannon entropies of the sorted populations), taken without building
+    a meter matrix. These are the floats the matrix route gives, where the
+    spectrum of a diagonal state is its sorted diagonal (see
+    :mod:`~softmeas.matcore`). Any other receiver's output states are built
+    as matrices and decomposed.
 
     ``eve_basis`` is either a rotation angle on the Bloch sphere's y-axis
     (two-level only; any real 0-d value, numpy scalars and 0-d arrays
@@ -497,11 +513,18 @@ def eve_bob_semiclassical(
     _check_correlation_matrix({"dephase": dephase})
     if _single_dim(bob, "bob") != dim:
         raise DimensionMismatch(f"bob dim {bob.dim} != ensemble dim {dim}")
-    out_states = []
+    populations = []
     for state in ensemble.states:
         in_eve = _dagger(unitary) @ state @ unitary
         # The rotation back is shared by every dephasing matrix it meets.
         back = _matmul(_matmul(unitary, dephase * in_eve), _dagger(unitary))
-        weights = np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None)
-        out_states.append(_meter_mix(bob.meter_vectors, weights))
-    return holevo_info(_derived_ensemble(ensemble.probs, tuple(out_states)))
+        populations.append(np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None))
+    if np.array_equal(bob.meter_vectors, np.eye(dim)):
+        # A rigid receiver's output states are diag(w) exactly, and their
+        # average's diagonal is the same sum of p_k * w_k; each has its
+        # sorted diagonal for a spectrum (see _eigvalsh), so take that.
+        average = sum(p * w for p, w in zip(ensemble.probs, populations))
+        spectra = (np.sort(w, axis=-1, kind="stable") for w in populations)
+        return _holevo(ensemble.probs, np.sort(average, axis=-1, kind="stable"), spectra)
+    out_states = tuple(_meter_mix(bob.meter_vectors, w) for w in populations)
+    return holevo_info(_derived_ensemble(ensemble.probs, out_states))

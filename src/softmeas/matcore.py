@@ -66,8 +66,10 @@ window ``[sqrt(tiny/eps), sqrt(eps/tiny)]``; and no diagonal entry is NaN
 into 1x1 blocks and returns the sorted diagonal, so the result equals
 ``np.linalg.eigvalsh`` bit for bit, signs of zeros included; a property
 test pins that equality. Every other stack goes to LAPACK. The output
-states of a rigid receiver (orthonormal meter states, as on the ``fig3``
-surface) and basis-state ensembles take this path.
+states of a rigid receiver (orthonormal meter states) and basis-state
+ensembles take this path; ``eve_bob_semiclassical``, as on the ``fig3``
+surface, takes a rigid receiver's spectra from its populations directly, and
+so gets the same floats without building the states.
 """
 
 from __future__ import annotations

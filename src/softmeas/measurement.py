@@ -48,7 +48,7 @@ from .matcore import (
     _label,
     _matmul,
     _state,
-    matrix_sqrt_psd,
+    _unchecked_sqrt,
 )
 
 
@@ -146,8 +146,10 @@ class SoftMeasurement:
         ``gram``, taken on first use and kept: column ``i`` is the i-th
         meter state, ``<v_k|v_l> == gram[k, l]``, and the principal root
         fixes the otherwise free global phases. A stacked measurement gives
-        the stack of roots."""
-        return matrix_sqrt_psd(self.gram)
+        the stack of roots. ``gram`` passed its checks when the measurement
+        was built, so the root is the unchecked one: the floats of
+        :func:`~softmeas.matcore.matrix_sqrt_psd`, without its checks."""
+        return _unchecked_sqrt(self.gram)
 
 
 def _single_dim(measurement: SoftMeasurement, name: str = "measurement") -> int:

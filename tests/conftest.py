@@ -98,6 +98,19 @@ def spy_correlation_checks(monkeypatch) -> list:
     return names
 
 
+def forbid_meter_matrices(monkeypatch) -> None:
+    """Make the semiclassical information's meter-matrix route (mixing the
+    meter states, then decomposing the derived states) raise for the rest of
+    the test, so that only a route without meter matrices can pass."""
+    from softmeas import information
+
+    def forbidden(*args):
+        raise AssertionError("meter matrices built")
+
+    for name in ("_meter_mix", "_derived_ensemble"):
+        monkeypatch.setattr(information, name, forbidden)
+
+
 def rand_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)

@@ -12,6 +12,7 @@ from conftest import (
     binary_entropy,
     count_eigensolves,
     count_eigvalsh,
+    forbid_meter_matrices,
     meter_states,
     rand_correlation,
     rand_density,
@@ -915,6 +916,57 @@ class TestStackedInformation:
         rotations = _bloch_y_rotation(np.array([0.0, 0.3, 1.1, math.pi / 2.0, 2.9]))
         dephase = np.array([rand_correlation(rng, 2) for _ in range(4)])
         self.assert_grid_is_the_per_member_formula(ensemble, bob, rotations, dephase)
+
+    @pytest.mark.parametrize(
+        "dim, probs, rotations, rows",
+        [
+            (2, [0.2, 0.3, 0.5], False, 4),
+            (3, [0.2, 0.3, 0.5], False, 4),
+            (2, [0.2, 0.3, 0.5], True, 4),
+            (21, [0.2, 0.3, 0.5], False, 1),
+            (3, [0.0, 0.4, 0.6], False, 4),
+        ],
+        ids=["2", "3", "rotations", "21", "zero-prior"],
+    )
+    def test_rigid_receiver_is_the_per_member_formula(
+        self, monkeypatch, dim, probs, rotations, rows
+    ):
+        """A rigid receiver's Holevo information comes from the populations,
+        with no meter matrix, and has the floats of the matrix formula; at
+        D = 21, above the dimensions whose diagonal spectra skip LAPACK,
+        too. That case has one dephasing row, so that no product is a tall
+        one: a complex tall product of that size differs in bits between
+        OpenBLAS kernel sets, and the case is about the spectra."""
+        rng = np.random.default_rng(90 + dim)
+        states = tuple(rand_density(rng, dim) for _ in range(3))
+        ensemble = StateEnsemble(np.array(probs), states)
+        bob = SoftMeasurement(np.eye(dim), np.eye(dim))
+        if rotations:
+            unitaries = _bloch_y_rotation(np.array([0.0, 0.3, 1.1, math.pi / 2.0, 2.9]))
+        else:
+            unitaries = np.array([rand_unitary(rng, dim) for _ in range(5)])
+        dephase = np.array([rand_correlation(rng, dim) for _ in range(rows)])
+        forbid_meter_matrices(monkeypatch)
+        self.assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_soft_receiver_learns_no_more_than_rigid(self, dim, seed):
+        """Data processing at the receiver: a soft receiver is a
+        measure-and-prepare channel after the rigid readout, so it never
+        learns more; and the rigid value lies in ``[0, log2 D]``. Both hold
+        to 1e-12, the rounding of the entropy differences."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 5))
+        probs = rng.dirichlet(np.ones(size))
+        ensemble = StateEnsemble(probs, tuple(rand_density(rng, dim) for _ in range(size)))
+        unitary = rand_unitary(rng, dim)
+        dephase = rand_correlation(rng, dim)
+        soft = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
+        rigid = SoftMeasurement(np.eye(dim), np.eye(dim))
+        rigid_info = eve_bob_semiclassical(ensemble, unitary, dephase, rigid)
+        assert eve_bob_semiclassical(ensemble, unitary, dephase, soft) <= rigid_info + 1e-12
+        assert -1e-12 <= rigid_info <= math.log2(dim) + 1e-12
 
     def test_coherent_info_soft_broadcasts(self):
         rng = np.random.default_rng(71)

@@ -18,6 +18,8 @@ from conftest import (
     spy_correlation_checks,
 )
 
+from softmeas import matcore
+from softmeas import measurement as measurement_module
 from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidState, OutOfRange
 from softmeas.matcore import (
     matrix_sqrt_psd,
@@ -276,6 +278,22 @@ class TestMeterVectors:
         apply_soft(measurement, rand_density(rng, 3))
         # The second read and apply_soft reuse the root; only rho is checked.
         assert calls[built + 1 :] == [("eigvalsh", (3, 3))]
+
+    def test_root_checks_the_gram_matrix_no_more(self, monkeypatch):
+        """The Gram matrix was checked when the measurement was built, so
+        taking its root runs no Hermiticity check."""
+        measurement = SoftMeasurement(np.eye(2), np.array([[1.0, 0.3], [0.3, 1.0]]))
+        checked = []
+        for module in (matcore, measurement_module):
+            original = module._hermitian_deviation
+
+            def counted(m, _original=original):
+                checked.append(np.shape(m))
+                return _original(m)
+
+            monkeypatch.setattr(module, "_hermitian_deviation", counted)
+        measurement.meter_vectors
+        assert checked == []
 
     def test_is_read_only(self):
         measurement = SoftMeasurement(np.eye(2), np.eye(2))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from conftest import (
     count_eigensolves,
+    forbid_meter_matrices,
     scalar_coherent_info_two_level,
     scalar_compete_two_level,
     scalar_continuous_gram_sqrt,
@@ -94,6 +95,12 @@ class TestFig3WholeGrid:
         config = {"q": "0:1:51", "theta": f"0:{math.pi / 2!r}:51", "kappa_convention": "gram"}
         qs, thetas = np.linspace(0.0, 1.0, 51), np.linspace(0.0, math.pi / 2.0, 51)
         assert np.array_equal(table("fig3", config)[:, 2], fig3_reference(qs, thetas))
+
+    def test_default_sweep_builds_no_meter_matrices(self, monkeypatch):
+        """fig3's receiver is rigid, so its Holevo information comes from the
+        populations: no meter state is mixed and no derived ensemble built."""
+        forbid_meter_matrices(monkeypatch)
+        run_sweep("fig3", {**cli._COMMANDS["fig3"].defaults, "kappa_convention": "gram"})
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_grids(self, seed):
@@ -228,9 +235,10 @@ class TestRepeatWholeGrid:
 # and ``continuous`` check their input state once, when it is built, and
 # ``single`` roots its Gram matrix once, for the joint state and the meter
 # ensemble both. Diagonal states take their spectra from their diagonals:
-# the basis ensembles of ``single``, ``isweep`` and ``fig3`` and the output
-# states of ``fig3``'s rigid receiver, which with its ensemble is built at
-# import; so ``fig3`` solves only for the check of its dephasing matrices.
+# the basis ensembles of ``single``, ``isweep`` and ``fig3`` (``fig3``'s is
+# built at import, with its rigid receiver). That receiver's output states
+# are never built: their spectra are the sorted populations. So ``fig3``
+# solves only for the check of its dephasing matrices.
 @pytest.mark.parametrize(
     "command, solves",
     [("single", 12), ("continuous", 3), ("fig3", 1), ("isweep", 5), ("fig2a", 0), ("fig2b", 0)],
