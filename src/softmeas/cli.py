@@ -113,10 +113,14 @@ def _parse_grid(raw: str, name: str) -> np.ndarray:
         raise ConfigError(f"parameter {name}: start {start} exceeds stop {stop}")
     if points == 1:
         return np.array([start])
-    # An infinite end point makes NaN entries, which the command's own
-    # domain checks then reject; numpy need not warn about them first.
-    with np.errstate(invalid="ignore"):
-        return np.linspace(start, stop, points)
+    # An infinite end point, or a span past the largest float, makes NaN or
+    # infinite entries, which the command's own domain checks then reject;
+    # numpy need not warn about them first.
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.linspace(start, stop, points)
+    except ValueError as exc:  # a count numpy cannot allocate
+        raise ConfigError(f"parameter {name}: cannot make a grid of {points} points") from exc
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -133,6 +137,8 @@ def _read_config_file(path: str) -> dict[str, str]:
                 values[key.strip()] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 text ({exc.reason})") from exc
     return values
 
 

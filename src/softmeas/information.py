@@ -35,7 +35,6 @@ from .matcore import (
     StateLike,
     _checked_density,
     _dagger,
-    _eigvalsh,
     _entropy,
     _entrywise,
     _first,
@@ -262,8 +261,8 @@ class StateEnsemble:
     An ensemble is checked when it is built from its fields. The
     ensembles that :func:`meter_ensemble` and :func:`eve_bob_semiclassical`
     derive from checked parts hold states by construction and are not
-    checked again; their spectra come from the same eigensolve of the
-    Hermitian part that the check makes, so they hold the same floats.
+    checked again; their spectra are the ``eigvalsh`` of the Hermitian part,
+    as in the check, so they hold the same floats.
     """
 
     probs: np.ndarray
@@ -297,10 +296,10 @@ class StateEnsemble:
 def _derived_ensemble(probs: np.ndarray, states: tuple[np.ndarray, ...]) -> StateEnsemble:
     """The :class:`StateEnsemble` of checked ``probs`` and of complex
     ``states`` that library code derived from checked parts, built without
-    its checks; the spectra take the eigensolve of the Hermitian part that
-    the density check takes, so they hold the same floats."""
+    its checks; the spectra are the ``eigvalsh`` of the Hermitian part, as
+    in the density check, so they hold the same floats."""
     ensemble = object.__new__(StateEnsemble)
-    spectra = tuple(_eigvalsh(_hermitian_part(s)) for s in states)
+    spectra = tuple(np.linalg.eigvalsh(_hermitian_part(s)) for s in states)
     ensemble.__dict__.update(probs=probs, states=states, spectra=spectra)
     return ensemble
 
@@ -331,7 +330,7 @@ def holevo_info(ensemble: StateEnsemble) -> float | np.ndarray:
     ``log2(dim)``. An ensemble of stacked states gives one value per member.
     """
     average = sum(p * s for p, s in zip(ensemble.probs, ensemble.states))
-    return _holevo(ensemble.probs, _eigvalsh(_hermitian_part(average)), ensemble.spectra)
+    return _holevo(ensemble.probs, np.linalg.eigvalsh(_hermitian_part(average)), ensemble.spectra)
 
 
 def _holevo(
@@ -481,8 +480,7 @@ def eve_bob_semiclassical(
     reads the populations ``w_k`` themselves: each output state is
     ``diag(w_k)``, so the value is ``H(sum_k p_k w_k) - sum_k p_k H(w_k)``
     (Shannon entropies of the sorted populations), taken without building
-    a meter matrix. These are the floats the matrix route gives, where the
-    spectrum of a diagonal state is its sorted diagonal (see
+    a meter matrix. These are the floats the matrix route gives (see
     :mod:`~softmeas.matcore`). Any other receiver's output states are built
     as matrices and decomposed.
 
@@ -522,7 +520,7 @@ def eve_bob_semiclassical(
     if np.array_equal(bob.meter_vectors, np.eye(dim)):
         # A rigid receiver's output states are diag(w) exactly, and their
         # average's diagonal is the same sum of p_k * w_k; each has its
-        # sorted diagonal for a spectrum (see _eigvalsh), so take that.
+        # sorted diagonal for a spectrum (see matcore), so take that.
         average = sum(p * w for p, w in zip(ensemble.probs, populations))
         spectra = (np.sort(w, axis=-1, kind="stable") for w in populations)
         return _holevo(ensemble.probs, np.sort(average, axis=-1, kind="stable"), spectra)

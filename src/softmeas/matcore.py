@@ -28,7 +28,7 @@ eigenvectors of its purification); so :func:`von_neumann_entropy` of a
 :class:`DensityMatrix` makes no eigensolve. A state the library derives from
 checked parts (a Schur product of states and correlation matrices, a meter
 state) is valid by construction and is not checked at all: its entropy is
-``_unchecked_entropy``, whose spectrum is the ``_eigvalsh`` of the Hermitian
+``_unchecked_entropy``, whose spectrum is the ``eigvalsh`` of the Hermitian
 part that the check takes, so it has the same floats, and whose clamp still
 raises on an eigenvalue below ``-ENTROPY_CLAMP``. A Gram matrix derived so
 (the Schur power ``Q**n`` of a checked ``Q``) likewise takes its root through
@@ -53,23 +53,13 @@ products that commute exactly, so the result equals ``a @ b`` under ``==``,
 though an exact zero may change sign. A complex left factor keeps the plain
 product, because transposing complex factors moves bits.
 
-A classical state, diagonal in the computational basis, has its populations
-for a spectrum. The eigenvalue-only solves (the density and
-correlation-matrix checks, the unchecked entropy) go through ``_eigvalsh``,
-which returns the sorted real diagonal of a stack without calling LAPACK
-when four conditions hold: the strictly-lower triangle of every member is
-exactly zero; ``D <= 20`` (up to there LAPACK sorts by insertion, which
-keeps ties such as +0.0 and -0.0 in diagonal order, as a stable sort does);
-each member's largest ``|Re h_kk|`` is 0 or inside zheevd's no-scaling
-window ``[sqrt(tiny/eps), sqrt(eps/tiny)]``; and no diagonal entry is NaN
-(a NaN fails the window test). On such a stack LAPACK splits each matrix
-into 1x1 blocks and returns the sorted diagonal, so the result equals
-``np.linalg.eigvalsh`` bit for bit, signs of zeros included; a property
-test pins that equality. Every other stack goes to LAPACK. The output
-states of a rigid receiver (orthonormal meter states) and basis-state
-ensembles take this path; ``eve_bob_semiclassical``, as on the ``fig3``
-surface, takes a rigid receiver's spectra from its populations directly, and
-so gets the same floats without building the states.
+Every eigenvalue-only solve is one ``np.linalg.eigvalsh`` call. One rule
+rests on LAPACK's floats: a rigid receiver's spectra are its sorted
+populations, the floats that LAPACK returns for a diagonal state. So
+``eve_bob_semiclassical`` takes a rigid receiver's spectra (meter states
+exactly the basis vectors, as on the ``fig3`` surface) from its sorted
+populations and builds no output states; a test pins that this gives the
+floats of the matrix route.
 """
 
 from __future__ import annotations
@@ -159,43 +149,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = tall @ b.reshape(tuple(b_stack[i] for i in kept) + (k, n))
     out = out.reshape(out.shape[: len(kept)] + rows + (n,))
     return out.transpose(*np.argsort(kept + shared), nd, nd + 1)
-
-
-# LAPACK sorts the eigenvalues of a matrix up to this side by insertion
-# (dlasrt), which keeps equal values, +0.0 and -0.0 among them, in the order
-# of the diagonal, as a stable sort does; above it the order of such ties
-# differs.
-_SORT_MAX_DIM = 20
-# zheevd scales a matrix whose largest entry lies outside this window.
-_UNSCALED = (
-    math.sqrt(np.finfo(float).tiny / np.finfo(float).eps),
-    math.sqrt(np.finfo(float).eps / np.finfo(float).tiny),
-)
-
-
-def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(h)``, bit for bit, for a complex ``(..., D, D)``
-    stack; a classical (diagonal) stack gets it without an eigensolve.
-
-    When the strictly-lower triangle of every member is exactly zero (the
-    triangle ``eigvalsh`` reads), ``D <= _SORT_MAX_DIM`` and each member's
-    largest ``|Re h_kk|`` is 0 or inside zheevd's no-scaling window
-    ``_UNSCALED`` (a NaN is not), LAPACK splits the matrix into 1x1 blocks
-    and returns its real diagonal, insertion-sorted; a stable sort of that
-    diagonal gives the same floats and signed zeros. Any other stack goes
-    to LAPACK. One member is looked at first, so a stack that is not
-    diagonal costs O(1) here.
-    """
-    d = h.shape[-1]
-    if h.size and d <= _SORT_MAX_DIM:
-        rows, cols = np.tril_indices(d, -1)
-        if not h[(0,) * (h.ndim - 2)][rows, cols].any() and not h[..., rows, cols].any():
-            diag = np.diagonal(h, axis1=-2, axis2=-1).real
-            top = np.max(np.abs(diag), axis=-1)
-            low, high = _UNSCALED
-            if np.all((top == 0.0) | ((low <= top) & (top <= high))):
-                return np.sort(diag, axis=-1, kind="stable")
-    return np.linalg.eigvalsh(h)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -373,7 +326,7 @@ def _checked_density(
             index=i or None,
         )
     h = _hermitian_part(m)
-    w, v = np.linalg.eigh(h) if vectors else (_eigvalsh(h), None)
+    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     i = _first(w[..., 0] < -TAU_PSD)
     if i is not None:
         raise InvalidState(
@@ -436,7 +389,7 @@ def _unchecked_entropy(rho: np.ndarray) -> float | np.ndarray:
     """:func:`von_neumann_entropy` without the density checks, for library
     code whose argument is a density matrix by construction; only the
     eigenvalue clamp of :func:`_entropy` still applies."""
-    return _entropy(_eigvalsh(_hermitian_part(_as_square(rho, "rho"))))
+    return _entropy(np.linalg.eigvalsh(_hermitian_part(_as_square(rho, "rho"))))
 
 
 def _entropy(w: np.ndarray) -> float | np.ndarray:

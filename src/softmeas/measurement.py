@@ -41,7 +41,6 @@ from .matcore import (
     TAU_TRACE,
     StateLike,
     _dagger,
-    _eigvalsh,
     _first,
     _hermitian_deviation,
     _hermitian_part,
@@ -86,7 +85,11 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
         check(not_herm, lambda i: f"{name}{_label(i)} is not Hermitian within {TAU_HERM:.1e}")
         if not not_herm.all():
             checked = np.where(not_herm[..., None, None], np.eye(m.shape[-1]), m)
-            w = _eigvalsh(_hermitian_part(checked))
+            # An entry near the largest float overflows the Hermitian part to
+            # NaN eigenvalues, which fail no PSD test; the modulus bound
+            # below names that member.
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.linalg.eigvalsh(_hermitian_part(checked))
             check(
                 (w[..., 0] < -TAU_PSD) & ~not_herm,
                 lambda i: f"{name}{_label(i)} is not PSD: eigenvalue {w[i][0]:.3e}",
@@ -210,7 +213,7 @@ class GeneralMeasurement:
         if not _hermitian_deviation(big) <= TAU_HERM:
             failures.append("assembled block operator is not Hermitian")
         else:
-            w = _eigvalsh(_hermitian_part(big))
+            w = np.linalg.eigvalsh(_hermitian_part(big))
             if w[0] < -TAU_PSD:
                 failures.append(f"assembled block operator is not PSD: eigenvalue {w[0]:.3e}")
         for k in range(self.dim):

@@ -1,6 +1,8 @@
 """CLI sweep-runner tests."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -9,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softmeas import cli
@@ -266,6 +268,14 @@ class TestErrorHandling:
     def test_missing_config_file(self, capsys):
         assert main(["fig2a", "--config", "/nonexistent/file.cfg"]) == 2
 
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"theta = \xff\xfe\n")
+        code, err = run_failing(["single", "--config", str(cfg)], capsys)
+        assert code == 2
+        reason = "not UTF-8 text (invalid start byte)"
+        assert err == f"softmeas: config error: cannot read config file {cfg}: {reason}\n"
+
     def test_unwritable_out_is_config_error(self, tmp_path, capsys):
         for out in (tmp_path / "missing" / "x.csv", tmp_path):
             code, err = run_failing(["fig2a", "--param", "q=0:1:3", "--out", str(out)], capsys)
@@ -370,6 +380,92 @@ class TestOverflow:
         assert code == 2
         message = f"parameter n: repetition count {value} is outside [1, 2**63)"
         assert err == f"softmeas: config error: {message}\n"
+
+    @pytest.mark.parametrize("points", ["99999999999999999999", "10000000000000000000"])
+    @pytest.mark.parametrize("command", ["fig3", "isweep"])
+    def test_count_numpy_refuses_is_config_error(self, command, points, capsys):
+        """Counts that numpy refuses before it allocates anything."""
+        code, err = run_failing([command, "--param", f"q=0:1:{points}"], capsys)
+        assert code == 2
+        message = f"parameter q: cannot make a grid of {points} points"
+        assert err == f"softmeas: config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["fig2a", "--param", "q=-1e308:1e308:3"], "fig2a grid point 0 (q=nan, mu=0): q must"),
+            (
+                ["fig3", "--param", "q=-1e308:-1e308:2"],
+                "fig3 grid point 0 (q=-1e+308, theta=0): dephase[0, 0] has an entry",
+            ),
+            (["isweep", "--param", "q=0:1e308:3"], "isweep grid point 1 (q=5e+307): gram[1] is"),
+        ],
+        ids=["span", "dephase", "gram"],
+    )
+    def test_grid_past_the_largest_float_exits_three(self, argv, expected, capsys):
+        """A grid whose span, or whose correlation matrices' Hermitian part,
+        overflows."""
+        code, err = run_failing(argv, capsys)
+        assert code == 3
+        assert err.startswith(f"softmeas: {expected}") and err.count("\n") == 1
+
+
+# Parameter values as a user might mistype them: numbers out of range or not
+# finite, and text that is no number. Grids built from them have 1 to 8
+# points, or a count numpy refuses before it allocates anything.
+MISTYPED_NUMBERS = st.sampled_from(
+    ["0", "1", "0.5", "-1", "2", "1e308", "-1e308", "5e-324"]
+    + ["nan", "inf", "-inf", "1e999", "", "x"]
+)
+MISTYPED_COUNTS = st.one_of(st.integers(1, 8), st.integers(10**19, 10**30)).map(str)
+MISTYPED_VALUES = st.one_of(
+    MISTYPED_NUMBERS,
+    st.tuples(MISTYPED_NUMBERS, MISTYPED_NUMBERS, MISTYPED_COUNTS).map(":".join),
+    st.lists(MISTYPED_NUMBERS, max_size=4).map(":".join),
+    st.lists(MISTYPED_NUMBERS, max_size=4).map(",".join),
+)
+
+
+@st.composite
+def mistyped_runs(draw):
+    """A command, ``--param`` overrides of its parameters with mistyped
+    values, and the end of a ``--config`` file: random bytes, or lines of
+    mistyped values."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    pairs = st.tuples(st.sampled_from(sorted(cli._COMMANDS[command].defaults)), MISTYPED_VALUES)
+    params = draw(st.lists(pairs, max_size=3))
+    lines = st.lists(pairs, max_size=3).map(lambda kv: "".join(f"{k} = {v}\n" for k, v in kv))
+    config = draw(st.one_of(st.binary(max_size=32), lines.map(str.encode)))
+    return command, params, config
+
+
+@settings(deadline=None, max_examples=300)
+@given(mistyped_runs())
+@example(("fig3", [("q", "0:1:99999999999999999999")], b""))
+@example(("isweep", [("q", "0:1:99999999999999999999")], b""))
+@example(("single", [], b"theta = \xff\xfe\n"))
+def test_main_never_raises(tmp_path_factory, run):
+    """Whatever the parameters, ``main`` returns 0, 2 or 3, and on 2 or 3
+    writes one ``softmeas:`` line to stderr, with no warning. The config
+    file sets every grid axis to 4 points before its drawn end, so that a
+    grid no value overrides stays small."""
+    command, params, config = run
+    grids = "".join(f"{name} = 0:1:4\n" for name in cli._COMMANDS[command].grids)
+    path = tmp_path_factory.getbasetemp() / "mistyped.cfg"
+    path.write_bytes(grids.encode() + config)
+    argv = [command, "--config", str(path)]
+    argv += [f"--param={name}={value}" for name, value in params]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("softmeas:"), lines
+    else:
+        assert err.getvalue() == ""
 
 
 class TestCommandTable:

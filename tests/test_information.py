@@ -933,9 +933,9 @@ class TestStackedInformation:
     ):
         """A rigid receiver's Holevo information comes from the populations,
         with no meter matrix, and has the floats of the matrix formula; at
-        D = 21, above the dimensions whose diagonal spectra skip LAPACK,
-        too. That case has one dephasing row, so that no product is a tall
-        one: a complex tall product of that size differs in bits between
+        D = 21, where LAPACK no longer sorts a spectrum by insertion, too.
+        That case has one dephasing row, so that no product is a tall one:
+        a complex tall product of that size differs in bits between
         OpenBLAS kernel sets, and the case is about the spectra."""
         rng = np.random.default_rng(90 + dim)
         states = tuple(rand_density(rng, dim) for _ in range(3))
@@ -948,6 +948,43 @@ class TestStackedInformation:
         dephase = np.array([rand_correlation(rng, dim) for _ in range(rows)])
         forbid_meter_matrices(monkeypatch)
         self.assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        dim=st.integers(1, 24),
+        stack=st.lists(st.integers(1, 3), max_size=1),
+        size=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=20, stack=[3], size=3, seed=1)
+    @example(dim=21, stack=[3], size=3, seed=1)
+    @example(dim=24, stack=[], size=1, seed=2)
+    def test_rigid_receiver_spectra_are_eigvalsh(self, dim, stack, size, seed):
+        """The rigid route's premise: the spectrum of a diagonal state is its
+        sorted populations, the floats ``np.linalg.eigvalsh`` returns. With
+        the identity basis and no dephasing, the output states are the
+        ensemble's own diagonal states, whose populations are drawn with
+        ties, zeros and subnormals; the rigid value equals the Holevo
+        information of those states, each spectrum from LAPACK."""
+        rng = np.random.default_rng(seed)
+        pool = [0.0, -0.0, 5e-324, 1e-310, 0.1, 0.25, 0.5, 1.0]
+        populations = rng.choice(pool, size=(size, *stack, dim))
+        populations[..., rng.integers(dim)] = 1.0
+        populations /= populations.sum(axis=-1, keepdims=True)
+        states = np.zeros((size, *stack, dim, dim), complex)
+        states[..., range(dim), range(dim)] = populations
+        probs = rng.choice([0.0, 0.25, 0.5, 1.0], size=size)
+        probs[rng.integers(size)] = 1.0
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_eigvalsh(patch)
+            ensemble = StateEnsemble(probs / probs.sum(), tuple(states))
+            matrix = holevo_info(ensemble)
+        assert calls == [states.shape[1:]] * (size + 1)
+        bob = SoftMeasurement(np.eye(dim), np.eye(dim))
+        with pytest.MonkeyPatch.context() as patch:
+            forbid_meter_matrices(patch)
+            rigid = eve_bob_semiclassical(ensemble, np.eye(dim), np.ones((dim, dim)), bob)
+        assert np.array_equal(rigid, matrix)
 
     @settings(deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))

@@ -17,7 +17,6 @@ from softmeas.errors import (
 )
 from softmeas.matcore import (
     TAU_RECON,
-    _eigvalsh,
     _matmul,
     _unchecked_entropy,
     herm_eig,
@@ -460,109 +459,3 @@ def test_matmul_is_matmul_bit_for_bit(dim, axes, dropped, layout, real, seed):
     else:
         bits = [np.ascontiguousarray(x).view(np.int64) for x in (out, expected)]
         assert np.array_equal(*bits)
-
-
-# zheevd's no-scaling window for the largest entry of a matrix.
-LOW = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
-HIGH = math.sqrt(np.finfo(float).eps / np.finfo(float).tiny)
-
-# Diagonal values to draw from, each pool with many ties: signed zeros and
-# subnormals among populations, the two ends of the window with their
-# neighbours just outside it, and non-finite values.
-DIAGONAL_POOLS = {
-    "populations": [0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 0.1, 5e-324, -5e-324, 1e-310],
-    "low end": [LOW, -LOW, np.nextafter(LOW, 0.0), -np.nextafter(LOW, 0.0), 5e-324, 0.0, -0.0],
-    "high end": [HIGH, -HIGH, np.nextafter(HIGH, np.inf), 1.0, 0.0, -0.0],
-    "non-finite": [np.nan, np.inf, -np.inf, 1.0, 0.0, -0.0],
-}
-
-
-def classical_stack(rng, stack, dim, pool):
-    """A complex ``stack + (dim, dim)`` array whose strictly-lower triangle
-    is exactly zero: diagonal entries drawn from ``pool``, with imaginary
-    parts (which ``eigvalsh`` ignores) and, in some stacks, random entries
-    in the upper triangle (which it does not read)."""
-    h = np.triu(complex_normal(rng, stack + (dim, dim)), 1) * rng.integers(0, 2)
-    diag = rng.choice(pool, size=stack + (dim,))
-    imag = rng.choice([0.0, -0.0, 0.5, 1e-300], size=stack + (dim,))
-    h[..., range(dim), range(dim)] = diag + 1j * imag
-    return h
-
-
-def bit_patterns(eigvalsh, h):
-    """``eigvalsh(h)`` as int64 bit patterns, so that the signs of zeros
-    count; or the ``LinAlgError`` it raises (LAPACK may not converge on a
-    non-finite entry)."""
-    try:
-        return eigvalsh(h).view(np.int64)
-    except np.linalg.LinAlgError as exc:
-        return exc
-
-
-@settings(deadline=None, max_examples=500)
-@given(
-    dim=st.integers(1, 24),
-    stack=st.lists(st.integers(1, 3), max_size=2),
-    pool=st.sampled_from(sorted(DIAGONAL_POOLS)),
-    lower=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(dim=2, stack=[3, 2], pool="populations", lower=False, seed=0)
-@example(dim=20, stack=[3], pool="populations", lower=False, seed=1)
-@example(dim=21, stack=[3], pool="populations", lower=False, seed=1)
-@example(dim=4, stack=[2], pool="low end", lower=False, seed=2)
-@example(dim=4, stack=[2], pool="high end", lower=False, seed=3)
-@example(dim=2, stack=[], pool="non-finite", lower=False, seed=4)
-@example(dim=3, stack=[2, 3], pool="populations", lower=True, seed=5)
-def test_eigvalsh_is_eigvalsh_bit_for_bit(dim, stack, pool, lower, seed):
-    """``_eigvalsh`` gives the floats of ``np.linalg.eigvalsh``, signs of
-    zeros included, on diagonal stacks of every kind: those it sorts
-    itself (``D <= 20``, largest entry of each member 0 or inside the
-    no-scaling window) and those it hands on (a larger ``D``, an entry
-    outside the window, a NaN). A stack with one nonzero entry below the
-    diagonal, in any member, goes to LAPACK."""
-    rng = np.random.default_rng(seed)
-    h = classical_stack(rng, tuple(stack), dim, DIAGONAL_POOLS[pool])
-    if lower and dim > 1:
-        i, j = sorted(rng.choice(dim, size=2, replace=False))
-        member = tuple(int(rng.integers(n)) for n in stack)
-        h[member + (j, i)] = rng.choice([1.0, -1e-300, 1j])
-    expected = bit_patterns(np.linalg.eigvalsh, h)
-    with pytest.MonkeyPatch.context() as patch:
-        calls = count_eigvalsh(patch)
-        got = bit_patterns(_eigvalsh, h)
-    assert type(got) is type(expected)
-    if isinstance(got, np.ndarray):
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
-    if lower and dim > 1:
-        assert calls == [h.shape]
-
-
-class TestClassicalSpectra:
-    """Which stacks ``_eigvalsh`` sorts itself, without an eigensolve."""
-
-    def test_diagonal_states_make_no_eigensolve(self, monkeypatch):
-        rng = np.random.default_rng(420)
-        probs = rng.dirichlet(np.ones(20), size=(4, 3))
-        stack = np.zeros((4, 3, 20, 20), complex)
-        stack[..., range(20), range(20)] = probs
-        calls = count_eigvalsh(monkeypatch)
-        assert np.array_equal(validate_density_matrix(stack), np.sort(probs, axis=-1))
-        assert von_neumann_entropy(stack[0, 0]) == _unchecked_entropy(stack[0, 0])
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "diagonal",
-        [
-            [1.0 / 21] * 21,  # beyond the insertion-sort limit
-            [1.0, 1e300],  # outside the no-scaling window
-            [1e-150, 0.0],
-            [np.nan, 1.0],
-        ],
-    )
-    def test_other_diagonal_stacks_go_to_lapack(self, monkeypatch, diagonal):
-        h = np.diag(diagonal).astype(complex)
-        calls = count_eigvalsh(monkeypatch)
-        _eigvalsh(h)
-        assert calls == [h.shape]

@@ -234,14 +234,15 @@ class TestRepeatWholeGrid:
 # LAPACK eigensolves of one default sweep of the other commands. ``single``
 # and ``continuous`` check their input state once, when it is built, and
 # ``single`` roots its Gram matrix once, for the joint state and the meter
-# ensemble both. Diagonal states take their spectra from their diagonals:
-# the basis ensembles of ``single``, ``isweep`` and ``fig3`` (``fig3``'s is
-# built at import, with its rigid receiver). That receiver's output states
-# are never built: their spectra are the sorted populations. So ``fig3``
-# solves only for the check of its dephasing matrices.
+# ensemble both. A basis ensemble is checked when it is built, one
+# eigensolve per state: ``single`` and ``isweep`` build theirs in the sweep,
+# ``fig3`` builds its own at import, with its rigid receiver. That
+# receiver's output states are never built: their spectra are the sorted
+# populations. So ``fig3`` solves only for the check of its dephasing
+# matrices.
 @pytest.mark.parametrize(
     "command, solves",
-    [("single", 12), ("continuous", 3), ("fig3", 1), ("isweep", 5), ("fig2a", 0), ("fig2b", 0)],
+    [("single", 14), ("continuous", 3), ("fig3", 1), ("isweep", 8), ("fig2a", 0), ("fig2b", 0)],
 )
 def test_default_sweep_eigensolves(monkeypatch, command, solves):
     calls = count_eigensolves(monkeypatch)
