@@ -113,14 +113,20 @@ def _parse_grid(raw: str, name: str) -> np.ndarray:
         raise ConfigError(f"parameter {name}: start {start} exceeds stop {stop}")
     if points == 1:
         return np.array([start])
-    # An infinite end point, or a span past the largest float, makes NaN or
-    # infinite entries, which the command's own domain checks then reject;
-    # numpy need not warn about them first.
+    # An infinite end point makes NaN or infinite entries, which the
+    # command's own domain checks then reject; numpy need not warn about
+    # them first. Finite end points whose span is past the largest float
+    # make them too, at points the user never gave, so that span is refused.
     try:
         with np.errstate(invalid="ignore", over="ignore"):
-            return np.linspace(start, stop, points)
+            grid = np.linspace(start, stop, points)
     except ValueError as exc:  # a count numpy cannot allocate
         raise ConfigError(f"parameter {name}: cannot make a grid of {points} points") from exc
+    if math.isfinite(start) and math.isfinite(stop) and not np.isfinite(grid).all():
+        raise ConfigError(
+            f"parameter {name}: the span from {start:g} to {stop:g} exceeds the largest float"
+        )
+    return grid
 
 
 def _read_config_file(path: str) -> dict[str, str]:

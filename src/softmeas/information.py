@@ -336,9 +336,11 @@ def holevo_info(ensemble: StateEnsemble) -> float | np.ndarray:
 def _holevo(
     probs: np.ndarray, average: np.ndarray, spectra: Iterable[np.ndarray]
 ) -> float | np.ndarray:
-    """``H(average) - sum_k p_k H(spectra[k])`` in bits, from the ascending
-    spectrum of the ensemble's average state and those of its members; the
-    members of zero prior are left out."""
+    """``H(average) - sum_k p_k H(spectra[k])`` in bits, from the spectrum
+    of the ensemble's average state and those of its members; the members
+    of zero prior are left out. Each spectrum is ascending or, when
+    ``D <= 2`` and it has no negative entry, in any order: its entropy is
+    then one addition of two terms."""
     conditional = sum(p * _entropy(w) for p, w in zip(probs, spectra) if p > 0.0)
     info = np.asarray(_entropy(average) - conditional) + 0.0
     return float(info) if info.ndim == 0 else info
@@ -479,10 +481,10 @@ def eve_bob_semiclassical(
     A rigid receiver, whose meter states are exactly the basis vectors,
     reads the populations ``w_k`` themselves: each output state is
     ``diag(w_k)``, so the value is ``H(sum_k p_k w_k) - sum_k p_k H(w_k)``
-    (Shannon entropies of the sorted populations), taken without building
-    a meter matrix. These are the floats the matrix route gives (see
-    :mod:`~softmeas.matcore`). Any other receiver's output states are built
-    as matrices and decomposed.
+    (Shannon entropies of the populations, sorted only when ``D > 2``),
+    taken without building a meter matrix. These are the floats the matrix
+    route gives (see :mod:`~softmeas.matcore`). Any other receiver's output
+    states are built as matrices and decomposed.
 
     ``eve_basis`` is either a rotation angle on the Bloch sphere's y-axis
     (two-level only; any real 0-d value, numpy scalars and 0-d arrays
@@ -520,8 +522,12 @@ def eve_bob_semiclassical(
     if np.array_equal(bob.meter_vectors, np.eye(dim)):
         # A rigid receiver's output states are diag(w) exactly, and their
         # average's diagonal is the same sum of p_k * w_k; each has its
-        # sorted diagonal for a spectrum (see matcore), so take that.
+        # sorted diagonal for a spectrum (see matcore), so take that. An
+        # entropy of two terms is one addition, which does not depend on
+        # their order, so at D <= 2 the populations are taken unsorted.
         average = sum(p * w for p, w in zip(ensemble.probs, populations))
+        if dim <= 2:
+            return _holevo(ensemble.probs, average, populations)
         spectra = (np.sort(w, axis=-1, kind="stable") for w in populations)
         return _holevo(ensemble.probs, np.sort(average, axis=-1, kind="stable"), spectra)
     out_states = tuple(_meter_mix(bob.meter_vectors, w) for w in populations)

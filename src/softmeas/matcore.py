@@ -57,9 +57,10 @@ Every eigenvalue-only solve is one ``np.linalg.eigvalsh`` call. One rule
 rests on LAPACK's floats: a rigid receiver's spectra are its sorted
 populations, the floats that LAPACK returns for a diagonal state. So
 ``eve_bob_semiclassical`` takes a rigid receiver's spectra (meter states
-exactly the basis vectors, as on the ``fig3`` surface) from its sorted
-populations and builds no output states; a test pins that this gives the
-floats of the matrix route.
+exactly the basis vectors, as on the ``fig3`` surface) from its
+populations, sorted only when ``D > 2`` (an entropy of two terms does not
+depend on their order), and builds no output states; a test pins that this
+gives the floats of the matrix route.
 """
 
 from __future__ import annotations
@@ -394,7 +395,13 @@ def _unchecked_entropy(rho: np.ndarray) -> float | np.ndarray:
 
 def _entropy(w: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits from ascending eigenvalues ``w`` of shape
-    ``(..., D)``, as :func:`von_neumann_entropy` defines it."""
+    ``(..., D)``, as :func:`von_neumann_entropy` defines it.
+
+    Below eight eigenvalues the terms are summed column by column, left to
+    right: the order of numpy's own ``sum(axis=-1)`` below eight terms, so
+    the same floats, without a numpy loop of length ``D`` per member. From
+    eight on the sum is ``terms.sum(axis=-1)``, with the zero terms left out
+    where a member has any."""
     i = _first(w[..., 0] < -ENTROPY_CLAMP)
     if i is not None:
         raise InvalidState(
@@ -402,8 +409,15 @@ def _entropy(w: np.ndarray) -> float | np.ndarray:
         )
     w = np.clip(w, 0.0, 1.0)
     terms = w * np.log2(np.where(w > 0.0, w, 1.0))
-    entropy = np.asarray(-terms.sum(axis=-1) + 0.0)
-    if w.shape[-1] >= 8:
+    if w.shape[-1] < 8:
+        # numpy adds fewer than eight terms one after another, left to right;
+        # the same additions, a whole column at a time, give its floats.
+        total = terms[..., 0]
+        for column in range(1, w.shape[-1]):
+            total = total + terms[..., column]
+        entropy = np.asarray(-total + 0.0)
+    else:
+        entropy = np.asarray(-terms.sum(axis=-1) + 0.0)
         # numpy sums eight or more terms pairwise, so the zero terms of
         # clamped eigenvalues regroup the sum; sum the positive terms only.
         for i in map(tuple, np.argwhere(np.any(w == 0.0, axis=-1))):

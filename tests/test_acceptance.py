@@ -4,12 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import cmath
+import json
 import math
 import time
 
 import numpy as np
 
-from conftest import rand_correlation, rand_density, swap_factors
+from conftest import binary_entropy, rand_correlation, rand_density, swap_factors
 
 from softmeas.cli import main
 from softmeas.information import (
@@ -290,3 +292,39 @@ def test_criterion_10_cli_figure_regression(tmp_path):
     elapsed = time.perf_counter() - start
     report(10, f"CLI figure sweeps byte-identical across runs ({elapsed:.1f}s)",
            ok and elapsed < 60.0)
+
+
+def balance_excess(tmp_path, argv: list[str], p: float) -> float:
+    """The largest ``I_c + I_s - H(p)`` over the rows that ``argv`` writes."""
+    out = tmp_path / "balance.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    i_c, i_s = payload["columns"].index("I_c"), payload["columns"].index("I_s")
+    return max(row[i_c] + row[i_s] for row in payload["rows"]) - binary_entropy(p)
+
+
+def test_criterion_11_single_information_balance(tmp_path):
+    """What the object keeps and what the meter learns share the entropy of
+    the populations: ``I_c + I_s <= H(p)``, at random meters and states."""
+    rng = np.random.default_rng(211)
+    worst = balance_excess(tmp_path, ["single"], 0.5)
+    for _ in range(20):
+        theta, chi, modulus, phase, rho_p, rho_mu, rho_phase = rng.uniform(
+            [0, -3, 0, -3, 0, 0, -3], [math.pi, 3, 1, 3, 1, 1, 3]
+        ).tolist()
+        r12 = modulus * cmath.exp(1j * phase)
+        values = {"theta": theta, "chi": chi, "rho_p": rho_p, "rho_mu": rho_mu,
+                  "rho_phase": rho_phase}
+        argv = ["single", f"--param=r12={r12.real!r},{r12.imag!r}"]
+        argv += [f"--param={name}={value!r}" for name, value in values.items()]
+        worst = max(worst, balance_excess(tmp_path, argv, rho_p))
+    report(11, f"single: I_c + I_s <= H(p) (max excess {worst:.1e})", worst <= 1e-12)
+
+
+def test_criterion_12_isweep_information_balance(tmp_path):
+    worst = -math.inf
+    for p in (0.5, 0.3, 0.9):
+        for mu in (1.0, 0.6, 0.0):
+            argv = ["isweep", "--param", f"p={p}", "--param", f"mu={mu}"]
+            worst = max(worst, balance_excess(tmp_path, argv, p))
+    report(12, f"isweep: I_c + I_s <= H(p) on every row (max excess {worst:.1e})", worst <= 1e-12)

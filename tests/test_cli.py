@@ -393,21 +393,29 @@ class TestOverflow:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            (["fig2a", "--param", "q=-1e308:1e308:3"], "fig2a grid point 0 (q=nan, mu=0): q must"),
             (
                 ["fig3", "--param", "q=-1e308:-1e308:2"],
                 "fig3 grid point 0 (q=-1e+308, theta=0): dephase[0, 0] has an entry",
             ),
             (["isweep", "--param", "q=0:1e308:3"], "isweep grid point 1 (q=5e+307): gram[1] is"),
         ],
-        ids=["span", "dephase", "gram"],
+        ids=["dephase", "gram"],
     )
     def test_grid_past_the_largest_float_exits_three(self, argv, expected, capsys):
-        """A grid whose span, or whose correlation matrices' Hermitian part,
-        overflows."""
+        """A grid whose correlation matrices' Hermitian part overflows."""
         code, err = run_failing(argv, capsys)
         assert code == 3
         assert err.startswith(f"softmeas: {expected}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, name", [("fig2a", "q"), ("repeat", "n"), ("fig3", "q")])
+    def test_span_past_the_largest_float_is_config_error(self, command, name, capsys):
+        """Finite end points whose span overflows would make grid points the
+        user never gave (NaN, infinite); the span is refused where the grid
+        is built, naming the parameter and its end points."""
+        code, err = run_failing([command, "--param", f"{name}=-1e308:1e308:3"], capsys)
+        assert code == 2
+        message = f"parameter {name}: the span from -1e+308 to 1e+308 exceeds the largest float"
+        assert err == f"softmeas: config error: {message}\n"
 
 
 # Parameter values as a user might mistype them: numbers out of range or not

@@ -13,9 +13,11 @@ from conftest import (
     count_eigensolves,
     count_eigvalsh,
     forbid_meter_matrices,
+    forbid_sorting,
     meter_states,
     rand_correlation,
     rand_density,
+    rand_density_of_rank,
     rand_unitary,
     scalar_coherent_info_two_level,
     scalar_compete_two_level,
@@ -58,7 +60,12 @@ from softmeas.matcore import (
     von_neumann_entropy,
 )
 from softmeas.measurement import SoftMeasurement, apply_soft
-from softmeas.repeated import ContinuousLimitParams, RepeatedMeasurement, continuous_gram_sqrt
+from softmeas.repeated import (
+    ContinuousLimitParams,
+    RepeatedMeasurement,
+    continuous_gram_sqrt,
+    meter_dm_repeated,
+)
 
 
 def qubit_state(p, mu, phase=0.0):
@@ -949,6 +956,25 @@ class TestStackedInformation:
         forbid_meter_matrices(monkeypatch)
         self.assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_only_a_rigid_receiver_of_three_levels_or_more_sorts(self, monkeypatch, dim):
+        """At D = 2 an entropy is one addition of two terms, which does not
+        depend on their order, so the rigid route takes its populations
+        unsorted; from D = 3 it sorts them."""
+        rng = np.random.default_rng(95 + dim)
+        states = tuple(rand_density(rng, dim) for _ in range(3))
+        ensemble = StateEnsemble(np.array([0.2, 0.3, 0.5]), states)
+        bob = SoftMeasurement(np.eye(dim), np.eye(dim))
+        unitaries = np.array([rand_unitary(rng, dim) for _ in range(5)])
+        dephase = np.array([rand_correlation(rng, dim) for _ in range(4)])
+        forbid_meter_matrices(monkeypatch)
+        forbid_sorting(monkeypatch)
+        if dim > 2:
+            with pytest.raises(AssertionError, match="numpy.sort called"):
+                eve_bob_semiclassical(ensemble, unitaries[None], dephase[:, None], bob)
+        else:
+            self.assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase)
+
     @settings(deadline=None, max_examples=300)
     @given(
         dim=st.integers(1, 24),
@@ -1023,3 +1049,82 @@ class TestStackedInformation:
         for k in range(6):
             single = SoftMeasurement(np.eye(2), grams[k])
             assert infos[k] == holevo_info(meter_ensemble(basis, single))
+
+
+class TestInformationBalance:
+    """The meter's entropies as D x D Schur products, and the balance they
+    give. With ``p`` the populations of ``rho`` and ``P = sqrt(p) sqrt(p)^T``,
+    the meter state after ``n`` steps, ``V diag(p) V^dagger``, has the
+    nonzero spectrum of the Gram matrix of the vectors ``sqrt(p_k) v_k``,
+    which is ``P * Q**n`` (entrywise); the meter ensemble of the basis
+    states with priors ``p`` has pure members, so its Holevo information is
+    that entropy too. Then ``I_c + I_s <= H(p)``: ``I_c + I_s`` is
+    ``S(R*Q*rho) + S(P*Q) - S(R*(P*Q))``, the last two add to at most 0
+    (a Schur product with a correlation matrix is a unital channel), and a
+    state's diagonal is majorised by its spectrum. Each holds to 1e-12, the
+    rounding of the entropies; ``R``, ``Q`` and ``rho`` are complex and of
+    any rank."""
+
+    @staticmethod
+    def draw(dim, seed):
+        """``rho``, a measurement and the populations ``p`` of ``rho``."""
+        rng = np.random.default_rng(seed)
+        ranks = rng.integers(1, dim + 1, size=3)
+        rho = rand_density_of_rank(rng, dim, ranks[0])
+        measurement = SoftMeasurement(
+            rand_correlation(rng, dim, rank=ranks[1]), rand_correlation(rng, dim, rank=ranks[2])
+        )
+        return rho, measurement, np.diagonal(rho).real
+
+    @staticmethod
+    def schur_entropy(p, gram):
+        """``S(P * gram)``."""
+        root = np.sqrt(p)
+        return von_neumann_entropy(root[:, None] * root[None, :] * gram)
+
+    @staticmethod
+    def shannon(p):
+        return -sum(x * math.log2(x) for x in p if x > 0.0)
+
+    @staticmethod
+    def meter_holevo(p, measurement):
+        """``I_s``: the Holevo information of the meter ensemble of the
+        basis states with priors ``p``."""
+        basis = tuple(np.diag(row).astype(complex) for row in np.eye(len(p)))
+        return holevo_info(meter_ensemble(StateEnsemble(p, basis), measurement))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 6), st.integers(1, 29), st.integers(0, 2**32 - 1))
+    def test_repeated_meter_entropy_is_a_schur_product(self, dim, n, seed):
+        rho, measurement, p = self.draw(dim, seed)
+        meter = meter_dm_repeated(rho, RepeatedMeasurement(measurement, n))
+        assert von_neumann_entropy(meter) == pytest.approx(
+            self.schur_entropy(p, measurement.gram**n), abs=1e-12
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_meter_holevo_is_a_schur_product(self, dim, seed):
+        _, measurement, p = self.draw(dim, seed)
+        assert self.meter_holevo(p, measurement) == pytest.approx(
+            self.schur_entropy(p, measurement.gram), abs=1e-12
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 6), st.integers(1, 29), st.integers(0, 2**32 - 1))
+    def test_coherent_and_semiclassical_share_the_population_entropy(self, dim, n, seed):
+        """``I_c + I_s <= H(p)`` and ``I_c <= S(rho)``, for one step, with
+        ``I_s`` from the meter ensemble, and for ``n`` steps, with ``I_s``
+        the entropy of the meter state."""
+        rho, measurement, p = self.draw(dim, seed)
+        repeated = RepeatedMeasurement(measurement, n)
+        bound, entropy = self.shannon(p), von_neumann_entropy(rho)
+        for coherent, semiclassical in (
+            (coherent_info_soft(rho, measurement), self.meter_holevo(p, measurement)),
+            (
+                coherent_info_soft(rho, repeated),
+                von_neumann_entropy(meter_dm_repeated(rho, repeated)),
+            ),
+        ):
+            assert coherent + semiclassical <= bound + 1e-12
+            assert coherent <= entropy + 1e-12

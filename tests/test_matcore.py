@@ -16,7 +16,9 @@ from softmeas.errors import (
     NotPSD,
 )
 from softmeas.matcore import (
+    ENTROPY_CLAMP,
     TAU_RECON,
+    _entropy,
     _matmul,
     _unchecked_entropy,
     herm_eig,
@@ -35,6 +37,16 @@ def rand_hermitian(rng, dim):
 def rand_psd(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a @ a.conj().T
+
+
+# Eigenvalues as an entropy may meet them: zeros of either sign, subnormals,
+# negatives within the clamp, values repeated so that members have ties.
+ENTROPY_ENTRIES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-12, -ENTROPY_CLAMP, 0.1, 0.25, 0.5, 1.0]
+    ),
+    st.floats(0.0, 1.0),
+)
 
 
 class TestHermEig:
@@ -222,6 +234,35 @@ class TestVonNeumannEntropy:
             expected = float(-(positive * np.log2(positive)).sum()) + 0.0
             assert _unchecked_entropy(rho) == expected
             assert entropies[k] == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        dim=st.integers(1, 12),
+        stack=st.lists(st.integers(1, 4), max_size=2),
+        ascending=st.booleans(),
+        data=st.data(),
+    )
+    def test_entropy_has_the_floats_of_numpys_sum(self, dim, stack, ascending, data):
+        """``_entropy`` equals, bit for bit, numpy's ``terms.sum(axis=-1)``
+        of each member's terms (from eight terms on, of its positive ones):
+        eigenvalues with zeros of either sign, ties, subnormals and
+        negatives within the clamp, ascending or in any order, one member
+        or a stack."""
+        size = math.prod(stack) * dim
+        values = data.draw(st.lists(ENTROPY_ENTRIES, min_size=size, max_size=size))
+        w = np.array(values).reshape(*stack, dim)
+        if ascending:
+            w = np.sort(w, axis=-1)
+        clipped = np.clip(w, 0.0, 1.0)
+        terms = clipped * np.log2(np.where(clipped > 0.0, clipped, 1.0))
+        expected = np.asarray(-terms.sum(axis=-1) + 0.0)
+        if dim >= 8:
+            for i in map(tuple, np.argwhere(np.any(clipped == 0.0, axis=-1))):
+                positive = clipped[i][clipped[i] > 0.0]
+                expected[i] = -(positive * np.log2(positive)).sum() + 0.0
+        entropy = _entropy(w)
+        assert isinstance(entropy, float) == (not stack)
+        assert np.asarray(entropy).tobytes() == expected.tobytes()
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidState):
