@@ -10,26 +10,40 @@ Commands: ``single``, ``repeat``, ``continuous``, ``fig2a``, ``fig2b``,
 ``fig3``, ``isweep``. Parameters come from built-in defaults, overridden by
 a flat ``key = value`` config file, overridden by ``--param`` flags. Grid
 parameters use ``start:stop:points``; complex scalars use ``re,im``.
+``--kappa-convention`` sets the ``kappa_convention`` parameter, which only
+``continuous`` reads; every other command takes only its default, ``gram``,
+and every JSON header records it.
 
-Each command is one entry of the ``_COMMANDS`` table: its defaults, grid
-names, output names and sweep function. The sweep function evaluates the
-grid in one call, validating the inputs shared by all points once and each
-stack of per-point matrices once; the two-level closed forms of ``fig2a``,
-``fig2b``, ``isweep``, ``repeat`` and ``continuous`` take whole arrays.
-Grids of more than ``_BLOCK_POINTS`` points are evaluated in blocks, each
-written in place into one float table. The output is written only after the
-whole sweep has been computed and checked, and then ``_BLOCK_POINTS`` rows
-at a time, so the text held at once does not grow with the grid. Each
-grid-axis value is formatted once per axis, and its string is repeated down
-its column into one template per chunk of rows; one ``%`` of that template
-with the tuple of the chunk's output values formats each of them once.
+Each command is one entry of the ``_COMMANDS`` table: its parameters, each
+declared once with its default, its kind (grid, count grid, float, complex
+or choice) and its domain; its output names; and its sweep function.
+``run_sweep`` turns the resolved string config into typed values, each
+checked against its domain, before any compute, and hands the values that
+are not grids to the sweep function, which builds and checks the inputs
+shared by every grid point once and returns the function that evaluates a
+block of grid points; the two-level closed forms of ``fig2a``, ``fig2b``,
+``isweep``, ``repeat`` and ``continuous`` take whole arrays. Grids of more
+than ``_BLOCK_POINTS`` points are evaluated in blocks, each written in
+place into one float table. The output is written only after the whole
+sweep has been computed and checked, and then ``_BLOCK_POINTS`` rows at a
+time, so the text held at once does not grow with the grid. Each grid-axis
+value is formatted once per axis, and its string is repeated down its
+column into one template per chunk of rows; one ``%`` of that template with
+the tuple of the chunk's output values formats each of them once.
 ``--jobs`` is accepted for compatibility and has no effect.
 
-Exit codes: 0 success, 2 configuration error, 3 invariant violation while
-computing or emitting rows; a check that fails at a grid point names the
-point's index and parameter values. The ``--out`` file is opened before the
-sweep runs, as shell redirection opens it: an unwritable path exits 2 before
-any work, and a sweep that fails leaves the file empty.
+Exit codes: 0 success; 2 configuration error, for anything wrong with what
+the user gave: a malformed or unknown parameter, a value outside its
+declared domain (non-finite values included; the message names the
+parameter and, for a grid, its first value outside), an unreadable config
+file, or output that cannot be written (an ``--out`` path, or standard
+output whose reader has gone, as in ``| head``); 3 an invariant the library
+derives from valid values fails while computing: an accumulated phase
+overflows, a derived matrix fails its check, or an output value is not
+finite. A check that fails at a grid point names the point's index and
+parameter values. The ``--out`` file is opened before the sweep runs, as
+shell redirection opens it: an unwritable path exits 2 before any work, and
+a sweep that fails leaves the file empty.
 """
 
 from __future__ import annotations
@@ -38,15 +52,15 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from itertools import chain, cycle, islice, repeat
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParams, SoftMeasError
+from .errors import ConfigError, SoftMeasError
 from .information import (
     CompetitionParams,
     StateEnsemble,
@@ -72,7 +86,6 @@ from .repeated import (
     ContinuousLimitParams,
     RepeatedMeasurement,
     _continuous_joint,
-    _convention,
     _two_level_matrix,
     continuous_gram_sqrt,
     joint_dm_repeated,
@@ -80,24 +93,59 @@ from .repeated import (
     two_level_gram_sqrt,
 )
 
-HALF_PI = math.pi / 2.0
+
+class _Domain(NamedTuple):
+    """The values a parameter may take: the rule, as messages and the README
+    state it after "must", and its test of a parsed value or grid, which
+    the parser has already found finite."""
+
+    rule: str
+    holds: Callable[[Any], Any]
 
 
-def _parse_float(raw: str, name: str) -> float:
+# Each domain is the one the library checks for the quantity the parameter
+# feeds, so that no value the parser accepts fails a library domain check.
+_FINITE = _Domain("be finite", lambda x: True)
+_UNIT = _Domain("lie in [0, 1]", lambda x: (0.0 <= x) & (x <= 1.0))
+_CORRELATION = _Domain("lie in [-1, 1]", lambda x: abs(x) <= 1.0)
+_ANGLE = _Domain("lie in [0, pi]", lambda x: (0.0 <= x) & (x <= math.pi))
+_NONNEGATIVE = _Domain("be >= 0", lambda x: x >= 0.0)
+_COUNTS = _Domain("lie in [1, 2**63)", lambda x: (1.0 <= x) & (x < 2.0**63))
+_MODULUS = _Domain("have modulus <= 1", lambda z: math.hypot(z.real, z.imag) <= 1.0)
+_DECAY = _Domain("have real part >= 0", lambda z: z.real >= 0.0)
+_CONVENTION = _Domain(f"be {' or '.join(map(repr, _CONVENTIONS))}", lambda v: v in _CONVENTIONS)
+
+
+def _inside(value: Any, name: str, domain: _Domain) -> Any:
+    """``value``, a scalar or a grid, once it meets ``domain``; otherwise a
+    :class:`ConfigError` names the parameter, the domain and the value, or
+    for a grid its first value outside the domain. As the kind of a
+    parameter, the text itself is its value."""
+    holds = np.asarray(domain.holds(value))
+    if not holds.all():
+        got = f"grid value {value[~holds][0]}" if holds.ndim else repr(value)
+        raise ConfigError(f"parameter {name} must {domain.rule}, got {got}")
+    return value
+
+
+def _parse_float(raw: str, name: str, domain: _Domain = _FINITE) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"parameter {name}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"parameter {name} must be finite, got {value}")
+    return _inside(value, name, domain)
 
 
-def _parse_complex(raw: str, name: str) -> complex:
+def _parse_complex(raw: str, name: str, domain: _Domain = _FINITE) -> complex:
     parts = raw.split(",")
     if len(parts) != 2:
         raise ConfigError(f"parameter {name}: expected 're,im', got {raw!r}")
-    return complex(_parse_float(parts[0], name), _parse_float(parts[1], name))
+    return _inside(complex(*(_parse_float(part, name) for part in parts)), name, domain)
 
 
-def _parse_grid(raw: str, name: str) -> np.ndarray:
+def _parse_grid(raw: str, name: str, domain: _Domain = _FINITE) -> np.ndarray:
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"parameter {name}: expected 'start:stop:points', got {raw!r}")
@@ -111,22 +159,35 @@ def _parse_grid(raw: str, name: str) -> np.ndarray:
         raise ConfigError(f"parameter {name}: points must be >= 1, got {points}")
     if start > stop:
         raise ConfigError(f"parameter {name}: start {start} exceeds stop {stop}")
-    if points == 1:
-        return np.array([start])
-    # An infinite end point makes NaN or infinite entries, which the
-    # command's own domain checks then reject; numpy need not warn about
-    # them first. Finite end points whose span is past the largest float
-    # make them too, at points the user never gave, so that span is refused.
+    # End points whose span is past the largest float make NaN or infinite
+    # points the user never gave, so that span is refused; numpy need not
+    # warn about them first.
     try:
         with np.errstate(invalid="ignore", over="ignore"):
             grid = np.linspace(start, stop, points)
     except ValueError as exc:  # a count numpy cannot allocate
         raise ConfigError(f"parameter {name}: cannot make a grid of {points} points") from exc
-    if math.isfinite(start) and math.isfinite(stop) and not np.isfinite(grid).all():
+    if not np.isfinite(grid).all():
         raise ConfigError(
             f"parameter {name}: the span from {start:g} to {stop:g} exceeds the largest float"
         )
-    return grid
+    return _inside(grid, name, domain)
+
+
+def _parse_counts(raw: str, name: str, domain: _Domain) -> np.ndarray:
+    """A grid of repetition counts: its points, each rounded to the nearest
+    integer, once each; the domain holds the points before rounding."""
+    return np.unique(np.rint(_parse_grid(raw, name, domain)).astype(np.int64))
+
+
+class _Param(NamedTuple):
+    """One declared parameter: its default (as config-file text), its kind
+    (the parser of its text: one of the ``_parse_*`` functions, or
+    ``_inside`` for text taken as it is) and its domain."""
+
+    default: str
+    kind: Callable[[str, str, _Domain], Any]
+    domain: _Domain = _FINITE
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -149,8 +210,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, str]:
-    config = dict(_COMMANDS[command].defaults)
-    config["kappa_convention"] = "gram"
+    config = {**_COMMANDS[command].defaults, "kappa_convention": "gram"}
     overrides: dict[str, str] = {}
     if args.config:
         overrides.update(_read_config_file(args.config))
@@ -165,59 +225,33 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, str]:
         config[key] = value
     if args.kappa_convention:
         config["kappa_convention"] = args.kappa_convention
-    if config["kappa_convention"] not in _CONVENTIONS:
-        expected = " or ".join(map(repr, _CONVENTIONS))
-        raise ConfigError(
-            f"kappa_convention must be {expected}, got {config['kappa_convention']!r}"
-        )
     return config
 
 
-def _unit_interval(value: float, name: str) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"parameter {name} must lie in [0, 1], got {value}")
-    return value
+def _typed(command: str, config: dict[str, str]) -> dict[str, Any]:
+    """The typed value of each parameter ``command`` declares, parsed from
+    its text in ``config`` by its kind and checked against its domain; a
+    :class:`ConfigError` names the first parameter that fails. A config may
+    carry ``kappa_convention`` for any command, which only ``continuous``
+    reads, so another command takes only its default."""
+    spec = _COMMANDS[command]
+    convention = config.get("kappa_convention", "gram")
+    if "kappa_convention" not in spec.params and convention != "gram":
+        raise ConfigError(
+            f"parameter kappa_convention must be 'gram' for {command}, which does not read it,"
+            f" got {convention!r}"
+        )
+    return {name: p.kind(config[name], name, p.domain) for name, p in spec.params.items()}
 
 
-def _rho_from_config(config: dict[str, str]) -> DensityMatrix:
-    p = _unit_interval(_parse_float(config["rho_p"], "rho_p"), "rho_p")
-    mu = _unit_interval(_parse_float(config["rho_mu"], "rho_mu"), "rho_mu")
-    phase = _parse_float(config["rho_phase"], "rho_phase")
-    if not math.isfinite(phase):
-        raise InvalidParams(f"rho_phase must be finite, got {phase}")
-    off = mu * math.sqrt(p * (1.0 - p)) * cmath.exp(1j * phase)
-    return DensityMatrix(np.array([[p, off], [np.conj(off), 1.0 - p]]))
-
-
-def _entanglement_from_r12(r12: complex) -> np.ndarray:
-    if not cmath.isfinite(r12):
-        raise ConfigError(f"parameter r12 must be finite, got {r12}")
-    if abs(r12) > 1.0 + 1e-12:
-        raise ConfigError(f"parameter r12 must have modulus <= 1, got {r12}")
-    return np.array([[1.0, r12], [np.conj(r12), 1.0]])
-
-
-def _grid_axes(command: str, config: dict[str, str]) -> list[np.ndarray]:
-    axes = []
-    for name in _COMMANDS[command].grids:
-        grid = _parse_grid(config[name], name)
-        if command == "repeat" and name == "n":
-            # Checked before the cast to int64, which cannot hold the others.
-            grid = np.rint(grid)
-            bad = grid[~((grid >= 1) & (grid < 2.0**63))]
-            if bad.size:
-                raise ConfigError(f"parameter n: repetition count {bad[0]:g} is outside [1, 2**63)")
-            grid = np.unique(grid.astype(np.int64))
-        axes.append(grid)
-    return axes
-
-
-# Each command evaluates its whole grid in one call. A sweep function takes
-# the resolved config and one open-mesh array per grid axis (broadcastable
-# to the grid shape) and returns its output columns, also broadcastable to
-# the grid shape. Inputs shared by the whole grid are built and validated
-# once; the matrix checks run once over each stack. A state derived from
-# checked inputs (a meter, joint or object state) is not checked again.
+# Each command's sweep function takes the typed values of its parameters
+# that are not grids, builds the inputs shared by the whole grid once
+# (the checks of a measurement or state run when it is built), and returns
+# the function that evaluates one block: it takes one open-mesh array per
+# grid axis (broadcastable to the block's shape) and returns its output
+# columns, also broadcastable to that shape. The matrix checks run once
+# over each stack. A state derived from checked inputs (a meter, joint or
+# object state) is not checked again.
 
 
 def _basis_ensemble(probs) -> StateEnsemble:
@@ -227,28 +261,38 @@ def _basis_ensemble(probs) -> StateEnsemble:
     )
 
 
+def _rho(p: float, mu: float, phase: float) -> DensityMatrix:
+    """The two-level state of first population ``p`` and coherence ``mu * exp(i*phase)``."""
+    off = mu * math.sqrt(p * (1.0 - p)) * cmath.exp(1j * phase)
+    return DensityMatrix(np.array([[p, off], [np.conj(off), 1.0 - p]]))
+
+
 def _two_level_inputs(
-    config: dict[str, str],
+    theta: float, chi: float, r12: complex, rho_p: float, rho_mu: float, rho_phase: float
 ) -> tuple[TwoLevelMeterParams, SoftMeasurement, DensityMatrix]:
-    params = TwoLevelMeterParams(
-        theta=_parse_float(config["theta"], "theta"),
-        chi=_parse_float(config["chi"], "chi"),
-    )
+    params = TwoLevelMeterParams(theta=theta, chi=chi)
     measurement = SoftMeasurement(
-        entanglement=_entanglement_from_r12(_parse_complex(config["r12"], "r12")),
-        gram=two_level_gram(params),
+        entanglement=np.array([[1.0, r12], [np.conj(r12), 1.0]]), gram=two_level_gram(params)
     )
-    return params, measurement, _rho_from_config(config)
+    return params, measurement, _rho(rho_p, rho_mu, rho_phase)
 
 
-def _sweep_fig2a(config, q, mu):
-    p = _unit_interval(_parse_float(config["p"], "p"), "p")
-    return [coherent_info_two_level(q, p, mu)]
+# The name suffixes and values of the four real numbers that give a 2x2
+# Hermitian matrix, or one per member of a stack: the columns of the meter
+# state of ``continuous`` and of the collective meter vectors of ``repeat``.
+_ENTRIES = ("00", "01_re", "01_im", "11")
 
 
-def _sweep_fig2b(config, q_eve, q_bob):
-    mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
-    return compete_two_level(CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu))
+def _entries(m: np.ndarray) -> list[np.ndarray]:
+    return [m[..., 0, 0].real, m[..., 0, 1].real, m[..., 0, 1].imag, m[..., 1, 1].real]
+
+
+def _sweep_fig2a(p):
+    return lambda q, mu: [coherent_info_two_level(q, p, mu)]
+
+
+def _sweep_fig2b(mu):
+    return lambda q_eve, q_bob: compete_two_level(CompetitionParams(q_eve, q_bob, mu))
 
 
 # fig3's inputs shared by every grid point of every sweep: the balanced
@@ -261,55 +305,46 @@ _RIGID_BOB = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
 _RIGID_BOB.meter_vectors
 
 
-def _sweep_fig3(config, q, theta):
+def _fig3_block(q, theta):
     dephase = _two_level_matrix(1.0, q, q)
     info = eve_bob_semiclassical(_FIG3_ENSEMBLE, _bloch_y_rotation(theta), dephase, _RIGID_BOB)
     return [info]
 
 
-def _sweep_continuous(config, t):
-    kappa = _parse_float(config["kappa"], "kappa")
-    chi_dot = _parse_float(config["chi_dot"], "chi_dot")
-    r_dot = _parse_complex(config["r_dot"], "r_dot")
-    rho = _rho_from_config(config)
-    params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
+def _sweep_continuous(kappa, chi_dot, r_dot, rho_p, rho_mu, rho_phase, kappa_convention):
+    rho = _rho(rho_p, rho_mu, rho_phase)
     # The meter and joint states share one build of the meter vectors. Their
-    # overlap decays at the convention's rate, as the overlap of I_s does.
-    rate = _convention(config["kappa_convention"])
-    vectors = continuous_gram_sqrt(replace(params, kappa=rate * kappa))
-    meter = _meter_mix(vectors, np.diag(rho.matrix).real)
-    joint = _continuous_joint(rho.matrix, params, vectors)
-    info = semiclassical_info_continuous(kappa, t, convention=config["kappa_convention"])
-    return [
-        meter[..., 0, 0].real,
-        meter[..., 0, 1].real,
-        meter[..., 0, 1].imag,
-        meter[..., 1, 1].real,
-        _unchecked_entropy(joint),
-        _unchecked_entropy(meter),
-        info,
-    ]
+    # overlap decays at the convention's rate, as the overlap of I_s does;
+    # the dephasing of the joint state does not read the rate.
+    rate = _CONVENTIONS[kappa_convention]
+
+    def block(t):
+        params = ContinuousLimitParams(kappa=rate * kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
+        vectors = continuous_gram_sqrt(params)
+        meter = _meter_mix(vectors, np.diag(rho.matrix).real)
+        joint = _continuous_joint(rho.matrix, params, vectors)
+        info = semiclassical_info_continuous(kappa, t, convention=kappa_convention)
+        return [*_entries(meter), _unchecked_entropy(joint), _unchecked_entropy(meter), info]
+
+    return block
 
 
-def _sweep_repeat(config, n):
-    params, measurement, rho = _two_level_inputs(config)
-    vectors = two_level_gram_sqrt(params, n)
-    repeated = RepeatedMeasurement(base=measurement, n=n)
-    joint = joint_dm_repeated(rho, repeated)
-    meter = meter_dm_repeated(rho, repeated)
-    return [
-        vectors[..., 0, 0].real,
-        vectors[..., 0, 1].real,
-        vectors[..., 0, 1].imag,
-        vectors[..., 1, 1].real,
-        _unchecked_entropy(meter),
-        _unchecked_entropy(joint),
-        coherent_info_soft(rho, repeated),
-    ]
+def _sweep_repeat(**values):
+    params, measurement, rho = _two_level_inputs(**values)
+
+    def block(n):
+        vectors = two_level_gram_sqrt(params, n)
+        repeated = RepeatedMeasurement(base=measurement, n=n)
+        joint = joint_dm_repeated(rho, repeated)
+        meter = meter_dm_repeated(rho, repeated)
+        entropies = [_unchecked_entropy(meter), _unchecked_entropy(joint)]
+        return [*_entries(vectors), *entropies, coherent_info_soft(rho, repeated)]
+
+    return block
 
 
-def _sweep_single(config):
-    _, measurement, rho = _two_level_inputs(config)
+def _sweep_single(**values):
+    _, measurement, rho = _two_level_inputs(**values)
     q = abs(measurement.entanglement[0, 1] * measurement.gram[0, 1])
     joint = apply_soft(measurement, rho)
     meter = partial_trace(joint, [2, 2], keep=1)
@@ -317,89 +352,95 @@ def _sweep_single(config):
     populations = np.diag(rho.matrix).real
     info_s = holevo_info(meter_ensemble(_basis_ensemble(populations), measurement))
     info_c = coherent_info_soft(rho, measurement)
-    return [
-        q,
-        von_neumann_entropy(rho),
-        _unchecked_entropy(obj),
-        _unchecked_entropy(meter),
-        _unchecked_entropy(joint),
-        info_c,
-        info_s,
-    ]
+    entropies = [von_neumann_entropy(rho), *map(_unchecked_entropy, (obj, meter, joint))]
+    return lambda: [q, *entropies, info_c, info_s]
 
 
-def _sweep_isweep(config, q):
-    p = _unit_interval(_parse_float(config["p"], "p"), "p")
-    mu = _unit_interval(_parse_float(config["mu"], "mu"), "mu")
-    grams = _two_level_matrix(1.0, q, q)
-    receiver = SoftMeasurement(np.broadcast_to(np.eye(2), grams.shape), grams)
-    meters = meter_ensemble(_basis_ensemble([p, 1.0 - p]), receiver)
-    info_s = holevo_info(meters)
-    return [coherent_info_two_level(q, p, mu), info_s]
+def _sweep_isweep(p, mu):
+    ensemble = _basis_ensemble([p, 1.0 - p])
+
+    def block(q):
+        grams = _two_level_matrix(1.0, q, q)
+        receiver = SoftMeasurement(np.broadcast_to(np.eye(2), grams.shape), grams)
+        info_s = holevo_info(meter_ensemble(ensemble, receiver))
+        return [coherent_info_two_level(q, p, mu), info_s]
+
+    return block
 
 
 class _Command(NamedTuple):
-    """One command: its parameter defaults (as config-file strings), the
-    names of its sweep grids among them in emission order, the names of its
-    outputs and its sweep function."""
+    """One command: its parameters, each declared once, in the order of its
+    config (its grids among them in emission order); the names of its
+    outputs; and its sweep function."""
 
-    defaults: dict[str, str]
-    grids: tuple[str, ...]
+    params: dict[str, _Param]
     outputs: tuple[str, ...]
     sweep: Callable
+
+    @property
+    def defaults(self) -> dict[str, str]:
+        return {name: param.default for name, param in self.params.items()}
+
+    @property
+    def grids(self) -> tuple[str, ...]:
+        return tuple(n for n, p in self.params.items() if p.kind in (_parse_grid, _parse_counts))
 
     @property
     def columns(self) -> tuple[str, ...]:
         return self.grids + self.outputs
 
 
-_RHO_DEFAULTS = {"rho_p": "0.5", "rho_mu": "1.0", "rho_phase": "0.0"}
-_METER_DEFAULTS = {"theta": repr(math.pi / 3.0), "chi": "0.0", "r12": "1,0"}
+# Declarations shared by several parameters: a softness or coherence grid,
+# a first population, a coherence modulus, and a phase or phase rate.
+_UNIT_GRID = _Param("0:1:51", _parse_grid, _UNIT)
+_POPULATION = _Param("0.5", _parse_float, _UNIT)
+_COHERENCE = _Param("1.0", _parse_float, _UNIT)
+_PHASE = _Param("0.0", _parse_float)
+_RHO = {"rho_p": _POPULATION, "rho_mu": _COHERENCE, "rho_phase": _PHASE}
+_METER = {
+    "theta": _Param(repr(math.pi / 3.0), _parse_float, _ANGLE),
+    "chi": _PHASE,
+    "r12": _Param("1,0", _parse_complex, _MODULUS),
+}
 
 _COMMANDS: dict[str, _Command] = {
     "fig2a": _Command(
-        {"q": "0:1:51", "mu": "0:1:51", "p": "0.5"}, ("q", "mu"), ("I_c",), _sweep_fig2a
+        {"q": _UNIT_GRID, "mu": _UNIT_GRID, "p": _POPULATION},
+        ("I_c",),
+        _sweep_fig2a,
     ),
     "fig2b": _Command(
-        {"q_E": "0:1:51", "q_B": "0:1:51", "mu": "1.0"},
-        ("q_E", "q_B"),
+        {"q_E": _UNIT_GRID, "q_B": _UNIT_GRID, "mu": _COHERENCE},
         ("I_c_E", "I_c_B"),
         _sweep_fig2b,
     ),
     "fig3": _Command(
-        {"q": "0:1:51", "theta": f"0:{HALF_PI!r}:51"}, ("q", "theta"), ("I_s",), _sweep_fig3
+        {
+            "q": _Param("0:1:51", _parse_grid, _CORRELATION),
+            "theta": _Param(f"0:{math.pi / 2.0!r}:51", _parse_grid),
+        },
+        ("I_s",),
+        lambda: _fig3_block,
     ),
     "continuous": _Command(
-        {"t": "0:5:51", "kappa": "1.0", "chi_dot": "0.0", "r_dot": "0,0", **_RHO_DEFAULTS},
-        ("t",),
-        (
-            "meter_00",
-            "meter_01_re",
-            "meter_01_im",
-            "meter_11",
-            "joint_entropy",
-            "meter_entropy",
-            "I_s",
-        ),
+        {
+            "t": _Param("0:5:51", _parse_grid, _NONNEGATIVE),
+            "kappa": _Param("1.0", _parse_float, _NONNEGATIVE),
+            "chi_dot": _PHASE,
+            "r_dot": _Param("0,0", _parse_complex, _DECAY),
+            **_RHO,
+            "kappa_convention": _Param("gram", _inside, _CONVENTION),
+        },
+        (*(f"meter_{e}" for e in _ENTRIES), "joint_entropy", "meter_entropy", "I_s"),
         _sweep_continuous,
     ),
     "repeat": _Command(
-        {"n": "1:10:10", **_METER_DEFAULTS, **_RHO_DEFAULTS},
-        ("n",),
-        (
-            "psi_00",
-            "psi_01_re",
-            "psi_01_im",
-            "psi_11",
-            "meter_entropy",
-            "joint_entropy",
-            "I_c",
-        ),
+        {"n": _Param("1:10:10", _parse_counts, _COUNTS), **_METER, **_RHO},
+        (*(f"psi_{e}" for e in _ENTRIES), "meter_entropy", "joint_entropy", "I_c"),
         _sweep_repeat,
     ),
     "single": _Command(
-        {**_METER_DEFAULTS, **_RHO_DEFAULTS},
-        (),
+        {**_METER, **_RHO},
         (
             "q",
             "input_entropy",
@@ -412,7 +453,7 @@ _COMMANDS: dict[str, _Command] = {
         _sweep_single,
     ),
     "isweep": _Command(
-        {"q": "0:1:51", "p": "0.5", "mu": "1.0"}, ("q",), ("I_c", "I_s"), _sweep_isweep
+        {"q": _UNIT_GRID, "p": _POPULATION, "mu": _COHERENCE}, ("I_c", "I_s"), _sweep_isweep
     ),
 }
 
@@ -549,18 +590,23 @@ def run_sweep(
     order and one column per name in the returned columns, and the grid's
     shape (``()`` for a command without grids).
 
-    The command's sweep function evaluates a block of up to
-    ``_BLOCK_POINTS`` grid points (whole rows of the first grid axis) in
-    one call, and the block's columns are written into the table in place;
-    a grid of that size or smaller is one block. When a check,
-    including the check that every output is finite, fails at a grid
+    ``config`` holds each parameter's text, as the config file and JSON
+    header do; every value is parsed and checked against its declared
+    domain first, and a :class:`ConfigError` names the first that fails.
+    The block function that the command's sweep function returns evaluates
+    a block of up to ``_BLOCK_POINTS`` grid points (whole rows of the first
+    grid axis) in one call, and the block's columns are written into the
+    table in place; a grid of that size or smaller is one block. When a
+    check, including the check that every output is finite, fails at a grid
     point, the error message names the command, the point's grid index and
     its parameter values.
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     spec = _COMMANDS[command]
-    axes = _grid_axes(command, config)
+    values = _typed(command, config)
+    axes = [values.pop(name) for name in spec.grids]
+    evaluate = spec.sweep(**values)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     shape = tuple(len(axis) for axis in axes)
     columns = spec.columns
@@ -570,7 +616,7 @@ def run_sweep(
     for start in range(0, shape[0], step) if shape else [0]:
         block = [m[start : start + step] for m in mesh[:1]] + list(mesh[1:])
         try:
-            outputs = spec.sweep(config, *block)
+            outputs = evaluate(*block)
             block_shape = np.broadcast_shapes(*(m.shape for m in block))
             rows = table[start * inner : start * inner + math.prod(block_shape)]
             cells = rows.reshape(*block_shape, len(columns))
@@ -625,16 +671,26 @@ def _output(path: str | None) -> Iterator[TextIO]:
 
     The file is opened, and truncated, before the sweep runs, as shell
     redirection opens it, so that an unwritable path fails before any work
-    is done. An error opening or writing it is a :class:`ConfigError`.
+    is done. An error opening or writing either is a :class:`ConfigError`.
+    When stdout fails (its reader may have closed the pipe), it is pointed
+    at the null device, so that the interpreter's own flush at exit has
+    nothing left to fail on.
     """
-    if not path:
-        yield sys.stdout
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                yield handle
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path}: {exc}") from exc
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        yield sys.stdout
+        sys.stdout.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ConfigError(f"cannot write standard output: {exc}") from exc
 
 
 _PARSER = _build_parser()

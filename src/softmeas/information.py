@@ -3,7 +3,7 @@
 Coherent information of a channel is the output entropy minus the exchange
 entropy computed on a purification of the input; it may be negative and is
 never clamped here. For the object-output channel of a soft measurement
-(entrywise multiplication of the input by ``entanglement * gram``) both
+(entrywise multiplication of the input by ``entanglement * conj(gram)``) both
 terms collapse to entropies of small Hadamard products, and for two-level
 systems to a closed form in the softness parameter ``q``, the population
 ``p`` and the coherence modulus ``mu``.
@@ -132,7 +132,7 @@ def soft_object_channel(measurement: SoftMeasurement) -> KrausChannel:
     """Object-output channel of a soft measurement, as Kraus operators.
 
     The channel multiplies the input entrywise by the measurement's
-    ``multiplier`` (``entanglement * gram``). Its Kraus operators are
+    ``multiplier`` (``entanglement * conj(gram)``). Its Kraus operators are
     obtained by eigendecomposing the corresponding Choi matrix (they come
     out diagonal). The measurement must be one ``D x D`` pair.
     """
@@ -170,8 +170,8 @@ def coherent_info_channel(channel: KrausChannel, rho: StateLike) -> float:
 def coherent_info_soft(rho: StateLike, measurement: SoftMeasurement | RepeatedMeasurement) -> float:
     """Coherent information kept in the object by a soft measurement, bits.
 
-    Closed form: with the measurement's multiplier ``m`` (``R * Q``
-    entrywise, or ``R**n * Q**n`` for a repeated measurement) the value is
+    Closed form: with the measurement's multiplier ``m`` (``R * conj(Q)``
+    entrywise, or ``R**n * conj(Q**n)`` for a repeated measurement) the value is
     ``S[m * rho] - S[sqrt(rho_kk) m_kl sqrt(rho_ll)]`` (entrywise products).
     A raw ``rho`` is checked where it enters, a :class:`DensityMatrix` was
     checked when it was built, and so was the measurement. Both entropy
@@ -405,9 +405,10 @@ def compete_coherent(
     both receivers' entanglement and Gram matrices); the second term omits
     the respective receiver's own Gram matrix:
 
-    ``I_eve = S[rho*RE*RB*QE*QB] - S[rho*RE*RB*QB]`` and symmetrically for
-    the other receiver (all products entrywise). Equal when both receivers
-    use the same parameters. The receivers were checked when they were
+    ``I_eve = S[rho*RE*RB*conj(QE*QB)] - S[rho*RE*RB*conj(QB)]`` and
+    symmetrically for the other receiver (all products entrywise; each Gram
+    matrix enters conjugated, as in a receiver's ``multiplier``). Equal when
+    both receivers use the same parameters. The receivers were checked when they were
     built; :class:`DimensionMismatch` names their dimensions when they
     differ.
     """
@@ -415,10 +416,10 @@ def compete_coherent(
         raise DimensionMismatch(f"eve dim {eve.dim} != bob dim {bob.dim}")
     rho = _state(rho, eve.dim).matrix
     shared = rho * eve.entanglement * bob.entanglement
-    common = shared * eve.gram * bob.gram
-    s_common = _unchecked_entropy(common)
-    info_eve = s_common - _unchecked_entropy(shared * bob.gram)
-    info_bob = s_common - _unchecked_entropy(shared * eve.gram)
+    eve_gram, bob_gram = eve.gram.conj(), bob.gram.conj()
+    s_common = _unchecked_entropy(shared * eve_gram * bob_gram)
+    info_eve = s_common - _unchecked_entropy(shared * bob_gram)
+    info_bob = s_common - _unchecked_entropy(shared * eve_gram)
     return info_eve, info_bob
 
 

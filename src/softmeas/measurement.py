@@ -139,9 +139,10 @@ class SoftMeasurement:
 
     @property
     def multiplier(self) -> np.ndarray:
-        """``entanglement * gram`` entrywise: the Hadamard multiplier that
-        the object-output channel applies to the input state."""
-        return self.entanglement * self.gram
+        """``entanglement * conj(gram)`` entrywise: the Hadamard multiplier
+        that the object-output channel applies to the input state, which is
+        what tracing the meter out of :func:`apply_soft`'s output leaves."""
+        return self.entanglement * self.gram.conj()
 
     @cached_property
     def meter_vectors(self) -> np.ndarray:

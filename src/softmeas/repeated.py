@@ -112,9 +112,11 @@ class RepeatedMeasurement:
 
     @property
     def multiplier(self) -> np.ndarray:
-        """``entanglement_n * gram_n`` entrywise (``R**n * Q**n``): the
-        Hadamard multiplier of the object-output channel of ``n`` steps."""
-        return self.entanglement_n * self.gram_n
+        """``entanglement_n * conj(gram_n)`` entrywise (``R**n * conj(Q**n)``):
+        the Hadamard multiplier of the object-output channel of ``n`` steps,
+        which is what tracing the meter out of :func:`joint_dm_repeated`
+        leaves."""
+        return self.entanglement_n * self.gram_n.conj()
 
 
 def collective_representation(gram: np.ndarray, n: int | np.ndarray) -> RepeatedMeasurement:

@@ -6,8 +6,13 @@ import io
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from hypothesis import strategies as st
 
 from softmeas import cli
 from softmeas.cli import main
-from softmeas.errors import InvalidMeasurement
+from softmeas.errors import ConfigError, InvalidMeasurement, OutOfRange, SoftMeasError
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -253,8 +258,13 @@ class TestErrorHandling:
         assert code == 2
         assert err.startswith("softmeas: config error: parameter r12 must be finite, got ")
 
-    def test_out_of_range_measurement_is_invariant_violation(self, capsys):
-        assert main(["repeat", "--param", "theta=nan"]) == 3
+    def test_out_of_range_measurement_is_config_error(self, capsys):
+        code, err = run_failing(["repeat", "--param", "theta=nan"], capsys)
+        assert code == 2
+        assert err == "softmeas: config error: parameter theta must be finite, got nan\n"
+        code, err = run_failing(["single", "--param", "theta=4"], capsys)
+        assert code == 2
+        assert err == "softmeas: config error: parameter theta must lie in [0, pi], got 4.0\n"
 
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -295,11 +305,54 @@ class TestErrorHandling:
         assert err.startswith(f"softmeas: config error: cannot write output file {out}: ")
 
     def test_failed_sweep_leaves_out_empty(self, tmp_path, capsys):
+        """A sweep that fails, on an invariant the library derives or on a
+        value outside its domain, leaves the ``--out`` file empty."""
         out = tmp_path / "x.csv"
-        out.write_text("old\n")
-        code, err = run_failing(["fig2a", "--param", "q=0:2:3", "--out", str(out)], capsys)
-        assert code == 3 and err.startswith("softmeas: fig2a grid point")
-        assert out.read_text() == ""
+        for argv, code, message in (
+            (["repeat", "--param", "chi=1e308", "--param", "n=1:3:3"], 3, "repeat grid point 1"),
+            (["fig2a", "--param", "q=0:2:3"], 2, "config error: parameter q must lie in [0, 1]"),
+        ):
+            out.write_text("old\n")
+            got, err = run_failing(argv + ["--out", str(out)], capsys)
+            assert got == code and err.startswith(f"softmeas: {message}")
+            assert out.read_text() == ""
+
+    @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"continuous"}))
+    def test_kappa_convention_is_read_only_by_continuous(self, command, tmp_path, capsys):
+        """Every other command takes only the default convention, from the
+        flag or from a config file, and records it in its JSON header."""
+        cfg = tmp_path / "paper.cfg"
+        cfg.write_text("kappa_convention = paper\n")
+        message = (
+            f"softmeas: config error: parameter kappa_convention must be 'gram' for {command},"
+            " which does not read it, got 'paper'\n"
+        )
+        for argv in (["--kappa-convention", "paper"], ["--config", str(cfg)]):
+            assert run_failing([command, *argv], capsys) == (2, message)
+        code, out = run_cli([command, "--kappa-convention", "gram", "--format", "json"], tmp_path)
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["kappa_convention"] == "gram"
+
+    def test_closed_stdout_pipe_exits_two_without_traceback(self):
+        """A reader that closes the pipe early, as ``softmeas ... | head -1``
+        does, is a failed write: one line and exit 2, with no traceback and
+        no "Exception ignored" from the interpreter's flush at exit."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "softmeas.cli", "fig2b"]
+        argv += ["--param", "q_E=0:1:201", "--param", "q_B=0:1:201"]  # 2 MB, past any pipe buffer
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline() == b"q_E,q_B,I_c_E,I_c_B\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert code == 2
+        assert err == (
+            "softmeas: config error: cannot write standard output: [Errno 32] Broken pipe\n"
+        )
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -320,7 +373,10 @@ def run_failing(argv, capsys):
 
 
 class TestNonFiniteInput:
-    """Non-finite parameters are invariant violations: exit 3, one line, no traceback."""
+    """A non-finite value is outside every declared domain: a config error
+    naming the parameter, exit 2, one line, no traceback. The test keeps the
+    name it had when the library's checks found these values (exit 3), so
+    that its ids stay stable."""
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -329,8 +385,8 @@ class TestNonFiniteInput:
             (["continuous", "--param", "t=0:inf:3"], "t must be finite"),
             (["continuous", "--param", "r_dot=nan,0"], "r_dot must be finite"),
             (["continuous", "--param", "chi_dot=inf"], "chi_dot must be finite"),
-            (["fig3", "--param", "theta=0:inf:3"], "rotation angle[0, 0] must be finite"),
-            (["fig3", "--param", "q=0:inf:3"], "dephase[0, 0] is not Hermitian"),
+            (["fig3", "--param", "theta=0:inf:3"], "theta must be finite"),
+            (["fig3", "--param", "q=0:inf:3"], "q must be finite"),
             (["repeat", "--param", "chi=inf"], "chi must be finite, got inf"),
             (["single", "--param", "rho_phase=inf"], "rho_phase must be finite, got inf"),
             (["repeat", "--param", "rho_phase=nan"], "rho_phase must be finite, got nan"),
@@ -339,8 +395,8 @@ class TestNonFiniteInput:
     )
     def test_exits_three_with_one_line(self, argv, expected, capsys):
         code, err = run_failing(argv, capsys)
-        assert code == 3
-        assert err.startswith("softmeas: ") and err.count("\n") == 1
+        assert code == 2
+        assert err.startswith("softmeas: config error: parameter ") and err.count("\n") == 1
         assert expected in err
 
 
@@ -378,7 +434,7 @@ class TestOverflow:
     def test_count_outside_int64_is_config_error(self, grid, value, capsys):
         code, err = run_failing(["repeat", "--param", f"n={grid}"], capsys)
         assert code == 2
-        message = f"parameter n: repetition count {value} is outside [1, 2**63)"
+        message = f"parameter n must lie in [1, 2**63), got grid value {float(value)}"
         assert err == f"softmeas: config error: {message}\n"
 
     @pytest.mark.parametrize("points", ["99999999999999999999", "10000000000000000000"])
@@ -395,17 +451,21 @@ class TestOverflow:
         [
             (
                 ["fig3", "--param", "q=-1e308:-1e308:2"],
-                "fig3 grid point 0 (q=-1e+308, theta=0): dephase[0, 0] has an entry",
+                "parameter q must lie in [-1, 1], got grid value -1e+308",
             ),
-            (["isweep", "--param", "q=0:1e308:3"], "isweep grid point 1 (q=5e+307): gram[1] is"),
+            (
+                ["isweep", "--param", "q=0:1e308:3"],
+                "parameter q must lie in [0, 1], got grid value 5e+307",
+            ),
         ],
-        ids=["dephase", "gram"],
+        ids=["fig3", "isweep"],
     )
-    def test_grid_past_the_largest_float_exits_three(self, argv, expected, capsys):
-        """A grid whose correlation matrices' Hermitian part overflows."""
+    def test_correlation_grid_past_the_largest_float_is_config_error(self, argv, expected, capsys):
+        """A grid whose correlation matrices' Hermitian part would overflow
+        is outside its domain before any matrix is built."""
         code, err = run_failing(argv, capsys)
-        assert code == 3
-        assert err.startswith(f"softmeas: {expected}") and err.count("\n") == 1
+        assert code == 2
+        assert err == f"softmeas: config error: {expected}\n"
 
     @pytest.mark.parametrize("command, name", [("fig2a", "q"), ("repeat", "n"), ("fig3", "q")])
     def test_span_past_the_largest_float_is_config_error(self, command, name, capsys):
@@ -416,6 +476,106 @@ class TestOverflow:
         assert code == 2
         message = f"parameter {name}: the span from -1e+308 to 1e+308 exceeds the largest float"
         assert err == f"softmeas: config error: {message}\n"
+
+
+# Values at, inside and just outside each declared domain, drawn from the
+# schema: each domain's edges (for a complex domain, of the modulus or of the
+# real part) with their neighbouring floats, the extremes of the doubles and
+# any float. test_every_domain_has_edges fails for a domain added without
+# its edges here.
+DOMAIN_EDGES = {
+    cli._FINITE: [0.0],
+    cli._UNIT: [0.0, 1.0],
+    cli._CORRELATION: [-1.0, 1.0],
+    cli._ANGLE: [0.0, math.pi],
+    cli._NONNEGATIVE: [0.0],
+    cli._COUNTS: [1.0, 2.0**63],
+    cli._MODULUS: [1.0],
+    cli._DECAY: [0.0],
+    cli._CONVENTION: [],
+}
+EXTREMES = [1e308, -1e308, 5e-324, -5e-324, 0.5, -0.5, 2.0]
+
+
+def domain_floats(domain):
+    edges = [
+        x
+        for edge in DOMAIN_EDGES[domain]
+        for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))
+    ]
+    return st.one_of(st.sampled_from(edges + EXTREMES), st.floats(-4.0, 4.0), st.floats())
+
+
+@st.composite
+def param_texts(draw, param):
+    """The text of a value of the declared parameter ``param``, drawn at,
+    inside and just outside its domain, written as its kind reads it."""
+    if param.kind is cli._inside:
+        return draw(st.sampled_from([*cli._CONVENTIONS, "bogus", ""]))
+    x = draw(domain_floats(param.domain))
+    if param.kind is cli._parse_float:
+        return repr(x)
+    if param.kind is cli._parse_complex:
+        if draw(st.booleans()):  # x as the modulus, at any angle
+            angle = draw(st.floats(-math.pi, math.pi))
+            return f"{x * math.cos(angle)!r},{x * math.sin(angle)!r}"
+        return f"{x!r},{draw(domain_floats(param.domain))!r}"
+    y = draw(domain_floats(param.domain))
+    return f"{min(x, y)!r}:{max(x, y)!r}:{draw(st.integers(1, 3))}"
+
+
+@st.composite
+def schema_runs(draw):
+    """A command, its resolved config with every grid cut to at most 3
+    points, and 1 to 3 of its parameters set to values drawn from their
+    domains' edges."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    spec = cli._COMMANDS[command]
+    config = {**spec.defaults, "kappa_convention": "gram"}
+    for name in spec.grids:
+        config[name] = config[name].rsplit(":", 1)[0] + ":3"
+    names = st.lists(st.sampled_from(sorted(spec.params)), min_size=1, max_size=3, unique=True)
+    names = draw(names)
+    for name in names:
+        config[name] = draw(param_texts(spec.params[name]))
+    return command, config, names
+
+
+# The messages of the invariants the library derives from valid values.
+DERIVED = re.compile(
+    r"(^|\): )(accumulated phase \S+ is not finite|eigenvalue \S+ below"
+    r"|invariant violation: non-finite value)"
+)
+
+
+def test_every_domain_has_edges():
+    domains = {p.domain for spec in cli._COMMANDS.values() for p in spec.params.values()}
+    assert domains <= set(DOMAIN_EDGES)
+
+
+@settings(deadline=None, max_examples=500)
+@given(schema_runs())
+@example(("single", {**cli._COMMANDS["single"].defaults, "theta": "4"}, ["theta"]))
+@example(("continuous", {**cli._COMMANDS["continuous"].defaults, "kappa": "-1"}, ["kappa"]))
+@example(("fig3", {**cli._COMMANDS["fig3"].defaults, "q": "0:2:3"}, ["q"]))
+@example(("repeat", {**cli._COMMANDS["repeat"].defaults, "r12": "0.6,0.8"}, ["r12"]))
+def test_schema_agrees_with_the_library(run):
+    """A value the parser accepts never fails a library domain check: the
+    sweep succeeds, or the parser refuses a drawn parameter by name, or an
+    invariant the library derives from valid values fails (an accumulated
+    phase overflows, a derived state has an eigenvalue below the entropy's
+    clamp, an output is not finite). No range check of a parameter and no
+    check of a matrix built from parameters fails, and nothing warns."""
+    command, config, names = run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cli.run_sweep(command, config)
+        except ConfigError as exc:
+            assert re.match(rf"parameter ({'|'.join(names)})\b", str(exc)), str(exc)
+        except SoftMeasError as exc:
+            assert not isinstance(exc, (OutOfRange, InvalidMeasurement)), str(exc)
+            assert DERIVED.search(str(exc)), str(exc)
 
 
 # Parameter values as a user might mistype them: numbers out of range or not
@@ -437,10 +597,15 @@ MISTYPED_VALUES = st.one_of(
 @st.composite
 def mistyped_runs(draw):
     """A command, ``--param`` overrides of its parameters with mistyped
-    values, and the end of a ``--config`` file: random bytes, or lines of
-    mistyped values."""
+    values or values drawn from their domains' edges, and the end of a
+    ``--config`` file: random bytes, or lines of such values."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    pairs = st.tuples(st.sampled_from(sorted(cli._COMMANDS[command].defaults)), MISTYPED_VALUES)
+    declared = cli._COMMANDS[command].params
+
+    def pair(name):
+        return st.tuples(st.just(name), st.one_of(MISTYPED_VALUES, param_texts(declared[name])))
+
+    pairs = st.sampled_from(sorted(declared)).flatmap(pair)
     params = draw(st.lists(pairs, max_size=3))
     lines = st.lists(pairs, max_size=3).map(lambda kv: "".join(f"{k} = {v}\n" for k, v in kv))
     config = draw(st.one_of(st.binary(max_size=32), lines.map(str.encode)))
@@ -483,45 +648,120 @@ class TestCommandTable:
         assert set(command.grids) <= set(command.defaults)
         assert len(set(command.columns)) == len(command.columns)
 
+    KINDS = {
+        cli._parse_grid: "grid",
+        cli._parse_counts: "count grid",
+        cli._parse_float: "float",
+        cli._parse_complex: "complex",
+        cli._inside: "choice",
+    }
+
+    def test_readme_tables_match_the_schema(self):
+        """The README's command table lists each command's grid and output
+        columns, and its parameter table each parameter's kind, default and
+        domain, in the order of ``_COMMANDS``."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        cells = [
+            [cell.strip().replace("`", "") for cell in line.strip("|").split("|")]
+            for line in readme.splitlines()
+            if line.startswith("| `")
+        ]
+        commands = [
+            (name, ", ".join(spec.grids) or "(none)", ", ".join(spec.outputs))
+            for name, spec in cli._COMMANDS.items()
+        ]
+        params = [
+            (command, name, self.KINDS[p.kind], p.default, p.domain.rule)
+            for command, spec in cli._COMMANDS.items()
+            for name, p in spec.params.items()
+        ]
+        assert [tuple(row) for row in cells if len(row) == 3] == commands
+        assert [tuple(row) for row in cells if len(row) == 5] == params
+
+
+def scale_grids(monkeypatch, command, factor):
+    """Make ``command`` evaluate each grid point at ``factor`` times its grid
+    values: a poisoned sweep, whose library checks then fail at points the
+    parser accepted, as a check of an invariant the library derives would."""
+    spec = cli._COMMANDS[command]
+
+    def poisoned(**values):
+        block = spec.sweep(**values)
+        return lambda *axes: block(*(factor * axis for axis in axes))
+
+    monkeypatch.setitem(cli._COMMANDS, command, spec._replace(sweep=poisoned))
+
 
 class TestFailingGridPoint:
-    def test_names_command_index_and_values(self, capsys):
+    """A grid value outside its domain is a config error naming the value; a
+    check that fails at a grid point the parser accepted names the command,
+    the point's grid index and its parameter values."""
+
+    def test_names_command_index_and_values(self, monkeypatch, capsys):
         code, err = run_failing(["fig3", "--param", "q=0:2:3"], capsys)
+        assert code == 2
+        assert err == (
+            "softmeas: config error: parameter q must lie in [-1, 1], got grid value 2.0\n"
+        )
+        scale_grids(monkeypatch, "fig3", 2.0)
+        code, err = run_failing(["fig3", "--param", "q=0:1:3"], capsys)
         assert code == 3
-        # q = 2 first fails at theta = 0: row 2 of 3, column 0 of 51.
-        assert err.startswith("softmeas: fig3 grid point 102 (q=2, theta=0): ")
+        # q = 1 (evaluated at 2) first fails at theta = 0: row 2 of 3, column 0 of 51.
+        assert err.startswith("softmeas: fig3 grid point 102 (q=1, theta=0): ")
         assert "dephase[2, 0] is not PSD" in err
 
-    def test_scalar_closed_form_names_its_point(self, capsys):
+    def test_scalar_closed_form_names_its_point(self, monkeypatch, capsys):
         code, err = run_failing(["fig2b", "--param", "q_B=0:3:4"], capsys)
+        assert code == 2
+        assert err == (
+            "softmeas: config error: parameter q_B must lie in [0, 1], got grid value 2.0\n"
+        )
+        scale_grids(monkeypatch, "fig2b", 3.0)
+        code, err = run_failing(["fig2b", "--param", "q_B=0:1:4"], capsys)
         assert code == 3
-        assert err.startswith("softmeas: fig2b grid point 2 (q_E=0, q_B=2): q_bob must lie")
+        point = "fig2b grid point 2 (q_E=0, q_B=0.666666666667)"
+        assert err.startswith(f"softmeas: {point}: q_bob must lie in [0, 1], got 2.0")
 
-    def test_stacked_repeat_names_its_point(self, capsys):
+    def test_stacked_repeat_names_its_point(self, monkeypatch, capsys):
         code, err = run_failing(["isweep", "--param", "q=0:2:5"], capsys)
+        assert code == 2
+        assert err == "softmeas: config error: parameter q must lie in [0, 1], got grid value 1.5\n"
+        scale_grids(monkeypatch, "isweep", 2.0)
+        code, err = run_failing(["isweep", "--param", "q=0:1:5"], capsys)
         assert code == 3
-        assert err.startswith("softmeas: isweep grid point 3 (q=1.5): gram[3] is not PSD")
+        assert err.startswith("softmeas: isweep grid point 3 (q=0.75): gram[3] is not PSD")
 
     def test_later_block_names_its_grid_point(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_BLOCK_POINTS", 51)  # one q row per block
-        code, err = run_failing(["fig3", "--param", "q=0:2:3"], capsys)
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 2)  # two counts per block
+        code, err = run_failing(["repeat", "--param", "chi=0.7e308", "--param", "n=1:4:4"], capsys)
         assert code == 3
-        assert err.startswith("softmeas: fig3 grid point 102 (q=2, theta=0): ")
+        # n = 3 is the first count of the second block.
+        assert err == (
+            "softmeas: repeat grid point 2 (n=3): "
+            "accumulated phase n*chi is not finite (stack member [2])\n"
+        )
+        scale_grids(monkeypatch, "fig3", 2.0)
+        scale_grids(monkeypatch, "isweep", 2.0)
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 51)  # one q row per block
+        code, err = run_failing(["fig3", "--param", "q=0:1:3"], capsys)
+        assert code == 3
+        assert err.startswith("softmeas: fig3 grid point 102 (q=1, theta=0): ")
         assert "dephase[2, 0] is not PSD" in err
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 2)
-        code, err = run_failing(["isweep", "--param", "q=0:2:5"], capsys)
-        assert err.startswith("softmeas: isweep grid point 3 (q=1.5): gram[3] is not PSD")
+        code, err = run_failing(["isweep", "--param", "q=0:1:5"], capsys)
+        assert err.startswith("softmeas: isweep grid point 3 (q=0.75): gram[3] is not PSD")
 
     def test_later_block_rebases_every_label(self, monkeypatch, capsys):
+        scale_grids(monkeypatch, "fig3", 2.0)
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 3)  # one q row per block
-        code, err = run_failing(["fig3", "--param", "q=0:2:5", "--param", "theta=0:1:3"], capsys)
+        code, err = run_failing(["fig3", "--param", "q=0:1:5", "--param", "theta=0:1:3"], capsys)
         assert code == 3
-        # Both failures are at q = 1.5, grid row 3, which is row 0 of its block.
+        # Both failures are at q = 0.75, grid row 3, which is row 0 of its block.
         assert err == (
-            "softmeas: fig3 grid point 9 (q=1.5, theta=0): dephase[3, 0] is not PSD: "
+            "softmeas: fig3 grid point 9 (q=0.75, theta=0): dephase[3, 0] is not PSD: "
             "eigenvalue -5.000e-01; dephase[3, 0] has an entry with modulus > 1\n"
         )
-        config = {**cli._COMMANDS["fig3"].defaults, "q": "0:2:5", "theta": "0:1:3"}
+        config = {**cli._COMMANDS["fig3"].defaults, "q": "0:1:5", "theta": "0:1:3"}
         with pytest.raises(InvalidMeasurement) as excinfo:
             cli.run_sweep("fig3", config)
         assert excinfo.value.index == (3, 0)
@@ -534,9 +774,14 @@ class TestFailingGridPoint:
     def test_non_finite_output_names_its_grid_point(self, monkeypatch, capsys):
         fig2a = cli._COMMANDS["fig2a"]
 
-        def poisoned(config, q, mu):
-            (info,) = fig2a.sweep(config, q, mu)
-            return [np.where((q == 0.5) & (mu == 0.25), np.nan, info)]
+        def poisoned(p):
+            block = fig2a.sweep(p)
+
+            def evaluate(q, mu):
+                (info,) = block(q, mu)
+                return [np.where((q == 0.5) & (mu == 0.25), np.nan, info)]
+
+            return evaluate
 
         monkeypatch.setitem(cli._COMMANDS, "fig2a", fig2a._replace(sweep=poisoned))
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 5)  # one q row per block

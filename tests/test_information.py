@@ -135,7 +135,9 @@ class TestSoftObjectChannel:
             ch = soft_object_channel(SoftMeasurement(ent, gram))
             ch.validate()
             rho = rand_density(rng, dim)
-            np.testing.assert_allclose(ch.apply(rho), ent * gram * rho, atol=1e-11, rtol=0.0)
+            np.testing.assert_allclose(
+                ch.apply(rho), ent * gram.conj() * rho, atol=1e-11, rtol=0.0
+            )
 
     def test_real_instances_match_joint_state_reduction(self):
         rng = np.random.default_rng(64)
@@ -231,7 +233,7 @@ class TestCoherentInfoSoft:
     @example(dim=2, seed=68)
     @example(dim=3, seed=68)
     def test_matches_channel_oracle(self, dim, seed):
-        """The closed form equals the Kraus route through ``R * Q`` for
+        """The closed form equals the Kraus route through ``R * conj(Q)`` for
         complex R, Q and rho; every drawn pair is a valid measurement and
         its object channel is trace preserving."""
         rng = np.random.default_rng(seed)
@@ -255,7 +257,7 @@ class TestCoherentInfoSoft:
         rng = np.random.default_rng(69)
         rho = np.array([rand_density(rng, 3) for _ in range(4)])
         ent, gram = rand_correlation(rng, 3), rand_correlation(rng, 3)
-        m = ent * gram
+        m = ent * gram.conj()
         roots = np.sqrt(np.diagonal(rho, axis1=-2, axis2=-1).real)
         expected = _unchecked_entropy(m * rho) - _unchecked_entropy(
             roots[..., :, None] * roots[..., None, :] * m

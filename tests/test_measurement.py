@@ -36,6 +36,7 @@ from softmeas.measurement import (
     two_level_gram,
     two_level_meter_states,
 )
+from softmeas.repeated import RepeatedMeasurement, joint_dm_repeated
 
 
 class TestValidateSoft:
@@ -372,6 +373,22 @@ class TestApplySoft:
             joint = apply_soft(SoftMeasurement(ent, real_gram), rho)
             reduced = partial_trace(joint, [dim, dim], keep=0)
             np.testing.assert_allclose(reduced, ent * real_gram * rho, atol=1e-12, rtol=0.0)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_multiplier_is_the_traced_object_output(self, dim, n, seed):
+        """Tracing the meter out of the joint state leaves ``multiplier *
+        rho``, for complex R, Q and rho, one step or ``n``: the object
+        output that ``coherent_info_soft`` and ``soft_object_channel``
+        read is the one the joint state holds."""
+        rng = np.random.default_rng(seed)
+        rho = rand_density(rng, dim)
+        m = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
+        reduced = partial_trace(apply_soft(m, rho), [dim, dim], keep=0)
+        np.testing.assert_allclose(reduced, m.multiplier * rho, atol=1e-12, rtol=0.0)
+        repeated = RepeatedMeasurement(m, n)
+        reduced = partial_trace(joint_dm_repeated(rho, repeated), [dim, dim], keep=1)
+        np.testing.assert_allclose(reduced, repeated.multiplier * rho, atol=1e-12, rtol=0.0)
 
     def test_matches_entangling_for_orthogonal_meter(self):
         rng = np.random.default_rng(29)
