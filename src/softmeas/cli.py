@@ -73,7 +73,7 @@ from .information import (
     meter_ensemble,
     semiclassical_info_continuous,
 )
-from .matcore import DensityMatrix, _label, _unchecked_entropy, partial_trace, von_neumann_entropy
+from .matcore import DensityMatrix, _unchecked_entropy, partial_trace, von_neumann_entropy
 from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
@@ -567,20 +567,8 @@ def _check_finite(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int,
         row, j = bad[0]
         index = tuple(int(i) for i in np.unravel_index(row, shape))
         raise SoftMeasError(
-            f"invariant violation: non-finite value in column {columns[j]!r}", index=index or None
+            f"invariant violation: non-finite value in column {columns[j]!r}", index=index
         )
-
-
-def _relabeled(
-    message: str, old: tuple[tuple[int, ...], ...], new: tuple[tuple[int, ...], ...]
-) -> str:
-    """``message`` with the label of each member in ``old`` (in the order
-    the message names them) replaced by the label of its match in ``new``."""
-    parts, rest = [], message
-    for i, j in zip(old, new):
-        head, label, rest = rest.partition(_label(i))
-        parts += [head, _label(j) if label else ""]
-    return "".join(parts) + rest
 
 
 def run_sweep(
@@ -599,7 +587,9 @@ def run_sweep(
     table in place; a grid of that size or smaller is one block. When a
     check, including the check that every output is finite, fails at a grid
     point, the error message names the command, the point's grid index and
-    its parameter values.
+    its parameter values, and the exception's ``index``, which the message's
+    closing ``(stack member [...])`` shows, is moved from the point's place
+    in its block to its place in the whole grid.
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -625,17 +615,14 @@ def run_sweep(
             _check_finite(columns, rows, block_shape)
         except SoftMeasError as exc:
             if exc.index is not None and len(exc.index) == len(shape):
-                index = (exc.index[0] + start, *exc.index[1:])
+                # The check named the member by its index within the block.
+                exc.index = (exc.index[0] + start, *exc.index[1:])
                 point = ", ".join(
-                    f"{name}={_format_value(np.broadcast_to(m, shape)[index])}"
+                    f"{name}={_format_value(np.broadcast_to(m, shape)[exc.index])}"
                     for name, m in zip(spec.grids, mesh)
                 )
-                flat = int(np.ravel_multi_index(index, shape))
-                # The check named each member by its index within the block.
-                named = tuple((i[0] + start, *i[1:]) for i in exc.indices)
-                message = _relabeled(str(exc), exc.indices, named)
-                exc.args = (f"{command} grid point {flat} ({point}): {message}",)
-                exc.index, exc.indices = index, named
+                flat = int(np.ravel_multi_index(exc.index, shape))
+                exc.args = (f"{command} grid point {flat} ({point}): {exc.args[0]}",)
             raise
     return columns, table, shape
 

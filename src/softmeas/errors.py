@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Everything derives from :class:`SoftMeasError` (a ``ValueError``), so callers
-can catch either the specific condition or the whole family.
+can catch either the specific condition or the whole family. A check on a
+stack of matrices gives the first failing member in the exception's
+``index``; the exception, and nothing else, formats it into the message.
 """
 
 from __future__ import annotations
@@ -12,20 +14,22 @@ class SoftMeasError(ValueError):
 
     ``index`` locates the failure in the leading (stack) axes of a checked
     ``(..., D, D)`` array: the index of the first member, in C order, that
-    failed. It is None when the input was a single matrix. ``indices``
-    lists every stack index that the message names, in the order it names
-    them; by default just ``index``.
+    failed. It is None when the input was a single matrix (an empty index
+    is stored as None). The message names that member in one place only:
+    ``str()`` ends in `` (stack member [i, j])`` when ``index`` is set, so a
+    caller that moves the failure in a larger stack (a sweep naming its grid
+    row) changes ``index`` and the message follows.
     """
 
-    def __init__(
-        self,
-        *args: object,
-        index: tuple[int, ...] | None = None,
-        indices: tuple[tuple[int, ...], ...] | None = None,
-    ) -> None:
+    def __init__(self, *args: object, index: tuple[int, ...] | None = None) -> None:
         super().__init__(*args)
-        self.index = index
-        self.indices = indices if indices is not None else (index,) if index else ()
+        self.index = index or None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        if self.index is None:
+            return text
+        return f"{text} (stack member [{', '.join(map(str, self.index))}])"
 
 
 class NotHermitian(SoftMeasError):

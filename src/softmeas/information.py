@@ -39,9 +39,7 @@ from .matcore import (
     _entrywise,
     _first,
     _hermitian_part,
-    _label,
     _matmul,
-    _member,
     _state,
     _unchecked_entropy,
     herm_eig,
@@ -210,7 +208,7 @@ def _check_unit_interval(**values: np.ndarray) -> None:
     i = _first(np.logical_or.reduce(bad))
     if i is not None:
         name, value = next((n, a[i]) for n, a, b in zip(values, arrays, bad) if b[i])
-        raise OutOfRange(f"{name} must lie in [0, 1], got {value}{_member(i)}", index=i or None)
+        raise OutOfRange(f"{name} must lie in [0, 1], got {value}", index=i)
 
 
 def _g(x: float | np.ndarray) -> np.ndarray:
@@ -379,8 +377,9 @@ def semiclassical_info_continuous(
 
 @dataclass(frozen=True)
 class CompetitionParams:
-    """Two receivers measuring one object: softness parameters ``q_eve``
-    and ``q_bob``, input coherence modulus ``mu``, first population ``p``.
+    """Two receivers measuring one object of balanced populations
+    (``p = 1/2``): softness parameters ``q_eve`` and ``q_bob`` and input
+    coherence modulus ``mu``.
 
     Each field is a float or an array; arrays broadcast against each other
     and describe one arrangement per member.
@@ -389,10 +388,9 @@ class CompetitionParams:
     q_eve: float | np.ndarray
     q_bob: float | np.ndarray
     mu: float | np.ndarray
-    p: float | np.ndarray = 0.5
 
     def __post_init__(self) -> None:
-        names = ("q_eve", "q_bob", "mu", "p")
+        names = ("q_eve", "q_bob", "mu")
         _check_unit_interval(**{n: np.asarray(getattr(self, n), dtype=float) for n in names})
 
 
@@ -433,8 +431,6 @@ def compete_two_level(
     into the single-measurement closed form at ``p = 1/2``. Array fields
     give arrays of their broadcast shape.
     """
-    if np.any(np.asarray(params.p) != 0.5):
-        raise OutOfRange("closed competition form is defined at p = 1/2")
     q_eve, q_bob, mu = (
         np.asarray(v, dtype=float) for v in (params.q_eve, params.q_bob, params.mu)
     )
@@ -455,9 +451,7 @@ def _bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
     angles = np.asarray(theta, dtype=float)
     i = _first(~np.isfinite(angles))
     if i is not None:
-        raise OutOfRange(
-            f"rotation angle{_label(i)} must be finite, got {angles[i]}", index=i or None
-        )
+        raise OutOfRange(f"rotation angle must be finite, got {angles[i]}", index=i)
     cos = _entrywise(math.cos, angles / 2.0)
     sin = _entrywise(math.sin, angles / 2.0)
     return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2).astype(complex)
@@ -509,7 +503,7 @@ def eve_bob_semiclassical(
         deviation = np.max(np.abs(_dagger(unitary) @ unitary - np.eye(dim)), axis=(-2, -1))
         i = _first(~(deviation <= TAU_RECON))
         if i is not None:
-            raise InvalidMeasurement(f"eve_basis{_label(i)} is not unitary", index=i or None)
+            raise InvalidMeasurement("eve_basis is not unitary", index=i)
     dephase = np.asarray(dephase, dtype=complex)
     _check_correlation_matrix({"dephase": dephase})
     if _single_dim(bob, "bob") != dim:

@@ -12,9 +12,10 @@ shape ``(..., D, D)``, and a stack gives, member by member, the same floats
 as the calls on its members one at a time (a single matrix runs the same
 code as a stack of one). Results keep the stack axes in front; a scalar
 result such as an entropy is a ``float`` for one matrix and an array of the
-stack shape otherwise. A check that fails on a stack names the index of the
-first failing member (C order) in its message and in the exception's
-``index``. :func:`partial_trace` takes one matrix.
+stack shape otherwise. A check that fails on a stack puts the index of the
+first failing member (C order) in the exception's ``index``, and its message
+ends in `` (stack member [i, j])`` (see :class:`~softmeas.errors.SoftMeasError`);
+a single matrix gives no index. :func:`partial_trace` takes one matrix.
 
 Each check decomposes a matrix once: :func:`validate_density_matrix`
 returns the ascending eigenvalues it checked (shape ``(..., D)``);
@@ -173,15 +174,6 @@ def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
-def _label(index: tuple[int, ...]) -> str:
-    """``[i, j]`` for a stack member, empty for a single matrix."""
-    return f"[{', '.join(map(str, index))}]" if index else ""
-
-
-def _member(index: tuple[int, ...]) -> str:
-    return f" (stack member {_label(index)})" if index else ""
-
-
 def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
     """``fn`` applied to each entry of the broadcast ``arrays``, as Python numbers.
 
@@ -208,8 +200,7 @@ def herm_eig(matrix: np.ndarray) -> Spectrum:
     i = _first(~(dev <= TAU_HERM))
     if i is not None:
         raise NotHermitian(
-            f"max |M - M^dagger| entry {dev[i]:.3e} exceeds {TAU_HERM:.1e}{_member(i)}",
-            index=i or None,
+            f"max |M - M^dagger| entry {dev[i]:.3e} exceeds {TAU_HERM:.1e}", index=i
         )
     w, v = np.linalg.eigh(_hermitian_part(m))
     return Spectrum(eigenvalues=w, eigenvectors=v)
@@ -228,10 +219,7 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     w, v = herm_eig(matrix)
     i = _first(w[..., 0] < -TAU_PSD)
     if i is not None:
-        raise NotPSD(
-            f"smallest eigenvalue {w[i][0]:.3e} below -{TAU_PSD:.1e}{_member(i)}",
-            index=i or None,
-        )
+        raise NotPSD(f"smallest eigenvalue {w[i][0]:.3e} below -{TAU_PSD:.1e}", index=i)
     return _root_of_spectrum(w, v)
 
 
@@ -315,24 +303,21 @@ def _checked_density(
     i = _first(~(dev <= TAU_HERM))
     if i is not None:
         raise InvalidState(
-            f"{name}{_label(i)} not Hermitian: deviation {dev[i]:.3e} > {TAU_HERM:.1e}",
-            index=i or None,
+            f"{name} not Hermitian: deviation {dev[i]:.3e} > {TAU_HERM:.1e}", index=i
         )
     tr = np.trace(m, axis1=-2, axis2=-1)
     i = _first(np.abs(tr - 1.0) > TAU_TRACE)
     if i is not None:
         raise InvalidState(
-            f"{name}{_label(i)} trace {complex(tr[i]):.12g} differs from 1 "
-            f"by more than {TAU_TRACE:.1e}",
-            index=i or None,
+            f"{name} trace {complex(tr[i]):.12g} differs from 1 by more than {TAU_TRACE:.1e}",
+            index=i,
         )
     h = _hermitian_part(m)
     w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     i = _first(w[..., 0] < -TAU_PSD)
     if i is not None:
         raise InvalidState(
-            f"{name}{_label(i)} not PSD: smallest eigenvalue {w[i][0]:.3e} < -{TAU_PSD:.1e}",
-            index=i or None,
+            f"{name} not PSD: smallest eigenvalue {w[i][0]:.3e} < -{TAU_PSD:.1e}", index=i
         )
     return w, v
 
@@ -404,9 +389,7 @@ def _entropy(w: np.ndarray) -> float | np.ndarray:
     where a member has any."""
     i = _first(w[..., 0] < -ENTROPY_CLAMP)
     if i is not None:
-        raise InvalidState(
-            f"eigenvalue {w[i][0]:.3e} below -{ENTROPY_CLAMP:.1e}{_member(i)}", index=i or None
-        )
+        raise InvalidState(f"eigenvalue {w[i][0]:.3e} below -{ENTROPY_CLAMP:.1e}", index=i)
     w = np.clip(w, 0.0, 1.0)
     terms = w * np.log2(np.where(w > 0.0, w, 1.0))
     if w.shape[-1] < 8:

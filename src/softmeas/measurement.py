@@ -44,7 +44,6 @@ from .matcore import (
     _first,
     _hermitian_deviation,
     _hermitian_part,
-    _label,
     _matmul,
     _state,
     _unchecked_sqrt,
@@ -60,54 +59,41 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
     but the bound is reported separately because it is the first thing that
     breaks when a matrix is edited by hand. A matrix with a non-finite entry
     is not Hermitian. PSD is checked only on the members that are Hermitian.
-    Each failure names the first stack member that fails it. The message
-    joins every failure with ``"; "``, the matrices' in the order given and
-    then ``more``; ``index`` is the first failing stack member over all of
-    them (C order), or None when no stack failed, and ``indices`` every
-    stack member the message names, in order.
+    The message joins with ``"; "`` the failures at the first failing member
+    (C order) over all checks, the matrices' in the order given and then
+    ``more``; that member is the exception's ``index``. So a stack names the
+    failures of one member, and a single matrix (or a shape failure, or
+    ``more``, which concern no member) every failure of its own.
     """
-    failures: list[str] = []
-    named: list[tuple[int, ...]] = []
-
-    def check(bad: np.ndarray, message) -> None:
-        i = _first(bad)
-        if i is not None:
-            failures.append(message(i))
-            if i:
-                named.append(i)
-
+    found: list[tuple[tuple[int, ...], str]] = []
     for name, mat in mats.items():
         m = np.asarray(mat, dtype=complex)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-            failures.append(f"{name} must be square, got shape {m.shape}")
+            found.append(((), f"{name} must be square, got shape {m.shape}"))
             continue
         not_herm = ~(_hermitian_deviation(m) <= TAU_HERM)
-        check(not_herm, lambda i: f"{name}{_label(i)} is not Hermitian within {TAU_HERM:.1e}")
-        if not not_herm.all():
-            checked = np.where(not_herm[..., None, None], np.eye(m.shape[-1]), m)
-            # An entry near the largest float overflows the Hermitian part to
-            # NaN eigenvalues, which fail no PSD test; the modulus bound
-            # below names that member.
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = np.linalg.eigvalsh(_hermitian_part(checked))
-            check(
-                (w[..., 0] < -TAU_PSD) & ~not_herm,
-                lambda i: f"{name}{_label(i)} is not PSD: eigenvalue {w[i][0]:.3e}",
-            )
+        # The members that are not Hermitian take the PSD check as identities.
+        checked = np.where(not_herm[..., None, None], np.eye(m.shape[-1]), m)
+        # An entry near the largest float overflows the Hermitian part to NaN
+        # eigenvalues, which fail no PSD test; the modulus bound below names
+        # that member.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.linalg.eigvalsh(_hermitian_part(checked))
         diag = np.diagonal(m, axis1=-2, axis2=-1)
-        check(
-            np.max(np.abs(diag - 1.0), axis=-1) > TAU_TRACE,
-            lambda i: f"{name}{_label(i)} diagonal is not identically 1",
-        )
-        check(
-            np.max(np.abs(m), axis=(-2, -1)) > 1.0 + TAU_TRACE,
-            lambda i: f"{name}{_label(i)} has an entry with modulus > 1",
-        )
-    failures += more
-    if failures:
-        raise InvalidMeasurement(
-            "; ".join(failures), index=min(named, default=None), indices=tuple(named)
-        )
+        for bad, failure in (
+            (not_herm, f"is not Hermitian within {TAU_HERM:.1e}"),
+            (w[..., 0] < -TAU_PSD, "is not PSD: eigenvalue {:.3e}"),
+            (np.max(np.abs(diag - 1.0), axis=-1) > TAU_TRACE, "diagonal is not identically 1"),
+            (np.max(np.abs(m), axis=(-2, -1)) > 1.0 + TAU_TRACE, "has an entry with modulus > 1"),
+        ):
+            i = _first(bad)
+            if i is not None:
+                found.append((i, f"{name} {failure.format(w[i][0])}"))
+    found += [((), failure) for failure in more]
+    if found:
+        index = min(i for i, _ in found)
+        failures = [failure for i, failure in found if i == index]
+        raise InvalidMeasurement("; ".join(failures), index=index)
 
 
 @dataclass(frozen=True, eq=False)

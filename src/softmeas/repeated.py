@@ -34,8 +34,6 @@ from .matcore import (
     StateLike,
     _entrywise,
     _first,
-    _label,
-    _member,
     _state,
     _unchecked_sqrt,
 )
@@ -59,21 +57,29 @@ def _counts(n: int | np.ndarray) -> int | np.ndarray:
         raise InvalidParams(f"repetition counts must be integers, got dtype {counts.dtype}")
     i = _first(counts < 1)
     if i is not None:
-        raise InvalidParams(
-            f"repetition count{_label(i)} must be >= 1, got {counts[i]}", index=i or None
-        )
+        raise InvalidParams(f"repetition count must be >= 1, got {counts[i]}", index=i)
     return int(counts) if counts.ndim == 0 else counts.astype(np.int64)
 
 
 def _schur_power(matrix: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     """Elementwise n-th power of ``matrix`` for counts already checked by
-    :func:`_counts`; an array of counts gives the stack of powers."""
+    :func:`_counts`, each entry's modulus capped at 1; an array of counts
+    gives the stack of powers."""
     if np.ndim(n) == 0:
-        return matrix**n
-    powers = matrix ** n[..., None, None]
-    # ``matrix**2`` takes numpy's square loop, which can differ from the power
-    # loop in the last ulp for complex entries; match the single-count call.
-    powers[n == 2] = np.square(matrix)
+        powers = matrix**n
+    else:
+        powers = matrix ** n[..., None, None]
+        # ``matrix**2`` takes numpy's square loop, which can differ from the
+        # power loop in the last ulp for complex entries; match the
+        # single-count call.
+        powers[n == 2] = np.square(matrix)
+    # No power of a correlation entry exceeds modulus 1, but an entry whose
+    # float modulus is 1 plus an ulp grows to about e^100 at counts near
+    # 1e18; such powers are scaled back to modulus 1. Every other power
+    # keeps its bits, the sign of a zero included.
+    modulus = np.abs(powers)
+    big = modulus > 1.0
+    powers[big] /= modulus[big]
     return powers
 
 
@@ -184,7 +190,7 @@ def _check_phase(name: str, rate: float, times: float | np.ndarray, decay: float
     with np.errstate(over="ignore"):
         i = _first(np.isinf(np.multiply(rate, times)) & ~np.isinf(np.multiply(decay, times)))
     if i is not None:
-        raise InvalidParams(f"accumulated phase {name} is not finite{_member(i)}", index=i or None)
+        raise InvalidParams(f"accumulated phase {name} is not finite", index=i)
 
 
 def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.ndarray:
@@ -237,7 +243,7 @@ class ContinuousLimitParams:
         for bad, rule in ((~np.isfinite(t), "finite"), (t < 0.0, ">= 0")):
             i = _first(bad)
             if i is not None:
-                raise InvalidParams(f"t must be {rule}, got {t[i]}{_member(i)}", index=i or None)
+                raise InvalidParams(f"t must be {rule}, got {t[i]}", index=i)
         if t.ndim:
             object.__setattr__(self, "t", t)
 
@@ -332,18 +338,12 @@ def discrete_step_params(
     convention the step angle satisfies ``theta**2 = 8*kappa*dt`` so that
     the accumulated Gram off-diagonal decays as ``exp(-kappa*t)``; the
     alternative ``paper`` convention uses ``theta**2 = 4*kappa*dt`` (decay
-    ``exp(-kappa*t/2)``). ``chi_dot`` and ``r_dot`` are checked as in
-    :class:`ContinuousLimitParams`.
+    ``exp(-kappa*t/2)``). ``dt`` must be finite and positive; ``kappa``,
+    ``chi_dot`` and ``r_dot`` are checked by :class:`ContinuousLimitParams`.
     """
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise InvalidParams(f"kappa must be finite and >= 0, got {kappa}")
-    for name, rate in (("chi_dot", chi_dot), ("r_dot", r_dot)):
-        if not cmath.isfinite(complex(rate)):
-            raise InvalidParams(f"{name} must be finite, got {rate}")
-    if complex(r_dot).real < 0.0:
-        raise InvalidParams(f"Re(r_dot) must be >= 0, got {r_dot}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
+    ContinuousLimitParams(kappa=kappa, t=dt, chi_dot=chi_dot, r_dot=r_dot)
     rate = _convention(convention)
     params = TwoLevelMeterParams(theta=math.sqrt(8.0 * rate * kappa * dt), chi=chi_dot * dt)
     return params, 1.0 - complex(r_dot) * dt

@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -692,6 +693,31 @@ def scale_grids(monkeypatch, command, factor):
     monkeypatch.setitem(cli._COMMANDS, command, spec._replace(sweep=poisoned))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--param", "r12=0.6,0.8", "--param", "n=1e18:9.2e18:3"],
+        ["--param", "theta=0", "--param", "chi=0.05", "--param", "n=9.2e18:9.2e18:1"],
+    ],
+    ids=["entanglement", "gram"],
+)
+def test_repeat_of_a_unit_modulus_entry_at_huge_counts_succeeds(argv, capsys):
+    """Entries of modulus 1 whose float modulus is 1 plus an ulp, at counts
+    near the largest int64: every value lies in its domain, so the run
+    succeeds with finite output."""
+    code, err = run_failing(["repeat", *argv], capsys)
+    assert (code, err) == (0, "")
+
+
+@st.composite
+def later_block_failures(draw):
+    """A count grid of ``points`` rows, a block size ``block`` below it and
+    a failing ``row`` in a block after the first."""
+    points = draw(st.integers(2, 12))
+    block = draw(st.integers(1, points - 1))
+    return points, block, draw(st.integers(block, points - 1))
+
+
 class TestFailingGridPoint:
     """A grid value outside its domain is a config error naming the value; a
     check that fails at a grid point the parser accepted names the command,
@@ -707,8 +733,10 @@ class TestFailingGridPoint:
         code, err = run_failing(["fig3", "--param", "q=0:1:3"], capsys)
         assert code == 3
         # q = 1 (evaluated at 2) first fails at theta = 0: row 2 of 3, column 0 of 51.
-        assert err.startswith("softmeas: fig3 grid point 102 (q=1, theta=0): ")
-        assert "dephase[2, 0] is not PSD" in err
+        assert err == (
+            "softmeas: fig3 grid point 102 (q=1, theta=0): dephase is not PSD: "
+            "eigenvalue -1.000e+00; dephase has an entry with modulus > 1 (stack member [2, 0])\n"
+        )
 
     def test_scalar_closed_form_names_its_point(self, monkeypatch, capsys):
         code, err = run_failing(["fig2b", "--param", "q_B=0:3:4"], capsys)
@@ -729,7 +757,8 @@ class TestFailingGridPoint:
         scale_grids(monkeypatch, "isweep", 2.0)
         code, err = run_failing(["isweep", "--param", "q=0:1:5"], capsys)
         assert code == 3
-        assert err.startswith("softmeas: isweep grid point 3 (q=0.75): gram[3] is not PSD")
+        assert err.startswith("softmeas: isweep grid point 3 (q=0.75): gram is not PSD")
+        assert err.endswith(" (stack member [3])\n")
 
     def test_later_block_names_its_grid_point(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 2)  # two counts per block
@@ -745,11 +774,12 @@ class TestFailingGridPoint:
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 51)  # one q row per block
         code, err = run_failing(["fig3", "--param", "q=0:1:3"], capsys)
         assert code == 3
-        assert err.startswith("softmeas: fig3 grid point 102 (q=1, theta=0): ")
-        assert "dephase[2, 0] is not PSD" in err
+        assert err.startswith("softmeas: fig3 grid point 102 (q=1, theta=0): dephase is not PSD")
+        assert err.endswith(" (stack member [2, 0])\n")
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 2)
         code, err = run_failing(["isweep", "--param", "q=0:1:5"], capsys)
-        assert err.startswith("softmeas: isweep grid point 3 (q=0.75): gram[3] is not PSD")
+        assert err.startswith("softmeas: isweep grid point 3 (q=0.75): gram is not PSD")
+        assert err.endswith(" (stack member [3])\n")
 
     def test_later_block_rebases_every_label(self, monkeypatch, capsys):
         scale_grids(monkeypatch, "fig3", 2.0)
@@ -758,17 +788,31 @@ class TestFailingGridPoint:
         assert code == 3
         # Both failures are at q = 0.75, grid row 3, which is row 0 of its block.
         assert err == (
-            "softmeas: fig3 grid point 9 (q=0.75, theta=0): dephase[3, 0] is not PSD: "
-            "eigenvalue -5.000e-01; dephase[3, 0] has an entry with modulus > 1\n"
+            "softmeas: fig3 grid point 9 (q=0.75, theta=0): dephase is not PSD: "
+            "eigenvalue -5.000e-01; dephase has an entry with modulus > 1 (stack member [3, 0])\n"
         )
         config = {**cli._COMMANDS["fig3"].defaults, "q": "0:1:5", "theta": "0:1:3"}
         with pytest.raises(InvalidMeasurement) as excinfo:
             cli.run_sweep("fig3", config)
         assert excinfo.value.index == (3, 0)
-        assert excinfo.value.indices == ((3, 0), (3, 0))
-        message = "gram[1, 0] is not PSD; entanglement[0, 2] has an entry with modulus > 1"
-        assert cli._relabeled(message, ((1, 0), (0, 2)), ((41, 0), (40, 2))) == (
-            "gram[41, 0] is not PSD; entanglement[40, 2] has an entry with modulus > 1"
+
+    @settings(deadline=None, max_examples=50)
+    @given(later_block_failures())
+    def test_random_later_block_names_its_grid_row(self, case):
+        """A failure at grid row ``row`` of a later block of ``block`` rows
+        carries that row, not its place in the block, in ``index`` and in
+        the message's one closing stack member."""
+        points, block, row = case
+        # The phase n*chi first overflows at count row + 1.
+        chi = sys.float_info.max / (row + 0.5)
+        config = {**cli._COMMANDS["repeat"].defaults, "chi": repr(chi), "n": f"1:{points}:{points}"}
+        with mock.patch.object(cli, "_BLOCK_POINTS", block):
+            with pytest.raises(SoftMeasError) as excinfo:
+                cli.run_sweep("repeat", config)
+        assert excinfo.value.index == (row,)
+        assert str(excinfo.value) == (
+            f"repeat grid point {row} (n={row + 1}): "
+            f"accumulated phase n*chi is not finite (stack member [{row}])"
         )
 
     def test_non_finite_output_names_its_grid_point(self, monkeypatch, capsys):
@@ -790,7 +834,7 @@ class TestFailingGridPoint:
         # q = 0.5 is row 2 (the third block) and mu = 0.25 column 1: flat index 11.
         assert err == (
             "softmeas: fig2a grid point 11 (q=0.5, mu=0.25): "
-            "invariant violation: non-finite value in column 'I_c'\n"
+            "invariant violation: non-finite value in column 'I_c' (stack member [2, 1])\n"
         )
 
 

@@ -393,11 +393,6 @@ class TestTwoLevelArrays:
         assert str(exc.value) == "q_bob must lie in [0, 1], got 2.0 (stack member [2])"
         assert exc.value.index == (2,)
 
-    def test_array_of_unbalanced_populations_rejected(self):
-        params = CompetitionParams(q_eve=0.5, q_bob=0.5, mu=0.5, p=np.array([0.5, 0.3]))
-        with pytest.raises(OutOfRange):
-            compete_two_level(params)
-
 
 class TestMeterEnsemble:
     def test_orthogonal_meter_copies_populations(self):
@@ -700,10 +695,6 @@ class TestCompeteTwoLevel:
             ]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_unbalanced_populations_rejected(self):
-        with pytest.raises(OutOfRange):
-            compete_two_level(CompetitionParams(q_eve=0.5, q_bob=0.5, mu=0.5, p=0.3))
-
 
 def basis_ensemble():
     return StateEnsemble(
@@ -882,8 +873,10 @@ class TestStackedInformation:
         for k in range(4):
             assert infos[k] == eve_bob_semiclassical(ensemble, unitaries[k], dephase[k], bob)
         unitaries[2] *= 2.0
-        with pytest.raises(InvalidMeasurement, match=r"eve_basis\[2\] is not unitary"):
+        with pytest.raises(InvalidMeasurement) as excinfo:
             eve_bob_semiclassical(ensemble, unitaries, dephase, bob)
+        assert str(excinfo.value) == "eve_basis is not unitary (stack member [2])"
+        assert excinfo.value.index == (2,)
 
     @staticmethod
     def assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase):

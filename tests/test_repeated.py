@@ -237,6 +237,29 @@ class TestRepeatedMeasurement:
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             fn(rho, RepeatedMeasurement(base, n=3))
 
+    @pytest.mark.parametrize(
+        "entanglement_off, params, n",
+        [
+            (0.6 + 0.8j, TwoLevelMeterParams(theta=math.pi / 3.0), np.array([10**18, 51 * 10**17])),
+            (1.0, TwoLevelMeterParams(theta=0.0, chi=0.05), 92 * 10**17),
+        ],
+        ids=["entanglement", "gram"],
+    )
+    def test_unit_modulus_entry_keeps_modulus_one(self, entanglement_off, params, n):
+        """``0.6 + 0.8j`` and ``exp(0.05j)`` have modulus 1, and a float
+        modulus of 1 plus an ulp, which numpy's power raises to about e^100
+        at counts near 1e18; each power keeps modulus 1 instead, so the
+        derived joint state passes its entropy clamp."""
+        off = complex(entanglement_off)
+        base = SoftMeasurement(
+            np.array([[1.0, off], [off.conjugate(), 1.0]]), two_level_gram(params)
+        )
+        repeated = RepeatedMeasurement(base, n)
+        for power in (repeated.entanglement_n, repeated.gram_n):
+            assert np.abs(power).max() <= 1.0 + 1e-15
+        joint = joint_dm_repeated(np.full((2, 2), 0.5), repeated)
+        assert np.all(np.linalg.eigvalsh(joint) > -1e-10)
+
 
 def meter_after(rho, gram, n):
     """The repeated meter state of ``gram``; the entanglement matrix drops out."""
@@ -389,8 +412,9 @@ class TestTwoLevelGramSqrt:
         assert out.tobytes() == scalar_two_level_gram_sqrt(1.1, -0.4, 7).tobytes()
 
     def test_invalid_count_named(self):
-        with pytest.raises(InvalidParams, match=r"repetition count\[1\] must be >= 1") as exc:
+        with pytest.raises(InvalidParams) as exc:
             two_level_gram_sqrt(TwoLevelMeterParams(theta=1.0), np.array([2, 0, 3]))
+        assert str(exc.value) == "repetition count must be >= 1, got 0 (stack member [1])"
         assert exc.value.index == (1,)
 
 
@@ -585,9 +609,9 @@ class TestDiscreteToContinuous:
     @pytest.mark.parametrize(
         "kappa, dt, expected",
         [
-            (-1.0, 0.1, "kappa must be finite and >= 0, got -1.0"),
-            (math.nan, 0.1, "kappa must be finite and >= 0, got nan"),
-            (math.inf, 0.1, "kappa must be finite and >= 0, got inf"),
+            (-1.0, 0.1, "kappa must be >= 0, got -1.0"),
+            (math.nan, 0.1, "kappa must be finite, got nan"),
+            (math.inf, 0.1, "kappa must be finite, got inf"),
             (1.0, math.nan, "dt must be finite and positive, got nan"),
             (1.0, math.inf, "dt must be finite and positive, got inf"),
         ],
@@ -637,8 +661,9 @@ class TestStackedCounts:
             assert np.array_equal(meter[k], meter_dm_repeated(rho, single))
 
     def test_invalid_count_named(self):
-        with pytest.raises(InvalidParams, match=r"repetition count\[2\] must be >= 1") as excinfo:
+        with pytest.raises(InvalidParams) as excinfo:
             RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), np.array([3, 1, 0, -1]))
+        assert str(excinfo.value) == "repetition count must be >= 1, got 0 (stack member [2])"
         assert excinfo.value.index == (2,)
         with pytest.raises(InvalidParams, match="integers"):
             RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), np.array([1.0, 2.0]))
