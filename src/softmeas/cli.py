@@ -84,12 +84,12 @@ from .measurement import (
 from .repeated import (
     _CONVENTIONS,
     ContinuousLimitParams,
-    RepeatedMeasurement,
     _continuous_joint,
     _two_level_matrix,
     continuous_gram_sqrt,
     joint_dm_repeated,
     meter_dm_repeated,
+    repeat_soft,
     two_level_gram_sqrt,
 )
 
@@ -193,7 +193,7 @@ class _Param(NamedTuple):
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:
@@ -334,7 +334,7 @@ def _sweep_repeat(**values):
 
     def block(n):
         vectors = two_level_gram_sqrt(params, n)
-        repeated = RepeatedMeasurement(base=measurement, n=n)
+        repeated = repeat_soft(measurement, n)
         joint = joint_dm_repeated(rho, repeated)
         meter = meter_dm_repeated(rho, repeated)
         entropies = [_unchecked_entropy(meter), _unchecked_entropy(joint)]

@@ -41,6 +41,7 @@ from .matcore import (
     _hermitian_part,
     _matmul,
     _state,
+    _unchecked,
     _unchecked_entropy,
     herm_eig,
 )
@@ -50,7 +51,7 @@ from .measurement import (
     _meter_mix,
     _single_dim,
 )
-from .repeated import ContinuousLimitParams, RepeatedMeasurement, _convention
+from .repeated import ContinuousLimitParams, _convention
 
 # Eigenvalues of a Choi matrix below this (relative) threshold are treated
 # as numerically zero when extracting Kraus operators.
@@ -165,11 +166,12 @@ def coherent_info_channel(channel: KrausChannel, rho: StateLike) -> float:
     return _unchecked_entropy(output) - _unchecked_entropy(joint)
 
 
-def coherent_info_soft(rho: StateLike, measurement: SoftMeasurement | RepeatedMeasurement) -> float:
+def coherent_info_soft(rho: StateLike, measurement: SoftMeasurement) -> float:
     """Coherent information kept in the object by a soft measurement, bits.
 
     Closed form: with the measurement's multiplier ``m`` (``R * conj(Q)``
-    entrywise, or ``R**n * conj(Q**n)`` for a repeated measurement) the value is
+    entrywise; ``R**n * conj(Q**n)`` for the measurement that
+    :func:`~softmeas.repeated.repeat_soft` derives) the value is
     ``S[m * rho] - S[sqrt(rho_kk) m_kl sqrt(rho_ll)]`` (entrywise products).
     A raw ``rho`` is checked where it enters, a :class:`DensityMatrix` was
     checked when it was built, and so was the measurement. Both entropy
@@ -296,10 +298,8 @@ def _derived_ensemble(probs: np.ndarray, states: tuple[np.ndarray, ...]) -> Stat
     ``states`` that library code derived from checked parts, built without
     its checks; the spectra are the ``eigvalsh`` of the Hermitian part, as
     in the density check, so they hold the same floats."""
-    ensemble = object.__new__(StateEnsemble)
     spectra = tuple(np.linalg.eigvalsh(_hermitian_part(s)) for s in states)
-    ensemble.__dict__.update(probs=probs, states=states, spectra=spectra)
-    return ensemble
+    return _unchecked(StateEnsemble, probs=probs, states=states, spectra=spectra)
 
 
 def meter_ensemble(ensemble: StateEnsemble, measurement: SoftMeasurement) -> StateEnsemble:

@@ -34,8 +34,9 @@ part that the check takes, so it has the same floats, and whose clamp still
 raises on an eigenvalue below ``-ENTROPY_CLAMP``. A Gram matrix derived so
 (the Schur power ``Q**n`` of a checked ``Q``) likewise takes its root through
 ``_unchecked_sqrt``, the decomposition and root of :func:`matrix_sqrt_psd`
-without its checks. Checking them again would only add up the tolerances of
-their factors.
+without its checks, and a checked type that holds derived values is built
+through ``_unchecked``, without its ``__post_init__``. Checking them again
+would only add up the tolerances of their factors.
 
 Working dimensions are small (<= 64), so everything is backed by dense
 LAPACK routines through ``numpy.linalg``, which loops over a stack in C.
@@ -221,6 +222,15 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     if i is not None:
         raise NotPSD(f"smallest eigenvalue {w[i][0]:.3e} below -{TAU_PSD:.1e}", index=i)
     return _root_of_spectrum(w, v)
+
+
+def _unchecked(cls: type, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, built without
+    running its ``__post_init__`` checks: for values that library code
+    derives from checked parts, which are valid by construction."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def _unchecked_sqrt(matrix: np.ndarray) -> np.ndarray:

@@ -102,8 +102,10 @@ class SoftMeasurement:
 
     Both matrices are checked when the measurement is built: each must be
     Hermitian, PSD and unit-diagonal, and their shapes must match;
-    otherwise :class:`InvalidMeasurement` names every failed check. The
-    meter states (``meter_vectors``) are synthesized on first use and kept.
+    otherwise :class:`InvalidMeasurement` names every failed check. One
+    derived from checked parts (:func:`~softmeas.repeated.repeat_soft`) is
+    built without the checks. The meter states (``meter_vectors``) are
+    synthesized on first use and kept.
     """
 
     entanglement: np.ndarray
@@ -171,10 +173,17 @@ def apply_soft(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
     real Gram matrices that conjugate is invisible.
     """
     d = _single_dim(measurement)
-    weights = measurement.entanglement * _state(rho, d).matrix
-    vecs = measurement.meter_vectors
-    joint = np.einsum("kl,ak,bl->kalb", weights, vecs, vecs.conj())
-    return joint.reshape(d * d, d * d)
+    return _joint(measurement.entanglement * _state(rho, d).matrix, measurement.meter_vectors)
+
+
+def _joint(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The object (x) meter state ``sum_kl weights[k,l] |k><l| (x) |v_k><v_l|``
+    of the meter states ``v_k`` (the columns of ``vectors``), row index
+    ``k * D + a``; stack axes in front broadcast and give one state per
+    member."""
+    joint = np.einsum("...kl,...ak,...bl->...kalb", weights, vectors, vectors.conj())
+    d = joint.shape[-1]
+    return joint.reshape(joint.shape[:-4] + (d * d, d * d))
 
 
 @dataclass(frozen=True, eq=False)

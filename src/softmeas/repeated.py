@@ -5,9 +5,11 @@ multiplies the entanglement matrix entrywise (``R -> R**n``) and raises the
 meter Gram matrix to the elementwise n-th power. Although the accumulated
 meter lives in an n-fold tensor space, only a ``D``-dimensional collective
 subspace is ever populated, so all joint states here are expressed in that
-fixed basis. A :class:`RepeatedMeasurement` is fixed by its base
-measurement and ``n``: it derives both powers and the collective meter
-vectors once, when it is built, and the functions that take one read them.
+fixed basis. The ``n`` repetitions thus act on the object as one soft
+measurement: :func:`repeat_soft` returns it as a
+:class:`~softmeas.measurement.SoftMeasurement` holding both powers, whose
+meter states are the collective meter vectors, so every function that takes
+a single measurement takes one repeated a scalar number of times too.
 
 For a two-level meter the elementwise Gram powers admit closed forms, and
 letting the per-step angle shrink as the step count grows produces a
@@ -15,9 +17,10 @@ diffusion limit governed by a decay rate ``kappa`` (off-diagonal Gram
 modulus ``exp(-kappa*t)``), a phase drift ``chi_dot`` and a complex external
 dephasing rate ``r_dot``.
 
-Index layout: ``joint_dm_repeated`` orders factors meter (x) object, while
-``joint_dm_continuous`` orders them object (x) meter, matching the closed
-4x4 form it implements. Both document this in their docstrings; the partial
+Index layout: ``joint_dm_continuous`` orders factors object (x) meter,
+matching the closed 4x4 form it implements, and builds its state as
+:func:`~softmeas.measurement.apply_soft` does; ``joint_dm_repeated`` orders
+them meter (x) object. Both document this in their docstrings; the partial
 trace helper in :mod:`softmeas.matcore` handles either layout.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +38,12 @@ from .matcore import (
     _entrywise,
     _first,
     _state,
-    _unchecked_sqrt,
+    _unchecked,
 )
 from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
+    _joint,
     _meter_mix,
     _single_dim,
 )
@@ -83,82 +87,64 @@ def _schur_power(matrix: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     return powers
 
 
-@dataclass(frozen=True, eq=False)
-class RepeatedMeasurement:
-    """A base soft measurement applied ``n`` times with result accumulation.
+def repeat_soft(base: SoftMeasurement, n: int | np.ndarray) -> SoftMeasurement:
+    """The soft measurement that ``n`` repetitions of ``base`` make: its
+    entanglement matrix is ``R**n`` and its Gram matrix ``Q**n``
+    (entrywise), and its meter states span the ``D``-dimensional collective
+    subspace.
 
-    Everything the repetition derives from ``(base, n)`` is computed once,
-    when it is built: ``entanglement_n`` (``R**n`` entrywise), ``gram_n``
-    (``Q**n`` entrywise) and the collective meter vectors
-    ``meter_vectors``, the principal square root of ``gram_n``. The base
-    was checked when it was built and must be one ``D x D`` pair;
-    :class:`DimensionMismatch` names the shape of a stacked one. ``gram_n``
-    is PSD by construction and is not checked again: its rounding grows
-    with ``n``, so a base that passed its own check could fail one here.
-
-    ``n`` may be an integer array: the object then stands for one repeated
-    measurement per count, and every derived field and the functions below
-    give stacks, one member per count.
+    ``base`` was checked when it was built and must be one ``D x D`` pair;
+    :class:`DimensionMismatch` names the shape of a stacked one. The powers
+    are correlation matrices by construction and are not checked again:
+    their rounding grows with ``n``, so a base that passed its own check
+    could fail one here. An integer array of counts gives the stacked
+    measurement, one member per count.
     """
-
-    base: SoftMeasurement
-    n: int | np.ndarray = 1
-    entanglement_n: np.ndarray = field(init=False, repr=False)
-    gram_n: np.ndarray = field(init=False, repr=False)
-    meter_vectors: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = _counts(self.n)
-        _single_dim(self.base, "base measurement")
-        gram_n = _schur_power(self.base.gram, n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entanglement_n", _schur_power(self.base.entanglement, n))
-        object.__setattr__(self, "gram_n", gram_n)
-        object.__setattr__(self, "meter_vectors", _unchecked_sqrt(gram_n))
-
-    @property
-    def multiplier(self) -> np.ndarray:
-        """``entanglement_n * conj(gram_n)`` entrywise (``R**n * conj(Q**n)``):
-        the Hadamard multiplier of the object-output channel of ``n`` steps,
-        which is what tracing the meter out of :func:`joint_dm_repeated`
-        leaves."""
-        return self.entanglement_n * self.gram_n.conj()
+    n = _counts(n)
+    _single_dim(base, "base measurement")
+    return _unchecked(
+        SoftMeasurement,
+        entanglement=_schur_power(base.entanglement, n),
+        gram=_schur_power(base.gram, n),
+    )
 
 
-def collective_representation(gram: np.ndarray, n: int | np.ndarray) -> RepeatedMeasurement:
-    """``n`` repetitions of the Gram matrix ``gram`` with identity
-    entanglement: its ``gram_n`` and collective ``meter_vectors`` are those
-    of every measurement with this Gram matrix. Kept for the benchmark's
-    layer trace, which counts its calls by name."""
-    return RepeatedMeasurement(SoftMeasurement(np.eye(np.atleast_1d(gram).shape[-1]), gram), n)
+def collective_representation(gram: np.ndarray, n: int | np.ndarray) -> SoftMeasurement:
+    """:func:`repeat_soft` of ``n`` repetitions of the Gram matrix ``gram``
+    with identity entanglement: its ``gram`` and ``meter_vectors`` are those
+    of every repetition of a measurement with this Gram matrix. Kept for the
+    benchmark's layer trace, which counts its calls by name."""
+    return repeat_soft(SoftMeasurement(np.eye(np.atleast_1d(gram).shape[-1]), gram), n)
 
 
-def joint_dm_repeated(rho: StateLike, repeated: RepeatedMeasurement) -> np.ndarray:
-    """Joint meter-object state after ``n`` accumulated measurements.
+def joint_dm_repeated(rho: StateLike, repeated: SoftMeasurement) -> np.ndarray:
+    """Joint meter-object state of a repeated measurement (one that
+    :func:`repeat_soft` derives), in the collective meter basis.
 
     Factor order is meter (x) object (row index ``k * D + i`` with ``k``
     collective-meter, ``i`` object). Entry ``((k,i),(l,j))`` is
     ``R[i,j]**n * rho[i,j] * V[k,i] * conj(V[l,j])`` with ``V`` the
-    collective meter vectors that ``repeated`` holds. An array of counts
-    gives one joint state per count. ``rho`` must be one ``D x D`` state of
-    the measured object.
+    collective meter vectors of ``repeated``. A stacked measurement (an
+    array of counts) gives one joint state per member. ``rho`` must be one
+    ``D x D`` state of the measured object.
     """
-    d = repeated.base.dim
-    weights = repeated.entanglement_n * _state(rho, d).matrix
+    d = repeated.dim
+    weights = repeated.entanglement * _state(rho, d).matrix
     vectors = repeated.meter_vectors
     joint = np.einsum("...ij,...ki,...lj->...kilj", weights, vectors, vectors.conj())
     return joint.reshape(joint.shape[:-4] + (d * d, d * d))
 
 
-def meter_dm_repeated(rho: StateLike, repeated: RepeatedMeasurement) -> np.ndarray:
-    """Reduced meter state after ``n`` measurements, in the collective basis.
+def meter_dm_repeated(rho: StateLike, repeated: SoftMeasurement) -> np.ndarray:
+    """Reduced meter state of a repeated measurement, in the collective basis.
 
     Depends only on the object populations (the entanglement matrix drops
     out entirely): ``V @ diag(rho_kk) @ V^dagger`` with ``V`` the collective
-    meter vectors that ``repeated`` holds. ``rho`` is checked as in
-    :func:`joint_dm_repeated`. An array of counts gives one state per count.
+    meter vectors of ``repeated``. ``rho`` is checked as in
+    :func:`joint_dm_repeated`. A stacked measurement gives one state per
+    member.
     """
-    rho = _state(rho, repeated.base.dim).matrix
+    rho = _state(rho, repeated.dim).matrix
     return _meter_mix(repeated.meter_vectors, np.diagonal(rho).real)
 
 
@@ -306,9 +292,7 @@ def _continuous_joint(
 ) -> np.ndarray:
     """:func:`joint_dm_continuous` of a checked two-level ``rho`` from the
     meter vectors of :func:`continuous_gram_sqrt`."""
-    weights = _dephasing_matrix(params) * rho
-    joint = np.einsum("...ij,...ki,...lj->...ikjl", weights, vectors, vectors.conj())
-    return joint.reshape(joint.shape[:-4] + (4, 4))
+    return _joint(_dephasing_matrix(params) * rho, vectors)
 
 
 # The kappa conventions, each one overlap rate: the meter overlap decays as
@@ -338,12 +322,16 @@ def discrete_step_params(
     convention the step angle satisfies ``theta**2 = 8*kappa*dt`` so that
     the accumulated Gram off-diagonal decays as ``exp(-kappa*t)``; the
     alternative ``paper`` convention uses ``theta**2 = 4*kappa*dt`` (decay
-    ``exp(-kappa*t/2)``). ``dt`` must be finite and positive; ``kappa``,
-    ``chi_dot`` and ``r_dot`` are checked by :class:`ContinuousLimitParams`.
+    ``exp(-kappa*t/2)``). The entanglement entry is the exact per-step
+    dephasing ``exp(-r_dot*dt)``: its modulus ``exp(-Re(r_dot)*dt)`` is at
+    most 1 for every accepted ``r_dot``, so the step is always a valid
+    measurement, and its ``n``-th power is the limit's ``exp(-r_dot*t)``.
+    ``dt`` must be finite and positive; ``kappa``, ``chi_dot`` and
+    ``r_dot`` are checked by :class:`ContinuousLimitParams`.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
     ContinuousLimitParams(kappa=kappa, t=dt, chi_dot=chi_dot, r_dot=r_dot)
     rate = _convention(convention)
     params = TwoLevelMeterParams(theta=math.sqrt(8.0 * rate * kappa * dt), chi=chi_dot * dt)
-    return params, 1.0 - complex(r_dot) * dt
+    return params, cmath.exp(-complex(r_dot) * dt)

@@ -39,12 +39,12 @@ from softmeas.measurement import (
 )
 from softmeas.repeated import (
     ContinuousLimitParams,
-    RepeatedMeasurement,
     discrete_step_params,
     joint_dm_continuous,
     joint_dm_repeated,
     meter_dm_continuous,
     meter_dm_repeated,
+    repeat_soft,
     two_level_gram_sqrt,
 )
 
@@ -134,7 +134,7 @@ def test_criterion_4_discrete_to_continuous_convergence():
             step, r12 = discrete_step_params(kappa, chi_dot, r_dot, t / n)
             ent = np.array([[1.0, r12], [np.conj(r12), 1.0]])
             base = SoftMeasurement(ent, two_level_gram(step))
-            approx = joint_dm_repeated(rho, RepeatedMeasurement(base, n=n))
+            approx = joint_dm_repeated(rho, repeat_soft(base, n))
             errors.append(float(np.abs(swap_factors(approx, 2, 2) - exact).max()))
         ratios = [b / a for a, b in zip(errors, errors[1:])]
         detail.append(f"kt={kt}: ratios {ratios[0]:.3f},{ratios[1]:.3f}")
@@ -250,17 +250,17 @@ def test_criterion_9_superoperator_fuzz():
         n = 1 + case % 3
         ent_b = rand_correlation(rng, dim)
         meter_a = partial_trace(
-            joint_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent, gram), n=n)),
+            joint_dm_repeated(rho, repeat_soft(SoftMeasurement(ent, gram), n)),
             [dim, dim],
             keep=0,
         )
         meter_b = partial_trace(
-            joint_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent_b, gram), n=n)),
+            joint_dm_repeated(rho, repeat_soft(SoftMeasurement(ent_b, gram), n)),
             [dim, dim],
             keep=0,
         )
         meter_identical = meter_identical and np.array_equal(meter_a, meter_b)
-        repeated = RepeatedMeasurement(SoftMeasurement(ent, gram), n=n)
+        repeated = repeat_soft(SoftMeasurement(ent, gram), n)
         meter_identical = meter_identical and np.array_equal(
             meter_dm_repeated(rho, repeated), meter_dm_repeated(rho, repeated)
         )

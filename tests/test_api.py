@@ -23,7 +23,6 @@ PUBLIC = [
     "NotHermitian",
     "NotPSD",
     "OutOfRange",
-    "RepeatedMeasurement",
     "SoftMeasError",
     "SoftMeasurement",
     "Spectrum",
@@ -54,6 +53,7 @@ PUBLIC = [
     "meter_dm_repeated",
     "meter_ensemble",
     "partial_trace",
+    "repeat_soft",
     "semiclassical_info_continuous",
     "soft_object_channel",
     "two_level_gram",
@@ -64,11 +64,13 @@ PUBLIC = [
 ]
 
 # Names that were public once and are gone on purpose: nothing in the
-# package's quantities or reference routes used them.
+# package's quantities or reference routes used them, or another name does
+# their work.
 REMOVED = [
     "CollectiveRepresentation",
     "GeneratorRates",
     "RANK_TOL",
+    "RepeatedMeasurement",
     "ZeroDt",
     "ValidationReport",
     "ZeroMatrix",
@@ -140,9 +142,6 @@ ARRAY_VALUES = {
     "DensityMatrix": lambda: softmeas.DensityMatrix(np.eye(2) / 2.0),
     "StateEnsemble": lambda: softmeas.StateEnsemble(np.array([1.0]), (np.eye(2) / 2.0,)),
     "KrausChannel": lambda: softmeas.KrausChannel((np.eye(2),)),
-    "RepeatedMeasurement": lambda: softmeas.RepeatedMeasurement(
-        softmeas.SoftMeasurement(np.eye(2), np.eye(2)), np.array([1, 2])
-    ),
 }
 
 

@@ -287,6 +287,19 @@ class TestErrorHandling:
         reason = "not UTF-8 text (invalid start byte)"
         assert err == f"softmeas: config error: cannot read config file {cfg}: {reason}\n"
 
+    def test_config_file_byte_order_mark_is_skipped(self, tmp_path):
+        """A UTF-8 byte-order mark, as some editors write one, is not part
+        of the first key: the file gives the bytes of the same file without it."""
+        text = b"theta = 1.0\nrho_mu = 0.3\n"
+        outputs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            code, out = run_cli(["single", "--config", str(cfg)], tmp_path, f"{name}.csv")
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_unwritable_out_is_config_error(self, tmp_path, capsys):
         for out in (tmp_path / "missing" / "x.csv", tmp_path):
             code, err = run_failing(["fig2a", "--param", "q=0:1:3", "--out", str(out)], capsys)

@@ -62,9 +62,9 @@ from softmeas.matcore import (
 from softmeas.measurement import SoftMeasurement, apply_soft
 from softmeas.repeated import (
     ContinuousLimitParams,
-    RepeatedMeasurement,
     continuous_gram_sqrt,
     meter_dm_repeated,
+    repeat_soft,
 )
 
 
@@ -818,7 +818,7 @@ class TestToleranceEdgeInputs:
         "quantity",
         [
             lambda rho, m: coherent_info_soft(rho, m),
-            lambda rho, m: coherent_info_soft(rho, RepeatedMeasurement(m, 3)),
+            lambda rho, m: coherent_info_soft(rho, repeat_soft(m, 3)),
             lambda rho, m: holevo_info(meter_ensemble(edge_ensemble(rho), m)),
             lambda rho, m: eve_bob_semiclassical(edge_ensemble(rho), 0.3, m.gram, m),
         ],
@@ -838,8 +838,8 @@ class TestToleranceEdgeInputs:
         skewed = SoftMeasurement(np.eye(2), gram + [[0.0, 0.0], [9e-11, 0.0]])
         exact = SoftMeasurement(np.eye(2), gram)
         np.testing.assert_allclose(
-            RepeatedMeasurement(skewed, n).meter_vectors,
-            RepeatedMeasurement(exact, n).meter_vectors,
+            repeat_soft(skewed, n).meter_vectors,
+            repeat_soft(exact, n).meter_vectors,
             rtol=0.0,
             atol=1e-8,
         )
@@ -1092,7 +1092,7 @@ class TestInformationBalance:
     @given(st.integers(2, 6), st.integers(1, 29), st.integers(0, 2**32 - 1))
     def test_repeated_meter_entropy_is_a_schur_product(self, dim, n, seed):
         rho, measurement, p = self.draw(dim, seed)
-        meter = meter_dm_repeated(rho, RepeatedMeasurement(measurement, n))
+        meter = meter_dm_repeated(rho, repeat_soft(measurement, n))
         assert von_neumann_entropy(meter) == pytest.approx(
             self.schur_entropy(p, measurement.gram**n), abs=1e-12
         )
@@ -1112,7 +1112,7 @@ class TestInformationBalance:
         ``I_s`` from the meter ensemble, and for ``n`` steps, with ``I_s``
         the entropy of the meter state."""
         rho, measurement, p = self.draw(dim, seed)
-        repeated = RepeatedMeasurement(measurement, n)
+        repeated = repeat_soft(measurement, n)
         bound, entropy = self.shannon(p), von_neumann_entropy(rho)
         for coherent, semiclassical in (
             (coherent_info_soft(rho, measurement), self.meter_holevo(p, measurement)),

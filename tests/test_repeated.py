@@ -1,6 +1,7 @@
 """Repeated-measurement and continuous-limit tests."""
 
 import cmath
+import inspect
 import math
 import re
 
@@ -22,6 +23,7 @@ from conftest import (
 
 from softmeas import repeated
 from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidParams, SoftMeasError
+from softmeas.information import coherent_info_channel, coherent_info_soft, soft_object_channel
 from softmeas.matcore import (
     matrix_sqrt_psd,
     partial_trace,
@@ -36,7 +38,6 @@ from softmeas.measurement import (
 )
 from softmeas.repeated import (
     ContinuousLimitParams,
-    RepeatedMeasurement,
     collective_representation,
     continuous_gram_sqrt,
     discrete_step_params,
@@ -44,6 +45,7 @@ from softmeas.repeated import (
     joint_dm_repeated,
     meter_dm_continuous,
     meter_dm_repeated,
+    repeat_soft,
     two_level_gram_sqrt,
 )
 
@@ -51,7 +53,7 @@ from softmeas.repeated import (
 def gram_power(gram, n):
     """The elementwise power ``gram**n`` that a repeated measurement of
     ``gram`` derives; an array of counts gives the stack of powers."""
-    return RepeatedMeasurement(SoftMeasurement(np.eye(np.shape(gram)[-1]), gram), n).gram_n
+    return repeat_soft(SoftMeasurement(np.eye(np.shape(gram)[-1]), gram), n).gram
 
 
 def scalar_powers(matrix, n):
@@ -128,12 +130,12 @@ class TestCollectiveRepresentation:
                     np.linalg.norm(rep.meter_vectors, axis=0), np.ones(dim), atol=1e-12, rtol=0.0
                 )
                 np.testing.assert_allclose(
-                    rep.meter_vectors.conj().T @ rep.meter_vectors, rep.gram_n, atol=1e-10, rtol=0.0
+                    rep.meter_vectors.conj().T @ rep.meter_vectors, rep.gram, atol=1e-10, rtol=0.0
                 )
 
     def test_degenerate_gram_reports_reduced_rank(self):
         rep = collective_representation(np.ones((3, 3)), 5)
-        np.testing.assert_array_equal(rep.gram_n, np.ones((3, 3)))
+        np.testing.assert_array_equal(rep.gram, np.ones((3, 3)))
         # All three meter states coincide: one collective direction is populated.
         expected = np.full((3, 3), 1.0 / math.sqrt(3.0))
         np.testing.assert_allclose(rep.meter_vectors, expected, rtol=0.0, atol=1e-13)
@@ -150,7 +152,7 @@ class TestJointRepeated:
     def test_projective_single_shot(self):
         rng = np.random.default_rng(43)
         rho = rand_density(rng, 2)
-        rm = RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), n=1)
+        rm = repeat_soft(SoftMeasurement(np.eye(2), np.eye(2)), 1)
         joint = joint_dm_repeated(rho, rm)
         expected = np.zeros((4, 4), dtype=complex)
         for k in range(2):
@@ -162,7 +164,7 @@ class TestJointRepeated:
         for dim in (2, 3):
             rho = rand_density(rng, dim)
             base = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
-            meter_major = joint_dm_repeated(rho, RepeatedMeasurement(base, n=1))
+            meter_major = joint_dm_repeated(rho, repeat_soft(base, 1))
             object_major = apply_soft(base, rho)
             np.testing.assert_allclose(
                 swap_factors(meter_major, dim, dim), object_major, atol=1e-13, rtol=0.0
@@ -177,10 +179,10 @@ class TestJointRepeated:
         ent_b = rand_correlation(rng, dim)
         traces = []
         for ent in (ent_a, ent_b):
-            joint = joint_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent, q), n=n))
+            joint = joint_dm_repeated(rho, repeat_soft(SoftMeasurement(ent, q), n))
             traces.append(partial_trace(joint, [dim, dim], keep=0))
         assert np.array_equal(traces[0], traces[1])
-        meter = meter_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(ent_a, q), n=n))
+        meter = meter_dm_repeated(rho, repeat_soft(SoftMeasurement(ent_a, q), n))
         np.testing.assert_allclose(traces[0], meter, atol=1e-13, rtol=0.0)
 
     def test_outputs_are_valid_states(self):
@@ -189,11 +191,11 @@ class TestJointRepeated:
             for n in (1, 2, 6):
                 rho = rand_density(rng, dim)
                 base = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
-                validate_density_matrix(joint_dm_repeated(rho, RepeatedMeasurement(base, n=n)))
+                validate_density_matrix(joint_dm_repeated(rho, repeat_soft(base, n)))
 
     def test_rejects_invalid_repetition_count(self):
         with pytest.raises(InvalidParams):
-            RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), n=0)
+            repeat_soft(SoftMeasurement(np.eye(2), np.eye(2)), 0)
 
     @pytest.mark.parametrize("members", [2, 3])
     def test_rejects_stacked_base(self, members):
@@ -203,20 +205,28 @@ class TestJointRepeated:
             f"got a stack of shape ({members}, 2, 2)"
         )
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
-            RepeatedMeasurement(base, n=2)
+            repeat_soft(base, 2)
 
 
 class TestRepeatedMeasurement:
+    """The soft measurement that ``repeat_soft`` derives."""
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, np.array([1, 2, 7, 40])])
     def test_holds_the_powers_and_their_root(self, dim, n):
         rng = np.random.default_rng(49 + dim)
         base = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
-        repeated = RepeatedMeasurement(base, n)
-        gram_n = scalar_powers(base.gram, n)
-        assert np.array_equal(repeated.entanglement_n, scalar_powers(base.entanglement, n))
-        assert np.array_equal(repeated.gram_n, gram_n)
-        assert np.array_equal(repeated.meter_vectors, matrix_sqrt_psd(gram_n))
+        repeated = repeat_soft(base, n)
+        gram_powers = scalar_powers(base.gram, n)
+        assert np.array_equal(repeated.entanglement, scalar_powers(base.entanglement, n))
+        assert np.array_equal(repeated.gram, gram_powers)
+        assert np.array_equal(repeated.meter_vectors, matrix_sqrt_psd(gram_powers))
+
+    def test_is_a_soft_measurement_of_a_required_count(self):
+        repeated = repeat_soft(SoftMeasurement(np.eye(2), np.eye(2)), 3)
+        assert type(repeated) is SoftMeasurement
+        n = inspect.signature(repeat_soft).parameters["n"]
+        assert n.default is inspect.Parameter.empty
 
     @pytest.mark.parametrize("fn", [joint_dm_repeated, meter_dm_repeated])
     @pytest.mark.parametrize(
@@ -235,7 +245,7 @@ class TestRepeatedMeasurement:
         with pytest.raises(SoftMeasError) as expected:
             apply_soft(base, rho)
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-            fn(rho, RepeatedMeasurement(base, n=3))
+            fn(rho, repeat_soft(base, 3))
 
     @pytest.mark.parametrize(
         "entanglement_off, params, n",
@@ -254,16 +264,43 @@ class TestRepeatedMeasurement:
         base = SoftMeasurement(
             np.array([[1.0, off], [off.conjugate(), 1.0]]), two_level_gram(params)
         )
-        repeated = RepeatedMeasurement(base, n)
-        for power in (repeated.entanglement_n, repeated.gram_n):
+        repeated = repeat_soft(base, n)
+        for power in (repeated.entanglement, repeated.gram):
             assert np.abs(power).max() <= 1.0 + 1e-15
         joint = joint_dm_repeated(np.full((2, 2), 0.5), repeated)
         assert np.all(np.linalg.eigvalsh(joint) > -1e-10)
 
 
+class TestRepeatedThroughSingleRoutes:
+    """A repeated measurement is the soft measurement of the powers, so the
+    routes that take a single measurement take it, and agree."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 6), st.integers(1, 29), st.integers(0, 2**32 - 1))
+    def test_routes_agree(self, dim, n, seed):
+        """For complex R, Q and rho: tracing the meter out of the joint state
+        leaves ``multiplier * rho``; that joint state is the meter-major one
+        of ``joint_dm_repeated`` with its factors swapped, bit for bit; the
+        Kraus route is a channel and gives the closed form's coherent
+        information."""
+        rng = np.random.default_rng(seed)
+        rho = rand_density(rng, dim)
+        base = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
+        m = repeat_soft(base, n)
+        joint = apply_soft(m, rho)
+        reduced = partial_trace(joint, [dim, dim], keep=0)
+        np.testing.assert_allclose(reduced, m.multiplier * rho, atol=1e-12, rtol=0.0)
+        assert np.array_equal(joint, swap_factors(joint_dm_repeated(rho, m), dim, dim))
+        channel = soft_object_channel(m)
+        channel.validate()
+        assert coherent_info_channel(channel, rho) == pytest.approx(
+            coherent_info_soft(rho, m), abs=1e-10
+        )
+
+
 def meter_after(rho, gram, n):
     """The repeated meter state of ``gram``; the entanglement matrix drops out."""
-    return meter_dm_repeated(rho, RepeatedMeasurement(SoftMeasurement(np.eye(2), gram), n))
+    return meter_dm_repeated(rho, repeat_soft(SoftMeasurement(np.eye(2), gram), n))
 
 
 class TestMeterRepeated:
@@ -553,9 +590,9 @@ class TestJointEntropyFromObjectSpace:
         assert von_neumann_entropy(apply_soft(measurement, rho)) == pytest.approx(
             expected, abs=1e-12
         )
-        repeated = RepeatedMeasurement(measurement, n)
+        repeated = repeat_soft(measurement, n)
         assert von_neumann_entropy(joint_dm_repeated(rho, repeated)) == pytest.approx(
-            von_neumann_entropy(repeated.entanglement_n * rho), abs=1e-12
+            von_neumann_entropy(repeated.entanglement * rho), abs=1e-12
         )
 
     @settings(deadline=None, max_examples=60)
@@ -588,10 +625,33 @@ class TestDiscreteToContinuous:
             step, r12 = discrete_step_params(kappa, chi_dot, r_dot, t / n)
             ent = np.array([[1.0, r12], [np.conj(r12), 1.0]])
             base = SoftMeasurement(ent, two_level_gram(step))
-            approx = joint_dm_repeated(rho, RepeatedMeasurement(base, n=n))
+            approx = joint_dm_repeated(rho, repeat_soft(base, n))
             errors.append(np.abs(swap_factors(approx, 2, 2) - exact).max())
         assert errors[1] <= 0.8 * errors[0]
         assert errors[2] <= 0.8 * errors[1]
+
+    @pytest.mark.parametrize("dt", [0.01, 2.0])
+    @pytest.mark.parametrize("r_dot", [0.3j, 2j, 0.2 + 0.5j])
+    def test_step_is_a_measurement(self, r_dot, dt):
+        """The step's entanglement entry has modulus ``exp(-Re(r_dot)*dt)``,
+        at most 1 for a purely imaginary rate too, so the step builds."""
+        step, r12 = discrete_step_params(0.1, 0.0, r_dot, dt)
+        assert abs(r12) <= 1.0
+        SoftMeasurement(np.array([[1.0, r12], [np.conj(r12), 1.0]]), two_level_gram(step))
+
+    def test_imaginary_rate_converges_first_order(self):
+        rho = rand_density(np.random.default_rng(57), 2)
+        params = ContinuousLimitParams(kappa=1.0, t=1.0, chi_dot=0.7, r_dot=0.8j)
+        exact = joint_dm_continuous(rho, params)
+        errors = []
+        for n in (16, 32, 64, 128):
+            step, r12 = discrete_step_params(1.0, 0.7, 0.8j, 1.0 / n)
+            ent = np.array([[1.0, r12], [np.conj(r12), 1.0]])
+            base = SoftMeasurement(ent, two_level_gram(step))
+            approx = joint_dm_repeated(rho, repeat_soft(base, n))
+            errors.append(np.abs(swap_factors(approx, 2, 2) - exact).max())
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine == pytest.approx(coarse / 2.0, rel=0.05)
 
     def test_paper_convention_halves_decay_rate(self):
         kappa, t, n = 1.0, 1.0, 400
@@ -644,7 +704,7 @@ class TestStackedCounts:
         rep = collective_representation(q, counts)
         for k, n in enumerate(counts.tolist()):
             single = collective_representation(q, n)
-            assert np.array_equal(rep.gram_n[k], single.gram_n)
+            assert np.array_equal(rep.gram[k], single.gram)
             assert np.array_equal(rep.meter_vectors[k], single.meter_vectors)
 
     def test_count_stack_gives_the_same_states(self):
@@ -652,32 +712,34 @@ class TestStackedCounts:
         rho = rand_density(rng, 2)
         base = SoftMeasurement(rand_correlation(rng, 2), rand_correlation(rng, 2))
         counts = np.array([1, 3, 9])
-        stacked = RepeatedMeasurement(base, counts)
+        stacked = repeat_soft(base, counts)
         joint = joint_dm_repeated(rho, stacked)
         meter = meter_dm_repeated(rho, stacked)
         for k, n in enumerate(counts.tolist()):
-            single = RepeatedMeasurement(base, n)
+            single = repeat_soft(base, n)
             assert np.array_equal(joint[k], joint_dm_repeated(rho, single))
             assert np.array_equal(meter[k], meter_dm_repeated(rho, single))
 
     def test_invalid_count_named(self):
         with pytest.raises(InvalidParams) as excinfo:
-            RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), np.array([3, 1, 0, -1]))
+            repeat_soft(SoftMeasurement(np.eye(2), np.eye(2)), np.array([3, 1, 0, -1]))
         assert str(excinfo.value) == "repetition count must be >= 1, got 0 (stack member [2])"
         assert excinfo.value.index == (2,)
         with pytest.raises(InvalidParams, match="integers"):
-            RepeatedMeasurement(SoftMeasurement(np.eye(2), np.eye(2)), np.array([1.0, 2.0]))
+            repeat_soft(SoftMeasurement(np.eye(2), np.eye(2)), np.array([1.0, 2.0]))
 
 
 class TestCountsAreIntegers:
     """A count is checked the same way whether it comes alone or in an array."""
 
     ROUTES = {
-        "RepeatedMeasurement": lambda n: RepeatedMeasurement(
+        # Keyed by the repeated measurement's former type name, which the
+        # test ids keep.
+        "RepeatedMeasurement": lambda n: repeat_soft(
             SoftMeasurement(np.eye(2), np.eye(2)), n
-        ).n,
+        ).gram,
         "two_level_gram_sqrt": lambda n: two_level_gram_sqrt(TwoLevelMeterParams(theta=1.0), n),
-        "collective_representation": lambda n: collective_representation(np.eye(2), n).n,
+        "collective_representation": lambda n: collective_representation(np.eye(2), n).gram,
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -695,11 +757,9 @@ class TestCountsAreIntegers:
         "n", [3, np.int64(3), np.uint8(3), np.array(3)], ids=["int", "int64", "uint8", "0-d array"]
     )
     def test_integer_count_accepted(self, route, n):
-        assert np.array_equal(self.ROUTES[route](n), self.ROUTES[route](np.array([3]))[0])
-
-    def test_scalar_count_is_an_int(self):
-        base = SoftMeasurement(np.eye(2), np.eye(2))
-        assert type(RepeatedMeasurement(base, np.int64(3)).n) is int
+        value = self.ROUTES[route](n)
+        assert np.array_equal(value, self.ROUTES[route](3))
+        assert np.array_equal(value, self.ROUTES[route](np.array([3]))[0])
 
 
 class TestContinuousParamsFinite:

@@ -28,11 +28,11 @@ from softmeas.measurement import (
 )
 from softmeas.repeated import (
     ContinuousLimitParams,
-    RepeatedMeasurement,
     joint_dm_continuous,
     joint_dm_repeated,
     meter_dm_continuous,
     meter_dm_repeated,
+    repeat_soft,
 )
 
 
@@ -43,12 +43,13 @@ def state_functions(rng, dim):
     ent, gram = rand_correlation(rng, dim), rand_correlation(rng, dim)
     other = rand_correlation(rng, dim)
     soft, bob = SoftMeasurement(ent, gram), SoftMeasurement(other, other)
-    # Reading the meter states here takes their root, which the measurement
-    # keeps, so no call below pays for it.
+    # Reading the meter states here takes their roots, which the measurements
+    # keep, so no call below pays for them.
     vecs = soft.meter_vectors
     blocks = ent[:, :, None, None] * np.einsum("ak,bl->klab", vecs, vecs.conj())
     general = GeneralMeasurement(blocks)
-    repeated = RepeatedMeasurement(soft, np.array([1, 3, 40]))
+    repeated = repeat_soft(soft, np.array([1, 3, 40]))
+    repeated.meter_vectors
     channel = soft_object_channel(soft)
     fns = {
         "apply_soft": lambda rho: apply_soft(soft, rho),

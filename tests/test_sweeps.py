@@ -31,11 +31,7 @@ from softmeas.cli import run_sweep
 from softmeas.information import StateEnsemble, coherent_info_soft, eve_bob_semiclassical
 from softmeas.matcore import von_neumann_entropy
 from softmeas.measurement import SoftMeasurement, TwoLevelMeterParams, two_level_gram
-from softmeas.repeated import (
-    RepeatedMeasurement,
-    joint_dm_repeated,
-    meter_dm_repeated,
-)
+from softmeas.repeated import joint_dm_repeated, meter_dm_repeated, repeat_soft
 
 
 def table(command, config):
@@ -70,8 +66,8 @@ def repeat_reference(counts, theta, chi, r12, p, mu, phase):
     rows = []
     for n in counts:
         vectors = scalar_two_level_gram_sqrt(theta, chi, n)
-        joint = joint_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
-        meter = meter_dm_repeated(rho, RepeatedMeasurement(base=measurement, n=n))
+        joint = joint_dm_repeated(rho, repeat_soft(measurement, n))
+        meter = meter_dm_repeated(rho, repeat_soft(measurement, n))
         info = coherent_info_soft(
             rho, SoftMeasurement(measurement.entanglement**n, measurement.gram**n)
         )
