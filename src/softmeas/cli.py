@@ -11,8 +11,9 @@ Commands: ``single``, ``repeat``, ``continuous``, ``fig2a``, ``fig2b``,
 a flat ``key = value`` config file, overridden by ``--param`` flags. Grid
 parameters use ``start:stop:points``; complex scalars use ``re,im``.
 ``--kappa-convention`` sets the ``kappa_convention`` parameter, which only
-``continuous`` reads; every other command takes only its default, ``gram``,
-and every JSON header records it.
+``continuous`` reads: it scales the given ``kappa`` to the Gram decay rate
+that the library takes. Every other command takes only its default,
+``gram``, and every JSON header records it.
 
 Each command is one entry of the ``_COMMANDS`` table: its parameters, each
 declared once with its default, its kind (grid, count grid, float, complex
@@ -82,7 +83,6 @@ from .measurement import (
     two_level_gram,
 )
 from .repeated import (
-    _CONVENTIONS,
     ContinuousLimitParams,
     _continuous_joint,
     _two_level_matrix,
@@ -92,6 +92,12 @@ from .repeated import (
     repeat_soft,
     two_level_gram_sqrt,
 )
+
+
+# The kappa conventions, each the Gram decay rate per unit of the kappa a
+# user gives: the meter overlap decays as exp(-rate*kappa*t), reached by steps
+# of angle theta**2 = 8*rate*kappa*dt. The library takes the Gram rate.
+_CONVENTIONS = {"gram": 1.0, "paper": 0.5}
 
 
 class _Domain(NamedTuple):
@@ -313,17 +319,15 @@ def _fig3_block(q, theta):
 
 def _sweep_continuous(kappa, chi_dot, r_dot, rho_p, rho_mu, rho_phase, kappa_convention):
     rho = _rho(rho_p, rho_mu, rho_phase)
-    # The meter and joint states share one build of the meter vectors. Their
-    # overlap decays at the convention's rate, as the overlap of I_s does;
-    # the dephasing of the joint state does not read the rate.
-    rate = _CONVENTIONS[kappa_convention]
+    kappa = _CONVENTIONS[kappa_convention] * kappa
 
     def block(t):
-        params = ContinuousLimitParams(kappa=rate * kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
+        params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
+        # The meter and joint states share one build of the meter vectors.
         vectors = continuous_gram_sqrt(params)
         meter = _meter_mix(vectors, np.diag(rho.matrix).real)
         joint = _continuous_joint(rho.matrix, params, vectors)
-        info = semiclassical_info_continuous(kappa, t, convention=kappa_convention)
+        info = semiclassical_info_continuous(kappa, t)
         return [*_entries(meter), _unchecked_entropy(joint), _unchecked_entropy(meter), info]
 
     return block

@@ -51,7 +51,7 @@ from .measurement import (
     _meter_mix,
     _single_dim,
 )
-from .repeated import ContinuousLimitParams, _convention
+from .repeated import ContinuousLimitParams
 
 # Eigenvalues of a Choi matrix below this (relative) threshold are treated
 # as numerically zero when extracting Kraus operators.
@@ -75,8 +75,8 @@ class KrausChannel:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
         if not ops:
             raise InvalidChannel("channel needs at least one Kraus operator")
-        if any(k.ndim != 2 or k.shape != ops[0].shape for k in ops):
-            raise InvalidChannel("all Kraus operators must share one 2-D shape")
+        if any(k.ndim != 2 or k.shape != ops[0].shape or not k.size for k in ops):
+            raise InvalidChannel("all Kraus operators must share one 2-D shape of sides >= 1")
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
@@ -114,8 +114,11 @@ def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int) -> KrausChannel
     the row-major flattening of ``K``. Eigenvectors with eigenvalue above
     ``CHOI_RANK_TOL`` times the largest one become operators
     ``sqrt(eig) * vec`` reshaped to ``out_dim x in_dim``, ordered by
-    descending eigenvalue for determinism.
+    descending eigenvalue for determinism. The Choi matrix must be one
+    matrix of side ``in_dim * out_dim``, both dimensions at least 1.
     """
+    if min(in_dim, out_dim) < 1 or np.shape(choi) != (in_dim * out_dim,) * 2:
+        raise DimensionMismatch(f"choi must have side {in_dim} * {out_dim}, got {np.shape(choi)}")
     w, v = herm_eig(np.asarray(choi, dtype=complex))
     wmax = max(float(w[-1]), 0.0)
     ops = []
@@ -270,6 +273,8 @@ class StateEnsemble:
     spectra: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.probs):
+            raise InvalidParams(f"probabilities must be real, got {self.probs!r}")
         probs = np.asarray(self.probs, dtype=float)
         states = tuple(np.asarray(s, dtype=complex) for s in self.states)
         object.__setattr__(self, "probs", probs)
@@ -353,24 +358,19 @@ def _binary_entropy(p: float) -> float:
     return out
 
 
-def semiclassical_info_continuous(
-    kappa: float, t: float | np.ndarray, convention: str = "gram"
-) -> float | np.ndarray:
+def semiclassical_info_continuous(kappa: float, t: float | np.ndarray) -> float | np.ndarray:
     """Holevo information accumulated by the continuous measurement, bits.
 
     For two equiprobable measured states the value is the binary entropy
-    ``H((1 + c) / 2)`` of the residual meter overlap ``c``. Under the
-    default ``gram`` convention ``c = exp(-kappa*t)``, the overlap of the
-    continuous meter state at rate ``kappa``; the ``paper`` convention
-    uses ``c = exp(-kappa*t/2)``, the overlap its steps reach in
-    :func:`~softmeas.repeated.discrete_step_params`. Monotone from 0 at
-    ``t = 0`` toward 1.
-    ``kappa`` and ``t`` are checked as in :class:`ContinuousLimitParams`;
-    an array of times gives one value per time.
+    ``H((1 + c) / 2)`` of the residual meter overlap ``c = exp(-kappa*t)``,
+    the overlap of the continuous meter state at the Gram decay rate
+    ``kappa`` (the paper's rate is twice it). Monotone from 0 at ``t = 0``
+    toward 1. ``kappa`` and ``t`` are checked as in
+    :class:`ContinuousLimitParams`; an array of times gives one value per
+    time.
     """
     t = ContinuousLimitParams(kappa=kappa, t=t).t
-    rate = _convention(convention)
-    overlap = _entrywise(lambda time: math.exp(-rate * kappa * time), t)
+    overlap = _entrywise(lambda time: math.exp(-kappa * time), t)
     info = _entrywise(_binary_entropy, (1.0 + overlap) / 2.0)
     return float(info) if info.ndim == 0 else info
 
@@ -500,11 +500,14 @@ def eve_bob_semiclassical(
             raise DimensionMismatch(
                 f"basis unitary shape {unitary.shape} does not match dim {dim}"
             )
-        deviation = np.max(np.abs(_dagger(unitary) @ unitary - np.eye(dim)), axis=(-2, -1))
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry fails
+            deviation = np.max(np.abs(_dagger(unitary) @ unitary - np.eye(dim)), axis=(-2, -1))
         i = _first(~(deviation <= TAU_RECON))
         if i is not None:
             raise InvalidMeasurement("eve_basis is not unitary", index=i)
     dephase = np.asarray(dephase, dtype=complex)
+    if dephase.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(f"dephase shape {dephase.shape} does not match dim {dim}")
     _check_correlation_matrix({"dephase": dephase})
     if _single_dim(bob, "bob") != dim:
         raise DimensionMismatch(f"bob dim {bob.dim} != ensemble dim {dim}")

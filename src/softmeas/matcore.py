@@ -106,8 +106,8 @@ class Spectrum(NamedTuple):
 
 def _as_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not m.shape[-1]:
+        raise DimensionMismatch(f"{name} must be square of side >= 1, got shape {m.shape}")
     return m
 
 

@@ -68,8 +68,8 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
     found: list[tuple[tuple[int, ...], str]] = []
     for name, mat in mats.items():
         m = np.asarray(mat, dtype=complex)
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-            found.append(((), f"{name} must be square, got shape {m.shape}"))
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not m.shape[-1]:
+            found.append(((), f"{name} must be square of side >= 1, got shape {m.shape}"))
             continue
         not_herm = ~(_hermitian_deviation(m) <= TAU_HERM)
         # The members that are not Hermitian take the PSD check as identities.
@@ -202,8 +202,9 @@ class GeneralMeasurement:
     def __post_init__(self) -> None:
         b = np.asarray(self.blocks, dtype=complex)
         object.__setattr__(self, "blocks", b)
-        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
-            raise InvalidMeasurement(f"blocks must have shape (D, D, m, m), got {b.shape}")
+        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3] or not b.size:
+            message = f"blocks must have shape (D, D, m, m) with D, m >= 1, got {b.shape}"
+            raise InvalidMeasurement(message)
         failures = []
         big = self.assembled()
         if not _hermitian_deviation(big) <= TAU_HERM:

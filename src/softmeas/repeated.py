@@ -205,11 +205,12 @@ def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.
 class ContinuousLimitParams:
     """Rates and elapsed time of the continuous measurement limit.
 
-    ``kappa`` is the Gram decay rate (off-diagonal modulus ``exp(-kappa*t)``),
-    ``chi_dot`` the phase drift, ``r_dot`` the complex external dephasing
-    rate and ``t`` the elapsed time. ``t`` may be an array: the functions
-    below then return stacks, one member per time, and a failing check on
-    ``t`` names its first failing member.
+    ``kappa`` is the Gram decay rate (off-diagonal modulus ``exp(-kappa*t)``;
+    the paper's rate is twice it), ``chi_dot`` the phase drift, ``r_dot``
+    the complex external dephasing rate and ``t`` the elapsed time. The
+    rates are scalars, ``kappa`` and ``chi_dot`` real ones. ``t`` may be a
+    real array: the functions below then return stacks, one member per
+    time, and a failing check on ``t`` names its first failing member.
     """
 
     kappa: float
@@ -218,13 +219,18 @@ class ContinuousLimitParams:
     r_dot: complex = 0j
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "chi_dot", "r_dot"):
-            if not cmath.isfinite(complex(getattr(self, name))):
-                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
+        for name, kind in (("kappa", "real"), ("chi_dot", "real"), ("r_dot", "complex")):
+            value = getattr(self, name)
+            if np.ndim(value) or kind == "real" and np.iscomplexobj(value):
+                raise InvalidParams(f"{name} must be a {kind} scalar, got {value!r}")
+            if not cmath.isfinite(complex(value)):
+                raise InvalidParams(f"{name} must be finite, got {value}")
         if self.kappa < 0.0:
             raise InvalidParams(f"kappa must be >= 0, got {self.kappa}")
         if complex(self.r_dot).real < 0.0:
             raise InvalidParams(f"Re(r_dot) must be >= 0, got {self.r_dot}")
+        if np.iscomplexobj(self.t):
+            raise InvalidParams(f"t must be real, got {self.t!r}")
         t = np.asarray(self.t, dtype=float)
         for bad, rule in ((~np.isfinite(t), "finite"), (t < 0.0, ">= 0")):
             i = _first(bad)
@@ -295,43 +301,26 @@ def _continuous_joint(
     return _joint(_dephasing_matrix(params) * rho, vectors)
 
 
-# The kappa conventions, each one overlap rate: the meter overlap decays as
-# exp(-rate*kappa*t), reached by steps of angle theta**2 = 8*rate*kappa*dt.
-_CONVENTIONS = {"gram": 1.0, "paper": 0.5}
-
-
-def _convention(name: str) -> float:
-    """The overlap rate of the named convention; :class:`InvalidParams` for another name."""
-    if name not in _CONVENTIONS:
-        expected = " or ".join(map(repr, _CONVENTIONS))
-        raise InvalidParams(f"unknown convention {name!r}, expected {expected}")
-    return _CONVENTIONS[name]
-
-
 def discrete_step_params(
-    kappa: float,
-    chi_dot: float,
-    r_dot: complex,
-    dt: float,
-    convention: str = "gram",
+    kappa: float, chi_dot: float, r_dot: complex, dt: float
 ) -> tuple[TwoLevelMeterParams, complex]:
     """Per-step parameters whose n-fold repetition approaches the limit.
 
     Returns the two-level meter angles and the off-diagonal entanglement
-    entry for one step of length ``dt``. Under the default ``gram``
-    convention the step angle satisfies ``theta**2 = 8*kappa*dt`` so that
-    the accumulated Gram off-diagonal decays as ``exp(-kappa*t)``; the
-    alternative ``paper`` convention uses ``theta**2 = 4*kappa*dt`` (decay
-    ``exp(-kappa*t/2)``). The entanglement entry is the exact per-step
-    dephasing ``exp(-r_dot*dt)``: its modulus ``exp(-Re(r_dot)*dt)`` is at
-    most 1 for every accepted ``r_dot``, so the step is always a valid
-    measurement, and its ``n``-th power is the limit's ``exp(-r_dot*t)``.
-    ``dt`` must be finite and positive; ``kappa``, ``chi_dot`` and
-    ``r_dot`` are checked by :class:`ContinuousLimitParams`.
+    entry for one step of length ``dt``. The step angle satisfies
+    ``theta**2 = 8*kappa*dt``, so that the accumulated Gram off-diagonal
+    decays as ``exp(-kappa*t)``: ``kappa`` is the Gram decay rate of
+    :class:`ContinuousLimitParams`, and the paper's rate, whose steps have
+    ``theta**2 = 4*kappa*dt``, is twice it. The entanglement entry is the
+    exact per-step dephasing ``exp(-r_dot*dt)``: its modulus
+    ``exp(-Re(r_dot)*dt)`` is at most 1 for every accepted ``r_dot``, so the
+    step is always a valid measurement, and its ``n``-th power is the
+    limit's ``exp(-r_dot*t)``. ``dt`` must be finite and positive;
+    ``kappa``, ``chi_dot`` and ``r_dot`` are checked by
+    :class:`ContinuousLimitParams`.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
+    if not (np.isrealobj(dt) and math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
     ContinuousLimitParams(kappa=kappa, t=dt, chi_dot=chi_dot, r_dot=r_dot)
-    rate = _convention(convention)
-    params = TwoLevelMeterParams(theta=math.sqrt(8.0 * rate * kappa * dt), chi=chi_dot * dt)
+    params = TwoLevelMeterParams(theta=math.sqrt(8.0 * kappa * dt), chi=chi_dot * dt)
     return params, cmath.exp(-complex(r_dot) * dt)

@@ -536,25 +536,21 @@ class TestSemiclassicalContinuous:
             )
 
     def test_matches_closed_display_form(self):
-        # -(1/2) [log2((1-c^2)/4) + c log2((1+c)/(1-c))] with the convention
-        # fixing c
+        # -(1/2) [log2((1-c^2)/4) + c log2((1+c)/(1-c))] with c = exp(-rate*kt),
+        # at the Gram rate and at half of it, the Gram rate of the paper's kappa
         for kt in (0.7, 1.3):
-            for convention, c in (("gram", math.exp(-kt)), ("paper", math.exp(-kt / 2))):
+            for rate, c in ((1.0, math.exp(-kt)), (0.5, math.exp(-kt / 2))):
                 display = -0.5 * (
                     math.log2((1.0 - c * c) / 4.0)
                     + c * math.log2((1.0 + c) / (1.0 - c))
                 )
-                assert semiclassical_info_continuous(1.0, kt, convention) == pytest.approx(
+                assert semiclassical_info_continuous(rate * 1.0, kt) == pytest.approx(
                     display, abs=1e-12
                 )
 
     def test_monotone_increasing(self):
         values = [semiclassical_info_continuous(1.0, t) for t in np.linspace(0.0, 8.0, 40)]
         assert all(b >= a - 1e-13 for a, b in zip(values, values[1:]))
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(InvalidParams):
-            semiclassical_info_continuous(1.0, 1.0, convention="bogus")
 
     @pytest.mark.parametrize(
         "kappa, t", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)]
@@ -565,8 +561,11 @@ class TestSemiclassicalContinuous:
 
     @pytest.mark.parametrize("convention", ["gram", "paper"])
     def test_array_of_times(self, convention):
+        """The library takes the Gram rate, which a convention's rate times
+        its kappa gives; the reference takes the convention's kappa."""
+        rate = {"gram": 1.0, "paper": 0.5}[convention]
         times = [0.0, 1e-9, 0.3, 2.0, 60.0]
-        values = semiclassical_info_continuous(0.7, np.array(times), convention)
+        values = semiclassical_info_continuous(rate * 0.7, np.array(times))
         expected = [scalar_semiclassical_info_continuous(0.7, t, convention) for t in times]
         assert np.array_equal(values, expected)
 

@@ -131,8 +131,22 @@ INVALID_SOFT = {
     "not-square": (
         np.ones((2, 3)),
         np.eye(2),
-        "entanglement must be square, got shape (2, 3); "
+        "entanglement must be square of side >= 1, got shape (2, 3); "
         "entanglement shape (2, 3) != gram shape (2, 2)",
+        None,
+    ),
+    "empty": (
+        np.zeros((0, 0)),
+        np.zeros((0, 0)),
+        "entanglement must be square of side >= 1, got shape (0, 0); "
+        "gram must be square of side >= 1, got shape (0, 0)",
+        None,
+    ),
+    "empty-stack": (
+        np.zeros((3, 0, 0)),
+        np.eye(2),
+        "entanglement must be square of side >= 1, got shape (3, 0, 0); "
+        "entanglement shape (3, 0, 0) != gram shape (2, 2)",
         None,
     ),
     "several": (
@@ -189,9 +203,20 @@ def _blocks(b00=None, b11=None, b01=None):
 
 
 INVALID_GENERAL = {
-    "ndim": (np.zeros((2, 2, 2)), "blocks must have shape (D, D, m, m), got (2, 2, 2)"),
+    "ndim": (
+        np.zeros((2, 2, 2)), "blocks must have shape (D, D, m, m) with D, m >= 1, got (2, 2, 2)"
+    ),
     "not-square": (
-        np.zeros((2, 3, 2, 2)), "blocks must have shape (D, D, m, m), got (2, 3, 2, 2)"
+        np.zeros((2, 3, 2, 2)),
+        "blocks must have shape (D, D, m, m) with D, m >= 1, got (2, 3, 2, 2)",
+    ),
+    "empty": (
+        np.zeros((0, 0, 0, 0)),
+        "blocks must have shape (D, D, m, m) with D, m >= 1, got (0, 0, 0, 0)",
+    ),
+    "empty-meter": (
+        np.zeros((2, 2, 0, 0)),
+        "blocks must have shape (D, D, m, m) with D, m >= 1, got (2, 2, 0, 0)",
     ),
     "non-hermitian": (_blocks(b01=(1.0, 0.0)), "assembled block operator is not Hermitian"),
     "nan": (_blocks(b01=(np.nan, np.nan)), "assembled block operator is not Hermitian"),

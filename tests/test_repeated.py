@@ -654,17 +654,10 @@ class TestDiscreteToContinuous:
             assert fine == pytest.approx(coarse / 2.0, rel=0.05)
 
     def test_paper_convention_halves_decay_rate(self):
-        kappa, t, n = 1.0, 1.0, 400
-        step, _ = discrete_step_params(kappa, 0.0, 0.0, t / n, convention="paper")
-        qn = two_level_gram(step) ** n
-        assert abs(qn[0, 1]) == pytest.approx(math.exp(-kappa * t / 2.0), abs=1e-3)
-        step, _ = discrete_step_params(kappa, 0.0, 0.0, t / n, convention="gram")
-        qn = two_level_gram(step) ** n
-        assert abs(qn[0, 1]) == pytest.approx(math.exp(-kappa * t), abs=1e-3)
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(InvalidParams):
-            discrete_step_params(1.0, 0.0, 0.0, 0.01, convention="bogus")
+        """The paper's kappa of 1 is the Gram rate 1/2, whose steps have
+        ``theta**2 = 4*dt``, exactly."""
+        for dt in (1e-300, 1e-9, 1.0 / 400, 0.3, 2.0):
+            assert discrete_step_params(0.5, 0, 0, dt)[0].theta == math.sqrt(4.0 * dt)
 
     @pytest.mark.parametrize(
         "kappa, dt, expected",
