@@ -500,7 +500,8 @@ def eve_bob_semiclassical(
             raise DimensionMismatch(
                 f"basis unitary shape {unitary.shape} does not match dim {dim}"
             )
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry fails
+        # A non-finite entry gives a NaN deviation, which fails the check.
+        with np.errstate(invalid="ignore", over="ignore"):
             deviation = np.max(np.abs(_dagger(unitary) @ unitary - np.eye(dim)), axis=(-2, -1))
         i = _first(~(deviation <= TAU_RECON))
         if i is not None:

@@ -315,12 +315,14 @@ def discrete_step_params(
     exact per-step dephasing ``exp(-r_dot*dt)``: its modulus
     ``exp(-Re(r_dot)*dt)`` is at most 1 for every accepted ``r_dot``, so the
     step is always a valid measurement, and its ``n``-th power is the
-    limit's ``exp(-r_dot*t)``. ``dt`` must be finite and positive;
-    ``kappa``, ``chi_dot`` and ``r_dot`` are checked by
-    :class:`ContinuousLimitParams`.
+    limit's ``exp(-r_dot*t)``; it is the off-diagonal of the limit's
+    dephasing at ``t = dt``, so an accumulated phase ``Im(r_dot)*dt`` that
+    overflows raises :class:`InvalidParams`. ``dt`` must be a finite and
+    positive real scalar; ``kappa``, ``chi_dot`` and ``r_dot`` are checked
+    by :class:`ContinuousLimitParams`.
     """
-    if not (np.isrealobj(dt) and math.isfinite(dt) and dt > 0.0):
+    if not (np.ndim(dt) == 0 and np.isrealobj(dt) and math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
-    ContinuousLimitParams(kappa=kappa, t=dt, chi_dot=chi_dot, r_dot=r_dot)
+    step = ContinuousLimitParams(kappa=kappa, t=dt, chi_dot=chi_dot, r_dot=r_dot)
     params = TwoLevelMeterParams(theta=math.sqrt(8.0 * kappa * dt), chi=chi_dot * dt)
-    return params, cmath.exp(-complex(r_dot) * dt)
+    return params, _dephasing_matrix(step)[0, 1]

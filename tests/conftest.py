@@ -189,6 +189,16 @@ def scalar_dephasing_matrix(r_dot: complex, t: float) -> np.ndarray:
     return np.array([[1.0, off], [np.conj(off), 1.0]])
 
 
+def fig3_closed_form(q: float, theta: float) -> float:
+    """``I_s`` of the ``fig3`` surface in closed form. The interceptor keeps
+    the Bloch component along its axis ``(sin theta, 0, cos theta)`` and
+    scales the perpendicular one by ``q``, so the basis states reach the
+    rigid receiver with ``z = +-a``, ``a = cos(theta)**2 + q*sin(theta)**2``;
+    their average is maximally mixed, so ``I_s = 1 - H2((1 + a)/2) = g(|a|)/2``."""
+    a = math.cos(theta) ** 2 + q * math.sin(theta) ** 2
+    return scalar_g(abs(a)) / 2.0
+
+
 def scalar_semiclassical_info_continuous(kappa: float, t: float, convention: str) -> float:
     if convention == "gram":
         overlap = math.exp(-kappa * t)

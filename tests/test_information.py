@@ -12,6 +12,7 @@ from conftest import (
     binary_entropy,
     count_eigensolves,
     count_eigvalsh,
+    fig3_closed_form,
     forbid_meter_matrices,
     forbid_sorting,
     meter_states,
@@ -62,6 +63,7 @@ from softmeas.matcore import (
 from softmeas.measurement import SoftMeasurement, apply_soft
 from softmeas.repeated import (
     ContinuousLimitParams,
+    _two_level_matrix,
     continuous_gram_sqrt,
     meter_dm_repeated,
     repeat_soft,
@@ -124,6 +126,25 @@ class TestChoiRoundTrip:
                 np.testing.assert_allclose(
                     rebuilt.apply(rho), ch.apply(rho), atol=1e-10, rtol=0.0
                 )
+
+    @pytest.mark.parametrize(
+        "choi, in_dim, out_dim",
+        [
+            (np.eye(4), 3, 2),
+            (np.eye(6)[None], 3, 2),
+            (np.zeros((0, 0)), 0, 2),
+            (np.eye(2), -1, -2),
+        ],
+    )
+    def test_side_must_be_product_of_dims(self, choi, in_dim, out_dim):
+        message = f"choi must have side {in_dim} * {out_dim}, got {choi.shape}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            kraus_from_choi(choi, in_dim, out_dim)
+
+    @pytest.mark.parametrize("op", [np.zeros((0, 0)), np.zeros((2, 0))])
+    def test_operator_side_zero_rejected(self, op):
+        with pytest.raises(InvalidChannel, match="shape of sides >= 1"):
+            KrausChannel((op,))
 
 
 class TestSoftObjectChannel:
@@ -512,6 +533,8 @@ class TestHolevoInfo:
             StateEnsemble(probs=np.array([-0.1, 1.1]), states=(np.eye(2) / 2.0,) * 2)
         with pytest.raises(InvalidParams, match="finite"):
             StateEnsemble(probs=np.array([math.nan, 1.0]), states=(np.eye(2) / 2.0,) * 2)
+        with pytest.raises(InvalidParams, match="^probabilities must be real"):
+            StateEnsemble(probs=np.array([0.5, 0.5 + 0j]), states=(np.eye(2) / 2.0,) * 2)
 
 
 class TestSemiclassicalContinuous:
@@ -792,6 +815,35 @@ class TestEveBobSemiclassical:
         )
         with pytest.raises(DimensionMismatch):
             eve_bob_semiclassical(ens3, 0.5, np.eye(3), rigid_bob())
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5),
+    )
+    @example([0.0, 0.28, -1.0, 1.0], [math.pi / 2.0, 0.49 * math.pi, 0.2 * math.pi, 20.0])
+    def test_rigid_route_matches_closed_form(self, qs, thetas):
+        """The ``fig3`` surface, as the sweep builds it (a stack of
+        dephasing matrices over one of rotations, a rigid receiver), is the
+        closed form of ``fig3_closed_form`` within 1e-14."""
+        q = np.array(qs)[:, None]
+        dephase, rotations = _two_level_matrix(1.0, q, q), _bloch_y_rotation(np.array(thetas))
+        got = eve_bob_semiclassical(basis_ensemble(), rotations, dephase, rigid_bob())
+        expected = [[fig3_closed_form(x, y) for y in thetas] for x in qs]
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (0, 0), (2,)])
+    def test_dephase_of_another_dimension_rejected(self, shape):
+        dephase = np.ones(shape)
+        message = f"dephase shape {shape} does not match dim 2"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            eve_bob_semiclassical(basis_ensemble(), 0.3, dephase, rigid_bob())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_basis_is_not_unitary(self, bad):
+        basis = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(InvalidMeasurement, match="^eve_basis is not unitary$"):
+            eve_bob_semiclassical(basis_ensemble(), basis, np.eye(2), rigid_bob())
 
 
 def edge_inputs(offset):

@@ -1,6 +1,7 @@
 """Linear-algebra kernel tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,18 @@ class TestPartialTrace:
             partial_trace(rho, [2, 2], keep=[])
         with pytest.raises(DimensionMismatch):
             partial_trace(rho, [2, 2], keep=5)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+@pytest.mark.parametrize(
+    "fn",
+    [herm_eig, matrix_sqrt_psd, validate_density_matrix, von_neumann_entropy, _unchecked_entropy],
+)
+def test_side_zero_refused(fn, shape):
+    """Every matrix the library takes has side >= 1."""
+    message = f"must be square of side >= 1, got shape {shape}"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        fn(np.zeros(shape))
 
 
 class TestVonNeumannEntropy:

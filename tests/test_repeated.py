@@ -770,6 +770,29 @@ class TestContinuousParamsFinite:
         with pytest.raises(InvalidParams, match="must be finite"):
             ContinuousLimitParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kappa": 1j}, "kappa must be a real scalar, got 1j"),
+            (
+                {"kappa": np.complex128(0.5)},
+                "kappa must be a real scalar, got np.complex128(0.5+0j)",
+            ),
+            ({"kappa": np.array([1.0, 2.0])}, "kappa must be a real scalar, got array([1., 2.])"),
+            ({"chi_dot": 1j}, "chi_dot must be a real scalar, got 1j"),
+            (
+                {"r_dot": np.array([0j, 1j])},
+                "r_dot must be a complex scalar, got array([0.+0.j, 0.+1.j])",
+            ),
+            ({"t": np.array([0.0, 1j])}, "t must be real, got array([0.+0.j, 0.+1.j])"),
+        ],
+    )
+    def test_rate_of_another_kind_rejected(self, kwargs, message):
+        """A rate is a scalar, and ``kappa``, ``chi_dot`` and ``t`` are real:
+        a complex ``chi_dot`` would turn the phase drift into a decay."""
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            ContinuousLimitParams(**{"kappa": 1.0, "t": 1.0, **kwargs})
+
 
 class TestContinuousTimeArrays:
     """An array of times gives, member by member, the floats of the calls
@@ -840,6 +863,14 @@ class TestPhaseOverflow:
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$") as excinfo:
             fn(rho, ContinuousLimitParams(kappa=1.0, t=self.TIMES, **rates))
         assert excinfo.value.index == (2,)
+
+    @pytest.mark.parametrize("r_dot", [complex(1.0, 1e308), complex(0.0, -1e308)])
+    def test_step_phase(self, r_dot):
+        """One step's dephasing is the limit's at ``t = dt``, phase check
+        included; at that ``dt`` the decay ``Re(r_dot)*dt`` stays finite."""
+        message = "accumulated phase Im(r_dot)*t is not finite"
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            discrete_step_params(0.01, 0.0, r_dot, 4.0)
 
     def test_overflowing_decay_keeps_its_floats(self):
         r_dot = complex(1e308, 1e308)
