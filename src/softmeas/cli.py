@@ -78,15 +78,13 @@ from .matcore import DensityMatrix, _unchecked_entropy, partial_trace, von_neuma
 from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
-    _meter_mix,
     apply_soft,
     two_level_gram,
 )
 from .repeated import (
     ContinuousLimitParams,
-    _continuous_joint,
     _two_level_matrix,
-    continuous_gram_sqrt,
+    continuous_soft,
     joint_dm_repeated,
     meter_dm_repeated,
     repeat_soft,
@@ -323,10 +321,10 @@ def _sweep_continuous(kappa, chi_dot, r_dot, rho_p, rho_mu, rho_phase, kappa_con
 
     def block(t):
         params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
-        # The meter and joint states share one build of the meter vectors.
-        vectors = continuous_gram_sqrt(params)
-        meter = _meter_mix(vectors, np.diag(rho.matrix).real)
-        joint = _continuous_joint(rho.matrix, params, vectors)
+        # The meter and joint states share one build of the measurement.
+        measurement = continuous_soft(params)
+        meter = meter_dm_repeated(rho, measurement)
+        joint = apply_soft(measurement, rho)
         info = semiclassical_info_continuous(kappa, t)
         return [*_entries(meter), _unchecked_entropy(joint), _unchecked_entropy(meter), info]
 

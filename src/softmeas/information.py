@@ -27,6 +27,7 @@ from .errors import (
     InvalidChannel,
     InvalidMeasurement,
     InvalidParams,
+    InvalidState,
     OutOfRange,
 )
 from .matcore import (
@@ -99,11 +100,15 @@ class KrausChannel:
             )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The output state of the ``in_dim x in_dim`` state ``rho``; a
+        non-finite entry raises :class:`InvalidState` before any product."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.in_dim, self.in_dim):
             raise DimensionMismatch(
                 f"rho has shape {rho.shape}, channel input dim is {self.in_dim}"
             )
+        if not np.isfinite(rho).all():
+            raise InvalidState("rho has a non-finite entry")
         return sum(k @ rho @ k.conj().T for k in self.kraus_ops)
 
 
@@ -195,25 +200,30 @@ def coherent_info_soft(rho: StateLike, measurement: SoftMeasurement) -> float:
     return _unchecked_entropy(m * rho) - _unchecked_entropy(exchange)
 
 
-def _check_unit_interval(**values: np.ndarray) -> None:
-    """Raise :class:`OutOfRange` unless every entry of the broadcast arrays
-    lies in ``[0, 1]``.
+def _check_unit_interval(**values: float | np.ndarray) -> list[np.ndarray]:
+    """The values as float arrays; :class:`OutOfRange` unless each is real
+    and every entry of the broadcast arrays lies in ``[0, 1]``.
 
-    Names the first failing broadcast member in C order and, at that
-    member, the first failing argument, as a loop over the members would.
-    Each array is compared in its own shape; only when one fails are they
-    broadcast, to find that member. Shapes that do not broadcast raise
-    numpy's ``ValueError`` either way.
+    A complex value is named before any is converted. Names the first
+    failing broadcast member in C order and, at that member, the first
+    failing argument, as a loop over the members would. Each array is
+    compared in its own shape; only when one fails are they broadcast, to
+    find that member. Shapes that do not broadcast raise numpy's
+    ``ValueError`` either way.
     """
+    for name, value in values.items():
+        if np.iscomplexobj(value):
+            raise OutOfRange(f"{name} must be real, got {value!r}")
+    values = {name: np.asarray(value, dtype=float) for name, value in values.items()}
     np.broadcast_shapes(*(a.shape for a in values.values()))
-    if all(((0.0 <= a) & (a <= 1.0)).all() for a in values.values()):
-        return
-    arrays = np.broadcast_arrays(*values.values())
-    bad = [~((0.0 <= a) & (a <= 1.0)) for a in arrays]
-    i = _first(np.logical_or.reduce(bad))
-    if i is not None:
-        name, value = next((n, a[i]) for n, a, b in zip(values, arrays, bad) if b[i])
-        raise OutOfRange(f"{name} must lie in [0, 1], got {value}", index=i)
+    if not all(((0.0 <= a) & (a <= 1.0)).all() for a in values.values()):
+        arrays = np.broadcast_arrays(*values.values())
+        bad = [~((0.0 <= a) & (a <= 1.0)) for a in arrays]
+        i = _first(np.logical_or.reduce(bad))
+        if i is not None:
+            name, value = next((n, a[i]) for n, a, b in zip(values, arrays, bad) if b[i])
+            raise OutOfRange(f"{name} must lie in [0, 1], got {value}", index=i)
+    return list(values.values())
 
 
 def _g(x: float | np.ndarray) -> np.ndarray:
@@ -241,8 +251,7 @@ def coherent_info_two_level(
     scalars give a ``float``. A member's value is the float the scalar call
     gives.
     """
-    q, p, mu = (np.asarray(v, dtype=float) for v in (q, p, mu))
-    _check_unit_interval(q=q, p=p, mu=mu)
+    q, p, mu = _check_unit_interval(q=q, p=p, mu=mu)
     spread = 4.0 * p * (1.0 - p)
     x1 = np.sqrt(np.maximum(1.0 - spread * (1.0 - q * q), 0.0))
     # ``v ** 2`` is libm's ``pow``, which ``v * v`` does not match in every last ulp.
@@ -390,8 +399,7 @@ class CompetitionParams:
     mu: float | np.ndarray
 
     def __post_init__(self) -> None:
-        names = ("q_eve", "q_bob", "mu")
-        _check_unit_interval(**{n: np.asarray(getattr(self, n), dtype=float) for n in names})
+        _check_unit_interval(q_eve=self.q_eve, q_bob=self.q_bob, mu=self.mu)
 
 
 def compete_coherent(

@@ -103,9 +103,11 @@ class SoftMeasurement:
     Both matrices are checked when the measurement is built: each must be
     Hermitian, PSD and unit-diagonal, and their shapes must match;
     otherwise :class:`InvalidMeasurement` names every failed check. One
-    derived from checked parts (:func:`~softmeas.repeated.repeat_soft`) is
-    built without the checks. The meter states (``meter_vectors``) are
-    synthesized on first use and kept.
+    derived from checked parts (:func:`~softmeas.repeated.repeat_soft`,
+    :func:`~softmeas.repeated.continuous_soft`,
+    :func:`~softmeas.repeated.discrete_step`) is built without the checks.
+    The meter states (``meter_vectors``) are synthesized on first use and
+    kept; ``continuous_soft`` presets them to their closed form.
     """
 
     entanglement: np.ndarray
@@ -168,21 +170,20 @@ def apply_soft(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
 
     Returns the joint object-meter density matrix on ``H_A (x) H_B`` with
     entries ``entanglement[k,l] * rho[k,l]`` on the ``|k><l| (x) |v_k><v_l|``
-    components, where ``v_k`` are the synthesized meter states. Tracing out
-    the meter leaves ``entanglement[k,l] * conj(gram[k,l]) * rho[k,l]``; for
-    real Gram matrices that conjugate is invisible.
+    components, where ``v_k`` are the synthesized meter states; row index
+    ``k * D + a`` with ``a`` the meter index. Tracing out the meter leaves
+    ``entanglement[k,l] * conj(gram[k,l]) * rho[k,l]``; for real Gram
+    matrices that conjugate is invisible.
+
+    This is the one object (x) meter route for single, repeated and
+    continuous measurements: a stacked measurement (an array of counts or of
+    times) gives one joint state per member. ``rho`` must be one ``D x D``
+    state.
     """
-    d = _single_dim(measurement)
-    return _joint(measurement.entanglement * _state(rho, d).matrix, measurement.meter_vectors)
-
-
-def _joint(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """The object (x) meter state ``sum_kl weights[k,l] |k><l| (x) |v_k><v_l|``
-    of the meter states ``v_k`` (the columns of ``vectors``), row index
-    ``k * D + a``; stack axes in front broadcast and give one state per
-    member."""
+    d = measurement.dim
+    weights = measurement.entanglement * _state(rho, d).matrix
+    vectors = measurement.meter_vectors
     joint = np.einsum("...kl,...ak,...bl->...kalb", weights, vectors, vectors.conj())
-    d = joint.shape[-1]
     return joint.reshape(joint.shape[:-4] + (d * d, d * d))
 
 
@@ -249,13 +250,18 @@ def apply_general(measurement: GeneralMeasurement, rho: StateLike) -> np.ndarray
 @dataclass(frozen=True)
 class TwoLevelMeterParams:
     """Two-state meter set: opening angle ``theta``, common phase ``phi``
-    (no observable may depend on it) and differential phase ``chi``."""
+    (no observable may depend on it) and differential phase ``chi``, each a
+    real scalar."""
 
     theta: float
     phi: float = 0.0
     chi: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("theta", "phi", "chi"):
+            value = getattr(self, name)
+            if np.ndim(value) or np.iscomplexobj(value):
+                raise OutOfRange(f"{name} must be a real scalar, got {value!r}")
         if not 0.0 <= self.theta <= math.pi:
             raise OutOfRange(f"theta must lie in [0, pi], got {self.theta}")
         for name in ("phi", "chi"):

@@ -9,19 +9,29 @@ fixed basis. The ``n`` repetitions thus act on the object as one soft
 measurement: :func:`repeat_soft` returns it as a
 :class:`~softmeas.measurement.SoftMeasurement` holding both powers, whose
 meter states are the collective meter vectors, so every function that takes
-a single measurement takes one repeated a scalar number of times too.
+a single measurement takes one repeated a scalar number of times too. An
+array of counts gives a stacked measurement, one member per count, which
+:func:`~softmeas.measurement.apply_soft`, :func:`meter_dm_repeated` and
+:func:`~softmeas.information.coherent_info_soft` take whole.
 
 For a two-level meter the elementwise Gram powers admit closed forms, and
 letting the per-step angle shrink as the step count grows produces a
 diffusion limit governed by a decay rate ``kappa`` (off-diagonal Gram
 modulus ``exp(-kappa*t)``), a phase drift ``chi_dot`` and a complex external
-dephasing rate ``r_dot``.
+dephasing rate ``r_dot``. At each time ``t`` the limit is again a soft
+measurement: :func:`continuous_soft` returns it, with entanglement
+off-diagonal ``exp(-r_dot*t)``, Gram off-diagonal
+``exp(-kappa*t + i*chi_dot*t)`` and the closed-form root as its meter
+states; an array of times gives the stacked measurement. So the limit's
+joint state is ``apply_soft(continuous_soft(params), rho)`` and its meter
+state ``meter_dm_repeated(rho, continuous_soft(params))``.
+:func:`discrete_step` returns one step of length ``dt`` whose ``n``-fold
+repetition approaches the limit.
 
-Index layout: ``joint_dm_continuous`` orders factors object (x) meter,
-matching the closed 4x4 form it implements, and builds its state as
-:func:`~softmeas.measurement.apply_soft` does; ``joint_dm_repeated`` orders
-them meter (x) object. Both document this in their docstrings; the partial
-trace helper in :mod:`softmeas.matcore` handles either layout.
+Index layout: :func:`~softmeas.measurement.apply_soft` is the one object
+(x) meter route, for single, repeated and continuous measurements alike;
+``joint_dm_repeated`` orders factors meter (x) object. The partial trace
+helper in :mod:`softmeas.matcore` handles either layout.
 """
 
 from __future__ import annotations
@@ -43,9 +53,9 @@ from .matcore import (
 from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
-    _joint,
     _meter_mix,
     _single_dim,
+    two_level_gram,
 )
 
 
@@ -136,7 +146,8 @@ def joint_dm_repeated(rho: StateLike, repeated: SoftMeasurement) -> np.ndarray:
 
 
 def meter_dm_repeated(rho: StateLike, repeated: SoftMeasurement) -> np.ndarray:
-    """Reduced meter state of a repeated measurement, in the collective basis.
+    """Reduced meter state of a repeated measurement, in the collective basis;
+    of the continuous limit too, given :func:`continuous_soft`'s measurement.
 
     Depends only on the object populations (the entanglement matrix drops
     out entirely): ``V @ diag(rho_kk) @ V^dagger`` with ``V`` the collective
@@ -240,36 +251,6 @@ class ContinuousLimitParams:
             object.__setattr__(self, "t", t)
 
 
-def continuous_gram_sqrt(params: ContinuousLimitParams) -> np.ndarray:
-    """Collective meter vectors of the continuous limit.
-
-    ``[[s_plus, e^{i chi_dot t} s_minus], [e^{-i chi_dot t} s_minus, s_plus]]``
-    with ``s_pm = (sqrt(1 + e^{-kappa t}) +- sqrt(1 - e^{-kappa t})) / 2``;
-    ``s_plus**2 + s_minus**2 == 1`` and the square of the matrix has
-    off-diagonal ``exp(-kappa*t + i*chi_dot*t)``. An array of times gives
-    the stack; the exponentials come from :mod:`math` and :mod:`cmath`.
-    :class:`InvalidParams` names the first time whose phase ``chi_dot*t``
-    overflows.
-    """
-    _check_phase("chi_dot*t", params.chi_dot, params.t)
-    c = _entrywise(lambda t: math.exp(-params.kappa * t), params.t)
-    phase = _entrywise(lambda t: cmath.exp(1j * params.chi_dot * t), params.t, dtype=complex)
-    return _two_level_root(c, phase)
-
-
-def meter_dm_continuous(rho: StateLike, params: ContinuousLimitParams) -> np.ndarray:
-    """Reduced meter state of the continuous measurement, collective basis.
-
-    Starts at the pure state with coordinates ``(1/sqrt2, 1/sqrt2)`` at
-    ``t = 0`` and diagonalizes onto the object populations as
-    ``kappa * t -> inf``. Off-diagonal is
-    ``exp(-kappa*t + i*chi_dot*t) / 2``. An array of times gives one state
-    per time. ``rho`` must be one two-level state.
-    """
-    rho = _state(rho, 2).matrix
-    return _meter_mix(continuous_gram_sqrt(params), np.diag(rho).real)
-
-
 def _dephasing_matrix(params: ContinuousLimitParams) -> np.ndarray:
     """``[[1, off], [conj(off), 1]]`` with ``off = exp(-r_dot*t)``, per time;
     :class:`InvalidParams` names the first time whose phase ``Im(r_dot)*t``
@@ -280,49 +261,56 @@ def _dephasing_matrix(params: ContinuousLimitParams) -> np.ndarray:
     return _two_level_matrix(1.0, off, np.conj(off))
 
 
-def joint_dm_continuous(rho: StateLike, params: ContinuousLimitParams) -> np.ndarray:
-    """Joint object-meter state of the continuous measurement, as a 4x4.
+def continuous_soft(params: ContinuousLimitParams) -> SoftMeasurement:
+    """The soft measurement that the continuous limit makes by time ``t``.
 
-    Factor order is object (x) meter: the ``(i, j)`` object block equals
-    ``rho[i,j]`` times the external dephasing factor ``exp(-r_dot*t)`` (on
-    off-diagonal blocks) times the meter component ``V[:,i] V[:,j]^dagger``
-    built from :func:`continuous_gram_sqrt`. At ``t = 0`` this is
-    ``rho (x) |u><u|`` with ``u = (1/sqrt2, 1/sqrt2)``. An array of times
-    gives the stack. ``rho`` must be one two-level state.
+    Its entanglement matrix has off-diagonal ``exp(-r_dot*t)`` and its Gram
+    matrix ``exp(-kappa*t + i*chi_dot*t)``. Its meter states are preset to
+    the closed-form principal root
+    ``[[s_plus, e^{i chi_dot t} s_minus], [e^{-i chi_dot t} s_minus, s_plus]]``
+    with ``s_pm = (sqrt(1 + e^{-kappa t}) +- sqrt(1 - e^{-kappa t})) / 2``,
+    so no eigensolve runs. The exponentials come from :mod:`math` and
+    :mod:`cmath`, one time at a time. An array of times gives the stacked
+    measurement, one member per time. The measurement is derived from
+    checked parameters and is not checked again. :class:`InvalidParams`
+    names the first time whose phase ``chi_dot*t``, or ``Im(r_dot)*t``,
+    overflows.
     """
-    return _continuous_joint(_state(rho, 2).matrix, params, continuous_gram_sqrt(params))
+    _check_phase("chi_dot*t", params.chi_dot, params.t)
+    c = _entrywise(lambda t: math.exp(-params.kappa * t), params.t)
+    phase = _entrywise(lambda t: cmath.exp(1j * params.chi_dot * t), params.t, dtype=complex)
+    off = c * phase
+    return _unchecked(
+        SoftMeasurement,
+        entanglement=_dephasing_matrix(params),
+        gram=_two_level_matrix(1.0, off, np.conj(off)),
+        meter_vectors=_two_level_root(c, phase),
+    )
 
 
-def _continuous_joint(
-    rho: np.ndarray, params: ContinuousLimitParams, vectors: np.ndarray
-) -> np.ndarray:
-    """:func:`joint_dm_continuous` of a checked two-level ``rho`` from the
-    meter vectors of :func:`continuous_gram_sqrt`."""
-    return _joint(_dephasing_matrix(params) * rho, vectors)
+def discrete_step(kappa: float, chi_dot: float, r_dot: complex, dt: float) -> SoftMeasurement:
+    """One step of length ``dt`` whose n-fold repetition approaches the limit.
 
-
-def discrete_step_params(
-    kappa: float, chi_dot: float, r_dot: complex, dt: float
-) -> tuple[TwoLevelMeterParams, complex]:
-    """Per-step parameters whose n-fold repetition approaches the limit.
-
-    Returns the two-level meter angles and the off-diagonal entanglement
-    entry for one step of length ``dt``. The step angle satisfies
-    ``theta**2 = 8*kappa*dt``, so that the accumulated Gram off-diagonal
-    decays as ``exp(-kappa*t)``: ``kappa`` is the Gram decay rate of
+    A two-level soft measurement: its Gram matrix is that of the meter angle
+    ``theta`` with ``theta**2 = 8*kappa*dt`` and differential phase
+    ``chi_dot*dt``, so that the accumulated Gram off-diagonal decays as
+    ``exp(-kappa*t)``: ``kappa`` is the Gram decay rate of
     :class:`ContinuousLimitParams`, and the paper's rate, whose steps have
-    ``theta**2 = 4*kappa*dt``, is twice it. The entanglement entry is the
-    exact per-step dephasing ``exp(-r_dot*dt)``: its modulus
-    ``exp(-Re(r_dot)*dt)`` is at most 1 for every accepted ``r_dot``, so the
-    step is always a valid measurement, and its ``n``-th power is the
-    limit's ``exp(-r_dot*t)``; it is the off-diagonal of the limit's
-    dephasing at ``t = dt``, so an accumulated phase ``Im(r_dot)*dt`` that
-    overflows raises :class:`InvalidParams`. ``dt`` must be a finite and
-    positive real scalar; ``kappa``, ``chi_dot`` and ``r_dot`` are checked
-    by :class:`ContinuousLimitParams`.
+    ``theta**2 = 4*kappa*dt``, is twice it. Its entanglement matrix is the
+    limit's dephasing at ``t = dt``, the exact per-step ``exp(-r_dot*dt)``:
+    its modulus ``exp(-Re(r_dot)*dt)`` is at most 1 for every accepted
+    ``r_dot``, and its ``n``-th power is the limit's ``exp(-r_dot*t)``; an
+    accumulated phase ``Im(r_dot)*dt`` that overflows raises
+    :class:`InvalidParams`. ``dt`` must be a finite and positive real
+    scalar; ``kappa``, ``chi_dot`` and ``r_dot`` are checked by
+    :class:`ContinuousLimitParams`, and the angle by
+    :class:`TwoLevelMeterParams`. The step is derived from checked
+    parameters and is not checked again.
     """
     if not (np.ndim(dt) == 0 and np.isrealobj(dt) and math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
     step = ContinuousLimitParams(kappa=kappa, t=dt, chi_dot=chi_dot, r_dot=r_dot)
     params = TwoLevelMeterParams(theta=math.sqrt(8.0 * kappa * dt), chi=chi_dot * dt)
-    return params, _dephasing_matrix(step)[0, 1]
+    return _unchecked(
+        SoftMeasurement, entanglement=_dephasing_matrix(step), gram=two_level_gram(params)
+    )

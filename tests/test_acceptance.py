@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import binary_entropy, rand_correlation, rand_density, swap_factors
+from conftest import binary_entropy, rand_correlation, rand_density
 
 from softmeas.cli import main
 from softmeas.information import (
@@ -39,10 +39,9 @@ from softmeas.measurement import (
 )
 from softmeas.repeated import (
     ContinuousLimitParams,
-    discrete_step_params,
-    joint_dm_continuous,
+    continuous_soft,
+    discrete_step,
     joint_dm_repeated,
-    meter_dm_continuous,
     meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
@@ -128,14 +127,11 @@ def test_criterion_4_discrete_to_continuous_convergence():
     for kt in (0.5, 1.0, 2.0):
         t = kt / kappa
         params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
-        exact = joint_dm_continuous(rho, params)
+        exact = apply_soft(continuous_soft(params), rho)
         errors = []
         for n in (20, 40, 80):
-            step, r12 = discrete_step_params(kappa, chi_dot, r_dot, t / n)
-            ent = np.array([[1.0, r12], [np.conj(r12), 1.0]])
-            base = SoftMeasurement(ent, two_level_gram(step))
-            approx = joint_dm_repeated(rho, repeat_soft(base, n))
-            errors.append(float(np.abs(swap_factors(approx, 2, 2) - exact).max()))
+            approx = apply_soft(repeat_soft(discrete_step(kappa, chi_dot, r_dot, t / n), n), rho)
+            errors.append(float(np.abs(approx - exact).max()))
         ratios = [b / a for a, b in zip(errors, errors[1:])]
         detail.append(f"kt={kt}: ratios {ratios[0]:.3f},{ratios[1]:.3f}")
         ok = ok and all(r <= 0.8 for r in ratios)
@@ -209,10 +205,10 @@ def test_criterion_7_interception_surface():
 def test_criterion_8_continuous_measurement_limits():
     rho = np.diag([0.7, 0.3]).astype(complex)
     at_zero = von_neumann_entropy(
-        meter_dm_continuous(rho, ContinuousLimitParams(kappa=1.0, t=0.0))
+        meter_dm_repeated(rho, continuous_soft(ContinuousLimitParams(kappa=1.0, t=0.0)))
     )
     at_late = von_neumann_entropy(
-        meter_dm_continuous(rho, ContinuousLimitParams(kappa=1.0, t=30.0))
+        meter_dm_repeated(rho, continuous_soft(ContinuousLimitParams(kappa=1.0, t=30.0)))
     )
     target = von_neumann_entropy(rho)
     infos = [semiclassical_info_continuous(1.0, float(t)) for t in np.linspace(0.0, 30.0, 301)]

@@ -40,16 +40,14 @@ PUBLIC = [
     "collective_representation",
     "compete_coherent",
     "compete_two_level",
-    "continuous_gram_sqrt",
-    "discrete_step_params",
+    "continuous_soft",
+    "discrete_step",
     "eve_bob_semiclassical",
     "herm_eig",
     "holevo_info",
-    "joint_dm_continuous",
     "joint_dm_repeated",
     "kraus_from_choi",
     "matrix_sqrt_psd",
-    "meter_dm_continuous",
     "meter_dm_repeated",
     "meter_ensemble",
     "partial_trace",
@@ -74,14 +72,20 @@ REMOVED = [
     "ZeroDt",
     "ValidationReport",
     "ZeroMatrix",
+    "_continuous_joint",
+    "_joint",
     "_meter_vectors",
     "apply_entangling",
     "asymptotic_gram_sqrt",
     "choi_matrix",
+    "continuous_gram_sqrt",
+    "discrete_step_params",
     "generator_general",
     "generator_two_level",
     "gram_power",
     "inv_sqrt_psd",
+    "joint_dm_continuous",
+    "meter_dm_continuous",
     "meter_states_from_gram",
     "validate_general",
     "validate_soft",

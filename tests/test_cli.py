@@ -892,6 +892,25 @@ def test_default_json_digest_is_pinned(command, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_JSON_SHA256[command]
 
 
+# sha256 of a continuous JSON away from the defaults, where r_dot, chi_dot and
+# the input state's phase are all 0: the paper convention, a complex r_dot, a
+# phase drift and a phased input state, on 401 times. It pins the dephasing,
+# the phase of the meter states and the complex coherences, as the separate
+# continuous-limit state functions gave them before the limit became a soft
+# measurement.
+CONTINUOUS_PAPER_JSON_SHA256 = "3e2ce5ea824bfd8e68eefd27d2a17c9cfa0e1e2bb0a704d1baa59a2687c5e78a"
+
+
+def test_non_default_continuous_digest_is_pinned(tmp_path):
+    argv = ["continuous", "--format", "json", "--kappa-convention", "paper"]
+    for value in ("t=0:7:401", "r_dot=0.3,2", "chi_dot=1.3", "rho_p=0.3", "rho_mu=0.6"):
+        argv += ["--param", value]
+    argv += ["--param", "rho_phase=0.7"]
+    code, out = run_cli(argv, tmp_path, "out.json")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONTINUOUS_PAPER_JSON_SHA256
+
+
 # sha256 of the 301x301 fig2b JSON as the one-string emitter wrote it,
 # before the output was written a chunk of rows at a time.
 LARGE_FIG2B_JSON_SHA256 = "e8fc128e793033bc5d817a600d4fe262f6b69be897f150cc78fb3ffbb1eef391"

@@ -64,7 +64,7 @@ from softmeas.measurement import SoftMeasurement, apply_soft
 from softmeas.repeated import (
     ContinuousLimitParams,
     _two_level_matrix,
-    continuous_gram_sqrt,
+    continuous_soft,
     meter_dm_repeated,
     repeat_soft,
 )
@@ -102,6 +102,14 @@ class TestKrausChannel:
             channel.validate()
         with pytest.raises(InvalidChannel):
             coherent_info_channel(channel, np.eye(2) / 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_apply_refuses_a_non_finite_state(self, bad):
+        """A non-finite ``rho`` is refused before the product, which would
+        warn (an error under the suite's warning filter)."""
+        rho = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvalidState, match="^rho has a non-finite entry$"):
+            KrausChannel((np.eye(2),)).apply(rho)
 
     def test_random_channels_are_trace_preserving(self):
         rng = np.random.default_rng(61)
@@ -325,6 +333,22 @@ class TestCoherentInfoTwoLevel:
         with pytest.raises(OutOfRange):
             coherent_info_two_level(0.5, -0.1, 0.5)
 
+    @pytest.mark.parametrize(
+        "slot, value", [(0, 0.5j), (1, np.complex128(0.5)), (2, np.array([0.5, 1j]))]
+    )
+    def test_complex_value_rejected(self, slot, value):
+        """A complex value is refused before the conversion to floats, which
+        raises ``TypeError`` or warns; in ``CompetitionParams`` too."""
+        args = [0.5, 0.5, 0.5]
+        args[slot] = value
+        for call, names in (
+            (coherent_info_two_level, ("q", "p", "mu")),
+            (CompetitionParams, ("q_eve", "q_bob", "mu")),
+        ):
+            message = f"{names[slot]} must be real, got {value!r}"
+            with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+                call(*args)
+
 
 # Unit-interval floats; the endpoints, the smallest subnormal and the float
 # just below 1 are drawn often, since 0 and 1 take the clamp of ``_g`` and
@@ -547,7 +571,7 @@ class TestSemiclassicalContinuous:
     def test_matches_holevo_of_meter_ensemble(self):
         for kt in (0.3, 0.9, 2.4):
             params = ContinuousLimitParams(kappa=1.0, t=kt, chi_dot=0.5)
-            vecs = continuous_gram_sqrt(params)
+            vecs = continuous_soft(params).meter_vectors
             ens = StateEnsemble(
                 probs=np.array([0.5, 0.5]),
                 states=tuple(

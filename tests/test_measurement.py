@@ -456,14 +456,21 @@ class TestApplySoft:
             apply_soft(m, np.eye(2))
 
     @pytest.mark.parametrize("members", [2, 3])
-    def test_stacked_measurement_has_matrix_dim_and_is_rejected(self, members):
-        m = SoftMeasurement(np.stack([np.eye(2)] * members), np.stack([np.eye(2)] * members))
-        assert m.dim == 2
-        message = (
-            "measurement must be a single D x D measurement, "
-            f"got a stack of shape ({members}, 2, 2)"
-        )
-        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+    def test_stacked_measurement_gives_the_member_joint_states(self, members):
+        """A stack of measurements (a measurement repeated an array of counts,
+        or the continuous limit at an array of times) gives one joint state
+        per member: the floats of the calls on the members."""
+        rng = np.random.default_rng(240 + members)
+        ent = np.array([rand_correlation(rng, 3) for _ in range(members)])
+        gram = np.array([rand_correlation(rng, 3) for _ in range(members)])
+        rho = rand_density(rng, 3)
+        m = SoftMeasurement(ent, gram)
+        assert m.dim == 3
+        stack = apply_soft(m, rho)
+        assert stack.shape == (members, 9, 9)
+        singles = [apply_soft(SoftMeasurement(e, g), rho) for e, g in zip(ent, gram)]
+        assert np.array_equal(stack, singles)
+        with pytest.raises(DimensionMismatch):
             apply_soft(m, np.eye(2) / 2.0)
 
     def test_bad_gram_checked_once(self, monkeypatch):
@@ -599,6 +606,22 @@ class TestTwoLevelMeter:
     def test_non_finite_phase_rejected(self, kwargs):
         with pytest.raises(OutOfRange, match="must be finite"):
             TwoLevelMeterParams(theta=1.0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"theta": 1j}, "theta must be a real scalar, got 1j"),
+            ({"theta": np.complex128(1.0)}, "theta must be a real scalar, got np.complex128(1+0j)"),
+            ({"phi": 0.5j}, "phi must be a real scalar, got 0.5j"),
+            ({"chi": np.complex128(0.3)}, "chi must be a real scalar, got np.complex128(0.3+0j)"),
+            ({"chi": np.array([0.1, 0.2])}, "chi must be a real scalar, got array([0.1, 0.2])"),
+        ],
+    )
+    def test_angle_of_another_kind_rejected(self, kwargs, message):
+        """A complex angle or an array of angles is refused, not handed to a
+        comparison that raises ``TypeError`` or warns."""
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            TwoLevelMeterParams(**{"theta": 1.0, **kwargs})
 
 
 class TestStackedCorrelationCheck:

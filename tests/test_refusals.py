@@ -4,13 +4,13 @@ A public constructor or function that refuses a numeric input raises a
 :class:`~softmeas.errors.SoftMeasError` subclass; only a value of a
 non-numeric type may raise a ``TypeError``. The property here is the
 library's counterpart of ``test_main_never_raises``: it hands each public
-entry point that takes a matrix or a rate one input that may be wrong (a
-0x0 matrix, a matrix of another dimension, a stack where one matrix is
-required, non-finite entries, a complex value where a real one belongs)
-and requires a result or a ``SoftMeasError``, with no warning. Every
-matrix the library takes has side >= 1, and a rate that is real takes no
-complex value, so a 0x0 matrix and a complex value in a real slot are
-always refused.
+entry point that takes a matrix, a rate, an angle or a closed form's
+parameter one input that may be wrong (a 0x0 matrix, a matrix of another
+dimension, a stack where one matrix is required, non-finite entries, a
+complex value where a real one belongs) and requires a result or a
+``SoftMeasError``, with no warning. Every matrix the library takes has
+side >= 1, and a value that is real takes no complex value, so a 0x0
+matrix and a complex value in a real slot are always refused.
 """
 
 import math
@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softmeas import (
+    CompetitionParams,
     ContinuousLimitParams,
     DensityMatrix,
     GeneralMeasurement,
@@ -28,22 +29,22 @@ from softmeas import (
     SoftMeasError,
     SoftMeasurement,
     StateEnsemble,
+    TwoLevelMeterParams,
     apply_general,
     apply_soft,
     coherent_info_channel,
     coherent_info_soft,
+    coherent_info_two_level,
     collective_representation,
     compete_coherent,
-    continuous_gram_sqrt,
-    discrete_step_params,
+    continuous_soft,
+    discrete_step,
     eve_bob_semiclassical,
     herm_eig,
     holevo_info,
-    joint_dm_continuous,
     joint_dm_repeated,
     kraus_from_choi,
     matrix_sqrt_psd,
-    meter_dm_continuous,
     meter_dm_repeated,
     meter_ensemble,
     partial_trace,
@@ -76,7 +77,7 @@ CORRELATION = correlation(2)
 SOFT = SoftMeasurement(CORRELATION, CORRELATION)
 RIGID = SoftMeasurement(np.eye(2), np.eye(2))
 BASIS = StateEnsemble(np.array([0.5, 0.5]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-CONTINUOUS = ContinuousLimitParams(kappa=1.0, t=0.5, chi_dot=0.3, r_dot=0.2 + 0.1j)
+CONTINUOUS = continuous_soft(ContinuousLimitParams(1.0, np.array([0.0, 0.5]), 0.3, 0.2 + 0.1j))
 
 # Each entry point that takes a matrix, by the valid matrix of side d that
 # its slot takes (d = 2 where the other arguments fix the dimension), and
@@ -95,6 +96,8 @@ MATRIX_CALLS = {
     "soft_object_channel": (correlation, lambda x: soft_object_channel(SoftMeasurement(x, x))),
     "GeneralMeasurement": (blocks, GeneralMeasurement),
     "apply_soft": (state, lambda x: apply_soft(SOFT, x)),
+    "apply_soft.repeated": (state, lambda x: apply_soft(repeat_soft(SOFT, np.array([1, 3])), x)),
+    "apply_soft.continuous": (state, lambda x: apply_soft(CONTINUOUS, x)),
     "apply_general": (state, lambda x: apply_general(GeneralMeasurement(blocks(2)), x)),
     "coherent_info_soft": (state, lambda x: coherent_info_soft(x, SOFT)),
     "coherent_info_channel": (
@@ -103,10 +106,10 @@ MATRIX_CALLS = {
     "compete_coherent": (state, lambda x: compete_coherent(x, SOFT, SOFT)),
     "joint_dm_repeated": (state, lambda x: joint_dm_repeated(x, repeat_soft(SOFT, 3))),
     "meter_dm_repeated": (state, lambda x: meter_dm_repeated(x, repeat_soft(SOFT, 3))),
-    "joint_dm_continuous": (state, lambda x: joint_dm_continuous(x, CONTINUOUS)),
-    "meter_dm_continuous": (state, lambda x: meter_dm_continuous(x, CONTINUOUS)),
+    "meter_dm_repeated.continuous": (state, lambda x: meter_dm_repeated(x, CONTINUOUS)),
     "kraus_from_choi": (choi, lambda x: kraus_from_choi(x, 2, 2)),
     "KrausChannel": (np.eye, lambda x: KrausChannel((x,)).validate()),
+    "KrausChannel.apply": (state, lambda x: KrausChannel((np.eye(2),)).apply(x)),
     "StateEnsemble": (state, lambda x: holevo_info(StateEnsemble((0.5, 0.5), (x, RHO)))),
     "meter_ensemble": (state, lambda x: meter_ensemble(StateEnsemble((1.0,), (x,)), SOFT)),
     "eve_bob_semiclassical.eve_basis": (
@@ -125,25 +128,34 @@ MATRIX_CALLS = {
 # that slot.
 RATE_CALLS = {
     "ContinuousLimitParams.kappa": (
-        "real", lambda x: joint_dm_continuous(RHO, ContinuousLimitParams(kappa=x, t=0.5))
+        "real", lambda x: continuous_soft(ContinuousLimitParams(kappa=x, t=0.5))
     ),
     "ContinuousLimitParams.chi_dot": (
-        "real", lambda x: continuous_gram_sqrt(ContinuousLimitParams(1.0, 0.5, chi_dot=x))
+        "real", lambda x: continuous_soft(ContinuousLimitParams(1.0, 0.5, chi_dot=x))
     ),
     "ContinuousLimitParams.r_dot": (
-        "complex", lambda x: joint_dm_continuous(RHO, ContinuousLimitParams(1.0, 0.5, r_dot=x))
+        "complex", lambda x: continuous_soft(ContinuousLimitParams(1.0, 0.5, r_dot=x))
     ),
     "ContinuousLimitParams.t": (
-        "real", lambda x: meter_dm_continuous(RHO, ContinuousLimitParams(kappa=1.0, t=x))
+        "real", lambda x: continuous_soft(ContinuousLimitParams(kappa=1.0, t=x))
     ),
     "semiclassical_info_continuous.kappa": (
         "real", lambda x: semiclassical_info_continuous(x, 1.0)
     ),
     "semiclassical_info_continuous.t": ("real", lambda x: semiclassical_info_continuous(1.0, x)),
-    "discrete_step_params.kappa": ("real", lambda x: discrete_step_params(x, 0.0, 0.0, 0.1)),
-    "discrete_step_params.chi_dot": ("real", lambda x: discrete_step_params(1.0, x, 0.0, 0.1)),
-    "discrete_step_params.r_dot": ("complex", lambda x: discrete_step_params(1.0, 0.0, x, 0.1)),
-    "discrete_step_params.dt": ("real", lambda x: discrete_step_params(1.0, 0.3, 0.2j, x)),
+    "discrete_step.kappa": ("real", lambda x: discrete_step(x, 0.0, 0.0, 0.1)),
+    "discrete_step.chi_dot": ("real", lambda x: discrete_step(1.0, x, 0.0, 0.1)),
+    "discrete_step.r_dot": ("complex", lambda x: discrete_step(1.0, 0.0, x, 0.1)),
+    "discrete_step.dt": ("real", lambda x: discrete_step(1.0, 0.3, 0.2j, x)),
+    "TwoLevelMeterParams.theta": ("real", lambda x: TwoLevelMeterParams(theta=x)),
+    "TwoLevelMeterParams.phi": ("real", lambda x: TwoLevelMeterParams(theta=1.0, phi=x)),
+    "TwoLevelMeterParams.chi": ("real", lambda x: TwoLevelMeterParams(theta=1.0, chi=x)),
+    "coherent_info_two_level.q": ("real", lambda x: coherent_info_two_level(x, 0.5, 0.5)),
+    "coherent_info_two_level.p": ("real", lambda x: coherent_info_two_level(0.5, x, 0.5)),
+    "coherent_info_two_level.mu": ("real", lambda x: coherent_info_two_level(0.5, 0.5, x)),
+    "CompetitionParams.q_eve": ("real", lambda x: CompetitionParams(x, 0.5, 0.5)),
+    "CompetitionParams.q_bob": ("real", lambda x: CompetitionParams(0.5, x, 0.5)),
+    "CompetitionParams.mu": ("real", lambda x: CompetitionParams(0.5, 0.5, x)),
     "StateEnsemble.probs": ("real", lambda x: StateEnsemble((x, 1.0 - x), (RHO, RHO))),
     "eve_bob_semiclassical.angle": (
         "real", lambda x: eve_bob_semiclassical(BASIS, x, CORRELATION, SOFT)
@@ -204,6 +216,12 @@ def reproduced(name, value, refused):
 @example(reproduced("ContinuousLimitParams.kappa", 1j, True))
 @example(reproduced("ContinuousLimitParams.kappa", np.array([1.0, 2.0]), False))
 @example(reproduced("ContinuousLimitParams.chi_dot", 1j, True))
+@example(reproduced("TwoLevelMeterParams.theta", 1j, True))
+@example(reproduced("TwoLevelMeterParams.chi", np.array([0.1, 0.2]), False))
+@example(reproduced("coherent_info_two_level.q", 0.5j, True))
+@example(reproduced("coherent_info_two_level.p", np.complex128(0.5), True))
+@example(reproduced("CompetitionParams.mu", np.array([0.5, 1j]), True))
+@example(reproduced("KrausChannel.apply", np.array([[np.inf, 0.0], [0.0, 1.0]]), False))
 def test_library_never_raises_another_error(case):
     """A result or a :class:`SoftMeasError`, and no warning, whatever the
     drawn input; a refusal for a 0x0 matrix or a complex real rate."""

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_eigensolves,
     meter_states,
     rand_correlation,
     rand_density,
@@ -39,11 +40,9 @@ from softmeas.measurement import (
 from softmeas.repeated import (
     ContinuousLimitParams,
     collective_representation,
-    continuous_gram_sqrt,
-    discrete_step_params,
-    joint_dm_continuous,
+    continuous_soft,
+    discrete_step,
     joint_dm_repeated,
-    meter_dm_continuous,
     meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
@@ -54,6 +53,22 @@ def gram_power(gram, n):
     """The elementwise power ``gram**n`` that a repeated measurement of
     ``gram`` derives; an array of counts gives the stack of powers."""
     return repeat_soft(SoftMeasurement(np.eye(np.shape(gram)[-1]), gram), n).gram
+
+
+def continuous_gram_sqrt(params):
+    """The meter states of the continuous limit: the preset root of
+    :func:`continuous_soft`."""
+    return continuous_soft(params).meter_vectors
+
+
+def meter_dm_continuous(rho, params):
+    """The continuous limit's meter state, by the repeated meter route."""
+    return meter_dm_repeated(rho, continuous_soft(params))
+
+
+def joint_dm_continuous(rho, params):
+    """The continuous limit's object (x) meter state, by :func:`apply_soft`."""
+    return apply_soft(continuous_soft(params), rho)
 
 
 def scalar_powers(matrix, n):
@@ -455,6 +470,80 @@ class TestTwoLevelGramSqrt:
         assert exc.value.index == (1,)
 
 
+TIMES = st.floats(0.0, 50.0)
+
+
+class TestContinuousSoft:
+    """The continuous limit at time ``t`` is the soft measurement that
+    :func:`continuous_soft` derives, so the routes that take a single
+    measurement take it, and agree."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.floats(0.0, 10.0),
+        st.floats(-10.0, 10.0),
+        st.complex_numbers(max_magnitude=10.0).filter(lambda r: r.real >= 0.0),
+        st.one_of(TIMES, st.lists(TIMES, min_size=1, max_size=6).map(np.array)),
+    )
+    def test_is_a_soft_measurement(self, kappa, chi_dot, r_dot, t):
+        """Every member passes the checks it was built without, and its
+        preset meter states are the principal root of its Gram matrix:
+        Hermitian with non-negative eigenvalues, with ``V^dagger V`` the
+        Gram matrix to 1e-14. They equal the eigensolver's root to 1e-14
+        where the Gram matrix is well conditioned; where its smallest
+        eigenvalue ``1 - exp(-kappa*t)`` nears 0, the eigensolver's root
+        itself errs by up to ``eps / sqrt(1 - exp(-kappa*t))``."""
+        m = continuous_soft(ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot))
+        assert m.entanglement.shape == m.gram.shape == m.meter_vectors.shape == np.shape(t) + (2, 2)
+        SoftMeasurement(m.entanglement, m.gram)
+        v = m.meter_vectors
+        assert np.array_equal(v, np.conj(np.swapaxes(v, -1, -2)))
+        assert np.all(np.linalg.eigvalsh(v) >= -1e-15)
+        gram_of_v = np.conj(np.swapaxes(v, -1, -2)) @ v
+        np.testing.assert_allclose(gram_of_v, m.gram, atol=1e-14, rtol=0.0)
+        smallest = np.maximum(-np.expm1(-kappa * np.asarray(t)), np.finfo(float).eps)
+        error = np.abs(v - matrix_sqrt_psd(m.gram)).max(axis=(-2, -1))
+        assert np.all(error <= 1e-14 + 4.0 * np.finfo(float).eps / np.sqrt(smallest))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.floats(0.0, 10.0),
+        st.floats(-10.0, 10.0),
+        st.complex_numbers(max_magnitude=10.0).filter(lambda r: r.real >= 0.0),
+        TIMES,
+        st.integers(0, 2**32 - 1),
+    )
+    def test_single_routes_agree(self, kappa, chi_dot, r_dot, t, seed):
+        """At one time, tracing the meter out of :func:`apply_soft` leaves
+        ``multiplier * rho``, and the Kraus route is a channel that gives
+        the closed form's coherent information."""
+        rho = rand_density(np.random.default_rng(seed), 2)
+        m = continuous_soft(ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot))
+        reduced = partial_trace(apply_soft(m, rho), [2, 2], keep=0)
+        np.testing.assert_allclose(reduced, m.multiplier * rho, atol=1e-12, rtol=0.0)
+        channel = soft_object_channel(m)
+        channel.validate()
+        assert coherent_info_channel(channel, rho) == pytest.approx(
+            coherent_info_soft(rho, m), abs=1e-10
+        )
+
+    def test_meter_states_take_no_eigensolve(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        m = continuous_soft(ContinuousLimitParams(kappa=0.7, t=np.array([0.0, 0.5, 9.0])))
+        assert m.meter_vectors.shape == (3, 2, 2)
+        assert calls == []
+
+    def test_step_is_the_limit_at_one_step(self):
+        """One step's entanglement matrix is the limit's at ``t = dt``; its
+        Gram matrix is the two-level one of angle ``sqrt(8*kappa*dt)``."""
+        step = discrete_step(0.8, 0.6, 0.2 + 0.1j, 0.05)
+        limit = continuous_soft(ContinuousLimitParams(0.8, 0.05, chi_dot=0.6, r_dot=0.2 + 0.1j))
+        assert type(step) is SoftMeasurement
+        assert np.array_equal(step.entanglement, limit.entanglement)
+        meter = TwoLevelMeterParams(theta=math.sqrt(8.0 * 0.8 * 0.05), chi=0.6 * 0.05)
+        assert np.array_equal(step.gram, two_level_gram(meter))
+
+
 class TestContinuousGramSqrt:
     def test_start_is_balanced(self):
         out = continuous_gram_sqrt(ContinuousLimitParams(kappa=1.0, t=0.0))
@@ -612,6 +701,11 @@ class TestJointEntropyFromObjectSpace:
         )
 
 
+def joint_dm_continuous_by_steps(rho, kappa, chi_dot, r_dot, t, n):
+    """The object (x) meter state after ``n`` discrete steps of length ``t / n``."""
+    return apply_soft(repeat_soft(discrete_step(kappa, chi_dot, r_dot, t / n), n), rho)
+
+
 class TestDiscreteToContinuous:
     def test_first_order_convergence(self):
         rng = np.random.default_rng(57)
@@ -622,11 +716,8 @@ class TestDiscreteToContinuous:
         exact = joint_dm_continuous(rho, params)
         errors = []
         for n in (16, 32, 64):
-            step, r12 = discrete_step_params(kappa, chi_dot, r_dot, t / n)
-            ent = np.array([[1.0, r12], [np.conj(r12), 1.0]])
-            base = SoftMeasurement(ent, two_level_gram(step))
-            approx = joint_dm_repeated(rho, repeat_soft(base, n))
-            errors.append(np.abs(swap_factors(approx, 2, 2) - exact).max())
+            approx = joint_dm_continuous_by_steps(rho, kappa, chi_dot, r_dot, t, n)
+            errors.append(np.abs(approx - exact).max())
         assert errors[1] <= 0.8 * errors[0]
         assert errors[2] <= 0.8 * errors[1]
 
@@ -634,10 +725,11 @@ class TestDiscreteToContinuous:
     @pytest.mark.parametrize("r_dot", [0.3j, 2j, 0.2 + 0.5j])
     def test_step_is_a_measurement(self, r_dot, dt):
         """The step's entanglement entry has modulus ``exp(-Re(r_dot)*dt)``,
-        at most 1 for a purely imaginary rate too, so the step builds."""
-        step, r12 = discrete_step_params(0.1, 0.0, r_dot, dt)
-        assert abs(r12) <= 1.0
-        SoftMeasurement(np.array([[1.0, r12], [np.conj(r12), 1.0]]), two_level_gram(step))
+        at most 1 for a purely imaginary rate too, so the step passes the
+        checks it was built without."""
+        step = discrete_step(0.1, 0.0, r_dot, dt)
+        assert abs(step.entanglement[0, 1]) <= 1.0
+        SoftMeasurement(step.entanglement, step.gram)
 
     def test_imaginary_rate_converges_first_order(self):
         rho = rand_density(np.random.default_rng(57), 2)
@@ -645,11 +737,8 @@ class TestDiscreteToContinuous:
         exact = joint_dm_continuous(rho, params)
         errors = []
         for n in (16, 32, 64, 128):
-            step, r12 = discrete_step_params(1.0, 0.7, 0.8j, 1.0 / n)
-            ent = np.array([[1.0, r12], [np.conj(r12), 1.0]])
-            base = SoftMeasurement(ent, two_level_gram(step))
-            approx = joint_dm_repeated(rho, repeat_soft(base, n))
-            errors.append(np.abs(swap_factors(approx, 2, 2) - exact).max())
+            approx = joint_dm_continuous_by_steps(rho, 1.0, 0.7, 0.8j, 1.0, n)
+            errors.append(np.abs(approx - exact).max())
         for coarse, fine in zip(errors, errors[1:]):
             assert fine == pytest.approx(coarse / 2.0, rel=0.05)
 
@@ -657,7 +746,8 @@ class TestDiscreteToContinuous:
         """The paper's kappa of 1 is the Gram rate 1/2, whose steps have
         ``theta**2 = 4*dt``, exactly."""
         for dt in (1e-300, 1e-9, 1.0 / 400, 0.3, 2.0):
-            assert discrete_step_params(0.5, 0, 0, dt)[0].theta == math.sqrt(4.0 * dt)
+            meter = TwoLevelMeterParams(theta=math.sqrt(4.0 * dt))
+            assert np.array_equal(discrete_step(0.5, 0, 0, dt).gram, two_level_gram(meter))
 
     @pytest.mark.parametrize(
         "kappa, dt, expected",
@@ -671,7 +761,7 @@ class TestDiscreteToContinuous:
     )
     def test_bad_rate_or_step_named(self, kappa, dt, expected):
         with pytest.raises(InvalidParams, match=re.escape(expected)):
-            discrete_step_params(kappa, 0.0, 0.0, dt)
+            discrete_step(kappa, 0.0, 0.0, dt)
 
     @pytest.mark.parametrize(
         "chi_dot, r_dot, expected",
@@ -686,7 +776,7 @@ class TestDiscreteToContinuous:
     )
     def test_bad_rate_named(self, chi_dot, r_dot, expected):
         with pytest.raises(InvalidParams, match=f"^{re.escape(expected)}$"):
-            discrete_step_params(1.0, chi_dot, r_dot, 0.1)
+            discrete_step(1.0, chi_dot, r_dot, 0.1)
 
 
 class TestStackedCounts:
@@ -803,7 +893,11 @@ class TestContinuousTimeArrays:
 
     @pytest.mark.parametrize(
         "fn",
-        [continuous_gram_sqrt, repeated._dephasing_matrix],
+        [
+            continuous_gram_sqrt,
+            repeated._dephasing_matrix,
+            pytest.param(lambda params: continuous_soft(params).gram, id="continuous_soft.gram"),
+        ],
     )
     def test_matrices_stack(self, fn):
         stack = fn(ContinuousLimitParams(t=np.array(self.times), **self.params))
@@ -870,7 +964,7 @@ class TestPhaseOverflow:
         included; at that ``dt`` the decay ``Re(r_dot)*dt`` stays finite."""
         message = "accumulated phase Im(r_dot)*t is not finite"
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
-            discrete_step_params(0.01, 0.0, r_dot, 4.0)
+            discrete_step(0.01, 0.0, r_dot, 4.0)
 
     def test_overflowing_decay_keeps_its_floats(self):
         r_dot = complex(1e308, 1e308)

@@ -28,9 +28,8 @@ from softmeas.measurement import (
 )
 from softmeas.repeated import (
     ContinuousLimitParams,
-    joint_dm_continuous,
+    continuous_soft,
     joint_dm_repeated,
-    meter_dm_continuous,
     meter_dm_repeated,
     repeat_soft,
 )
@@ -53,6 +52,7 @@ def state_functions(rng, dim):
     channel = soft_object_channel(soft)
     fns = {
         "apply_soft": lambda rho: apply_soft(soft, rho),
+        "apply_soft repeated": lambda rho: apply_soft(repeated, rho),
         "apply_general": lambda rho: apply_general(general, rho),
         "joint_dm_repeated": lambda rho: joint_dm_repeated(rho, repeated),
         "meter_dm_repeated": lambda rho: meter_dm_repeated(rho, repeated),
@@ -66,8 +66,9 @@ def state_functions(rng, dim):
         params = ContinuousLimitParams(
             kappa=0.7, t=np.array([0.0, 0.4, 3.0]), chi_dot=1.3, r_dot=0.2 - 0.5j
         )
-        fns["meter_dm_continuous"] = lambda rho: meter_dm_continuous(rho, params)
-        fns["joint_dm_continuous"] = lambda rho: joint_dm_continuous(rho, params)
+        continuous = continuous_soft(params)
+        fns["meter_dm_continuous"] = lambda rho: meter_dm_repeated(rho, continuous)
+        fns["joint_dm_continuous"] = lambda rho: apply_soft(continuous, rho)
     return fns
 
 

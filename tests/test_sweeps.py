@@ -319,16 +319,17 @@ class TestContinuousWholeGrid:
         assert_same_floats(table("continuous", config), expected)
 
     def test_default_sweep_builds_the_meter_vectors_once(self, monkeypatch):
-        """The meter and joint states of a block share one set of meter vectors."""
+        """The meter and joint states of a block share one measurement, and
+        so one set of meter vectors."""
         built = []
-        original = repeated.continuous_gram_sqrt
+        original = repeated.continuous_soft
 
         def counted(params):
             built.append(params)
             return original(params)
 
         for module in (cli, repeated):
-            monkeypatch.setattr(module, "continuous_gram_sqrt", counted)
+            monkeypatch.setattr(module, "continuous_soft", counted)
         run_sweep("continuous", dict(cli._COMMANDS["continuous"].defaults, kappa_convention="gram"))
         assert len(built) == 1
 
