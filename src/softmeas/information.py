@@ -40,6 +40,7 @@ from .matcore import (
     _entrywise,
     _first,
     _hermitian_part,
+    _integer,
     _matmul,
     _state,
     _unchecked,
@@ -120,8 +121,10 @@ def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int) -> KrausChannel
     ``CHOI_RANK_TOL`` times the largest one become operators
     ``sqrt(eig) * vec`` reshaped to ``out_dim x in_dim``, ordered by
     descending eigenvalue for determinism. The Choi matrix must be one
-    matrix of side ``in_dim * out_dim``, both dimensions at least 1.
+    matrix of side ``in_dim * out_dim``, both dimensions integers (or floats
+    of integral value) of at least 1.
     """
+    in_dim, out_dim = _integer(in_dim, "in_dim"), _integer(out_dim, "out_dim")
     if min(in_dim, out_dim) < 1 or np.shape(choi) != (in_dim * out_dim,) * 2:
         raise DimensionMismatch(f"choi must have side {in_dim} * {out_dim}, got {np.shape(choi)}")
     w, v = herm_eig(np.asarray(choi, dtype=complex))

@@ -111,6 +111,18 @@ def _as_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``: an integer, or a real float of integral
+    value (``2``, ``np.int64(2)``, ``2.0``); :class:`DimensionMismatch`
+    names ``name`` for anything else, a bool or an array included."""
+    if type(value) is int:
+        return value
+    v = np.asarray(value)
+    if v.ndim or v.dtype.kind not in "iuf" or not (np.isfinite(v) and v == np.floor(v)):
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
+    return int(v)
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -256,22 +268,24 @@ def partial_trace(
 
     ``dims`` lists the factor dimensions in tensor order (their product must
     equal the side of ``rho``); ``keep`` is a factor index or a collection of
-    them. Kept factors retain their original relative order.
+    them. Kept factors retain their original relative order. A dimension or
+    index must be an integer or a float of integral value, or
+    :class:`DimensionMismatch` names it.
     """
     rho = _as_square(rho, "rho")
     if rho.ndim != 2:
         raise DimensionMismatch(f"rho must be one matrix, got shape {rho.shape}")
-    dims = [int(d) for d in dims]
+    dims = [_integer(d, "factor dimension") for d in dims]
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total != rho.shape[0]:
         raise DimensionMismatch(
             f"product of dims {dims} is {total}, but rho has side {rho.shape[0]}"
         )
-    if isinstance(keep, (int, np.integer)):
+    if np.ndim(keep) == 0:
         keep = [keep]
-    keep_list = sorted({int(k) for k in keep})
+    keep_list = sorted({_integer(k, "keep index") for k in keep})
     if not keep_list:
         raise DimensionMismatch("keep must name at least one factor")
     if keep_list[0] < 0 or keep_list[-1] >= len(dims):
@@ -282,7 +296,7 @@ def partial_trace(
     for idx in sorted(set(range(n)) - set(keep_list), reverse=True):
         m = reshaped.ndim // 2
         reshaped = np.trace(reshaped, axis1=idx, axis2=idx + m)
-    side = int(np.prod([dims[k] for k in keep_list]))
+    side = math.prod(dims[k] for k in keep_list)
     return reshaped.reshape(side, side)
 
 

@@ -175,7 +175,7 @@ def apply_soft(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
     ``entanglement[k,l] * conj(gram[k,l]) * rho[k,l]``; for real Gram
     matrices that conjugate is invisible.
 
-    This is the one object (x) meter route for single, repeated and
+    This is the one joint-state route for single, repeated and
     continuous measurements: a stacked measurement (an array of counts or of
     times) gives one joint state per member. ``rho`` must be one ``D x D``
     state.

@@ -28,10 +28,10 @@ state ``meter_dm_repeated(rho, continuous_soft(params))``.
 :func:`discrete_step` returns one step of length ``dt`` whose ``n``-fold
 repetition approaches the limit.
 
-Index layout: :func:`~softmeas.measurement.apply_soft` is the one object
-(x) meter route, for single, repeated and continuous measurements alike;
-``joint_dm_repeated`` orders factors meter (x) object. The partial trace
-helper in :mod:`softmeas.matcore` handles either layout.
+Index layout: :func:`~softmeas.measurement.apply_soft` is the one joint-state
+route, for single, repeated and continuous measurements alike, and its
+object (x) meter layout the one layout; the joint state of ``n``
+repetitions is ``apply_soft(repeat_soft(base, n), rho)``.
 """
 
 from __future__ import annotations
@@ -59,34 +59,32 @@ from .measurement import (
 )
 
 
-def _counts(n: int | np.ndarray) -> int | np.ndarray:
-    """``n`` as an ``int``, or an ``int64`` array for a stack of counts.
+def _counts(n: int | np.ndarray) -> np.ndarray:
+    """``n`` as an ``int64`` array: 0-d for a scalar count, else the stack.
 
-    Raises :class:`InvalidParams` unless every count is an integer of at
-    least 1, naming the first failing member of an array. A scalar is
+    Raises :class:`InvalidParams` unless every count is an integer from 1 to
+    ``2**63 - 1``, naming the first failing member of an array. A scalar is
     checked as a 0-d array, so ``2.5`` is rejected as ``[2.5]`` is.
     """
     counts = np.asarray(n)
     if counts.dtype.kind not in "iu":
         raise InvalidParams(f"repetition counts must be integers, got dtype {counts.dtype}")
-    i = _first(counts < 1)
-    if i is not None:
-        raise InvalidParams(f"repetition count must be >= 1, got {counts[i]}", index=i)
-    return int(counts) if counts.ndim == 0 else counts.astype(np.int64)
+    for bad, rule in ((counts < 1, ">= 1"), (counts > 2**63 - 1, "<= 2**63 - 1")):
+        i = _first(bad)
+        if i is not None:
+            raise InvalidParams(f"repetition count must be {rule}, got {counts[i]}", index=i)
+    return counts.astype(np.int64)
 
 
-def _schur_power(matrix: np.ndarray, n: int | np.ndarray) -> np.ndarray:
+def _schur_power(matrix: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Elementwise n-th power of ``matrix`` for counts already checked by
     :func:`_counts`, each entry's modulus capped at 1; an array of counts
-    gives the stack of powers."""
-    if np.ndim(n) == 0:
-        powers = matrix**n
-    else:
-        powers = matrix ** n[..., None, None]
-        # ``matrix**2`` takes numpy's square loop, which can differ from the
-        # power loop in the last ulp for complex entries; match the
-        # single-count call.
-        powers[n == 2] = np.square(matrix)
+    gives the stack of powers, a 0-d one a single power."""
+    powers = matrix ** n[..., None, None]
+    # A count of 2 takes numpy's square loop, as ``matrix**2`` does for a
+    # scalar 2; the power loop can differ from it in the last ulp for
+    # complex entries.
+    powers[n == 2] = np.square(matrix)
     # No power of a correlation entry exceeds modulus 1, but an entry whose
     # float modulus is 1 plus an ulp grows to about e^100 at counts near
     # 1e18; such powers are scaled back to modulus 1. Every other power
@@ -127,33 +125,15 @@ def collective_representation(gram: np.ndarray, n: int | np.ndarray) -> SoftMeas
     return repeat_soft(SoftMeasurement(np.eye(np.atleast_1d(gram).shape[-1]), gram), n)
 
 
-def joint_dm_repeated(rho: StateLike, repeated: SoftMeasurement) -> np.ndarray:
-    """Joint meter-object state of a repeated measurement (one that
-    :func:`repeat_soft` derives), in the collective meter basis.
-
-    Factor order is meter (x) object (row index ``k * D + i`` with ``k``
-    collective-meter, ``i`` object). Entry ``((k,i),(l,j))`` is
-    ``R[i,j]**n * rho[i,j] * V[k,i] * conj(V[l,j])`` with ``V`` the
-    collective meter vectors of ``repeated``. A stacked measurement (an
-    array of counts) gives one joint state per member. ``rho`` must be one
-    ``D x D`` state of the measured object.
-    """
-    d = repeated.dim
-    weights = repeated.entanglement * _state(rho, d).matrix
-    vectors = repeated.meter_vectors
-    joint = np.einsum("...ij,...ki,...lj->...kilj", weights, vectors, vectors.conj())
-    return joint.reshape(joint.shape[:-4] + (d * d, d * d))
-
-
 def meter_dm_repeated(rho: StateLike, repeated: SoftMeasurement) -> np.ndarray:
     """Reduced meter state of a repeated measurement, in the collective basis;
     of the continuous limit too, given :func:`continuous_soft`'s measurement.
 
     Depends only on the object populations (the entanglement matrix drops
     out entirely): ``V @ diag(rho_kk) @ V^dagger`` with ``V`` the collective
-    meter vectors of ``repeated``. ``rho`` is checked as in
-    :func:`joint_dm_repeated`. A stacked measurement gives one state per
-    member.
+    meter vectors of ``repeated``. ``rho`` must be one ``D x D`` state of
+    the measured object, checked as :func:`~softmeas.measurement.apply_soft`
+    checks it. A stacked measurement gives one state per member.
     """
     rho = _state(rho, repeated.dim).matrix
     return _meter_mix(repeated.meter_vectors, np.diagonal(rho).real)
@@ -202,7 +182,7 @@ def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.
     formula. :class:`InvalidParams` names the first count whose phase
     ``n*chi`` overflows.
     """
-    n = np.asarray(_counts(n))
+    n = _counts(n)
     c = _entrywise(pow, math.cos(params.theta / 2.0), n)
     _check_phase("n*chi", params.chi, n)
     # ``cmath.exp(1j*n*chi)`` is libm's cosine and sine of ``n*chi``.

@@ -128,11 +128,10 @@ def rand_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def swap_factors(matrix: np.ndarray, dim_first: int, dim_second: int) -> np.ndarray:
-    """Reorder a bipartite operator from A(x)B to B(x)A."""
-    m = matrix.reshape(dim_first, dim_second, dim_first, dim_second)
-    return m.transpose(1, 0, 3, 2).reshape(
-        dim_first * dim_second, dim_first * dim_second
-    )
+    """Reorder a bipartite operator, or each of a stack of them, from A(x)B
+    to B(x)A."""
+    m = matrix.reshape(matrix.shape[:-2] + (dim_first, dim_second, dim_first, dim_second))
+    return m.swapaxes(-4, -3).swapaxes(-2, -1).reshape(matrix.shape)
 
 
 def binary_entropy(p: float) -> float:

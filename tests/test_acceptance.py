@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import binary_entropy, rand_correlation, rand_density
+from conftest import binary_entropy, rand_correlation, rand_density, swap_factors
 
 from softmeas.cli import main
 from softmeas.information import (
@@ -41,7 +41,6 @@ from softmeas.repeated import (
     ContinuousLimitParams,
     continuous_soft,
     discrete_step,
-    joint_dm_repeated,
     meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
@@ -246,12 +245,12 @@ def test_criterion_9_superoperator_fuzz():
         n = 1 + case % 3
         ent_b = rand_correlation(rng, dim)
         meter_a = partial_trace(
-            joint_dm_repeated(rho, repeat_soft(SoftMeasurement(ent, gram), n)),
+            swap_factors(apply_soft(repeat_soft(SoftMeasurement(ent, gram), n), rho), dim, dim),
             [dim, dim],
             keep=0,
         )
         meter_b = partial_trace(
-            joint_dm_repeated(rho, repeat_soft(SoftMeasurement(ent_b, gram), n)),
+            swap_factors(apply_soft(repeat_soft(SoftMeasurement(ent_b, gram), n), rho), dim, dim),
             [dim, dim],
             keep=0,
         )

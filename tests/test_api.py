@@ -45,7 +45,6 @@ PUBLIC = [
     "eve_bob_semiclassical",
     "herm_eig",
     "holevo_info",
-    "joint_dm_repeated",
     "kraus_from_choi",
     "matrix_sqrt_psd",
     "meter_dm_repeated",
@@ -85,6 +84,7 @@ REMOVED = [
     "gram_power",
     "inv_sqrt_psd",
     "joint_dm_continuous",
+    "joint_dm_repeated",
     "meter_dm_continuous",
     "meter_states_from_gram",
     "validate_general",

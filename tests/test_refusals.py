@@ -5,18 +5,23 @@ A public constructor or function that refuses a numeric input raises a
 non-numeric type may raise a ``TypeError``. The property here is the
 library's counterpart of ``test_main_never_raises``: it hands each public
 entry point that takes a matrix, a rate, an angle or a closed form's
-parameter one input that may be wrong (a 0x0 matrix, a matrix of another
-dimension, a stack where one matrix is required, non-finite entries, a
-complex value where a real one belongs) and requires a result or a
+parameter, a repetition count or a dimension one input that may be wrong
+(a 0x0 matrix, a matrix of another dimension, a stack where one matrix is
+required, non-finite entries, a complex value where a real one belongs, an
+integer that int64 cannot hold, a fraction where an integer belongs), of
+any of the dtypes numpy users hand in, and requires a result or a
 ``SoftMeasError``, with no warning. Every matrix the library takes has
-side >= 1, and a value that is real takes no complex value, so a 0x0
-matrix and a complex value in a real slot are always refused.
+side >= 1, a value that is real takes no complex value, a repetition count
+is an integer from 1 to ``2**63 - 1`` and a dimension or factor index an
+integer or a float of integral value, so a 0x0 matrix and any value that
+breaks one of these rules is always refused.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +29,9 @@ from softmeas import (
     CompetitionParams,
     ContinuousLimitParams,
     DensityMatrix,
+    DimensionMismatch,
     GeneralMeasurement,
+    InvalidParams,
     KrausChannel,
     SoftMeasError,
     SoftMeasurement,
@@ -42,7 +49,6 @@ from softmeas import (
     eve_bob_semiclassical,
     herm_eig,
     holevo_info,
-    joint_dm_repeated,
     kraus_from_choi,
     matrix_sqrt_psd,
     meter_dm_repeated,
@@ -51,6 +57,7 @@ from softmeas import (
     repeat_soft,
     semiclassical_info_continuous,
     soft_object_channel,
+    two_level_gram_sqrt,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -104,7 +111,6 @@ MATRIX_CALLS = {
         state, lambda x: coherent_info_channel(soft_object_channel(SOFT), x)
     ),
     "compete_coherent": (state, lambda x: compete_coherent(x, SOFT, SOFT)),
-    "joint_dm_repeated": (state, lambda x: joint_dm_repeated(x, repeat_soft(SOFT, 3))),
     "meter_dm_repeated": (state, lambda x: meter_dm_repeated(x, repeat_soft(SOFT, 3))),
     "meter_dm_repeated.continuous": (state, lambda x: meter_dm_repeated(x, CONTINUOUS)),
     "kraus_from_choi": (choi, lambda x: kraus_from_choi(x, 2, 2)),
@@ -162,6 +168,28 @@ RATE_CALLS = {
     ),
 }
 
+# Each entry point that takes a repetition count, and the call with the drawn
+# count in that slot.
+COUNT_CALLS = {
+    "repeat_soft": lambda x: repeat_soft(SOFT, x),
+    "two_level_gram_sqrt": lambda x: two_level_gram_sqrt(TwoLevelMeterParams(1.0, chi=0.3), x),
+    "collective_representation": lambda x: collective_representation(CORRELATION, x),
+}
+
+# Each entry point that takes a dimension or a factor index, and the call
+# with the drawn value in that slot.
+DIMENSION_CALLS = {
+    "partial_trace.dims": lambda x: partial_trace(state(4), [x, 2], keep=1),
+    "partial_trace.keep": lambda x: partial_trace(state(4), [2, 2], keep=x),
+    "kraus_from_choi.in_dim": lambda x: kraus_from_choi(choi(2), x, 2),
+    "kraus_from_choi.out_dim": lambda x: kraus_from_choi(choi(2), 2, x),
+}
+
+# The dtypes drawn beside float64 and complex128.
+DTYPES = [
+    np.bool_, np.uint8, np.uint64, np.int8,
+    np.float16, np.float32, np.complex64, np.longdouble,
+]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 FINITE = st.floats(-4.0, 4.0)
 REALS = st.one_of(FINITE, st.sampled_from(NON_FINITE))
@@ -172,20 +200,75 @@ COMPLEXES = st.one_of(
 )
 
 
+def numbers(dtype):
+    """Values that ``dtype`` holds: small ones and, for an integer dtype, its
+    extremes and the top half of its range (for uint64 the counts int64
+    cannot hold); for an inexact dtype also fractions and non-finite values."""
+    if dtype == np.bool_:
+        return st.booleans()
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        return st.one_of(
+            st.integers(max(info.min, -2), 4),
+            st.integers(info.max // 2, info.max),
+            st.just(int(info.min)),
+        )
+    real = st.one_of(st.integers(-2, 4).map(float), FINITE, st.sampled_from(NON_FINITE))
+    if np.issubdtype(dtype, np.complexfloating):
+        return st.builds(complex, real, st.one_of(st.just(0.0), real))
+    return real
+
+
+def integral(value):
+    """Whether the numpy scalar ``value`` is an integer, or a real float of
+    integral value."""
+    kind = value.dtype.kind
+    return kind in "iu" or kind == "f" and float(value).is_integer()
+
+
 @st.composite
 def matrix_calls(draw):
     """An entry point, a matrix for its slot, and whether the matrix is one
     the library always refuses (side 0). The matrix is the slot's valid one
-    of side 0 to 3, alone or in a stack of two, with an entry maybe set to
-    NaN or an infinity."""
+    of side 0 to 3, of a drawn dtype, alone or in a stack of two, with an
+    entry maybe set to NaN or an infinity if the dtype is inexact, or to
+    another value it holds (an extreme integer, say) if not."""
     name = draw(st.sampled_from(sorted(MATRIX_CALLS)))
     valid, call = MATRIX_CALLS[name]
-    matrix = valid(draw(st.integers(0, 3))).astype(complex)
+    dtype = draw(st.sampled_from([np.complex128, *DTYPES]))
+    matrix = valid(draw(st.integers(0, 3))).astype(dtype)
     if draw(st.booleans()):
         matrix = np.stack([matrix, matrix])
     if matrix.size and draw(st.booleans()):
-        matrix.flat[draw(st.integers(0, matrix.size - 1))] = draw(st.sampled_from(NON_FINITE))
+        inexact = np.issubdtype(dtype, np.inexact)
+        entry = draw(st.sampled_from(NON_FINITE) if inexact else numbers(dtype))
+        matrix.flat[draw(st.integers(0, matrix.size - 1))] = entry
     return name, call, matrix, matrix.shape[-1] == 0
+
+
+@st.composite
+def count_calls(draw):
+    """An entry point, a count for its slot, and whether the library always
+    refuses it (not an integer from 1 to ``2**63 - 1``). The count is a
+    value of a drawn dtype, alone or in a stack of two."""
+    name = draw(st.sampled_from(sorted(COUNT_CALLS)))
+    dtype = draw(st.sampled_from([np.int64, *DTYPES]))
+    size = draw(st.sampled_from([None, 2]))
+    values = draw(st.lists(numbers(dtype), min_size=size or 1, max_size=size or 1))
+    value = np.array(values, dtype=dtype).reshape(() if size is None else (size,))
+    refused = value.dtype.kind not in "iu" or bool(np.any((value < 1) | (value > 2**63 - 1)))
+    return name, COUNT_CALLS[name], value, refused
+
+
+@st.composite
+def dimension_calls(draw):
+    """An entry point, a dimension or factor index for its slot, and whether
+    the library always refuses it (not an integer, nor a float of integral
+    value). The value is a scalar of a drawn dtype."""
+    name = draw(st.sampled_from(sorted(DIMENSION_CALLS)))
+    dtype = draw(st.sampled_from([np.int64, np.float64, *DTYPES]))
+    value = np.array(draw(numbers(dtype)), dtype=dtype)[()]
+    return name, DIMENSION_CALLS[name], value, not integral(value)
 
 
 @st.composite
@@ -202,11 +285,13 @@ def rate_calls(draw):
 
 def reproduced(name, value, refused):
     """The case of the entry point ``name`` with ``value`` in its slot."""
-    return name, {**MATRIX_CALLS, **RATE_CALLS}[name][1], value, refused
+    calls = {**MATRIX_CALLS, **RATE_CALLS}
+    call = calls[name][1] if name in calls else {**COUNT_CALLS, **DIMENSION_CALLS}[name]
+    return name, call, value, refused
 
 
 @settings(deadline=None, max_examples=800)
-@given(st.one_of(matrix_calls(), rate_calls()))
+@given(st.one_of(matrix_calls(), rate_calls(), count_calls(), dimension_calls()))
 # Inputs that raised another error, or none, before the checks that refuse them.
 @example(reproduced("SoftMeasurement.gram", np.zeros((0, 0)), True))
 @example(reproduced("GeneralMeasurement", np.zeros((0, 0, 0, 0)), True))
@@ -222,6 +307,11 @@ def reproduced(name, value, refused):
 @example(reproduced("coherent_info_two_level.p", np.complex128(0.5), True))
 @example(reproduced("CompetitionParams.mu", np.array([0.5, 1j]), True))
 @example(reproduced("KrausChannel.apply", np.array([[np.inf, 0.0], [0.0, 1.0]]), False))
+@example(reproduced("repeat_soft", np.array([2**64 - 1], dtype=np.uint64), True))
+@example(reproduced("two_level_gram_sqrt", np.array([2**63], dtype=np.uint64), True))
+@example(reproduced("partial_trace.dims", 2.5, True))
+@example(reproduced("partial_trace.keep", 1.5, True))
+@example(reproduced("kraus_from_choi.in_dim", 2.0, False))
 def test_library_never_raises_another_error(case):
     """A result or a :class:`SoftMeasError`, and no warning, whatever the
     drawn input; a refusal for a 0x0 matrix or a complex real rate."""
@@ -233,3 +323,57 @@ def test_library_never_raises_another_error(case):
         except SoftMeasError:
             return
     assert not refused, "accepted an input the library always refuses"
+
+
+@pytest.mark.parametrize(
+    "call, got",
+    [
+        (lambda: repeat_soft(SOFT, np.array([2**64 - 1], dtype=np.uint64)), 2**64 - 1),
+        (
+            lambda: two_level_gram_sqrt(TwoLevelMeterParams(1.0), np.array([2**63], np.uint64)),
+            2**63,
+        ),
+        (lambda: repeat_soft(SOFT, np.uint64(2**63)), 2**63),
+    ],
+    ids=["repeat_soft", "two_level_gram_sqrt", "scalar"],
+)
+def test_count_int64_cannot_hold_is_refused(call, got):
+    """An unsigned count of at least ``2**63`` is refused by name, not
+    wrapped to a negative ``int64``."""
+    message = rf"^repetition count must be <= 2\*\*63 - 1, got {got}"
+    with pytest.raises(InvalidParams, match=message):
+        call()
+
+
+def test_largest_int64_count_is_accepted():
+    for n in (2**63 - 1, np.uint64(2**63 - 1), np.array([2**63 - 1], dtype=np.uint64)):
+        assert np.array_equal(repeat_soft(SOFT, n).gram[..., 0, 1], np.zeros(np.shape(n)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partial_trace(state(4), [2.5, 2], keep=1),
+        lambda: partial_trace(state(4), [4.9], keep=0),
+        lambda: partial_trace(state(4), [2, 2], keep=[0.5]),
+        lambda: partial_trace(state(4), [2, 2], keep=1.5),
+        lambda: kraus_from_choi(np.eye(4) / 2, 2.5, 2),
+        lambda: kraus_from_choi(np.eye(4) / 2, 2, np.float32(2.5)),
+    ],
+    ids=["dims=[2.5,2]", "dims=[4.9]", "keep=[0.5]", "keep=1.5", "in_dim=2.5", "out_dim=2.5"],
+)
+def test_non_integer_dimension_is_refused(call):
+    """A dimension or factor index that is not integral is refused, not
+    truncated, and raises no raw ``TypeError``."""
+    with pytest.raises(DimensionMismatch, match="must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), 2.0], ids=["int", "int64", "float"])
+def test_integral_dimension_is_accepted(value):
+    rho = np.diag([0.1, 0.2, 0.3, 0.4])
+    reduced = partial_trace(rho, [value, 2], keep=value - 1)
+    assert np.array_equal(reduced, partial_trace(rho, [2, 2], keep=1))
+    channel = kraus_from_choi(np.eye(4) / 2, value, 2)
+    for a, b in zip(channel.kraus_ops, kraus_from_choi(np.eye(4) / 2, 2, 2).kraus_ops):
+        assert np.array_equal(a, b)

@@ -42,7 +42,6 @@ from softmeas.repeated import (
     collective_representation,
     continuous_soft,
     discrete_step,
-    joint_dm_repeated,
     meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
@@ -168,7 +167,7 @@ class TestJointRepeated:
         rng = np.random.default_rng(43)
         rho = rand_density(rng, 2)
         rm = repeat_soft(SoftMeasurement(np.eye(2), np.eye(2)), 1)
-        joint = joint_dm_repeated(rho, rm)
+        joint = swap_factors(apply_soft(rm, rho), 2, 2)
         expected = np.zeros((4, 4), dtype=complex)
         for k in range(2):
             expected[k * 2 + k, k * 2 + k] = rho[k, k]
@@ -179,7 +178,7 @@ class TestJointRepeated:
         for dim in (2, 3):
             rho = rand_density(rng, dim)
             base = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
-            meter_major = joint_dm_repeated(rho, repeat_soft(base, 1))
+            meter_major = swap_factors(apply_soft(repeat_soft(base, 1), rho), dim, dim)
             object_major = apply_soft(base, rho)
             np.testing.assert_allclose(
                 swap_factors(meter_major, dim, dim), object_major, atol=1e-13, rtol=0.0
@@ -194,7 +193,8 @@ class TestJointRepeated:
         ent_b = rand_correlation(rng, dim)
         traces = []
         for ent in (ent_a, ent_b):
-            joint = joint_dm_repeated(rho, repeat_soft(SoftMeasurement(ent, q), n))
+            repeated = repeat_soft(SoftMeasurement(ent, q), n)
+            joint = swap_factors(apply_soft(repeated, rho), dim, dim)
             traces.append(partial_trace(joint, [dim, dim], keep=0))
         assert np.array_equal(traces[0], traces[1])
         meter = meter_dm_repeated(rho, repeat_soft(SoftMeasurement(ent_a, q), n))
@@ -206,7 +206,8 @@ class TestJointRepeated:
             for n in (1, 2, 6):
                 rho = rand_density(rng, dim)
                 base = SoftMeasurement(rand_correlation(rng, dim), rand_correlation(rng, dim))
-                validate_density_matrix(joint_dm_repeated(rho, repeat_soft(base, n)))
+                joint = swap_factors(apply_soft(repeat_soft(base, n), rho), dim, dim)
+                validate_density_matrix(joint)
 
     def test_rejects_invalid_repetition_count(self):
         with pytest.raises(InvalidParams):
@@ -243,7 +244,11 @@ class TestRepeatedMeasurement:
         n = inspect.signature(repeat_soft).parameters["n"]
         assert n.default is inspect.Parameter.empty
 
-    @pytest.mark.parametrize("fn", [joint_dm_repeated, meter_dm_repeated])
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda rho, m: apply_soft(m, rho), meter_dm_repeated],
+        ids=["apply_soft", "meter_dm_repeated"],
+    )
     @pytest.mark.parametrize(
         "rho",
         [
@@ -282,7 +287,7 @@ class TestRepeatedMeasurement:
         repeated = repeat_soft(base, n)
         for power in (repeated.entanglement, repeated.gram):
             assert np.abs(power).max() <= 1.0 + 1e-15
-        joint = joint_dm_repeated(np.full((2, 2), 0.5), repeated)
+        joint = swap_factors(apply_soft(repeated, np.full((2, 2), 0.5)), 2, 2)
         assert np.all(np.linalg.eigvalsh(joint) > -1e-10)
 
 
@@ -294,8 +299,9 @@ class TestRepeatedThroughSingleRoutes:
     @given(st.integers(2, 6), st.integers(1, 29), st.integers(0, 2**32 - 1))
     def test_routes_agree(self, dim, n, seed):
         """For complex R, Q and rho: tracing the meter out of the joint state
-        leaves ``multiplier * rho``; that joint state is the meter-major one
-        of ``joint_dm_repeated`` with its factors swapped, bit for bit; the
+        leaves ``multiplier * rho``; with its factors swapped, that joint
+        state holds the meter-major entries
+        ``R**n[i,j] * rho[i,j] * V[k,i] * conj(V[l,j])`` bit for bit; the
         Kraus route is a channel and gives the closed form's coherent
         information."""
         rng = np.random.default_rng(seed)
@@ -305,7 +311,9 @@ class TestRepeatedThroughSingleRoutes:
         joint = apply_soft(m, rho)
         reduced = partial_trace(joint, [dim, dim], keep=0)
         np.testing.assert_allclose(reduced, m.multiplier * rho, atol=1e-12, rtol=0.0)
-        assert np.array_equal(joint, swap_factors(joint_dm_repeated(rho, m), dim, dim))
+        vectors = m.meter_vectors
+        meter_major = np.einsum("ij,ki,lj->kilj", m.entanglement * rho, vectors, vectors.conj())
+        assert np.array_equal(swap_factors(joint, dim, dim), meter_major.reshape(joint.shape))
         channel = soft_object_channel(m)
         channel.validate()
         assert coherent_info_channel(channel, rho) == pytest.approx(
@@ -680,7 +688,8 @@ class TestJointEntropyFromObjectSpace:
             expected, abs=1e-12
         )
         repeated = repeat_soft(measurement, n)
-        assert von_neumann_entropy(joint_dm_repeated(rho, repeated)) == pytest.approx(
+        joint = swap_factors(apply_soft(repeated, rho), dim, dim)
+        assert von_neumann_entropy(joint) == pytest.approx(
             von_neumann_entropy(repeated.entanglement * rho), abs=1e-12
         )
 
@@ -796,11 +805,11 @@ class TestStackedCounts:
         base = SoftMeasurement(rand_correlation(rng, 2), rand_correlation(rng, 2))
         counts = np.array([1, 3, 9])
         stacked = repeat_soft(base, counts)
-        joint = joint_dm_repeated(rho, stacked)
+        joint = swap_factors(apply_soft(stacked, rho), 2, 2)
         meter = meter_dm_repeated(rho, stacked)
         for k, n in enumerate(counts.tolist()):
             single = repeat_soft(base, n)
-            assert np.array_equal(joint[k], joint_dm_repeated(rho, single))
+            assert np.array_equal(joint[k], swap_factors(apply_soft(single, rho), 2, 2))
             assert np.array_equal(meter[k], meter_dm_repeated(rho, single))
 
     def test_invalid_count_named(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_eigensolves, rand_correlation, rand_density
+from conftest import count_eigensolves, rand_correlation, rand_density, swap_factors
 
 from softmeas.errors import DimensionMismatch, InvalidState
 from softmeas.information import (
@@ -29,7 +29,6 @@ from softmeas.measurement import (
 from softmeas.repeated import (
     ContinuousLimitParams,
     continuous_soft,
-    joint_dm_repeated,
     meter_dm_repeated,
     repeat_soft,
 )
@@ -54,7 +53,7 @@ def state_functions(rng, dim):
         "apply_soft": lambda rho: apply_soft(soft, rho),
         "apply_soft repeated": lambda rho: apply_soft(repeated, rho),
         "apply_general": lambda rho: apply_general(general, rho),
-        "joint_dm_repeated": lambda rho: joint_dm_repeated(rho, repeated),
+        "apply_soft swapped": lambda rho: swap_factors(apply_soft(repeated, rho), dim, dim),
         "meter_dm_repeated": lambda rho: meter_dm_repeated(rho, repeated),
         "coherent_info_soft": lambda rho: coherent_info_soft(rho, soft),
         "coherent_info_soft repeated": lambda rho: coherent_info_soft(rho, repeated),

@@ -23,6 +23,7 @@ from conftest import (
     scalar_dephasing_matrix,
     scalar_semiclassical_info_continuous,
     scalar_two_level_gram_sqrt,
+    swap_factors,
     spy_correlation_checks,
 )
 
@@ -30,8 +31,8 @@ from softmeas import cli, repeated
 from softmeas.cli import run_sweep
 from softmeas.information import StateEnsemble, coherent_info_soft, eve_bob_semiclassical
 from softmeas.matcore import von_neumann_entropy
-from softmeas.measurement import SoftMeasurement, TwoLevelMeterParams, two_level_gram
-from softmeas.repeated import joint_dm_repeated, meter_dm_repeated, repeat_soft
+from softmeas.measurement import SoftMeasurement, TwoLevelMeterParams, apply_soft, two_level_gram
+from softmeas.repeated import meter_dm_repeated, repeat_soft
 
 
 def table(command, config):
@@ -66,7 +67,7 @@ def repeat_reference(counts, theta, chi, r12, p, mu, phase):
     rows = []
     for n in counts:
         vectors = scalar_two_level_gram_sqrt(theta, chi, n)
-        joint = joint_dm_repeated(rho, repeat_soft(measurement, n))
+        joint = swap_factors(apply_soft(repeat_soft(measurement, n), rho), 2, 2)
         meter = meter_dm_repeated(rho, repeat_soft(measurement, n))
         info = coherent_info_soft(
             rho, SoftMeasurement(measurement.entanglement**n, measurement.gram**n)
