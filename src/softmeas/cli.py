@@ -42,9 +42,14 @@ output whose reader has gone, as in ``| head``); 3 an invariant the library
 derives from valid values fails while computing: an accumulated phase
 overflows, a derived matrix fails its check, or an output value is not
 finite. A check that fails at a grid point names the point's index and
-parameter values. The ``--out`` file is opened before the sweep runs, as
-shell redirection opens it: an unwritable path exits 2 before any work, and
-a sweep that fails leaves the file empty.
+parameter values. The ``--out`` file is opened before the sweep runs, so an
+unwritable path exits 2 before any work, and it is overwritten in place:
+a regular file is cut at the end of the new text, and a sweep or write that
+fails leaves it empty. It is not truncated on opening, because on ext4 a
+truncated file that is written anew has its blocks freed, re-allocated and
+written back at close, which costs several times the write itself. Were
+the process killed while it writes, the new text would lie over the tail of
+the old one.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import cmath
 import json
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from itertools import chain, cycle, islice, repeat
@@ -660,17 +666,35 @@ def _build_parser() -> argparse.ArgumentParser:
 def _output(path: str | None) -> Iterator[TextIO]:
     """The stream a sweep is written to: stdout, or the file at ``path``.
 
-    The file is opened, and truncated, before the sweep runs, as shell
-    redirection opens it, so that an unwritable path fails before any work
-    is done. An error opening or writing either is a :class:`ConfigError`.
-    When stdout fails (its reader may have closed the pipe), it is pointed
-    at the null device, so that the interpreter's own flush at exit has
-    nothing left to fail on.
+    The file is opened for writing, created if missing, before the sweep
+    runs, so that an unwritable path fails before any work is done. It is
+    not truncated on opening but overwritten in place, and a regular file
+    is then cut at the end of the new text, or to length 0 if the sweep or
+    the write fails: on ext4, truncating a file and writing it anew frees
+    and re-allocates its blocks and forces their writeback at close, which
+    costs several times the write. The file keeps its inode, so a symlink
+    is written through and a hard link, owner and mode are kept; a target
+    that is not a regular file (the null device, a FIFO, a terminal) is
+    never truncated. An error opening, writing or cutting either is a
+    :class:`ConfigError`. When stdout fails (its reader may have closed the
+    pipe), it is pointed at the null device, so that the interpreter's own
+    flush at exit has nothing left to fail on.
     """
     if path:
         try:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                yield handle
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                regular = stat.S_ISREG(os.fstat(fd).st_mode)
+                end = 0
+                try:
+                    with open(fd, "w", encoding="utf-8", newline="", closefd=False) as handle:
+                        yield handle
+                    end = os.lseek(fd, 0, os.SEEK_CUR) if regular else 0
+                finally:
+                    if regular:
+                        os.ftruncate(fd, end)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ConfigError(f"cannot write output file {path}: {exc}") from exc
         return

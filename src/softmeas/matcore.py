@@ -269,13 +269,16 @@ def partial_trace(
     ``dims`` lists the factor dimensions in tensor order (their product must
     equal the side of ``rho``); ``keep`` is a factor index or a collection of
     them. Kept factors retain their original relative order. A dimension or
-    index must be an integer or a float of integral value, or
-    :class:`DimensionMismatch` names it.
+    index must be an integer or a float of integral value, and ``dims`` a
+    sequence of them, or :class:`DimensionMismatch` names it.
     """
     rho = _as_square(rho, "rho")
     if rho.ndim != 2:
         raise DimensionMismatch(f"rho must be one matrix, got shape {rho.shape}")
-    dims = [_integer(d, "factor dimension") for d in dims]
+    try:
+        dims = [_integer(d, "factor dimension") for d in dims]
+    except TypeError:  # a number, not a sequence of them
+        raise DimensionMismatch(f"dims must be a sequence of integers, got {dims!r}") from None
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"factor dimensions must be positive, got {dims}")
     total = math.prod(dims)
@@ -283,7 +286,9 @@ def partial_trace(
         raise DimensionMismatch(
             f"product of dims {dims} is {total}, but rho has side {rho.shape[0]}"
         )
-    if np.ndim(keep) == 0:
+    try:
+        keep = list(keep)
+    except TypeError:  # one index
         keep = [keep]
     keep_list = sorted({_integer(k, "keep index") for k in keep})
     if not keep_list:

@@ -64,9 +64,13 @@ def _counts(n: int | np.ndarray) -> np.ndarray:
 
     Raises :class:`InvalidParams` unless every count is an integer from 1 to
     ``2**63 - 1``, naming the first failing member of an array. A scalar is
-    checked as a 0-d array, so ``2.5`` is rejected as ``[2.5]`` is.
+    checked as a 0-d array, so ``2.5`` is rejected as ``[2.5]`` is. An input
+    with no entries, ``[]`` as much as an empty integer array, holds no
+    count to refuse and gives the empty stack.
     """
     counts = np.asarray(n)
+    if not counts.size:
+        return np.zeros(counts.shape, np.int64)
     if counts.dtype.kind not in "iu":
         raise InvalidParams(f"repetition counts must be integers, got dtype {counts.dtype}")
     for bad, rule in ((counts < 1, ">= 1"), (counts > 2**63 - 1, "<= 2**63 - 1")):

@@ -331,6 +331,72 @@ class TestErrorHandling:
             assert got == code and err.startswith(f"softmeas: {message}")
             assert out.read_text() == ""
 
+    def test_failed_write_leaves_out_empty(self, tmp_path, monkeypatch, capsys):
+        """A write that fails after some text went out leaves the ``--out``
+        file empty too, not a prefix of the new text over the old tail."""
+
+        def failing_emit(*args):
+            yield "q,theta,I_s\n" * 10_000
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_emit_csv", failing_emit)
+        out = tmp_path / "x.csv"
+        out.write_text("old\n" * 100_000)
+        code, err = run_failing(["fig3", "--param", "q=0:1:3", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == (
+            f"softmeas: config error: cannot write output file {out}: "
+            "[Errno 28] No space left on device\n"
+        )
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["fig2b", "--format", "json"], "x.json"),
+            (["fig3", "--param", "q=0:1:3", "--param", "theta=0:1.5:3"], "x.csv"),
+        ],
+        ids=["fig2b-json-51x51", "fig3-csv-3x3"],
+    )
+    def test_shorter_rewrite_leaves_no_stale_tail(self, argv, name, tmp_path):
+        """Written over a longer file (the 201x201 ``fig2b`` JSON), a run
+        gives exactly the bytes of the same run into a fresh path."""
+        out = tmp_path / name
+        big = ["fig2b", "--format", "json", "--param", "q_E=0:1:201", "--param", "q_B=0:1:201"]
+        assert main(big + ["--out", str(out)]) == 0
+        old_size = out.stat().st_size
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv + ["--out", str(tmp_path / f"fresh-{name}")]) == 0
+        fresh = (tmp_path / f"fresh-{name}").read_bytes()
+        assert len(fresh) < old_size
+        assert out.read_bytes() == fresh
+
+    def test_out_keeps_its_inode(self, tmp_path):
+        """The file is overwritten in place: a symlink is written through and
+        stays a link, and the target keeps its inode, mode and hard links."""
+        target = tmp_path / "target.csv"
+        target.write_text("old\n" * 100_000)
+        target.chmod(0o640)
+        hard = tmp_path / "hard.csv"
+        os.link(target, hard)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        inode = target.stat().st_ino
+        assert main(["fig2a", "--param", "q=0:1:3", "--param", "mu=0:1:3", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.stat().st_ino == inode
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert hard.read_bytes() == target.read_bytes()
+        assert target.read_text().startswith("q,mu,I_c\n0,0,")
+        assert target.read_text().count("\n") == 10
+
+    def test_null_device_out_is_not_truncated(self, monkeypatch, capsys):
+        """A target that is not a regular file is written and never cut."""
+        cuts = []
+        monkeypatch.setattr(os, "ftruncate", lambda *args: cuts.append(args))
+        assert run_failing(["fig3", "--out", os.devnull], capsys) == (0, "")
+        assert cuts == []
+
     @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"continuous"}))
     def test_kappa_convention_is_read_only_by_continuous(self, command, tmp_path, capsys):
         """Every other command takes only the default convention, from the

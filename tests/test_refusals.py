@@ -345,6 +345,16 @@ def test_count_int64_cannot_hold_is_refused(call, got):
         call()
 
 
+@pytest.mark.parametrize("counts", [[], np.array([], dtype=int)], ids=["list", "int-array"])
+def test_no_counts_give_the_empty_stack(counts):
+    """A count input with no entries holds no count to refuse: ``[]``, a
+    float array to numpy, gives the empty stack as an empty integer array does."""
+    repeated = repeat_soft(SOFT, counts)
+    assert repeated.gram.shape == repeated.entanglement.shape == (0, 2, 2)
+    params = TwoLevelMeterParams(theta=1.0)
+    assert two_level_gram_sqrt(params, counts).shape == (0, 2, 2)
+
+
 def test_largest_int64_count_is_accepted():
     for n in (2**63 - 1, np.uint64(2**63 - 1), np.array([2**63 - 1], dtype=np.uint64)):
         assert np.array_equal(repeat_soft(SOFT, n).gram[..., 0, 1], np.zeros(np.shape(n)))
@@ -366,6 +376,28 @@ def test_non_integer_dimension_is_refused(call):
     """A dimension or factor index that is not integral is refused, not
     truncated, and raises no raw ``TypeError``."""
     with pytest.raises(DimensionMismatch, match="must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: partial_trace(state(4), 4, keep=0), "dims must be a sequence of integers, got 4"),
+        (
+            lambda: partial_trace(state(4), np.int64(4), keep=0),
+            r"dims must be a sequence of integers, got np.int64\(4\)",
+        ),
+        (
+            lambda: partial_trace(state(4), [2, 2], keep=[[0], [0, 1]]),
+            r"keep index must be an integer, got \[0\]",
+        ),
+    ],
+    ids=["dims=4", "dims=int64(4)", "keep=[[0],[0,1]]"],
+)
+def test_dimension_argument_of_another_shape_is_refused(call, message):
+    """``dims`` given as one number, and a ragged ``keep``, are refused by
+    argument name, not with a raw ``TypeError`` or numpy's ``ValueError``."""
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
         call()
 
 
