@@ -45,11 +45,12 @@ finite. A check that fails at a grid point names the point's index and
 parameter values. The ``--out`` file is opened before the sweep runs, so an
 unwritable path exits 2 before any work, and it is overwritten in place:
 a regular file is cut at the end of the new text, and a sweep or write that
-fails leaves it empty. It is not truncated on opening, because on ext4 a
+raises leaves it empty. It is not truncated on opening, because on ext4 a
 truncated file that is written anew has its blocks freed, re-allocated and
-written back at close, which costs several times the write itself. Were
-the process killed while it writes, the new text would lie over the tail of
-the old one.
+written back at close, which costs several times the write itself. So a
+process killed during the sweep (SIGTERM, SIGKILL, the OOM killer) leaves
+the previous output whole, and only the exit code tells that the run
+failed; one killed while it writes leaves the new text over the old tail.
 """
 
 from __future__ import annotations
@@ -670,15 +671,20 @@ def _output(path: str | None) -> Iterator[TextIO]:
     runs, so that an unwritable path fails before any work is done. It is
     not truncated on opening but overwritten in place, and a regular file
     is then cut at the end of the new text, or to length 0 if the sweep or
-    the write fails: on ext4, truncating a file and writing it anew frees
+    the write raises: on ext4, truncating a file and writing it anew frees
     and re-allocates its blocks and forces their writeback at close, which
-    costs several times the write. The file keeps its inode, so a symlink
-    is written through and a hard link, owner and mode are kept; a target
-    that is not a regular file (the null device, a FIFO, a terminal) is
-    never truncated. An error opening, writing or cutting either is a
-    :class:`ConfigError`. When stdout fails (its reader may have closed the
-    pipe), it is pointed at the null device, so that the interpreter's own
-    flush at exit has nothing left to fail on.
+    costs several times the write. So until the new text is written the
+    file holds its previous content: a process killed during the sweep
+    (SIGTERM, SIGKILL, the OOM killer) leaves the previous output
+    whole, and only the exit code tells that the run failed. The file is
+    cut through its own descriptor after the stream is closed, so that a
+    write that keeps failing cannot keep it from being emptied. It keeps
+    its inode, so a symlink is written through and a hard link, owner and
+    mode are kept; a target that is not a regular file (the null device,
+    a FIFO, a terminal) is never truncated. An error opening, writing or
+    cutting either is a :class:`ConfigError`. When stdout fails (its reader
+    may have closed the pipe), it is pointed at the null device, so that
+    the interpreter's own flush at exit has nothing left to fail on.
     """
     if path:
         try:
@@ -689,7 +695,8 @@ def _output(path: str | None) -> Iterator[TextIO]:
                 try:
                     with open(fd, "w", encoding="utf-8", newline="", closefd=False) as handle:
                         yield handle
-                    end = os.lseek(fd, 0, os.SEEK_CUR) if regular else 0
+                        if regular:
+                            end = handle.tell()
                 finally:
                     if regular:
                         os.ftruncate(fd, end)

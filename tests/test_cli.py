@@ -351,6 +351,37 @@ class TestErrorHandling:
         assert out.read_bytes() == b""
 
     @pytest.mark.parametrize(
+        "argv, limit",
+        [(["fig3"], 4096), (["fig3", "--param", "q=0:1:3", "--param", "theta=0:1.5:3"], 64)],
+        ids=["87KB-past-4KiB", "buffered-past-64B"],
+    )
+    def test_write_that_keeps_failing_leaves_out_empty(self, argv, limit, tmp_path):
+        """A write that fails on every try still leaves the ``--out`` file
+        empty, also when the text is still buffered, so that the stream's
+        flush fails at the cut and again at close. A file size limit makes
+        every write past ``limit`` bytes fail with ``EFBIG``."""
+        out = tmp_path / "x.csv"
+        out.write_text("old\n" * 100_000)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from softmeas.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(out)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"softmeas: config error: cannot write output file {out}: [Errno 27] File too large\n"
+        )
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize(
         "argv, name",
         [
             (["fig2b", "--format", "json"], "x.json"),
