@@ -63,7 +63,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, islice, product
 from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -491,36 +491,31 @@ def _row_chunks(
     them. With ``plus_zero`` each value has 0.0 added first, which turns
     -0.0 into 0.0.
 
-    Each grid-axis value is formatted once by ``fmt``, and its string,
-    with the template text that follows its ``%s``, is repeated as C order
-    repeats it; the text before the first ``%s`` goes with the first axis.
-    Axis ``k`` is read from its own column at the stride of the axes after
-    it, so the strings carry the table's bits, signed zeros included. A
-    chunk's template is the join of its rows' grid strings, which never
-    hold a ``%``, and its text is that template ``%`` the tuple of the
-    chunk's output values in row order: one format operation per chunk.
+    Each grid-axis value is formatted once by ``fmt``, followed by the
+    template text after its ``%s``; in C order the rows are the product of
+    these strings over the axes, each led by the text before the first
+    ``%s`` (a grid with no axes has the one row ``row``). Axis ``k`` is read
+    from its own column at the stride of the axes after it, so the strings
+    carry the table's bits, signed zeros included. A chunk's template is
+    the join of its rows' grid strings, which never hold a ``%``, and its
+    text is that template ``%`` the tuple of the chunk's output values in
+    row order: one format operation per chunk.
     """
     texts = row.split("%s", len(shape))
-    columns = [] if shape else [repeat(row)]
+    axes = []
     for k, n in enumerate(shape):
         inner = math.prod(shape[k + 1 :])
         # A later axis of length 0 leaves no rows, so no axis value to read.
         values = table[: n * inner : inner or 1, k]
-        head = "" if k else texts[0]
-        strings = [
-            head + fmt % value + texts[k + 1]
-            for value in (values + 0.0 if plus_zero else values).tolist()
-        ]
-        column = chain.from_iterable(map(repeat, strings, repeat(inner))) if inner > 1 else strings
-        # A later axis runs through its values once per value of the axes
-        # before it; ``cycle`` keeps one run, at most rows / shape[0] references.
-        columns.append(cycle(column) if k else iter(column))
+        values = values + 0.0 if plus_zero else values
+        axes.append([fmt % value + texts[k + 1] for value in values.tolist()])
+    rows = product([texts[0]], *axes)
     for start in range(0, len(table), _BLOCK_POINTS):
         outputs = table[start : start + _BLOCK_POINTS, len(shape) :]
         if plus_zero:
             outputs = outputs + 0.0
-        cells = zip(*(islice(column, len(outputs)) for column in columns))
-        yield "".join(chain.from_iterable(cells)) % tuple(outputs.ravel().tolist())
+        template = "".join(chain.from_iterable(islice(rows, len(outputs))))
+        yield template % tuple(outputs.ravel().tolist())
 
 
 def _emit_csv(

@@ -4,6 +4,9 @@ Everything derives from :class:`SoftMeasError` (a ``ValueError``), so callers
 can catch either the specific condition or the whole family. A check on a
 stack of matrices gives the first failing member in the exception's
 ``index``; the exception, and nothing else, formats it into the message.
+Such a check raises through ``softmeas.matcore._refuse``, the one place
+that finds that member; the two that gather failures before raising (of a
+correlation matrix and of the unit interval) find it themselves.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ from .matcore import (
     _hermitian_part,
     _integer,
     _matmul,
+    _refuse,
     _state,
     _unchecked,
     _unchecked_entropy,
@@ -91,8 +92,9 @@ class KrausChannel:
 
     def validate(self) -> None:
         """Raise :class:`InvalidChannel` unless ``sum K^dagger K`` is the
-        identity within ``TAU_RECON`` (a non-finite operator fails)."""
-        with np.errstate(invalid="ignore"):
+        identity within ``TAU_RECON`` (a non-finite operator fails, and so
+        does one whose product overflows)."""
+        with np.errstate(invalid="ignore", over="ignore"):
             total = sum(k.conj().T @ k for k in self.kraus_ops)
             dev = float(np.max(np.abs(total - np.eye(self.in_dim))))
         if not dev <= TAU_RECON:
@@ -460,9 +462,7 @@ def _bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
     :class:`OutOfRange` for an angle that is not finite.
     """
     angles = np.asarray(theta, dtype=float)
-    i = _first(~np.isfinite(angles))
-    if i is not None:
-        raise OutOfRange(f"rotation angle must be finite, got {angles[i]}", index=i)
+    _refuse(~np.isfinite(angles), OutOfRange, "rotation angle must be finite, got {}", angles)
     cos = _entrywise(math.cos, angles / 2.0)
     sin = _entrywise(math.sin, angles / 2.0)
     return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2).astype(complex)
@@ -514,9 +514,7 @@ def eve_bob_semiclassical(
         # A non-finite entry gives a NaN deviation, which fails the check.
         with np.errstate(invalid="ignore", over="ignore"):
             deviation = np.max(np.abs(_dagger(unitary) @ unitary - np.eye(dim)), axis=(-2, -1))
-        i = _first(~(deviation <= TAU_RECON))
-        if i is not None:
-            raise InvalidMeasurement("eve_basis is not unitary", index=i)
+        _refuse(~(deviation <= TAU_RECON), InvalidMeasurement, "eve_basis is not unitary")
     dephase = np.asarray(dephase, dtype=complex)
     if dephase.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"dephase shape {dephase.shape} does not match dim {dim}")

@@ -15,7 +15,11 @@ result such as an entropy is a ``float`` for one matrix and an array of the
 stack shape otherwise. A check that fails on a stack puts the index of the
 first failing member (C order) in the exception's ``index``, and its message
 ends in `` (stack member [i, j])`` (see :class:`~softmeas.errors.SoftMeasError`);
-a single matrix gives no index. :func:`partial_trace` takes one matrix.
+a single matrix gives no index. Such a check raises through ``_refuse``,
+the one place that finds that member and reads the message's values at
+it; only the two checks that gather failures before raising
+(``_check_correlation_matrix`` and ``_check_unit_interval``) find it
+themselves. :func:`partial_trace` takes one matrix.
 
 Each check decomposes a matrix once: :func:`validate_density_matrix`
 returns the ascending eigenvalues it checked (shape ``(..., D)``);
@@ -171,9 +175,19 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
-    """Largest ``|M - M^dagger|`` entry of each matrix; NaN if an entry is not finite."""
-    with np.errstate(invalid="ignore"):
+    """Largest ``|M - M^dagger|`` entry of each matrix; NaN or inf if an
+    entry is not finite or the difference overflows."""
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.max(np.abs(m - _dagger(m)), axis=(-2, -1), initial=0.0)
+
+
+def _finite_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian part of each matrix, and whether each has only finite
+    entries: an entry near the largest float overflows the sum to inf,
+    which no eigensolver takes."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = _hermitian_part(m)
+    return h, np.isfinite(h).all(axis=(-2, -1))
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -185,6 +199,20 @@ def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     if not bad.any():
         return None
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def _refuse(bad: np.ndarray, error: type, message: str, *values) -> None:
+    """Raise ``error`` at the first True member of ``bad`` (C order), if any.
+
+    The message is ``message.format`` of ``values`` at that member: a value
+    with stack axes (``bad``'s) is read at the member, one without (a name,
+    a tolerance) goes in as it is, so a caller's name never passes through
+    the template. The member is the exception's ``index``; a 0-d ``bad``
+    (one matrix) gives none.
+    """
+    i = _first(bad)
+    if i is not None:
+        raise error(message.format(*(v[i] if np.ndim(v) else v for v in values)), index=i)
 
 
 def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
@@ -204,18 +232,18 @@ def herm_eig(matrix: np.ndarray) -> Spectrum:
     """Eigendecompose a Hermitian matrix or a stack of them.
 
     Raises :class:`NotHermitian` if any entry of ``matrix - matrix^dagger``
-    exceeds ``TAU_HERM`` in modulus, or is not finite. The decomposition
-    itself runs on the Hermitian part, which makes results deterministic for
-    inputs that are Hermitian only up to rounding.
+    exceeds ``TAU_HERM`` in modulus, or is not finite, and if an entry of
+    the Hermitian part overflows. The decomposition itself runs on the
+    Hermitian part, which makes results deterministic for inputs that are
+    Hermitian only up to rounding.
     """
     m = _as_square(matrix)
     dev = _hermitian_deviation(m)
-    i = _first(~(dev <= TAU_HERM))
-    if i is not None:
-        raise NotHermitian(
-            f"max |M - M^dagger| entry {dev[i]:.3e} exceeds {TAU_HERM:.1e}", index=i
-        )
-    w, v = np.linalg.eigh(_hermitian_part(m))
+    message = "max |M - M^dagger| entry {:.3e} exceeds {:.1e}"
+    _refuse(~(dev <= TAU_HERM), NotHermitian, message, dev, TAU_HERM)
+    h, finite = _finite_hermitian_part(m)
+    _refuse(~finite, NotHermitian, "(M + M^dagger) / 2 has an entry that overflows")
+    w, v = np.linalg.eigh(h)
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
@@ -230,9 +258,8 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     tolerance.
     """
     w, v = herm_eig(matrix)
-    i = _first(w[..., 0] < -TAU_PSD)
-    if i is not None:
-        raise NotPSD(f"smallest eigenvalue {w[i][0]:.3e} below -{TAU_PSD:.1e}", index=i)
+    message = "smallest eigenvalue {:.3e} below -{:.1e}"
+    _refuse(w[..., 0] < -TAU_PSD, NotPSD, message, w[..., 0], TAU_PSD)
     return _root_of_spectrum(w, v)
 
 
@@ -311,8 +338,9 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 
     Checks Hermiticity (within ``TAU_HERM``; a non-finite entry fails it),
     unit trace (within ``TAU_TRACE``) and positive semidefiniteness (within
-    ``TAU_PSD``), naming the violated invariant, and for a stack the first
-    member that violates it, in the message. Returns the ascending
+    ``TAU_PSD``; an entry that overflows the Hermitian part fails it),
+    naming the violated invariant, and for a stack the first member that
+    violates it, in the message. Returns the ascending
     eigenvalues of the Hermitian part that the PSD check computed, shape
     ``(..., D)``, so that a caller needing the spectrum (an entropy, say)
     does not decompose the matrix again.
@@ -329,25 +357,18 @@ def _checked_density(
     for a caller that needs the eigenvectors too."""
     m = _as_square(rho, name)
     dev = _hermitian_deviation(m)
-    i = _first(~(dev <= TAU_HERM))
-    if i is not None:
-        raise InvalidState(
-            f"{name} not Hermitian: deviation {dev[i]:.3e} > {TAU_HERM:.1e}", index=i
-        )
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    i = _first(np.abs(tr - 1.0) > TAU_TRACE)
-    if i is not None:
-        raise InvalidState(
-            f"{name} trace {complex(tr[i]):.12g} differs from 1 by more than {TAU_TRACE:.1e}",
-            index=i,
-        )
-    h = _hermitian_part(m)
+    message = "{} not Hermitian: deviation {:.3e} > {:.1e}"
+    _refuse(~(dev <= TAU_HERM), InvalidState, message, name, dev, TAU_HERM)
+    with np.errstate(over="ignore"):
+        tr = np.trace(m, axis1=-2, axis2=-1)
+    message = "{} trace {:.12g} differs from 1 by more than {:.1e}"
+    _refuse(np.abs(tr - 1.0) > TAU_TRACE, InvalidState, message, name, tr, TAU_TRACE)
+    # A state of unit trace is PSD only if no entry exceeds 1 in modulus.
+    h, finite = _finite_hermitian_part(m)
+    _refuse(~finite, InvalidState, "{} not PSD: an entry exceeds 1 in modulus", name)
     w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
-    i = _first(w[..., 0] < -TAU_PSD)
-    if i is not None:
-        raise InvalidState(
-            f"{name} not PSD: smallest eigenvalue {w[i][0]:.3e} < -{TAU_PSD:.1e}", index=i
-        )
+    message = "{} not PSD: smallest eigenvalue {:.3e} < -{:.1e}"
+    _refuse(w[..., 0] < -TAU_PSD, InvalidState, message, name, w[..., 0], TAU_PSD)
     return w, v
 
 
@@ -416,9 +437,8 @@ def _entropy(w: np.ndarray) -> float | np.ndarray:
     the same floats, without a numpy loop of length ``D`` per member. From
     eight on the sum is ``terms.sum(axis=-1)``, with the zero terms left out
     where a member has any."""
-    i = _first(w[..., 0] < -ENTROPY_CLAMP)
-    if i is not None:
-        raise InvalidState(f"eigenvalue {w[i][0]:.3e} below -{ENTROPY_CLAMP:.1e}", index=i)
+    message = "eigenvalue {:.3e} below -{:.1e}"
+    _refuse(w[..., 0] < -ENTROPY_CLAMP, InvalidState, message, w[..., 0], ENTROPY_CLAMP)
     w = np.clip(w, 0.0, 1.0)
     terms = w * np.log2(np.where(w > 0.0, w, 1.0))
     if w.shape[-1] < 8:

@@ -41,9 +41,9 @@ from .matcore import (
     TAU_TRACE,
     StateLike,
     _dagger,
+    _finite_hermitian_part,
     _first,
     _hermitian_deviation,
-    _hermitian_part,
     _matmul,
     _state,
     _unchecked_sqrt,
@@ -58,7 +58,8 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
     unit diagonal plus PSD already bounds every off-diagonal modulus by one,
     but the bound is reported separately because it is the first thing that
     breaks when a matrix is edited by hand. A matrix with a non-finite entry
-    is not Hermitian. PSD is checked only on the members that are Hermitian.
+    is not Hermitian. PSD is checked only on the members that are Hermitian
+    and whose Hermitian part is finite.
     The message joins with ``"; "`` the failures at the first failing member
     (C order) over all checks, the matrices' in the order given and then
     ``more``; that member is the exception's ``index``. So a stack names the
@@ -72,13 +73,13 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
             found.append(((), f"{name} must be square of side >= 1, got shape {m.shape}"))
             continue
         not_herm = ~(_hermitian_deviation(m) <= TAU_HERM)
-        # The members that are not Hermitian take the PSD check as identities.
-        checked = np.where(not_herm[..., None, None], np.eye(m.shape[-1]), m)
-        # An entry near the largest float overflows the Hermitian part to NaN
-        # eigenvalues, which fail no PSD test; the modulus bound below names
-        # that member.
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.linalg.eigvalsh(_hermitian_part(checked))
+        # An entry near the largest float overflows the Hermitian part to
+        # inf, on which the eigensolver may not converge. Such members, and
+        # those that are not Hermitian, take the PSD check as identities; the
+        # modulus bound below names the former.
+        h, finite = _finite_hermitian_part(m)
+        skipped = (not_herm | ~finite)[..., None, None]
+        w = np.linalg.eigvalsh(np.where(skipped, np.eye(m.shape[-1]), h))
         diag = np.diagonal(m, axis1=-2, axis2=-1)
         for bad, failure in (
             (not_herm, f"is not Hermitian within {TAU_HERM:.1e}"),
@@ -208,14 +209,18 @@ class GeneralMeasurement:
             raise InvalidMeasurement(message)
         failures = []
         big = self.assembled()
+        h, finite = _finite_hermitian_part(big)
         if not _hermitian_deviation(big) <= TAU_HERM:
             failures.append("assembled block operator is not Hermitian")
+        elif not finite:
+            failures.append("assembled block operator has an entry that overflows")
         else:
-            w = np.linalg.eigvalsh(_hermitian_part(big))
+            w = np.linalg.eigvalsh(h)
             if w[0] < -TAU_PSD:
                 failures.append(f"assembled block operator is not PSD: eigenvalue {w[0]:.3e}")
         for k in range(self.dim):
-            tr = complex(np.trace(b[k, k]))
+            with np.errstate(over="ignore"):
+                tr = complex(np.trace(b[k, k]))
             if abs(tr - 1.0) > TAU_TRACE:
                 failures.append(f"diagonal block {k} has trace {tr:.12g}, expected 1")
         if failures:

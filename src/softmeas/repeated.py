@@ -46,7 +46,7 @@ from .errors import InvalidParams
 from .matcore import (
     StateLike,
     _entrywise,
-    _first,
+    _refuse,
     _state,
     _unchecked,
 )
@@ -74,9 +74,7 @@ def _counts(n: int | np.ndarray) -> np.ndarray:
     if counts.dtype.kind not in "iu":
         raise InvalidParams(f"repetition counts must be integers, got dtype {counts.dtype}")
     for bad, rule in ((counts < 1, ">= 1"), (counts > 2**63 - 1, "<= 2**63 - 1")):
-        i = _first(bad)
-        if i is not None:
-            raise InvalidParams(f"repetition count must be {rule}, got {counts[i]}", index=i)
+        _refuse(bad, InvalidParams, "repetition count must be {}, got {}", rule, counts)
     return counts.astype(np.int64)
 
 
@@ -169,9 +167,8 @@ def _check_phase(name: str, rate: float, times: float | np.ndarray, decay: float
     ``decay * time`` overflows too is exactly 0 whatever its phase, and
     passes."""
     with np.errstate(over="ignore"):
-        i = _first(np.isinf(np.multiply(rate, times)) & ~np.isinf(np.multiply(decay, times)))
-    if i is not None:
-        raise InvalidParams(f"accumulated phase {name} is not finite", index=i)
+        bad = np.isinf(np.multiply(rate, times)) & ~np.isinf(np.multiply(decay, times))
+    _refuse(bad, InvalidParams, "accumulated phase {} is not finite", name)
 
 
 def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.ndarray:
@@ -228,9 +225,7 @@ class ContinuousLimitParams:
             raise InvalidParams(f"t must be real, got {self.t!r}")
         t = np.asarray(self.t, dtype=float)
         for bad, rule in ((~np.isfinite(t), "finite"), (t < 0.0, ">= 0")):
-            i = _first(bad)
-            if i is not None:
-                raise InvalidParams(f"t must be {rule}, got {t[i]}", index=i)
+            _refuse(bad, InvalidParams, "t must be {}, got {}", rule, t)
         if t.ndim:
             object.__setattr__(self, "t", t)
 
@@ -294,7 +289,9 @@ def discrete_step(kappa: float, chi_dot: float, r_dot: complex, dt: float) -> So
     if not (np.ndim(dt) == 0 and np.isrealobj(dt) and math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
     step = ContinuousLimitParams(kappa=kappa, t=dt, chi_dot=chi_dot, r_dot=r_dot)
-    params = TwoLevelMeterParams(theta=math.sqrt(8.0 * kappa * dt), chi=chi_dot * dt)
+    # A numpy scalar product that overflows warns; TwoLevelMeterParams refuses its inf.
+    with np.errstate(over="ignore"):
+        params = TwoLevelMeterParams(theta=math.sqrt(8.0 * kappa * dt), chi=chi_dot * dt)
     return _unchecked(
         SoftMeasurement, entanglement=_dephasing_matrix(step), gram=two_level_gram(params)
     )

@@ -975,14 +975,24 @@ DEFAULT_JSON_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
+def kernel_marked(commands, needs_fma):
+    """The commands as parameters, each digest that holds only on some BLAS
+    kernel sets marked (see the markers in pyproject.toml): those of
+    continuous and repeat hold only on SkylakeX, those in ``needs_fma``
+    only with FMA."""
+    marks = dict.fromkeys(needs_fma, pytest.mark.needs_fma)
+    marks.update(dict.fromkeys(("continuous", "repeat"), pytest.mark.skylakex_only))
+    return [pytest.param(command, marks=marks.get(command, ())) for command in sorted(commands)]
+
+
+@pytest.mark.parametrize("command", kernel_marked(DEFAULT_CSV_SHA256, {"fig3"}))
 def test_default_csv_digest_is_pinned(command, tmp_path):
     code, out = run_cli([command], tmp_path)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256[command]
 
 
-@pytest.mark.parametrize("command", sorted(DEFAULT_JSON_SHA256))
+@pytest.mark.parametrize("command", kernel_marked(DEFAULT_JSON_SHA256, {"fig3", "isweep"}))
 def test_default_json_digest_is_pinned(command, tmp_path):
     code, out = run_cli([command, "--format", "json"], tmp_path, "out.json")
     assert code == 0
@@ -998,6 +1008,7 @@ def test_default_json_digest_is_pinned(command, tmp_path):
 CONTINUOUS_PAPER_JSON_SHA256 = "3e2ce5ea824bfd8e68eefd27d2a17c9cfa0e1e2bb0a704d1baa59a2687c5e78a"
 
 
+@pytest.mark.skylakex_only
 def test_non_default_continuous_digest_is_pinned(tmp_path):
     argv = ["continuous", "--format", "json", "--kappa-convention", "paper"]
     for value in ("t=0:7:401", "r_dot=0.3,2", "chi_dot=1.3", "rho_p=0.3", "rho_mu=0.6"):
@@ -1037,6 +1048,7 @@ def test_large_grid_text_is_not_held_whole(tmp_path):
 LARGE_FIG3_JSON_SHA256 = "1e573fdf809f1a06d396bc90a3ff1bd4f0c6fe1649e4d2e7ab449189c237ba17"
 
 
+@pytest.mark.needs_fma
 def test_large_fig3_surface_digest_is_pinned(tmp_path):
     argv = ["fig3", "--format", "json", "--param", "q=0:1:201"]
     argv += ["--param", f"theta=0:{math.pi / 2.0!r}:201"]
@@ -1188,6 +1200,7 @@ class TestTemplateEmit:
                 per_value_json("x", {"q": "0:1:3"}, columns, [])
             ] * 4
 
+    @pytest.mark.needs_fma
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_grid_sweeps_across_chunk_boundaries(self, rows, tmp_path, monkeypatch):
         """Whole sweeps evaluated in blocks and written in chunks of ``rows``

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softmeas.errors import SoftMeasError
+from softmeas.errors import InvalidState, SoftMeasError
 from softmeas.information import (
     StateEnsemble,
     _bloch_y_rotation,
@@ -21,6 +21,7 @@ from softmeas.information import (
     eve_bob_semiclassical,
 )
 from softmeas.matcore import (
+    DensityMatrix,
     _unchecked_entropy,
     herm_eig,
     matrix_sqrt_psd,
@@ -133,3 +134,19 @@ def test_index_formats_the_label_and_an_empty_index_is_none():
     exc = SoftMeasError("check failed", index=())
     assert exc.index is None
     assert str(exc) == "check failed"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda m: m + NOT_HERMITIAN, lambda m: 2.0 * m, lambda m: np.diag([1.5, -0.5])],
+    ids=["Hermitian", "trace", "PSD"],
+)
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_state_name_reaches_the_message_verbatim(corrupt, stacked):
+    """A caller's name is put into the message as it is, braces and percent
+    signs included, not read as a template."""
+    bad = np.array([False, True]) if stacked else np.array(True)
+    name = "state {k} at 50%"
+    with pytest.raises(InvalidState) as excinfo:
+        DensityMatrix(_stack(bad, np.eye(2) / 2.0, corrupt), name=name)
+    assert str(excinfo.value).startswith(f"{name} ")

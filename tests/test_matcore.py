@@ -456,6 +456,7 @@ def matrix_stack(rng, stack, dim, layout):
 AXIS_PATTERNS = ("same", "b-one", "a-one")
 
 
+@pytest.mark.skylakex_only
 @settings(deadline=None, max_examples=300)
 @given(
     dim=st.integers(2, 6),

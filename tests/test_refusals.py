@@ -1,20 +1,22 @@
 """The library fails as cleanly as the CLI.
 
 A public constructor or function that refuses a numeric input raises a
-:class:`~softmeas.errors.SoftMeasError` subclass; only a value of a
-non-numeric type may raise a ``TypeError``. The property here is the
-library's counterpart of ``test_main_never_raises``: it hands each public
-entry point that takes a matrix, a rate, an angle or a closed form's
-parameter, a repetition count or a dimension one input that may be wrong
-(a 0x0 matrix, a matrix of another dimension, a stack where one matrix is
-required, non-finite entries, a complex value where a real one belongs, an
-integer that int64 cannot hold, a fraction where an integer belongs), of
-any of the dtypes numpy users hand in, and requires a result or a
-``SoftMeasError``, with no warning. Every matrix the library takes has
-side >= 1, a value that is real takes no complex value, a repetition count
-is an integer from 1 to ``2**63 - 1`` and a dimension or factor index an
-integer or a float of integral value, so a 0x0 matrix and any value that
-breaks one of these rules is always refused.
+:class:`~softmeas.errors.SoftMeasError` subclass; a value of a non-numeric
+type, a string that spells no number included, may raise numpy's or
+Python's own error. The property here is the library's counterpart of
+``test_main_never_raises``: it hands each public entry point that takes a
+matrix, a rate, an angle or a closed form's parameter, a repetition count
+or a dimension one input that may be wrong (a 0x0 matrix, a matrix of
+another dimension, a stack where one matrix is required, non-finite
+entries, entries at the largest float, whose sums overflow, a complex
+value where a real one belongs, an integer that int64 cannot hold, a
+fraction where an integer belongs), of any of the dtypes numpy users hand
+in, and requires a result or a ``SoftMeasError``, with no warning. Every
+matrix the library takes has side >= 1, a value that is real takes no
+complex value, a repetition count is an integer from 1 to ``2**63 - 1``
+and a dimension or factor index an integer or a float of integral value,
+so a 0x0 matrix and any value that breaks one of these rules is always
+refused.
 """
 
 import math
@@ -191,6 +193,7 @@ DTYPES = [
     np.float16, np.float32, np.complex64, np.longdouble,
 ]
 NON_FINITE = [math.nan, math.inf, -math.inf]
+LARGEST = float(np.finfo(np.float64).max)
 FINITE = st.floats(-4.0, 4.0)
 REALS = st.one_of(FINITE, st.sampled_from(NON_FINITE))
 COMPLEXES = st.one_of(
@@ -219,6 +222,16 @@ def numbers(dtype):
     return real
 
 
+def largest(dtype):
+    """Plus and minus the largest float64 if the inexact ``dtype`` holds it,
+    and for a complex dtype ``1j`` times either too; else nothing."""
+    if float(np.finfo(dtype).max) < LARGEST:
+        return []
+    if np.issubdtype(dtype, np.complexfloating):
+        return [LARGEST, -LARGEST, 1j * LARGEST, -1j * LARGEST]
+    return [LARGEST, -LARGEST]
+
+
 def integral(value):
     """Whether the numpy scalar ``value`` is an integer, or a real float of
     integral value."""
@@ -231,8 +244,10 @@ def matrix_calls(draw):
     """An entry point, a matrix for its slot, and whether the matrix is one
     the library always refuses (side 0). The matrix is the slot's valid one
     of side 0 to 3, of a drawn dtype, alone or in a stack of two, with an
-    entry maybe set to NaN or an infinity if the dtype is inexact, or to
-    another value it holds (an extreme integer, say) if not."""
+    entry maybe set to NaN or an infinity if the dtype is inexact (or, if
+    it holds them, to plus or minus the largest float64, and for a complex
+    dtype to ``1j`` times either), or to another value it holds (an extreme
+    integer, say) if not."""
     name = draw(st.sampled_from(sorted(MATRIX_CALLS)))
     valid, call = MATRIX_CALLS[name]
     dtype = draw(st.sampled_from([np.complex128, *DTYPES]))
@@ -241,7 +256,7 @@ def matrix_calls(draw):
         matrix = np.stack([matrix, matrix])
     if matrix.size and draw(st.booleans()):
         inexact = np.issubdtype(dtype, np.inexact)
-        entry = draw(st.sampled_from(NON_FINITE) if inexact else numbers(dtype))
+        entry = draw(st.sampled_from(NON_FINITE + largest(dtype)) if inexact else numbers(dtype))
         matrix.flat[draw(st.integers(0, matrix.size - 1))] = entry
     return name, call, matrix, matrix.shape[-1] == 0
 
@@ -283,6 +298,13 @@ def rate_calls(draw):
     return name, call, value, kind == "real" and np.iscomplexobj(value)
 
 
+def with_entry(matrix, position, value):
+    """A copy of ``matrix`` whose flat entry ``position`` is ``value``."""
+    matrix = matrix.copy()
+    matrix.flat[position] = value
+    return matrix
+
+
 def reproduced(name, value, refused):
     """The case of the entry point ``name`` with ``value`` in its slot."""
     calls = {**MATRIX_CALLS, **RATE_CALLS}
@@ -312,6 +334,12 @@ def reproduced(name, value, refused):
 @example(reproduced("partial_trace.dims", 2.5, True))
 @example(reproduced("partial_trace.keep", 1.5, True))
 @example(reproduced("kraus_from_choi.in_dim", 2.0, False))
+# Entries at the largest float, which overflowed the Hermitian part of the
+# check to inf, where the eigensolver did not converge.
+@example(reproduced("SoftMeasurement.entanglement", with_entry(correlation(3), 4, LARGEST), True))
+@example(reproduced("GeneralMeasurement", with_entry(blocks(3), 3, LARGEST), True))
+@example(reproduced("discrete_step.kappa", np.float64(LARGEST), False))
+@example(reproduced("discrete_step.dt", np.float64(LARGEST), False))
 def test_library_never_raises_another_error(case):
     """A result or a :class:`SoftMeasError`, and no warning, whatever the
     drawn input; a refusal for a 0x0 matrix or a complex real rate."""
