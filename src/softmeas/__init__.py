@@ -24,7 +24,6 @@ from .matcore import (
     TAU_RECON,
     TAU_TRACE,
     DensityMatrix,
-    Spectrum,
     herm_eig,
     matrix_sqrt_psd,
     partial_trace,
@@ -37,6 +36,7 @@ from .measurement import (
     TwoLevelMeterParams,
     apply_general,
     apply_soft,
+    meter_state,
     two_level_gram,
     two_level_meter_states,
 )
@@ -45,12 +45,10 @@ from .repeated import (
     collective_representation,
     continuous_soft,
     discrete_step,
-    meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
 )
 from .information import (
-    CompetitionParams,
     KrausChannel,
     StateEnsemble,
     coherent_info_channel,
@@ -69,7 +67,6 @@ from .information import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompetitionParams",
     "ConfigError",
     "ContinuousLimitParams",
     "DensityMatrix",
@@ -85,7 +82,6 @@ __all__ = [
     "OutOfRange",
     "SoftMeasError",
     "SoftMeasurement",
-    "Spectrum",
     "StateEnsemble",
     "TAU_HERM",
     "TAU_PSD",
@@ -107,8 +103,8 @@ __all__ = [
     "holevo_info",
     "kraus_from_choi",
     "matrix_sqrt_psd",
-    "meter_dm_repeated",
     "meter_ensemble",
+    "meter_state",
     "partial_trace",
     "repeat_soft",
     "semiclassical_info_continuous",

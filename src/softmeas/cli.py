@@ -70,7 +70,6 @@ import numpy as np
 
 from .errors import ConfigError, SoftMeasError
 from .information import (
-    CompetitionParams,
     StateEnsemble,
     _bloch_y_rotation,
     coherent_info_soft,
@@ -86,13 +85,13 @@ from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
     apply_soft,
+    meter_state,
     two_level_gram,
 )
 from .repeated import (
     ContinuousLimitParams,
     _two_level_matrix,
     continuous_soft,
-    meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
 )
@@ -302,7 +301,7 @@ def _sweep_fig2a(p):
 
 
 def _sweep_fig2b(mu):
-    return lambda q_eve, q_bob: compete_two_level(CompetitionParams(q_eve, q_bob, mu))
+    return lambda q_eve, q_bob: compete_two_level(q_eve, q_bob, mu)
 
 
 # fig3's inputs shared by every grid point of every sweep: the balanced
@@ -329,7 +328,7 @@ def _sweep_continuous(kappa, chi_dot, r_dot, rho_p, rho_mu, rho_phase, kappa_con
         params = ContinuousLimitParams(kappa=kappa, t=t, chi_dot=chi_dot, r_dot=r_dot)
         # The meter and joint states share one build of the measurement.
         measurement = continuous_soft(params)
-        meter = meter_dm_repeated(rho, measurement)
+        meter = meter_state(measurement, rho)
         joint = apply_soft(measurement, rho)
         info = semiclassical_info_continuous(kappa, t)
         return [*_entries(meter), _unchecked_entropy(joint), _unchecked_entropy(meter), info]
@@ -347,7 +346,7 @@ def _sweep_repeat(**values):
         # The pinned joint_entropy holds the eigensolve rounding of the
         # meter (x) object layout, so the factors are swapped to it.
         joint = joint.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(joint.shape)
-        meter = meter_dm_repeated(rho, repeated)
+        meter = meter_state(repeated, rho)
         entropies = [_unchecked_entropy(meter), _unchecked_entropy(joint)]
         return [*_entries(vectors), *entropies, coherent_info_soft(rho, repeated)]
 

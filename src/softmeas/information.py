@@ -34,6 +34,7 @@ from .matcore import (
     TAU_RECON,
     DensityMatrix,
     StateLike,
+    _cast,
     _checked_density,
     _dagger,
     _entropy,
@@ -60,9 +61,6 @@ from .repeated import ContinuousLimitParams
 # as numerically zero when extracting Kraus operators.
 CHOI_RANK_TOL = 1e-12
 
-# Input eigenvalues below this are dropped from the purification reference.
-_PURIFY_TOL = 1e-15
-
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -75,7 +73,7 @@ class KrausChannel:
     kraus_ops: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
+        ops = tuple(_cast(k, complex) for k in self.kraus_ops)
         if not ops:
             raise InvalidChannel("channel needs at least one Kraus operator")
         if any(k.ndim != 2 or k.shape != ops[0].shape or not k.size for k in ops):
@@ -105,7 +103,7 @@ class KrausChannel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The output state of the ``in_dim x in_dim`` state ``rho``; a
         non-finite entry raises :class:`InvalidState` before any product."""
-        rho = np.asarray(rho, dtype=complex)
+        rho = _cast(rho, complex)
         if rho.shape != (self.in_dim, self.in_dim):
             raise DimensionMismatch(
                 f"rho has shape {rho.shape}, channel input dim is {self.in_dim}"
@@ -129,7 +127,7 @@ def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int) -> KrausChannel
     in_dim, out_dim = _integer(in_dim, "in_dim"), _integer(out_dim, "out_dim")
     if min(in_dim, out_dim) < 1 or np.shape(choi) != (in_dim * out_dim,) * 2:
         raise DimensionMismatch(f"choi must have side {in_dim} * {out_dim}, got {np.shape(choi)}")
-    w, v = herm_eig(np.asarray(choi, dtype=complex))
+    w, v = herm_eig(choi)
     wmax = max(float(w[-1]), 0.0)
     ops = []
     for idx in range(len(w) - 1, -1, -1):
@@ -159,17 +157,17 @@ def soft_object_channel(measurement: SoftMeasurement) -> KrausChannel:
 def coherent_info_channel(channel: KrausChannel, rho: StateLike) -> float:
     """Coherent information preserved by ``channel`` on input ``rho``, bits.
 
-    The input is purified in its eigenbasis (descending eigenvalues, zero
-    eigenvalues omitted from the reference system), the channel acts on the
-    input half, and the result is output entropy minus joint entropy. The
-    value may be negative. A :class:`DensityMatrix` input is decomposed once
-    more, since the purification needs its eigenvectors.
+    The input is purified in its eigenbasis (descending eigenvalues, those
+    that are not positive omitted from the reference system), the channel
+    acts on the input half, and the result is output entropy minus joint
+    entropy. The value may be negative. A :class:`DensityMatrix` input is
+    decomposed once more, since the purification needs its eigenvectors.
     """
-    rho = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    rho = rho.matrix if isinstance(rho, DensityMatrix) else _cast(rho, complex)
     channel.validate()
     w, v = _checked_density(rho, "rho", vectors=True)
     output = channel.apply(rho)  # raises DimensionMismatch for a rho of the wrong shape
-    order = [i for i in range(len(w) - 1, -1, -1) if w[i] > _PURIFY_TOL]
+    order = [i for i in range(len(w) - 1, -1, -1) if w[i] > 0.0]
     amps = v[:, order] * np.sqrt(w[order])  # in_dim x rank, column i = sqrt(l_i) v_i
     rank = amps.shape[1]
     joint = np.zeros((channel.out_dim * rank, channel.out_dim * rank), dtype=complex)
@@ -219,7 +217,7 @@ def _check_unit_interval(**values: float | np.ndarray) -> list[np.ndarray]:
     for name, value in values.items():
         if np.iscomplexobj(value):
             raise OutOfRange(f"{name} must be real, got {value!r}")
-    values = {name: np.asarray(value, dtype=float) for name, value in values.items()}
+    values = {name: _cast(value, float) for name, value in values.items()}
     np.broadcast_shapes(*(a.shape for a in values.values()))
     if not all(((0.0 <= a) & (a <= 1.0)).all() for a in values.values()):
         arrays = np.broadcast_arrays(*values.values())
@@ -289,8 +287,8 @@ class StateEnsemble:
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.probs):
             raise InvalidParams(f"probabilities must be real, got {self.probs!r}")
-        probs = np.asarray(self.probs, dtype=float)
-        states = tuple(np.asarray(s, dtype=complex) for s in self.states)
+        probs = _cast(self.probs, float)
+        states = tuple(_cast(s, complex) for s in self.states)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
         if probs.ndim != 1 or len(states) != probs.size:
@@ -389,24 +387,6 @@ def semiclassical_info_continuous(kappa: float, t: float | np.ndarray) -> float 
     return float(info) if info.ndim == 0 else info
 
 
-@dataclass(frozen=True)
-class CompetitionParams:
-    """Two receivers measuring one object of balanced populations
-    (``p = 1/2``): softness parameters ``q_eve`` and ``q_bob`` and input
-    coherence modulus ``mu``.
-
-    Each field is a float or an array; arrays broadcast against each other
-    and describe one arrangement per member.
-    """
-
-    q_eve: float | np.ndarray
-    q_bob: float | np.ndarray
-    mu: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_unit_interval(q_eve=self.q_eve, q_bob=self.q_bob, mu=self.mu)
-
-
 def compete_coherent(
     rho: StateLike, eve: SoftMeasurement, bob: SoftMeasurement
 ) -> tuple[float, float]:
@@ -435,18 +415,18 @@ def compete_coherent(
 
 
 def compete_two_level(
-    params: CompetitionParams,
+    q_eve: float | np.ndarray, q_bob: float | np.ndarray, mu: float | np.ndarray
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Closed two-level form of :func:`compete_coherent` for balanced
-    populations and unit entanglement matrices.
+    populations (``p = 1/2``) and unit entanglement matrices.
 
+    ``q_eve`` and ``q_bob`` are the two receivers' softness parameters and
+    ``mu`` the input's coherence modulus; all three must lie in ``[0, 1]``.
     Substitutes ``(q_bob*mu, q_eve)`` respectively ``(q_eve*mu, q_bob)``
-    into the single-measurement closed form at ``p = 1/2``. Array fields
-    give arrays of their broadcast shape.
+    into the single-measurement closed form at ``p = 1/2``. Arrays
+    broadcast against each other and give arrays of their broadcast shape.
     """
-    q_eve, q_bob, mu = (
-        np.asarray(v, dtype=float) for v in (params.q_eve, params.q_bob, params.mu)
-    )
+    q_eve, q_bob, mu = _check_unit_interval(q_eve=q_eve, q_bob=q_bob, mu=mu)
     info_eve = coherent_info_two_level(q_bob * mu, 0.5, q_eve)
     info_bob = coherent_info_two_level(q_eve * mu, 0.5, q_bob)
     return info_eve, info_bob
@@ -461,7 +441,7 @@ def _bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
     exactly the matrices the single-angle calls give. Raises
     :class:`OutOfRange` for an angle that is not finite.
     """
-    angles = np.asarray(theta, dtype=float)
+    angles = _cast(theta, float)
     _refuse(~np.isfinite(angles), OutOfRange, "rotation angle must be finite, got {}", angles)
     cos = _entrywise(math.cos, angles / 2.0)
     sin = _entrywise(math.sin, angles / 2.0)
@@ -506,7 +486,7 @@ def eve_bob_semiclassical(
             raise DimensionMismatch("angle parameterization is two-level only")
         unitary = _bloch_y_rotation(float(eve_basis))
     else:
-        unitary = np.asarray(eve_basis, dtype=complex)
+        unitary = _cast(eve_basis, complex)
         if unitary.shape[-2:] != (dim, dim):
             raise DimensionMismatch(
                 f"basis unitary shape {unitary.shape} does not match dim {dim}"
@@ -515,7 +495,7 @@ def eve_bob_semiclassical(
         with np.errstate(invalid="ignore", over="ignore"):
             deviation = np.max(np.abs(_dagger(unitary) @ unitary - np.eye(dim)), axis=(-2, -1))
         _refuse(~(deviation <= TAU_RECON), InvalidMeasurement, "eve_basis is not unitary")
-    dephase = np.asarray(dephase, dtype=complex)
+    dephase = _cast(dephase, complex)
     if dephase.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"dephase shape {dephase.shape} does not match dim {dim}")
     _check_correlation_matrix({"dephase": dephase})

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,20 +96,16 @@ ENTROPY_CLAMP = 1e-10
 SQRT_RANK_EPS = float(np.finfo(float).eps)
 
 
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
-
-    ``eigenvalues`` are real and ascending along the last axis; column ``i``
-    of ``eigenvectors`` (``eigenvectors[..., :, i]``) is the unit
-    eigenvector for ``eigenvalues[..., i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+def _cast(value, dtype: type) -> np.ndarray:
+    """``value`` as an array of ``dtype``. A value past the range of
+    ``dtype`` (a ``longdouble`` beyond float64's, say) becomes an infinity,
+    which the caller's finiteness checks refuse, with no overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.asarray(value, dtype=dtype)
 
 
 def _as_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = _cast(matrix, complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not m.shape[-1]:
         raise DimensionMismatch(f"{name} must be square of side >= 1, got shape {m.shape}")
     return m
@@ -228,8 +224,13 @@ def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
     return np.fromiter(values, dtype, arrays[0].size).reshape(arrays[0].shape)
 
 
-def herm_eig(matrix: np.ndarray) -> Spectrum:
+def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix or a stack of them.
+
+    Returns numpy's ``(eigenvalues, eigenvectors)`` pair: the eigenvalues
+    are real and ascending along the last axis, and column ``i`` of the
+    eigenvectors (``eigenvectors[..., :, i]``) is the unit eigenvector for
+    ``eigenvalues[..., i]``.
 
     Raises :class:`NotHermitian` if any entry of ``matrix - matrix^dagger``
     exceeds ``TAU_HERM`` in modulus, or is not finite, and if an entry of
@@ -243,8 +244,7 @@ def herm_eig(matrix: np.ndarray) -> Spectrum:
     _refuse(~(dev <= TAU_HERM), NotHermitian, message, dev, TAU_HERM)
     h, finite = _finite_hermitian_part(m)
     _refuse(~finite, NotHermitian, "(M + M^dagger) / 2 has an entry that overflows")
-    w, v = np.linalg.eigh(h)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(h)
 
 
 def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
@@ -388,7 +388,7 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        object.__setattr__(self, "matrix", _cast(self.matrix, complex))
         object.__setattr__(self, "eigenvalues", validate_density_matrix(self.matrix, self.name))
 
 

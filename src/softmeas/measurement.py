@@ -23,7 +23,9 @@ as the columns of the principal square root of the Gram matrix, which fixes
 all global phases and makes outputs reproducible.
 
 Joint states returned by the ``apply_*`` functions live on
-``H_object (x) H_meter`` with the object index major.
+``H_object (x) H_meter`` with the object index major. :func:`meter_state`
+gives the meter's reduced state for any soft measurement, a repeated or
+continuous one included.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .matcore import (
     TAU_PSD,
     TAU_TRACE,
     StateLike,
+    _cast,
     _dagger,
     _finite_hermitian_part,
     _first,
@@ -115,8 +118,8 @@ class SoftMeasurement:
     gram: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.entanglement, dtype=complex)
-        q = np.asarray(self.gram, dtype=complex)
+        r = _cast(self.entanglement, complex)
+        q = _cast(self.gram, complex)
         object.__setattr__(self, "entanglement", r)
         object.__setattr__(self, "gram", q)
         mismatch = (
@@ -188,6 +191,23 @@ def apply_soft(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
     return joint.reshape(joint.shape[:-4] + (d * d, d * d))
 
 
+def meter_state(measurement: SoftMeasurement, rho: StateLike) -> np.ndarray:
+    """The reduced meter state that a soft measurement leaves for an object
+    state: what tracing the object out of :func:`apply_soft`'s output leaves.
+
+    Depends only on the object populations (the entanglement matrix drops
+    out entirely): ``V @ diag(rho_kk) @ V^dagger`` with ``V`` the
+    measurement's ``meter_vectors``. So it takes any soft measurement, one
+    that :func:`~softmeas.repeated.repeat_soft` or
+    :func:`~softmeas.repeated.continuous_soft` derives included, whose meter
+    states are the collective ones. ``rho`` must be one ``D x D`` state,
+    checked as :func:`apply_soft` checks it; a stacked measurement gives one
+    state per member.
+    """
+    rho = _state(rho, measurement.dim).matrix
+    return _meter_mix(measurement.meter_vectors, np.diagonal(rho).real)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneralMeasurement:
     """Nondemolition measurement with arbitrary meter blocks.
@@ -202,7 +222,7 @@ class GeneralMeasurement:
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.blocks, dtype=complex)
+        b = _cast(self.blocks, complex)
         object.__setattr__(self, "blocks", b)
         if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3] or not b.size:
             message = f"blocks must have shape (D, D, m, m) with D, m >= 1, got {b.shape}"

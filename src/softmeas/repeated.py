@@ -11,7 +11,8 @@ measurement: :func:`repeat_soft` returns it as a
 meter states are the collective meter vectors, so every function that takes
 a single measurement takes one repeated a scalar number of times too. An
 array of counts gives a stacked measurement, one member per count, which
-:func:`~softmeas.measurement.apply_soft`, :func:`meter_dm_repeated` and
+:func:`~softmeas.measurement.apply_soft`,
+:func:`~softmeas.measurement.meter_state` and
 :func:`~softmeas.information.coherent_info_soft` take whole.
 
 For a two-level meter the elementwise Gram powers admit closed forms, and
@@ -24,7 +25,7 @@ off-diagonal ``exp(-r_dot*t)``, Gram off-diagonal
 ``exp(-kappa*t + i*chi_dot*t)`` and the closed-form root as its meter
 states; an array of times gives the stacked measurement. So the limit's
 joint state is ``apply_soft(continuous_soft(params), rho)`` and its meter
-state ``meter_dm_repeated(rho, continuous_soft(params))``.
+state ``meter_state(continuous_soft(params), rho)``.
 :func:`discrete_step` returns one step of length ``dt`` whose ``n``-fold
 repetition approaches the limit.
 
@@ -44,16 +45,14 @@ import numpy as np
 
 from .errors import InvalidParams
 from .matcore import (
-    StateLike,
+    _cast,
     _entrywise,
     _refuse,
-    _state,
     _unchecked,
 )
 from .measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
-    _meter_mix,
     _single_dim,
     two_level_gram,
 )
@@ -125,20 +124,6 @@ def collective_representation(gram: np.ndarray, n: int | np.ndarray) -> SoftMeas
     of every repetition of a measurement with this Gram matrix. Kept for the
     benchmark's layer trace, which counts its calls by name."""
     return repeat_soft(SoftMeasurement(np.eye(np.atleast_1d(gram).shape[-1]), gram), n)
-
-
-def meter_dm_repeated(rho: StateLike, repeated: SoftMeasurement) -> np.ndarray:
-    """Reduced meter state of a repeated measurement, in the collective basis;
-    of the continuous limit too, given :func:`continuous_soft`'s measurement.
-
-    Depends only on the object populations (the entanglement matrix drops
-    out entirely): ``V @ diag(rho_kk) @ V^dagger`` with ``V`` the collective
-    meter vectors of ``repeated``. ``rho`` must be one ``D x D`` state of
-    the measured object, checked as :func:`~softmeas.measurement.apply_soft`
-    checks it. A stacked measurement gives one state per member.
-    """
-    rho = _state(rho, repeated.dim).matrix
-    return _meter_mix(repeated.meter_vectors, np.diagonal(rho).real)
 
 
 def _two_level_matrix(diag, upper, lower) -> np.ndarray:
@@ -223,7 +208,7 @@ class ContinuousLimitParams:
             raise InvalidParams(f"Re(r_dot) must be >= 0, got {self.r_dot}")
         if np.iscomplexobj(self.t):
             raise InvalidParams(f"t must be real, got {self.t!r}")
-        t = np.asarray(self.t, dtype=float)
+        t = _cast(self.t, float)
         for bad, rule in ((~np.isfinite(t), "finite"), (t < 0.0, ">= 0")):
             _refuse(bad, InvalidParams, "t must be {}, got {}", rule, t)
         if t.ndim:

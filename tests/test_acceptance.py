@@ -15,7 +15,6 @@ from conftest import binary_entropy, rand_correlation, rand_density, swap_factor
 
 from softmeas.cli import main
 from softmeas.information import (
-    CompetitionParams,
     StateEnsemble,
     coherent_info_channel,
     coherent_info_soft,
@@ -35,13 +34,13 @@ from softmeas.measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
     apply_soft,
+    meter_state,
     two_level_gram,
 )
 from softmeas.repeated import (
     ContinuousLimitParams,
     continuous_soft,
     discrete_step,
-    meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
 )
@@ -154,17 +153,15 @@ def test_criterion_5_single_measurement_surface():
 def test_criterion_6_competition_surface():
     grid = np.linspace(0.0, 1.0, 51)
     blocked = all(
-        compete_two_level(CompetitionParams(q_eve=float(q), q_bob=0.0, mu=1.0))[0] == 0.0
+        compete_two_level(q_eve=float(q), q_bob=0.0, mu=1.0)[0] == 0.0
         for q in grid
     )
     symmetric = True
     coincide = True
     for a in grid:
         for b in grid:
-            ie, ib = compete_two_level(CompetitionParams(q_eve=float(a), q_bob=float(b), mu=1.0))
-            ie_sw, ib_sw = compete_two_level(
-                CompetitionParams(q_eve=float(b), q_bob=float(a), mu=1.0)
-            )
+            ie, ib = compete_two_level(q_eve=float(a), q_bob=float(b), mu=1.0)
+            ie_sw, ib_sw = compete_two_level(q_eve=float(b), q_bob=float(a), mu=1.0)
             symmetric = symmetric and ie == ib_sw and ib == ie_sw
             single = coherent_info_two_level(float(b), 0.5, float(a))
             coincide = coincide and abs(ie - single) <= 1e-12
@@ -204,10 +201,10 @@ def test_criterion_7_interception_surface():
 def test_criterion_8_continuous_measurement_limits():
     rho = np.diag([0.7, 0.3]).astype(complex)
     at_zero = von_neumann_entropy(
-        meter_dm_repeated(rho, continuous_soft(ContinuousLimitParams(kappa=1.0, t=0.0)))
+        meter_state(continuous_soft(ContinuousLimitParams(kappa=1.0, t=0.0)), rho)
     )
     at_late = von_neumann_entropy(
-        meter_dm_repeated(rho, continuous_soft(ContinuousLimitParams(kappa=1.0, t=30.0)))
+        meter_state(continuous_soft(ContinuousLimitParams(kappa=1.0, t=30.0)), rho)
     )
     target = von_neumann_entropy(rho)
     infos = [semiclassical_info_continuous(1.0, float(t)) for t in np.linspace(0.0, 30.0, 301)]
@@ -257,7 +254,7 @@ def test_criterion_9_superoperator_fuzz():
         meter_identical = meter_identical and np.array_equal(meter_a, meter_b)
         repeated = repeat_soft(SoftMeasurement(ent, gram), n)
         meter_identical = meter_identical and np.array_equal(
-            meter_dm_repeated(rho, repeated), meter_dm_repeated(rho, repeated)
+            meter_state(repeated, rho), meter_state(repeated, rho)
         )
     report(
         9,

@@ -9,7 +9,6 @@ import pytest
 import softmeas
 
 PUBLIC = [
-    "CompetitionParams",
     "ConfigError",
     "ContinuousLimitParams",
     "DensityMatrix",
@@ -25,7 +24,6 @@ PUBLIC = [
     "OutOfRange",
     "SoftMeasError",
     "SoftMeasurement",
-    "Spectrum",
     "StateEnsemble",
     "TAU_HERM",
     "TAU_PSD",
@@ -47,8 +45,8 @@ PUBLIC = [
     "holevo_info",
     "kraus_from_choi",
     "matrix_sqrt_psd",
-    "meter_dm_repeated",
     "meter_ensemble",
+    "meter_state",
     "partial_trace",
     "repeat_soft",
     "semiclassical_info_continuous",
@@ -65,9 +63,11 @@ PUBLIC = [
 # their work.
 REMOVED = [
     "CollectiveRepresentation",
+    "CompetitionParams",
     "GeneratorRates",
     "RANK_TOL",
     "RepeatedMeasurement",
+    "Spectrum",
     "ZeroDt",
     "ValidationReport",
     "ZeroMatrix",
@@ -86,6 +86,7 @@ REMOVED = [
     "joint_dm_continuous",
     "joint_dm_repeated",
     "meter_dm_continuous",
+    "meter_dm_repeated",
     "meter_states_from_gram",
     "validate_general",
     "validate_soft",

@@ -36,7 +36,6 @@ from softmeas.errors import (
     OutOfRange,
 )
 from softmeas.information import (
-    CompetitionParams,
     KrausChannel,
     StateEnsemble,
     _bloch_y_rotation,
@@ -60,12 +59,11 @@ from softmeas.matcore import (
     partial_trace,
     von_neumann_entropy,
 )
-from softmeas.measurement import SoftMeasurement, apply_soft
+from softmeas.measurement import SoftMeasurement, apply_soft, meter_state
 from softmeas.repeated import (
     ContinuousLimitParams,
     _two_level_matrix,
     continuous_soft,
-    meter_dm_repeated,
     repeat_soft,
 )
 
@@ -275,6 +273,17 @@ class TestCoherentInfoSoft:
         closed = coherent_info_soft(rho, measurement)
         assert closed == pytest.approx(coherent_info_channel(channel, rho), abs=1e-8)
 
+    @pytest.mark.parametrize("eps", [1e-16, 1e-17, 5e-16])
+    def test_matches_channel_oracle_near_a_pure_input(self, eps):
+        """The same routes at an input eigenvalue ``eps`` at most 5e-16: the
+        Kraus route purifies every positive eigenvalue, as the channel output
+        keeps every one, so the two agree within 1e-15."""
+        measurement = SoftMeasurement(np.ones((2, 2)), [[1.0, 0.6], [0.6, 1.0]])
+        rho = np.diag([1.0 - eps, eps])
+        closed = coherent_info_soft(rho, measurement)
+        channel = soft_object_channel(measurement)
+        assert closed == pytest.approx(coherent_info_channel(channel, rho), abs=1e-15)
+
     def test_invalid_measurement_rejected(self):
         # A bad measurement cannot be built, so it never reaches the closed form.
         with pytest.raises(InvalidMeasurement):
@@ -338,12 +347,12 @@ class TestCoherentInfoTwoLevel:
     )
     def test_complex_value_rejected(self, slot, value):
         """A complex value is refused before the conversion to floats, which
-        raises ``TypeError`` or warns; in ``CompetitionParams`` too."""
+        raises ``TypeError`` or warns; in ``compete_two_level`` too."""
         args = [0.5, 0.5, 0.5]
         args[slot] = value
         for call, names in (
             (coherent_info_two_level, ("q", "p", "mu")),
-            (CompetitionParams, ("q_eve", "q_bob", "mu")),
+            (compete_two_level, ("q_eve", "q_bob", "mu")),
         ):
             message = f"{names[slot]} must be real, got {value!r}"
             with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
@@ -399,12 +408,12 @@ class TestTwoLevelArrays:
     @given(TRIPLES)
     def test_compete_matches_scalar_reference(self, triples):
         q_eve, q_bob, mu = (np.array(column) for column in zip(*triples))
-        info = compete_two_level(CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu))
+        info = compete_two_level(q_eve=q_eve, q_bob=q_bob, mu=mu)
         expected = [scalar_compete_two_level(*t) for t in triples]
         assert np.array_equal(np.stack(info, axis=-1), expected)
 
     def test_scalar_competition_returns_floats(self):
-        info = compete_two_level(CompetitionParams(q_eve=0.3, q_bob=0.6, mu=0.9))
+        info = compete_two_level(q_eve=0.3, q_bob=0.6, mu=0.9)
         assert all(type(v) is float for v in info)
         assert info == scalar_compete_two_level(0.3, 0.6, 0.9)
 
@@ -430,9 +439,9 @@ class TestTwoLevelArrays:
         assert str(exc.value) == f"q must lie in [0, 1], got {q}"
         assert exc.value.index is None
 
-    def test_competition_params_check_array_fields(self):
+    def test_compete_two_level_checks_array_arguments(self):
         with pytest.raises(OutOfRange) as exc:
-            CompetitionParams(
+            compete_two_level(
                 q_eve=np.array([0.1, 0.2, 0.3]), q_bob=np.array([0.0, 1.0, 2.0]), mu=1.0
             )
         assert str(exc.value) == "q_bob must lie in [0, 1], got 2.0 (stack member [2])"
@@ -651,9 +660,7 @@ class TestCompeteCoherent:
                     eve = SoftMeasurement(ones, np.array([[1.0, q_eve], [q_eve, 1.0]]))
                     bob = SoftMeasurement(ones, np.array([[1.0, q_bob], [q_bob, 1.0]]))
                     matrix_vals = compete_coherent(rho, eve, bob)
-                    closed_vals = compete_two_level(
-                        CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu)
-                    )
+                    closed_vals = compete_two_level(q_eve=q_eve, q_bob=q_bob, mu=mu)
                     assert matrix_vals[0] == pytest.approx(closed_vals[0], abs=1e-10)
                     assert matrix_vals[1] == pytest.approx(closed_vals[1], abs=1e-10)
 
@@ -700,43 +707,35 @@ class TestCompeteCoherent:
 
 class TestCompeteTwoLevel:
     def test_idle_bob_with_coherent_input(self):
-        info_eve, _ = compete_two_level(CompetitionParams(q_eve=0.0, q_bob=1.0, mu=1.0))
+        info_eve, _ = compete_two_level(q_eve=0.0, q_bob=1.0, mu=1.0)
         assert info_eve == pytest.approx(1.0, abs=1e-14)
 
     def test_sharp_bob_blocks_interceptor(self):
         for q_eve in np.linspace(0.0, 1.0, 7):
-            info_eve, _ = compete_two_level(
-                CompetitionParams(q_eve=q_eve, q_bob=0.0, mu=0.8)
-            )
+            info_eve, _ = compete_two_level(q_eve=q_eve, q_bob=0.0, mu=0.8)
             assert info_eve == 0.0
 
     def test_incoherent_input_gives_nothing(self):
-        info_eve, info_bob = compete_two_level(
-            CompetitionParams(q_eve=0.4, q_bob=0.7, mu=0.0)
-        )
+        info_eve, info_bob = compete_two_level(q_eve=0.4, q_bob=0.7, mu=0.0)
         assert info_eve == 0.0 and info_bob == 0.0
 
     def test_swap_symmetry_is_exact(self):
         for q_eve, q_bob, mu in ((0.2, 0.9, 0.6), (0.8, 0.3, 1.0), (0.5, 0.5, 0.4)):
-            ie_ab, ib_ab = compete_two_level(
-                CompetitionParams(q_eve=q_eve, q_bob=q_bob, mu=mu)
-            )
-            ie_ba, ib_ba = compete_two_level(
-                CompetitionParams(q_eve=q_bob, q_bob=q_eve, mu=mu)
-            )
+            ie_ab, ib_ab = compete_two_level(q_eve=q_eve, q_bob=q_bob, mu=mu)
+            ie_ba, ib_ba = compete_two_level(q_eve=q_bob, q_bob=q_eve, mu=mu)
             assert ie_ab == ib_ba and ib_ab == ie_ba
 
     def test_monotone_in_both_softness_parameters(self):
         grid = np.linspace(0.0, 1.0, 21)
         for q_bob in (0.3, 0.8):
             values = [
-                compete_two_level(CompetitionParams(q_eve=q, q_bob=q_bob, mu=0.9))[0]
+                compete_two_level(q_eve=q, q_bob=q_bob, mu=0.9)[0]
                 for q in grid
             ]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         for q_eve in (0.2, 0.7):
             values = [
-                compete_two_level(CompetitionParams(q_eve=q_eve, q_bob=q, mu=0.9))[0]
+                compete_two_level(q_eve=q_eve, q_bob=q, mu=0.9)[0]
                 for q in grid
             ]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -1167,7 +1166,7 @@ class TestInformationBalance:
     @given(st.integers(2, 6), st.integers(1, 29), st.integers(0, 2**32 - 1))
     def test_repeated_meter_entropy_is_a_schur_product(self, dim, n, seed):
         rho, measurement, p = self.draw(dim, seed)
-        meter = meter_dm_repeated(rho, repeat_soft(measurement, n))
+        meter = meter_state(repeat_soft(measurement, n), rho)
         assert von_neumann_entropy(meter) == pytest.approx(
             self.schur_entropy(p, measurement.gram**n), abs=1e-12
         )
@@ -1193,7 +1192,7 @@ class TestInformationBalance:
             (coherent_info_soft(rho, measurement), self.meter_holevo(p, measurement)),
             (
                 coherent_info_soft(rho, repeated),
-                von_neumann_entropy(meter_dm_repeated(rho, repeated)),
+                von_neumann_entropy(meter_state(repeated, rho)),
             ),
         ):
             assert coherent + semiclassical <= bound + 1e-12

@@ -8,7 +8,8 @@ Python's own error. The property here is the library's counterpart of
 matrix, a rate, an angle or a closed form's parameter, a repetition count
 or a dimension one input that may be wrong (a 0x0 matrix, a matrix of
 another dimension, a stack where one matrix is required, non-finite
-entries, entries at the largest float, whose sums overflow, a complex
+entries, entries at the largest float, whose sums overflow, a
+``longdouble`` past float64's range where that type is the wider, a complex
 value where a real one belongs, an integer that int64 cannot hold, a
 fraction where an integer belongs), of any of the dtypes numpy users hand
 in, and requires a result or a ``SoftMeasError``, with no warning. Every
@@ -28,7 +29,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softmeas import (
-    CompetitionParams,
     ContinuousLimitParams,
     DensityMatrix,
     DimensionMismatch,
@@ -46,6 +46,7 @@ from softmeas import (
     coherent_info_two_level,
     collective_representation,
     compete_coherent,
+    compete_two_level,
     continuous_soft,
     discrete_step,
     eve_bob_semiclassical,
@@ -53,8 +54,8 @@ from softmeas import (
     holevo_info,
     kraus_from_choi,
     matrix_sqrt_psd,
-    meter_dm_repeated,
     meter_ensemble,
+    meter_state,
     partial_trace,
     repeat_soft,
     semiclassical_info_continuous,
@@ -113,8 +114,8 @@ MATRIX_CALLS = {
         state, lambda x: coherent_info_channel(soft_object_channel(SOFT), x)
     ),
     "compete_coherent": (state, lambda x: compete_coherent(x, SOFT, SOFT)),
-    "meter_dm_repeated": (state, lambda x: meter_dm_repeated(x, repeat_soft(SOFT, 3))),
-    "meter_dm_repeated.continuous": (state, lambda x: meter_dm_repeated(x, CONTINUOUS)),
+    "meter_state": (state, lambda x: meter_state(repeat_soft(SOFT, 3), x)),
+    "meter_state.continuous": (state, lambda x: meter_state(CONTINUOUS, x)),
     "kraus_from_choi": (choi, lambda x: kraus_from_choi(x, 2, 2)),
     "KrausChannel": (np.eye, lambda x: KrausChannel((x,)).validate()),
     "KrausChannel.apply": (state, lambda x: KrausChannel((np.eye(2),)).apply(x)),
@@ -161,9 +162,9 @@ RATE_CALLS = {
     "coherent_info_two_level.q": ("real", lambda x: coherent_info_two_level(x, 0.5, 0.5)),
     "coherent_info_two_level.p": ("real", lambda x: coherent_info_two_level(0.5, x, 0.5)),
     "coherent_info_two_level.mu": ("real", lambda x: coherent_info_two_level(0.5, 0.5, x)),
-    "CompetitionParams.q_eve": ("real", lambda x: CompetitionParams(x, 0.5, 0.5)),
-    "CompetitionParams.q_bob": ("real", lambda x: CompetitionParams(0.5, x, 0.5)),
-    "CompetitionParams.mu": ("real", lambda x: CompetitionParams(0.5, 0.5, x)),
+    "compete_two_level.q_eve": ("real", lambda x: compete_two_level(x, 0.5, 0.5)),
+    "compete_two_level.q_bob": ("real", lambda x: compete_two_level(0.5, x, 0.5)),
+    "compete_two_level.mu": ("real", lambda x: compete_two_level(0.5, 0.5, x)),
     "StateEnsemble.probs": ("real", lambda x: StateEnsemble((x, 1.0 - x), (RHO, RHO))),
     "eve_bob_semiclassical.angle": (
         "real", lambda x: eve_bob_semiclassical(BASIS, x, CORRELATION, SOFT)
@@ -194,6 +195,10 @@ DTYPES = [
 ]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 LARGEST = float(np.finfo(np.float64).max)
+# The largest longdouble: past float64's range where longdouble is the wider
+# type, as on x86-64 Linux; elsewhere it is LARGEST.
+WIDEST = np.finfo(np.longdouble).max
+BEYOND = [WIDEST, -WIDEST] if WIDEST > LARGEST else []
 FINITE = st.floats(-4.0, 4.0)
 REALS = st.one_of(FINITE, st.sampled_from(NON_FINITE))
 COMPLEXES = st.one_of(
@@ -224,12 +229,13 @@ def numbers(dtype):
 
 def largest(dtype):
     """Plus and minus the largest float64 if the inexact ``dtype`` holds it,
-    and for a complex dtype ``1j`` times either too; else nothing."""
+    and for a complex dtype ``1j`` times either too, and for ``longdouble``
+    the values past float64's range that it holds; else nothing."""
     if float(np.finfo(dtype).max) < LARGEST:
         return []
     if np.issubdtype(dtype, np.complexfloating):
         return [LARGEST, -LARGEST, 1j * LARGEST, -1j * LARGEST]
-    return [LARGEST, -LARGEST]
+    return [LARGEST, -LARGEST] + (BEYOND if dtype == np.longdouble else [])
 
 
 def integral(value):
@@ -294,6 +300,7 @@ def rate_calls(draw):
     name = draw(st.sampled_from(sorted(RATE_CALLS)))
     kind, call = RATE_CALLS[name]
     scalar = st.one_of(REALS, COMPLEXES)
+    scalar = st.one_of(scalar, st.sampled_from(BEYOND)) if BEYOND else scalar
     value = draw(st.one_of(scalar, st.lists(scalar, min_size=2, max_size=2).map(np.array)))
     return name, call, value, kind == "real" and np.iscomplexobj(value)
 
@@ -327,7 +334,7 @@ def reproduced(name, value, refused):
 @example(reproduced("TwoLevelMeterParams.chi", np.array([0.1, 0.2]), False))
 @example(reproduced("coherent_info_two_level.q", 0.5j, True))
 @example(reproduced("coherent_info_two_level.p", np.complex128(0.5), True))
-@example(reproduced("CompetitionParams.mu", np.array([0.5, 1j]), True))
+@example(reproduced("compete_two_level.mu", np.array([0.5, 1j]), True))
 @example(reproduced("KrausChannel.apply", np.array([[np.inf, 0.0], [0.0, 1.0]]), False))
 @example(reproduced("repeat_soft", np.array([2**64 - 1], dtype=np.uint64), True))
 @example(reproduced("two_level_gram_sqrt", np.array([2**63], dtype=np.uint64), True))
@@ -340,6 +347,19 @@ def reproduced(name, value, refused):
 @example(reproduced("GeneralMeasurement", with_entry(blocks(3), 3, LARGEST), True))
 @example(reproduced("discrete_step.kappa", np.float64(LARGEST), False))
 @example(reproduced("discrete_step.dt", np.float64(LARGEST), False))
+# A longdouble past float64's range, whose cast to float64 warned of overflow.
+@example(reproduced("DensityMatrix", with_entry(state(2).astype(np.longdouble), 1, WIDEST), False))
+@example(reproduced("herm_eig", with_entry(state(2).astype(np.longdouble), 1, WIDEST), False))
+@example(
+    reproduced(
+        "SoftMeasurement.gram", with_entry(correlation(2).astype(np.longdouble), 3, WIDEST), False
+    )
+)
+@example(reproduced("coherent_info_two_level.q", WIDEST, False))
+@example(reproduced("compete_two_level.q_eve", WIDEST, False))
+@example(reproduced("ContinuousLimitParams.t", WIDEST, False))
+@example(reproduced("semiclassical_info_continuous.t", WIDEST, False))
+@example(reproduced("StateEnsemble.probs", WIDEST, False))
 def test_library_never_raises_another_error(case):
     """A result or a :class:`SoftMeasError`, and no warning, whatever the
     drawn input; a refusal for a 0x0 matrix or a complex real rate."""

@@ -35,6 +35,7 @@ from softmeas.measurement import (
     SoftMeasurement,
     TwoLevelMeterParams,
     apply_soft,
+    meter_state,
     two_level_gram,
 )
 from softmeas.repeated import (
@@ -42,7 +43,6 @@ from softmeas.repeated import (
     collective_representation,
     continuous_soft,
     discrete_step,
-    meter_dm_repeated,
     repeat_soft,
     two_level_gram_sqrt,
 )
@@ -62,7 +62,7 @@ def continuous_gram_sqrt(params):
 
 def meter_dm_continuous(rho, params):
     """The continuous limit's meter state, by the repeated meter route."""
-    return meter_dm_repeated(rho, continuous_soft(params))
+    return meter_state(continuous_soft(params), rho)
 
 
 def joint_dm_continuous(rho, params):
@@ -197,7 +197,7 @@ class TestJointRepeated:
             joint = swap_factors(apply_soft(repeated, rho), dim, dim)
             traces.append(partial_trace(joint, [dim, dim], keep=0))
         assert np.array_equal(traces[0], traces[1])
-        meter = meter_dm_repeated(rho, repeat_soft(SoftMeasurement(ent_a, q), n))
+        meter = meter_state(repeat_soft(SoftMeasurement(ent_a, q), n), rho)
         np.testing.assert_allclose(traces[0], meter, atol=1e-13, rtol=0.0)
 
     def test_outputs_are_valid_states(self):
@@ -246,7 +246,7 @@ class TestRepeatedMeasurement:
 
     @pytest.mark.parametrize(
         "fn",
-        [lambda rho, m: apply_soft(m, rho), meter_dm_repeated],
+        [lambda rho, m: apply_soft(m, rho), lambda rho, m: meter_state(m, rho)],
         ids=["apply_soft", "meter_dm_repeated"],
     )
     @pytest.mark.parametrize(
@@ -323,7 +323,7 @@ class TestRepeatedThroughSingleRoutes:
 
 def meter_after(rho, gram, n):
     """The repeated meter state of ``gram``; the entanglement matrix drops out."""
-    return meter_dm_repeated(rho, repeat_soft(SoftMeasurement(np.eye(2), gram), n))
+    return meter_state(repeat_soft(SoftMeasurement(np.eye(2), gram), n), rho)
 
 
 class TestMeterRepeated:
@@ -806,11 +806,11 @@ class TestStackedCounts:
         counts = np.array([1, 3, 9])
         stacked = repeat_soft(base, counts)
         joint = swap_factors(apply_soft(stacked, rho), 2, 2)
-        meter = meter_dm_repeated(rho, stacked)
+        meter = meter_state(stacked, rho)
         for k, n in enumerate(counts.tolist()):
             single = repeat_soft(base, n)
             assert np.array_equal(joint[k], swap_factors(apply_soft(single, rho), 2, 2))
-            assert np.array_equal(meter[k], meter_dm_repeated(rho, single))
+            assert np.array_equal(meter[k], meter_state(single, rho))
 
     def test_invalid_count_named(self):
         with pytest.raises(InvalidParams) as excinfo:

@@ -25,11 +25,11 @@ from softmeas.measurement import (
     SoftMeasurement,
     apply_general,
     apply_soft,
+    meter_state,
 )
 from softmeas.repeated import (
     ContinuousLimitParams,
     continuous_soft,
-    meter_dm_repeated,
     repeat_soft,
 )
 
@@ -54,7 +54,7 @@ def state_functions(rng, dim):
         "apply_soft repeated": lambda rho: apply_soft(repeated, rho),
         "apply_general": lambda rho: apply_general(general, rho),
         "apply_soft swapped": lambda rho: swap_factors(apply_soft(repeated, rho), dim, dim),
-        "meter_dm_repeated": lambda rho: meter_dm_repeated(rho, repeated),
+        "meter_dm_repeated": lambda rho: meter_state(repeated, rho),
         "coherent_info_soft": lambda rho: coherent_info_soft(rho, soft),
         "coherent_info_soft repeated": lambda rho: coherent_info_soft(rho, repeated),
         "compete_coherent": lambda rho: compete_coherent(rho, soft, bob),
@@ -66,7 +66,7 @@ def state_functions(rng, dim):
             kappa=0.7, t=np.array([0.0, 0.4, 3.0]), chi_dot=1.3, r_dot=0.2 - 0.5j
         )
         continuous = continuous_soft(params)
-        fns["meter_dm_continuous"] = lambda rho: meter_dm_repeated(rho, continuous)
+        fns["meter_dm_continuous"] = lambda rho: meter_state(continuous, rho)
         fns["joint_dm_continuous"] = lambda rho: apply_soft(continuous, rho)
     return fns
 

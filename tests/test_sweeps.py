@@ -31,8 +31,14 @@ from softmeas import cli, repeated
 from softmeas.cli import run_sweep
 from softmeas.information import StateEnsemble, coherent_info_soft, eve_bob_semiclassical
 from softmeas.matcore import von_neumann_entropy
-from softmeas.measurement import SoftMeasurement, TwoLevelMeterParams, apply_soft, two_level_gram
-from softmeas.repeated import meter_dm_repeated, repeat_soft
+from softmeas.measurement import (
+    SoftMeasurement,
+    TwoLevelMeterParams,
+    apply_soft,
+    meter_state,
+    two_level_gram,
+)
+from softmeas.repeated import repeat_soft
 
 
 def table(command, config):
@@ -68,7 +74,7 @@ def repeat_reference(counts, theta, chi, r12, p, mu, phase):
     for n in counts:
         vectors = scalar_two_level_gram_sqrt(theta, chi, n)
         joint = swap_factors(apply_soft(repeat_soft(measurement, n), rho), 2, 2)
-        meter = meter_dm_repeated(rho, repeat_soft(measurement, n))
+        meter = meter_state(repeat_soft(measurement, n), rho)
         info = coherent_info_soft(
             rho, SoftMeasurement(measurement.entanglement**n, measurement.gram**n)
         )
