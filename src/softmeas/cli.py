@@ -29,7 +29,8 @@ place into one float table. The output is written only after the whole
 sweep has been computed and checked, and then ``_BLOCK_POINTS`` rows at a
 time, so the text held at once does not grow with the grid. Each grid-axis
 value is formatted once per axis, and its string is repeated down its
-column into one template per chunk of rows; one ``%`` of that template with
+column into one template per chunk of rows, one join per run of rows that
+share their values before the last axis; one ``%`` of that template with
 the tuple of the chunk's output values formats each of them once.
 ``--jobs`` is accepted for compatibility and has no effect.
 
@@ -63,7 +64,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from itertools import chain, islice, product
+from itertools import product
 from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -495,10 +496,13 @@ def _row_chunks(
     these strings over the axes, each led by the text before the first
     ``%s`` (a grid with no axes has the one row ``row``). Axis ``k`` is read
     from its own column at the stride of the axes after it, so the strings
-    carry the table's bits, signed zeros included. A chunk's template is
-    the join of its rows' grid strings, which never hold a ``%``, and its
-    text is that template ``%`` the tuple of the chunk's output values in
-    row order: one format operation per chunk.
+    carry the table's bits, signed zeros included. The rows that share a
+    prefix, the text before the last axis's string, are consecutive, and
+    each run of them in a chunk is built as ``prefix + prefix.join(run)``
+    over the last axis's strings: one join per run, not one tuple per row.
+    A chunk's template is the join of its runs, which never hold a ``%``,
+    and its text is that template ``%`` the tuple of the chunk's output
+    values in row order: one format operation per chunk.
     """
     texts = row.split("%s", len(shape))
     axes = []
@@ -508,13 +512,22 @@ def _row_chunks(
         values = table[: n * inner : inner or 1, k]
         values = values + 0.0 if plus_zero else values
         axes.append([fmt % value + texts[k + 1] for value in values.tolist()])
-    rows = product([texts[0]], *axes)
+    last = axes.pop() if axes else [""]
+    prefixes = map("".join, product([texts[0]], *axes))
     for start in range(0, len(table), _BLOCK_POINTS):
         outputs = table[start : start + _BLOCK_POINTS, len(shape) :]
         if plus_zero:
             outputs = outputs + 0.0
-        template = "".join(chain.from_iterable(islice(rows, len(outputs))))
-        yield template % tuple(outputs.ravel().tolist())
+        runs, at, stop = [], start, start + len(outputs)
+        while at < stop:
+            # Rows ``at`` on share the prefix until the last axis wraps.
+            j = at % len(last)
+            if not j:
+                prefix = next(prefixes)
+            run = last[j : j + stop - at]
+            runs.append(prefix + prefix.join(run))
+            at += len(run)
+        yield "".join(runs) % tuple(outputs.ravel().tolist())
 
 
 def _emit_csv(
@@ -566,10 +579,10 @@ def _emit_json(
 
 def _check_finite(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...]) -> None:
     """Raise at the first point of a block of ``shape`` whose row of
-    ``table`` holds a non-finite value."""
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        row, j = bad[0]
+    ``table`` holds a non-finite value; a block with none is one pass."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, j = np.argwhere(~finite)[0]
         index = tuple(int(i) for i in np.unravel_index(row, shape))
         raise SoftMeasError(
             f"invariant violation: non-finite value in column {columns[j]!r}", index=index

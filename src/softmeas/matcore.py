@@ -54,10 +54,14 @@ length-``D`` dot product either way, and the result equals the stacked
 tall product differently fails it rather than moving the outputs. A shared
 left factor (the rotation of a column of the ``fig3`` grid, met by every
 dephased state in it) takes the same route through ``(b^T @ a^T)^T`` when
-it has no imaginary part: each complex product then splits into real
-products that commute exactly, so the result equals ``a @ b`` under ``==``,
-though an exact zero may change sign. A complex left factor keeps the plain
-product, because transposing complex factors moves bits.
+it is a float array: each product is then one real product, or a pair of
+them for a complex right factor, which commute exactly, so the result
+equals ``a @ b`` under ``==``, though an exact zero may change sign. A
+complex left factor keeps the plain product, because transposing complex
+factors moves bits. ``eve_bob_semiclassical`` gives it a float rotation
+whenever none of its factors has an imaginary part, as on ``fig3``: it then
+runs its whole rotate, dephase and rotate-back chain in float64, whose
+products are those of the complex chain without the exact zeros.
 
 Every eigenvalue-only solve is one ``np.linalg.eigvalsh`` call. One rule
 rests on LAPACK's floats: a rigid receiver's spectra are its sorted
@@ -141,19 +145,19 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The mirror case, an ``a`` shared along axes where ``b`` varies and a
     ``b`` shared along none, becomes ``(b^T @ a^T)^T``, whose right factor
-    ``a^T`` is shared, when ``a`` has no imaginary part. Then each complex
-    product ``a_kj * b_jl`` is the pair of real products ``a_r * b_r`` and
-    ``a_r * b_i``, which commute exactly, so every entry equals ``a @ b``
-    under ``==``; only the sign of an exact zero may differ. A complex
-    ``a`` keeps plain ``a @ b``, because transposing complex factors moves
-    bits.
+    ``a^T`` is shared, when ``a`` is real (a float array). Then each
+    product ``a_kj * b_jl`` is one real product, or for a complex ``b``
+    the pair ``a_kj * b_r`` and ``a_kj * b_i``, which commute exactly, so
+    every entry equals ``a @ b`` under ``==``; only the sign of an exact
+    zero may differ. A complex ``a`` keeps plain ``a @ b``, because
+    transposing complex factors moves bits.
     """
     nd = max(a.ndim, b.ndim) - 2
     a_stack = (1,) * (nd + 2 - a.ndim) + a.shape[:-2]
     b_stack = (1,) * (nd + 2 - b.ndim) + b.shape[:-2]
     shared = [i for i in range(nd) if b_stack[i] == 1 and a_stack[i] > 1]
     if not shared:
-        if any(i == 1 < j for i, j in zip(a_stack, b_stack)) and not np.imag(a).any():
+        if any(i == 1 < j for i, j in zip(a_stack, b_stack)) and not np.iscomplexobj(a):
             return _matmul(b.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
         return a @ b
     kept = [i for i in range(nd) if i not in shared]

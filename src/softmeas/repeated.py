@@ -150,9 +150,12 @@ def _check_phase(name: str, rate: float, times: float | np.ndarray, decay: float
     ``rate * time`` overflows, which ``math.cos``, ``math.sin`` and
     ``cmath.exp`` reject. A member at which the decay exponent
     ``decay * time`` overflows too is exactly 0 whatever its phase, and
-    passes."""
+    passes. Both products are taken in float64, where the libm calls take
+    them, so a ``longdouble`` rate whose product is past float64's range
+    is refused too."""
     with np.errstate(over="ignore"):
-        bad = np.isinf(np.multiply(rate, times)) & ~np.isinf(np.multiply(decay, times))
+        bad = np.isinf(np.multiply(rate, times, dtype=float))
+        bad &= ~np.isinf(np.multiply(decay, times, dtype=float))
     _refuse(bad, InvalidParams, "accumulated phase {} is not finite", name)
 
 

@@ -40,6 +40,7 @@ from softmeas.information import (
     StateEnsemble,
     _bloch_y_rotation,
     _g,
+    _rotated_populations,
     coherent_info_channel,
     coherent_info_soft,
     coherent_info_two_level,
@@ -1118,6 +1119,119 @@ class TestStackedInformation:
         for k in range(6):
             single = SoftMeasurement(np.eye(2), grams[k])
             assert infos[k] == holevo_info(meter_ensemble(basis, single))
+
+
+def real_orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def real_density(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    m = a @ a.T + 1e-3 * np.eye(dim)
+    return m / np.trace(m)
+
+
+def real_chain_inputs(rng, dim):
+    """A grid of 7 x 9 members, as ``fig3`` lays it out: real orthogonal
+    basis changes along the columns, real correlation dephasings along the
+    rows, and two real states."""
+    unitaries = np.array([real_orthogonal(rng, dim) for _ in range(9)])[None]
+    dephase = np.array([rand_correlation(rng, dim, real=True) for _ in range(7)])[:, None]
+    return unitaries, dephase, [real_density(rng, dim) for _ in range(2)]
+
+
+def spy_chain_dtypes(monkeypatch) -> list:
+    """Record the dtype of every factor that ``_rotated_populations`` is
+    given, one tuple per call, for the rest of the test."""
+    from softmeas import information
+
+    dtypes = []
+
+    def spy(unitary, dephase, states):
+        dtypes.append((unitary.dtype, dephase.dtype, *(s.dtype for s in states)))
+        return _rotated_populations(unitary, dephase, states)
+
+    monkeypatch.setattr(information, "_rotated_populations", spy)
+    return dtypes
+
+
+class TestRealChain:
+    """``eve_bob_semiclassical`` runs its rotate, dephase and rotate-back
+    chain in float64 when no factor has an imaginary part, on the premise
+    that the real parts give the complex chain's floats: a complex product
+    of real factors only adds exact zeros to each real product.
+
+    That premise is a property of the BLAS kernels, so it is tested, not
+    assumed. Over random real orthogonal basis changes, real correlation
+    dephasings and real states it holds bit for bit up to D = 4 on every
+    OpenBLAS kernel set tested (SkylakeX, Haswell, Sandybridge, Nehalem,
+    Prescott). At D = 5 and 6 it holds on the kernels with FMA (SkylakeX,
+    Haswell) and on Prescott; the last bits differ at D = 5 on Sandybridge
+    and at D = 5 and 6 on Nehalem, so those cases are marked
+    ``needs_fma``. (At D = 7 both of those differ too; at D = 8 every set
+    agrees.) Every CLI command is two-level."""
+
+    @staticmethod
+    def assert_real_chain_is_complex_chain(dim, seed):
+        unitaries, dephase, states = real_chain_inputs(np.random.default_rng(seed), dim)
+        real = _rotated_populations(unitaries, dephase, states)
+        cast = [np.asarray(m, complex) for m in (unitaries, dephase, *states)]
+        full = _rotated_populations(cast[0], cast[1], cast[2:])
+        for got, expected in zip(real, full):
+            assert got.dtype == expected.dtype == np.float64
+            assert got.shape == expected.shape == (7, 9, dim)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+    def test_real_chain_is_complex_chain(self, dim, seed):
+        self.assert_real_chain_is_complex_chain(dim, seed)
+
+    @pytest.mark.needs_fma
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([5, 6]), st.integers(0, 2**32 - 1))
+    def test_real_chain_is_complex_chain_with_fma(self, dim, seed):
+        self.assert_real_chain_is_complex_chain(dim, seed)
+
+    def test_fig3_factors_take_the_real_chain(self, monkeypatch):
+        """The ``fig3`` surface's factors, at the angles and softness values
+        where populations are exact zeros and ones, take the real chain,
+        and its populations are the complex chain's, signs of zeros
+        included."""
+        q = np.array([-1.0, -0.5, 0.0, 0.3, 1.0])[:, None]
+        dephase = _two_level_matrix(1.0, q, q)
+        rotations = _bloch_y_rotation(np.array([0.0, 0.3, math.pi / 2.0, 2.0, math.pi]))
+        states = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        full = _rotated_populations(rotations, dephase, states)
+        real = _rotated_populations(rotations.real, dephase.real, [s.real for s in states])
+        for got, expected in zip(real, full):
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        dtypes = spy_chain_dtypes(monkeypatch)
+        ensemble = StateEnsemble(np.array([0.5, 0.5]), states)
+        eve_bob_semiclassical(ensemble, rotations, dephase, rigid_bob())
+        assert dtypes == [(np.float64,) * 4]
+
+    @pytest.mark.parametrize("imaginary", ["basis", "dephase", "state"])
+    def test_an_imaginary_part_keeps_the_complex_chain(self, monkeypatch, imaginary):
+        """One factor with an imaginary part, the others real: the chain
+        runs in complex, and each member has the floats of the formula
+        evaluated on that member alone."""
+        rng = np.random.default_rng(110)
+        unitaries, dephase, states = real_chain_inputs(rng, 3)
+        if imaginary == "basis":
+            unitaries = np.array([rand_unitary(rng, 3) for _ in range(9)])[None]
+        elif imaginary == "dephase":
+            dephase = np.array([rand_correlation(rng, 3) for _ in range(7)])[:, None]
+        else:
+            states[1] = rand_density(rng, 3)
+        ensemble = StateEnsemble(np.array([0.4, 0.6]), tuple(states))
+        bob = SoftMeasurement(rand_correlation(rng, 3), rand_correlation(rng, 3))
+        dtypes = spy_chain_dtypes(monkeypatch)
+        TestStackedInformation.assert_grid_is_the_per_member_formula(
+            ensemble, bob, unitaries[0], dephase[:, 0]
+        )
+        assert dtypes == [(np.complex128,) * 4]
 
 
 class TestInformationBalance:

@@ -498,17 +498,16 @@ def test_matmul_is_matmul_bit_for_bit(dim, axes, dropped, layout, real, seed):
     and 8 (the ``dim=4`` example below fails), while D <= 3 and D = 6
     agree, the sweeps' D = 2 among them.
 
-    Where ``a`` is shared instead, a real-valued ``a`` (complex dtype, zero
-    imaginary parts) is made the shared right factor of the transposed
-    product, which equals ``a @ b`` under ``==`` (only the sign of an exact
-    zero may differ); a complex ``a`` keeps the plain product, bit for bit,
-    signs of zeros included."""
+    Where ``a`` is shared instead, a real ``a`` (a float array) is made the
+    shared right factor of the transposed product, which equals ``a @ b``
+    under ``==`` (only the sign of an exact zero may differ); a complex
+    ``a`` keeps the plain product, bit for bit, signs of zeros included."""
     rng = np.random.default_rng(seed)
     a_stack = tuple(1 if kind == "a-one" else n for n, kind in axes)
     b_stack = tuple(1 if kind == "b-one" else n for n, kind in axes)[dropped:]
     a = matrix_stack(rng, a_stack, dim, layout)
     if real:
-        a.imag[...] = 0.0
+        a = a.real
     b = complex_normal(rng, b_stack + (dim, dim))
     out, expected = _matmul(a, b), a @ b
     if real:

@@ -360,6 +360,24 @@ def reproduced(name, value, refused):
 @example(reproduced("ContinuousLimitParams.t", WIDEST, False))
 @example(reproduced("semiclassical_info_continuous.t", WIDEST, False))
 @example(reproduced("StateEnsemble.probs", WIDEST, False))
+# A longdouble rate, finite in float64, whose product with a time or a count
+# is finite in longdouble but past float64's range: libm raised ValueError.
+@example(
+    (
+        "ContinuousLimitParams.chi_dot*t",
+        lambda x: continuous_soft(ContinuousLimitParams(1.0, 1e300, chi_dot=x)),
+        np.longdouble("1e300"),
+        False,
+    )
+)
+@example(
+    (
+        "two_level_gram_sqrt.n*chi",
+        lambda x: two_level_gram_sqrt(TwoLevelMeterParams(1.0, chi=x), 2**62),
+        np.longdouble("1e300"),
+        False,
+    )
+)
 def test_library_never_raises_another_error(case):
     """A result or a :class:`SoftMeasError`, and no warning, whatever the
     drawn input; a refusal for a 0x0 matrix or a complex real rate."""

@@ -10,18 +10,33 @@ function against the proved formula at a few points, so the proof is about
 the code as it stands.
 """
 
+import math
+
 import numpy as np
 import sympy as sp
 
-from softmeas.information import coherent_info_two_level
+from softmeas import cli
+from softmeas.information import (
+    StateEnsemble,
+    _bloch_y_rotation,
+    _rotated_populations,
+    coherent_info_two_level,
+    eve_bob_semiclassical,
+)
 from softmeas.measurement import SoftMeasurement, meter_state
-from softmeas.repeated import _two_level_root
+from softmeas.repeated import _two_level_matrix, _two_level_root
 
 LAM = sp.Symbol("lambda")
 
 
 def charpoly(matrix: sp.Matrix) -> sp.Expr:
     return matrix.charpoly(LAM).as_expr()
+
+
+def vanishes(expr: sp.Expr) -> bool:
+    """Whether a trigonometric expression is identically 0: written in
+    exponentials, it expands to 0."""
+    return sp.expand(expr.rewrite(sp.exp)) == 0
 
 
 def test_two_level_root_is_the_principal_root_of_the_gram_matrix():
@@ -110,3 +125,53 @@ def test_two_level_output_spectrum_is_one_plus_minus_x2_over_two():
         output = entropy(roots[0].subs(point))
         exchange = entropy(roots[0].subs({**point, mu: 1}))
         assert abs(coherent_info_two_level(*values) - (output - exchange)) <= 1e-12
+
+
+def test_rotated_dephased_populations_are_one_plus_minus_a_over_two():
+    """``information.eve_bob_semiclassical`` on the ``fig3`` surface rotates
+    each basis state ``|k><k|`` by ``theta`` about y, dephases it entrywise
+    by ``[[1, q], [q, 1]]`` and rotates it back; the populations are
+    ``(1 +- a) / 2`` with ``a = cos(theta)**2 + q sin(theta)**2``, the upper
+    sign first for ``k = 0`` and last for ``k = 1``. This holds for every
+    real ``q`` and ``theta``. On ``fig3``'s domain, ``q`` in ``[-1, 1]`` and any finite
+    ``theta``, both populations are nonnegative, so the clip at 0 that the
+    code applies moves no exact value."""
+    theta, q = sp.symbols("theta q", real=True)
+    up, down = sp.symbols("up down", nonnegative=True)  # up = 1 + q, down = 1 - q
+    half_cos, half_sin = sp.cos(theta / 2), sp.sin(theta / 2)
+    rotation = sp.Matrix([[half_cos, -half_sin], [half_sin, half_cos]])
+    dephase = sp.Matrix([[1, q], [q, 1]])
+    a = sp.cos(theta) ** 2 + q * sp.sin(theta) ** 2
+    for k, signs in enumerate([(1, -1), (-1, 1)]):
+        ket = sp.zeros(2)
+        ket[k, k] = 1
+        back = rotation * dephase.multiply_elementwise(rotation.H * ket * rotation) * rotation.H
+        for i, sign in enumerate(signs):
+            assert vanishes(back[i, i] - (1 + sign * a) / 2)
+
+    plus = 2 * sp.cos(theta) ** 2 + up * sp.sin(theta) ** 2
+    minus = down * sp.sin(theta) ** 2
+    assert vanishes(plus.subs(up, 1 + q) - (1 + a))
+    assert vanishes(minus.subs(down, 1 - q) - (1 - a))
+    assert plus.is_nonnegative and minus.is_nonnegative
+    fig3 = cli._COMMANDS["fig3"].params
+    assert (fig3["q"].domain.rule, fig3["theta"].domain.rule) == ("lie in [-1, 1]", "be finite")
+
+    qs, thetas = np.array([-1.0, -0.4, 0.0, 0.7, 1.0]), np.array([0.0, 0.3, 1.2, math.pi / 2.0])
+    dephasings = _two_level_matrix(1.0, qs[:, None], qs[:, None])
+    basis = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    populations = _rotated_populations(_bloch_y_rotation(thetas), dephasings, basis)
+    formula = sp.lambdify((q, theta), a, "numpy")
+    a_values = formula(qs[:, None], thetas)
+    np.testing.assert_allclose(populations[0][..., 0], (1 + a_values) / 2, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(populations[1][..., 0], (1 - a_values) / 2, rtol=0.0, atol=1e-15)
+    # The receiver reads those populations: I_s = 1 - H2((1 + a) / 2).
+    info = eve_bob_semiclassical(
+        StateEnsemble(np.array([0.5, 0.5]), basis),
+        _bloch_y_rotation(thetas),
+        dephasings,
+        cli._RIGID_BOB,
+    )
+    p = np.clip((1 + a_values) / 2, 0.0, 1.0)
+    terms = [x * np.log2(np.where(x > 0, x, 1.0)) for x in (p, 1 - p)]
+    np.testing.assert_allclose(info, 1 + terms[0] + terms[1], rtol=0.0, atol=1e-12)
