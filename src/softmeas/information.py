@@ -257,8 +257,9 @@ def coherent_info_two_level(
     q, p, mu = _check_unit_interval(q=q, p=p, mu=mu)
     spread = 4.0 * p * (1.0 - p)
     x1 = np.sqrt(np.maximum(1.0 - spread * (1.0 - q * q), 0.0))
-    # ``v ** 2`` is libm's ``pow``, which ``v * v`` does not match in every last ulp.
-    x2 = np.sqrt(np.maximum(1.0 - spread * (1.0 - _entrywise(pow, q * mu, 2)), 0.0))
+    # The square is libm's ``pow``, which ``v * v`` and ``np.square`` do not match
+    # in every last ulp; numpy's ``float_power`` loop calls that ``pow``.
+    x2 = np.sqrt(np.maximum(1.0 - spread * (1.0 - np.float_power(q * mu, 2.0)), 0.0))
     info = 0.5 * (_g(x1) - _g(x2)) + 0.0
     return float(info) if info.ndim == 0 else info
 

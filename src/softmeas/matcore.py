@@ -218,10 +218,14 @@ def _refuse(bad: np.ndarray, error: type, message: str, *values) -> None:
 def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
     """``fn`` applied to each entry of the broadcast ``arrays``, as Python numbers.
 
-    For libm functions (``math.log2``, ``math.cos``, ``pow``, ``cmath.exp``...)
-    whose numpy loops may round differently in the last ulp: the result holds
+    For libm functions (``math.log2``, ``math.cos``, ``cmath.exp``...) whose
+    numpy loops may round differently in the last ulp: the result holds
     exactly the values of the scalar calls, without a Python-level loop per
     entry. ``dtype`` is ``complex`` for a function with complex results.
+    Powers need no such call: ``np.float_power``'s float loop is libm's
+    ``pow``, with no SIMD variant, so it gives ``pow``'s floats. numpy's
+    ``log2``, ``exp``, ``expm1`` and ``log1p`` have SIMD loops that part from
+    libm on some entries, so logarithms and exponentials come through here.
     """
     arrays = np.broadcast_arrays(*arrays)
     values = map(fn, *(a.ravel().tolist() for a in arrays))

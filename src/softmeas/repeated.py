@@ -166,13 +166,14 @@ def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.
     ``(sqrt(1+c) + sqrt(1-c)) / 2`` and the off-diagonal carries the
     accumulated phase ``exp(i*n*chi)`` times ``(sqrt(1+c) - sqrt(1-c)) / 2``.
     An integer array of counts gives the ``(..., 2, 2)`` stack, one member
-    per count. The power, cosine and sine come from libm, one count at a
-    time, so each member holds the floats of the scalar ``math``/``cmath``
-    formula. :class:`InvalidParams` names the first count whose phase
-    ``n*chi`` overflows.
+    per count. The power is libm's ``pow`` through ``np.float_power``, and
+    the cosine and sine come from libm one count at a time, so each member
+    holds the floats of the scalar ``math``/``cmath`` formula.
+    :class:`InvalidParams` names the first count whose phase ``n*chi``
+    overflows.
     """
     n = _counts(n)
-    c = _entrywise(pow, math.cos(params.theta / 2.0), n)
+    c = np.float_power(math.cos(params.theta / 2.0), n)
     _check_phase("n*chi", params.chi, n)
     # ``cmath.exp(1j*n*chi)`` is libm's cosine and sine of ``n*chi``.
     angle = n * params.chi

@@ -947,6 +947,25 @@ class TestFailingGridPoint:
             "invariant violation: non-finite value in column 'I_c' (stack member [2, 1])\n"
         )
 
+    def test_negative_zero_coordinate_is_named_as_zero(self, monkeypatch, capsys):
+        """A grid that stops at ``-0`` ends in the float -0.0 (``0:-0:3`` is
+        0, 0, -0.0), which the CSV writes as ``0``; a failure at that point
+        names it as ``0`` too, not ``-0``."""
+        assert np.signbit(cli._parse_grid("0:-0:3", "q")).tolist() == [False, False, True]
+        fig2a = cli._COMMANDS["fig2a"]
+
+        def poisoned(p):
+            block = fig2a.sweep(p)
+            return lambda q, mu: [np.where(np.signbit(q) & (mu == 0.25), np.nan, *block(q, mu))]
+
+        monkeypatch.setitem(cli._COMMANDS, "fig2a", fig2a._replace(sweep=poisoned))
+        code, err = run_failing(["fig2a", "--param", "q=0:-0:3", "--param", "mu=0:1:5"], capsys)
+        assert code == 3
+        assert err == (
+            "softmeas: fig2a grid point 11 (q=0, mu=0.25): "
+            "invariant violation: non-finite value in column 'I_c' (stack member [2, 1])\n"
+        )
+
 
 # sha256 of each command's default CSV as the per-point implementation wrote
 # it, before grids were evaluated whole; the whole-grid path must reproduce
@@ -975,14 +994,21 @@ DEFAULT_JSON_SHA256 = {
 }
 
 
-def kernel_marked(commands, needs_fma):
-    """The commands as parameters, each digest that holds only on some BLAS
+def kernel_marked(commands, needs_fma, avx512_numpy_only=()):
+    """The commands as parameters, each digest that holds only on some
     kernel sets marked (see the markers in pyproject.toml): those of
     continuous and repeat hold only on SkylakeX, those in ``needs_fma``
-    only with FMA."""
-    marks = dict.fromkeys(needs_fma, pytest.mark.needs_fma)
-    marks.update(dict.fromkeys(("continuous", "repeat"), pytest.mark.skylakex_only))
-    return [pytest.param(command, marks=marks.get(command, ())) for command in sorted(commands)]
+    only with FMA, those in ``avx512_numpy_only`` only under numpy's
+    AVX-512 dispatch."""
+    groups = (
+        (pytest.mark.needs_fma, needs_fma),
+        (pytest.mark.skylakex_only, ("continuous", "repeat")),
+        (pytest.mark.avx512_numpy_only, avx512_numpy_only),
+    )
+    return [
+        pytest.param(command, marks=[mark for mark, names in groups if command in names])
+        for command in sorted(commands)
+    ]
 
 
 @pytest.mark.parametrize("command", kernel_marked(DEFAULT_CSV_SHA256, {"fig3"}))
@@ -992,7 +1018,9 @@ def test_default_csv_digest_is_pinned(command, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256[command]
 
 
-@pytest.mark.parametrize("command", kernel_marked(DEFAULT_JSON_SHA256, {"fig3", "isweep"}))
+@pytest.mark.parametrize(
+    "command", kernel_marked(DEFAULT_JSON_SHA256, {"fig3", "isweep"}, {"fig3"})
+)
 def test_default_json_digest_is_pinned(command, tmp_path):
     code, out = run_cli([command, "--format", "json"], tmp_path, "out.json")
     assert code == 0
@@ -1009,6 +1037,7 @@ CONTINUOUS_PAPER_JSON_SHA256 = "3e2ce5ea824bfd8e68eefd27d2a17c9cfa0e1e2bb0a704d1
 
 
 @pytest.mark.skylakex_only
+@pytest.mark.avx512_numpy_only
 def test_non_default_continuous_digest_is_pinned(tmp_path):
     argv = ["continuous", "--format", "json", "--kappa-convention", "paper"]
     for value in ("t=0:7:401", "r_dot=0.3,2", "chi_dot=1.3", "rho_p=0.3", "rho_mu=0.6"):
@@ -1049,6 +1078,7 @@ LARGE_FIG3_JSON_SHA256 = "1e573fdf809f1a06d396bc90a3ff1bd4f0c6fe1649e4d2e7ab4491
 
 
 @pytest.mark.needs_fma
+@pytest.mark.avx512_numpy_only
 def test_large_fig3_surface_digest_is_pinned(tmp_path):
     argv = ["fig3", "--format", "json", "--param", "q=0:1:201"]
     argv += ["--param", f"theta=0:{math.pi / 2.0!r}:201"]

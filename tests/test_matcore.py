@@ -515,3 +515,49 @@ def test_matmul_is_matmul_bit_for_bit(dim, axes, dropped, layout, real, seed):
     else:
         bits = [np.ascontiguousarray(x).view(np.int64) for x in (out, expected)]
         assert np.array_equal(*bits)
+
+
+# Bases of the two-level closed forms, which lie in [0, 1], with the values
+# where a power's rounding is most likely to part from libm's drawn often:
+# 0, 1, the smallest subnormal, the float one ulp below 1 and subnormals.
+POWER_BASES = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0)]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.2250738585072014e-308),
+)
+POWER_COUNTS = st.one_of(
+    st.sampled_from([1, 2, 3, 2**53, 2**53 + 1, 2**63 - 1]), st.integers(1, 2**63 - 1)
+)
+
+
+def libm_bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    bases=st.lists(POWER_BASES, min_size=1, max_size=64),
+    counts=st.lists(POWER_COUNTS, min_size=1, max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(bases=[0.42672114373024106], counts=[1], seed=0)
+def test_float_power_is_libm_pow_bit_for_bit(bases, counts, seed):
+    """``np.float_power`` gives, entry by entry, the float of Python's
+    ``pow``, which is libm's: its ``dd->d`` loop calls libm's ``pow`` and has
+    no SIMD variant, where ``np.power`` with an array exponent, ``np.square``
+    and ``x * x`` part from libm in the last ulp for some entries. The two
+    call sites rely on this for their bits:
+    ``information.coherent_info_two_level`` squares ``q*mu`` (exponent
+    2.0), and ``repeated.two_level_gram_sqrt`` raises ``cos(theta/2)`` to
+    an ``int64`` array of counts from 1 to ``2**63 - 1``, which
+    ``float_power`` casts to float as ``pow`` casts a Python int.
+
+    Uniform bases join the drawn ones, since about 1 in 1,200 of them has a
+    square ``x * x`` that parts from libm's: 0.42672114373024106 is one."""
+    x = np.concatenate([bases, np.random.default_rng(seed).uniform(0.0, 1.0, 1024)])
+    bases = x.tolist()
+    squares = np.float_power(x, 2.0)
+    assert np.array_equal(squares.view(np.int64), libm_bits([pow(v, 2) for v in bases]))
+    powers = np.float_power(x[:, None], np.array(counts, dtype=np.int64))
+    expected = libm_bits([[pow(v, k) for k in counts] for v in bases])
+    assert np.array_equal(powers.view(np.int64), expected)

@@ -18,13 +18,15 @@ import sympy as sp
 from softmeas import cli
 from softmeas.information import (
     StateEnsemble,
+    _binary_entropy,
     _bloch_y_rotation,
+    _g,
     _rotated_populations,
     coherent_info_two_level,
     eve_bob_semiclassical,
 )
 from softmeas.measurement import SoftMeasurement, meter_state
-from softmeas.repeated import _two_level_matrix, _two_level_root
+from softmeas.repeated import _two_level_matrix, _two_level_root, discrete_step
 
 LAM = sp.Symbol("lambda")
 
@@ -175,3 +177,54 @@ def test_rotated_dephased_populations_are_one_plus_minus_a_over_two():
     p = np.clip((1 + a_values) / 2, 0.0, 1.0)
     terms = [x * np.log2(np.where(x > 0, x, 1.0)) for x in (p, 1 - p)]
     np.testing.assert_allclose(info, 1 + terms[0] + terms[1], rtol=0.0, atol=1e-12)
+
+
+def test_binary_entropy_of_one_plus_x_over_two_is_one_minus_half_g():
+    """``information._binary_entropy((1 + x) / 2)``, the continuous ``I_s``,
+    is ``1 - _g(x) / 2``, where ``_g(x) = (1-x)log2(1-x) + (1+x)log2(1+x)``
+    is the function of ``coherent_info_two_level``'s two entropies: the two
+    definitions name one entropy. This holds for ``x`` in ``[0, 1)``, where
+    ``1 - x`` is a positive symbol, and at ``x = 1`` in the limit, which is
+    the ``0 log 0 = 0`` convention both functions take. Both clamp their
+    argument to that domain (``_g`` takes ``x`` in ``[0, 1]``,
+    ``_binary_entropy`` a probability)."""
+    x = sp.Symbol("x", nonnegative=True)
+    rest = sp.Symbol("rest", positive=True)  # rest = 1 - x
+
+    def binary_entropy(a, b):  # a + b = 1
+        return -(a * sp.log(a) + b * sp.log(b)) / sp.log(2)
+
+    g = (rest * sp.log(rest) + (1 + x) * sp.log(1 + x)) / sp.log(2)
+    difference = binary_entropy((1 + x) / 2, rest / 2) - (1 - g / 2)
+    assert sp.simplify(sp.expand_log(sp.expand(difference))).subs(rest, 1 - x) == 0
+    assert sp.limit(difference.subs(x, 1), rest, 0, "+") == 0
+
+    formula = sp.lambdify(x, (1 - g / 2).subs(rest, 1 - x), "math")
+    for value in [0.0, 0.3, 0.75, 0.999]:
+        assert abs(_binary_entropy((1.0 + value) / 2.0) - formula(value)) <= 1e-15
+        assert abs(_binary_entropy((1.0 + value) / 2.0) - (1.0 - _g(value) / 2.0)) <= 1e-15
+    assert _binary_entropy(1.0) == 1.0 - _g(1.0) / 2.0 == 0.0
+
+
+def test_discrete_steps_decay_as_exp_minus_kappa_t():
+    """``repeated.discrete_step(kappa, 0, 0, h)`` has the Gram off-diagonal
+    ``cos(theta/2)`` with ``theta**2 = 8 kappa h``, and ``t/h`` steps give
+    ``cos(sqrt(8 kappa h)/2)**(t/h)``, which tends to ``exp(-kappa t)`` as
+    ``h -> 0``: the limit's Gram decay at rate ``kappa``. The paper's
+    ``theta**2 = 4 kappa h`` tends to ``exp(-kappa t / 2)`` instead, which is
+    why its rate is twice ``kappa``. This holds for positive ``kappa`` and
+    ``t``; at ``kappa = 0`` or ``t = 0`` both sides are 1. ``continuous``
+    takes ``kappa`` and ``t`` in that domain, ``>= 0``."""
+    kappa, t, h = sp.symbols("kappa t h", positive=True)
+    for factor, rate in ((8, kappa), (4, kappa / 2)):
+        exponent = (t / h) * sp.log(sp.cos(sp.sqrt(factor * kappa * h) / 2))
+        assert sp.limit(exponent, h, 0, "+") == -rate * t
+    params = cli._COMMANDS["continuous"].params
+    assert params["kappa"].domain.rule == params["t"].domain.rule == "be >= 0"
+
+    off_diagonal = sp.lambdify((kappa, h), sp.cos(sp.sqrt(8 * kappa * h) / 2), "math")
+    for rate, time, step in [(0.7, 2.0, 1e-6), (1.0, 5.0, 1e-7), (3.0, 0.5, 1e-5)]:
+        gram = discrete_step(rate, 0.0, 0j, step).gram
+        assert abs(gram[0, 1] - off_diagonal(rate, step)) <= 1e-15
+        decay = gram[0, 1].real ** round(time / step)
+        assert abs(decay - math.exp(-rate * time)) <= rate**2 * time * step
