@@ -72,11 +72,11 @@ import numpy as np
 from .errors import ConfigError, SoftMeasError
 from .information import (
     StateEnsemble,
-    _bloch_y_rotation,
+    _rigid_holevo,
+    _y_rotations,
     coherent_info_soft,
     coherent_info_two_level,
     compete_two_level,
-    eve_bob_semiclassical,
     holevo_info,
     meter_ensemble,
     semiclassical_info_continuous,
@@ -186,8 +186,12 @@ def _parse_grid(raw: str, name: str, domain: _Domain = _FINITE) -> np.ndarray:
 
 def _parse_counts(raw: str, name: str, domain: _Domain) -> np.ndarray:
     """A grid of repetition counts: its points, each rounded to the nearest
-    integer, once each; the domain holds the points before rounding."""
-    return np.unique(np.rint(_parse_grid(raw, name, domain)).astype(np.int64))
+    integer, once each, ascending; the domain holds the points before
+    rounding. The distinct counts are taken by a sort and a mask of
+    adjacent differences: ``np.unique`` would import ``numpy.ma`` on its
+    first call, which adds to the launch time of every ``repeat`` run."""
+    counts = np.sort(np.rint(_parse_grid(raw, name, domain)).astype(np.int64))
+    return counts[np.append(True, counts[1:] != counts[:-1])]
 
 
 class _Param(NamedTuple):
@@ -264,11 +268,12 @@ def _typed(command: str, config: dict[str, str]) -> dict[str, Any]:
 # object state) is not checked again.
 
 
+# The two-level basis states |0><0| and |1><1|, in float64.
+_BASIS_STATES = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
 def _basis_ensemble(probs) -> StateEnsemble:
-    return StateEnsemble(
-        probs=np.asarray(probs, dtype=float),
-        states=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-    )
+    return StateEnsemble(probs=np.asarray(probs, dtype=float), states=_BASIS_STATES)
 
 
 def _rho(p: float, mu: float, phase: float) -> DensityMatrix:
@@ -305,20 +310,17 @@ def _sweep_fig2b(mu):
     return lambda q_eve, q_bob: compete_two_level(q_eve, q_bob, mu)
 
 
-# fig3's inputs shared by every grid point of every sweep: the balanced
-# basis ensemble and the rigid receiver, built and checked once, at import,
-# with the receiver's meter states taken then too. Those meter states are
-# exactly the identity, so eve_bob_semiclassical takes the Holevo information
-# from the output populations and builds no meter matrix.
-_FIG3_ENSEMBLE = _basis_ensemble([0.5, 0.5])
-_RIGID_BOB = SoftMeasurement(entanglement=np.eye(2), gram=np.eye(2))
-_RIGID_BOB.meter_vectors
+# fig3's balanced priors over the basis states, shared by every grid point.
+_FIG3_PRIORS = np.array([0.5, 0.5])
 
 
 def _fig3_block(q, theta):
-    dephase = _two_level_matrix(1.0, q, q)
-    info = eve_bob_semiclassical(_FIG3_ENSEMBLE, _bloch_y_rotation(theta), dephase, _RIGID_BOB)
-    return [info]
+    # The parser checked q in [-1, 1] and theta finite, so each [[1, q], [q, 1]]
+    # is a correlation matrix and each y-rotation a basis change; the receiver
+    # is rigid. The rigid core of eve_bob_semiclassical takes them unchecked,
+    # in float64 like the basis states.
+    dephase = np.where(np.eye(2, dtype=bool), 1.0, q[..., None, None])
+    return [_rigid_holevo(_FIG3_PRIORS, _y_rotations(theta), dephase, _BASIS_STATES)]
 
 
 def _sweep_continuous(kappa, chi_dot, r_dot, rho_p, rho_mu, rho_phase, kappa_convention):

@@ -433,20 +433,26 @@ def compete_two_level(
     return info_eve, info_bob
 
 
+def _y_rotations(angles: np.ndarray) -> np.ndarray:
+    """The float64 stack of y-rotations ``[[cos(a/2), -sin(a/2)],
+    [sin(a/2), cos(a/2)]]``, one per entry of the finite ``angles``. The
+    sines and cosines come from :mod:`math`, one angle at a time, so a stack
+    holds exactly the matrices the single-angle calls give."""
+    cos = _entrywise(math.cos, angles / 2.0)
+    sin = _entrywise(math.sin, angles / 2.0)
+    return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+
+
 def _bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
     """Two-level basis change rotating the Bloch sphere by ``theta`` about y.
 
-    ``[[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]]``; an
-    array of angles gives the ``(..., 2, 2)`` stack of rotations. The sines
-    and cosines come from :mod:`math`, one angle at a time, so a stack holds
-    exactly the matrices the single-angle calls give. Raises
-    :class:`OutOfRange` for an angle that is not finite.
+    The complex :func:`_y_rotations` of ``theta``; an array of angles gives
+    the ``(..., 2, 2)`` stack of rotations. Raises :class:`OutOfRange` for
+    an angle that is not finite.
     """
     angles = _cast(theta, float)
     _refuse(~np.isfinite(angles), OutOfRange, "rotation angle must be finite, got {}", angles)
-    cos = _entrywise(math.cos, angles / 2.0)
-    sin = _entrywise(math.sin, angles / 2.0)
-    return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2).astype(complex)
+    return _y_rotations(angles).astype(complex)
 
 
 def _rotated_populations(
@@ -462,6 +468,28 @@ def _rotated_populations(
         back = _matmul(_matmul(unitary, dephase * in_eve), _dagger(unitary))
         populations.append(np.clip(np.diagonal(back, axis1=-2, axis2=-1).real, 0.0, None))
     return populations
+
+
+def _rigid_holevo(
+    probs: np.ndarray, unitary: np.ndarray, dephase: np.ndarray, states: Iterable[np.ndarray]
+) -> float | np.ndarray:
+    """The rigid-receiver core of :func:`eve_bob_semiclassical`: the Holevo
+    information of the populations ``w_k`` that the states keep after the
+    rotate, dephase and rotate-back chain of ``unitary`` and ``dephase``,
+    for the priors ``probs``. Its factors were checked, or derived from
+    checked parts, by the caller, and are not checked here.
+
+    A rigid receiver's output states are ``diag(w_k)`` exactly, and their
+    average's diagonal is the same sum of ``p_k * w_k``; each has its sorted
+    diagonal for a spectrum (see :mod:`~softmeas.matcore`), so that is taken.
+    An entropy of two terms is one addition, which does not depend on their
+    order, so at ``D <= 2`` the populations are taken unsorted."""
+    populations = _rotated_populations(unitary, dephase, states)
+    average = sum(p * w for p, w in zip(probs, populations))
+    if unitary.shape[-1] > 2:
+        average = np.sort(average, axis=-1, kind="stable")
+        populations = [np.sort(w, axis=-1, kind="stable") for w in populations]
+    return _holevo(probs, average, populations)
 
 
 def eve_bob_semiclassical(
@@ -481,9 +509,9 @@ def eve_bob_semiclassical(
     ensemble.
 
     When neither the basis change nor ``dephase`` nor any ensemble state
-    has an imaginary part (as on the ``fig3`` surface: y-rotations, real
-    dephasings, the basis states), that chain runs on their real parts in
-    float64; otherwise in complex. A complex product of real factors only
+    has an imaginary part (y-rotations, real dephasings and the basis
+    states, as on the ``fig3`` surface), that chain runs on their real parts
+    in float64; otherwise in complex. A complex product of real factors only
     adds exact zeros to each real one, so both give the same populations:
     bit for bit up to ``D = 4`` on every OpenBLAS kernel set tested
     (SkylakeX, Haswell, Sandybridge, Nehalem, Prescott). Of ``D <= 8``,
@@ -495,8 +523,11 @@ def eve_bob_semiclassical(
     ``diag(w_k)``, so the value is ``H(sum_k p_k w_k) - sum_k p_k H(w_k)``
     (Shannon entropies of the populations, sorted only when ``D > 2``),
     taken without building a meter matrix. These are the floats the matrix
-    route gives (see :mod:`~softmeas.matcore`). Any other receiver's output
-    states are built as matrices and decomposed.
+    route gives (see :mod:`~softmeas.matcore`). That branch is
+    ``_rigid_holevo``, which runs after every check here; the ``fig3``
+    sweep, whose real factors it derives from parsed values, calls it
+    directly. Any other receiver's output states are built as matrices and
+    decomposed.
 
     ``eve_basis`` is either a rotation angle on the Bloch sphere's y-axis
     (two-level only; any real 0-d value, numpy scalars and 0-d arrays
@@ -530,17 +561,8 @@ def eve_bob_semiclassical(
     states = ensemble.states
     if not any(np.imag(m).any() for m in (unitary, dephase, *states)):
         unitary, dephase, states = unitary.real, dephase.real, [s.real for s in states]
-    populations = _rotated_populations(unitary, dephase, states)
     if np.array_equal(bob.meter_vectors, np.eye(dim)):
-        # A rigid receiver's output states are diag(w) exactly, and their
-        # average's diagonal is the same sum of p_k * w_k; each has its
-        # sorted diagonal for a spectrum (see matcore), so take that. An
-        # entropy of two terms is one addition, which does not depend on
-        # their order, so at D <= 2 the populations are taken unsorted.
-        average = sum(p * w for p, w in zip(ensemble.probs, populations))
-        if dim <= 2:
-            return _holevo(ensemble.probs, average, populations)
-        spectra = (np.sort(w, axis=-1, kind="stable") for w in populations)
-        return _holevo(ensemble.probs, np.sort(average, axis=-1, kind="stable"), spectra)
+        return _rigid_holevo(ensemble.probs, unitary, dephase, states)
+    populations = _rotated_populations(unitary, dephase, states)
     out_states = tuple(_meter_mix(bob.meter_vectors, w) for w in populations)
     return holevo_info(_derived_ensemble(ensemble.probs, out_states))

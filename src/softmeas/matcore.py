@@ -59,18 +59,24 @@ them for a complex right factor, which commute exactly, so the result
 equals ``a @ b`` under ``==``, though an exact zero may change sign. A
 complex left factor keeps the plain product, because transposing complex
 factors moves bits. ``eve_bob_semiclassical`` gives it a float rotation
-whenever none of its factors has an imaginary part, as on ``fig3``: it then
-runs its whole rotate, dephase and rotate-back chain in float64, whose
-products are those of the complex chain without the exact zeros.
+whenever none of its factors has an imaginary part, and the ``fig3`` sweep
+gives it float rotations of its own: the whole rotate, dephase and
+rotate-back chain then runs in float64, whose products are those of the
+complex chain without the exact zeros.
 
 Every eigenvalue-only solve is one ``np.linalg.eigvalsh`` call. One rule
 rests on LAPACK's floats: a rigid receiver's spectra are its sorted
 populations, the floats that LAPACK returns for a diagonal state. So
 ``eve_bob_semiclassical`` takes a rigid receiver's spectra (meter states
-exactly the basis vectors, as on the ``fig3`` surface) from its
-populations, sorted only when ``D > 2`` (an entropy of two terms does not
-depend on their order), and builds no output states; a test pins that this
-gives the floats of the matrix route.
+exactly the basis vectors) from its populations, sorted only when
+``D > 2`` (an entropy of two terms does not depend on their order), and
+builds no output states; a test pins that this gives the floats of the
+matrix route. That route is one internal core, ``_rigid_holevo``, which
+takes checked or derived factors. The ``fig3`` sweep calls it directly, as
+the rule above has it: its dephasing matrices and rotations are derived
+from parsed values (``q`` in ``[-1, 1]``, finite angles) and are not
+checked again, its priors and basis states are float constants, and no
+receiver is built, so the sweep makes no eigensolve.
 """
 
 from __future__ import annotations

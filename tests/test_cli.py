@@ -201,6 +201,43 @@ class TestRepeat:
         h = -(0.7 * math.log2(0.7) + 0.3 * math.log2(0.3))
         assert rows[0][5] == pytest.approx(h, abs=1e-6)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(st.floats(1.0, 40.0), st.floats(1.0, 2.0**63, exclude_max=True)),
+            min_size=2,
+            max_size=2,
+        ),
+        st.integers(1, 300),
+    )
+    def test_counts_are_numpy_unique(self, ends, points):
+        """A count grid holds its rounded points once each, ascending: the
+        counts ``np.unique`` gives, in ``int64``, over grids with many
+        repeats and over grids up to the largest count."""
+        raw = "{!r}:{!r}:{}".format(*sorted(ends), points)
+        counts = cli._parse_counts(raw, "n", cli._COUNTS)
+        expected = np.unique(np.rint(cli._parse_grid(raw, "n")).astype(np.int64))
+        assert counts.dtype == expected.dtype == np.int64
+        assert np.array_equal(counts, expected)
+
+    def test_repeat_leaves_numpy_ma_unimported(self):
+        """A fresh interpreter that runs ``repeat`` over a count grid with
+        repeats does not import ``numpy.ma``, which ``np.unique`` would."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import contextlib, io, sys\n"
+            "from softmeas.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['repeat', '--param', 'n=1:3:5']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestOutputFormats:
     def test_determinism_byte_identical(self, tmp_path):
@@ -839,13 +876,13 @@ class TestFailingGridPoint:
         assert err == (
             "softmeas: config error: parameter q must lie in [-1, 1], got grid value 2.0\n"
         )
-        scale_grids(monkeypatch, "fig3", 2.0)
-        code, err = run_failing(["fig3", "--param", "q=0:1:3"], capsys)
+        scale_grids(monkeypatch, "fig2a", 2.0)
+        code, err = run_failing(["fig2a", "--param", "q=0:1:3", "--param", "mu=0:0.5:51"], capsys)
         assert code == 3
-        # q = 1 (evaluated at 2) first fails at theta = 0: row 2 of 3, column 0 of 51.
+        # q = 1 (evaluated at 2) first fails at mu = 0: row 2 of 3, column 0 of 51.
         assert err == (
-            "softmeas: fig3 grid point 102 (q=1, theta=0): dephase is not PSD: "
-            "eigenvalue -1.000e+00; dephase has an entry with modulus > 1 (stack member [2, 0])\n"
+            "softmeas: fig2a grid point 102 (q=1, mu=0): q must lie in [0, 1], got 2.0"
+            " (stack member [2, 0])\n"
         )
 
     def test_scalar_closed_form_names_its_point(self, monkeypatch, capsys):
@@ -879,12 +916,13 @@ class TestFailingGridPoint:
             "softmeas: repeat grid point 2 (n=3): "
             "accumulated phase n*chi is not finite (stack member [2])\n"
         )
-        scale_grids(monkeypatch, "fig3", 2.0)
+        scale_grids(monkeypatch, "fig2b", 2.0)
         scale_grids(monkeypatch, "isweep", 2.0)
-        monkeypatch.setattr(cli, "_BLOCK_POINTS", 51)  # one q row per block
-        code, err = run_failing(["fig3", "--param", "q=0:1:3"], capsys)
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 51)  # one q_E row per block
+        argv = ["fig2b", "--param", "q_E=0:1:3", "--param", "q_B=0:0.5:51"]
+        code, err = run_failing(argv, capsys)
         assert code == 3
-        assert err.startswith("softmeas: fig3 grid point 102 (q=1, theta=0): dephase is not PSD")
+        assert err.startswith("softmeas: fig2b grid point 102 (q_E=1, q_B=0): q_eve must lie in")
         assert err.endswith(" (stack member [2, 0])\n")
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 2)
         code, err = run_failing(["isweep", "--param", "q=0:1:5"], capsys)
@@ -892,18 +930,18 @@ class TestFailingGridPoint:
         assert err.endswith(" (stack member [3])\n")
 
     def test_later_block_rebases_every_label(self, monkeypatch, capsys):
-        scale_grids(monkeypatch, "fig3", 2.0)
+        scale_grids(monkeypatch, "fig2a", 2.0)
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 3)  # one q row per block
-        code, err = run_failing(["fig3", "--param", "q=0:1:5", "--param", "theta=0:1:3"], capsys)
+        code, err = run_failing(["fig2a", "--param", "q=0:1:5", "--param", "mu=0:0.5:3"], capsys)
         assert code == 3
-        # Both failures are at q = 0.75, grid row 3, which is row 0 of its block.
+        # The failure is at q = 0.75, grid row 3, which is row 0 of its block.
         assert err == (
-            "softmeas: fig3 grid point 9 (q=0.75, theta=0): dephase is not PSD: "
-            "eigenvalue -5.000e-01; dephase has an entry with modulus > 1 (stack member [3, 0])\n"
+            "softmeas: fig2a grid point 9 (q=0.75, mu=0): q must lie in [0, 1], got 1.5"
+            " (stack member [3, 0])\n"
         )
-        config = {**cli._COMMANDS["fig3"].defaults, "q": "0:1:5", "theta": "0:1:3"}
-        with pytest.raises(InvalidMeasurement) as excinfo:
-            cli.run_sweep("fig3", config)
+        config = {**cli._COMMANDS["fig2a"].defaults, "q": "0:1:5", "mu": "0:0.5:3"}
+        with pytest.raises(OutOfRange) as excinfo:
+            cli.run_sweep("fig2a", config)
         assert excinfo.value.index == (3, 0)
 
     @settings(deadline=None, max_examples=50)

@@ -27,6 +27,7 @@ from conftest import (
     spy_correlation_checks,
 )
 
+from softmeas import cli
 from softmeas.errors import (
     DimensionMismatch,
     InvalidChannel,
@@ -40,6 +41,7 @@ from softmeas.information import (
     StateEnsemble,
     _bloch_y_rotation,
     _g,
+    _rigid_holevo,
     _rotated_populations,
     coherent_info_channel,
     coherent_info_soft,
@@ -1232,6 +1234,69 @@ class TestRealChain:
             ensemble, bob, unitaries[0], dephase[:, 0]
         )
         assert dtypes == [(np.complex128,) * 4]
+
+
+# Softness values and angles where the fig3 chain meets exact zeros, ones
+# and signed zeros, drawn often beside arbitrary ones.
+FIG3_Q = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+FIG3_THETA = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.pi / 2.0, -math.pi / 2.0, math.pi, -math.pi]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRigidCore:
+    """``_rigid_holevo`` is the rigid-receiver branch of
+    ``eve_bob_semiclassical``, which the ``fig3`` sweep calls directly with
+    float factors derived from its parsed grids."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(FIG3_Q, min_size=1, max_size=6), st.lists(FIG3_THETA, min_size=1, max_size=6))
+    def test_fig3_block_is_eve_bob_semiclassical(self, qs, thetas):
+        """A block of the ``fig3`` sweep, laid out as ``run_sweep`` lays it
+        (softness down the rows, angles along the columns), holds the bits
+        of the public function on the balanced basis ensemble, the complex
+        y-rotations, the dephasings ``[[1, q], [q, 1]]`` and a rigid
+        receiver, signs of zeros included."""
+        q, theta = np.array(qs)[:, None], np.array(thetas)[None, :]
+        (block,) = cli._fig3_block(q, theta)
+        expected = eve_bob_semiclassical(
+            cli._basis_ensemble([0.5, 0.5]),
+            _bloch_y_rotation(theta),
+            _two_level_matrix(1.0, q, q),
+            SoftMeasurement(np.eye(2), np.eye(2)),
+        )
+        assert block.dtype == expected.dtype == np.float64
+        assert block.shape == expected.shape == (len(qs), len(thetas))
+        assert np.array_equal(block.view(np.int64), expected.view(np.int64))
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4, 1.0]), min_size=2, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_core_is_the_matrix_route(self, dim, weights, seed):
+        """Over unbalanced priors, a zero prior included, and random real
+        or complex factors at D = 2 and 3, the core has the floats of the
+        matrix route: the Holevo information of the output states
+        ``diag(w_k)``, each decomposed by LAPACK."""
+        if not sum(weights):
+            weights[0] = 1.0
+        probs = np.array(weights) / sum(weights)
+        rng = np.random.default_rng(seed)
+        unitaries, dephase, _ = real_chain_inputs(rng, dim)
+        if rng.integers(2):
+            unitaries = np.array([rand_unitary(rng, dim) for _ in range(9)])[None]
+        states = [rand_density(rng, dim) for _ in probs]
+        got = _rigid_holevo(probs, unitaries, dephase, states)
+        outputs = []
+        for w in _rotated_populations(unitaries, dephase, states):
+            output = np.zeros(w.shape + (dim,), complex)
+            output[..., range(dim), range(dim)] = w
+            outputs.append(output)
+        expected = holevo_info(StateEnsemble(probs, tuple(outputs)))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestInformationBalance:

@@ -238,14 +238,14 @@ class TestRepeatWholeGrid:
 # and ``continuous`` check their input state once, when it is built, and
 # ``single`` roots its Gram matrix once, for the joint state and the meter
 # ensemble both. A basis ensemble is checked when it is built, one
-# eigensolve per state: ``single`` and ``isweep`` build theirs in the sweep,
-# ``fig3`` builds its own at import, with its rigid receiver. That
-# receiver's output states are never built: their spectra are the sorted
-# populations. So ``fig3`` solves only for the check of its dephasing
-# matrices.
+# eigensolve per state: ``single`` and ``isweep`` build theirs in the sweep.
+# ``fig3`` builds no ensemble and no receiver: its priors and basis states
+# are float constants, its dephasing matrices are derived from the parsed
+# ``q`` and not checked again, and its rigid receiver's spectra are the
+# populations. So ``fig3`` makes no eigensolve.
 @pytest.mark.parametrize(
     "command, solves",
-    [("single", 14), ("continuous", 3), ("fig3", 1), ("isweep", 8), ("fig2a", 0), ("fig2b", 0)],
+    [("single", 14), ("continuous", 3), ("fig3", 0), ("isweep", 8), ("fig2a", 0), ("fig2b", 0)],
 )
 def test_default_sweep_eigensolves(monkeypatch, command, solves):
     calls = count_eigensolves(monkeypatch)

@@ -25,8 +25,22 @@ from softmeas.information import (
     coherent_info_two_level,
     eve_bob_semiclassical,
 )
-from softmeas.measurement import SoftMeasurement, meter_state
-from softmeas.repeated import _two_level_matrix, _two_level_root, discrete_step
+from softmeas.matcore import partial_trace
+from softmeas.measurement import (
+    SoftMeasurement,
+    TwoLevelMeterParams,
+    apply_soft,
+    meter_state,
+    two_level_gram,
+)
+from softmeas.repeated import (
+    _schur_power,
+    _two_level_matrix,
+    _two_level_root,
+    discrete_step,
+    repeat_soft,
+    two_level_gram_sqrt,
+)
 
 LAM = sp.Symbol("lambda")
 
@@ -172,7 +186,7 @@ def test_rotated_dephased_populations_are_one_plus_minus_a_over_two():
         StateEnsemble(np.array([0.5, 0.5]), basis),
         _bloch_y_rotation(thetas),
         dephasings,
-        cli._RIGID_BOB,
+        SoftMeasurement(np.eye(2), np.eye(2)),
     )
     p = np.clip((1 + a_values) / 2, 0.0, 1.0)
     terms = [x * np.log2(np.where(x > 0, x, 1.0)) for x in (p, 1 - p)]
@@ -228,3 +242,94 @@ def test_discrete_steps_decay_as_exp_minus_kappa_t():
         assert abs(gram[0, 1] - off_diagonal(rate, step)) <= 1e-15
         decay = gram[0, 1].real ** round(time / step)
         assert abs(decay - math.exp(-rate * time)) <= rate**2 * time * step
+
+
+def test_schur_power_of_the_two_level_gram_matrix():
+    """``repeated._schur_power``, which ``repeat_soft`` applies to a
+    measurement's Gram matrix, raises ``two_level_gram``'s matrix, of
+    off-diagonal ``c e^{i chi}`` with ``c = cos(theta/2)``, entrywise to the
+    ``n``-th power: ``[[1, c**n e^{i n chi}], [c**n e^{-i n chi}, 1]]``. Its
+    off-diagonal ``c**n`` times a phase is what ``two_level_gram_sqrt``
+    feeds to ``_two_level_root``, whose square is that matrix. This holds
+    for nonnegative ``c``, real ``chi`` and every positive integer ``n``;
+    ``repeat`` takes ``theta`` in ``[0, pi]``, where ``c`` lies in
+    ``[0, 1]``, and counts from 1."""
+    c = sp.Symbol("c", nonnegative=True)
+    chi = sp.Symbol("chi", real=True)
+    n = sp.Symbol("n", integer=True, positive=True)
+    gram = sp.Matrix([[1, c * sp.exp(sp.I * chi)], [c * sp.exp(-sp.I * chi), 1]])
+    off = c**n * sp.exp(sp.I * n * chi)
+    closed = sp.Matrix([[1, off], [sp.conjugate(off), 1]])
+
+    power = gram.applyfunc(lambda entry: entry**n)
+    assert (power - closed).applyfunc(lambda e: sp.expand(sp.powsimp(e))) == sp.zeros(2)
+    assert (c**n).is_nonnegative
+    params = cli._COMMANDS["repeat"].params
+    assert (params["theta"].domain.rule, params["n"].domain.rule) == (
+        "lie in [0, pi]",
+        "lie in [1, 2**63)",
+    )
+
+    formula = sp.lambdify((c, chi, n), closed, "numpy")
+    counts = np.array([1, 2, 3, 10, 57])
+    for theta, phase in [(0.4, 0.0), (math.pi / 3.0, 0.7), (2.5, -1.9), (math.pi, 0.3)]:
+        meter = TwoLevelMeterParams(theta=theta, chi=phase)
+        expected = np.stack([formula(math.cos(theta / 2.0), phase, k) for k in counts.tolist()])
+        powers = _schur_power(two_level_gram(meter), counts)
+        np.testing.assert_allclose(powers, expected, rtol=0.0, atol=1e-13)
+        repeated = repeat_soft(SoftMeasurement(np.eye(2), two_level_gram(meter)), counts)
+        assert np.array_equal(repeated.gram, powers)
+        root = two_level_gram_sqrt(meter, counts)
+        np.testing.assert_allclose(root @ root, expected, rtol=0.0, atol=1e-13)
+
+
+def test_joint_state_is_the_isometry_image_of_the_schur_product():
+    """``measurement.apply_soft`` puts ``R[k, l] rho[k, l]`` on the
+    component ``|k><l| (x) |v_k><v_l|``. At D = 2 that is
+    ``W (R * rho) W^dagger`` (``*`` entrywise), where the isometry
+    ``W = sum_k (|k> (x) |v_k>) <k|`` copies each basis state into its meter
+    state ``v_k``, the k-th column of ``V``. ``W^dagger W`` is the diagonal
+    of the Gram matrix ``Q = V^dagger V``, which is the identity for a unit
+    diagonal, and tracing out the meter leaves ``R * conj(Q) * rho``, the
+    measurement's ``multiplier`` times ``rho``. This holds for every complex
+    ``V``, ``R`` and ``rho``."""
+    v = sp.Matrix(2, 2, sp.symbols("v:4", complex=True))
+    r = sp.Matrix(2, 2, sp.symbols("r:4", complex=True))
+    rho = sp.Matrix(2, 2, sp.symbols("x:4", complex=True))
+    kets = [sp.eye(2)[:, k] for k in range(2)]
+    w = sum((sp.kronecker_product(kets[k], v[:, k]) * kets[k].T for k in range(2)), sp.zeros(4, 2))
+    weights = r.multiply_elementwise(rho)
+    joint = sum(
+        (
+            weights[k, l]
+            * sp.kronecker_product(kets[k] * kets[l].T, v[:, k] * v[:, l].H)
+            for k in range(2)
+            for l in range(2)
+        ),
+        sp.zeros(4),
+    )
+    gram = v.H * v
+
+    assert (w * weights * w.H - joint).applyfunc(sp.expand) == sp.zeros(4)
+    assert (w.H * w - sp.diag(gram[0, 0], gram[1, 1])).applyfunc(sp.expand) == sp.zeros(2)
+    object_state = sp.Matrix(
+        2, 2, lambda k, l: sum(joint[2 * k + a, 2 * l + a] for a in range(2))
+    )
+    reduced = weights.multiply_elementwise(gram.T)  # gram.T = conj(Q) for a Hermitian Q
+    assert (object_state - reduced).applyfunc(sp.expand) == sp.zeros(2)
+
+    isometry = sp.lambdify((v, r, rho), w * weights * w.H, "numpy")
+    state = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
+    for entanglement, gram in [
+        (np.eye(2), np.array([[1.0, 0.5j], [-0.5j, 1.0]])),
+        (np.array([[1.0, 0.8 * np.exp(0.4j)], [0.8 * np.exp(-0.4j), 1.0]]), np.ones((2, 2))),
+        (np.array([[1.0, -0.3], [-0.3, 1.0]]), np.array([[1.0, 0.6], [0.6, 1.0]])),
+    ]:
+        measurement = SoftMeasurement(entanglement, gram)
+        joint = apply_soft(measurement, state)
+        args = (measurement.meter_vectors, entanglement, state)
+        expected = isometry(*(np.ravel(arg) for arg in args))  # symbols in row-major order
+        np.testing.assert_allclose(joint, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            partial_trace(joint, [2, 2], keep=0), measurement.multiplier * state, atol=1e-15
+        )
