@@ -317,8 +317,8 @@ _FIG3_PRIORS = np.array([0.5, 0.5])
 def _fig3_block(q, theta):
     # The parser checked q in [-1, 1] and theta finite, so each [[1, q], [q, 1]]
     # is a correlation matrix and each y-rotation a basis change; the receiver
-    # is rigid. The rigid core of eve_bob_semiclassical takes them unchecked,
-    # in float64 like the basis states.
+    # is rigid. Its two-level kernel takes them unchecked, in float64 like the
+    # basis states, with the floats of eve_bob_semiclassical.
     dephase = np.where(np.eye(2, dtype=bool), 1.0, q[..., None, None])
     return [_rigid_holevo(_FIG3_PRIORS, _y_rotations(theta), dephase, _BASIS_STATES)]
 

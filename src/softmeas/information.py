@@ -39,7 +39,6 @@ from .matcore import (
     _dagger,
     _entropy,
     _entrywise,
-    _first,
     _hermitian_part,
     _integer,
     _matmul,
@@ -210,9 +209,9 @@ def _check_unit_interval(**values: float | np.ndarray) -> list[np.ndarray]:
     A complex value is named before any is converted. Names the first
     failing broadcast member in C order and, at that member, the first
     failing argument, as a loop over the members would. Each array is
-    compared in its own shape; only when one fails are they broadcast, to
-    find that member. Shapes that do not broadcast raise numpy's
-    ``ValueError`` either way.
+    compared in its own shape; only when one fails are they broadcast and
+    stacked, to find that member. Shapes that do not broadcast raise
+    numpy's ``ValueError`` either way.
     """
     for name, value in values.items():
         if np.iscomplexobj(value):
@@ -220,12 +219,11 @@ def _check_unit_interval(**values: float | np.ndarray) -> list[np.ndarray]:
     values = {name: _cast(value, float) for name, value in values.items()}
     np.broadcast_shapes(*(a.shape for a in values.values()))
     if not all(((0.0 <= a) & (a <= 1.0)).all() for a in values.values()):
-        arrays = np.broadcast_arrays(*values.values())
-        bad = [~((0.0 <= a) & (a <= 1.0)) for a in arrays]
-        i = _first(np.logical_or.reduce(bad))
-        if i is not None:
-            name, value = next((n, a[i]) for n, a, b in zip(values, arrays, bad) if b[i])
-            raise OutOfRange(f"{name} must lie in [0, 1], got {value}", index=i)
+        arrays = np.stack(np.broadcast_arrays(*values.values()))
+        bad = ~((0.0 <= arrays) & (arrays <= 1.0))
+        first = np.argmax(bad, axis=0)  # each member's first failing argument
+        names, value = np.array(list(values))[first], np.choose(first, arrays)
+        _refuse(bad.any(axis=0), OutOfRange, "{} must lie in [0, 1], got {}", names, value)
     return list(values.values())
 
 
@@ -353,11 +351,11 @@ def _holevo(
     probs: np.ndarray, average: np.ndarray, spectra: Iterable[np.ndarray]
 ) -> float | np.ndarray:
     """``H(average) - sum_k p_k H(spectra[k])`` in bits, from the spectrum
-    of the ensemble's average state and those of its members; the members
-    of zero prior are left out. Each spectrum is ascending or, when
-    ``D <= 2`` and it has no negative entry, in any order: its entropy is
-    then one addition of two terms."""
-    conditional = sum(p * _entropy(w) for p, w in zip(probs, spectra) if p > 0.0)
+    of the ensemble's average state and those of its members; a member of
+    zero prior adds ``0 * H``, an exact zero. Each spectrum is ascending
+    or, when ``D <= 2`` and it has no negative entry, in any order: its
+    entropy is then one addition of two terms."""
+    conditional = sum(p * _entropy(w) for p, w in zip(probs, spectra))
     info = np.asarray(_entropy(average) - conditional) + 0.0
     return float(info) if info.ndim == 0 else info
 
@@ -473,22 +471,23 @@ def _rotated_populations(
 def _rigid_holevo(
     probs: np.ndarray, unitary: np.ndarray, dephase: np.ndarray, states: Iterable[np.ndarray]
 ) -> float | np.ndarray:
-    """The rigid-receiver core of :func:`eve_bob_semiclassical`: the Holevo
-    information of the populations ``w_k`` that the states keep after the
-    rotate, dephase and rotate-back chain of ``unitary`` and ``dephase``,
-    for the priors ``probs``. Its factors were checked, or derived from
-    checked parts, by the caller, and are not checked here.
+    """``fig3``'s two-level kernel: the Holevo information that a rigid
+    receiver (meter states exactly the basis vectors) reads from the
+    populations ``w_k`` that the states keep after the rotate, dephase and
+    rotate-back chain of ``unitary`` and ``dephase``, for the priors
+    ``probs``. The factors must be ``2 x 2``; the caller checked them, or
+    derived them from checked parts, and they are not checked here.
 
-    A rigid receiver's output states are ``diag(w_k)`` exactly, and their
-    average's diagonal is the same sum of ``p_k * w_k``; each has its sorted
-    diagonal for a spectrum (see :mod:`~softmeas.matcore`), so that is taken.
-    An entropy of two terms is one addition, which does not depend on their
-    order, so at ``D <= 2`` the populations are taken unsorted."""
+    Each output state is ``diag(w_k)`` and the average's diagonal is the
+    same sum of ``p_k * w_k``, so the value is
+    ``H(sum_k p_k w_k) - sum_k p_k H(w_k)``, taken from the populations
+    unsorted: LAPACK's spectrum of a ``2 x 2`` diagonal state is its two
+    populations, and an entropy of two terms is one addition, which does
+    not depend on their order. These are the floats of
+    :func:`eve_bob_semiclassical`'s matrix route (see
+    :mod:`~softmeas.matcore`)."""
     populations = _rotated_populations(unitary, dephase, states)
     average = sum(p * w for p, w in zip(probs, populations))
-    if unitary.shape[-1] > 2:
-        average = np.sort(average, axis=-1, kind="stable")
-        populations = [np.sort(w, axis=-1, kind="stable") for w in populations]
     return _holevo(probs, average, populations)
 
 
@@ -508,26 +507,11 @@ def eve_bob_semiclassical(
     meter states). Returns the Holevo information of the resulting
     ensemble.
 
-    When neither the basis change nor ``dephase`` nor any ensemble state
-    has an imaginary part (y-rotations, real dephasings and the basis
-    states, as on the ``fig3`` surface), that chain runs on their real parts
-    in float64; otherwise in complex. A complex product of real factors only
-    adds exact zeros to each real one, so both give the same populations:
-    bit for bit up to ``D = 4`` on every OpenBLAS kernel set tested
-    (SkylakeX, Haswell, Sandybridge, Nehalem, Prescott). Of ``D <= 8``,
-    the last bits differ at ``D = 5`` and ``7`` on Sandybridge and at
-    ``D = 5``, ``6`` and ``7`` on Nehalem; the other sets hold throughout.
-
-    A rigid receiver, whose meter states are exactly the basis vectors,
-    reads the populations ``w_k`` themselves: each output state is
-    ``diag(w_k)``, so the value is ``H(sum_k p_k w_k) - sum_k p_k H(w_k)``
-    (Shannon entropies of the populations, sorted only when ``D > 2``),
-    taken without building a meter matrix. These are the floats the matrix
-    route gives (see :mod:`~softmeas.matcore`). That branch is
-    ``_rigid_holevo``, which runs after every check here; the ``fig3``
-    sweep, whose real factors it derives from parsed values, calls it
-    directly. Any other receiver's output states are built as matrices and
-    decomposed.
+    The chain runs in complex, on the factors as given, and every
+    receiver's output states are built as matrices and decomposed. The
+    ``fig3`` sweep's receiver is rigid and two-level, and that sweep runs
+    the same chain on float64 factors through ``_rigid_holevo``, its
+    two-level kernel, with the floats of this route.
 
     ``eve_basis`` is either a rotation angle on the Bloch sphere's y-axis
     (two-level only; any real 0-d value, numpy scalars and 0-d arrays
@@ -558,11 +542,6 @@ def eve_bob_semiclassical(
     _check_correlation_matrix({"dephase": dephase})
     if _single_dim(bob, "bob") != dim:
         raise DimensionMismatch(f"bob dim {bob.dim} != ensemble dim {dim}")
-    states = ensemble.states
-    if not any(np.imag(m).any() for m in (unitary, dephase, *states)):
-        unitary, dephase, states = unitary.real, dephase.real, [s.real for s in states]
-    if np.array_equal(bob.meter_vectors, np.eye(dim)):
-        return _rigid_holevo(ensemble.probs, unitary, dephase, states)
-    populations = _rotated_populations(unitary, dephase, states)
+    populations = _rotated_populations(unitary, dephase, ensemble.states)
     out_states = tuple(_meter_mix(bob.meter_vectors, w) for w in populations)
     return holevo_info(_derived_ensemble(ensemble.probs, out_states))

@@ -111,16 +111,6 @@ def forbid_meter_matrices(monkeypatch) -> None:
         monkeypatch.setattr(information, name, forbidden)
 
 
-def forbid_sorting(monkeypatch) -> None:
-    """Make ``numpy.sort`` raise for the rest of the test, so that only a
-    route that sorts nothing can pass."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("numpy.sort called")
-
-    monkeypatch.setattr(np, "sort", forbidden)
-
-
 def rand_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)

@@ -13,8 +13,6 @@ from conftest import (
     count_eigensolves,
     count_eigvalsh,
     fig3_closed_form,
-    forbid_meter_matrices,
-    forbid_sorting,
     meter_states,
     rand_correlation,
     rand_density,
@@ -1007,15 +1005,13 @@ class TestStackedInformation:
         ],
         ids=["2", "3", "rotations", "21", "zero-prior"],
     )
-    def test_rigid_receiver_is_the_per_member_formula(
-        self, monkeypatch, dim, probs, rotations, rows
-    ):
-        """A rigid receiver's Holevo information comes from the populations,
-        with no meter matrix, and has the floats of the matrix formula; at
-        D = 21, where LAPACK no longer sorts a spectrum by insertion, too.
-        That case has one dephasing row, so that no product is a tall one:
-        a complex tall product of that size differs in bits between
-        OpenBLAS kernel sets, and the case is about the spectra."""
+    def test_rigid_receiver_is_the_per_member_formula(self, dim, probs, rotations, rows):
+        """A rigid receiver, whose meter states are exactly the basis
+        vectors, takes the matrix route of any other, and each member has
+        the floats of the formula evaluated on that member alone; at D = 21
+        and with a zero prior too. The D = 21 case has one dephasing row,
+        so that no product of the chain is a tall one: a complex tall
+        product of that size differs in bits between OpenBLAS kernel sets."""
         rng = np.random.default_rng(90 + dim)
         states = tuple(rand_density(rng, dim) for _ in range(3))
         ensemble = StateEnsemble(np.array(probs), states)
@@ -1025,52 +1021,29 @@ class TestStackedInformation:
         else:
             unitaries = np.array([rand_unitary(rng, dim) for _ in range(5)])
         dephase = np.array([rand_correlation(rng, dim) for _ in range(rows)])
-        forbid_meter_matrices(monkeypatch)
         self.assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_only_a_rigid_receiver_of_three_levels_or_more_sorts(self, monkeypatch, dim):
-        """At D = 2 an entropy is one addition of two terms, which does not
-        depend on their order, so the rigid route takes its populations
-        unsorted; from D = 3 it sorts them."""
-        rng = np.random.default_rng(95 + dim)
-        states = tuple(rand_density(rng, dim) for _ in range(3))
-        ensemble = StateEnsemble(np.array([0.2, 0.3, 0.5]), states)
-        bob = SoftMeasurement(np.eye(dim), np.eye(dim))
-        unitaries = np.array([rand_unitary(rng, dim) for _ in range(5)])
-        dephase = np.array([rand_correlation(rng, dim) for _ in range(4)])
-        forbid_meter_matrices(monkeypatch)
-        forbid_sorting(monkeypatch)
-        if dim > 2:
-            with pytest.raises(AssertionError, match="numpy.sort called"):
-                eve_bob_semiclassical(ensemble, unitaries[None], dephase[:, None], bob)
-        else:
-            self.assert_grid_is_the_per_member_formula(ensemble, bob, unitaries, dephase)
 
     @settings(deadline=None, max_examples=300)
     @given(
-        dim=st.integers(1, 24),
         stack=st.lists(st.integers(1, 3), max_size=1),
         size=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(dim=20, stack=[3], size=3, seed=1)
-    @example(dim=21, stack=[3], size=3, seed=1)
-    @example(dim=24, stack=[], size=1, seed=2)
-    def test_rigid_receiver_spectra_are_eigvalsh(self, dim, stack, size, seed):
-        """The rigid route's premise: the spectrum of a diagonal state is its
-        sorted populations, the floats ``np.linalg.eigvalsh`` returns. With
-        the identity basis and no dephasing, the output states are the
+    def test_rigid_receiver_spectra_are_eigvalsh(self, stack, size, seed):
+        """The premise of ``fig3``'s two-level kernel ``_rigid_holevo``: the
+        spectrum of a two-level diagonal state is its two populations, in
+        either order, as ``np.linalg.eigvalsh`` returns them. With the
+        identity basis and no dephasing, the kernel's output states are the
         ensemble's own diagonal states, whose populations are drawn with
-        ties, zeros and subnormals; the rigid value equals the Holevo
-        information of those states, each spectrum from LAPACK."""
+        ties, zeros and subnormals; its value equals the Holevo information
+        of those states, each spectrum from LAPACK."""
         rng = np.random.default_rng(seed)
         pool = [0.0, -0.0, 5e-324, 1e-310, 0.1, 0.25, 0.5, 1.0]
-        populations = rng.choice(pool, size=(size, *stack, dim))
-        populations[..., rng.integers(dim)] = 1.0
+        populations = rng.choice(pool, size=(size, *stack, 2))
+        populations[..., rng.integers(2)] = 1.0
         populations /= populations.sum(axis=-1, keepdims=True)
-        states = np.zeros((size, *stack, dim, dim), complex)
-        states[..., range(dim), range(dim)] = populations
+        states = np.zeros((size, *stack, 2, 2), complex)
+        states[..., range(2), range(2)] = populations
         probs = rng.choice([0.0, 0.25, 0.5, 1.0], size=size)
         probs[rng.integers(size)] = 1.0
         with pytest.MonkeyPatch.context() as patch:
@@ -1078,10 +1051,8 @@ class TestStackedInformation:
             ensemble = StateEnsemble(probs / probs.sum(), tuple(states))
             matrix = holevo_info(ensemble)
         assert calls == [states.shape[1:]] * (size + 1)
-        bob = SoftMeasurement(np.eye(dim), np.eye(dim))
-        with pytest.MonkeyPatch.context() as patch:
-            forbid_meter_matrices(patch)
-            rigid = eve_bob_semiclassical(ensemble, np.eye(dim), np.ones((dim, dim)), bob)
+        real = [state.real for state in states]
+        rigid = _rigid_holevo(ensemble.probs, np.eye(2), np.ones((2, 2)), real)
         assert np.array_equal(rigid, matrix)
 
     @settings(deadline=None)
@@ -1143,64 +1114,34 @@ def real_chain_inputs(rng, dim):
     return unitaries, dephase, [real_density(rng, dim) for _ in range(2)]
 
 
-def spy_chain_dtypes(monkeypatch) -> list:
-    """Record the dtype of every factor that ``_rotated_populations`` is
-    given, one tuple per call, for the rest of the test."""
-    from softmeas import information
-
-    dtypes = []
-
-    def spy(unitary, dephase, states):
-        dtypes.append((unitary.dtype, dephase.dtype, *(s.dtype for s in states)))
-        return _rotated_populations(unitary, dephase, states)
-
-    monkeypatch.setattr(information, "_rotated_populations", spy)
-    return dtypes
-
-
 class TestRealChain:
-    """``eve_bob_semiclassical`` runs its rotate, dephase and rotate-back
-    chain in float64 when no factor has an imaginary part, on the premise
-    that the real parts give the complex chain's floats: a complex product
-    of real factors only adds exact zeros to each real product.
+    """``fig3``'s two-level kernel runs its rotate, dephase and rotate-back
+    chain in float64, on the premise that the real parts give the
+    populations of the complex chain that ``eve_bob_semiclassical`` runs: a
+    complex product of real factors only adds exact zeros to each real one.
 
     That premise is a property of the BLAS kernels, so it is tested, not
-    assumed. Over random real orthogonal basis changes, real correlation
-    dephasings and real states it holds bit for bit up to D = 4 on every
+    assumed. At D = 2, over random real orthogonal basis changes, real
+    correlation dephasings and real states, it holds bit for bit on every
     OpenBLAS kernel set tested (SkylakeX, Haswell, Sandybridge, Nehalem,
-    Prescott). At D = 5 and 6 it holds on the kernels with FMA (SkylakeX,
-    Haswell) and on Prescott; the last bits differ at D = 5 on Sandybridge
-    and at D = 5 and 6 on Nehalem, so those cases are marked
-    ``needs_fma``. (At D = 7 both of those differ too; at D = 8 every set
-    agrees.) Every CLI command is two-level."""
+    Prescott)."""
 
-    @staticmethod
-    def assert_real_chain_is_complex_chain(dim, seed):
-        unitaries, dephase, states = real_chain_inputs(np.random.default_rng(seed), dim)
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_real_chain_is_complex_chain(self, seed):
+        unitaries, dephase, states = real_chain_inputs(np.random.default_rng(seed), 2)
         real = _rotated_populations(unitaries, dephase, states)
         cast = [np.asarray(m, complex) for m in (unitaries, dephase, *states)]
         full = _rotated_populations(cast[0], cast[1], cast[2:])
         for got, expected in zip(real, full):
             assert got.dtype == expected.dtype == np.float64
-            assert got.shape == expected.shape == (7, 9, dim)
+            assert got.shape == expected.shape == (7, 9, 2)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
-    @settings(deadline=None, max_examples=60)
-    @given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
-    def test_real_chain_is_complex_chain(self, dim, seed):
-        self.assert_real_chain_is_complex_chain(dim, seed)
-
-    @pytest.mark.needs_fma
-    @settings(deadline=None, max_examples=40)
-    @given(st.sampled_from([5, 6]), st.integers(0, 2**32 - 1))
-    def test_real_chain_is_complex_chain_with_fma(self, dim, seed):
-        self.assert_real_chain_is_complex_chain(dim, seed)
-
-    def test_fig3_factors_take_the_real_chain(self, monkeypatch):
+    def test_fig3_factors_take_the_real_chain(self):
         """The ``fig3`` surface's factors, at the angles and softness values
-        where populations are exact zeros and ones, take the real chain,
-        and its populations are the complex chain's, signs of zeros
-        included."""
+        where populations are exact zeros and ones: the real chain gives the
+        complex chain's populations, signs of zeros included."""
         q = np.array([-1.0, -0.5, 0.0, 0.3, 1.0])[:, None]
         dephase = _two_level_matrix(1.0, q, q)
         rotations = _bloch_y_rotation(np.array([0.0, 0.3, math.pi / 2.0, 2.0, math.pi]))
@@ -1209,31 +1150,6 @@ class TestRealChain:
         real = _rotated_populations(rotations.real, dephase.real, [s.real for s in states])
         for got, expected in zip(real, full):
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-        dtypes = spy_chain_dtypes(monkeypatch)
-        ensemble = StateEnsemble(np.array([0.5, 0.5]), states)
-        eve_bob_semiclassical(ensemble, rotations, dephase, rigid_bob())
-        assert dtypes == [(np.float64,) * 4]
-
-    @pytest.mark.parametrize("imaginary", ["basis", "dephase", "state"])
-    def test_an_imaginary_part_keeps_the_complex_chain(self, monkeypatch, imaginary):
-        """One factor with an imaginary part, the others real: the chain
-        runs in complex, and each member has the floats of the formula
-        evaluated on that member alone."""
-        rng = np.random.default_rng(110)
-        unitaries, dephase, states = real_chain_inputs(rng, 3)
-        if imaginary == "basis":
-            unitaries = np.array([rand_unitary(rng, 3) for _ in range(9)])[None]
-        elif imaginary == "dephase":
-            dephase = np.array([rand_correlation(rng, 3) for _ in range(7)])[:, None]
-        else:
-            states[1] = rand_density(rng, 3)
-        ensemble = StateEnsemble(np.array([0.4, 0.6]), tuple(states))
-        bob = SoftMeasurement(rand_correlation(rng, 3), rand_correlation(rng, 3))
-        dtypes = spy_chain_dtypes(monkeypatch)
-        TestStackedInformation.assert_grid_is_the_per_member_formula(
-            ensemble, bob, unitaries[0], dephase[:, 0]
-        )
-        assert dtypes == [(np.complex128,) * 4]
 
 
 # Softness values and angles where the fig3 chain meets exact zeros, ones
@@ -1246,9 +1162,9 @@ FIG3_THETA = st.one_of(
 
 
 class TestRigidCore:
-    """``_rigid_holevo`` is the rigid-receiver branch of
-    ``eve_bob_semiclassical``, which the ``fig3`` sweep calls directly with
-    float factors derived from its parsed grids."""
+    """``_rigid_holevo`` is ``fig3``'s two-level kernel, which the ``fig3``
+    sweep calls with float factors derived from its parsed grids; it holds
+    the floats of the matrix route of ``eve_bob_semiclassical``."""
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(FIG3_Q, min_size=1, max_size=6), st.lists(FIG3_THETA, min_size=1, max_size=6))
@@ -1272,28 +1188,27 @@ class TestRigidCore:
 
     @settings(deadline=None, max_examples=100)
     @given(
-        st.sampled_from([2, 3]),
         st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4, 1.0]), min_size=2, max_size=3),
         st.integers(0, 2**32 - 1),
     )
-    def test_core_is_the_matrix_route(self, dim, weights, seed):
+    def test_core_is_the_matrix_route(self, weights, seed):
         """Over unbalanced priors, a zero prior included, and random real
-        or complex factors at D = 2 and 3, the core has the floats of the
-        matrix route: the Holevo information of the output states
-        ``diag(w_k)``, each decomposed by LAPACK."""
+        or complex factors at D = 2, the core has the floats of the matrix
+        route: the Holevo information of the output states ``diag(w_k)``,
+        each decomposed by LAPACK."""
         if not sum(weights):
             weights[0] = 1.0
         probs = np.array(weights) / sum(weights)
         rng = np.random.default_rng(seed)
-        unitaries, dephase, _ = real_chain_inputs(rng, dim)
+        unitaries, dephase, _ = real_chain_inputs(rng, 2)
         if rng.integers(2):
-            unitaries = np.array([rand_unitary(rng, dim) for _ in range(9)])[None]
-        states = [rand_density(rng, dim) for _ in probs]
+            unitaries = np.array([rand_unitary(rng, 2) for _ in range(9)])[None]
+        states = [rand_density(rng, 2) for _ in probs]
         got = _rigid_holevo(probs, unitaries, dephase, states)
         outputs = []
         for w in _rotated_populations(unitaries, dephase, states):
-            output = np.zeros(w.shape + (dim,), complex)
-            output[..., range(dim), range(dim)] = w
+            output = np.zeros(w.shape + (2,), complex)
+            output[..., range(2), range(2)] = w
             outputs.append(output)
         expected = holevo_info(StateEnsemble(probs, tuple(outputs)))
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))

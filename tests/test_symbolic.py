@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import sympy as sp
+from sympy.calculus.util import function_range
 
 from softmeas import cli
 from softmeas.information import (
@@ -49,6 +50,12 @@ def charpoly(matrix: sp.Matrix) -> sp.Expr:
     return matrix.charpoly(LAM).as_expr()
 
 
+def domain_rules(command: str, *names: str) -> set[str]:
+    """The rules of the schema's domains of the named parameters of ``command``."""
+    params = cli._COMMANDS[command].params
+    return {params[name].domain.rule for name in names}
+
+
 def vanishes(expr: sp.Expr) -> bool:
     """Whether a trigonometric expression is identically 0: written in
     exponentials, it expands to 0."""
@@ -60,7 +67,11 @@ def test_two_level_root_is_the_principal_root_of_the_gram_matrix():
     ``continuous_soft`` presets and ``meter_state`` reads, is for ``c`` in
     ``[0, 1]`` and real ``phi`` Hermitian with eigenvalues ``sqrt(1 + c)``
     and ``sqrt(1 - c)``, so PSD, and squares to the Gram matrix of
-    off-diagonal ``c e^{i phi}``: it is that matrix's principal root."""
+    off-diagonal ``c e^{i phi}``: it is that matrix's principal root. The
+    commands feed it ``c`` in that domain: ``repeat`` takes
+    ``cos(theta/2)**n`` with ``theta`` in ``[0, pi]`` and counts ``n >= 1``
+    (through ``two_level_gram_sqrt``), and ``continuous`` takes
+    ``exp(-kappa t)`` with ``kappa`` and ``t`` nonnegative."""
     c, rest = sp.symbols("c rest", nonnegative=True)  # rest = 1 - c
     phi = sp.Symbol("phi", real=True)
     phase = sp.exp(sp.I * phi)
@@ -74,6 +85,11 @@ def test_two_level_root_is_the_principal_root_of_the_gram_matrix():
     eigenvalues = (sp.sqrt(1 + c), sp.sqrt(rest))
     assert sp.expand(charpoly(root) - (LAM - eigenvalues[0]) * (LAM - eigenvalues[1])) == 0
     assert all(value.is_nonnegative for value in eigenvalues)
+    theta, decay = sp.symbols("theta decay", real=True)
+    assert function_range(sp.cos(theta / 2), theta, sp.Interval(0, sp.pi)) == sp.Interval(0, 1)
+    assert function_range(sp.exp(-decay), decay, sp.Interval(0, sp.oo)) == sp.Interval.Lopen(0, 1)
+    assert domain_rules("repeat", "theta") == {"lie in [0, pi]"}
+    assert domain_rules("continuous", "kappa", "t") == {"be >= 0"}
 
     formula = sp.lambdify((c, phi), root.subs(rest, 1 - c), "numpy")
     values, angles = np.array([0.0, 0.3, 0.999, 1.0]), np.array([0.0, 1.1, -2.5, 3.0])
@@ -88,7 +104,8 @@ def test_meter_state_has_the_spectrum_of_the_schur_product():
     characteristic polynomial of ``P * Q`` (entrywise), where
     ``P[k, l] = sqrt(p_k p_l)`` and ``Q = V^dagger V`` is the Gram matrix,
     for every complex ``V`` and nonnegative ``p``. So the meter entropy is
-    the entropy of that Schur product."""
+    the entropy of that Schur product. The commands' populations are
+    ``rho_p`` and ``1 - rho_p``, nonnegative for ``rho_p`` in ``[0, 1]``."""
     parts = sp.symbols("a:4 b:4", real=True)
     v = sp.Matrix(2, 2, [parts[k] + sp.I * parts[4 + k] for k in range(4)])
     p = sp.symbols("p:2", nonnegative=True)
@@ -97,6 +114,9 @@ def test_meter_state_has_the_spectrum_of_the_schur_product():
     meter = v * sp.diag(*p) * v.H
 
     assert sp.expand(charpoly(meter) - charpoly(weights.multiply_elementwise(gram))) == 0
+    takers = [name for name, command in cli._COMMANDS.items() if "rho_p" in command.params]
+    assert takers == ["continuous", "repeat", "single"]
+    assert all(domain_rules(name, "rho_p") == {"lie in [0, 1]"} for name in takers)
 
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     gram = np.array([[1.0, 0.4 * np.exp(0.9j)], [0.4 * np.exp(-0.9j), 1.0]])
@@ -117,7 +137,10 @@ def test_two_level_output_spectrum_is_one_plus_minus_x2_over_two():
     holds for ``p`` in ``[0, 1]``, any nonnegative ``q`` and ``mu``, and real
     phases. On that domain ``x2**2`` is ``(2p - 1)**2 + 4 p (1 - p) (q mu)**2``,
     which is nonnegative, so ``x2`` is real. The exchange term is the same
-    matrix at ``mu = 1``, which gives ``x1``."""
+    matrix at ``mu = 1``, which gives ``x1``. The commands feed it values in
+    that domain: ``fig2a`` and ``isweep`` their ``q``, ``p`` and ``mu`` in
+    ``[0, 1]``, and ``fig2b``, through ``compete_two_level``, ``p = 1/2`` and
+    products of its ``q_E``, ``q_B`` and ``mu`` in ``[0, 1]``."""
     p, rest, q, mu = sp.symbols("p rest q mu", nonnegative=True)  # rest = 1 - p
     alpha, beta = sp.symbols("alpha beta", real=True)
     m = sp.Matrix([[1, q * sp.exp(sp.I * alpha)], [q * sp.exp(-sp.I * alpha), 1]])
@@ -131,6 +154,9 @@ def test_two_level_output_spectrum_is_one_plus_minus_x2_over_two():
     square = (p - rest) ** 2 + 4 * p * rest * (q * mu) ** 2
     assert sp.expand((x2**2 - square).subs(rest, 1 - p)) == 0
     assert square.is_nonnegative
+    assert domain_rules("fig2a", "q", "p", "mu") == {"lie in [0, 1]"}
+    assert domain_rules("isweep", "q", "p", "mu") == {"lie in [0, 1]"}
+    assert domain_rules("fig2b", "q_E", "q_B", "mu") == {"lie in [0, 1]"}
 
     def entropy(root):
         return -sum(float(w) * np.log2(float(w)) for w in (root, 1 - root) if w > 0)
