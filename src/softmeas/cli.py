@@ -32,6 +32,12 @@ value is formatted once per axis, and its string is repeated down its
 column into one template per chunk of rows, one join per run of rows that
 share their values before the last axis; one ``%`` of that template with
 the tuple of the chunk's output values formats each of them once.
+``fig2b`` is declared mirrored: its ``I_c_B`` at ``(q_E, q_B) = (a, b)`` is
+its ``I_c_E`` at ``(b, a)``, bit for bit. So when its two grids have the
+same bytes, the sweep evaluates ``I_c_E`` alone and writes ``I_c_B`` as its
+transpose, and the emitters format each ``I_c_E`` value once and take its
+string for ``I_c_B`` too; they keep those strings, one string per grid row,
+about 20 bytes per point beside the float table.
 ``--jobs`` is accepted for compatibility and has no effect.
 
 Exit codes: 0 success; 2 configuration error, for anything wrong with what
@@ -64,7 +70,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from itertools import product
+from itertools import accumulate, chain, product
 from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -72,6 +78,7 @@ import numpy as np
 from .errors import ConfigError, SoftMeasError
 from .information import (
     StateEnsemble,
+    _check_unit_interval,
     _rigid_holevo,
     _y_rotations,
     coherent_info_soft,
@@ -306,8 +313,16 @@ def _sweep_fig2a(p):
     return lambda q, mu: [coherent_info_two_level(q, p, mu)]
 
 
-def _sweep_fig2b(mu):
-    return lambda q_eve, q_bob: compete_two_level(q_eve, q_bob, mu)
+def _sweep_fig2b(mu, mirror=False):
+    if not mirror:
+        return lambda q_eve, q_bob: compete_two_level(q_eve, q_bob, mu)
+
+    def eve(q_eve, q_bob):
+        # Eve's half of compete_two_level, behind its argument check.
+        q_eve, q_bob, mu_ = _check_unit_interval(q_eve=q_eve, q_bob=q_bob, mu=mu)
+        return [coherent_info_two_level(q_bob * mu_, 0.5, q_eve)]
+
+    return eve
 
 
 # fig3's balanced priors over the basis states, shared by every grid point.
@@ -384,11 +399,19 @@ def _sweep_isweep(p, mu):
 class _Command(NamedTuple):
     """One command: its parameters, each declared once, in the order of its
     config (its grids among them in emission order); the names of its
-    outputs; and its sweep function."""
+    outputs; its sweep function; and whether it is mirrored.
+
+    A mirrored command has two grids and two outputs, and its second output
+    at grid point ``(a, b)`` is its first at ``(b, a)``, bit for bit. Its
+    sweep function takes ``mirror``; with ``mirror=True`` it returns a block
+    function of the first output alone. On two grids of the same bytes the
+    sweep evaluates that one output and writes the second as its transpose,
+    and the emitters format each value of the first once for both."""
 
     params: dict[str, _Param]
     outputs: tuple[str, ...]
     sweep: Callable
+    mirror: bool = False
 
     @property
     def defaults(self) -> dict[str, str]:
@@ -426,6 +449,7 @@ _COMMANDS: dict[str, _Command] = {
         {"q_E": _UNIT_GRID, "q_B": _UNIT_GRID, "mu": _COHERENCE},
         ("I_c_E", "I_c_B"),
         _sweep_fig2b,
+        mirror=True,
     ),
     "fig3": _Command(
         {
@@ -482,16 +506,60 @@ def _format_value(value: float) -> str:
 # time).
 _BLOCK_POINTS = 8192
 
+# Points per chunk of output text of a mirrored table, rounded down to whole
+# grid rows (at least one). Each chunk holds one string object per value of
+# its rows while it is written, which larger chunks would make grow.
+_MIRROR_POINTS = 2048
+
+
+def _mirrored_outputs(
+    first: np.ndarray, n: int, rows: int, fmt: str, plus_zero: bool
+) -> Iterator[tuple[str, ...]]:
+    """The output strings of an ``n`` x ``n`` grid whose second output at
+    ``(i, j)`` is its ``first`` at ``(j, i)``: per chunk of ``rows`` grid
+    rows, one tuple of strings in row order, each row's first and second
+    value in turn.
+
+    Each value of ``first`` is formatted once by ``fmt``. Grid row ``j``
+    is kept as one string, each value followed by a newline, beside the
+    offsets in it where each chunk's columns start: about 20 bytes per
+    point, not one string object per value. A chunk's first outputs are
+    its rows' strings split; its second outputs are its columns, sliced
+    from every row's string, split and read across.
+    """
+    cuts = range(0, n, rows)
+    store = []
+    bounds = np.empty((n, len(cuts) + 1), dtype=np.int64)
+    for j, values in enumerate(first.reshape(n, n)):
+        values = (values + 0.0 if plus_zero else values).tolist()
+        parts = [values[c : c + rows] for c in cuts]
+        pieces = [((fmt + "\n") * len(part)) % tuple(part) for part in parts]
+        store.append("".join(pieces))
+        bounds[j] = list(accumulate(map(len, pieces), initial=0))
+    for k, i in enumerate(cuts):
+        spans = bounds[:, k : k + 2].tolist()
+        columns = [row[a:b].splitlines() for row, (a, b) in zip(store, spans)]
+        firsts = "".join(store[i : i + rows]).splitlines()
+        values = [None] * (2 * len(firsts))
+        values[::2] = firsts
+        values[1::2] = chain.from_iterable(zip(*columns))
+        yield tuple(values)
+
 
 def _row_chunks(
-    table: np.ndarray, shape: tuple[int, ...], row: str, fmt: str, plus_zero: bool = False
+    table: np.ndarray,
+    shape: tuple[int, ...],
+    row: str,
+    fmt: str,
+    plus_zero: bool = False,
+    mirror: bool = False,
 ) -> Iterator[str]:
     """The rows of a float table over a grid of ``shape``, written by the
     row template ``row``, in chunks of up to ``_BLOCK_POINTS`` rows, one
     string per chunk. ``row`` holds one ``%s`` per grid column (the first
-    ``len(shape)``), in order, and one placeholder per output column after
-    them. With ``plus_zero`` each value has 0.0 added first, which turns
-    -0.0 into 0.0.
+    ``len(shape)``), in order, and one ``fmt`` placeholder per output column
+    after them. With ``plus_zero`` each value has 0.0 added first, which
+    turns -0.0 into 0.0.
 
     Each grid-axis value is formatted once by ``fmt``, followed by the
     template text after its ``%s``; in C order the rows are the product of
@@ -505,22 +573,36 @@ def _row_chunks(
     A chunk's template is the join of its runs, which never hold a ``%``,
     and its text is that template ``%`` the tuple of the chunk's output
     values in row order: one format operation per chunk.
+
+    With ``mirror``, a table of a mirrored command (see ``_Command``) on two
+    axes of the same bytes is written in chunks of whole grid rows, about
+    ``_MIRROR_POINTS`` points each: its first output's values are formatted
+    once, and the chunk's template takes their strings, ``%s`` in place of
+    the output placeholders, for both outputs (see ``_mirrored_outputs``).
     """
     texts = row.split("%s", len(shape))
-    axes = []
+    grids = []
     for k, n in enumerate(shape):
         inner = math.prod(shape[k + 1 :])
         # A later axis of length 0 leaves no rows, so no axis value to read.
-        values = table[: n * inner : inner or 1, k]
+        grids.append(table[: n * inner : inner or 1, k])
+    step = _BLOCK_POINTS
+    if mirror and len(table) and grids[0].tobytes() == grids[1].tobytes():
+        n = shape[0]
+        step = n * max(1, _MIRROR_POINTS // n)
+        texts[-1] = texts[-1].replace(fmt, "%s")
+        outputs = _mirrored_outputs(table[:, 2], n, step // n, fmt, plus_zero)
+    else:
+        chunks = (table[start : start + step, len(shape) :] for start in range(0, len(table), step))
+        outputs = (tuple((c + 0.0 if plus_zero else c).ravel().tolist()) for c in chunks)
+    axes = []
+    for k, values in enumerate(grids):
         values = values + 0.0 if plus_zero else values
         axes.append([fmt % value + texts[k + 1] for value in values.tolist()])
     last = axes.pop() if axes else [""]
     prefixes = map("".join, product([texts[0]], *axes))
-    for start in range(0, len(table), _BLOCK_POINTS):
-        outputs = table[start : start + _BLOCK_POINTS, len(shape) :]
-        if plus_zero:
-            outputs = outputs + 0.0
-        runs, at, stop = [], start, start + len(outputs)
+    for start, values in zip(range(0, len(table), step), outputs):
+        runs, at, stop = [], start, min(start + step, len(table))
         while at < stop:
             # Rows ``at`` on share the prefix until the last axis wraps.
             j = at % len(last)
@@ -529,15 +611,16 @@ def _row_chunks(
             run = last[j : j + stop - at]
             runs.append(prefix + prefix.join(run))
             at += len(run)
-        yield "".join(runs) % tuple(outputs.ravel().tolist())
+        yield "".join(runs) % values
 
 
 def _emit_csv(
-    columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...]
+    columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...], mirror: bool = False
 ) -> Iterator[str]:
     """CSV text of a float table over a grid of ``shape``, each value as
     ``_format_value`` writes it, in pieces: the header line, then one piece
-    per chunk of rows.
+    per chunk of rows. ``mirror`` tells that the table is a mirrored
+    command's (see ``_row_chunks``).
 
     ``%.12g`` formats a float as ``format(v, ".12g")`` does, and adding 0.0
     first turns -0.0 into 0. Each grid-axis value is formatted once, and
@@ -546,7 +629,7 @@ def _emit_csv(
     grids = len(shape)
     line = ",".join(["%s"] * grids + ["%.12g"] * (len(columns) - grids)) + "\n"
     yield ",".join(columns) + "\n"
-    yield from _row_chunks(table, shape, line, "%.12g", plus_zero=True)
+    yield from _row_chunks(table, shape, line, "%.12g", plus_zero=True, mirror=mirror)
 
 
 def _emit_json(
@@ -555,10 +638,12 @@ def _emit_json(
     columns: tuple[str, ...],
     table: np.ndarray,
     shape: tuple[int, ...],
+    mirror: bool = False,
 ) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` text of the header and the float
     table over a grid of ``shape``, in pieces: the header, one piece per
-    chunk of rows, and the closing brackets.
+    chunk of rows, and the closing brackets. ``mirror`` tells that the
+    table is a mirrored command's (see ``_row_chunks``).
 
     The rows are written by a template in the same layout; ``%r`` writes a
     finite float as :mod:`json` does. Each grid-axis value is formatted
@@ -573,7 +658,8 @@ def _emit_json(
         return
     grids = len(shape)
     cells = ["      %s"] * grids + ["      %r"] * (len(columns) - grids)
-    chunks = _row_chunks(table, shape, ",\n    [\n" + ",\n".join(cells) + "\n    ]", "%r")
+    template = ",\n    [\n" + ",\n".join(cells) + "\n    ]"
+    chunks = _row_chunks(table, shape, template, "%r", mirror=mirror)
     yield "[" + next(chunks)[1:]
     yield from chunks
     yield "\n  ]\n}\n"
@@ -609,14 +695,19 @@ def run_sweep(
     point, the error message names the command, the point's grid index and
     its parameter values, and the exception's ``index``, which the message's
     closing ``(stack member [...])`` shows, is moved from the point's place
-    in its block to its place in the whole grid.
+    in its block to its place in the whole grid. A mirrored command (see
+    ``_Command``) on two grids of the same bytes has its blocks evaluate
+    the first output alone; the second is then written as its transpose,
+    and the whole table is checked once, so that a failure names the same
+    first point and column as the general route.
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     spec = _COMMANDS[command]
     values = _typed(command, config)
     axes = [values.pop(name) for name in spec.grids]
-    evaluate = spec.sweep(**values)
+    mirror = spec.mirror and axes[0].tobytes() == axes[1].tobytes()
+    evaluate = spec.sweep(**values, mirror=True) if mirror else spec.sweep(**values)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     shape = tuple(len(axis) for axis in axes)
     columns = spec.columns
@@ -625,26 +716,48 @@ def run_sweep(
     step = max(1, _BLOCK_POINTS // inner)
     for start in range(0, shape[0], step) if shape else [0]:
         block = [m[start : start + step] for m in mesh[:1]] + list(mesh[1:])
-        try:
+        with _grid_point(command, spec.grids, mesh, shape, start):
             outputs = evaluate(*block)
             block_shape = np.broadcast_shapes(*(m.shape for m in block))
             rows = table[start * inner : start * inner + math.prod(block_shape)]
             cells = rows.reshape(*block_shape, len(columns))
             for j, column in enumerate((*block, *outputs)):
                 cells[..., j] = column
-            _check_finite(columns, rows, block_shape)
-        except SoftMeasError as exc:
-            if exc.index is not None and len(exc.index) == len(shape):
-                # The check named the member by its index within the block.
-                exc.index = (exc.index[0] + start, *exc.index[1:])
-                point = ", ".join(
-                    f"{name}={_format_value(np.broadcast_to(m, shape)[exc.index])}"
-                    for name, m in zip(spec.grids, mesh)
-                )
-                flat = int(np.ravel_multi_index(exc.index, shape))
-                exc.args = (f"{command} grid point {flat} ({point}): {exc.args[0]}",)
-            raise
+            if not mirror:
+                _check_finite(columns, rows, block_shape)
+    if mirror:
+        # The whole grid is checked in grid order, as the blocks check it on
+        # the general route: the second output's first non-finite value may
+        # lie in a row before the first output's.
+        with _grid_point(command, spec.grids, mesh, shape, 0):
+            cells = table.reshape(*shape, len(columns))
+            cells[..., -1] = cells[..., -2].T
+            _check_finite(columns, table, shape)
     return columns, table, shape
+
+
+@contextmanager
+def _grid_point(
+    command: str, grids: tuple[str, ...], mesh: list, shape: tuple[int, ...], start: int
+) -> Iterator[None]:
+    """Name the grid point of a :class:`SoftMeasError` raised in a block
+    whose first row is row ``start`` of the first grid axis: the message
+    names the command, the point's flat index and its parameter values, and
+    the exception's ``index`` is moved from the point's place in its block
+    to its place in the whole grid."""
+    try:
+        yield
+    except SoftMeasError as exc:
+        if exc.index is not None and len(exc.index) == len(shape):
+            # The check named the member by its index within the block.
+            exc.index = (exc.index[0] + start, *exc.index[1:])
+            point = ", ".join(
+                f"{name}={_format_value(np.broadcast_to(m, shape)[exc.index])}"
+                for name, m in zip(grids, mesh)
+            )
+            flat = int(np.ravel_multi_index(exc.index, shape))
+            exc.args = (f"{command} grid point {flat} ({point}): {exc.args[0]}",)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -735,10 +848,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         with _output(args.out) as out:
             columns, table, shape = run_sweep(args.command, config)
+            mirror = _COMMANDS[args.command].mirror
             if args.format == "csv":
-                out.writelines(_emit_csv(columns, table, shape))
+                out.writelines(_emit_csv(columns, table, shape, mirror))
             else:
-                out.writelines(_emit_json(args.command, config, columns, table, shape))
+                out.writelines(_emit_json(args.command, config, columns, table, shape, mirror))
     except ConfigError as exc:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2

@@ -424,6 +424,14 @@ def compete_two_level(
     Substitutes ``(q_bob*mu, q_eve)`` respectively ``(q_eve*mu, q_bob)``
     into the single-measurement closed form at ``p = 1/2``. Arrays
     broadcast against each other and give arrays of their broadcast shape.
+
+    Exchanging the receivers exchanges the values:
+    ``compete_two_level(a, b, mu)[1]`` equals ``compete_two_level(b, a,
+    mu)[0]`` bit for bit, in the same shape. Both are the one elementwise
+    call ``coherent_info_two_level(a * mu, 0.5, b)``, and each of its steps,
+    IEEE arithmetic and libm's ``pow`` and ``log2``, acts on one entry at a
+    time, so an entry's value depends only on its own arguments. On a square
+    grid of equal axes, Bob's surface is therefore the transpose of Eve's.
     """
     q_eve, q_bob, mu = _check_unit_interval(q_eve=q_eve, q_bob=q_bob, mu=mu)
     info_eve = coherent_info_two_level(q_bob * mu, 0.5, q_eve)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from softmeas import cli
+from softmeas import cli, information
 from softmeas.cli import main
 from softmeas.errors import ConfigError, InvalidMeasurement, OutOfRange, SoftMeasError
 
@@ -897,6 +897,39 @@ class TestFailingGridPoint:
         point = "fig2b grid point 2 (q_E=0, q_B=0.666666666667)"
         assert err.startswith(f"softmeas: {point}: q_bob must lie in [0, 1], got 2.0")
 
+    @pytest.mark.parametrize("block", [None, 4])  # one block, or one q_E row per block
+    def test_square_fig2b_names_the_point_of_the_general_route(self, block, monkeypatch, capsys):
+        """On two axes of the same bytes fig2b evaluates I_c_E alone and
+        writes I_c_B as its transpose. A failure still names the point and
+        column that the general route, which evaluates both, names: the
+        messages are pinned as that route printed them."""
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK_POINTS", block)
+        argv = ["fig2b", "--param", "q_E=0:1:4", "--param", "q_B=0:1:4"]
+        point = "softmeas: fig2b grid point 2 (q_E=0, q_B=0.666666666667)"
+        with monkeypatch.context() as patch:
+            scale_grids(patch, "fig2b", 3.0)
+            assert run_failing(argv, capsys) == (
+                3,
+                f"{point}: q_bob must lie in [0, 1], got 2.0 (stack member [0, 2])\n",
+            )
+        # A closed form that is not finite for Eve at (q_E, q_B) = (2/3, 0)
+        # and so for Bob at (0, 2/3), grid point 2 in the first block, where
+        # I_c_E is first not finite at grid point 8.
+        closed_form = cli.coherent_info_two_level
+
+        def poisoned(q, p, mu):
+            at = (np.asarray(q) == 0.0) & (np.asarray(mu) == 2 / 3)
+            return np.where(at, np.nan, closed_form(q, p, mu))
+
+        for module in (cli, information):
+            monkeypatch.setattr(module, "coherent_info_two_level", poisoned)
+        assert run_failing(argv, capsys) == (
+            3,
+            f"{point}: invariant violation: non-finite value in column 'I_c_B'"
+            " (stack member [0, 2])\n",
+        )
+
     def test_stacked_repeat_names_its_point(self, monkeypatch, capsys):
         code, err = run_failing(["isweep", "--param", "q=0:2:5"], capsys)
         assert code == 2
@@ -1107,6 +1140,26 @@ def test_large_grid_text_is_not_held_whole(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_FIG2B_JSON_SHA256
 
 
+# sha256 of the 301x301 fig2b CSV as the emitter wrote it when it formatted
+# each I_c_E and I_c_B value on its own.
+LARGE_FIG2B_CSV_SHA256 = "49c6acbef1d9445a7acd3f3dd39238c7ef49c76d12e053c3742349964f077598"
+
+
+def test_large_grid_csv_is_not_held_whole(tmp_path):
+    """The 301x301 CSV of the same sweep, whose I_c_B strings are gathered
+    from the stored I_c_E strings, keeps the JSON's traced-peak bound."""
+    argv = ["fig2b", "--param", "q_E=0:1:301", "--param", "q_B=0:1:301"]
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv, tmp_path, "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2**20
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_FIG2B_CSV_SHA256
+
+
 # sha256 of the 201x201 fig3 JSON as one matrix product per grid point gave
 # it, before the points sharing a right factor were joined into one product.
 # Its 40,401 points span five blocks, so block edges cross those products;
@@ -1248,6 +1301,40 @@ class TestTemplateEmit:
         columns, rows, array, shape = table
         expected = per_value_json(command, config, columns, rows)
         assert emitted(cli._emit_json, command, config, columns, array, shape) == [expected] * 4
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_mirrored_table_matches_per_value_format(self, data):
+        """A mirrored table, whose second output is the transpose of its
+        first, gives the per-value bytes with chunks of 1, 2, 3, 7 and the
+        default number of points; on two axes of the same bytes each value
+        of the first output is formatted once, on two others the general
+        route writes it."""
+        n = data.draw(st.integers(1, 7))
+        axis = data.draw(st.lists(AXIS_VALUES, min_size=n, max_size=n))
+        other = data.draw(st.one_of(st.just(axis), st.lists(AXIS_VALUES, min_size=n, max_size=n)))
+        first = np.array(data.draw(st.lists(VALUES, min_size=n * n, max_size=n * n)))
+        q_E, q_B = (m.ravel() for m in np.meshgrid(axis, other, indexing="ij"))
+        first = first.reshape(n, n)
+        array = np.column_stack([q_E, q_B, first.ravel(), first.T.ravel()])
+        columns, rows = ("q_E", "q_B", "I_c_E", "I_c_B"), array.tolist()
+        expected = (per_value_csv(columns, rows), per_value_json("fig2b", {}, columns, rows))
+        square = np.array(axis).tobytes() == np.array(other).tobytes()
+        mirrored_outputs = cli._mirrored_outputs
+        for points in (1, 2, 3, 7, cli._MIRROR_POINTS):
+            routes = []
+
+            def mirrored(*args):
+                routes.append(args)
+                return mirrored_outputs(*args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_MIRROR_POINTS", points)
+                patch.setattr(cli, "_mirrored_outputs", mirrored)
+                csv = "".join(cli._emit_csv(columns, array, (n, n), True))
+                json_text = "".join(cli._emit_json("fig2b", {}, columns, array, (n, n), True))
+            assert (csv, json_text) == expected
+            assert len(routes) == 2 * square
 
     def test_single_point_without_grid(self):
         columns = ("q", "input_entropy", "I_c")

@@ -413,6 +413,28 @@ class TestTwoLevelArrays:
         expected = [scalar_compete_two_level(*t) for t in triples]
         assert np.array_equal(np.stack(info, axis=-1), expected)
 
+    @settings(deadline=None)
+    @given(st.data(), UNIT)
+    def test_compete_exchange_is_bit_for_bit(self, data, mu):
+        """Bob's value is Eve's with the two softness arguments exchanged,
+        in every bit and in the same shape, for open-mesh, flat and scalar
+        arguments: the fig2b sweep writes I_c_B as the transpose of I_c_E."""
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, 6))
+        kind = data.draw(st.sampled_from(["mesh", "flat", "scalar"]))
+        shapes = {"mesh": ((n, 1), (1, m)), "flat": ((n,), (n,)), "scalar": ((), ())}[kind]
+        a, b = (
+            np.array(data.draw(st.lists(UNIT, min_size=size, max_size=size))).reshape(shape)
+            for shape in shapes
+            for size in [math.prod(shape)]
+        )
+        if kind == "scalar":
+            a, b = float(a), float(b)
+        bob = np.asarray(compete_two_level(a, b, mu)[1])
+        eve = np.asarray(compete_two_level(b, a, mu)[0])
+        assert bob.shape == eve.shape
+        assert bob.tobytes() == eve.tobytes()
+
     def test_scalar_competition_returns_floats(self):
         info = compete_two_level(q_eve=0.3, q_bob=0.6, mu=0.9)
         assert all(type(v) is float for v in info)

@@ -27,7 +27,7 @@ from conftest import (
     spy_correlation_checks,
 )
 
-from softmeas import cli, repeated
+from softmeas import cli, information, repeated
 from softmeas.cli import run_sweep
 from softmeas.information import StateEnsemble, coherent_info_soft, eve_bob_semiclassical
 from softmeas.matcore import von_neumann_entropy
@@ -266,15 +266,53 @@ class TestClosedFormsWholeGrid:
         ]
         assert np.array_equal(table("fig2a", config)[:, 2], expected)
 
+    # Unequal axes; axes of the same bytes, on which I_c_B is written as the
+    # transpose of I_c_E (a grid from -0 starts at 0.0, as one from 0 does);
+    # and axes equal in value but not in bytes (the last point of 0:-0:41 is
+    # -0.0), which take the general route.
+    @pytest.mark.parametrize(
+        "q_E, q_B",
+        [
+            ("0:1:41", "0.05:1:29"),
+            ("0:1:41", "0:1:41"),
+            ("-0:1:41", "0:1:41"),
+            ("0:-0:41", "0:0:41"),
+        ],
+    )
     @pytest.mark.parametrize("mu", ["1.0", "0", "0.8", "0.123456789"])
-    def test_fig2b(self, mu):
-        config = {"q_E": "0:1:41", "q_B": "0.05:1:29", "mu": mu, "kappa_convention": "gram"}
+    def test_fig2b(self, mu, q_E, q_B):
+        config = {"q_E": q_E, "q_B": q_B, "mu": mu, "kappa_convention": "gram"}
         expected = [
             scalar_compete_two_level(q_eve, q_bob, float(mu))
-            for q_eve in np.linspace(0.0, 1.0, 41).tolist()
-            for q_bob in np.linspace(0.05, 1.0, 29).tolist()
+            for q_eve in cli._parse_grid(q_E, "q_E").tolist()
+            for q_bob in cli._parse_grid(q_B, "q_B").tolist()
         ]
         assert np.array_equal(table("fig2b", config)[:, 2:], expected)
+
+    @pytest.mark.parametrize(
+        "q_E, q_B, points",
+        [
+            ("0:1:201", "0:1:201", 201 * 201),
+            ("0:1:41", "0.05:1:29", 2 * 41 * 29),
+            ("-0:1:41", "0:1:41", 41 * 41),
+            ("0:-0:41", "0:0:41", 2 * 41 * 41),
+        ],
+    )
+    def test_fig2b_square_grid_evaluates_one_surface(self, q_E, q_B, points, monkeypatch):
+        """On two axes of the same bytes the closed form is evaluated once
+        per grid point, for I_c_E alone; otherwise once per point for each
+        of the two surfaces."""
+        evaluated = []
+        closed_form = information.coherent_info_two_level
+
+        def counted(q, p, mu):
+            evaluated.append(np.broadcast(q, p, mu).size)
+            return closed_form(q, p, mu)
+
+        for module in (cli, information):
+            monkeypatch.setattr(module, "coherent_info_two_level", counted)
+        run_sweep("fig2b", {"q_E": q_E, "q_B": q_B, "mu": "0.7", "kappa_convention": "gram"})
+        assert sum(evaluated) == points
 
     @pytest.mark.parametrize("seed", range(3))
     def test_isweep(self, seed):
