@@ -266,28 +266,25 @@ class TestClosedFormsWholeGrid:
         ]
         assert np.array_equal(table("fig2a", config)[:, 2], expected)
 
-    # Unequal axes; axes of the same bytes, on which I_c_B is written as the
-    # transpose of I_c_E (a grid from -0 starts at 0.0, as one from 0 does);
-    # and axes equal in value but not in bytes (the last point of 0:-0:41 is
-    # -0.0), which take the general route.
-    @pytest.mark.parametrize(
-        "q_E, q_B",
-        [
+    @pytest.mark.parametrize("mu", ["1.0", "0", "0.8", "0.123456789"])
+    def test_fig2b(self, mu):
+        # Unequal axes; axes of the same bytes, on which I_c_B is written as
+        # the transpose of I_c_E (a grid from -0 starts at 0.0, as one from 0
+        # does); and axes equal in value but not in bytes (the last point of
+        # 0:-0:41 is -0.0), which take the general route.
+        for q_E, q_B in [
             ("0:1:41", "0.05:1:29"),
             ("0:1:41", "0:1:41"),
             ("-0:1:41", "0:1:41"),
             ("0:-0:41", "0:0:41"),
-        ],
-    )
-    @pytest.mark.parametrize("mu", ["1.0", "0", "0.8", "0.123456789"])
-    def test_fig2b(self, mu, q_E, q_B):
-        config = {"q_E": q_E, "q_B": q_B, "mu": mu, "kappa_convention": "gram"}
-        expected = [
-            scalar_compete_two_level(q_eve, q_bob, float(mu))
-            for q_eve in cli._parse_grid(q_E, "q_E").tolist()
-            for q_bob in cli._parse_grid(q_B, "q_B").tolist()
-        ]
-        assert np.array_equal(table("fig2b", config)[:, 2:], expected)
+        ]:
+            config = {"q_E": q_E, "q_B": q_B, "mu": mu, "kappa_convention": "gram"}
+            expected = [
+                scalar_compete_two_level(q_eve, q_bob, float(mu))
+                for q_eve in cli._parse_grid(q_E, "q_E").tolist()
+                for q_bob in cli._parse_grid(q_B, "q_B").tolist()
+            ]
+            assert np.array_equal(table("fig2b", config)[:, 2:], expected), (q_E, q_B)
 
     @pytest.mark.parametrize(
         "q_E, q_B, points",
