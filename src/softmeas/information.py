@@ -35,6 +35,7 @@ from .matcore import (
     DensityMatrix,
     StateLike,
     _cast,
+    _cexp,
     _checked_density,
     _dagger,
     _entropy,
@@ -54,7 +55,7 @@ from .measurement import (
     _meter_mix,
     _single_dim,
 )
-from .repeated import ContinuousLimitParams
+from .repeated import ContinuousLimitParams, _decay
 
 # Eigenvalues of a Choi matrix below this (relative) threshold are treated
 # as numerically zero when extracting Kraus operators.
@@ -381,7 +382,7 @@ def semiclassical_info_continuous(kappa: float, t: float | np.ndarray) -> float 
     time.
     """
     t = ContinuousLimitParams(kappa=kappa, t=t).t
-    overlap = _entrywise(lambda time: math.exp(-kappa * time), t)
+    overlap = _decay(kappa, t)
     info = _entrywise(_binary_entropy, (1.0 + overlap) / 2.0)
     return float(info) if info.ndim == 0 else info
 
@@ -442,10 +443,11 @@ def compete_two_level(
 def _y_rotations(angles: np.ndarray) -> np.ndarray:
     """The float64 stack of y-rotations ``[[cos(a/2), -sin(a/2)],
     [sin(a/2), cos(a/2)]]``, one per entry of the finite ``angles``. The
-    sines and cosines come from :mod:`math`, one angle at a time, so a stack
-    holds exactly the matrices the single-angle calls give."""
-    cos = _entrywise(math.cos, angles / 2.0)
-    sin = _entrywise(math.sin, angles / 2.0)
+    cosines and sines are the parts of libm's ``cexp(i*a/2)`` through
+    :func:`_cexp`, which are libm's own, so a stack holds exactly the
+    matrices the single-angle :mod:`math` calls give."""
+    half = _cexp(0.0, angles / 2.0)
+    cos, sin = half.real, half.imag
     return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
 
 

@@ -175,7 +175,12 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + _dagger(m)) / 2.0
+    """``(m + m^dagger) / 2`` of each matrix, built in one buffer: halving
+    in place by ``* 0.5`` gives the floats of ``/ 2.0``, since both round
+    the same exact half."""
+    out = m + _dagger(m)
+    out *= 0.5
+    return out
 
 
 def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
@@ -222,18 +227,40 @@ def _refuse(bad: np.ndarray, error: type, message: str, *values) -> None:
 def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
     """``fn`` applied to each entry of the broadcast ``arrays``, as Python numbers.
 
-    For libm functions (``math.log2``, ``math.cos``, ``cmath.exp``...) whose
-    numpy loops may round differently in the last ulp: the result holds
-    exactly the values of the scalar calls, without a Python-level loop per
-    entry. ``dtype`` is ``complex`` for a function with complex results.
-    Powers need no such call: ``np.float_power``'s float loop is libm's
-    ``pow``, with no SIMD variant, so it gives ``pow``'s floats. numpy's
-    ``log2``, ``exp``, ``expm1`` and ``log1p`` have SIMD loops that part from
-    libm on some entries, so logarithms and exponentials come through here.
+    For libm functions (``math.log2``, ``cmath.exp``...) whose numpy loops
+    may round differently in the last ulp: the result holds exactly the
+    values of the scalar calls, without a Python-level loop per entry.
+    ``dtype`` is ``complex`` for a function with complex results. numpy's
+    ``log2`` has SIMD loops that part from libm on some entries, and no
+    vectorised libm ``log2`` is known, so logarithms come through here.
+    Powers, exponentials, sines and cosines need no such call:
+    ``np.float_power``'s float loop is libm's ``pow``, and :func:`_cexp`
+    takes ``exp``, ``cos`` and ``sin`` through libm's ``cexp``.
     """
     arrays = np.broadcast_arrays(*arrays)
     values = map(fn, *(a.ravel().tolist() for a in arrays))
     return np.fromiter(values, dtype, arrays[0].size).reshape(arrays[0].shape)
+
+
+def _cexp(real, imag=0.0) -> np.ndarray:
+    """``exp(real + i*imag)`` for each entry of the broadcast parts, both
+    taken as float64, as libm's ``cexp`` gives it.
+
+    numpy's complex ``exp`` loop calls libm's ``cexp`` and has no SIMD
+    variant, where its float ``exp`` has SIMD loops that part from libm.
+    glibc's ``cexp`` of a finite argument whose real part is at most 709
+    is ``exp(real)`` times the ``cos`` and ``sin`` of ``imag``, libm's own,
+    so ``_cexp(0.0, a)`` holds ``(math.cos(a), math.sin(a))``,
+    ``_cexp(x).real`` holds ``math.exp(x)`` and ``_cexp(x, a)`` holds
+    ``cmath.exp(complex(x, a))`` for a finite ``x <= 0``, entry by entry,
+    without a Python call per entry. Tests pin the three. Where ``x`` is
+    ``-inf`` and ``a`` infinite, ``cexp`` gives the zero the sign of ``a``
+    and ``cmath.exp`` a positive one.
+    """
+    real, imag = np.broadcast_arrays(_cast(real, float), _cast(imag, float))
+    z = np.empty(real.shape, complex)
+    z.real, z.imag = real, imag
+    return np.exp(z)
 
 
 def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,7 @@ import numpy as np
 from .errors import InvalidParams
 from .matcore import (
     _cast,
+    _cexp,
     _entrywise,
     _refuse,
     _unchecked,
@@ -77,22 +78,49 @@ def _counts(n: int | np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+# numpy's complex power multiplies an integer exponent below 100 out by
+# repeated squaring; from 100 on it calls libm's ``cpow``, which glibc
+# computes as ``cexp(n * clog(z))``.
+_MULTIPLIED_OUT = 100
+
+
 def _schur_power(matrix: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Elementwise n-th power of ``matrix`` for counts already checked by
     :func:`_counts`, each entry's modulus capped at 1; an array of counts
-    gives the stack of powers, a 0-d one a single power."""
-    powers = matrix ** n[..., None, None]
+    gives the stack of powers, a 0-d one a single power.
+
+    Each power holds the floats of numpy's ``matrix ** n``. Counts from 100
+    on take that power's own route, ``exp(n * log(z))`` through numpy's
+    complex ``exp`` and ``log`` loops, which are libm's ``cexp`` and
+    ``clog``, with the logarithm taken once per nonzero entry rather than
+    once per count and entry; a zero entry's power is ``+0``, as numpy's.
+    """
+    counts = n[..., None, None]
+    powers = np.empty(n.shape + matrix.shape, dtype=complex)
+    few = n < _MULTIPLIED_OUT
+    powers[few] = matrix ** counts[few]
     # A count of 2 takes numpy's square loop, as ``matrix**2`` does for a
     # scalar 2; the power loop can differ from it in the last ulp for
     # complex entries.
     powers[n == 2] = np.square(matrix)
+    many = ~few
+    if many.any():
+        nonzero = matrix != 0.0
+        log = np.log(matrix, out=np.zeros_like(matrix), where=nonzero)
+        with np.errstate(over="ignore"):
+            powers[many] = np.where(nonzero, np.exp(counts[many] * log), 0.0)
     # No power of a correlation entry exceeds modulus 1, but an entry whose
     # float modulus is 1 plus an ulp grows to about e^100 at counts near
-    # 1e18; such powers are scaled back to modulus 1. Every other power
-    # keeps its bits, the sign of a zero included.
-    modulus = np.abs(powers)
-    big = modulus > 1.0
+    # 1e18, and overflows from about 2**62 on; such powers are scaled back
+    # to modulus 1, and an overflowed one is the phase ``exp(i*n*arg z)``.
+    # Every other power keeps its bits, the sign of a zero included.
+    with np.errstate(over="ignore"):
+        modulus = np.abs(powers)
+    over = np.isinf(modulus)
+    big = (modulus > 1.0) & ~over
     powers[big] /= modulus[big]
+    if over.any():
+        powers[over] = _cexp(0.0, (counts * np.angle(matrix))[over])
     return powers
 
 
@@ -147,12 +175,11 @@ def _two_level_root(c: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def _check_phase(name: str, rate: float, times: float | np.ndarray, decay: float = 0.0) -> None:
     """Raise :class:`InvalidParams` naming the phase ``name`` and the first
     member of ``times`` (counts or times) at which the accumulated phase
-    ``rate * time`` overflows, which ``math.cos``, ``math.sin`` and
-    ``cmath.exp`` reject. A member at which the decay exponent
-    ``decay * time`` overflows too is exactly 0 whatever its phase, and
-    passes. Both products are taken in float64, where the libm calls take
-    them, so a ``longdouble`` rate whose product is past float64's range
-    is refused too."""
+    ``rate * time`` overflows, whose cosine and sine are not numbers. A
+    member at which the decay exponent ``decay * time`` overflows too is
+    exactly 0 whatever its phase, and passes. Both products are taken in
+    float64, where the libm calls take them, so a ``longdouble`` rate
+    whose product is past float64's range is refused too."""
     with np.errstate(over="ignore"):
         bad = np.isinf(np.multiply(rate, times, dtype=float))
         bad &= ~np.isinf(np.multiply(decay, times, dtype=float))
@@ -167,7 +194,8 @@ def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.
     accumulated phase ``exp(i*n*chi)`` times ``(sqrt(1+c) - sqrt(1-c)) / 2``.
     An integer array of counts gives the ``(..., 2, 2)`` stack, one member
     per count. The power is libm's ``pow`` through ``np.float_power``, and
-    the cosine and sine come from libm one count at a time, so each member
+    the phase libm's ``cexp`` of ``i*n*chi`` through :func:`_cexp`, whose
+    real and imaginary parts are libm's cosine and sine, so each member
     holds the floats of the scalar ``math``/``cmath`` formula.
     :class:`InvalidParams` names the first count whose phase ``n*chi``
     overflows.
@@ -175,11 +203,7 @@ def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.
     n = _counts(n)
     c = np.float_power(math.cos(params.theta / 2.0), n)
     _check_phase("n*chi", params.chi, n)
-    # ``cmath.exp(1j*n*chi)`` is libm's cosine and sine of ``n*chi``.
-    angle = n * params.chi
-    phase = np.empty(n.shape, dtype=complex)
-    phase.real, phase.imag = _entrywise(math.cos, angle), _entrywise(math.sin, angle)
-    return _two_level_root(c, phase)
+    return _two_level_root(c, _cexp(0.0, n * params.chi))
 
 
 @dataclass(frozen=True)
@@ -219,6 +243,14 @@ class ContinuousLimitParams:
             object.__setattr__(self, "t", t)
 
 
+def _decay(kappa: float, t: float | np.ndarray) -> np.ndarray:
+    """``exp(-kappa*t)`` per entry of the times ``t``, taken as float64:
+    libm's ``cexp`` of the real ``-kappa*t`` through :func:`_cexp`, so the
+    floats of ``math.exp``; a product that overflows decays to 0."""
+    with np.errstate(over="ignore"):
+        return _cexp(-kappa * _cast(t, float)).real
+
+
 def _dephasing_matrix(params: ContinuousLimitParams) -> np.ndarray:
     """``[[1, off], [conj(off), 1]]`` with ``off = exp(-r_dot*t)``, per time;
     :class:`InvalidParams` names the first time whose phase ``Im(r_dot)*t``
@@ -237,16 +269,21 @@ def continuous_soft(params: ContinuousLimitParams) -> SoftMeasurement:
     the closed-form principal root
     ``[[s_plus, e^{i chi_dot t} s_minus], [e^{-i chi_dot t} s_minus, s_plus]]``
     with ``s_pm = (sqrt(1 + e^{-kappa t}) +- sqrt(1 - e^{-kappa t})) / 2``,
-    so no eigensolve runs. The exponentials come from :mod:`math` and
-    :mod:`cmath`, one time at a time. An array of times gives the stacked
+    so no eigensolve runs. The exponentials are libm's ``cexp`` through
+    :func:`_cexp`, so each member holds the floats of the scalar
+    ``math.exp(-kappa*t)`` and ``cmath.exp(1j*chi_dot*t)``; the dephasing
+    ``exp(-r_dot*t)`` comes from ``cmath.exp`` one time at a time, since
+    ``cexp`` signs the zero of a decay and phase that both overflow
+    otherwise. An array of times gives the stacked
     measurement, one member per time. The measurement is derived from
     checked parameters and is not checked again. :class:`InvalidParams`
     names the first time whose phase ``chi_dot*t``, or ``Im(r_dot)*t``,
     overflows.
     """
     _check_phase("chi_dot*t", params.chi_dot, params.t)
-    c = _entrywise(lambda t: math.exp(-params.kappa * t), params.t)
-    phase = _entrywise(lambda t: cmath.exp(1j * params.chi_dot * t), params.t, dtype=complex)
+    c = _decay(params.kappa, params.t)
+    phase = 1j * params.chi_dot * _cast(params.t, float)
+    phase = _cexp(phase.real, phase.imag)
     off = c * phase
     return _unchecked(
         SoftMeasurement,

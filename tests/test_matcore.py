@@ -1,5 +1,6 @@
 """Linear-algebra kernel tests."""
 
+import cmath
 import math
 import re
 
@@ -14,11 +15,14 @@ from softmeas.errors import (
     DimensionMismatch,
     InvalidState,
     NotHermitian,
+    InvalidParams,
     NotPSD,
 )
+from softmeas.information import _binary_entropy, _y_rotations, semiclassical_info_continuous
 from softmeas.matcore import (
     ENTROPY_CLAMP,
     TAU_RECON,
+    _cexp,
     _entropy,
     _matmul,
     _unchecked_entropy,
@@ -28,6 +32,17 @@ from softmeas.matcore import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from softmeas.measurement import TwoLevelMeterParams
+from softmeas.repeated import (
+    ContinuousLimitParams,
+    _dephasing_matrix,
+    _schur_power,
+    _two_level_root,
+    continuous_soft,
+    two_level_gram_sqrt,
+)
+
+LARGEST = float(np.finfo(np.float64).max)
 
 
 def rand_hermitian(rng, dim):
@@ -561,3 +576,206 @@ def test_float_power_is_libm_pow_bit_for_bit(bases, counts, seed):
     powers = np.float_power(x[:, None], np.array(counts, dtype=np.int64))
     expected = libm_bits([[pow(v, k) for k in counts] for v in bases])
     assert np.array_equal(powers.view(np.int64), expected)
+
+
+def bits(values) -> np.ndarray:
+    """The floats of ``values``, real or complex, as ``int64`` bit patterns."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def numpy_schur_power(matrix, n):
+    """``_schur_power``'s formula as numpy states it: ``matrix ** n``, a
+    count of 2 squared by ``np.square``, and each modulus above 1 scaled back
+    to 1. Where a power overflows this gives NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = matrix ** n[..., None, None]
+        powers[n == 2] = np.square(matrix)
+        modulus = np.abs(powers)
+        big = modulus > 1.0
+        powers[big] /= modulus[big]
+    return powers
+
+
+ONE_PLUS_ULP = math.nextafter(1.0, 2.0)
+# Entries of a correlation matrix, with those where a power's route matters
+# drawn often: signed zeros, the real and imaginary units, unit moduli, and
+# moduli of 1 plus an ulp, whose powers overflow from about 2**62 on.
+SCHUR_ENTRIES = st.one_of(
+    st.sampled_from(
+        [
+            0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, complex(1.0, -0.0),
+            -1.0, 1j, -1j, 0.6 + 0.8j, 0.6 + 0.8000000000000002j, ONE_PLUS_ULP,
+            complex(ONE_PLUS_ULP, 0.0) * cmath.exp(0.3j), math.nextafter(1.0, 0.0),
+        ]
+    ),
+    st.floats(-1.0, 1.0),
+    st.complex_numbers(max_magnitude=1.0),
+    st.floats(-math.pi, math.pi).map(lambda a: cmath.exp(1j * a)),
+)
+SCHUR_COUNTS = st.one_of(
+    st.sampled_from([1, 2, 3, 99, 100, 101, 2**40, 2**62, 10**18, 2**63 - 1]),
+    st.integers(1, 20_000),
+    st.integers(1, 2**63 - 1),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    matrix=st.integers(2, 5).flatmap(
+        lambda d: st.lists(SCHUR_ENTRIES, min_size=d * d, max_size=d * d).map(
+            lambda e: np.array(e, dtype=complex).reshape(d, d)
+        )
+    ),
+    counts=st.lists(SCHUR_COUNTS, min_size=1, max_size=16),
+    scalar=st.booleans(),
+)
+@example(
+    matrix=np.array([[complex(1.0, -0.0), 0.6 + 0.8j], [0.6 - 0.8j, complex(1.0, -0.0)]]),
+    counts=[99, 100, 101, 2**63 - 1],
+    scalar=False,
+)
+@example(matrix=np.array([[1.0, -0.3j], [0.3j, 1.0]]), counts=[2**63 - 1], scalar=True)
+def test_schur_power_is_numpy_power_bit_for_bit(matrix, counts, scalar):
+    """``repeated._schur_power`` gives numpy's power bit for bit, signs of
+    zeros included, on three premises: numpy's complex power multiplies an
+    integer exponent below 100 out, which ``_schur_power`` leaves to it; from
+    100 on it calls libm's ``cpow``, which glibc computes as
+    ``cexp(n * clog(z))``; and numpy's complex ``exp`` and ``log`` loops are
+    libm's ``cexp`` and ``clog``, so ``exp(n * log(z))`` with the logarithm
+    taken once per entry gives ``cpow``'s floats. Where numpy's power
+    overflows (a modulus of 1 plus an ulp from about ``2**62`` on), the power
+    is the unit-modulus phase ``exp(i*n*arg z)`` instead of NaN."""
+    n = np.array(counts[:1] if scalar else counts, dtype=np.int64).reshape(() if scalar else -1)
+    out = _schur_power(matrix, n)
+    expected = numpy_schur_power(matrix, n)
+    finite = np.isfinite(expected)
+    assert np.array_equal(bits(out[finite]), bits(expected[finite]))
+    angles = (n[..., None, None] * np.angle(matrix))[~finite].tolist()
+    phases = [complex(math.cos(a), math.sin(a)) for a in angles]
+    assert np.array_equal(bits(out[~finite]), bits(np.array(phases, complex)))
+
+
+# Angles as the phase sites take them: any finite float, which is
+# _check_phase's limit, with zeros, subnormals and the largest floats.
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, LARGEST, -LARGEST]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e4, 1e4),
+)
+# Exponents of a decay: x <= 0, with the band from -745 to -708 where exp(x)
+# is subnormal or rounds to 0, and an overflowed product, -inf.
+DECAYS = st.one_of(
+    st.sampled_from([0.0, -0.0, -math.inf, -708.0, -745.0, -745.2]),
+    st.floats(-745.2, -708.0),
+    st.floats(-800.0, 0.0),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(angles=st.lists(ANGLES, min_size=1, max_size=64), seed=st.integers(0, 2**32 - 1))
+def test_cexp_phase_is_libm_cos_and_sin_bit_for_bit(angles, seed):
+    """``matcore._cexp(0.0, a)`` holds ``(math.cos(a), math.sin(a))`` bit for
+    bit: numpy's complex ``exp`` loop is libm's ``cexp``, which takes libm's
+    ``cos`` and ``sin`` of the imaginary part. The phases of
+    ``two_level_gram_sqrt`` and ``continuous_soft`` and the rotations of
+    ``information._y_rotations`` rest on this."""
+    a = np.concatenate([angles, np.random.default_rng(seed).uniform(-1e3, 1e3, 1024)])
+    phase = _cexp(0.0, a)
+    assert np.array_equal(phase.real.view(np.int64), bits([math.cos(v) for v in a.tolist()]))
+    assert np.array_equal(phase.imag.view(np.int64), bits([math.sin(v) for v in a.tolist()]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(xs=st.lists(DECAYS, min_size=1, max_size=64), seed=st.integers(0, 2**32 - 1))
+def test_cexp_decay_is_libm_exp_bit_for_bit(xs, seed):
+    """``matcore._cexp(x).real`` holds ``math.exp(x)`` bit for bit for every
+    ``x <= 0``, the subnormal band and ``-inf`` included: libm's ``cexp`` of a
+    real argument is ``exp(x)`` times a cosine of exactly 1. The decays of
+    ``continuous_soft`` and ``semiclassical_info_continuous`` rest on this."""
+    x = np.concatenate([xs, np.random.default_rng(seed).uniform(-800.0, 0.0, 1024)])
+    assert np.array_equal(_cexp(x).real.view(np.int64), bits([math.exp(v) for v in x.tolist()]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(DECAYS, ANGLES), min_size=1, max_size=64))
+def test_cexp_is_cmath_exp_bit_for_bit(points):
+    """``matcore._cexp(x, y)`` holds ``cmath.exp(complex(x, y))`` bit for bit
+    for a finite angle and ``x <= 0``, an overflowed ``-inf`` included."""
+    x, y = np.array(points).T
+    expected = np.array([cmath.exp(complex(*p)) for p in points])
+    assert np.array_equal(bits(_cexp(x, y)), bits(expected))
+
+
+def test_cexp_signs_the_zero_where_cmath_does_not():
+    """Where a decay and a phase both overflow, ``-inf - inf*1j``, libm's
+    ``cexp`` gives ``-0`` for the imaginary part and ``cmath.exp`` ``+0``.
+    So ``repeated._dephasing_matrix``, whose ``-r_dot*t`` is that for a
+    large ``r_dot`` and ``t``, keeps ``cmath.exp`` one time at a time."""
+    z = complex(-math.inf, -math.inf)
+    assert math.copysign(1.0, _cexp(z.real, z.imag).imag) == -1.0
+    assert math.copysign(1.0, cmath.exp(z).imag) == 1.0
+    off = _dephasing_matrix(ContinuousLimitParams(1.0, 1e10, r_dot=1e300 + 1e300j))[0, 1]
+    assert math.copysign(1.0, off.imag) == 1.0
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    theta=st.floats(0.0, math.pi),
+    chi=ANGLES,
+    counts=st.lists(SCHUR_COUNTS, min_size=1, max_size=16),
+    angles=st.lists(ANGLES, min_size=1, max_size=16),
+)
+def test_phase_sites_hold_their_libm_floats(theta, chi, counts, angles):
+    """``two_level_gram_sqrt`` and ``information._y_rotations`` hold the
+    floats of their per-entry ``math.cos`` and ``math.sin`` formulas over
+    every count, angle and phase rate they accept."""
+    n = np.array(counts, dtype=np.int64)
+    params = TwoLevelMeterParams(theta, chi=chi)
+    with np.errstate(over="ignore"):
+        angle = n * chi
+    if not np.isfinite(angle).all():
+        with pytest.raises(InvalidParams):
+            two_level_gram_sqrt(params, n)
+    else:
+        phase = np.array([complex(math.cos(a), math.sin(a)) for a in angle.tolist()])
+        expected = _two_level_root(np.float_power(math.cos(theta / 2.0), n), phase)
+        assert np.array_equal(bits(two_level_gram_sqrt(params, n)), bits(expected))
+    a = np.array(angles)
+    cos, sin = (np.array([f(v) for v in (a / 2.0).tolist()]) for f in (math.cos, math.sin))
+    expected = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+    assert np.array_equal(bits(_y_rotations(a)), bits(expected))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kappa=st.one_of(st.sampled_from([0.0, 1.0, 1e300]), st.floats(0.0, 1e6)),
+    chi_dot=st.one_of(st.sampled_from([0.0, -0.0, 1e300]), st.floats(-1e6, 1e6)),
+    times=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1e10]), st.floats(0.0, 1e3)), min_size=1, max_size=16
+    ),
+)
+def test_continuous_sites_hold_their_libm_floats(kappa, chi_dot, times):
+    """``continuous_soft``'s Gram matrix and meter root, and
+    ``semiclassical_info_continuous``, hold the floats of their per-time
+    ``math.exp(-kappa*t)`` and ``cmath.exp(1j*chi_dot*t)``, over decays in
+    the subnormal band and past overflow, and signed zero rates and times."""
+    t = np.array(times)
+    params = ContinuousLimitParams(kappa, t, chi_dot=chi_dot)
+    with np.errstate(over="ignore"):
+        phase_overflows = not np.isfinite(chi_dot * t).all()
+    if phase_overflows:
+        with pytest.raises(InvalidParams):
+            continuous_soft(params)
+        return
+    c = np.array([math.exp(-kappa * v) for v in times])
+    phase = np.array([cmath.exp(1j * chi_dot * v) for v in times])
+    off = c * phase
+    measurement = continuous_soft(params)
+    for got, expected in (
+        (measurement.gram[..., 0, 1], off),
+        (measurement.meter_vectors, _two_level_root(c, phase)),
+    ):
+        assert np.array_equal(bits(got), bits(expected))
+    info = [_binary_entropy((1.0 + v) / 2.0) for v in c.tolist()]
+    assert np.array_equal(bits(semiclassical_info_continuous(kappa, t)), bits(info))

@@ -157,3 +157,82 @@ def test_two_level_closed_form_near_q_and_mu_one():
         assert (errors[exact == 0.0] == 0.0).all()
         assert errors.max() <= bound
     assert coherent_info_two_level(0.5, 0.5, 1.0 - 2.0**-52) == -2.7755575615628914e-17
+
+
+def repeat_psi_exact(theta: float, chi: float, n: int) -> list[mpmath.mpf]:
+    """``repeat``'s ``psi_00``, ``psi_01_re``, ``psi_01_im`` and ``psi_11``,
+    the closed-form root of ``two_level_gram_sqrt``, at 50 digits:
+    ``[s_plus, Re(phase) s_minus, Im(phase) s_minus, s_plus]`` with
+    ``c = cos(theta/2)**n``, ``s_pm = (sqrt(1 + c) +- sqrt(1 - c)) / 2`` and
+    ``phase = exp(i*n*chi)``, ``n*chi`` taken exactly. ``s_minus`` is taken
+    as ``c / (2 s_plus)``, their difference of square roots without the
+    cancellation, which at 50 digits would leave 0 for ``c`` below 1e-50."""
+    with mpmath.workdps(50):
+        c = mpmath.cos(mpmath.mpf(theta) / 2) ** n
+        plus = (mpmath.sqrt(1 + c) + mpmath.sqrt(1 - c)) / 2
+        minus = c / (2 * plus)
+        phase = mpmath.expj(n * mpmath.mpf(chi))
+        return [plus, minus * phase.real, minus * phase.imag, plus]
+
+
+# Per psi column of repeat: the bound on its worst error in ulps of the exact
+# value, and on its worst absolute error, over the grid of the test below.
+# 2**53 ulps is the error of a float 0 where the exact value is not.
+REPEAT_PSI_ACCURACY = {
+    "psi_00": (2.61e8, 2.9e-8),
+    "psi_01_re": (2.0**53, 2.9e-8),
+    "psi_01_im": (2.0**53, 2.9e-8),
+    "psi_11": (2.61e8, 2.9e-8),
+}
+
+
+def test_repeat_psi_columns_against_their_exact_values():
+    """The ``psi_*`` columns of ``repeat`` against their closed form, over
+    ``theta`` from 1e-7 to pi, counts from 1 to 20,000 (99, 100 and 101
+    among them) and phase rates up to 1e4, so accumulated phases up to 2e8.
+    Where the exact value is 0 (``psi_01_im`` at ``chi = 0``), every float
+    is exactly 0. Elsewhere the errors have three sources:
+
+    - ``c = cos(theta/2)**n`` raises the rounded cosine to the count, so
+      ``c`` carries ``n`` times its relative rounding error, and ``1 - c``,
+      about ``n theta**2 / 8`` for small angles, carries it as an absolute
+      one. At ``theta = 1e-7`` and ``n = 20,000`` that is 2.6e8 ulps of
+      ``psi_00`` and ``psi_11``, an absolute error of 2.9e-8, the worst of
+      every column (9.3e4 ulps at ``theta = 1e-5``, 18 at 0.1, below 1
+      from ``theta = 1`` on);
+    - ``s_minus`` is a difference of two square roots near 1, so where it
+      is below about 1e-16 (``theta`` of 1 or more, counts of some
+      hundreds, where ``c`` is tiny) the float is 0 or of the order of an
+      ulp of 1: up to 2**53 ulps of ``psi_01_re`` and ``psi_01_im``, an
+      absolute error near 1e-16, in 5,391 of the 28,560 values;
+    - ``n*chi`` is rounded before its cosine and sine are taken, an error of
+      up to half an ulp of the accumulated phase.
+
+    The absolute error of ``psi_01_re`` and ``psi_01_im`` is at most 2.9e-8
+    too, at ``theta = 1e-7``.
+    """
+    defaults = cli._COMMANDS["repeat"].defaults
+    ulps = {column: [] for column in REPEAT_PSI_ACCURACY}
+    errors = {column: [] for column in REPEAT_PSI_ACCURACY}
+    zeros = 0
+    for theta in (1e-7, 1e-5, 1e-3, 0.1, 1.0, math.pi / 3.0, math.pi):
+        for chi in (0.0, 0.05, -1.7, 123.4, 1e4):
+            for counts in ("1:20000:201", "99:101:3"):
+                config = {**defaults, "theta": repr(theta), "chi": repr(chi), "n": counts}
+                columns, table, _ = run_sweep("repeat", config)
+                for row in table:
+                    exact = repeat_psi_exact(theta, chi, int(row[0]))
+                    for j, column in enumerate(columns[1:5]):
+                        # psi_01_im is exactly 0 where chi is.
+                        error = abs(mpmath.mpf(float(row[1 + j])) - exact[j])
+                        errors[column].append(float(error))
+                        if exact[j] == 0:
+                            assert error == 0, (column, theta, chi, row[0])
+                            zeros += 1
+                            continue
+                        ulps[column].append(float(error) / math.ulp(float(exact[j])))
+    assert zeros == 7 * 204
+    for column, (ulp_bound, abs_bound) in REPEAT_PSI_ACCURACY.items():
+        assert max(ulps[column]) <= ulp_bound, column
+        assert max(errors[column]) <= abs_bound, column
+    assert max(ulps["psi_00"]) > 2.6e8 and max(errors["psi_00"]) > 2.89e-8

@@ -4,6 +4,7 @@ import cmath
 import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ def scalar_powers(matrix, n):
         return matrix**n
     return np.array([matrix**k for k in n.tolist()])
 
+
+# The float one ulp above 1: a correlation entry of that modulus passes the
+# check, and its powers grow past modulus 1.
+ONE_PLUS_ULP = math.nextafter(1.0, 2.0)
+
+
+def unit_gram(off: complex) -> np.ndarray:
+    """The two-level Gram matrix of unit diagonal with off-diagonal ``off``."""
+    return np.array([[1.0, off], [np.conj(off), 1.0]])
 
 class TestGramPower:
     def test_identity_fixed_point(self):
@@ -268,25 +278,40 @@ class TestRepeatedMeasurement:
             fn(rho, repeat_soft(base, 3))
 
     @pytest.mark.parametrize(
-        "entanglement_off, params, n",
+        "entanglement_off, gram, n",
         [
-            (0.6 + 0.8j, TwoLevelMeterParams(theta=math.pi / 3.0), np.array([10**18, 51 * 10**17])),
-            (1.0, TwoLevelMeterParams(theta=0.0, chi=0.05), 92 * 10**17),
+            (
+                0.6 + 0.8j,
+                two_level_gram(TwoLevelMeterParams(theta=math.pi / 3.0)),
+                np.array([10**18, 51 * 10**17]),
+            ),
+            (1.0, two_level_gram(TwoLevelMeterParams(theta=0.0, chi=0.05)), 92 * 10**17),
+            (0.0, unit_gram(complex(ONE_PLUS_ULP, 0.0) * cmath.exp(0.3j)), 2**62),
+            (0.0, unit_gram(ONE_PLUS_ULP), np.array([2**62, 2**63 - 1])),
+            (0.6 + 0.8000000000000002j, np.eye(2), 2**63 - 1),
         ],
-        ids=["entanglement", "gram"],
+        ids=["entanglement", "gram", "overflow-complex", "overflow-real", "overflow-entanglement"],
     )
-    def test_unit_modulus_entry_keeps_modulus_one(self, entanglement_off, params, n):
+    def test_unit_modulus_entry_keeps_modulus_one(self, entanglement_off, gram, n):
         """``0.6 + 0.8j`` and ``exp(0.05j)`` have modulus 1, and a float
         modulus of 1 plus an ulp, which numpy's power raises to about e^100
         at counts near 1e18; each power keeps modulus 1 instead, so the
-        derived joint state passes its entropy clamp."""
+        derived joint state passes its entropy clamp. From about ``2**62``
+        on such a power overflows; it is then the phase ``exp(i*n*arg z)``,
+        with no warning (warnings are errors here), where the cap once gave
+        NaN: ``0.6 + 0.8000000000000002j``, ``1 + 2**-52`` and that times
+        ``exp(0.3j)``, each of modulus 1 plus an ulp."""
         off = complex(entanglement_off)
-        base = SoftMeasurement(
-            np.array([[1.0, off], [off.conjugate(), 1.0]]), two_level_gram(params)
-        )
+        base = SoftMeasurement(np.array([[1.0, off], [off.conjugate(), 1.0]]), gram)
         repeated = repeat_soft(base, n)
-        for power in (repeated.entanglement, repeated.gram):
+        for power, z in ((repeated.entanglement, off), (repeated.gram, complex(gram[0, 1]))):
+            assert np.isfinite(power).all()
             assert np.abs(power).max() <= 1.0 + 1e-15
+            for count, member in zip(np.atleast_1d(n).tolist(), power.reshape(-1, 2, 2)):
+                if abs(z) > 1.0 and count * math.log(abs(z)) > math.log(sys.float_info.max):
+                    angle = count * cmath.phase(z)
+                    assert member[0, 1] == complex(math.cos(angle), math.sin(angle))
+        assert np.isfinite(repeated.meter_vectors).all()
         joint = swap_factors(apply_soft(repeated, np.full((2, 2), 0.5)), 2, 2)
         assert np.all(np.linalg.eigvalsh(joint) > -1e-10)
 
