@@ -282,8 +282,8 @@ def continuous_soft(params: ContinuousLimitParams) -> SoftMeasurement:
     """
     _check_phase("chi_dot*t", params.chi_dot, params.t)
     c = _decay(params.kappa, params.t)
-    phase = 1j * params.chi_dot * _cast(params.t, float)
-    phase = _cexp(phase.real, phase.imag)
+    exponent = 1j * params.chi_dot * _cast(params.t, float)
+    phase = _cexp(exponent.real, exponent.imag)
     off = c * phase
     return _unchecked(
         SoftMeasurement,

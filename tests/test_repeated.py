@@ -87,6 +87,7 @@ def unit_gram(off: complex) -> np.ndarray:
     """The two-level Gram matrix of unit diagonal with off-diagonal ``off``."""
     return np.array([[1.0, off], [np.conj(off), 1.0]])
 
+
 class TestGramPower:
     def test_identity_fixed_point(self):
         np.testing.assert_array_equal(gram_power(np.eye(3), 7), np.eye(3))
@@ -297,10 +298,9 @@ class TestRepeatedMeasurement:
         modulus of 1 plus an ulp, which numpy's power raises to about e^100
         at counts near 1e18; each power keeps modulus 1 instead, so the
         derived joint state passes its entropy clamp. From about ``2**62``
-        on such a power overflows; it is then the phase ``exp(i*n*arg z)``,
-        with no warning (warnings are errors here), where the cap once gave
-        NaN: ``0.6 + 0.8000000000000002j``, ``1 + 2**-52`` and that times
-        ``exp(0.3j)``, each of modulus 1 plus an ulp."""
+        on such a power overflows, as those of ``0.6 + 0.8000000000000002j``,
+        ``1 + 2**-52`` and that times ``exp(0.3j)`` do; it is then the phase
+        ``exp(i*n*arg z)``, with no warning (warnings are errors here)."""
         off = complex(entanglement_off)
         base = SoftMeasurement(np.array([[1.0, off], [off.conjugate(), 1.0]]), gram)
         repeated = repeat_soft(base, n)
