@@ -13,9 +13,6 @@ from .errors import (
     InvalidMeasurement,
     InvalidParams,
     InvalidState,
-    NotHermitian,
-    NotPSD,
-    OutOfRange,
     SoftMeasError,
 )
 from .matcore import (
@@ -77,9 +74,6 @@ __all__ = [
     "InvalidParams",
     "InvalidState",
     "KrausChannel",
-    "NotHermitian",
-    "NotPSD",
-    "OutOfRange",
     "SoftMeasError",
     "SoftMeasurement",
     "StateEnsemble",

@@ -35,9 +35,10 @@ the tuple of the chunk's output values formats each of them once.
 ``fig2b`` is declared mirrored: its ``I_c_B`` at ``(q_E, q_B) = (a, b)`` is
 its ``I_c_E`` at ``(b, a)``, bit for bit. So when its two grids have the
 same bytes, the sweep evaluates ``I_c_E`` alone and writes ``I_c_B`` as its
-transpose, and the emitters format each ``I_c_E`` value once and take its
-string for ``I_c_B`` too; they keep those strings, one string per grid row,
-about 20 bytes per point beside the float table.
+transpose, and the emitters, seeing it in the table's bytes, format each
+``I_c_E`` value once and take its string for ``I_c_B`` too; they keep those
+strings, one string per grid row, about 20 bytes per point beside the float
+table.
 ``--jobs`` is accepted for compatibility and has no effect.
 
 Exit codes: 0 success; 2 configuration error, for anything wrong with what
@@ -552,7 +553,6 @@ def _row_chunks(
     row: str,
     fmt: str,
     plus_zero: bool = False,
-    mirror: bool = False,
 ) -> Iterator[str]:
     """The rows of a float table over a grid of ``shape``, written by the
     row template ``row``, in chunks of up to ``_BLOCK_POINTS`` rows, one
@@ -574,8 +574,9 @@ def _row_chunks(
     and its text is that template ``%`` the tuple of the chunk's output
     values in row order: one format operation per chunk.
 
-    With ``mirror``, a table of a mirrored command (see ``_Command``) on two
-    axes of the same bytes is written in chunks of whole grid rows, about
+    A mirrored table, on two axes of the same bytes with two outputs, the
+    second the first's transpose in bytes (a mirrored command's, see
+    ``_Command``), is written in chunks of whole grid rows, about
     ``_MIRROR_POINTS`` points each: its first output's values are formatted
     once, and the chunk's template takes their strings, ``%s`` in place of
     the output placeholders, for both outputs (see ``_mirrored_outputs``).
@@ -587,7 +588,10 @@ def _row_chunks(
         # A later axis of length 0 leaves no rows, so no axis value to read.
         grids.append(table[: n * inner : inner or 1, k])
     step = _BLOCK_POINTS
-    if mirror and len(table) and grids[0].tobytes() == grids[1].tobytes():
+    out = table[:, len(shape) :].view(np.int64)
+    pairs = len(table) and out.shape[1] == len(shape) == 2
+    square = pairs and grids[0].tobytes() == grids[1].tobytes()
+    if square and np.array_equal(out[:, 1].reshape(shape), out[:, 0].reshape(shape).T):
         n = shape[0]
         step = n * max(1, _MIRROR_POINTS // n)
         texts[-1] = texts[-1].replace(fmt, "%s")
@@ -614,13 +618,10 @@ def _row_chunks(
         yield "".join(runs) % values
 
 
-def _emit_csv(
-    columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...], mirror: bool = False
-) -> Iterator[str]:
+def _emit_csv(columns: tuple[str, ...], table: np.ndarray, shape: tuple[int, ...]) -> Iterator[str]:
     """CSV text of a float table over a grid of ``shape``, each value as
     ``_format_value`` writes it, in pieces: the header line, then one piece
-    per chunk of rows. ``mirror`` tells that the table is a mirrored
-    command's (see ``_row_chunks``).
+    per chunk of rows.
 
     ``%.12g`` formats a float as ``format(v, ".12g")`` does, and adding 0.0
     first turns -0.0 into 0. Each grid-axis value is formatted once, and
@@ -629,7 +630,7 @@ def _emit_csv(
     grids = len(shape)
     line = ",".join(["%s"] * grids + ["%.12g"] * (len(columns) - grids)) + "\n"
     yield ",".join(columns) + "\n"
-    yield from _row_chunks(table, shape, line, "%.12g", plus_zero=True, mirror=mirror)
+    yield from _row_chunks(table, shape, line, "%.12g", plus_zero=True)
 
 
 def _emit_json(
@@ -638,12 +639,10 @@ def _emit_json(
     columns: tuple[str, ...],
     table: np.ndarray,
     shape: tuple[int, ...],
-    mirror: bool = False,
 ) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` text of the header and the float
     table over a grid of ``shape``, in pieces: the header, one piece per
-    chunk of rows, and the closing brackets. ``mirror`` tells that the
-    table is a mirrored command's (see ``_row_chunks``).
+    chunk of rows, and the closing brackets.
 
     The rows are written by a template in the same layout; ``%r`` writes a
     finite float as :mod:`json` does. Each grid-axis value is formatted
@@ -659,7 +658,7 @@ def _emit_json(
     grids = len(shape)
     cells = ["      %s"] * grids + ["      %r"] * (len(columns) - grids)
     template = ",\n    [\n" + ",\n".join(cells) + "\n    ]"
-    chunks = _row_chunks(table, shape, template, "%r", mirror=mirror)
+    chunks = _row_chunks(table, shape, template, "%r")
     yield "[" + next(chunks)[1:]
     yield from chunks
     yield "\n  ]\n}\n"
@@ -848,11 +847,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         with _output(args.out) as out:
             columns, table, shape = run_sweep(args.command, config)
-            mirror = _COMMANDS[args.command].mirror
             if args.format == "csv":
-                out.writelines(_emit_csv(columns, table, shape, mirror))
+                out.writelines(_emit_csv(columns, table, shape))
             else:
-                out.writelines(_emit_json(args.command, config, columns, table, shape, mirror))
+                out.writelines(_emit_json(args.command, config, columns, table, shape))
     except ConfigError as exc:
         print(f"softmeas: config error: {exc}", file=sys.stderr)
         return 2

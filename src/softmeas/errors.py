@@ -1,12 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per kind of refused object.
 
 Everything derives from :class:`SoftMeasError` (a ``ValueError``), so callers
-can catch either the specific condition or the whole family. A check on a
-stack of matrices gives the first failing member in the exception's
-``index``; the exception, and nothing else, formats it into the message.
-Such a check raises through ``softmeas.matcore._refuse``, the one place
-that finds that member; only the correlation-matrix check, which gathers
-failures before raising, finds it itself.
+can catch either the specific condition or the whole family:
+
+- :class:`DimensionMismatch`: operand shapes or dimensions;
+- :class:`InvalidState`: a matrix that must be Hermitian, PSD or of unit
+  trace (a density matrix, or an eigensolver or square-root input);
+- :class:`InvalidMeasurement`: a measurement's correlation matrices;
+- :class:`InvalidChannel`: a set of Kraus operators;
+- :class:`InvalidParams`: a scalar parameter, or a bundle of them;
+- :class:`ConfigError`: a sweep's configuration or output.
+
+A check on a stack of matrices gives the first failing member in the
+exception's ``index``; the exception, and nothing else, formats it into the
+message. Such a check raises through ``softmeas.matcore._refuse``, the one
+place that finds that member; only the correlation-matrix check, which
+gathers failures before raising, finds it itself.
 """
 
 from __future__ import annotations
@@ -35,20 +44,12 @@ class SoftMeasError(ValueError):
         return f"{text} (stack member [{', '.join(map(str, self.index))}])"
 
 
-class NotHermitian(SoftMeasError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
-class NotPSD(SoftMeasError):
-    """Hermitian matrix has an eigenvalue below the negativity tolerance."""
-
-
 class DimensionMismatch(SoftMeasError):
     """Operand dimensions are incompatible."""
 
 
 class InvalidState(SoftMeasError):
-    """Density-matrix invariants (Hermitian, PSD, unit trace) are violated."""
+    """A matrix fails the Hermitian, PSD or unit-trace invariant its use requires."""
 
 
 class InvalidMeasurement(SoftMeasError):
@@ -60,11 +61,7 @@ class InvalidChannel(SoftMeasError):
 
 
 class InvalidParams(SoftMeasError):
-    """Scalar parameter bundle violates its invariants."""
-
-
-class OutOfRange(SoftMeasError):
-    """Scalar argument outside its documented range."""
+    """A scalar parameter, alone or in a bundle, lies outside its domain."""
 
 
 class ConfigError(SoftMeasError):

@@ -28,7 +28,6 @@ from .errors import (
     InvalidMeasurement,
     InvalidParams,
     InvalidState,
-    OutOfRange,
 )
 from .matcore import (
     TAU_RECON,
@@ -204,7 +203,7 @@ def coherent_info_soft(rho: StateLike, measurement: SoftMeasurement) -> float:
 
 
 def _check_unit_interval(**values: float | np.ndarray) -> list[np.ndarray]:
-    """The values as float arrays; :class:`OutOfRange` unless each is real
+    """The values as float arrays; :class:`InvalidParams` unless each is real
     and every entry of the broadcast arrays lies in ``[0, 1]``.
 
     A complex value is named before any is converted. Names the first
@@ -216,7 +215,7 @@ def _check_unit_interval(**values: float | np.ndarray) -> list[np.ndarray]:
     """
     for name, value in values.items():
         if np.iscomplexobj(value):
-            raise OutOfRange(f"{name} must be real, got {value!r}")
+            raise InvalidParams(f"{name} must be real, got {value!r}")
     values = {name: _cast(value, float) for name, value in values.items()}
     np.broadcast_shapes(*(a.shape for a in values.values()))
     if not all(((0.0 <= a) & (a <= 1.0)).all() for a in values.values()):
@@ -224,7 +223,7 @@ def _check_unit_interval(**values: float | np.ndarray) -> list[np.ndarray]:
         bad = ~((0.0 <= arrays) & (arrays <= 1.0))
         first = np.argmax(bad, axis=0)  # each member's first failing argument
         names, value = np.array(list(values))[first], np.choose(first, arrays)
-        _refuse(bad.any(axis=0), OutOfRange, "{} must lie in [0, 1], got {}", names, value)
+        _refuse(bad.any(axis=0), InvalidParams, "{} must lie in [0, 1], got {}", names, value)
     return list(values.values())
 
 
@@ -455,11 +454,11 @@ def _bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
     """Two-level basis change rotating the Bloch sphere by ``theta`` about y.
 
     The complex :func:`_y_rotations` of ``theta``; an array of angles gives
-    the ``(..., 2, 2)`` stack of rotations. Raises :class:`OutOfRange` for
+    the ``(..., 2, 2)`` stack of rotations. Raises :class:`InvalidParams` for
     an angle that is not finite.
     """
     angles = _cast(theta, float)
-    _refuse(~np.isfinite(angles), OutOfRange, "rotation angle must be finite, got {}", angles)
+    _refuse(~np.isfinite(angles), InvalidParams, "rotation angle must be finite, got {}", angles)
     return _y_rotations(angles).astype(complex)
 
 

@@ -85,7 +85,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState, NotHermitian, NotPSD
+from .errors import DimensionMismatch, InvalidState
 
 # Tolerances, fixed once for the whole package. Double precision leaves a
 # wide margin at these dimensions.
@@ -224,13 +224,13 @@ def _refuse(bad: np.ndarray, error: type, message: str, *values) -> None:
         raise error(message.format(*(v[i] if np.ndim(v) else v for v in values)), index=i)
 
 
-def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
-    """``fn`` applied to each entry of the broadcast ``arrays``, as Python numbers.
+def _entrywise(fn, *arrays) -> np.ndarray:
+    """``fn`` applied to each entry of the broadcast ``arrays``, as Python
+    floats.
 
-    For libm functions (``math.log2``, ``cmath.exp``...) whose numpy loops
-    may round differently in the last ulp: the result holds exactly the
-    values of the scalar calls, without a Python-level loop per entry.
-    ``dtype`` is ``complex`` for a function with complex results. numpy's
+    For libm functions (``math.log2``...) whose numpy loops may round
+    differently in the last ulp: the result holds exactly the values of the
+    scalar calls, without a Python-level loop per entry. numpy's
     ``log2`` has SIMD loops that part from libm on some entries, and no
     vectorised libm ``log2`` is known, so logarithms come through here.
     Powers, exponentials, sines and cosines need no such call:
@@ -239,7 +239,7 @@ def _entrywise(fn, *arrays, dtype: type = float) -> np.ndarray:
     """
     arrays = np.broadcast_arrays(*arrays)
     values = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, dtype, arrays[0].size).reshape(arrays[0].shape)
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
 
 
 def _cexp(real, imag=0.0) -> np.ndarray:
@@ -271,7 +271,7 @@ def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors (``eigenvectors[..., :, i]``) is the unit eigenvector for
     ``eigenvalues[..., i]``.
 
-    Raises :class:`NotHermitian` if any entry of ``matrix - matrix^dagger``
+    Raises :class:`InvalidState` if any entry of ``matrix - matrix^dagger``
     exceeds ``TAU_HERM`` in modulus, or is not finite, and if an entry of
     the Hermitian part overflows. The decomposition itself runs on the
     Hermitian part, which makes results deterministic for inputs that are
@@ -280,9 +280,9 @@ def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = _as_square(matrix)
     dev = _hermitian_deviation(m)
     message = "max |M - M^dagger| entry {:.3e} exceeds {:.1e}"
-    _refuse(~(dev <= TAU_HERM), NotHermitian, message, dev, TAU_HERM)
+    _refuse(~(dev <= TAU_HERM), InvalidState, message, dev, TAU_HERM)
     h, finite = _finite_hermitian_part(m)
-    _refuse(~finite, NotHermitian, "(M + M^dagger) / 2 has an entry that overflows")
+    _refuse(~finite, InvalidState, "(M + M^dagger) / 2 has an entry that overflows")
     return np.linalg.eigh(h)
 
 
@@ -290,7 +290,7 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix or of each in a stack.
 
     Eigenvalues in ``[-TAU_PSD, 0)`` are clamped to zero; anything more
-    negative raises :class:`NotPSD`. Eigenvalues at most
+    negative raises :class:`InvalidState`. Eigenvalues at most
     ``D * SQRT_RANK_EPS`` times the member's largest one are zeros too, so a
     rank-deficient matrix has a root of the same rank. The result is
     Hermitian PSD and squares back to the input within reconstruction
@@ -298,7 +298,7 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     """
     w, v = herm_eig(matrix)
     message = "smallest eigenvalue {:.3e} below -{:.1e}"
-    _refuse(w[..., 0] < -TAU_PSD, NotPSD, message, w[..., 0], TAU_PSD)
+    _refuse(w[..., 0] < -TAU_PSD, InvalidState, message, w[..., 0], TAU_PSD)
     return _root_of_spectrum(w, v)
 
 

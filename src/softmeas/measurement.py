@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMeasurement, OutOfRange
+from .errors import DimensionMismatch, InvalidMeasurement, InvalidParams
 from .matcore import (
     TAU_HERM,
     TAU_PSD,
@@ -276,7 +276,8 @@ def apply_general(measurement: GeneralMeasurement, rho: StateLike) -> np.ndarray
 class TwoLevelMeterParams:
     """Two-state meter set: opening angle ``theta``, common phase ``phi``
     (no observable may depend on it) and differential phase ``chi``, each a
-    real scalar."""
+    real scalar. :class:`InvalidParams` names the first that is not, a
+    ``theta`` outside ``[0, pi]`` or a phase that is not finite."""
 
     theta: float
     phi: float = 0.0
@@ -286,12 +287,12 @@ class TwoLevelMeterParams:
         for name in ("theta", "phi", "chi"):
             value = getattr(self, name)
             if np.ndim(value) or np.iscomplexobj(value):
-                raise OutOfRange(f"{name} must be a real scalar, got {value!r}")
+                raise InvalidParams(f"{name} must be a real scalar, got {value!r}")
         if not 0.0 <= self.theta <= math.pi:
-            raise OutOfRange(f"theta must lie in [0, pi], got {self.theta}")
+            raise InvalidParams(f"theta must lie in [0, pi], got {self.theta}")
         for name in ("phi", "chi"):
             if not math.isfinite(getattr(self, name)):
-                raise OutOfRange(f"{name} must be finite, got {getattr(self, name)}")
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def two_level_meter_states(params: TwoLevelMeterParams) -> np.ndarray:

@@ -47,7 +47,6 @@ from .errors import InvalidParams
 from .matcore import (
     _cast,
     _cexp,
-    _entrywise,
     _refuse,
     _unchecked,
 )
@@ -254,10 +253,18 @@ def _decay(kappa: float, t: float | np.ndarray) -> np.ndarray:
 def _dephasing_matrix(params: ContinuousLimitParams) -> np.ndarray:
     """``[[1, off], [conj(off), 1]]`` with ``off = exp(-r_dot*t)``, per time;
     :class:`InvalidParams` names the first time whose phase ``Im(r_dot)*t``
-    overflows while its decay ``Re(r_dot)*t`` does not."""
+    overflows while its decay ``Re(r_dot)*t`` does not.
+
+    ``off`` is libm's ``cexp`` through :func:`_cexp` of numpy's complex
+    product ``-r_dot * t``, which takes ``t`` as ``t + 0j`` as Python does,
+    so it holds the floats of ``cmath.exp(-r_dot * t)``, save where the
+    decay and the phase both overflow: there ``cexp`` signs the zero as the
+    phase and ``cmath`` gives ``+0``, as ``off`` does."""
     r_dot = complex(params.r_dot)
     _check_phase("Im(r_dot)*t", r_dot.imag, params.t, r_dot.real)
-    off = _entrywise(lambda t: cmath.exp(-r_dot * t), params.t, dtype=complex)
+    with np.errstate(over="ignore"):
+        exponent = -r_dot * _cast(params.t, float)
+    off = np.where(np.isinf(exponent.imag), 0.0, _cexp(exponent.real, exponent.imag))
     return _two_level_matrix(1.0, off, np.conj(off))
 
 
@@ -271,10 +278,8 @@ def continuous_soft(params: ContinuousLimitParams) -> SoftMeasurement:
     with ``s_pm = (sqrt(1 + e^{-kappa t}) +- sqrt(1 - e^{-kappa t})) / 2``,
     so no eigensolve runs. The exponentials are libm's ``cexp`` through
     :func:`_cexp`, so each member holds the floats of the scalar
-    ``math.exp(-kappa*t)`` and ``cmath.exp(1j*chi_dot*t)``; the dephasing
-    ``exp(-r_dot*t)`` comes from ``cmath.exp`` one time at a time, since
-    ``cexp`` signs the zero of a decay and phase that both overflow
-    otherwise. An array of times gives the stacked
+    ``math.exp(-kappa*t)``, ``cmath.exp(1j*chi_dot*t)`` and
+    ``cmath.exp(-r_dot*t)``. An array of times gives the stacked
     measurement, one member per time. The measurement is derived from
     checked parameters and is not checked again. :class:`InvalidParams`
     names the first time whose phase ``chi_dot*t``, or ``Im(r_dot)*t``,
@@ -309,15 +314,17 @@ def discrete_step(kappa: float, chi_dot: float, r_dot: complex, dt: float) -> So
     :class:`InvalidParams`. ``dt`` must be a finite and positive real
     scalar; ``kappa``, ``chi_dot`` and ``r_dot`` are checked by
     :class:`ContinuousLimitParams`, and the angle by
-    :class:`TwoLevelMeterParams`. The step is derived from checked
+    :class:`TwoLevelMeterParams`; the angle is formed from the rates and
+    ``dt`` as float64s, whatever their dtype. The step is derived from checked
     parameters and is not checked again.
     """
     if not (np.ndim(dt) == 0 and np.isrealobj(dt) and math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be finite and positive, got {dt}")
     step = ContinuousLimitParams(kappa=kappa, t=dt, chi_dot=chi_dot, r_dot=r_dot)
-    # A numpy scalar product that overflows warns; TwoLevelMeterParams refuses its inf.
-    with np.errstate(over="ignore"):
-        params = TwoLevelMeterParams(theta=math.sqrt(8.0 * kappa * dt), chi=chi_dot * dt)
+    # Python floats, so a float32 rate gives a float64 angle; a product that
+    # overflows is inf, which TwoLevelMeterParams refuses.
+    kappa, chi_dot, dt = float(kappa), float(chi_dot), float(dt)
+    params = TwoLevelMeterParams(theta=math.sqrt(8.0 * kappa * dt), chi=chi_dot * dt)
     return _unchecked(
         SoftMeasurement, entanglement=_dephasing_matrix(step), gram=two_level_gram(params)
     )

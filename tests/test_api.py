@@ -19,9 +19,6 @@ PUBLIC = [
     "InvalidParams",
     "InvalidState",
     "KrausChannel",
-    "NotHermitian",
-    "NotPSD",
-    "OutOfRange",
     "SoftMeasError",
     "SoftMeasurement",
     "StateEnsemble",
@@ -65,6 +62,9 @@ REMOVED = [
     "CollectiveRepresentation",
     "CompetitionParams",
     "GeneratorRates",
+    "NotHermitian",
+    "NotPSD",
+    "OutOfRange",
     "RANK_TOL",
     "RepeatedMeasurement",
     "Spectrum",

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from softmeas import cli, information
 from softmeas.cli import main
-from softmeas.errors import ConfigError, InvalidMeasurement, OutOfRange, SoftMeasError
+from softmeas.errors import ConfigError, InvalidMeasurement, InvalidParams, SoftMeasError
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -722,7 +722,9 @@ def test_schema_agrees_with_the_library(run):
         except ConfigError as exc:
             assert re.match(rf"parameter ({'|'.join(names)})\b", str(exc)), str(exc)
         except SoftMeasError as exc:
-            assert not isinstance(exc, (OutOfRange, InvalidMeasurement)), str(exc)
+            assert not isinstance(exc, InvalidMeasurement), str(exc)
+            # The one InvalidParams derived from valid values is an overflowing phase.
+            assert not isinstance(exc, InvalidParams) or "accumulated phase" in str(exc), str(exc)
             assert DERIVED.search(str(exc)), str(exc)
 
 
@@ -973,7 +975,8 @@ class TestFailingGridPoint:
             " (stack member [3, 0])\n"
         )
         config = {**cli._COMMANDS["fig2a"].defaults, "q": "0:1:5", "mu": "0:0.5:3"}
-        with pytest.raises(OutOfRange) as excinfo:
+        message = err.removeprefix("softmeas: ").removesuffix("\n")
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$") as excinfo:
             cli.run_sweep("fig2a", config)
         assert excinfo.value.index == (3, 0)
 
@@ -1305,21 +1308,27 @@ class TestTemplateEmit:
     @settings(deadline=None)
     @given(st.data())
     def test_mirrored_table_matches_per_value_format(self, data):
-        """A mirrored table, whose second output is the transpose of its
-        first, gives the per-value bytes with chunks of 1, 2, 3, 7 and the
-        default number of points; on two axes of the same bytes each value
-        of the first output is formatted once, on two others the general
-        route writes it."""
+        """A table whose second output is the transpose of its first, or
+        differs from it in the bytes of one entry (the sign of a zero, say),
+        gives the per-value bytes with chunks of 1, 2, 3, 7 and the default
+        number of points. A mirrored one, the transpose on two axes of the
+        same bytes, has each value of its first output formatted once; the
+        general route writes every other."""
         n = data.draw(st.integers(1, 7))
         axis = data.draw(st.lists(AXIS_VALUES, min_size=n, max_size=n))
         other = data.draw(st.one_of(st.just(axis), st.lists(AXIS_VALUES, min_size=n, max_size=n)))
         first = np.array(data.draw(st.lists(VALUES, min_size=n * n, max_size=n * n)))
         q_E, q_B = (m.ravel() for m in np.meshgrid(axis, other, indexing="ij"))
         first = first.reshape(n, n)
-        array = np.column_stack([q_E, q_B, first.ravel(), first.T.ravel()])
+        second = first.T.flatten()
+        transposed = data.draw(st.booleans())
+        if not transposed:
+            k = data.draw(st.integers(0, n * n - 1))
+            second[k] = -second[k]  # a flipped sign bit, so other bytes
+        array = np.column_stack([q_E, q_B, first.ravel(), second])
         columns, rows = ("q_E", "q_B", "I_c_E", "I_c_B"), array.tolist()
         expected = (per_value_csv(columns, rows), per_value_json("fig2b", {}, columns, rows))
-        square = np.array(axis).tobytes() == np.array(other).tobytes()
+        formatted_once = np.array(axis).tobytes() == np.array(other).tobytes() and transposed
         mirrored_outputs = cli._mirrored_outputs
         for points in (1, 2, 3, 7, cli._MIRROR_POINTS):
             routes = []
@@ -1331,10 +1340,10 @@ class TestTemplateEmit:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(cli, "_MIRROR_POINTS", points)
                 patch.setattr(cli, "_mirrored_outputs", mirrored)
-                csv = "".join(cli._emit_csv(columns, array, (n, n), True))
-                json_text = "".join(cli._emit_json("fig2b", {}, columns, array, (n, n), True))
+                csv = "".join(cli._emit_csv(columns, array, (n, n)))
+                json_text = "".join(cli._emit_json("fig2b", {}, columns, array, (n, n)))
             assert (csv, json_text) == expected
-            assert len(routes) == 2 * square
+            assert len(routes) == 2 * formatted_once
 
     def test_single_point_without_grid(self):
         columns = ("q", "input_entropy", "I_c")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softmeas.errors import InvalidState, SoftMeasError
+from softmeas.errors import InvalidParams, InvalidState, SoftMeasError
 from softmeas.information import (
     StateEnsemble,
     _bloch_y_rotation,
@@ -27,7 +27,7 @@ from softmeas.matcore import (
     matrix_sqrt_psd,
     validate_density_matrix,
 )
-from softmeas.measurement import SoftMeasurement, _check_correlation_matrix
+from softmeas.measurement import SoftMeasurement, TwoLevelMeterParams, _check_correlation_matrix
 from softmeas.repeated import ContinuousLimitParams, _check_phase, _counts
 
 NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -150,3 +150,74 @@ def test_state_name_reaches_the_message_verbatim(corrupt, stacked):
     with pytest.raises(InvalidState) as excinfo:
         DensityMatrix(_stack(bad, np.eye(2) / 2.0, corrupt), name=name)
     assert str(excinfo.value).startswith(f"{name} ")
+
+
+# Each check that refuses a matrix's Hermitian or PSD invariant, or a scalar
+# parameter's domain, with the class that names that object: a call that
+# fails it, the class, the message and the index.
+REFUSALS = {
+    "herm_eig Hermitian": (
+        lambda: herm_eig(np.stack([np.eye(2), NOT_HERMITIAN])),
+        InvalidState,
+        "max |M - M^dagger| entry 1.000e+00 exceeds 1.0e-10 (stack member [1])",
+        (1,),
+    ),
+    "herm_eig overflow": (
+        lambda: herm_eig(np.array([[0.0, 1.7e308], [1.7e308, 0.0]])),
+        InvalidState,
+        "(M + M^dagger) / 2 has an entry that overflows",
+        None,
+    ),
+    "matrix_sqrt_psd": (
+        lambda: matrix_sqrt_psd(np.stack([np.eye(2), np.diag([1.0, -1.0])])[None]),
+        InvalidState,
+        "smallest eigenvalue -1.000e+00 below -1.0e-10 (stack member [0, 1])",
+        (0, 1),
+    ),
+    "unit interval real": (
+        lambda: _check_unit_interval(q=0.5, p=0.5j),
+        InvalidParams,
+        "p must be real, got 0.5j",
+        None,
+    ),
+    "unit interval range": (
+        lambda: _check_unit_interval(q=np.array([0.5, 1.5]), p=0.5),
+        InvalidParams,
+        "q must lie in [0, 1], got 1.5 (stack member [1])",
+        (1,),
+    ),
+    "rotation angle": (
+        lambda: _bloch_y_rotation(np.array([0.3, math.inf])),
+        InvalidParams,
+        "rotation angle must be finite, got inf (stack member [1])",
+        (1,),
+    ),
+    "meter real scalar": (
+        lambda: TwoLevelMeterParams(theta=1.0, chi=0.5j),
+        InvalidParams,
+        "chi must be a real scalar, got 0.5j",
+        None,
+    ),
+    "meter theta": (
+        lambda: TwoLevelMeterParams(theta=4.0),
+        InvalidParams,
+        "theta must lie in [0, pi], got 4.0",
+        None,
+    ),
+    "meter phase": (
+        lambda: TwoLevelMeterParams(theta=1.0, phi=math.nan),
+        InvalidParams,
+        "phi must be finite, got nan",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REFUSALS))
+def test_refusal_raises_the_class_of_its_object(site):
+    call, error, message, index = REFUSALS[site]
+    with pytest.raises(SoftMeasError) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+    assert excinfo.value.index == index

@@ -32,7 +32,6 @@ from softmeas.errors import (
     InvalidMeasurement,
     InvalidParams,
     InvalidState,
-    OutOfRange,
 )
 from softmeas.information import (
     KrausChannel,
@@ -338,9 +337,9 @@ class TestCoherentInfoTwoLevel:
                     )
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidParams, match=r"^q must lie in \[0, 1\], got 1\.2$"):
             coherent_info_two_level(1.2, 0.5, 0.5)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidParams, match=r"^p must lie in \[0, 1\], got -0\.1$"):
             coherent_info_two_level(0.5, -0.1, 0.5)
 
     @pytest.mark.parametrize(
@@ -356,7 +355,7 @@ class TestCoherentInfoTwoLevel:
             (compete_two_level, ("q_eve", "q_bob", "mu")),
         ):
             message = f"{names[slot]} must be real, got {value!r}"
-            with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
                 call(*args)
 
 
@@ -443,27 +442,27 @@ class TestTwoLevelArrays:
     def test_out_of_range_names_first_failing_member(self):
         q = np.array([[0.5, 0.2], [1.5, 0.3]])
         mu = np.array([[0.5, 0.2], [0.5, -1.0]])
-        with pytest.raises(OutOfRange) as exc:
+        with pytest.raises(InvalidParams) as exc:
             coherent_info_two_level(q, 0.5, mu)
         assert str(exc.value) == "q must lie in [0, 1], got 1.5 (stack member [1, 0])"
         assert exc.value.index == (1, 0)
 
     def test_first_failing_member_comes_before_argument_order(self):
         # mu fails at [0, 0] and q only at [0, 1]: a loop over the members meets mu first.
-        with pytest.raises(OutOfRange) as exc:
+        with pytest.raises(InvalidParams) as exc:
             coherent_info_two_level(np.array([[0.5, 2.0]]), 0.5, np.array([[-1.0, 0.5]]))
         assert str(exc.value) == "mu must lie in [0, 1], got -1.0 (stack member [0, 0])"
         assert exc.value.index == (0, 0)
 
     @pytest.mark.parametrize("q", [1.2, math.nan])
     def test_scalar_out_of_range_has_no_index(self, q):
-        with pytest.raises(OutOfRange) as exc:
+        with pytest.raises(InvalidParams) as exc:
             coherent_info_two_level(q, 0.5, 0.5)
         assert str(exc.value) == f"q must lie in [0, 1], got {q}"
         assert exc.value.index is None
 
     def test_compete_two_level_checks_array_arguments(self):
-        with pytest.raises(OutOfRange) as exc:
+        with pytest.raises(InvalidParams) as exc:
             compete_two_level(
                 q_eve=np.array([0.1, 0.2, 0.3]), q_bob=np.array([0.0, 1.0, 2.0]), mu=1.0
             )
@@ -953,10 +952,11 @@ class TestStackedInformation:
     def test_non_finite_angle_rejected(self):
         ensemble = StateEnsemble(np.array([0.5, 0.5]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         bob = SoftMeasurement(np.eye(2), np.eye(2))
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidParams, match="^rotation angle must be finite, got inf$"):
             eve_bob_semiclassical(ensemble, math.inf, np.eye(2), bob)
-        with pytest.raises(OutOfRange) as excinfo:
+        with pytest.raises(InvalidParams) as excinfo:
             _bloch_y_rotation(np.array([0.1, 0.2, math.nan]))
+        assert str(excinfo.value) == "rotation angle must be finite, got nan (stack member [2])"
         assert excinfo.value.index == (2,)
 
     def test_eve_bob_stack_matches_explicit_unitaries(self):

@@ -13,10 +13,8 @@ from conftest import count_eigvalsh, rand_density, rand_unitary
 
 from softmeas.errors import (
     DimensionMismatch,
-    InvalidState,
-    NotHermitian,
     InvalidParams,
-    NotPSD,
+    InvalidState,
 )
 from softmeas.information import _binary_entropy, _y_rotations, semiclassical_info_continuous
 from softmeas.matcore import (
@@ -41,6 +39,11 @@ from softmeas.repeated import (
     continuous_soft,
     two_level_gram_sqrt,
 )
+
+# The refusals of a non-Hermitian matrix and of a negative eigenvalue of
+# magnitude 1, before any stack label.
+NOT_HERMITIAN = r"^max \|M - M\^dagger\| entry 1\.000e\+00 exceeds 1\.0e-10"
+NOT_PSD = r"^smallest eigenvalue -1\.000e\+00 below -1\.0e-10"
 
 LARGEST = float(np.finfo(np.float64).max)
 
@@ -80,7 +83,7 @@ class TestHermEig:
         np.testing.assert_allclose(w, [0.5, 1.5], atol=1e-14, rtol=0.0)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidState, match=NOT_HERMITIAN + "$"):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_reconstruction_and_orthonormality(self):
@@ -144,7 +147,7 @@ class TestMatrixSqrtPsd:
             np.testing.assert_allclose(lhs, rhs, atol=TAU_RECON * np.abs(m).max(), rtol=0.0)
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(InvalidState, match=NOT_PSD + "$"):
             matrix_sqrt_psd(np.diag([1.0, -1.0]))
 
 
@@ -342,7 +345,7 @@ class TestStackedKernels:
             assert np.array_equal(w[index], single_w)
             assert np.array_equal(v[index], single_v)
         stack[BAD + (0, 1)] += 1.0
-        with pytest.raises(NotHermitian) as excinfo:
+        with pytest.raises(InvalidState, match=NOT_HERMITIAN + " ") as excinfo:
             herm_eig(stack)
         assert_names_member(excinfo, BAD)
 
@@ -354,7 +357,7 @@ class TestStackedKernels:
         for index in np.ndindex(STACK):
             assert np.array_equal(roots[index], matrix_sqrt_psd(stack[index]))
         stack[BAD] = -np.eye(dim)
-        with pytest.raises(NotPSD) as excinfo:
+        with pytest.raises(InvalidState, match=NOT_PSD + " ") as excinfo:
             matrix_sqrt_psd(stack)
         assert_names_member(excinfo, BAD)
 
@@ -711,12 +714,44 @@ def test_cexp_signs_the_zero_where_cmath_does_not():
     """Where a decay and a phase both overflow, ``-inf - inf*1j``, libm's
     ``cexp`` gives ``-0`` for the imaginary part and ``cmath.exp`` ``+0``.
     So ``repeated._dephasing_matrix``, whose ``-r_dot*t`` is that for a
-    large ``r_dot`` and ``t``, keeps ``cmath.exp`` one time at a time."""
+    large ``r_dot`` and ``t``, sets those members to ``+0``."""
     z = complex(-math.inf, -math.inf)
     assert math.copysign(1.0, _cexp(z.real, z.imag).imag) == -1.0
     assert math.copysign(1.0, cmath.exp(z).imag) == 1.0
     off = _dephasing_matrix(ContinuousLimitParams(1.0, 1e10, r_dot=1e300 + 1e300j))[0, 1]
     assert math.copysign(1.0, off.imag) == 1.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    decay=st.one_of(st.sampled_from([0.0, -0.0, 1e300]), st.floats(0.0, 1e6)),
+    drift=st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]), st.floats(-1e6, 1e6)),
+    times=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1e10]), st.floats(0.0, 1e3)), min_size=1, max_size=16
+    ),
+)
+@example(decay=1e300, drift=1e300, times=[1e10])
+@example(decay=1e300, drift=-1e300, times=[0.5, 1e10])
+def test_dephasing_is_cmath_exp_bit_for_bit(decay, drift, times):
+    """``repeated._dephasing_matrix`` holds ``cmath.exp(-r_dot*t)`` bit for
+    bit at each time, for a stack of times and for each time alone, over
+    signed zero rates and times and decays and phases past overflow; where
+    only the phase overflows it is refused."""
+    r_dot, t = complex(decay, drift), np.array(times)
+    params = ContinuousLimitParams(1.0, t, r_dot=r_dot)
+    with np.errstate(over="ignore"):
+        refused = (np.isinf(drift * t) & ~np.isinf(decay * t)).any()
+    if refused:
+        with pytest.raises(InvalidParams):
+            _dephasing_matrix(params)
+        return
+    expected = np.array([cmath.exp(-r_dot * v) for v in times])
+    got = _dephasing_matrix(params)
+    assert np.array_equal(bits(got[..., 0, 1]), bits(expected))
+    assert np.array_equal(bits(got[..., 1, 0]), bits(expected.conj()))
+    for v, off in zip(times, expected.tolist()):
+        single = _dephasing_matrix(ContinuousLimitParams(1.0, v, r_dot=r_dot))
+        assert np.array_equal(bits(single[0, 1]), bits(off))
 
 
 @settings(deadline=None, max_examples=200)

@@ -20,7 +20,7 @@ from conftest import (
 
 from softmeas import matcore
 from softmeas import measurement as measurement_module
-from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidState, OutOfRange
+from softmeas.errors import DimensionMismatch, InvalidMeasurement, InvalidParams, InvalidState
 from softmeas.matcore import (
     matrix_sqrt_psd,
     partial_trace,
@@ -597,14 +597,15 @@ class TestTwoLevelMeter:
         np.testing.assert_array_equal(a, b)
 
     def test_theta_range_enforced(self):
-        with pytest.raises(OutOfRange):
-            TwoLevelMeterParams(theta=-0.1)
-        with pytest.raises(OutOfRange):
-            TwoLevelMeterParams(theta=math.pi + 0.1)
+        for theta in (-0.1, math.pi + 0.1):
+            message = f"theta must lie in [0, pi], got {theta}"
+            with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+                TwoLevelMeterParams(theta=theta)
 
     @pytest.mark.parametrize("kwargs", [{"chi": math.inf}, {"chi": math.nan}, {"phi": -math.inf}])
     def test_non_finite_phase_rejected(self, kwargs):
-        with pytest.raises(OutOfRange, match="must be finite"):
+        [(name, value)] = kwargs.items()
+        with pytest.raises(InvalidParams, match=f"^{name} must be finite, got {value}$"):
             TwoLevelMeterParams(theta=1.0, **kwargs)
 
     @pytest.mark.parametrize(
@@ -620,7 +621,7 @@ class TestTwoLevelMeter:
     def test_angle_of_another_kind_rejected(self, kwargs, message):
         """A complex angle or an array of angles is refused, not handed to a
         comparison that raises ``TypeError`` or warns."""
-        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
             TwoLevelMeterParams(**{"theta": 1.0, **kwargs})
 
 

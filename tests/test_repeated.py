@@ -783,6 +783,17 @@ class TestDiscreteToContinuous:
             meter = TwoLevelMeterParams(theta=math.sqrt(4.0 * dt))
             assert np.array_equal(discrete_step(0.5, 0, 0, dt).gram, two_level_gram(meter))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.longdouble])
+    def test_step_of_narrow_rates_is_the_float64_step(self, dtype):
+        """Rates and a step of another float dtype give the step of the same
+        values as float64s: the angle is not formed in the rate's dtype."""
+        kappa, chi_dot, dt = dtype(0.1), dtype(0.3), dtype(0.1)
+        step = discrete_step(kappa, chi_dot, 0.2 + 0.1j, dt)
+        wide = discrete_step(float(kappa), float(chi_dot), 0.2 + 0.1j, float(dt))
+        assert np.array_equal(step.gram, wide.gram)
+        assert np.array_equal(step.entanglement, wide.entanglement)
+        assert discrete_step(np.float32(0.1), 0.0, 0.0, 0.1).gram[0, 1] == 0.9900166554110075
+
     @pytest.mark.parametrize(
         "kappa, dt, expected",
         [
