@@ -13,9 +13,11 @@ can catch either the specific condition or the whole family:
 
 A check on a stack of matrices gives the first failing member in the
 exception's ``index``; the exception, and nothing else, formats it into the
-message. Such a check raises through ``softmeas.matcore._refuse``, the one
-place that finds that member; only the correlation-matrix check, which
-gathers failures before raising, finds it itself.
+message. Every such check raises through ``softmeas.matcore._refuse``, the
+one place that finds that member, by one of two rules: a check of
+sequential rules names the first rule that fails, at its first failing
+member; a check that gathers its rules (a measurement's) names every rule
+that fails at the first failing member, joined with ``"; "``.
 """
 
 from __future__ import annotations

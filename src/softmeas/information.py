@@ -223,7 +223,7 @@ def _check_unit_interval(**values: float | np.ndarray) -> list[np.ndarray]:
         bad = ~((0.0 <= arrays) & (arrays <= 1.0))
         first = np.argmax(bad, axis=0)  # each member's first failing argument
         names, value = np.array(list(values))[first], np.choose(first, arrays)
-        _refuse(bad.any(axis=0), InvalidParams, "{} must lie in [0, 1], got {}", names, value)
+        _refuse(InvalidParams, (bad.any(axis=0), "{} must lie in [0, 1], got {}", names, value))
     return list(values.values())
 
 
@@ -458,7 +458,7 @@ def _bloch_y_rotation(theta: float | np.ndarray) -> np.ndarray:
     an angle that is not finite.
     """
     angles = _cast(theta, float)
-    _refuse(~np.isfinite(angles), InvalidParams, "rotation angle must be finite, got {}", angles)
+    _refuse(InvalidParams, (~np.isfinite(angles), "rotation angle must be finite, got {}", angles))
     return _y_rotations(angles).astype(complex)
 
 
@@ -544,7 +544,7 @@ def eve_bob_semiclassical(
         # A non-finite entry gives a NaN deviation, which fails the check.
         with np.errstate(invalid="ignore", over="ignore"):
             deviation = np.max(np.abs(_dagger(unitary) @ unitary - np.eye(dim)), axis=(-2, -1))
-        _refuse(~(deviation <= TAU_RECON), InvalidMeasurement, "eve_basis is not unitary")
+        _refuse(InvalidMeasurement, (~(deviation <= TAU_RECON), "eve_basis is not unitary"))
     dephase = _cast(dephase, complex)
     if dephase.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"dephase shape {dephase.shape} does not match dim {dim}")

@@ -15,12 +15,18 @@ result such as an entropy is a ``float`` for one matrix and an array of the
 stack shape otherwise. A check that fails on a stack puts the index of the
 first failing member (C order) in the exception's ``index``, and its message
 ends in `` (stack member [i, j])`` (see :class:`~softmeas.errors.SoftMeasError`);
-a single matrix gives no index. Such a check raises through ``_refuse``,
-the one place that finds that member and reads the message's values at
-it; only ``_check_correlation_matrix``, which gathers failures before
-raising, finds it itself. :func:`partial_trace` takes one matrix.
+a single matrix gives no index. Every such check raises through
+``_refuse``, the one place that finds that member and reads the message's
+values at it, by one of two rules. A check of sequential rules (a density
+matrix, an eigensolver input, a count) refuses rule by rule, so the first
+rule that fails wins, at its first failing member. A check that gathers its
+rules (a soft or general measurement) names, at the first member that fails
+any rule, every rule that fails there. :func:`partial_trace` takes one
+matrix.
 
-Each check decomposes a matrix once: :func:`validate_density_matrix`
+Each check decomposes a matrix once, through ``_spectrum``: the Hermitian
+deviation, the overflow of the Hermitian part and its spectrum, a member
+that fails either taken as the identity. :func:`validate_density_matrix`
 returns the ascending eigenvalues it checked (shape ``(..., D)``);
 ``_checked_density`` can return the eigenvectors of the same decomposition.
 A state is checked once, where it enters: a :class:`DensityMatrix` runs the
@@ -183,45 +189,52 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
-    """Largest ``|M - M^dagger|`` entry of each matrix; NaN or inf if an
-    entry is not finite or the difference overflows."""
+def _spectrum(
+    m: np.ndarray, vectors: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | tuple[np.ndarray, np.ndarray]]:
+    """The one decomposition of a check: each matrix's largest
+    ``|M - M^dagger|`` entry (NaN or inf if an entry is not finite or the
+    difference overflows), whether its Hermitian part overflows (an entry
+    near the largest float sums to inf, which no eigensolver takes), and
+    the ``eigvalsh`` of that part, or with ``vectors`` its ``eigh``. A
+    member that fails either of the first two is decomposed as the
+    identity; with none such, the eigensolver takes the Hermitian part
+    itself."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.max(np.abs(m - _dagger(m)), axis=(-2, -1), initial=0.0)
-
-
-def _finite_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian part of each matrix, and whether each has only finite
-    entries: an entry near the largest float overflows the sum to inf,
-    which no eigensolver takes."""
-    with np.errstate(invalid="ignore", over="ignore"):
+        deviation = np.max(np.abs(m - _dagger(m)), axis=(-2, -1), initial=0.0)
         h = _hermitian_part(m)
-    return h, np.isfinite(h).all(axis=(-2, -1))
+    overflow = ~np.isfinite(h).all(axis=(-2, -1))
+    skipped = ~(deviation <= TAU_HERM) | overflow
+    if skipped.any():
+        h = np.where(skipped[..., None, None], np.eye(m.shape[-1]), h)
+    return deviation, overflow, (np.linalg.eigh if vectors else np.linalg.eigvalsh)(h)
 
 
-def _first(bad: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first True member of ``bad`` in C order; None if there is none.
+def _refuse(error: type, *checks: tuple) -> None:
+    """Raise ``error`` at the first member (C order) at which a check
+    fails, if any.
 
-    A 0-d ``bad`` (one matrix) yields the empty index ``()``.
+    Each check is ``(bad, message, *values)``, ``bad`` True at the members
+    that fail it; a 0-d ``bad`` (one matrix, or a rule about no member)
+    names no member and comes before every member. A check's text is
+    ``message.format`` of ``values`` at the member: a value with stack axes
+    (``bad``'s) is read at the member, one without (a name, a tolerance)
+    goes in as it is, so a caller's name never passes through the template.
+    The message joins with ``"; "`` the texts of every check that fails at
+    that member, in the order given, and the member is the exception's
+    ``index``. A check of sequential rules calls this once per rule, so the
+    first rule that fails wins; a check that names every failure calls it
+    once with all of them.
     """
-    bad = np.asarray(bad)
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-
-
-def _refuse(bad: np.ndarray, error: type, message: str, *values) -> None:
-    """Raise ``error`` at the first True member of ``bad`` (C order), if any.
-
-    The message is ``message.format`` of ``values`` at that member: a value
-    with stack axes (``bad``'s) is read at the member, one without (a name,
-    a tolerance) goes in as it is, so a caller's name never passes through
-    the template. The member is the exception's ``index``; a 0-d ``bad``
-    (one matrix) gives none.
-    """
-    i = _first(bad)
-    if i is not None:
-        raise error(message.format(*(v[i] if np.ndim(v) else v for v in values)), index=i)
+    failed = []
+    for bad, message, *values in checks:
+        bad = np.asarray(bad)
+        if bad.any():
+            i = tuple(int(j) for j in np.unravel_index(int(np.argmax(bad)), bad.shape))
+            failed.append((i, message.format(*(v[i] if np.ndim(v) else v for v in values))))
+    if failed:
+        index = min(i for i, _ in failed)
+        raise error("; ".join(text for i, text in failed if i == index), index=index)
 
 
 def _entrywise(fn, *arrays) -> np.ndarray:
@@ -277,13 +290,11 @@ def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Hermitian part, which makes results deterministic for inputs that are
     Hermitian only up to rounding.
     """
-    m = _as_square(matrix)
-    dev = _hermitian_deviation(m)
+    dev, overflow, pair = _spectrum(_as_square(matrix), vectors=True)
     message = "max |M - M^dagger| entry {:.3e} exceeds {:.1e}"
-    _refuse(~(dev <= TAU_HERM), InvalidState, message, dev, TAU_HERM)
-    h, finite = _finite_hermitian_part(m)
-    _refuse(~finite, InvalidState, "(M + M^dagger) / 2 has an entry that overflows")
-    return np.linalg.eigh(h)
+    _refuse(InvalidState, (~(dev <= TAU_HERM), message, dev, TAU_HERM))
+    _refuse(InvalidState, (overflow, "(M + M^dagger) / 2 has an entry that overflows"))
+    return pair
 
 
 def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
@@ -298,7 +309,7 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     """
     w, v = herm_eig(matrix)
     message = "smallest eigenvalue {:.3e} below -{:.1e}"
-    _refuse(w[..., 0] < -TAU_PSD, InvalidState, message, w[..., 0], TAU_PSD)
+    _refuse(InvalidState, (w[..., 0] < -TAU_PSD, message, w[..., 0], TAU_PSD))
     return _root_of_spectrum(w, v)
 
 
@@ -395,19 +406,18 @@ def _checked_density(
     ``vectors``, their eigenvectors from the same ``eigh`` call (else None),
     for a caller that needs the eigenvectors too."""
     m = _as_square(rho, name)
-    dev = _hermitian_deviation(m)
+    dev, overflow, spectrum = _spectrum(m, vectors)
     message = "{} not Hermitian: deviation {:.3e} > {:.1e}"
-    _refuse(~(dev <= TAU_HERM), InvalidState, message, name, dev, TAU_HERM)
+    _refuse(InvalidState, (~(dev <= TAU_HERM), message, name, dev, TAU_HERM))
     with np.errstate(over="ignore"):
         tr = np.trace(m, axis1=-2, axis2=-1)
     message = "{} trace {:.12g} differs from 1 by more than {:.1e}"
-    _refuse(np.abs(tr - 1.0) > TAU_TRACE, InvalidState, message, name, tr, TAU_TRACE)
+    _refuse(InvalidState, (np.abs(tr - 1.0) > TAU_TRACE, message, name, tr, TAU_TRACE))
     # A state of unit trace is PSD only if no entry exceeds 1 in modulus.
-    h, finite = _finite_hermitian_part(m)
-    _refuse(~finite, InvalidState, "{} not PSD: an entry exceeds 1 in modulus", name)
-    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    _refuse(InvalidState, (overflow, "{} not PSD: an entry exceeds 1 in modulus", name))
+    w, v = spectrum if vectors else (spectrum, None)
     message = "{} not PSD: smallest eigenvalue {:.3e} < -{:.1e}"
-    _refuse(w[..., 0] < -TAU_PSD, InvalidState, message, name, w[..., 0], TAU_PSD)
+    _refuse(InvalidState, (w[..., 0] < -TAU_PSD, message, name, w[..., 0], TAU_PSD))
     return w, v
 
 
@@ -477,7 +487,7 @@ def _entropy(w: np.ndarray) -> float | np.ndarray:
     eight on the sum is ``terms.sum(axis=-1)``, with the zero terms left out
     where a member has any."""
     message = "eigenvalue {:.3e} below -{:.1e}"
-    _refuse(w[..., 0] < -ENTROPY_CLAMP, InvalidState, message, w[..., 0], ENTROPY_CLAMP)
+    _refuse(InvalidState, (w[..., 0] < -ENTROPY_CLAMP, message, w[..., 0], ENTROPY_CLAMP))
     w = np.clip(w, 0.0, 1.0)
     terms = w * np.log2(np.where(w > 0.0, w, 1.0))
     if w.shape[-1] < 8:

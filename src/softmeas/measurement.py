@@ -44,10 +44,9 @@ from .matcore import (
     StateLike,
     _cast,
     _dagger,
-    _finite_hermitian_part,
-    _first,
-    _hermitian_deviation,
     _matmul,
+    _refuse,
+    _spectrum,
     _state,
     _unchecked_sqrt,
 )
@@ -62,42 +61,31 @@ def _check_correlation_matrix(mats: dict[str, np.ndarray], *more: str) -> None:
     but the bound is reported separately because it is the first thing that
     breaks when a matrix is edited by hand. A matrix with a non-finite entry
     is not Hermitian. PSD is checked only on the members that are Hermitian
-    and whose Hermitian part is finite.
-    The message joins with ``"; "`` the failures at the first failing member
-    (C order) over all checks, the matrices' in the order given and then
-    ``more``; that member is the exception's ``index``. So a stack names the
-    failures of one member, and a single matrix (or a shape failure, or
-    ``more``, which concern no member) every failure of its own.
+    and whose Hermitian part is finite: ``_spectrum`` decomposes the others
+    as identities. Every rule of every matrix, in the order given and then
+    ``more``, goes to one ``_refuse`` call, so the message joins with
+    ``"; "`` every failure at the first failing member (C order), which is
+    the exception's ``index``. So a stack names the failures of one member,
+    and a single matrix (or a shape failure, or ``more``, which concern no
+    member) every failure of its own.
     """
-    found: list[tuple[tuple[int, ...], str]] = []
+    checks = []
     for name, mat in mats.items():
         m = np.asarray(mat, dtype=complex)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not m.shape[-1]:
-            found.append(((), f"{name} must be square of side >= 1, got shape {m.shape}"))
+            message = "{} must be square of side >= 1, got shape {}"
+            checks.append((True, message, name, str(m.shape)))
             continue
-        not_herm = ~(_hermitian_deviation(m) <= TAU_HERM)
-        # An entry near the largest float overflows the Hermitian part to
-        # inf, on which the eigensolver may not converge. Such members, and
-        # those that are not Hermitian, take the PSD check as identities; the
-        # modulus bound below names the former.
-        h, finite = _finite_hermitian_part(m)
-        skipped = (not_herm | ~finite)[..., None, None]
-        w = np.linalg.eigvalsh(np.where(skipped, np.eye(m.shape[-1]), h))
-        diag = np.diagonal(m, axis1=-2, axis2=-1)
-        for bad, failure in (
-            (not_herm, f"is not Hermitian within {TAU_HERM:.1e}"),
-            (w[..., 0] < -TAU_PSD, "is not PSD: eigenvalue {:.3e}"),
-            (np.max(np.abs(diag - 1.0), axis=-1) > TAU_TRACE, "diagonal is not identically 1"),
-            (np.max(np.abs(m), axis=(-2, -1)) > 1.0 + TAU_TRACE, "has an entry with modulus > 1"),
-        ):
-            i = _first(bad)
-            if i is not None:
-                found.append((i, f"{name} {failure.format(w[i][0])}"))
-    found += [((), failure) for failure in more]
-    if found:
-        index = min(i for i, _ in found)
-        failures = [failure for i, failure in found if i == index]
-        raise InvalidMeasurement("; ".join(failures), index=index)
+        dev, _, w = _spectrum(m)
+        diagonal = np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1) - 1.0), axis=-1)
+        modulus = np.max(np.abs(m), axis=(-2, -1))
+        checks += [
+            (~(dev <= TAU_HERM), "{} is not Hermitian within {:.1e}", name, TAU_HERM),
+            (w[..., 0] < -TAU_PSD, "{} is not PSD: eigenvalue {:.3e}", name, w[..., 0]),
+            (diagonal > TAU_TRACE, "{} diagonal is not identically 1", name),
+            (modulus > 1.0 + TAU_TRACE, "{} has an entry with modulus > 1", name),
+        ]
+    _refuse(InvalidMeasurement, *checks, *((True, "{}", failure) for failure in more))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +203,10 @@ class GeneralMeasurement:
     ``blocks[k, l]`` is the ``meter_dim x meter_dim`` operator attached to
     the object component ``|k><l|``. The assembled block operator must be
     Hermitian PSD with unit-trace diagonal blocks; it is checked when the
-    measurement is built, and :class:`InvalidMeasurement` names every
-    failed check.
+    measurement is built, all rules in one ``_refuse`` call, and
+    :class:`InvalidMeasurement` names every failed check. The overflow of
+    its Hermitian part is named only for a Hermitian operator, and PSD is
+    checked only on one that is Hermitian with a finite Hermitian part.
     """
 
     blocks: np.ndarray
@@ -227,24 +217,18 @@ class GeneralMeasurement:
         if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3] or not b.size:
             message = f"blocks must have shape (D, D, m, m) with D, m >= 1, got {b.shape}"
             raise InvalidMeasurement(message)
-        failures = []
-        big = self.assembled()
-        h, finite = _finite_hermitian_part(big)
-        if not _hermitian_deviation(big) <= TAU_HERM:
-            failures.append("assembled block operator is not Hermitian")
-        elif not finite:
-            failures.append("assembled block operator has an entry that overflows")
-        else:
-            w = np.linalg.eigvalsh(h)
-            if w[0] < -TAU_PSD:
-                failures.append(f"assembled block operator is not PSD: eigenvalue {w[0]:.3e}")
-        for k in range(self.dim):
-            with np.errstate(over="ignore"):
-                tr = complex(np.trace(b[k, k]))
-            if abs(tr - 1.0) > TAU_TRACE:
-                failures.append(f"diagonal block {k} has trace {tr:.12g}, expected 1")
-        if failures:
-            raise InvalidMeasurement("; ".join(failures))
+        dev, overflow, w = _spectrum(self.assembled())
+        not_herm = ~(dev <= TAU_HERM)
+        with np.errstate(over="ignore"):
+            traces = [complex(np.trace(b[k, k])) for k in range(self.dim)]
+        trace = "diagonal block {} has trace {:.12g}, expected 1"
+        _refuse(
+            InvalidMeasurement,
+            (not_herm, "assembled block operator is not Hermitian"),
+            (overflow & ~not_herm, "assembled block operator has an entry that overflows"),
+            (w[0] < -TAU_PSD, "assembled block operator is not PSD: eigenvalue {:.3e}", w[0]),
+            *((abs(tr - 1.0) > TAU_TRACE, trace, k, tr) for k, tr in enumerate(traces)),
+        )
 
     @property
     def dim(self) -> int:
@@ -277,7 +261,9 @@ class TwoLevelMeterParams:
     """Two-state meter set: opening angle ``theta``, common phase ``phi``
     (no observable may depend on it) and differential phase ``chi``, each a
     real scalar. :class:`InvalidParams` names the first that is not, a
-    ``theta`` outside ``[0, pi]`` or a phase that is not finite."""
+    ``theta`` outside ``[0, pi]`` or a phase that is not finite. Each is
+    kept as a Python ``float`` once it passes, so a ``float32`` or
+    ``longdouble`` angle gives the float64 meter states of its value."""
 
     theta: float
     phi: float = 0.0
@@ -293,6 +279,8 @@ class TwoLevelMeterParams:
         for name in ("phi", "chi"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("theta", "phi", "chi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def two_level_meter_states(params: TwoLevelMeterParams) -> np.ndarray:

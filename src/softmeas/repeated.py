@@ -73,7 +73,7 @@ def _counts(n: int | np.ndarray) -> np.ndarray:
     if counts.dtype.kind not in "iu":
         raise InvalidParams(f"repetition counts must be integers, got dtype {counts.dtype}")
     for bad, rule in ((counts < 1, ">= 1"), (counts > 2**63 - 1, "<= 2**63 - 1")):
-        _refuse(bad, InvalidParams, "repetition count must be {}, got {}", rule, counts)
+        _refuse(InvalidParams, (bad, "repetition count must be {}, got {}", rule, counts))
     return counts.astype(np.int64)
 
 
@@ -182,7 +182,7 @@ def _check_phase(name: str, rate: float, times: float | np.ndarray, decay: float
     with np.errstate(over="ignore"):
         bad = np.isinf(np.multiply(rate, times, dtype=float))
         bad &= ~np.isinf(np.multiply(decay, times, dtype=float))
-    _refuse(bad, InvalidParams, "accumulated phase {} is not finite", name)
+    _refuse(InvalidParams, (bad, "accumulated phase {} is not finite", name))
 
 
 def two_level_gram_sqrt(params: TwoLevelMeterParams, n: int | np.ndarray) -> np.ndarray:
@@ -237,7 +237,7 @@ class ContinuousLimitParams:
             raise InvalidParams(f"t must be real, got {self.t!r}")
         t = _cast(self.t, float)
         for bad, rule in ((~np.isfinite(t), "finite"), (t < 0.0, ">= 0")):
-            _refuse(bad, InvalidParams, "t must be {}, got {}", rule, t)
+            _refuse(InvalidParams, (bad, "t must be {}, got {}", rule, t))
         if t.ndim:
             object.__setattr__(self, "t", t)
 

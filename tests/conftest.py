@@ -111,6 +111,21 @@ def forbid_meter_matrices(monkeypatch) -> None:
         monkeypatch.setattr(information, name, forbidden)
 
 
+def arithmetic_pattern() -> tuple[str, bool]:
+    """The arithmetic that some pinned bits depend on: the name of the
+    kernel set that numpy's bundled OpenBLAS selected at run time (as
+    ``OPENBLAS_CORETYPE`` may force it), and whether numpy dispatches its
+    AVX-512 (``AVX512_SKX``) loops. Raises ``AttributeError`` if that
+    OpenBLAS exports no ``scipy_openblas_get_corename64_``."""
+    import ctypes
+
+    from numpy._core import _multiarray_umath
+
+    corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode(), bool(_multiarray_umath.__cpu_features__["AVX512_SKX"])
+
+
 def rand_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)

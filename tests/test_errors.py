@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softmeas.errors import InvalidParams, InvalidState, SoftMeasError
+from softmeas.errors import InvalidMeasurement, InvalidParams, InvalidState, SoftMeasError
 from softmeas.information import (
     StateEnsemble,
     _bloch_y_rotation,
@@ -154,7 +154,12 @@ def test_state_name_reaches_the_message_verbatim(corrupt, stacked):
 
 # Each check that refuses a matrix's Hermitian or PSD invariant, or a scalar
 # parameter's domain, with the class that names that object: a call that
-# fails it, the class, the message and the index.
+# fails it, the class, the message and the index. The last two pin the two
+# rules by which a check names what fails. A check of sequential rules (a
+# density matrix) names the first rule that fails, at its first failing
+# member, even where an earlier member fails a later rule. A check that
+# gathers its rules (a soft measurement) names, at the first member that
+# fails any rule, every rule that fails there, in the order given.
 REFUSALS = {
     "herm_eig Hermitian": (
         lambda: herm_eig(np.stack([np.eye(2), NOT_HERMITIAN])),
@@ -210,6 +215,22 @@ REFUSALS = {
         "phi must be finite, got nan",
         None,
     ),
+    "sequential rules": (
+        lambda: DensityMatrix(np.stack([np.eye(2), np.eye(2) / 2.0 + NOT_HERMITIAN])),
+        InvalidState,
+        "rho not Hermitian: deviation 1.000e+00 > 1.0e-10 (stack member [1])",
+        (1,),
+    ),
+    "gathered rules": (
+        lambda: SoftMeasurement(
+            np.stack([np.array([[1.0, 1.5], [1.5, 1.0]]), np.eye(2)]),
+            np.stack([np.diag([0.5, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])]),
+        ),
+        InvalidMeasurement,
+        "entanglement is not PSD: eigenvalue -5.000e-01; entanglement has an entry with"
+        " modulus > 1; gram diagonal is not identically 1 (stack member [0])",
+        (0,),
+    ),
 }
 
 
@@ -221,3 +242,4 @@ def test_refusal_raises_the_class_of_its_object(site):
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
     assert excinfo.value.index == index
+

@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -467,6 +470,19 @@ def matrix_stack(rng, stack, dim, layout):
     if layout == "matrix-first":
         return np.moveaxis(complex_normal(rng, (dim, dim) + stack), (0, 1), (-2, -1))
     return complex_normal(rng, stack + (dim, dim))
+
+
+def test_arithmetic_pattern_names_the_kernel_set_chosen_at_run_time():
+    """The pattern CI logs reads the kernel set that OpenBLAS picked, not a
+    fixed one: forced to Sandybridge, it names Sandybridge."""
+    code = "from conftest import arithmetic_pattern; print(*arithmetic_pattern())"
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge", PYTHONPATH=os.path.dirname(__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    corename, avx512 = proc.stdout.split()
+    assert corename == "Sandybridge"
+    assert avx512 in ("True", "False")
 
 
 # How ``b`` meets one stack axis of ``a``: with the same length, with length

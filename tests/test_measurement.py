@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -315,14 +316,20 @@ class TestMeterVectors:
         taking its root runs no Hermiticity check."""
         measurement = SoftMeasurement(np.eye(2), np.array([[1.0, 0.3], [0.3, 1.0]]))
         checked = []
-        for module in (matcore, measurement_module):
-            original = module._hermitian_deviation
+        modules = [
+            module
+            for name, module in sorted(sys.modules.items())
+            if name.split(".")[0] == "softmeas" and hasattr(module, "_spectrum")
+        ]
+        assert {matcore, measurement_module} <= set(modules)
+        for module in modules:
+            original = module._spectrum
 
-            def counted(m, _original=original):
+            def counted(m, *args, _original=original, **kwargs):
                 checked.append(np.shape(m))
-                return _original(m)
+                return _original(m, *args, **kwargs)
 
-            monkeypatch.setattr(module, "_hermitian_deviation", counted)
+            monkeypatch.setattr(module, "_spectrum", counted)
         measurement.meter_vectors
         assert checked == []
 
@@ -595,6 +602,20 @@ class TestTwoLevelMeter:
         a = two_level_gram(TwoLevelMeterParams(theta=0.8, phi=0.0, chi=0.3))
         b = two_level_gram(TwoLevelMeterParams(theta=0.8, phi=2.1, chi=0.3))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.longdouble])
+    def test_narrow_or_wide_angles_give_the_float64_meter(self, dtype):
+        """Angles of another float dtype are kept as the Python floats of
+        their values, so the meter states and the Gram matrix are those of
+        the same values in float64, dtype and bits."""
+        angles = {"theta": dtype(0.5), "phi": dtype(0.2), "chi": dtype(0.3)}
+        params = TwoLevelMeterParams(**angles)
+        assert all(type(getattr(params, name)) is float for name in angles)
+        reference = TwoLevelMeterParams(**{k: float(v) for k, v in angles.items()})
+        for fn in (two_level_gram, two_level_meter_states):
+            got, expected = fn(params), fn(reference)
+            assert got.dtype == expected.dtype == np.complex128
+            assert np.array_equal(got, expected)
 
     def test_theta_range_enforced(self):
         for theta in (-0.1, math.pi + 0.1):
